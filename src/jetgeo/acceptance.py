@@ -238,7 +238,7 @@ def criterion_7(cfg):
     for i in range(20):
         n, m = _DIM_CASES[i % 4]
         g = random_connection(_frame(n + m, n), rng)
-        theta = Connection.zero(_theta_frame(n))
+        theta = Connection.flat(n)
         aff = random_affine(n, rng)
         report = affine_symmetry_check(g, theta, aff, samples=50, tol=tol, seed=cfg.seed + i)
         ok = ok and report.passed
@@ -289,7 +289,7 @@ def criterion_9(cfg):
     """sphere geodesics: conserved speed and vanishing covered residual"""
     tol = _tol(cfg, 1e-8)
     g = sphere_chart_connection()
-    theta = Connection.zero(_theta_frame(1))
+    theta = Connection.flat(1)
     jets = integrate_geodesic(g, theta, [0.0, 0.0], [0.8, 0.6], 1e-3, 1000)
 
     def speed(t):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr
 from .acceptance import AcceptanceConfig, run_all
-from .connections import grass_invariants, load_connection, thomas_pi
+from .connections import Connection, grass_invariants, load_connection, thomas_pi
 from .errors import (
     DomainError,
     JetGeoError,
@@ -28,7 +28,6 @@ from .errors import (
     SingularJacobianError,
     UnknownSymbolError,
 )
-from .expr import CoordinateFrame
 from .geodesy import (
     covering_commutation_deviation,
     geodesic_steps,
@@ -91,16 +90,17 @@ def _say(message):
     print(message, file=sys.stderr)
 
 
-def _flat_theta(n):
-    from .connections import Connection
-
-    return Connection.zero(CoordinateFrame(tuple(f"x{i}" for i in range(1, n + 1)), n))
-
-
 def _load_theta(args, n):
     if getattr(args, "theta", None):
         return load_connection(args.theta)
-    return _flat_theta(n)
+    return Connection.flat(n)
+
+
+def _vector(text, option):
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise JetGeoError(f"{option} must be comma-separated numbers, got {text!r}") from None
 
 
 def _split(args, g):
@@ -191,6 +191,8 @@ def _jet_coord_row(jet):
 def cmd_residual(args):
     g = load_connection(args.connection)
     jets = load_jets(args.jets)
+    if not jets:
+        raise JetGeoError(f"no jets in {args.jets}")
     rows = []
     tol = args.tol if args.tol is not None else 1e-10
     worst = 0.0
@@ -233,8 +235,8 @@ def cmd_geodesic(args):
         raise JetGeoError("step size must be positive")
     g = load_connection(args.connection)
     theta = _load_theta(args, 1)
-    start = [float(v) for v in args.start.split(",")]
-    velocity = [float(v) for v in args.velocity.split(",")]
+    start = _vector(args.start, "--start")
+    velocity = _vector(args.velocity, "--velocity")
     rows = []
     truncated = False
     try:

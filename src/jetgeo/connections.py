@@ -35,6 +35,11 @@ from .expr import Const, CoordinateFrame
 
 _ZERO = Const(Fraction(0))
 
+# `christoffel_at` interprets a table this many times before compiling it.
+# In one selftest run, 800 of the 967 connections built are evaluated only
+# once or twice, and compiling costs as much as several interpreted calls.
+_INTERPRETED_CALLS = 2
+
 
 @dataclass(frozen=True)
 class Connection:
@@ -65,10 +70,17 @@ class Connection:
                 table[(a, b, c)] = e
         object.__setattr__(self, "christoffel", table)
         object.__setattr__(self, "singular_points", tuple(tuple(p) for p in self.singular_points))
+        object.__setattr__(self, "_interpreted", 0)
+        object.__setattr__(self, "_compiled", None)
 
     @classmethod
     def zero(cls, frame):
         return cls(frame, {})
+
+    @classmethod
+    def flat(cls, n):
+        """The flat connection of the parameter space R^n, coordinates x1..xn."""
+        return cls.zero(CoordinateFrame(tuple(f"x{i}" for i in range(1, n + 1)), n))
 
     @classmethod
     def from_entries(cls, frame, entries, singular_points=()):
@@ -94,15 +106,35 @@ class Connection:
 
     def christoffel_at(self, point):
         """All components at a point, as an (l, l, l) array indexed
-        [A-1][C-1][B-1]."""
+        [A-1][C-1][B-1].
+
+        The first `_INTERPRETED_CALLS` calls evaluate the entries with
+        `expr.evaluate`; later calls run the table compiled by
+        `expr.compile_table`, which gives the same floats and errors.
+        """
         l = self.dim
         env = self._env(point)
-        out = np.zeros((l, l, l))
-        for (a, b, c), e in self.christoffel.items():
-            v = expr.evaluate(e, env)
-            out[a - 1, c - 1, b - 1] = v
-            out[b - 1, c - 1, a - 1] = v
-        return out
+        if self._compiled is None:
+            if self._interpreted < _INTERPRETED_CALLS:
+                object.__setattr__(self, "_interpreted", self._interpreted + 1)
+                out = np.zeros((l, l, l))
+                for (a, b, c), e in self.christoffel.items():
+                    v = expr.evaluate(e, env)
+                    out[a - 1, c - 1, b - 1] = v
+                    out[b - 1, c - 1, a - 1] = v
+                return out
+            table = expr.compile_table(list(self.christoffel.values()), self.frame.names)
+            # out.flat[k] = values[gather.flat[k]]; the slot after the last entry holds 0.0
+            gather = np.full((l, l, l), len(self.christoffel))
+            for i, (a, b, c) in enumerate(self.christoffel):
+                gather[a - 1, c - 1, b - 1] = gather[b - 1, c - 1, a - 1] = i
+            object.__setattr__(self, "_compiled", (table, gather))
+        table, gather = self._compiled
+        return np.fromiter(table(*env.values()) + (0.0,), float, len(self.christoffel) + 1)[gather]
+
+    def __getstate__(self):
+        # the compiled table is a generated function, which does not pickle
+        return {**self.__dict__, "_interpreted": 0, "_compiled": None}
 
     def _env(self, point):
         if len(point) != self.dim:

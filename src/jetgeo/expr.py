@@ -310,6 +310,158 @@ def _finite(x):
     return x
 
 
+# ---------------------------------------------------------------------------
+# compiled evaluation
+
+
+def compile_table(exprs, names):
+    """Compile a table of trees into one straight-line Python function.
+
+    ``f = compile_table(exprs, names)``; ``f(*coords)`` returns the tuple
+    of ``evaluate(e, dict(zip(names, coords)))`` for e in exprs, bit for
+    bit, and raises the first exception those calls would raise, with its
+    message.  Each structurally distinct subtree gets one local, computed
+    at its first use in the interpreter's order; later uses read it.  The
+    arithmetic is the interpreter's: the same float constants, fsum for
+    sums, products from 1.0 left to right, and every check at the node
+    where `_eval` makes it.  `evaluate` stays the oracle.
+    """
+    return _TableCompiler(tuple(names)).compile(exprs)
+
+
+def _fail(error, *sums):
+    """Raise `error`, unless the running total of an enclosing sum has
+    already overflowed: the interpreter's fsum takes the terms as they are
+    evaluated, and raises OverflowError before it gets to this one."""
+    for terms in sums:
+        math.fsum(terms)
+    raise error
+
+
+_COMPILED_NAMESPACE = {
+    "fsum": math.fsum, "sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
+    "_fail": _fail, "DomainError": DomainError, "MissingSymbolError": MissingSymbolError,
+}
+
+
+class _TableCompiler:
+    def __init__(self, names):
+        self.args = {name: f"c{i}" for i, name in enumerate(names)}
+        self.lines = []
+        self.values = {}        # subtree -> local holding its value
+        self.open_sums = []     # operands already fed to each enclosing sum
+        self.checked = set()    # conditions already tested: locals never change
+
+    def compile(self, exprs):
+        results = []
+        for e in exprs:
+            v = self.value(e)
+            # sums, products, powers, quotients and exp were checked at the node
+            if isinstance(e, (Sym, Func)) and e.name != "exp":
+                self.check(f"{v} - {v} != 0.0",
+                           f'DomainError(f"evaluation produced non-finite value {{{v}}}")')
+            results.append(v)
+        body = "".join(f"    {line}\n" for line in self.lines)
+        source = (f"def table({', '.join(self.args.values())}):\n{body}"
+                  f"    return ({''.join(v + ', ' for v in results)})\n")
+        namespace = dict(_COMPILED_NAMESPACE)
+        exec(compile(source, "<jetgeo.expr.compile_table>", "exec"), namespace)
+        return namespace["table"]
+
+    def new_local(self, e):
+        name = self.values[e] = f"t{len(self.values)}"
+        return name
+
+    def local(self, e, code):
+        name = self.new_local(e)
+        self.lines.append(f"{name} = {code}")
+        return name
+
+    def raising(self, error):
+        """Source of a statement raising `error`, the source of an exception."""
+        sums = "".join(f", ({''.join(op + ', ' for op in fed)})"
+                       for fed in self.open_sums if len(fed) >= 2)
+        return f"_fail({error}{sums})"
+
+    def check(self, condition, error):
+        if condition not in self.checked:
+            self.checked.add(condition)
+            self.lines.append(f"if {condition}: {self.raising(error)}")
+
+    def finite(self, v):
+        # x - x is 0.0 exactly when x is finite
+        self.check(f"{v} - {v} != 0.0", "DomainError('intermediate value is not finite')")
+        return v
+
+    def call(self, e, code, overflow=None):
+        """Local holding `code`.  With `overflow`, its OverflowError becomes
+        DomainError(overflow); inside a sum whose total could have
+        overflowed already, anything else it raises goes through `_fail`."""
+        pending = any(len(fed) >= 2 for fed in self.open_sums)
+        if overflow is None and not pending:
+            return self.local(e, code)
+        name = self.new_local(e)
+        self.lines += ["try:", f"    {name} = {code}"]
+        if overflow is not None:
+            self.lines += ["except OverflowError:", f"    {self.raising(f'DomainError({overflow!r})')}"]
+        if pending:
+            self.lines += ["except Exception as exc:", f"    {self.raising('exc')}"]
+        return name
+
+    def unreachable(self, e, error):
+        """Local for a node whose evaluation always raises `error`."""
+        self.lines.append(self.raising(error))
+        return self.local(e, "None")
+
+    def value(self, e):
+        """Source text of an operand holding e's value, after emitting the
+        statements that compute it."""
+        if e in self.values:
+            return self.values[e]
+        if isinstance(e, Const):
+            try:
+                text = repr(float(e.value))
+            except OverflowError as exc:
+                return self.unreachable(e, f"OverflowError({str(exc)!r})")
+            return f"({text})" if text.startswith("-") else text
+        if isinstance(e, Sym):
+            if e.name not in self.args:
+                message = f"no value assigned to '{e.name}'"
+                return self.unreachable(e, f"MissingSymbolError({message!r})")
+            return self.call(e, f"float({self.args[e.name]})")
+        if isinstance(e, Add):
+            fed = []
+            self.open_sums.append(fed)
+            for t in e.terms:
+                fed.append(self.value(t))
+            self.open_sums.pop()
+            return self.finite(self.call(e, f"fsum(({''.join(op + ', ' for op in fed)}))"))
+        if isinstance(e, Mul):
+            factors = [self.value(f) for f in e.factors]
+            return self.finite(self.local(e, " * ".join(["1.0"] + factors)))
+        if isinstance(e, Pow):
+            base = self.value(e.base)
+            if e.exponent < 0:
+                self.check(f"{base} == 0.0", "DomainError('zero base with negative exponent')")
+            return self.finite(self.call(e, f"{base} ** {e.exponent}", overflow="power overflow"))
+        if isinstance(e, Div):
+            den = self.value(e.den)
+            self.check(f"{den} == 0.0", "DomainError('division by zero')")
+            num = self.value(e.num)
+            return self.finite(self.local(e, f"{num} / {den}"))
+        if isinstance(e, Func):
+            arg = self.value(e.arg)
+            if e.name in ("sin", "cos"):
+                return self.call(e, f"{e.name}({arg})")
+            if e.name == "exp":
+                return self.finite(self.call(e, f"exp({arg})", overflow="exp overflow"))
+            if e.name == "sqrt":
+                self.check(f"{arg} < 0.0", f'DomainError(f"sqrt of negative value {{{arg}}}")')
+                return self.local(e, f"sqrt({arg})")
+        message = f"cannot evaluate {type(e).__name__}"
+        return self.unreachable(e, f"TypeError({message!r})")
+
+
 def symbols_of(e):
     """Set of coordinate names appearing in the tree."""
     out = set()

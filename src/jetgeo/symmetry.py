@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
+from .connections import Connection
 from .errors import DimensionMismatchError, DomainError, SpecLoadError
 from .expr import CoordinateFrame, Sym
 from .geodesy import ddot_gamma_pro, distribution_fields, param_residual2, residual2
@@ -505,7 +506,7 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
     l = g.dim
     m = l - n
     rng = spawn_rng(seed, 0)
-    theta = _flat_theta(n)
+    theta = Connection.flat(n)
     orbit_dev = 0.0
     preimage_dev = 0.0
     factoring_dev = 0.0
@@ -531,12 +532,6 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
         factoring_dev = max(factoring_dev, residual2(g, cover2(q)).max_abs())
     passed = orbit_dev <= orbit_tol and preimage_dev <= orbit_tol and factoring_dev <= factoring_tol
     return OrbitReport(orbit_dev, preimage_dev, factoring_dev, passed)
-
-
-def _flat_theta(n):
-    from .connections import Connection
-
-    return Connection.zero(CoordinateFrame(tuple(f"x{i}" for i in range(1, n + 1)), n))
 
 
 # ---------------------------------------------------------------------------

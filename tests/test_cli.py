@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from jetgeo import connections
 from jetgeo.cli import main
 from jetgeo.connections import connection_to_dict, projective_shift
 from jetgeo.jets import jet_to_dict
@@ -153,16 +154,37 @@ def test_geodesic_rejects_bad_step(zero_spec, capsys):
                  "--h", "-0.1", "--steps", "5"]) == 2
 
 
-def test_geodesic_domain_error_truncates(tmp_path, capsys):
+def test_geodesic_domain_error_truncates(tmp_path, monkeypatch):
     spec = write(
         tmp_path / "sing.json",
         {"coords": ["u1", "u2"], "n": 1,
          "christoffel": [{"lower": [1, 1], "upper": 1, "expr": "-sqrt(1 - u1)"}]},
     )
-    code = main(["geodesic", spec, "--start", "0,0", "--velocity", "2,0",
-                 "--h", "0.1", "--steps", "20"])
-    assert code == 3
-    assert "error" in capsys.readouterr().out
+    argv = ["geodesic", spec, "--start", "0,0", "--velocity", "2,0", "--h", "0.1", "--steps", "20"]
+    assert main(argv + ["--out", str(tmp_path / "compiled.csv")]) == 3
+    # the same run with every Christoffel table evaluated by the interpreter
+    monkeypatch.setattr(connections, "_INTERPRETED_CALLS", 10 ** 9)
+    assert main(argv + ["--out", str(tmp_path / "interpreted.csv")]) == 3
+    text = (tmp_path / "compiled.csv").read_text()
+    rows = text.splitlines()
+    assert len(rows) > 3 and rows[-1].startswith("error,sqrt of negative value")
+    assert text == (tmp_path / "interpreted.csv").read_text()
+
+
+@pytest.mark.parametrize("option", ["--start", "--velocity"])
+def test_geodesic_rejects_non_numeric_vector(zero_spec, option, capsys):
+    argv = ["geodesic", zero_spec, "--start", "0,0", "--velocity", "1,0", "--h", "0.1", "--steps", "5"]
+    argv[argv.index(option) + 1] = "a,b"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["unparam", "param"])
+def test_residual_rejects_empty_jet_file(zero_spec, tmp_path, mode, capsys):
+    jets = write(tmp_path / "none.json", {"jets": []})
+    assert main(["residual", zero_spec, "--jets", jets, "--mode", mode]) == 2
+    assert "no jets" in capsys.readouterr().err
 
 
 def test_cover_check(random_spec_pair, capsys):
