@@ -319,7 +319,7 @@ def criterion_10(cfg):
                 def at(t):
                     mod = first.copy()
                     mod[kk, lam] = t
-                    return dot_gamma(g, SubJet.order1(n, m, p.base, mod)).table
+                    return dot_gamma(g, SubJet(n, m, p.base, mod)).table
                 v0, v1, v2 = at(0.0), at(1.0), at(2.0)
                 t = 3.5
                 interp = v0 * (t - 1) * (t - 2) / 2 - v1 * t * (t - 2) + v2 * t * (t - 1) / 2

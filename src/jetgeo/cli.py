@@ -26,7 +26,9 @@ from .errors import (
     JetGeoError,
     ParseError,
     SingularJacobianError,
+    SpecLoadError,
     UnknownSymbolError,
+    load_json,
 )
 from .geodesy import (
     covering_commutation_deviation,
@@ -36,7 +38,7 @@ from .geodesy import (
     quotient_diagram_deviation,
     residual2,
 )
-from .jets import AffineMap, SecJet, cover2, load_jets
+from .jets import AffineMap, SecJet, cover2, derivative_entries, load_jets
 from .sampling import random_secjet1, spawn_rng
 from .symmetry import (
     affine_symmetry_check,
@@ -180,12 +182,8 @@ def cmd_equivalent(args):
 
 
 def _jet_coord_row(jet):
-    if isinstance(jet, SecJet):
-        vals = list(jet.x) + list(jet.u)
-    else:
-        vals = list(jet.base)
-    vals.extend(v for _, v in sorted(jet.derivs.items()))
-    return vals
+    vals = list(jet.x) + list(jet.u) if isinstance(jet, SecJet) else list(jet.base)
+    return vals + [value for _, _, value in derivative_entries(jet)]
 
 
 def cmd_residual(args):
@@ -286,24 +284,28 @@ def cmd_cover_check(args):
     return 0 if passed else 1
 
 
+def _load_affine(path):
+    data = load_json(path)
+    try:
+        return AffineMap(data["a"], data["b"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise SpecLoadError(f"malformed affine map spec: {e}") from None
+
+
 def cmd_symmetry_check(args):
     g = load_connection(args.connection)
     n = _split(args, g)
     tol = args.tol if args.tol is not None else 1e-8
     samples = args.samples
     if args.affine:
-        with open(args.affine, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        aff = AffineMap(np.array(data["a"], dtype=float), np.array(data["b"], dtype=float))
+        aff = _load_affine(args.affine)
         theta = _load_theta(args, aff.n)
         report = affine_symmetry_check(g, theta, aff, samples=samples, tol=tol, seed=args.seed)
     elif args.field:
-        with open(args.field, "r", encoding="utf-8") as fh:
-            f = jetfield_from_dict(json.load(fh))
+        f = jetfield_from_dict(load_json(args.field))
         report = field_preserves_distribution(f, g, n, samples=samples, tol=tol, seed=args.seed)
     else:
-        with open(args.map, "r", encoding="utf-8") as fh:
-            jmap = jetmap_from_dict(json.load(fh))
+        jmap = jetmap_from_dict(load_json(args.map))
         theta = _load_theta(args, n) if jmap.kind == "secjet" else None
         report = preserves_distribution(jmap, g, n, samples=samples, tol=tol,
                                         seed=args.seed, theta=theta)

@@ -16,7 +16,6 @@ implements:
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -29,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InconsistentPerturbationError,
     SpecLoadError,
+    load_json,
 )
 from .expr import Const, CoordinateFrame
 
@@ -473,9 +473,4 @@ def connection_to_dict(g):
 
 
 def load_connection(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpecLoadError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from None
-    return connection_from_dict(data)
+    return connection_from_dict(load_json(path))

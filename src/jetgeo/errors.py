@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the reader of JSON spec
+files, which reports malformed JSON as a SpecLoadError."""
+
+import json
 
 
 class JetGeoError(Exception):
@@ -55,3 +58,12 @@ class InconsistentPerturbationError(JetGeoError):
 
 class SpecLoadError(JetGeoError):
     """A JSON spec file is structurally invalid."""
+
+
+def load_json(path):
+    """The parsed contents of a JSON spec file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise SpecLoadError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from None

@@ -139,21 +139,18 @@ class XiTable:
 def dot_gamma_via_xi(g, xi, p):
     """Induced connection computed through an auxiliary connection.
 
-    Materializes the product-connection symbols
+    Materializes the du^A coefficients of the product-connection symbols
 
-        Om_A{}^C_xi{}^lam_B      = δ^C_B Ξ_A{}_xi{}^lam + δ^lam_xi Γ_A{}^C{}_B
-        Om^al_h{}^C_xi{}^lam_B   = δ^C_B Ξ^al_h{}_xi{}^lam
+        Om_A{}^C_xi{}^lam_B      = δ^C_B Ξ_A{}_xi{}^lam + δ^lam_xi Γ_A{}^C{}_B,
 
-    contracts them along the canonical horizontal inclusion of the jet,
-    and projects onto the vertical quotient by subtracting the
+    contracted along the canonical horizontal inclusion of the jet, and
+    projects onto the vertical quotient by subtracting the
     u^k_beta-weighted base components.  The auxiliary terms cancel in the
     projection, so the result equals `dot_gamma(g, p)` for every table.
+    The vertical symbols Om^al_h{}^C_xi{}^lam_B = δ^C_B Ξ^al_h{}_xi{}^lam
+    only reach the du^h_alpha coefficients, which the induced connection
+    does not read; xi.vert is checked for shape and otherwise unused.
     """
-    table, _ = _via_xi_tables(g, xi, p)
-    return DotGamma(p.n, p.m, table)
-
-
-def _via_xi_tables(g, xi, p):
     _check_subjet(g, p)
     n, m, l = p.n, p.m, p.l
     if xi.base.shape != (l, n, n) or xi.vert.shape != (n, m, n, n):
@@ -174,23 +171,9 @@ def _via_xi_tables(g, xi, p):
                 total += G[a, c, n:] @ D[:, x]
                 raw[a, c, x] = total
 
-    # raw_v[h][alpha][C][xi]: du^h_alpha coefficient before projection
-    raw_v = np.zeros((m, n, l, n))
-    for h in range(m):
-        for al in range(n):
-            for c in range(l):
-                for x in range(n):
-                    total = 1.0 if (c == n + h and x == al) else 0.0
-                    if c < n:
-                        total += xi.vert[al, h, x, c]
-                    else:
-                        total += xi.vert[al, h, x, :] @ D[c - n, :]
-                    raw_v[h, al, c, x] = total
-
     # vertical projection: fibre slot minus u^k_beta times base slots
     table = raw[:, n:, :] - np.einsum("kb,abx->akx", D, raw[:, :n, :])
-    vert_coeff = raw_v[:, :, n:, :] - np.einsum("kb,habx->hakx", D, raw_v[:, :, :n, :])
-    return table, vert_coeff
+    return DotGamma(n, m, table)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +390,7 @@ def geodesic_steps(g, theta, start, velocity, h, steps):
     v = np.asarray(velocity, dtype=float)
     for _ in range(steps + 1):
         a = accel(x, u, v)
-        jet = SecJet.order1(1, len(u), [x], u, v.reshape(-1, 1)).with_second(
-            a.reshape(-1, 1, 1)
-        )
-        yield jet
+        yield SecJet(1, len(u), [x], u, v.reshape(-1, 1), a.reshape(-1, 1, 1))
         k1u, k1v = v, a
         k2u, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h, u + 0.5 * h * k1u, v + 0.5 * h * k1v)
         k3u, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h, u + 0.5 * h * k2u, v + 0.5 * h * k2v)
@@ -461,7 +441,7 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
             raise DimensionMismatchError("could not sample enough regular jets")
         base = random_point(g1, rng)
         first = rng.uniform(-1.0, 1.0, (m, n))
-        p = SubJet.order1(n, m, base, first)
+        p = SubJet(n, m, base, first)
         try:
             s1 = ddot_gamma(g1, p).second_array()
             s2 = ddot_gamma(g2, p).second_array()

@@ -1,219 +1,172 @@
 """Coordinate models of jets of submanifolds and jets of sections.
 
-Two finite coordinate records:
+Two finite coordinate records, of order r = 1 or 2:
 
-* SubJet — a point of the order-r jet space of n-dimensional submanifolds
-  in a divided chart: base values (u^1..u^l) and derivative values u^i_sigma
-  for fibre indices i and multi-indices sigma over the base directions.
-* SecJet — a point of the order-r jet of sections of a trivial bundle over
+* SubJet — a point of the jet space of n-dimensional submanifolds in a
+  divided chart: base values (u^1..u^l) and the derivatives of the fibre
+  coordinates u^i over the base directions.
+* SecJet — a point of the jet space of sections of a trivial bundle over
   an n-dimensional parameter space: (x^lambda, u^A, u^A_{x sigma}).
+
+Both store their derivatives only as read-only arrays: `first` (rows, n)
+and, at order 2, `second` (rows, n, n), symmetric in its last two axes.
+Orders above 2 are not modelled: no kernel, projection or action reads
+them.
 
 Plus the maps between and on them: prolongation of a parametrized map,
 the covering projections that forget the parametrization (orders 1 and 2),
 the affine action on the parameter space, and general reparametrization.
 
-Multi-indices are stored sorted; the documented enumeration order used by
-serialization is plain lexicographic over the sorted tuples, e.g. for
-n = 2, r = 2: (1), (1,1), (1,2), (2), (2,2).
+Multi-indices appear only in the JSON form, in `jet_from_dict`,
+`jet_to_dict` and their helper `derivative_entries`: entries are keyed
+(index, sigma) with sigma sorted, in lexicographic order over the sorted
+tuples, e.g. for n = 2, r = 2: (1), (1,1), (1,2), (2), (2,2).
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import expr
-from .errors import DimensionMismatchError, SingularJacobianError, SpecLoadError
+from .errors import DimensionMismatchError, SingularJacobianError, SpecLoadError, load_json
 from .expr import CoordinateFrame
 
 _DET_THRESHOLD = 1e-12
 
 
-def multi_indices(n, r):
-    """All sorted multi-indices over 1..n with 1 <= |sigma| <= r, in the
-    serialization order."""
-    out = []
-    for k in range(1, r + 1):
-        out.extend(combinations_with_replacement(range(1, n + 1), k))
-    return tuple(sorted(out))
+def _frozen(values, shape, symmetric=False):
+    """A read-only float copy of values with the given shape.  With
+    symmetric, only the entries [..., lam, xi] with lam <= xi are read, and
+    mirrored."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != shape:
+        raise DimensionMismatchError(f"derivative array has shape {a.shape}, expected {shape}")
+    if symmetric:
+        a = np.where(np.triu(np.ones(shape[1:], dtype=bool)), a, a.swapaxes(1, 2))
+    else:
+        a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
-def mi_extend(sigma, lam):
-    return tuple(sorted(sigma + (lam,)))
+class _Jet:
+    """What SubJet and SecJet share: the order, the derivative arrays and
+    exact equality."""
 
+    @property
+    def r(self):
+        return 1 if self.second is None else 2
 
-def _check_derivs(derivs, first_indices, n, r, what):
-    expected = {(i, sigma) for i in first_indices for sigma in multi_indices(n, r)}
-    got = set(derivs)
-    if got != expected:
-        missing = sorted(expected - got)[:4]
-        extra = sorted(got - expected)[:4]
-        raise SpecLoadError(
-            f"{what} derivative table incomplete or overfull "
-            f"(missing {missing}, unexpected {extra})"
+    def _store(self, rows):
+        object.__setattr__(self, "first", _frozen(self.first, (rows, self.n)))
+        if self.second is not None:
+            object.__setattr__(
+                self, "second", _frozen(self.second, (rows, self.n, self.n), symmetric=True)
+            )
+
+    def with_second(self, second):
+        """This jet at order 2 with the given second derivatives; only the
+        entries [..., lam, xi] with lam <= xi are read, and mirrored."""
+        return replace(self, second=second)
+
+    def truncate(self, r):
+        if r not in (1, 2) or r > self.r:
+            raise DimensionMismatchError(f"cannot truncate an order-{self.r} jet to order {r}")
+        return self if r == self.r else replace(self, second=None)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
-    for (_, sigma) in got:
-        if tuple(sorted(sigma)) != tuple(sigma):
-            raise SpecLoadError(f"{what} multi-index {sigma} is not sorted")
 
 
-@dataclass(frozen=True, eq=True)
-class SubJet:
-    """Jet of an n-dimensional submanifold, order r, in a divided chart.
+@dataclass(frozen=True, eq=False)
+class SubJet(_Jet):
+    """Jet of an n-dimensional submanifold, order 1 or 2, in a divided chart.
 
-    base holds (u^1..u^{n+m}); derivs maps (i, sigma) -> value for fibre
-    indices i in n+1..n+m, 1 <= |sigma| <= r.
+    base holds (u^1..u^{n+m}); first[k, lam] is u^{n+1+k}_{lam+1}, an
+    (m, n) array, and second[k, lam, xi] is u^{n+1+k}_{lam+1 xi+1}, an
+    (m, n, n) array at order 2 and None at order 1.
     """
 
     n: int
     m: int
-    r: int
     base: tuple
-    derivs: dict
+    first: np.ndarray
+    second: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(float(v) for v in self.base))
-        object.__setattr__(
-            self, "derivs", {(i, tuple(s)): float(v) for (i, s), v in self.derivs.items()}
-        )
         if len(self.base) != self.n + self.m:
             raise DimensionMismatchError(
                 f"base has {len(self.base)} values for n+m={self.n + self.m}"
             )
-        _check_derivs(self.derivs, range(self.n + 1, self.n + self.m + 1), self.n, self.r, "subjet")
+        self._store(self.m)
 
     @property
     def l(self):
         return self.n + self.m
 
-    def u(self, a):
-        return self.base[a - 1]
-
-    def d(self, i, sigma):
-        return self.derivs[(i, tuple(sorted(sigma)))]
-
     def first_matrix(self):
         """u^i_lambda as an (m, n) array, fibre rows, base columns."""
-        return np.array(
-            [[self.d(i, (lam,)) for lam in range(1, self.n + 1)]
-             for i in range(self.n + 1, self.l + 1)]
-        )
+        return self.first
 
     def second_array(self):
         """u^i_{lambda xi} as an (m, n, n) array, symmetric in the last two."""
-        out = np.zeros((self.m, self.n, self.n))
-        for kk, i in enumerate(range(self.n + 1, self.l + 1)):
-            for lam in range(1, self.n + 1):
-                for xi in range(1, self.n + 1):
-                    out[kk, lam - 1, xi - 1] = self.d(i, (lam, xi))
-        return out
-
-    @classmethod
-    def order1(cls, n, m, base, first):
-        first = np.asarray(first, dtype=float)
-        derivs = {
-            (n + 1 + kk, (lam,)): first[kk, lam - 1]
-            for kk in range(m)
-            for lam in range(1, n + 1)
-        }
-        return cls(n, m, 1, base, derivs)
-
-    def with_second(self, second):
-        """Extend an order-1 jet by a symmetric (m, n, n) second-derivative
-        block."""
-        second = np.asarray(second, dtype=float)
-        derivs = dict(self.derivs)
-        for kk in range(self.m):
-            for lam in range(1, self.n + 1):
-                for xi in range(lam, self.n + 1):
-                    derivs[(self.n + 1 + kk, (lam, xi))] = second[kk, lam - 1, xi - 1]
-        return SubJet(self.n, self.m, 2, self.base, derivs)
-
-    def truncate(self, r):
-        derivs = {key: v for key, v in self.derivs.items() if len(key[1]) <= r}
-        return SubJet(self.n, self.m, r, self.base, derivs)
+        return self.second
 
 
-@dataclass(frozen=True, eq=True)
-class SecJet:
-    """Jet of a section over an n-dimensional parameter space, order r.
+@dataclass(frozen=True, eq=False)
+class SecJet(_Jet):
+    """Jet of a section over an n-dimensional parameter space, order 1 or 2.
 
-    x holds the parameter point, u the full fibre point (u^1..u^l), and
-    derivs maps (A, sigma) -> value for A in 1..l.
+    x holds the parameter point, u the full fibre point (u^1..u^l);
+    first[A, lam] is u^{A+1}_{x lam+1}, an (l, n) array, and second is the
+    (l, n, n) array of u^{A+1}_{x lam+1 x xi+1} at order 2, None at order 1.
     """
 
     n: int
     l: int
-    r: int
     x: tuple
     u: tuple
-    derivs: dict
+    first: np.ndarray
+    second: np.ndarray = None
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         object.__setattr__(self, "u", tuple(float(v) for v in self.u))
-        object.__setattr__(
-            self, "derivs", {(a, tuple(s)): float(v) for (a, s), v in self.derivs.items()}
-        )
         if len(self.x) != self.n:
             raise DimensionMismatchError(f"x has {len(self.x)} values for n={self.n}")
         if len(self.u) != self.l:
             raise DimensionMismatchError(f"u has {len(self.u)} values for l={self.l}")
-        _check_derivs(self.derivs, range(1, self.l + 1), self.n, self.r, "secjet")
+        self._store(self.l)
 
     @property
     def m(self):
         return self.l - self.n
 
-    def d(self, a, sigma):
-        return self.derivs[(a, tuple(sorted(sigma)))]
-
     def first_matrix(self):
         """u^A_{x lambda} as an (l, n) array."""
-        return np.array(
-            [[self.d(a, (lam,)) for lam in range(1, self.n + 1)] for a in range(1, self.l + 1)]
-        )
+        return self.first
 
     def second_array(self):
         """u^A_{x lambda x xi} as an (l, n, n) array."""
-        out = np.zeros((self.l, self.n, self.n))
-        for a in range(1, self.l + 1):
-            for lam in range(1, self.n + 1):
-                for xi in range(1, self.n + 1):
-                    out[a - 1, lam - 1, xi - 1] = self.d(a, (lam, xi))
-        return out
+        return self.second
 
     def top_block(self):
         """The base-direction block (u^xi_{x lambda}), xi, lambda in 1..n."""
-        return self.first_matrix()[: self.n, :]
+        return self.first[: self.n, :]
 
     def top_det(self):
         return float(np.linalg.det(self.top_block()))
 
     def is_immersion(self, tol=1e-9):
         """Full Jacobian rank n; membership in the immersed-jet subset."""
-        return np.linalg.matrix_rank(self.first_matrix(), tol=tol) == self.n
-
-    @classmethod
-    def order1(cls, n, l, x, u, first):
-        first = np.asarray(first, dtype=float)
-        derivs = {(a, (lam,)): first[a - 1, lam - 1] for a in range(1, l + 1) for lam in range(1, n + 1)}
-        return cls(n, l, 1, x, u, derivs)
-
-    def with_second(self, second):
-        second = np.asarray(second, dtype=float)
-        derivs = dict(self.derivs)
-        for a in range(1, self.l + 1):
-            for lam in range(1, self.n + 1):
-                for xi in range(lam, self.n + 1):
-                    derivs[(a, (lam, xi))] = second[a - 1, lam - 1, xi - 1]
-        return SecJet(self.n, self.l, 2, self.x, self.u, derivs)
-
-    def truncate(self, r):
-        derivs = {key: v for key, v in self.derivs.items() if len(key[1]) <= r}
-        return SecJet(self.n, self.l, r, self.x, self.u, derivs)
+        return np.linalg.matrix_rank(self.first, tol=tol) == self.n
 
 
 @dataclass(frozen=True)
@@ -291,26 +244,30 @@ class AffineMap:
 
 
 def prolong(s, x, r):
-    """Order-r jet of the parametrized map s at the parameter point x.
+    """Order-r jet (r = 1 or 2) of the parametrized map s at the parameter
+    point x.
 
-    Fills u^A = s^A(x) and u^A_{x sigma} = the |sigma|-th partials of s^A,
-    computed symbolically and evaluated at x.
+    Fills u^A = s^A(x), u^A_{x lam} = ∂_lam s^A and, at order 2,
+    u^A_{x lam x xi} = ∂_xi ∂_lam s^A for lam <= xi, each differentiated
+    symbolically and evaluated at x.
     """
+    if r not in (1, 2):
+        raise DimensionMismatchError(f"jets of order {r} are not modelled; r must be 1 or 2")
     if len(x) != s.n:
         raise DimensionMismatchError(f"point has {len(x)} parameters, map expects {s.n}")
-    env = dict(zip(s.frame.names, map(float, x)))
+    names = s.frame.names
+    env = dict(zip(names, map(float, x)))
     u = tuple(expr.evaluate(c, env) for c in s.components)
-    derivs = {}
-    cache = {}
-    for a, comp in enumerate(s.components, start=1):
-        cache[(a, ())] = comp
-        for sigma in multi_indices(s.n, r):
-            prefix, last = sigma[:-1], sigma[-1]
-            parent = cache[(a, prefix)]
-            d = expr.differentiate(parent, s.frame.names[last - 1])
-            cache[(a, sigma)] = d
-            derivs[(a, sigma)] = expr.evaluate(d, env)
-    return SecJet(s.n, s.l, r, tuple(map(float, x)), u, derivs)
+    first = np.zeros((s.l, s.n))
+    second = np.zeros((s.l, s.n, s.n)) if r == 2 else None
+    for a, comp in enumerate(s.components):
+        for lam in range(s.n):
+            d = expr.differentiate(comp, names[lam])
+            first[a, lam] = expr.evaluate(d, env)
+            if r == 2:
+                for xi in range(lam, s.n):
+                    second[a, lam, xi] = expr.evaluate(expr.differentiate(d, names[xi]), env)
+    return SecJet(s.n, s.l, tuple(map(float, x)), u, first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +287,19 @@ def _inverse_top_block(t):
 
 
 def cover1(t):
-    """Project an order->=1 section jet to the order-1 submanifold jet of
-    its image.
+    """Project a section jet to the order-1 submanifold jet of its image.
 
     Base values copy u^A; first derivatives are u^j_xi = x^lambda_{u^xi}
     u^j_{x lambda} with (x^lambda_{u^xi}) the inverse of (u^xi_{x lambda}).
     """
-    if t.r < 1:
-        raise DimensionMismatchError("cover1 needs a jet of order >= 1")
     inv = _inverse_top_block(t)
     first = t.first_matrix()[t.n:, :] @ inv
-    return SubJet.order1(t.n, t.m, t.u, first)
+    return SubJet(t.n, t.m, t.u, first)
 
 
 def cover2(t):
-    """Project an order->=2 section jet to the order-2 submanifold jet of
-    its image.
+    """Project an order-2 section jet to the order-2 submanifold jet of its
+    image.
 
     Second derivatives follow the closed formula
     u^j_{xi eta} = u^j_{x lam x mu} x^lam_{u^xi} x^mu_{u^eta}
@@ -353,7 +307,7 @@ def cover2(t):
     symmetric in (xi, eta).
     """
     if t.r < 2:
-        raise DimensionMismatchError("cover2 needs a jet of order >= 2")
+        raise DimensionMismatchError("cover2 needs a jet of order 2")
     inv = _inverse_top_block(t)  # inv[lam, xi] = x^lam_{u^xi}
     order1 = cover1(t)
     d1 = t.first_matrix()
@@ -388,7 +342,7 @@ def tangent_cover1(t, dx, du, dd):
 
 
 def affine_act(g, t):
-    """Lift of (x, p) -> (g(x), p) to section jets of order <= 2.
+    """Lift of (x, p) -> (g(x), p) to section jets.
 
     x moves by g; u^A is unchanged; derivatives transform by the constant
     inverse Jacobian: u^A_{x~ lam} = u^A_{x xi} (a^-1)^xi_lam and
@@ -396,11 +350,9 @@ def affine_act(g, t):
     """
     if g.n != t.n:
         raise DimensionMismatchError("affine map and jet disagree on parameter dimension")
-    if t.r > 2:
-        raise DimensionMismatchError("affine action implemented for order <= 2")
     ainv = np.linalg.inv(g.a)
     first = t.first_matrix() @ ainv
-    out = SecJet.order1(t.n, t.l, g.apply(t.x), t.u, first)
+    out = SecJet(t.n, t.l, g.apply(t.x), t.u, first)
     if t.r == 2:
         second = np.einsum("Cax,al,xb->Clb", t.second_array(), ainv, ainv)
         out = out.with_second(second)
@@ -440,8 +392,8 @@ def reparam_act(phi, x_frame, t):
     dbinv = -np.einsum("ag,gcb,cl->bal", binv, hess, binv)  # d(binv[a,l])/dx^b
     new_x = [expr.evaluate(p, env) for p in phi]
     first = t.first_matrix() @ binv
-    out = SecJet.order1(t.n, t.l, new_x, t.u, first)
-    if t.r >= 2:
+    out = SecJet(t.n, t.l, new_x, t.u, first)
+    if t.r == 2:
         d1 = t.first_matrix()
         d2 = t.second_array()
         second = np.einsum("Aab,al,bm->Alm", d2, binv, binv) + np.einsum(
@@ -456,61 +408,91 @@ def reparam_act(phi, x_frame, t):
 # JSON formats
 
 
+def multi_indices(n, r):
+    """All sorted multi-indices over 1..n with 1 <= |sigma| <= r, in the
+    serialization order."""
+    out = []
+    for k in range(1, r + 1):
+        out.extend(combinations_with_replacement(range(1, n + 1), k))
+    return tuple(sorted(out))
+
+
+def derivative_entries(jet):
+    """(index, sigma, value) for every derivative of the jet, in the
+    serialization order: index ascending, then sigma by `multi_indices`."""
+    start = jet.n + 1 if isinstance(jet, SubJet) else 1
+    for row in range(len(jet.first)):
+        for sigma in multi_indices(jet.n, jet.r):
+            array = jet.first if len(sigma) == 1 else jet.second
+            yield start + row, sigma, float(array[(row, *(s - 1 for s in sigma))])
+
+
+def _derivative_arrays(derivs, start, rows, n, r, kind):
+    """The arrays (first, second) of a JSON derivative table keyed
+    (index, sigma), after checking that it holds exactly one entry per
+    index start..start+rows-1 and sorted sigma with |sigma| <= r."""
+    for _, sigma in derivs:
+        if tuple(sorted(sigma)) != sigma:
+            raise SpecLoadError(f"{kind} multi-index {sigma} is not sorted")
+    expected = {(i, sigma) for i in range(start, start + rows) for sigma in multi_indices(n, r)}
+    if set(derivs) != expected:
+        missing = sorted(expected - set(derivs))[:4]
+        extra = sorted(set(derivs) - expected)[:4]
+        raise SpecLoadError(
+            f"{kind} derivative table incomplete or overfull "
+            f"(missing {missing}, unexpected {extra})"
+        )
+    first = np.zeros((rows, n))
+    second = np.zeros((rows, n, n)) if r == 2 else None
+    for (i, sigma), value in derivs.items():
+        if len(sigma) == 1:
+            first[i - start, sigma[0] - 1] = value
+        else:
+            second[i - start, sigma[0] - 1, sigma[1] - 1] = value
+    return first, second
+
+
 def jet_from_dict(data):
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind not in ("secjet", "subjet"):
+        raise SpecLoadError(f"unknown jet kind {kind!r}")
     try:
+        n, r = int(data["n"]), int(data["r"])
+        if r not in (1, 2):
+            raise SpecLoadError(f"jet order r must be 1 or 2, got {r}")
         if kind == "secjet":
-            n, l, r = int(data["n"]), int(data["l"]), int(data["r"])
-            derivs = {
-                (int(item["A"]), tuple(int(s) for s in item["sigma"])): float(item["value"])
-                for item in data["derivs"]
-            }
-            return SecJet(n, l, r, data["x"], data["u"], derivs)
-        if kind == "subjet":
-            n, m, r = int(data["n"]), int(data["m"]), int(data["r"])
-            derivs = {
-                (int(item["i"]), tuple(int(s) for s in item["sigma"])): float(item["value"])
-                for item in data["derivs"]
-            }
-            return SubJet(n, m, r, data["u"], derivs)
+            rows, start, key = int(data["l"]), 1, "A"
+        else:
+            rows, start, key = int(data["m"]), n + 1, "i"
+        derivs = {
+            (int(item[key]), tuple(int(s) for s in item["sigma"])): float(item["value"])
+            for item in data["derivs"]
+        }
+        first, second = _derivative_arrays(derivs, start, rows, n, r, kind)
+        if kind == "secjet":
+            return SecJet(n, rows, data["x"], data["u"], first, second)
+        return SubJet(n, rows, data["u"], first, second)
     except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed jet spec: {e}") from None
-    raise SpecLoadError(f"unknown jet kind {kind!r}")
 
 
 def jet_to_dict(jet):
     if isinstance(jet, SecJet):
-        return {
-            "kind": "secjet",
-            "n": jet.n,
-            "l": jet.l,
-            "r": jet.r,
-            "x": list(jet.x),
-            "u": list(jet.u),
-            "derivs": [
-                {"A": a, "sigma": list(sigma), "value": v}
-                for (a, sigma), v in sorted(jet.derivs.items())
-            ],
-        }
-    return {
-        "kind": "subjet",
-        "n": jet.n,
-        "m": jet.m,
-        "r": jet.r,
-        "u": list(jet.base),
-        "derivs": [
-            {"i": i, "sigma": list(sigma), "value": v}
-            for (i, sigma), v in sorted(jet.derivs.items())
-        ],
-    }
+        out = {"kind": "secjet", "n": jet.n, "l": jet.l, "r": jet.r,
+               "x": list(jet.x), "u": list(jet.u)}
+        key = "A"
+    else:
+        out = {"kind": "subjet", "n": jet.n, "m": jet.m, "r": jet.r, "u": list(jet.base)}
+        key = "i"
+    out["derivs"] = [
+        {key: index, "sigma": list(sigma), "value": value}
+        for index, sigma, value in derivative_entries(jet)
+    ]
+    return out
 
 
 def load_jets(path):
     """Load a jet file: either one jet object or {"jets": [...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SpecLoadError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from None
+    data = load_json(path)
     items = data["jets"] if isinstance(data, dict) and "jets" in data else [data]
     return [jet_from_dict(item) for item in items]

@@ -75,7 +75,7 @@ def random_subjet1(n, m, rng, base=None):
     """Random order-1 submanifold jet with coordinates in [-1, 1]."""
     if base is None:
         base = rng.uniform(-1.0, 1.0, n + m)
-    return SubJet.order1(n, m, base, rng.uniform(-1.0, 1.0, (m, n)))
+    return SubJet(n, m, base, rng.uniform(-1.0, 1.0, (m, n)))
 
 
 def random_secjet1(n, l, rng, min_det=0.3, x=None, u=None, tries=200):
@@ -87,7 +87,7 @@ def random_secjet1(n, l, rng, min_det=0.3, x=None, u=None, tries=200):
             continue
         xx = rng.uniform(-1.0, 1.0, n) if x is None else np.asarray(x, dtype=float)
         uu = rng.uniform(-1.0, 1.0, l) if u is None else np.asarray(u, dtype=float)
-        return SecJet.order1(n, l, xx, uu, first)
+        return SecJet(n, l, xx, uu, first)
     raise DomainError("could not sample an admissible section jet")
 
 

@@ -46,19 +46,11 @@ def secjet1_chart(x_frame, u_frame):
 
 
 def _subjet_values(p, chart):
-    vals = list(p.base)
-    for i in range(p.n + 1, p.l + 1):
-        for lam in range(1, p.n + 1):
-            vals.append(p.d(i, (lam,)))
-    return dict(zip(chart, vals))
+    return dict(zip(chart, list(p.base) + p.first_matrix().ravel().tolist()))
 
 
 def _secjet_values(p, chart):
-    vals = list(p.x) + list(p.u)
-    for a in range(1, p.l + 1):
-        for lam in range(1, p.n + 1):
-            vals.append(p.d(a, (lam,)))
-    return dict(zip(chart, vals))
+    return dict(zip(chart, list(p.x) + list(p.u) + p.first_matrix().ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,7 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
                 rows = distribution_fields(g, p)
                 image_vals = jmap.apply(env)
                 jac = jmap.jacobian_at(env)
-                q = SubJet.order1(n, m, image_vals[:l], image_vals[l:].reshape(m, n))
+                q = SubJet(n, m, image_vals[:l], image_vals[l:].reshape(m, n))
                 rows_image = distribution_fields(g, q)
             else:
                 p = random_secjet1(n, l, rng)
@@ -188,7 +180,7 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
                 rows = _pro_distribution_rows(g, theta, p)
                 image_vals = jmap.apply(env)
                 jac = jmap.jacobian_at(env)
-                q = SecJet.order1(
+                q = SecJet(
                     n, l, image_vals[:n], image_vals[n:n + l],
                     image_vals[n + l:].reshape(l, n),
                 )
@@ -520,7 +512,7 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
             orbit_dev = max(orbit_dev, float(np.abs(moved.first_matrix() - base.first_matrix()).max()))
 
         p = random_subjet1(n, m, rng)
-        lift = SecJet.order1(
+        lift = SecJet(
             n, l, np.zeros(n), p.base,
             np.vstack([np.eye(n), p.first_matrix()]),
         )

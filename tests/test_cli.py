@@ -187,6 +187,31 @@ def test_residual_rejects_empty_jet_file(zero_spec, tmp_path, mode, capsys):
     assert "no jets" in capsys.readouterr().err
 
 
+def test_residual_rejects_order_3_jet_file(zero_spec, tmp_path, capsys):
+    data = {"kind": "secjet", "n": 1, "l": 2, "r": 3, "x": [0.3], "u": [0.3, 0.09],
+            "derivs": [{"A": a, "sigma": [1] * k, "value": v}
+                       for a, values in ((1, (1.0, 0.0, 0.0)), (2, (0.6, 2.0, 0.0)))
+                       for k, v in zip((1, 2, 3), values)]}
+    jets = write(tmp_path / "order3.json", data)
+    assert main(["residual", zero_spec, "--jets", jets, "--mode", "param"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "r must be 1 or 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option, text", [
+    ("--affine", '{"a": [[1.0]]}'),
+    ("--affine", '{"a": [[1.0]], "b": '),
+    ("--map", '{"kind": "subjet", '),
+    ("--field", "not json"),
+])
+def test_symmetry_check_malformed_spec_exits_2(zero_spec, tmp_path, option, text, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["symmetry-check", zero_spec, option, str(path), "--samples", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cover_check(random_spec_pair, capsys):
     a, _ = random_spec_pair
     assert main(["cover-check", a, "--samples", "10", "--seed", "3"]) == 0

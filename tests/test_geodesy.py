@@ -9,7 +9,6 @@ from jetgeo.errors import FrameMismatchError
 from jetgeo.expr import CoordinateFrame
 from jetgeo.geodesy import (
     XiTable,
-    _via_xi_tables,
     covering_commutation_deviation,
     ddot_gamma,
     ddot_gamma_pro,
@@ -92,7 +91,7 @@ def test_dot_gamma_degree_two_in_each_first_derivative_slot():
                 def value(t):
                     mod = first.copy()
                     mod[kk, lam] = t
-                    return dot_gamma(g, SubJet.order1(n, m, p.base, mod)).table
+                    return dot_gamma(g, SubJet(n, m, p.base, mod)).table
                 v0, v1, v2 = value(0.0), value(1.0), value(2.0)
                 t = 3.5
                 interp = (
@@ -144,15 +143,6 @@ def test_via_xi_matches_closed_form_at_100_jets():
     assert worst <= 1e-10
 
 
-def test_via_xi_vertical_coefficient_is_identity_pattern():
-    rng = spawn_rng(37)
-    g = random_connection(frame(4, 2), rng)
-    p = random_subjet1(2, 2, rng)
-    _, vert = _via_xi_tables(g, XiTable.random(2, 2, rng), p)
-    expected = np.einsum("kh,xa->hakx", np.eye(2), np.eye(2))
-    assert np.abs(vert - expected).max() <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # ddot_gamma and the unparametrized residual
 
@@ -165,9 +155,9 @@ def test_ddot_gamma_zero_connection():
 
 def test_ddot_gamma_single_component_value():
     g = one_entry_connection()
-    p = SubJet.order1(1, 1, (0.2, -0.7), [[0.0]])
+    p = SubJet(1, 1, (0.2, -0.7), [[0.0]])
     q = ddot_gamma(g, p)
-    assert q.d(2, (1, 1)) == pytest.approx(-1.0, abs=1e-15)
+    assert q.second_array()[0, 0, 0] == pytest.approx(-1.0, abs=1e-15)
     assert residual2(g, q).max_abs() <= 1e-15
 
 
@@ -231,7 +221,7 @@ def test_tangent_cover1_matches_finite_differences():
 
         def shifted(sign):
             first = t.first_matrix() + sign * eps * dd
-            return cover1(SecJet.order1(n, l, t.x, np.asarray(t.u) + sign * eps * du, first))
+            return cover1(SecJet(n, l, t.x, np.asarray(t.u) + sign * eps * du, first))
 
         plus, minus = shifted(+1), shifted(-1)
         fd_du = (np.asarray(plus.base) - np.asarray(minus.base)) / (2 * eps)
@@ -257,7 +247,7 @@ def test_invariant_families_are_residual_polynomial_coefficients():
     zero2 = np.zeros((m, n, n))
 
     def P(first):
-        p = SubJet.order1(n, m, base, first).with_second(zero2)
+        p = SubJet(n, m, base, first).with_second(zero2)
         return residual2(g, p).table
 
     # order 0: value at vanishing first derivatives
@@ -301,13 +291,13 @@ def test_invariant_families_are_residual_polynomial_coefficients():
 
 
 def test_residual2_flat_affine_jet():
-    p = SubJet.order1(2, 1, (0.1, 0.2, 0.3), [[0.4, 0.5]]).with_second(np.zeros((1, 2, 2)))
+    p = SubJet(2, 1, (0.1, 0.2, 0.3), [[0.4, 0.5]]).with_second(np.zeros((1, 2, 2)))
     assert residual2(flat(3, 2), p).max_abs() == 0.0
 
 
 def test_residual2_leading_term():
     c = 0.37
-    p = SubJet.order1(1, 1, (0.0, 0.0), [[0.25]]).with_second(np.full((1, 1, 1), c))
+    p = SubJet(1, 1, (0.0, 0.0), [[0.25]]).with_second(np.full((1, 1, 1), c))
     assert residual2(flat(2), p).component(2, 1, 1) == pytest.approx(c)
 
 

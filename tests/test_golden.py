@@ -1,0 +1,95 @@
+"""Golden CLI outputs: stdout, stderr and exit code of pinned commands on
+the pinned inputs in tests/golden/, compared byte for byte.
+
+The inputs (`*.json`) are fixtures; the expected outputs (`*.out`,
+`*.err`, `*.code`) were produced by this file run as a script:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Regenerate them only for a change that is meant to move CLI output, and
+say why in CHANGES.md.
+"""
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from jetgeo.cli import main
+from jetgeo.jets import jet_to_dict, load_jets
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+CASES = {
+    "residual_param_secjet": ["residual", "l4.json", "--jets", "secjets_n2.json",
+                              "--mode", "param"],
+    "residual_unparam_secjet": ["residual", "l4.json", "--jets", "secjets_n2.json",
+                                "--mode", "unparam"],
+    "residual_unparam_subjet": ["residual", "l4.json", "--jets", "subjets_n2.json",
+                                "--mode", "unparam"],
+    "residual_param_json": ["residual", "l4.json", "--jets", "secjets_n2.json",
+                            "--mode", "param", "--format", "json"],
+    "geodesic_s2": ["geodesic", "s2.json", "--start", "0.1,-0.2", "--velocity", "0.6,0.3",
+                    "--h", "0.05", "--steps", "30"],
+    "cover_check": ["cover-check", "l4.json", "--samples", "8", "--seed", "5"],
+    "symmetry_affine": ["symmetry-check", "l4.json", "--affine", "affine_n2.json",
+                        "--samples", "6", "--seed", "3"],
+    "symmetry_map_subjet": ["symmetry-check", "s2.json", "--map", "map_subjet.json",
+                            "--samples", "6", "--seed", "4"],
+    "symmetry_map_secjet": ["symmetry-check", "s2.json", "--map", "map_secjet.json",
+                            "--samples", "6", "--seed", "4"],
+}
+
+ROUND_TRIPS = ("secjets_n2.json", "subjets_n2.json")
+
+
+def _path(name):
+    return os.path.join(GOLDEN, name)
+
+
+def run_case(argv):
+    """(exit code, stdout, stderr) of the CLI on argv, with *.json
+    arguments resolved inside tests/golden/."""
+    argv = [_path(a) if a.endswith(".json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return f"{code}\n", out.getvalue(), err.getvalue()
+
+
+def round_trip(name):
+    return json.dumps([jet_to_dict(t) for t in load_jets(_path(name))], indent=1) + "\n"
+
+
+def _read(name):
+    with open(_path(name), "r", encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case):
+    code, out, err = run_case(CASES[case])
+    assert code == _read(f"{case}.code")
+    assert out == _read(f"{case}.out")
+    assert err == _read(f"{case}.err")
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_jet_json_round_trip_matches_golden(name):
+    assert round_trip(name) == _read(f"roundtrip_{name}")
+
+
+def _write(name, text):
+    with open(_path(name), "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+if __name__ == "__main__":
+    for case, argv in sorted(CASES.items()):
+        for suffix, text in zip(("code", "out", "err"), run_case(argv)):
+            _write(f"{case}.{suffix}", text)
+    for name in ROUND_TRIPS:
+        _write(f"roundtrip_{name}", round_trip(name))
+    sys.exit(0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jetgeo import expr
-from jetgeo.errors import SingularJacobianError, SpecLoadError
+from jetgeo.errors import DimensionMismatchError, SingularJacobianError, SpecLoadError
 from jetgeo.expr import CoordinateFrame
 from jetgeo.jets import (
     AffineMap,
@@ -25,7 +25,7 @@ X2 = CoordinateFrame(("x1", "x2"), 2)
 
 
 def secjet1(n, l, x, u, first):
-    return SecJet.order1(n, l, x, u, np.asarray(first, dtype=float))
+    return SecJet(n, l, x, u, np.asarray(first, dtype=float))
 
 
 def secjet2(n, l, x, u, first, second):
@@ -51,24 +51,48 @@ def test_multi_index_enumeration_order():
     assert multi_indices(2, 2) == ((1,), (1, 1), (1, 2), (2,), (2, 2))
 
 
-def test_multi_index_extension_resorts():
-    from jetgeo.jets import mi_extend
-
-    assert mi_extend((1, 2), 1) == (1, 1, 2)
-    assert mi_extend((), 2) == (2,)
-
-
 def test_parammap_immersion_check():
     s = ParamMap(X1, (expr.parse("x1^2", X1), expr.parse("x1^3", X1)))
     assert s.is_immersion_at([0.5])
     assert not s.is_immersion_at([0.0])
 
 
+def _subjet_dict(n, m, r, derivs):
+    return {"kind": "subjet", "n": n, "m": m, "r": r, "u": [0.0] * (n + m),
+            "derivs": [{"i": i, "sigma": list(sigma), "value": 0.0} for i, sigma in derivs]}
+
+
 def test_subjet_completeness_enforced():
-    with pytest.raises(SpecLoadError):
-        SubJet(1, 1, 1, (0.0, 0.0), {})
-    with pytest.raises(SpecLoadError):
-        SubJet(1, 1, 1, (0.0, 0.0), {(2, (1,)): 1.0, (2, (1, 1)): 0.0})
+    with pytest.raises(SpecLoadError, match="incomplete"):
+        jet_from_dict(_subjet_dict(1, 1, 1, []))
+    with pytest.raises(SpecLoadError, match="overfull"):
+        jet_from_dict(_subjet_dict(1, 1, 1, [(2, (1,)), (2, (1, 1))]))
+    full = [(3, sigma) for sigma in multi_indices(2, 2)]
+    assert jet_from_dict(_subjet_dict(2, 1, 2, full)).r == 2
+    unsorted = [(3, (2, 1)) if sigma == (1, 2) else (3, sigma) for sigma in multi_indices(2, 2)]
+    with pytest.raises(SpecLoadError, match="not sorted"):
+        jet_from_dict(_subjet_dict(2, 1, 2, unsorted))
+
+
+def test_jet_arrays_are_read_only():
+    t = secjet2(1, 2, [0.0], [0.0, 0.0], [[1.0], [3.0]], [[[0.0]], [[8.0]]])
+    q = cover2(t)
+    for array in (t.first_matrix(), t.second_array(), q.first_matrix(), q.second_array()):
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+
+
+def test_with_second_reads_the_upper_triangle():
+    second = np.array([[[1.0, 2.0], [-5.0, 3.0]]])
+    q = SubJet(2, 1, (0.0, 0.0, 0.0), [[0.4, 0.5]]).with_second(second)
+    assert q.second_array().tolist() == [[[1.0, 2.0], [2.0, 3.0]]]
+
+
+def test_prolong_rejects_orders_other_than_1_or_2():
+    s = ParamMap(X1, (expr.parse("x1", X1), expr.parse("x1^2", X1)))
+    for r in (0, 3):
+        with pytest.raises(DimensionMismatchError):
+            prolong(s, [0.5], r)
 
 
 def test_secjet_immersion_flags():
@@ -87,8 +111,8 @@ def test_prolong_polynomial_curve():
     s = ParamMap(X1, (expr.parse("x1", X1), expr.parse("x1^2", X1)))
     t = prolong(s, [1.0], 2)
     assert t.x == (1.0,) and t.u == (1.0, 1.0)
-    assert t.d(1, (1,)) == 1.0 and t.d(2, (1,)) == 2.0
-    assert t.d(1, (1, 1)) == 0.0 and t.d(2, (1, 1)) == 2.0
+    assert t.first_matrix()[:, 0].tolist() == [1.0, 2.0]
+    assert t.second_array()[:, 0, 0].tolist() == [0.0, 2.0]
 
 
 def test_prolong_affine_map_has_zero_second_derivatives():
@@ -107,13 +131,13 @@ def test_prolong_matches_finite_differences():
 
     fd1 = (val(0.3 + h) - val(0.3 - h)) / (2 * h)
     fd2 = (val(0.3 + h) - 2 * val(0.3) + val(0.3 - h)) / h**2
-    assert abs(t.d(2, (1,)) - fd1) <= 1e-6
-    assert abs(t.d(2, (1, 1)) - fd2) <= 1e-4
+    assert abs(t.first_matrix()[1, 0] - fd1) <= 1e-6
+    assert abs(t.second_array()[1, 0, 0] - fd2) <= 1e-4
 
 
 def test_prolong_truncation_consistency():
     s = ParamMap(X1, (expr.parse("x1", X1), expr.parse("exp(x1)*cos(x1)", X1)))
-    assert prolong(s, [0.7], 3).truncate(2) == prolong(s, [0.7], 2)
+    assert prolong(s, [0.7], 2).truncate(1) == prolong(s, [0.7], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +148,7 @@ def test_cover1_chain_rule_scalar():
     t = secjet1(1, 2, [0.0], [0.5, -0.5], [[2.0], [6.0]])
     q = cover1(t)
     assert q.base == (0.5, -0.5)
-    assert q.d(2, (1,)) == 3.0
+    assert q.first_matrix()[0, 0] == 3.0
 
 
 def test_cover1_identity_top_block():
@@ -156,14 +180,14 @@ def test_cover1_rejects_singular_top_block():
 
 def test_cover2_trivial_reparametrization():
     t = secjet2(1, 2, [0.0], [0.0, 0.0], [[1.0], [3.0]], [[[0.0]], [[8.0]]])
-    assert cover2(t).d(2, (1, 1)) == 8.0
+    assert cover2(t).second_array()[0, 0, 0] == 8.0
 
 
 def test_cover2_chain_rule_oracle_scalar():
     t = secjet2(1, 2, [0.0], [0.0, 0.0], [[2.0], [6.0]], [[[0.0]], [[8.0]]])
     q = cover2(t)
     # (u2'' u1' - u2' u1'') / u1'^3
-    assert abs(q.d(2, (1, 1)) - 2.0) <= 1e-14
+    assert abs(q.second_array()[0, 0, 0] - 2.0) <= 1e-14
 
 
 def test_cover2_reparametrization_invariance():
