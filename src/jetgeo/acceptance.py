@@ -155,10 +155,7 @@ def criterion_3(cfg):
         g = random_connection(frame, rng)
         phi = random_expressions(frame.names, rng, l)
         shifted = projective_shift(g, phi)
-        a, b = thomas_pi(g), thomas_pi(shifted)
-        for _ in range(12):
-            point = rng.uniform(-1, 1, l)
-            worst = max(worst, float(np.abs(a.at(point) - b.at(point)).max()))
+        worst = max(worst, thomas_pi(g).max_deviation(thomas_pi(shifted), rng))
         verdict = grass_equivalent(g, shifted, 1, samples=10, tol=tol, seed=cfg.seed + case)
         equivalent_all = equivalent_all and verdict.equivalent
         worst = max(worst, verdict.max_deviation)

@@ -16,11 +16,15 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import expr
 from .acceptance import AcceptanceConfig, run_all
-from .connections import Connection, grass_invariants, load_connection, thomas_pi
+from .connections import (
+    Connection,
+    grass_invariants,
+    invariants_match,
+    load_connection,
+    thomas_pi,
+)
 from .errors import (
     DomainError,
     JetGeoError,
@@ -118,14 +122,7 @@ def cmd_invariants(args):
     n = _split(args, g)
     if args.compare:
         other = load_connection(args.compare)
-        rng = spawn_rng(args.seed, 0)
-        pi_a, pi_b = thomas_pi(g), thomas_pi(other)
-        pi_dev = 0.0
-        for _ in range(12):
-            p = rng.uniform(-1, 1, g.dim)
-            pi_dev = max(pi_dev, float(np.abs(pi_a.at(p) - pi_b.at(p)).max()))
-        from .connections import invariants_match
-
+        pi_dev = thomas_pi(g).max_deviation(thomas_pi(other), spawn_rng(args.seed, 0))
         _, grass_dev = invariants_match(
             grass_invariants(g, n), grass_invariants(other, n), spawn_rng(args.seed, 1)
         )
@@ -430,7 +427,7 @@ def main(argv=None):
             _say("expression grammar: infix + - * / ^ with parentheses, calls "
                  "sin/cos/exp/sqrt, rational literals p/q, and declared coordinate names")
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         _say(f"error: {e}")
         return 2
 

@@ -169,6 +169,14 @@ class ProjInvariants:
             out[a - 1, c - 1, b - 1] = expr.evaluate(e, env)
         return out
 
+    def max_deviation(self, other, rng, points=12):
+        """max |Π - Π'| over `points` points drawn uniformly from [-1, 1]^l."""
+        worst = 0.0
+        for _ in range(points):
+            point = rng.uniform(-1, 1, self.frame.dim)
+            worst = max(worst, float(np.abs(self.at(point) - other.at(point)).max()))
+        return worst
+
     def trace_deviation(self, point):
         """max_A |Π_A{}^F{}_F| at the point; identically zero in exact
         arithmetic."""

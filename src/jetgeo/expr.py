@@ -10,6 +10,13 @@ Simplification is structural only: constant folding, 0/1 absorption,
 flattening of sums and products, collection of identical monomials.  There
 is no polynomial canonical form; equality of expressions is decided by
 `equal_at_random_points` where structural equality is too weak.
+
+Besides its fields, a node may carry two attributes that only save work:
+`_normal`, set on every tree `simplify` returns, so that simplifying it
+again returns it at once; and `_hash`, the field hash of a compound node,
+computed on first use.  Neither takes part in ==, repr or the hash value,
+and neither is pickled: a str hash is only valid in the process that
+computed it.
 """
 from __future__ import annotations
 
@@ -31,6 +38,11 @@ class Expression:
     """Base node.  Arithmetic operators build raw (unsimplified) trees."""
 
     __slots__ = ()
+    _normal = False     # True on the trees simplify returns
+    _hash = None
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("_normal", "_hash")}
 
     def __add__(self, other):
         return Add((self, _coerce(other)))
@@ -68,9 +80,24 @@ class Expression:
         return f"<{type(self).__name__} {to_text(self)}>"
 
 
+def _cache_hash(cls):
+    """Make the dataclass field hash of `cls` computed once per node."""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
 @dataclass(frozen=True, repr=False)
 class Const(Expression):
     value: Fraction
+    _normal = True
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
@@ -80,30 +107,36 @@ class Const(Expression):
 @dataclass(frozen=True, repr=False)
 class Sym(Expression):
     name: str
+    _normal = True
 
 
+@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Add(Expression):
     terms: tuple
 
 
+@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Mul(Expression):
     factors: tuple
 
 
+@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Pow(Expression):
     base: Expression
     exponent: int
 
 
+@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Div(Expression):
     num: Expression
     den: Expression
 
 
+@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Func(Expression):
     name: str
@@ -498,9 +531,21 @@ def simplify(e):
     operands into a stable order, and collects identical monomials in sums.
     Quotients with a symbolic denominator are left alone so that declared
     division-by-zero behaviour is preserved.
+
+    The result is marked as a normal form, and a marked tree is returned
+    as it is: by idempotence that is what simplifying it would give.
     """
-    if isinstance(e, (Const, Sym)):
-        return e
+    try:
+        if e._normal:
+            return e
+    except AttributeError:
+        raise TypeError(f"cannot simplify {type(e).__name__}") from None
+    out = _normal_form(e)
+    out.__dict__["_normal"] = True
+    return out
+
+
+def _normal_form(e):
     if isinstance(e, Func):
         arg = simplify(e.arg)
         if isinstance(arg, Const):

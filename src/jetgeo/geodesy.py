@@ -438,7 +438,7 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     while done < samples:
         attempts += 1
         if attempts > 100 * samples:
-            raise DimensionMismatchError("could not sample enough regular jets")
+            raise DomainError("could not sample enough regular jets")
         base = random_point(g1, rng)
         first = rng.uniform(-1.0, 1.0, (m, n))
         p = SubJet(n, m, base, first)

@@ -198,6 +198,19 @@ def test_residual_rejects_order_3_jet_file(zero_spec, tmp_path, capsys):
     assert err.startswith("error:") and "r must be 1 or 2" in err and "Traceback" not in err
 
 
+def test_residual_rejects_non_list_jets(zero_spec, tmp_path, capsys):
+    jets = write(tmp_path / "five.json", {"jets": 5})
+    assert main(["residual", zero_spec, "--jets", jets, "--mode", "unparam"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a list" in err and "Traceback" not in err
+
+
+def test_directory_as_spec_path_exits_2(tmp_path, capsys):
+    assert main(["invariants", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("option, text", [
     ("--affine", '{"a": [[1.0]]}'),
     ("--affine", '{"a": [[1.0]], "b": '),

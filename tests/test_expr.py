@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -5,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetgeo
 from jetgeo.errors import DomainError, MissingSymbolError, ParseError, UnknownSymbolError
 from jetgeo.expr import (
     Add,
     Const,
     CoordinateFrame,
     Div,
+    Expression,
     Func,
     Mul,
     Pow,
@@ -237,6 +243,102 @@ def test_simplify_preserves_value(seed):
     e = _random_expression(rng, 3)
     dev = deviation_at_random_points(e, simplify(e), _CORPUS_NAMES, rng, points=6)
     assert dev <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the normal-form mark and the cached hash
+
+
+def _fresh(e):
+    """The same tree rebuilt node by node: no normal-form mark, no cached hash."""
+    values = []
+    for f in fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, Expression):
+            v = _fresh(v)
+        elif isinstance(v, tuple):
+            v = tuple(_fresh(x) for x in v)
+        values.append(v)
+    return type(e)(*values)
+
+
+def _combinations(a, b):
+    """Trees whose operands are the trees a and b."""
+    safe_den = Add((Const(Fraction(2)), Pow(b, 2)))
+    return [Add((a, b)), Add((a, Mul((Const(Fraction(-3, 2)), b)), a)), Mul((a, b)),
+            Mul((b, Add((a, Const(Fraction(1)))))), Div(a, safe_den), Pow(Add((a, b)), 2),
+            Func("sin", Mul((a, b))), Func("sqrt", Add((Const(Fraction(1)), Pow(a, 2))))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 63 - 1))
+def test_simplify_of_marked_operands_matches_unmarked_oracle(seed):
+    rng = np.random.default_rng(seed)
+    a = simplify(_random_expression(rng, 3))
+    b = simplify(_random_expression(rng, 3))
+    for tree in _combinations(a, b):
+        oracle = simplify(_fresh(tree))
+        assert simplify(tree) == oracle
+        assert to_text(simplify(tree)) == to_text(oracle)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 63 - 1))
+def test_simplify_returns_a_simplified_tree_itself(seed):
+    rng = np.random.default_rng(seed)
+    s = simplify(_random_expression(rng, 3))
+    assert simplify(s) is s
+    assert simplify(_fresh(s)) == s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 63 - 1))
+def test_mark_and_hash_cache_keep_equality_and_hash(seed):
+    rng = np.random.default_rng(seed)
+    e = _random_expression(rng, 3)
+    s = simplify(e)
+    for node in (e, s):
+        field_hash = hash(tuple(getattr(node, f.name) for f in fields(node)))
+        for _ in range(2):      # the first hash fills the cache, the second reads it
+            assert hash(node) == field_hash
+        fresh = _fresh(node)
+        assert node == fresh and fresh == node
+        assert hash(node) == hash(fresh) and repr(node) == repr(fresh)
+        assert {fresh: 1}[node] == 1 and {node: 1}[fresh] == 1
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from jetgeo.connections import Connection
+from jetgeo.expr import CoordinateFrame, parse, simplify
+
+frame = CoordinateFrame(("u", "v"), 1)
+trees = [simplify(parse(t, frame)) for t in
+         ("u*v + sin(u)", "u/(v^2 + 1)", "exp(u - v)^2", "sqrt(1 + u^2)*cos(v)")]
+if sys.argv[1] == "dump":
+    table = {t: i for i, t in enumerate(trees)}
+    g = Connection(frame, {(1, 1, 2): trees[0], (1, 2, 1): trees[1]})
+    g.christoffel_at((0.1, 0.2))
+    with open(sys.argv[2], "wb") as fh:
+        pickle.dump((trees, table, g), fh)
+else:
+    with open(sys.argv[2], "rb") as fh:
+        loaded, table, g = pickle.load(fh)
+    assert [table[t] for t in trees] == [0, 1, 2, 3]
+    assert [hash(t) for t in loaded] == [hash(t) for t in trees]
+    assert {e: key for key, e in g.christoffel.items()}[trees[1]] == (1, 2, 1)
+    assert all(simplify(t) == t for t in loaded)
+"""
+
+
+def test_pickled_nodes_rehash_under_another_hash_seed(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jetgeo.__file__)))
+    path = str(tmp_path / "trees.pickle")
+    for seed, mode in (("1", "dump"), ("2", "load")):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _PICKLE_SCRIPT, mode, path], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
 
 def test_collects_identical_monomials():

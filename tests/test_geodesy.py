@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from jetgeo import expr
 from jetgeo.connections import Connection, projective_shift, thomas_pi
-from jetgeo.errors import FrameMismatchError
+from jetgeo.errors import DomainError, FrameMismatchError
 from jetgeo.expr import CoordinateFrame
 from jetgeo.geodesy import (
     XiTable,
@@ -587,3 +587,10 @@ def test_grass_equivalent_detects_difference():
     assert not verdict.equivalent
     assert verdict.max_deviation == pytest.approx(1.0, abs=1e-12)
     assert not verdict.invariants_equal
+
+
+def test_grass_equivalent_out_of_regular_samples_raises_domain_error():
+    f = frame(2)
+    g2 = Connection.from_entries(f, {(1, 1, 2): expr.parse("sqrt(-1 - u1^2)", f)})
+    with pytest.raises(DomainError, match="could not sample"):
+        grass_equivalent(flat(2), g2, 1, samples=3, seed=8)

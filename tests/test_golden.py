@@ -8,6 +8,10 @@ The inputs (`*.json`) are fixtures; the expected outputs (`*.out`,
 
 Regenerate them only for a change that is meant to move CLI output, and
 say why in CHANGES.md.
+
+`l4_shift.json` is the admissible split-2 shift of `l4.json`,
+`grass_shift(g, 2, psi)` with psi = (1/3*u1*u3 - 2/5*u4, 7/10*u2*u2 + 1/4),
+written with `connection_to_dict`; its entries are printed simplified trees.
 """
 import contextlib
 import io
@@ -40,6 +44,9 @@ CASES = {
                             "--samples", "6", "--seed", "4"],
     "symmetry_map_secjet": ["symmetry-check", "s2.json", "--map", "map_secjet.json",
                             "--samples", "6", "--seed", "4"],
+    "invariants_n2": ["invariants", "l4.json", "--n", "2"],
+    "invariants_compare_shift": ["invariants", "l4.json", "--compare", "l4_shift.json"],
+    "equivalent_shift": ["equivalent", "l4.json", "l4_shift.json"],
 }
 
 ROUND_TRIPS = ("secjets_n2.json", "subjets_n2.json")
