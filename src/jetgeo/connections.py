@@ -169,10 +169,10 @@ class ProjInvariants:
             out[a - 1, c - 1, b - 1] = expr.evaluate(e, env)
         return out
 
-    def max_deviation(self, other, rng, points=12):
-        """max |Π - Π'| over `points` points drawn uniformly from [-1, 1]^l."""
+    def max_deviation(self, other, rng):
+        """max |Π - Π'| over 12 points drawn uniformly from [-1, 1]^l."""
         worst = 0.0
-        for _ in range(points):
+        for _ in range(12):
             point = rng.uniform(-1, 1, self.frame.dim)
             worst = max(worst, float(np.abs(self.at(point) - other.at(point)).max()))
         return worst

@@ -11,12 +11,9 @@ flattening of sums and products, collection of identical monomials.  There
 is no polynomial canonical form; equality of expressions is decided by
 `equal_at_random_points` where structural equality is too weak.
 
-Besides its fields, a node may carry two attributes that only save work:
-`_normal`, set on every tree `simplify` returns, so that simplifying it
-again returns it at once; and `_hash`, the field hash of a compound node,
-computed on first use.  Neither takes part in ==, repr or the hash value,
-and neither is pickled: a str hash is only valid in the process that
-computed it.
+Besides its fields, a node may carry the attribute `_normal`, set on every
+tree `simplify` returns, so that simplifying it again returns it at once.
+It only saves work: it takes no part in ==, repr or the hash.
 """
 from __future__ import annotations
 
@@ -39,10 +36,6 @@ class Expression:
 
     __slots__ = ()
     _normal = False     # True on the trees simplify returns
-    _hash = None
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("_normal", "_hash")}
 
     def __add__(self, other):
         return Add((self, _coerce(other)))
@@ -80,20 +73,6 @@ class Expression:
         return f"<{type(self).__name__} {to_text(self)}>"
 
 
-def _cache_hash(cls):
-    """Make the dataclass field hash of `cls` computed once per node."""
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self.__dict__["_hash"] = field_hash(self)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
 @dataclass(frozen=True, repr=False)
 class Const(Expression):
     value: Fraction
@@ -110,33 +89,28 @@ class Sym(Expression):
     _normal = True
 
 
-@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Add(Expression):
     terms: tuple
 
 
-@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Mul(Expression):
     factors: tuple
 
 
-@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Pow(Expression):
     base: Expression
     exponent: int
 
 
-@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Div(Expression):
     num: Expression
     den: Expression
 
 
-@_cache_hash
 @dataclass(frozen=True, repr=False)
 class Func(Expression):
     name: str
@@ -535,11 +509,8 @@ def simplify(e):
     The result is marked as a normal form, and a marked tree is returned
     as it is: by idempotence that is what simplifying it would give.
     """
-    try:
-        if e._normal:
-            return e
-    except AttributeError:
-        raise TypeError(f"cannot simplify {type(e).__name__}") from None
+    if getattr(e, "_normal", False):
+        return e
     out = _normal_form(e)
     out.__dict__["_normal"] = True
     return out

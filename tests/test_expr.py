@@ -246,11 +246,11 @@ def test_simplify_preserves_value(seed):
 
 
 # ---------------------------------------------------------------------------
-# the normal-form mark and the cached hash
+# the normal-form mark
 
 
 def _fresh(e):
-    """The same tree rebuilt node by node: no normal-form mark, no cached hash."""
+    """The same tree rebuilt node by node, without normal-form marks."""
     values = []
     for f in fields(e):
         v = getattr(e, f.name)
@@ -293,18 +293,22 @@ def test_simplify_returns_a_simplified_tree_itself(seed):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 63 - 1))
-def test_mark_and_hash_cache_keep_equality_and_hash(seed):
+def test_mark_keeps_equality_and_hash(seed):
     rng = np.random.default_rng(seed)
     e = _random_expression(rng, 3)
     s = simplify(e)
     for node in (e, s):
-        field_hash = hash(tuple(getattr(node, f.name) for f in fields(node)))
-        for _ in range(2):      # the first hash fills the cache, the second reads it
-            assert hash(node) == field_hash
+        assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields(node)))
         fresh = _fresh(node)
         assert node == fresh and fresh == node
         assert hash(node) == hash(fresh) and repr(node) == repr(fresh)
         assert {fresh: 1}[node] == 1 and {node: 1}[fresh] == 1
+
+
+@pytest.mark.parametrize("value", ["u", 3, None, (Sym("u"),)])
+def test_simplify_rejects_a_non_expression(value):
+    with pytest.raises(TypeError, match="cannot simplify"):
+        simplify(value)
 
 
 _PICKLE_SCRIPT = """
@@ -331,7 +335,7 @@ else:
 """
 
 
-def test_pickled_nodes_rehash_under_another_hash_seed(tmp_path):
+def test_pickled_nodes_are_found_under_another_hash_seed(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(jetgeo.__file__)))
     path = str(tmp_path / "trees.pickle")
     for seed, mode in (("1", "dump"), ("2", "load")):
