@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -32,6 +33,7 @@ from .errors import (
     SingularJacobianError,
     SpecLoadError,
     UnknownSymbolError,
+    draw_regular,
     load_json,
 )
 from .geodesy import (
@@ -104,9 +106,12 @@ def _load_theta(args, n):
 
 def _vector(text, option):
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
+        if all(math.isfinite(v) for v in values):
+            return values
     except ValueError:
-        raise JetGeoError(f"{option} must be comma-separated numbers, got {text!r}") from None
+        pass
+    raise JetGeoError(f"{option} must be comma-separated finite numbers, got {text!r}")
 
 
 def _split(args, g):
@@ -262,17 +267,20 @@ def cmd_cover_check(args):
     theta = _load_theta(args, n)
     tol = args.tol if args.tol is not None else 1e-10
     rng = spawn_rng(args.seed, 0)
-    rows = []
-    worst = 0.0
-    for idx in range(args.samples):
+
+    def draw():
         p = random_secjet1(n, g.dim, rng)
         c_dev = covering_commutation_deviation(g, theta, p)
         q_dev = quotient_diagram_deviation(
             g, theta, p,
             rng.uniform(-1, 1, n), rng.uniform(-1, 1, g.dim), rng.uniform(-1, 1, (g.dim, n)),
         )
-        worst = max(worst, c_dev, q_dev)
-        rows.append([idx, c_dev, q_dev, "pass" if max(c_dev, q_dev) <= tol else "fail"])
+        return c_dev, q_dev
+
+    devs, _ = draw_regular(draw, args.samples)
+    worst = max([0.0] + [max(d) for d in devs])
+    rows = [[idx, c_dev, q_dev, "pass" if max(c_dev, q_dev) <= tol else "fail"]
+            for idx, (c_dev, q_dev) in enumerate(devs)]
     out = Output(args)
     out.table(["sample", "commutation_dev", "quotient_dev", "status"], rows)
     passed = worst <= tol

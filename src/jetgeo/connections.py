@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatchError,
     InconsistentPerturbationError,
     SpecLoadError,
+    draw_regular,
     load_json,
 )
 from .expr import Const, CoordinateFrame
@@ -170,12 +171,14 @@ class ProjInvariants:
         return out
 
     def max_deviation(self, other, rng):
-        """max |Π - Π'| over 12 points drawn uniformly from [-1, 1]^l."""
-        worst = 0.0
-        for _ in range(12):
+        """max |Π - Π'| over 12 points drawn uniformly from [-1, 1]^l;
+        points where either table fails to evaluate are redrawn."""
+
+        def draw():
             point = rng.uniform(-1, 1, self.frame.dim)
-            worst = max(worst, float(np.abs(self.at(point) - other.at(point)).max()))
-        return worst
+            return float(np.abs(self.at(point) - other.at(point)).max())
+
+        return max([0.0] + draw_regular(draw, 12)[0])
 
     def trace_deviation(self, point):
         """max_A |Π_A{}^F{}_F| at the point; identically zero in exact
@@ -406,8 +409,9 @@ def grass_shift(g, n, psi, chi=None):
     return Connection(g.frame, entries, g.singular_points)
 
 
-def invariants_match(inv1, inv2, rng, points=12, tol=1e-10):
-    """Numeric equality of two invariant sets at random base points.
+def invariants_match(inv1, inv2, rng, tol=1e-10):
+    """Numeric equality of two invariant sets at 12 random base points;
+    points where either set fails to evaluate are redrawn.
 
     The zeroth, first and third families compare entrywise; the second
     compares after symmetrizing over the two derivative slots.  Returns
@@ -415,12 +419,12 @@ def invariants_match(inv1, inv2, rng, points=12, tol=1e-10):
     """
     if inv1.frame.names != inv2.frame.names or inv1.n != inv2.n:
         raise DimensionMismatchError("invariant sets live on different frames or splits")
-    names = inv1.frame.names
-    worst = 0.0
-    for _ in range(points):
-        point = rng.uniform(-1.0, 1.0, len(names))
+
+    def draw():
+        point = rng.uniform(-1.0, 1.0, inv1.frame.dim)
         a = inv1.at(point)
         b = inv2.at(point)
+        worst = 0.0
         for fam in ("order0", "order1", "order3"):
             for key, v in a[fam].items():
                 worst = max(worst, abs(v - b[fam][key]))
@@ -428,6 +432,9 @@ def invariants_match(inv1, inv2, rng, points=12, tol=1e-10):
         s2 = inv2.second_order_symmetrized_at(point)
         for key, v in s1.items():
             worst = max(worst, abs(v - s2[key]))
+        return worst
+
+    worst = max([0.0] + draw_regular(draw, 12)[0])
     return worst <= tol, worst
 
 
@@ -443,12 +450,15 @@ def connection_from_dict(data):
      "singular_points": [[...], ...]}
     """
     try:
-        coords = tuple(data["coords"])
-        n = int(data.get("n", 1))
+        frame = CoordinateFrame(tuple(data["coords"]), int(data.get("n", 1)))
         raw = data.get("christoffel", [])
-    except (KeyError, TypeError) as e:
+        singular = tuple(tuple(float(x) for x in p) for p in data.get("singular_points", []))
+    except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed connection spec: {e}") from None
-    frame = CoordinateFrame(coords, n)
+    if not isinstance(raw, list):
+        raise SpecLoadError("malformed connection spec: christoffel must be a list")
+    if any(len(p) != frame.dim for p in singular):
+        raise SpecLoadError(f"malformed connection spec: singular points need {frame.dim} coordinates")
     entries = {}
     for item in raw:
         try:
@@ -464,7 +474,6 @@ def connection_from_dict(data):
                 f"components ({a},{b})^{c} and ({b},{a})^{c} listed with different expressions"
             )
         entries[key] = e
-    singular = tuple(tuple(float(x) for x in p) for p in data.get("singular_points", []))
     return Connection(frame, entries, singular)
 
 

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the reader of JSON spec
-files, which reports malformed JSON as a SpecLoadError."""
+"""Exception types shared across the package, the reader of JSON spec
+files, which reports malformed JSON as a SpecLoadError, and `draw_regular`,
+the one loop that redraws random samples."""
 
 import json
+import math
 
 
 class JetGeoError(Exception):
@@ -61,9 +63,42 @@ class SpecLoadError(JetGeoError):
 
 
 def load_json(path):
-    """The parsed contents of a JSON spec file."""
+    """The parsed contents of a JSON spec file.  NaN, Infinity and numbers
+    beyond float range are rejected: every number in a spec is finite."""
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise SpecLoadError(f"{path}: non-finite number {text}")
+        return value
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as e:
             raise SpecLoadError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from None
+
+
+# A sampler gives up after this many failed draws per requested sample.
+_REDRAWS_PER_SAMPLE = 100
+
+
+def draw_regular(draw, count):
+    """`count` results of `draw()`, and how many draws failed on the way.
+
+    A draw that raises DomainError or SingularJacobianError is redrawn;
+    any other exception propagates.  After 100 failed draws per requested
+    sample the sampler gives up with DomainError.  Returns (results,
+    redrawn).
+    """
+    results = []
+    redrawn = 0
+    while len(results) < count:
+        try:
+            results.append(draw())
+        except (DomainError, SingularJacobianError) as e:
+            redrawn += 1
+            if redrawn >= _REDRAWS_PER_SAMPLE * count:
+                raise DomainError(f"could not sample: {redrawn} draws failed and {len(results)} "
+                                  f"of {count} succeeded; the last failed with: {e}") from None
+    return results, redrawn

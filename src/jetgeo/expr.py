@@ -8,8 +8,8 @@ numeric evaluation, so identities that hold by cancellation hold exactly.
 
 Simplification is structural only: constant folding, 0/1 absorption,
 flattening of sums and products, collection of identical monomials.  There
-is no polynomial canonical form; equality of expressions is decided by
-`equal_at_random_points` where structural equality is too weak.
+is no polynomial canonical form; where structural equality is too weak,
+`deviation_at_random_points` compares two trees numerically.
 
 Besides its fields, a node may carry the attribute `_normal`, set on every
 tree `simplify` returns, so that simplifying it again returns it at once.
@@ -26,6 +26,7 @@ from .errors import (
     MissingSymbolError,
     ParseError,
     UnknownSymbolError,
+    draw_regular,
 )
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt")
@@ -257,7 +258,9 @@ def evaluate(e, assignment):
     """Evaluate at a full coordinate assignment, returning a finite float.
 
     Raises MissingSymbolError for uncovered symbols and DomainError for
-    zero denominators, negative sqrt arguments, or overflow.
+    zero denominators, negative sqrt arguments, constants beyond float
+    range, overflow, sums of opposite infinities, and sin or cos of an
+    infinite value.
     """
     value = _eval(e, assignment)
     if not math.isfinite(value):
@@ -267,14 +270,22 @@ def evaluate(e, assignment):
 
 def _eval(e, env):
     if isinstance(e, Const):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise DomainError(_CONST_RANGE) from None
     if isinstance(e, Sym):
         try:
             return float(env[e.name])
         except KeyError:
             raise MissingSymbolError(f"no value assigned to '{e.name}'") from None
     if isinstance(e, Add):
-        return _finite(math.fsum(_eval(t, env) for t in e.terms))
+        try:
+            return _finite(math.fsum(_eval(t, env) for t in e.terms))
+        except OverflowError:
+            raise DomainError(_SUM_OVERFLOW) from None
+        except ValueError:
+            raise DomainError(_SUM_INFINITIES) from None
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
@@ -295,10 +306,11 @@ def _eval(e, env):
         return _finite(_eval(e.num, env) / den)
     if isinstance(e, Func):
         arg = _eval(e.arg, env)
-        if e.name == "sin":
-            return math.sin(arg)
-        if e.name == "cos":
-            return math.cos(arg)
+        if e.name in ("sin", "cos"):
+            try:
+                return math.sin(arg) if e.name == "sin" else math.cos(arg)
+            except ValueError:
+                raise DomainError(_TRIG_INFINITE) from None
         if e.name == "exp":
             try:
                 return _finite(math.exp(arg))
@@ -315,6 +327,14 @@ def _finite(x):
     if not math.isfinite(x):
         raise DomainError("intermediate value is not finite")
     return x
+
+
+# Messages of the DomainErrors that stand for an OverflowError or a
+# ValueError of float(), fsum, sin or cos; compile_table raises the same.
+_CONST_RANGE = "constant out of float range"
+_SUM_OVERFLOW = "sum overflow"
+_SUM_INFINITIES = "sum of opposite infinities"
+_TRIG_INFINITE = "sin or cos of an infinite value"
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +359,15 @@ def compile_table(exprs, names):
 def _fail(error, *sums):
     """Raise `error`, unless the running total of an enclosing sum has
     already overflowed: the interpreter's fsum takes the terms as they are
-    evaluated, and raises OverflowError before it gets to this one."""
+    evaluated, and raises OverflowError before it gets to this one.  Its
+    ValueError for opposite infinities comes only after the last term."""
     for terms in sums:
-        math.fsum(terms)
+        try:
+            math.fsum(terms)
+        except OverflowError:
+            raise DomainError(_SUM_OVERFLOW) from None
+        except ValueError:
+            pass
     raise error
 
 
@@ -400,17 +426,18 @@ class _TableCompiler:
         self.check(f"{v} - {v} != 0.0", "DomainError('intermediate value is not finite')")
         return v
 
-    def call(self, e, code, overflow=None):
-        """Local holding `code`.  With `overflow`, its OverflowError becomes
-        DomainError(overflow); inside a sum whose total could have
-        overflowed already, anything else it raises goes through `_fail`."""
+    def call(self, e, code, *errors):
+        """Local holding `code`.  For each (exception name, message) in
+        `errors`, that exception becomes DomainError(message); inside a sum
+        whose total could have overflowed already, anything else it raises
+        goes through `_fail`."""
         pending = any(len(fed) >= 2 for fed in self.open_sums)
-        if overflow is None and not pending:
+        if not errors and not pending:
             return self.local(e, code)
         name = self.new_local(e)
         self.lines += ["try:", f"    {name} = {code}"]
-        if overflow is not None:
-            self.lines += ["except OverflowError:", f"    {self.raising(f'DomainError({overflow!r})')}"]
+        for exception, message in errors:
+            self.lines += [f"except {exception}:", f"    {self.raising(f'DomainError({message!r})')}"]
         if pending:
             self.lines += ["except Exception as exc:", f"    {self.raising('exc')}"]
         return name
@@ -428,8 +455,8 @@ class _TableCompiler:
         if isinstance(e, Const):
             try:
                 text = repr(float(e.value))
-            except OverflowError as exc:
-                return self.unreachable(e, f"OverflowError({str(exc)!r})")
+            except OverflowError:
+                return self.unreachable(e, f"DomainError({_CONST_RANGE!r})")
             return f"({text})" if text.startswith("-") else text
         if isinstance(e, Sym):
             if e.name not in self.args:
@@ -442,7 +469,9 @@ class _TableCompiler:
             for t in e.terms:
                 fed.append(self.value(t))
             self.open_sums.pop()
-            return self.finite(self.call(e, f"fsum(({''.join(op + ', ' for op in fed)}))"))
+            return self.finite(self.call(e, f"fsum(({''.join(op + ', ' for op in fed)}))",
+                                         ("OverflowError", _SUM_OVERFLOW),
+                                         ("ValueError", _SUM_INFINITIES)))
         if isinstance(e, Mul):
             factors = [self.value(f) for f in e.factors]
             return self.finite(self.local(e, " * ".join(["1.0"] + factors)))
@@ -450,7 +479,7 @@ class _TableCompiler:
             base = self.value(e.base)
             if e.exponent < 0:
                 self.check(f"{base} == 0.0", "DomainError('zero base with negative exponent')")
-            return self.finite(self.call(e, f"{base} ** {e.exponent}", overflow="power overflow"))
+            return self.finite(self.call(e, f"{base} ** {e.exponent}", ("OverflowError", "power overflow")))
         if isinstance(e, Div):
             den = self.value(e.den)
             self.check(f"{den} == 0.0", "DomainError('division by zero')")
@@ -459,9 +488,9 @@ class _TableCompiler:
         if isinstance(e, Func):
             arg = self.value(e.arg)
             if e.name in ("sin", "cos"):
-                return self.call(e, f"{e.name}({arg})")
+                return self.call(e, f"{e.name}({arg})", ("ValueError", _TRIG_INFINITE))
             if e.name == "exp":
-                return self.finite(self.call(e, f"exp({arg})", overflow="exp overflow"))
+                return self.finite(self.call(e, f"exp({arg})", ("OverflowError", "exp overflow")))
             if e.name == "sqrt":
                 self.check(f"{arg} < 0.0", f'DomainError(f"sqrt of negative value {{{arg}}}")')
                 return self.local(e, f"sqrt({arg})")
@@ -953,31 +982,13 @@ def matrix_inverse(rows):
 # randomized numeric equality
 
 
-def equal_at_random_points(e1, e2, names, rng, points=12, tol=1e-10, low=-1.0, high=1.0):
-    """Decide equality by evaluating both trees at random points.
-
-    Points raising DomainError in either tree are redrawn.  Returns
-    (equal, max_deviation).
-    """
-    dev = deviation_at_random_points(e1, e2, names, rng, points, low, high)
-    return dev <= tol, dev
-
-
-def deviation_at_random_points(e1, e2, names, rng, points=12, low=-1.0, high=1.0):
+def deviation_at_random_points(e1, e2, names, rng, points=12):
+    """max |e1 - e2| over `points` points drawn from [-1, 1]^k; points
+    where either tree fails to evaluate are redrawn."""
     names = tuple(names)
-    worst = 0.0
-    done = 0
-    attempts = 0
-    while done < points:
-        attempts += 1
-        if attempts > 100 * points:
-            raise DomainError("could not find enough evaluable sample points")
-        env = {name: float(v) for name, v in zip(names, rng.uniform(low, high, len(names)))}
-        try:
-            v1 = evaluate(e1, env)
-            v2 = evaluate(e2, env)
-        except DomainError:
-            continue
-        worst = max(worst, abs(v1 - v2))
-        done += 1
-    return worst
+
+    def draw():
+        env = {name: float(v) for name, v in zip(names, rng.uniform(-1.0, 1.0, len(names)))}
+        return abs(evaluate(e1, env) - evaluate(e2, env))
+
+    return max([0.0] + draw_regular(draw, points)[0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import grass_invariants, invariants_match
-from .errors import DimensionMismatchError, DomainError, FrameMismatchError
+from .errors import DimensionMismatchError, FrameMismatchError, draw_regular
 from .jets import SecJet, SubJet, cover1, cover2, tangent_cover1
 from .sampling import random_point, spawn_rng
 
@@ -429,26 +429,14 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     """
     if g1.frame.names != g2.frame.names:
         raise FrameMismatchError("connections live on different frames")
-    l = g1.dim
-    m = l - n
+    m = g1.dim - n
     rng = spawn_rng(seed, 0)
-    worst = 0.0
-    done = 0
-    attempts = 0
-    while done < samples:
-        attempts += 1
-        if attempts > 100 * samples:
-            raise DomainError("could not sample enough regular jets")
-        base = random_point(g1, rng)
-        first = rng.uniform(-1.0, 1.0, (m, n))
-        p = SubJet(n, m, base, first)
-        try:
-            s1 = ddot_gamma(g1, p).second_array()
-            s2 = ddot_gamma(g2, p).second_array()
-        except DomainError:
-            continue
-        worst = max(worst, float(np.abs(s1 - s2).max()))
-        done += 1
+
+    def draw():
+        p = SubJet(n, m, random_point(g1, rng), rng.uniform(-1.0, 1.0, (m, n)))
+        return float(np.abs(ddot_gamma(g1, p).second_array() - ddot_gamma(g2, p).second_array()).max())
+
+    worst = max([0.0] + draw_regular(draw, samples)[0])
     inv_equal, inv_dev = invariants_match(
         grass_invariants(g1, n), grass_invariants(g2, n), spawn_rng(seed, 1), tol=tol
     )

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import expr
 from .connections import Connection
-from .errors import DomainError
+from .errors import DomainError, SingularJacobianError, draw_regular
 from .expr import Const, Mul, Sym
 from .jets import AffineMap, SecJet, SubJet
 
@@ -56,19 +56,16 @@ def random_expressions(names, rng, count, degree=2):
     return [random_polynomial(names, rng, degree) for _ in range(count)]
 
 
-def random_point(g, rng, low=-1.0, high=1.0, tries=100):
-    """Point in [low, high]^l where every Christoffel entry evaluates and
-    which stays away from the connection's declared singular points."""
-    for _ in range(tries):
-        point = rng.uniform(low, high, g.dim)
-        if any(np.linalg.norm(point - np.asarray(s)) < 1e-6 for s in g.singular_points):
-            continue
-        try:
-            g.christoffel_at(point)
-        except DomainError:
-            continue
-        return point
-    raise DomainError("could not sample a regular point for the connection")
+def random_point(g, rng):
+    """One point drawn from [-1, 1]^l.  Raises DomainError where a
+    Christoffel entry fails to evaluate or within 1e-6 of one of the
+    connection's declared singular points; callers redraw through
+    `draw_regular`."""
+    point = rng.uniform(-1.0, 1.0, g.dim)
+    if any(np.linalg.norm(point - np.asarray(s)) < 1e-6 for s in g.singular_points):
+        raise DomainError("sample point within 1e-6 of a declared singular point")
+    g.christoffel_at(point)
+    return point
 
 
 def random_subjet1(n, m, rng, base=None):
@@ -78,17 +75,17 @@ def random_subjet1(n, m, rng, base=None):
     return SubJet(n, m, base, rng.uniform(-1.0, 1.0, (m, n)))
 
 
-def random_secjet1(n, l, rng, min_det=0.3, x=None, u=None, tries=200):
+def random_secjet1(n, l, rng, min_det=0.3):
     """Random order-1 section jet whose base-direction derivative block is
     comfortably invertible (admissible for the covering projections)."""
-    for _ in range(tries):
+
+    def draw():
         first = rng.uniform(-1.0, 1.0, (l, n))
         if abs(np.linalg.det(first[:n, :])) < min_det:
-            continue
-        xx = rng.uniform(-1.0, 1.0, n) if x is None else np.asarray(x, dtype=float)
-        uu = rng.uniform(-1.0, 1.0, l) if u is None else np.asarray(u, dtype=float)
-        return SecJet(n, l, xx, uu, first)
-    raise DomainError("could not sample an admissible section jet")
+            raise SingularJacobianError("base-direction block of the section jet is near singular")
+        return SecJet(n, l, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, l), first)
+
+    return draw_regular(draw, 1)[0][0]
 
 
 def random_secjet2(n, l, rng, min_det=0.3):
@@ -98,11 +95,13 @@ def random_secjet2(n, l, rng, min_det=0.3):
     return random_secjet1(n, l, rng, min_det).with_second(second)
 
 
-def random_affine(n, rng, min_det=0.3, tries=200):
-    """Random invertible affine map of the parameter space."""
-    for _ in range(tries):
+def random_affine(n, rng):
+    """Random affine map of the parameter space with |det| >= 0.3."""
+
+    def draw():
         a = rng.uniform(-1.0, 1.0, (n, n))
-        if abs(np.linalg.det(a)) < min_det:
-            continue
+        if abs(np.linalg.det(a)) < 0.3:
+            raise SingularJacobianError("linear part of the affine map is near singular")
         return AffineMap(a, rng.uniform(-1.0, 1.0, n))
-    raise DomainError("could not sample an invertible affine map")
+
+    return draw_regular(draw, 1)[0][0]

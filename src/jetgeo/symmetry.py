@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr
 from .connections import Connection
-from .errors import DimensionMismatchError, DomainError, SpecLoadError
+from .errors import DimensionMismatchError, SpecLoadError, draw_regular
 from .expr import CoordinateFrame, Sym
 from .geodesy import ddot_gamma_pro, distribution_fields, param_residual2, residual2
 from .jets import SecJet, SubJet, affine_act, cover1, cover2, reparam_act
@@ -108,20 +108,31 @@ class JetField:
 @dataclass(frozen=True)
 class SymmetryReport:
     """Outcome of a symmetry check.  rows holds one (coordinates, residual)
-    pair per sample, in sampling order."""
+    pair per sample, in sampling order; skipped counts the draws that
+    failed to evaluate and were redrawn."""
 
-    passed: bool
-    worst_residual: float
-    samples_used: int
+    rows: tuple
     skipped: int
     tol: float
-    rows: tuple = ()
+
+    @classmethod
+    def sample(cls, draw, samples, tol):
+        """Report on `samples` regular draws, each a (coordinates,
+        residual) pair; see `errors.draw_regular`."""
+        rows, redrawn = draw_regular(draw, samples)
+        return cls(tuple(rows), redrawn, tol)
+
+    @property
+    def worst_residual(self):
+        return max([0.0] + [r for _, r in self.rows])
+
+    @property
+    def passed(self):
+        return self.worst_residual <= self.tol
 
     def summary(self):
-        k = sum(1 for _, r in self.rows if r <= self.tol) if self.rows else (
-            self.samples_used if self.passed else 0
-        )
-        return f"{'PASS' if self.passed else 'FAIL'} {k}/{self.samples_used} tol={self.tol:g}"
+        k = sum(1 for _, r in self.rows if r <= self.tol)
+        return f"{'PASS' if self.passed else 'FAIL'} {k}/{len(self.rows)} tol={self.tol:g}"
 
 
 def _span_residual(generators, vector):
@@ -145,7 +156,7 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
     At each sampled jet the generators are pushed through the map's
     Jacobian and tested for membership in the span of the generators at
     the image jet, by least squares.  Samples where the map or its
-    Jacobian fails to evaluate are skipped and reported.
+    Jacobian fails to evaluate are redrawn and counted in `skipped`.
     """
     if theta is None and jmap.kind == "secjet":
         raise DimensionMismatchError("section-side distribution needs a parameter connection")
@@ -158,43 +169,32 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
             f"for the {jmap.kind} side of this connection"
         )
     rng = spawn_rng(seed, 0)
-    worst = 0.0
-    used = 0
-    skipped = 0
-    attempts = 0
-    records = []
-    while used < samples and attempts < 50 * samples:
-        attempts += 1
-        try:
-            if jmap.kind == "subjet":
-                p = random_subjet1(n, m, rng)
-                env = _subjet_values(p, jmap.chart)
-                rows = distribution_fields(g, p)
-                image_vals = jmap.apply(env)
-                jac = jmap.jacobian_at(env)
-                q = SubJet(n, m, image_vals[:l], image_vals[l:].reshape(m, n))
-                rows_image = distribution_fields(g, q)
-            else:
-                p = random_secjet1(n, l, rng)
-                env = _secjet_values(p, jmap.chart)
-                rows = _pro_distribution_rows(g, theta, p)
-                image_vals = jmap.apply(env)
-                jac = jmap.jacobian_at(env)
-                q = SecJet(
-                    n, l, image_vals[:n], image_vals[n:n + l],
-                    image_vals[n + l:].reshape(l, n),
-                )
-                rows_image = _pro_distribution_rows(g, theta, q)
-        except (DomainError, np.linalg.LinAlgError):
-            skipped += 1
-            continue
+
+    def draw():
+        if jmap.kind == "subjet":
+            p = random_subjet1(n, m, rng)
+            env = _subjet_values(p, jmap.chart)
+            rows = distribution_fields(g, p)
+            image_vals = jmap.apply(env)
+            jac = jmap.jacobian_at(env)
+            q = SubJet(n, m, image_vals[:l], image_vals[l:].reshape(m, n))
+            rows_image = distribution_fields(g, q)
+        else:
+            p = random_secjet1(n, l, rng)
+            env = _secjet_values(p, jmap.chart)
+            rows = _pro_distribution_rows(g, theta, p)
+            image_vals = jmap.apply(env)
+            jac = jmap.jacobian_at(env)
+            q = SecJet(
+                n, l, image_vals[:n], image_vals[n:n + l],
+                image_vals[n + l:].reshape(l, n),
+            )
+            rows_image = _pro_distribution_rows(g, theta, q)
         scale = _span_scale(rows_image)
         local = max(_span_residual(rows_image, jac @ row) / scale for row in rows)
-        records.append((tuple(env[name] for name in jmap.chart), local))
-        worst = max(worst, local)
-        used += 1
-    return SymmetryReport(worst <= tol and used == samples, worst, used, skipped, tol,
-                          tuple(records))
+        return tuple(env[name] for name in jmap.chart), local
+
+    return SymmetryReport.sample(draw, samples, tol)
 
 
 def _pro_distribution_rows(g, theta, p):
@@ -223,21 +223,12 @@ def preserves_contact(jmap, samples=25, tol=1e-8, seed=0):
     l = (dim + n * n) // (n + 1)  # dim = l + (l - n) n
     m = l - n
     rng = spawn_rng(seed, 0)
-    worst = 0.0
-    used = 0
-    skipped = 0
-    records = []
-    while used < samples:
+
+    def draw():
         p = random_subjet1(n, m, rng)
         env = _subjet_values(p, jmap.chart)
-        try:
-            vals = jmap.apply(env)
-            jac = jmap.jacobian_at(env)
-        except DomainError:
-            skipped += 1
-            if skipped > 50 * samples:
-                break
-            continue
+        vals = jmap.apply(env)
+        jac = jmap.jacobian_at(env)
         first_image = vals[l:].reshape(m, n)
         basis = np.zeros((n + m * n, dim))
         for lam in range(n):
@@ -252,11 +243,9 @@ def preserves_contact(jmap, samples=25, tol=1e-8, seed=0):
             for kk in range(m):
                 omega = pushed[n + kk] - first_image[kk, :] @ pushed[:n]
                 local = max(local, abs(omega))
-        records.append((tuple(env[name] for name in jmap.chart), local))
-        worst = max(worst, local)
-        used += 1
-    return SymmetryReport(worst <= tol and used == samples, worst, used, skipped, tol,
-                          tuple(records))
+        return tuple(env[name] for name in jmap.chart), local
+
+    return SymmetryReport.sample(draw, samples, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -326,28 +315,16 @@ def field_preserves_distribution(f, g, n, samples=25, tol=1e-8, seed=0):
         raise DimensionMismatchError("field is not expressed over the jet chart of g")
     brackets = [commutator(f, x, chart) for x in generators]
     rng = spawn_rng(seed, 0)
-    worst = 0.0
-    used = 0
-    skipped = 0
-    records = []
-    while used < samples:
+
+    def draw():
         p = random_subjet1(n, m, rng)
         env = _subjet_values(p, chart)
-        try:
-            rows = distribution_fields(g, p)
-            values = [np.array([expr.evaluate(c, env) for c in bracket]) for bracket in brackets]
-        except DomainError:
-            skipped += 1
-            if skipped > 50 * samples:
-                break
-            continue
+        rows = distribution_fields(g, p)
+        values = [np.array([expr.evaluate(c, env) for c in bracket]) for bracket in brackets]
         scale = _span_scale(rows)
-        local = max(_span_residual(rows, v) / scale for v in values)
-        records.append((tuple(env[name] for name in chart), local))
-        worst = max(worst, local)
-        used += 1
-    return SymmetryReport(worst <= tol and used == samples, worst, used, skipped, tol,
-                          tuple(records))
+        return tuple(env[name] for name in chart), max(_span_residual(rows, v) / scale for v in values)
+
+    return SymmetryReport.sample(draw, samples, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +409,13 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     if theta.dim != aff.n:
         raise DimensionMismatchError("affine map and parameter connection disagree")
     rng = spawn_rng(seed, 0)
-    worst = 0.0
-    records = []
-    for _ in range(samples):
+
+    def draw():
         p = random_secjet1(aff.n, g.dim, rng)
-        q = ddot_gamma_pro(g, theta, p)
-        acted = affine_act(aff, q)
-        local = param_residual2(g, theta, acted).max_abs()
-        records.append((p.x + p.u, local))
-        worst = max(worst, local)
-    return SymmetryReport(worst <= tol, worst, samples, 0, tol, tuple(records))
+        acted = affine_act(aff, ddot_gamma_pro(g, theta, p))
+        return p.x + p.u, param_residual2(g, theta, acted).max_abs()
+
+    return SymmetryReport.sample(draw, samples, tol)
 
 
 def reparam_symmetry_check(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0):
@@ -451,26 +425,13 @@ def reparam_symmetry_check(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0
     if theta.christoffel:
         raise DimensionMismatchError("reparametrization check requires the flat parameter connection")
     rng = spawn_rng(seed, 0)
-    worst = 0.0
-    used = 0
-    skipped = 0
-    records = []
-    while used < samples:
+
+    def draw():
         p = random_secjet1(theta.dim, g.dim, rng)
-        q = ddot_gamma_pro(g, theta, p)
-        try:
-            acted = reparam_act(phi, x_frame, q)
-        except DomainError:
-            skipped += 1
-            if skipped > 50 * samples:
-                break
-            continue
-        local = param_residual2(g, theta, acted).max_abs()
-        records.append((p.x + p.u, local))
-        worst = max(worst, local)
-        used += 1
-    return SymmetryReport(worst <= tol and used == samples, worst, used, skipped, tol,
-                          tuple(records))
+        acted = reparam_act(phi, x_frame, ddot_gamma_pro(g, theta, p))
+        return p.x + p.u, param_residual2(g, theta, acted).max_abs()
+
+    return SymmetryReport.sample(draw, samples, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -499,29 +460,26 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
     m = l - n
     rng = spawn_rng(seed, 0)
     theta = Connection.flat(n)
-    orbit_dev = 0.0
-    preimage_dev = 0.0
-    factoring_dev = 0.0
-    for _ in range(samples):
+
+    def gap(a, b):
+        return max(float(np.abs(np.asarray(a.base) - np.asarray(b.base)).max()),
+                   float(np.abs(a.first_matrix() - b.first_matrix()).max()))
+
+    def draw():
         t = random_secjet1(n, l, rng)
         base = cover1(t)
-        for _ in range(10):
-            acted = affine_act(random_affine(n, rng), t)
-            moved = cover1(acted)
-            orbit_dev = max(orbit_dev, float(np.abs(np.asarray(moved.base) - np.asarray(base.base)).max()))
-            orbit_dev = max(orbit_dev, float(np.abs(moved.first_matrix() - base.first_matrix()).max()))
-
+        orbit = max(gap(cover1(affine_act(random_affine(n, rng), t)), base) for _ in range(10))
         p = random_subjet1(n, m, rng)
         lift = SecJet(
             n, l, np.zeros(n), p.base,
             np.vstack([np.eye(n), p.first_matrix()]),
         )
-        back = cover1(lift)
-        preimage_dev = max(preimage_dev, float(np.abs(np.asarray(back.base) - np.asarray(p.base)).max()))
-        preimage_dev = max(preimage_dev, float(np.abs(back.first_matrix() - p.first_matrix()).max()))
-
         q = ddot_gamma_pro(g, theta, random_secjet1(n, l, rng))
-        factoring_dev = max(factoring_dev, residual2(g, cover2(q)).max_abs())
+        return orbit, gap(cover1(lift), p), residual2(g, cover2(q)).max_abs()
+
+    orbit_dev, preimage_dev, factoring_dev = (
+        max(column) for column in zip((0.0, 0.0, 0.0), *draw_regular(draw, samples)[0])
+    )
     passed = orbit_dev <= orbit_tol and preimage_dev <= orbit_tol and factoring_dev <= factoring_tol
     return OrbitReport(orbit_dev, preimage_dev, factoring_dev, passed)
 

@@ -225,6 +225,66 @@ def test_symmetry_check_malformed_spec_exits_2(zero_spec, tmp_path, option, text
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("change", [
+    {"christoffel": 5},
+    {"n": "x"},
+    {"n": 5},
+    {"singular_points": 5},
+    {"singular_points": [["a", 0]]},
+    {"coords": [1, 2]},
+    {"singular_points": [[0.0, 0.0, 0.0]]},
+])
+def test_malformed_connection_spec_exits_2(tmp_path, change, capsys):
+    spec = write(tmp_path / "bad.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [], **change})
+    assert main(["invariants", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_non_finite_number_in_jet_file_exits_2(tmp_path, capsys):
+    spec = write(tmp_path / "sin.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": "sin(u1)"}]})
+    jets = tmp_path / "inf.json"
+    jets.write_text('{"jets": [{"kind": "subjet", "n": 1, "m": 1, "r": 1, "u": [Infinity, 0.0], '
+                    '"derivs": [{"i": 2, "sigma": [1], "value": 0.0}]}]}', encoding="utf-8")
+    assert main(["residual", spec, "--jets", str(jets), "--mode", "unparam"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite number Infinity" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("start", ["inf,0", "0,nan"])
+def test_geodesic_rejects_non_finite_vector(zero_spec, start, capsys):
+    argv = ["geodesic", zero_spec, "--start", start, "--velocity", "1,0", "--h", "0.1", "--steps", "5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --start") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["equivalent", "invariants", "cover-check", "--map", "--field", "--affine"])
+@pytest.mark.parametrize("gamma, code", [("sqrt(u1)", 0), ("sqrt(-1 - u1^2)", 2)],
+                         ids=["half-regular", "nowhere-regular"])
+def test_randomized_commands_redraw_and_give_up_alike(tmp_path, command, gamma, code, capsys):
+    """sqrt(u1) fails at half the points, which are redrawn; sqrt(-1 - u1^2)
+    fails everywhere, and every randomized subcommand gives up the same way."""
+    spec = write(tmp_path / "g.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": gamma}]})
+    chart = {"kind": "subjet", "n": 1, "coords": ["u1", "u2"]}
+    identity = write(tmp_path / "id.json", {**chart, "components": {"u1": "u1", "u2": "u2", "u2_1": "u2_1"}})
+    zero = write(tmp_path / "zero.json", {**chart, "components": {"u1": "0", "u2": "0", "u2_1": "0"}})
+    affine = write(tmp_path / "aff.json", {"a": [[2.0]], "b": [0.5]})
+    argv = {
+        "equivalent": ["equivalent", spec, spec],
+        "invariants": ["invariants", spec, "--compare", spec],
+        "cover-check": ["cover-check", spec],
+        "--map": ["symmetry-check", spec, "--map", identity],
+        "--field": ["symmetry-check", spec, "--field", zero],
+        "--affine": ["symmetry-check", spec, "--affine", affine],
+    }[command]
+    assert main(argv + ["--samples", "5"]) == code
+    err = capsys.readouterr().err
+    assert ("could not sample" in err) == (code == 2) and "Traceback" not in err
+
+
 def test_cover_check(random_spec_pair, capsys):
     a, _ = random_spec_pair
     assert main(["cover-check", a, "--samples", "10", "--seed", "3"]) == 0

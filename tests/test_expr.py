@@ -23,7 +23,6 @@ from jetgeo.expr import (
     Sym,
     deviation_at_random_points,
     differentiate,
-    equal_at_random_points,
     evaluate,
     parse,
     simplify,
@@ -350,12 +349,11 @@ def test_collects_identical_monomials():
     assert simplify(e) == Mul((Const(Fraction(4)), Sym("u"), Sym("v")))
 
 
-def test_equal_at_random_points_interface():
+def test_deviation_at_random_points_redraws_and_separates():
     rng = np.random.default_rng(0)
-    same, dev = equal_at_random_points(parse("(u + v)^2", UV), parse("u^2 + 2*u*v + v^2", UV), UV, rng)
-    assert same and dev <= 1e-10
-    differ, dev2 = equal_at_random_points(parse("u", UV), parse("v", UV), UV, rng)
-    assert not differ and dev2 > 1e-3
+    root = parse("sqrt(u) + v", UV)
+    assert deviation_at_random_points(root, parse("v + sqrt(u)", UV), UV, rng) <= 1e-12
+    assert deviation_at_random_points(parse("u", UV), parse("v", UV), UV, rng) > 1e-3
 
 
 # ---------------------------------------------------------------------------
