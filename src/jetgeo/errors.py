@@ -67,14 +67,15 @@ def load_json(path):
     beyond float range are rejected: every number in a spec is finite."""
 
     def finite(text):
-        value = float(text)
-        if not math.isfinite(value):
-            raise SpecLoadError(f"{path}: non-finite number {text}")
-        return value
+        if not math.isfinite(float(text)):
+            shown = text if len(text) <= 20 else text[:20] + "..."
+            raise SpecLoadError(f"{path}: non-finite number {shown}")
+        return text
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh, parse_float=lambda text: float(finite(text)),
+                             parse_int=lambda text: int(finite(text)), parse_constant=finite)
         except json.JSONDecodeError as e:
             raise SpecLoadError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from None
 

@@ -394,9 +394,13 @@ class _TableCompiler:
                 self.check(f"{v} - {v} != 0.0",
                            f'DomainError(f"evaluation produced non-finite value {{{v}}}")')
             results.append(v)
-        body = "".join(f"    {line}\n" for line in self.lines)
-        source = (f"def table({', '.join(self.args.values())}):\n{body}"
-                  f"    return ({''.join(v + ', ' for v in results)})\n")
+        # every other call that raises OverflowError or ValueError is guarded
+        # at its node, so here they come from fsum, as in `_eval`'s Add
+        body = "".join(f"        {line}\n" for line in self.lines)
+        source = (f"def table({', '.join(self.args.values())}):\n    try:\n{body}"
+                  f"        return ({''.join(v + ', ' for v in results)})\n"
+                  f"    except OverflowError:\n        raise DomainError({_SUM_OVERFLOW!r}) from None\n"
+                  f"    except ValueError:\n        raise DomainError({_SUM_INFINITIES!r}) from None\n")
         namespace = dict(_COMPILED_NAMESPACE)
         exec(compile(source, "<jetgeo.expr.compile_table>", "exec"), namespace)
         return namespace["table"]
@@ -469,9 +473,7 @@ class _TableCompiler:
             for t in e.terms:
                 fed.append(self.value(t))
             self.open_sums.pop()
-            return self.finite(self.call(e, f"fsum(({''.join(op + ', ' for op in fed)}))",
-                                         ("OverflowError", _SUM_OVERFLOW),
-                                         ("ValueError", _SUM_INFINITIES)))
+            return self.finite(self.call(e, f"fsum(({''.join(op + ', ' for op in fed)}))"))
         if isinstance(e, Mul):
             factors = [self.value(f) for f in e.factors]
             return self.finite(self.local(e, " * ".join(["1.0"] + factors)))

@@ -21,12 +21,13 @@ the same ordering.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connections import grass_invariants, invariants_match
-from .errors import DimensionMismatchError, FrameMismatchError, draw_regular
+from .errors import DimensionMismatchError, DomainError, FrameMismatchError, draw_regular
 from .jets import SecJet, SubJet, cover1, cover2, tangent_cover1
 from .sampling import random_point, spawn_rng
 
@@ -434,7 +435,10 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
 
     def draw():
         p = SubJet(n, m, random_point(g1, rng), rng.uniform(-1.0, 1.0, (m, n)))
-        return float(np.abs(ddot_gamma(g1, p).second_array() - ddot_gamma(g2, p).second_array()).max())
+        deviation = float(np.abs(ddot_gamma(g1, p).second_array() - ddot_gamma(g2, p).second_array()).max())
+        if not math.isfinite(deviation):
+            raise DomainError("second-order extension overflowed")
+        return deviation
 
     worst = max([0.0] + draw_regular(draw, samples)[0])
     inv_equal, inv_dev = invariants_match(

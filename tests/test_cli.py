@@ -241,15 +241,17 @@ def test_malformed_connection_spec_exits_2(tmp_path, change, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_non_finite_number_in_jet_file_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999", "1" + "0" * 400],
+                         ids=["inf", "-inf", "nan", "float-overflow", "int-overflow"])
+def test_non_finite_number_in_jet_file_exits_2(tmp_path, number, capsys):
     spec = write(tmp_path / "sin.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
         {"lower": [1, 1], "upper": 2, "expr": "sin(u1)"}]})
     jets = tmp_path / "inf.json"
-    jets.write_text('{"jets": [{"kind": "subjet", "n": 1, "m": 1, "r": 1, "u": [Infinity, 0.0], '
-                    '"derivs": [{"i": 2, "sigma": [1], "value": 0.0}]}]}', encoding="utf-8")
+    jets.write_text('{"jets": [{"kind": "subjet", "n": 1, "m": 1, "r": 1, "u": [%s, 0.0], '
+                    '"derivs": [{"i": 2, "sigma": [1], "value": 0.0}]}]}' % number, encoding="utf-8")
     assert main(["residual", spec, "--jets", str(jets), "--mode", "unparam"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "non-finite number Infinity" in err and "Traceback" not in err
+    assert err.startswith("error:") and "non-finite number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("start", ["inf,0", "0,nan"])
@@ -258,6 +260,15 @@ def test_geodesic_rejects_non_finite_vector(zero_spec, start, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --start") and "Traceback" not in err
+
+
+def test_overflowing_sum_is_a_domain_error(tmp_path, capsys):
+    spec = write(tmp_path / "big.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": "10^308*u1 + 10^308*u2 + 10^308"}]})
+    assert main(["equivalent", spec, spec, "--samples", "5"]) == 0
+    argv = ["geodesic", spec, "--start", "0.9,0.9", "--velocity", "1,0", "--h", "0.1", "--steps", "3"]
+    assert main(argv) == 3
+    assert "sum overflow" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["equivalent", "invariants", "cover-check", "--map", "--field", "--affine"])
