@@ -35,6 +35,7 @@ from .errors import (
     UnknownSymbolError,
     draw_regular,
     load_json,
+    worst,
 )
 from .geodesy import (
     covering_commutation_deviation,
@@ -195,38 +196,31 @@ def cmd_residual(args):
         raise JetGeoError(f"no jets in {args.jets}")
     rows = []
     tol = args.tol if args.tol is not None else 1e-10
-    worst = 0.0
+    residuals = []
     if args.mode == "param":
         if not all(isinstance(t, SecJet) for t in jets):
             raise JetGeoError("param mode needs section jets")
         theta = _load_theta(args, jets[0].n)
-        for idx, t in enumerate(jets):
+    for idx, t in enumerate(jets):
+        if args.mode == "param":
             r = param_residual2(g, theta, t)
-            flat = [r.table[c, xi, lam] for c in range(t.l)
-                    for xi in range(t.n) for lam in range(xi, t.n)]
-            rows.append([idx, "ok"] + _jet_coord_row(t) + flat + [r.max_abs()])
-            worst = max(worst, r.max_abs())
-    else:
-        for idx, t in enumerate(jets):
-            if isinstance(t, SecJet):
-                try:
-                    q = cover2(t)
-                except SingularJacobianError:
-                    rows.append([idx, "singular-jacobian"])
-                    continue
-            else:
-                q = t
+        else:
+            try:
+                q = cover2(t) if isinstance(t, SecJet) else t
+            except SingularJacobianError:
+                rows.append([idx, "singular-jacobian"])
+                continue
             r = residual2(g, q)
-            flat = [r.table[kk, lam, xi] for kk in range(q.m)
-                    for lam in range(q.n) for xi in range(lam, q.n)]
-            rows.append([idx, "ok"] + _jet_coord_row(t) + flat + [r.max_abs()])
-            worst = max(worst, r.max_abs())
+        flat = [r.table[c, a, b] for c in range(len(r.table)) for a in range(t.n) for b in range(a, t.n)]
+        rows.append([idx, "ok"] + _jet_coord_row(t) + flat + [r.max_abs()])
+        residuals.append(r.max_abs())
     out = Output(args)
     ncols = max(len(r) for r in rows)
     header = ["jet", "status"] + [f"c{i}" for i in range(ncols - 2)]
     out.table(header, rows)
-    out.flush({"mode": args.mode, "max_abs": worst})
-    _say(f"{len(rows)} jets, worst residual {worst:.3e} (tol {tol:.1e})")
+    max_abs = worst(residuals)
+    out.flush({"mode": args.mode, "max_abs": max_abs})
+    _say(f"{len(rows)} jets, worst residual {max_abs:.3e} (tol {tol:.1e})")
     return 0
 
 
@@ -240,11 +234,8 @@ def cmd_geodesic(args):
     rows = []
     truncated = False
     try:
-        for t in geodesic_steps(g, theta, start, velocity, args.h, args.steps):
-            r = param_residual2(g, theta, t)
-            rows.append(
-                [t.x[0]] + list(t.u) + list(t.first_matrix()[:, 0]) + [r.max_abs()]
-            )
+        for step in geodesic_steps(g, theta, start, velocity, args.h, args.steps):
+            rows.append([step.x, *step.u, *step.v, step.residual().max_abs()])
     except DomainError as e:
         rows.append(["error", str(e)])
         truncated = True
@@ -278,14 +269,14 @@ def cmd_cover_check(args):
         return c_dev, q_dev
 
     devs, _ = draw_regular(draw, args.samples)
-    worst = max([0.0] + [max(d) for d in devs])
-    rows = [[idx, c_dev, q_dev, "pass" if max(c_dev, q_dev) <= tol else "fail"]
+    max_dev = worst(v for d in devs for v in d)
+    rows = [[idx, c_dev, q_dev, "pass" if worst((c_dev, q_dev)) <= tol else "fail"]
             for idx, (c_dev, q_dev) in enumerate(devs)]
     out = Output(args)
     out.table(["sample", "commutation_dev", "quotient_dev", "status"], rows)
-    passed = worst <= tol
-    out.flush({"max_deviation": worst, "tol": tol, "passed": passed})
-    _say(f"{'PASS' if passed else 'FAIL'} covering checks: worst {worst:.3e}, tol {tol:.1e}")
+    passed = max_dev <= tol
+    out.flush({"max_deviation": max_dev, "tol": tol, "passed": passed})
+    _say(f"{'PASS' if passed else 'FAIL'} covering checks: worst {max_dev:.3e}, tol {tol:.1e}")
     return 0 if passed else 1
 
 

@@ -30,6 +30,7 @@ from .errors import (
     SpecLoadError,
     draw_regular,
     load_json,
+    worst,
 )
 from .expr import Const, CoordinateFrame
 
@@ -110,28 +111,39 @@ class Connection:
         [A-1][C-1][B-1].
 
         The first `_INTERPRETED_CALLS` calls evaluate the entries with
-        `expr.evaluate`; later calls run the table compiled by
-        `expr.compile_table`, which gives the same floats and errors.
+        `expr.evaluate`; later calls run the table of `compiled()`, which
+        gives the same floats and errors.
         """
-        l = self.dim
         env = self._env(point)
+        if self._compiled is None and self._interpreted < _INTERPRETED_CALLS:
+            object.__setattr__(self, "_interpreted", self._interpreted + 1)
+            l = self.dim
+            out = np.zeros((l, l, l))
+            for (a, b, c), e in self.christoffel.items():
+                v = expr.evaluate(e, env)
+                out[a - 1, c - 1, b - 1] = v
+                out[b - 1, c - 1, a - 1] = v
+            return out
+        return self.christoffel_array(self.compiled()(*env.values()))
+
+    def compiled(self):
+        """The entries compiled by `expr.compile_table`, built on the first
+        call and kept: ``compiled()(*coords)`` returns the values of the
+        stored entries, in `christoffel` order, at that point."""
         if self._compiled is None:
-            if self._interpreted < _INTERPRETED_CALLS:
-                object.__setattr__(self, "_interpreted", self._interpreted + 1)
-                out = np.zeros((l, l, l))
-                for (a, b, c), e in self.christoffel.items():
-                    v = expr.evaluate(e, env)
-                    out[a - 1, c - 1, b - 1] = v
-                    out[b - 1, c - 1, a - 1] = v
-                return out
+            l = self.dim
             table = expr.compile_table(list(self.christoffel.values()), self.frame.names)
             # out.flat[k] = values[gather.flat[k]]; the slot after the last entry holds 0.0
             gather = np.full((l, l, l), len(self.christoffel))
             for i, (a, b, c) in enumerate(self.christoffel):
                 gather[a - 1, c - 1, b - 1] = gather[b - 1, c - 1, a - 1] = i
             object.__setattr__(self, "_compiled", (table, gather))
-        table, gather = self._compiled
-        return np.fromiter(table(*env.values()) + (0.0,), float, len(self.christoffel) + 1)[gather]
+        return self._compiled[0]
+
+    def christoffel_array(self, values):
+        """The array of `christoffel_at`, laid out from values that
+        `compiled()` returned."""
+        return np.fromiter(values + (0.0,), float, len(self.christoffel) + 1)[self._compiled[1]]
 
     def __getstate__(self):
         # the compiled table is a generated function, which does not pickle
@@ -144,13 +156,6 @@ class Connection:
             )
         return {name: float(v) for name, v in zip(self.frame.names, point)}
 
-    def map_entries(self, f):
-        return Connection(
-            self.frame,
-            {key: f(e) for key, e in self.christoffel.items()},
-            self.singular_points,
-        )
-
 
 @dataclass(frozen=True)
 class ProjInvariants:
@@ -158,9 +163,6 @@ class ProjInvariants:
 
     frame: CoordinateFrame
     pi: Mapping
-
-    def component(self, a, c, b):
-        return self.pi.get((a, c, b), _ZERO)
 
     def at(self, point):
         l = self.frame.dim
@@ -178,7 +180,7 @@ class ProjInvariants:
             point = rng.uniform(-1, 1, self.frame.dim)
             return float(np.abs(self.at(point) - other.at(point)).max())
 
-        return max([0.0] + draw_regular(draw, 12)[0])
+        return worst(draw_regular(draw, 12)[0])
 
     def trace_deviation(self, point):
         """max_A |Π_A{}^F{}_F| at the point; identically zero in exact
@@ -422,20 +424,13 @@ def invariants_match(inv1, inv2, rng, tol=1e-10):
 
     def draw():
         point = rng.uniform(-1.0, 1.0, inv1.frame.dim)
-        a = inv1.at(point)
-        b = inv2.at(point)
-        worst = 0.0
-        for fam in ("order0", "order1", "order3"):
-            for key, v in a[fam].items():
-                worst = max(worst, abs(v - b[fam][key]))
-        s1 = inv1.second_order_symmetrized_at(point)
-        s2 = inv2.second_order_symmetrized_at(point)
-        for key, v in s1.items():
-            worst = max(worst, abs(v - s2[key]))
-        return worst
+        a, b = inv1.at(point), inv2.at(point)
+        s1, s2 = inv1.second_order_symmetrized_at(point), inv2.second_order_symmetrized_at(point)
+        return worst([abs(v - b[fam][key]) for fam in ("order0", "order1", "order3")
+                      for key, v in a[fam].items()] + [abs(v - s2[key]) for key, v in s1.items()])
 
-    worst = max([0.0] + draw_regular(draw, 12)[0])
-    return worst <= tol, worst
+    max_dev = worst(draw_regular(draw, 12)[0])
+    return max_dev <= tol, max_dev
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +445,11 @@ def connection_from_dict(data):
      "singular_points": [[...], ...]}
     """
     try:
-        frame = CoordinateFrame(tuple(data["coords"]), int(data.get("n", 1)))
+        coords = tuple(data["coords"])
+        n = data.get("n", 1)
+        if type(n) is not int:
+            raise ValueError(f"split n must be an integer, got {n!r}")
+        frame = CoordinateFrame(coords, n)
         raw = data.get("christoffel", [])
         singular = tuple(tuple(float(x) for x in p) for p in data.get("singular_points", []))
     except (KeyError, TypeError, ValueError) as e:

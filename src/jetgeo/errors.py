@@ -1,6 +1,7 @@
 """Exception types shared across the package, the reader of JSON spec
-files, which reports malformed JSON as a SpecLoadError, and `draw_regular`,
-the one loop that redraws random samples."""
+files, which reports malformed JSON as a SpecLoadError, `draw_regular`,
+the one loop that redraws random samples, and `worst`, the one reduction
+of their deviations."""
 
 import json
 import math
@@ -103,3 +104,10 @@ def draw_regular(draw, count):
                 raise DomainError(f"could not sample: {redrawn} draws failed and {len(results)} "
                                   f"of {count} succeeded; the last failed with: {e}") from None
     return results, redrawn
+
+
+def worst(values):
+    """The largest of 0.0 and `values`, or NaN if one is NaN, so that a NaN
+    fails ``worst(...) <= tol``; ``max`` drops it: ``max(0.0, nan)`` is 0.0."""
+    values = [0.0] + [float(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in values) else max(values)

@@ -132,30 +132,6 @@ def _coerce(value):
     raise TypeError(f"cannot use {type(value).__name__} as an expression")
 
 
-def const(value):
-    return _coerce(value)
-
-
-def sym(name):
-    return Sym(name)
-
-
-def sin(e):
-    return Func("sin", _coerce(e))
-
-
-def cos(e):
-    return Func("cos", _coerce(e))
-
-
-def exp(e):
-    return Func("exp", _coerce(e))
-
-
-def sqrt(e):
-    return Func("sqrt", _coerce(e))
-
-
 def negate(e):
     """-e, folding the sign into a leading rational constant when present."""
     if isinstance(e, Const):
@@ -192,12 +168,6 @@ class CoordinateFrame:
     @property
     def dim(self):
         return len(self.names)
-
-    def base_names(self):
-        return self.names[: self.split]
-
-    def fibre_names(self):
-        return self.names[self.split:]
 
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

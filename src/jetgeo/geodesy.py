@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .connections import grass_invariants, invariants_match
-from .errors import DimensionMismatchError, DomainError, FrameMismatchError, draw_regular
+from .errors import DimensionMismatchError, DomainError, FrameMismatchError, draw_regular, worst
 from .jets import SecJet, SubJet, cover1, cover2, tangent_cover1
 from .sampling import random_point, spawn_rng
 
@@ -59,9 +60,6 @@ class DotGamma:
     m: int
     table: np.ndarray
 
-    def value(self, a, k, xi):
-        return float(self.table[a - 1, k - self.n - 1, xi - 1])
-
 
 @dataclass(frozen=True)
 class Residual2:
@@ -71,9 +69,6 @@ class Residual2:
     n: int
     m: int
     table: np.ndarray  # (m, n, n)
-
-    def component(self, k, lam, xi):
-        return float(self.table[k - self.n - 1, lam - 1, xi - 1])
 
     def max_abs(self):
         return float(np.abs(self.table).max())
@@ -87,9 +82,6 @@ class ParamResidual2:
     n: int
     l: int
     table: np.ndarray  # (l, n, n)
-
-    def component(self, c, xi, lam):
-        return float(self.table[c - 1, xi - 1, lam - 1])
 
     def max_abs(self):
         return float(np.abs(self.table).max())
@@ -124,10 +116,6 @@ class XiTable:
 
     base: np.ndarray  # (l, n, n)
     vert: np.ndarray  # (n, m, n, n)
-
-    @classmethod
-    def zero(cls, n, m):
-        return cls(np.zeros((n + m, n, n)), np.zeros((n, m, n, n)))
 
     @classmethod
     def random(cls, n, m, rng, scale=1.0):
@@ -307,14 +295,15 @@ def param_residual2(g, theta, q):
     _check_secjet(g, theta, q)
     if q.r < 2:
         raise DimensionMismatchError("residual needs an order-2 jet")
-    G = g.christoffel_at(q.u)
-    Th = theta.christoffel_at(q.x)
-    D = q.first_matrix()
-    table = (q.second_array()
+    return _param_residual(g.christoffel_at(q.u), theta.christoffel_at(q.x),
+                           q.first_matrix(), q.second_array())
+
+
+def _param_residual(G, Th, D, second):
+    table = (second
              + np.einsum("ACB,Ax,Bl->Cxl", G, D, D)
              - np.einsum("xel,Ce->Cxl", Th, D))
-    table = 0.5 * (table + np.transpose(table, (0, 2, 1)))
-    return ParamResidual2(q.n, q.l, table)
+    return ParamResidual2(D.shape[1], D.shape[0], 0.5 * (table + np.transpose(table, (0, 2, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +334,8 @@ def covering_commutation_deviation(g, theta, p):
     admissible order-1 section jet."""
     via_param = cover2(ddot_gamma_pro(g, theta, p))
     via_sub = ddot_gamma(g, cover1(p))
-    dev = np.abs(via_param.second_array() - via_sub.second_array()).max()
-    dev = max(dev, np.abs(via_param.first_matrix() - via_sub.first_matrix()).max())
-    return float(dev)
+    return worst((np.abs(via_param.second_array() - via_sub.second_array()).max(),
+                  np.abs(via_param.first_matrix() - via_sub.first_matrix()).max()))
 
 
 def quotient_diagram_deviation(g, theta, p, dx, du, dd):
@@ -365,14 +353,48 @@ def quotient_diagram_deviation(g, theta, p, dx, du, dd):
 # geodesics (one-dimensional parameter space)
 
 
+class GeodesicStep(NamedTuple):
+    """One point of a geodesic: parameter x, point u, velocity v and
+    acceleration a, with the Christoffel values that gave a: gamma, the
+    array of `christoffel_at(u)`, and theta, Θ_1{}^1{}_1 at x."""
+
+    x: float
+    u: tuple
+    v: tuple
+    a: tuple
+    gamma: np.ndarray
+    theta: float
+
+    def residual(self):
+        """`param_residual2` at this point by its own formula, an
+        independent check of the generated acceleration."""
+        D, second = np.array(self.v)[:, None], np.array(self.a)[:, None, None]
+        return _param_residual(self.gamma, np.array([[[self.theta]]]), D, second)
+
+
+def _spray(keys, l):
+    """Generated ``spray(values, v)``, the tuple over C of
+    -Γ_A{}^C{}_B v^A v^B from the values of the entries stored under
+    `keys`: one product per entry, doubled for A != B."""
+    terms = [[] for _ in range(l)]
+    for i, (a, b, c) in enumerate(keys):
+        terms[c - 1].append(f"{'' if a == b else '2.0 * '}g{i} * v{a - 1} * v{b - 1}")
+    sums = "".join(f"-({' + '.join(t)}), " if t else "0.0, " for t in terms)
+    source = (f"def spray(values, v):\n    [{', '.join(f'g{i}' for i in range(len(keys)))}] = values\n"
+              f"    [{', '.join(f'v{i}' for i in range(l))}] = v\n    return ({sums})\n")
+    namespace = {}
+    exec(compile(source, "<jetgeo.geodesy.spray>", "exec"), namespace)
+    return namespace["spray"]
+
+
 def geodesic_steps(g, theta, start, velocity, h, steps):
     """Classical fixed-step fourth-order integration of
 
         u'' = -Γ_A{}^C{}_B u'^A u'^B + Θ_1{}^1{}_1 u'^C
 
-    over a one-dimensional parameter space.  Yields steps+1 order-2
-    section jets whose second-derivative slot is filled from the right
-    side, so the parametrized residual vanishes along the output.
+    over a one-dimensional parameter space.  Yields steps+1
+    `GeodesicStep`s.  Each RK4 stage calls g's compiled table once, then a
+    generated `_spray`, and Θ's table once if Θ has entries.
     """
     if theta.dim != 1:
         raise DimensionMismatchError("geodesic integration needs a 1-dimensional parameter space")
@@ -380,30 +402,39 @@ def geodesic_steps(g, theta, start, velocity, h, steps):
         raise DimensionMismatchError("start point/velocity do not match the connection dimension")
     if h <= 0 or steps < 0:
         raise DimensionMismatchError("step size must be positive and steps non-negative")
+    table, spray = g.compiled(), _spray(tuple(g.christoffel), g.dim)
+    theta_table = theta.compiled() if theta.christoffel else None
 
     def accel(x, u, v):
-        G = g.christoffel_at(u)
-        th = theta.christoffel_at([x])[0, 0, 0]
-        return -np.einsum("ACB,A,B->C", G, v, v) + th * v
+        values = table(*u)
+        if theta_table is None:
+            return values, 0.0, spray(values, v)
+        th, = theta_table(x)
+        return values, th, [ac + th * vc for ac, vc in zip(spray(values, v), v)]
 
-    x = 0.0
-    u = np.asarray(start, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    for _ in range(steps + 1):
-        a = accel(x, u, v)
-        yield SecJet(1, len(u), [x], u, v.reshape(-1, 1), a.reshape(-1, 1, 1))
-        k1u, k1v = v, a
-        k2u, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h, u + 0.5 * h * k1u, v + 0.5 * h * k1v)
-        k3u, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h, u + 0.5 * h * k2u, v + 0.5 * h * k2v)
-        k4u, k4v = v + h * k3v, accel(x + h, u + h * k3u, v + h * k3v)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+    x, u, v = 0.0, [float(c) for c in start], [float(c) for c in velocity]
+    half, sixth = 0.5 * h, h / 6.0
+    for step in range(steps + 1):
+        values, th, a = accel(x, u, v)
+        yield GeodesicStep(x, tuple(u), tuple(v), tuple(a), g.christoffel_array(values), th)
+        if step == steps:
+            return
+        v2 = [p + half * q for p, q in zip(v, a)]
+        a2 = accel(x + half, [p + half * q for p, q in zip(u, v)], v2)[2]
+        v3 = [p + half * q for p, q in zip(v, a2)]
+        a3 = accel(x + half, [p + half * q for p, q in zip(u, v2)], v3)[2]
+        v4 = [p + h * q for p, q in zip(v, a3)]
+        a4 = accel(x + h, [p + h * q for p, q in zip(u, v3)], v4)[2]
+        u = [p + sixth * (k1 + 2 * k2 + 2 * k3 + k4) for p, k1, k2, k3, k4 in zip(u, v, v2, v3, v4)]
+        v = [p + sixth * (k1 + 2 * k2 + 2 * k3 + k4) for p, k1, k2, k3, k4 in zip(v, a, a2, a3, a4)]
         x += h
 
 
 def integrate_geodesic(g, theta, start, velocity, h, steps):
-    """Trajectory of order-2 section jets; see `geodesic_steps`."""
-    return list(geodesic_steps(g, theta, start, velocity, h, steps))
+    """Trajectory of order-2 section jets (x, u, u' = v, u'' = a); see
+    `geodesic_steps`."""
+    return [SecJet(1, len(s.u), (s.x,), s.u, np.array(s.v)[:, None], np.array(s.a)[:, None, None])
+            for s in geodesic_steps(g, theta, start, velocity, h, steps)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +471,8 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
             raise DomainError("second-order extension overflowed")
         return deviation
 
-    worst = max([0.0] + draw_regular(draw, samples)[0])
+    max_dev = worst(draw_regular(draw, samples)[0])
     inv_equal, inv_dev = invariants_match(
         grass_invariants(g1, n), grass_invariants(g2, n), spawn_rng(seed, 1), tol=tol
     )
-    return EquivalenceVerdict(worst <= tol, worst, inv_equal, inv_dev, samples, tol)
+    return EquivalenceVerdict(max_dev <= tol, max_dev, inv_equal, inv_dev, samples, tol)

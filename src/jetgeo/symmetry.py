@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr
 from .connections import Connection
-from .errors import DimensionMismatchError, SpecLoadError, draw_regular
+from .errors import DimensionMismatchError, SpecLoadError, draw_regular, worst
 from .expr import CoordinateFrame, Sym
 from .geodesy import ddot_gamma_pro, distribution_fields, param_residual2, residual2
 from .jets import SecJet, SubJet, affine_act, cover1, cover2, reparam_act
@@ -124,7 +124,7 @@ class SymmetryReport:
 
     @property
     def worst_residual(self):
-        return max([0.0] + [r for _, r in self.rows])
+        return worst(r for _, r in self.rows)
 
     @property
     def passed(self):
@@ -478,7 +478,7 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
         return orbit, gap(cover1(lift), p), residual2(g, cover2(q)).max_abs()
 
     orbit_dev, preimage_dev, factoring_dev = (
-        max(column) for column in zip((0.0, 0.0, 0.0), *draw_regular(draw, samples)[0])
+        worst(column) for column in zip(*draw_regular(draw, samples)[0])
     )
     passed = orbit_dev <= orbit_tol and preimage_dev <= orbit_tol and factoring_dev <= factoring_tol
     return OrbitReport(orbit_dev, preimage_dev, factoring_dev, passed)

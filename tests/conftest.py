@@ -1,7 +1,10 @@
-"""Shared fixtures: frames, the round-sphere chart connection, and the
-metric-to-Christoffel helper used to derive it (test-only, not public API)."""
+"""Shared fixtures and helpers: frames, the round-sphere chart connections,
+the metric-to-Christoffel helper used to derive one, and the numpy
+geodesic integrator that the generated kernel is checked against
+(test-only, not public API)."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jetgeo import expr
@@ -50,3 +53,47 @@ def sphere_frame():
 @pytest.fixture(scope="session")
 def sphere_connection(sphere_frame):
     return levi_civita_connection(sphere_metric(sphere_frame), sphere_frame)
+
+
+def sphere_chart(l):
+    """Round metric 4 (1 + |u|^2)^-2 δ on R^l in the stereographic chart."""
+    names = tuple(f"u{i}" for i in range(1, l + 1))
+    den = "(1 + " + " + ".join(f"{u}^2" for u in names) + ")"
+    entries = {}
+    for a in range(1, l + 1):
+        for b in range(a, l + 1):
+            for c in range(1, l + 1):
+                if a == b:
+                    entries[(a, a, c)] = f"-2*u{a}/{den}" if c == a else f"2*u{c}/{den}"
+                elif c in (a, b):
+                    entries[(a, b, c)] = f"-2*u{a + b - c}/{den}"
+    frame = CoordinateFrame(names, 1)
+    return Connection(frame, {k: expr.parse(v, frame) for k, v in entries.items()})
+
+
+def geodesic_oracle(g, theta, start, velocity, h, steps):
+    """The RK4 loop of `geodesy.geodesic_steps` with the acceleration
+    -Γ_A{}^C{}_B v^A v^B + Θ_1{}^1{}_1 v^C summed by numpy over
+    `christoffel_at` arrays.  Yields (x, u, v, a) per point; a DomainError
+    propagates after the points computed before it."""
+
+    def accel(x, u, v):
+        G = g.christoffel_at(u)
+        th = theta.christoffel_at([x])[0, 0, 0]
+        return -np.einsum("ACB,A,B->C", G, v, v) + th * v
+
+    x = 0.0
+    u = np.asarray(start, dtype=float)
+    v = np.asarray(velocity, dtype=float)
+    for step in range(steps + 1):
+        a = accel(x, u, v)
+        yield x, u, v, a
+        if step == steps:
+            return
+        k1u, k1v = v, a
+        k2u, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h, u + 0.5 * h * k1u, v + 0.5 * h * k1v)
+        k3u, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h, u + 0.5 * h * k2u, v + 0.5 * h * k2v)
+        k4u, k4v = v + h * k3v, accel(x + h, u + h * k3u, v + h * k3v)
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        x += h

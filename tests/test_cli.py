@@ -1,13 +1,17 @@
 import json
+import math
 
 import pytest
 
 from jetgeo import connections
 from jetgeo.cli import main
 from jetgeo.connections import connection_to_dict, projective_shift
+from jetgeo.errors import DomainError
 from jetgeo.jets import jet_to_dict
 from jetgeo.sampling import random_connection, random_expressions, random_secjet2, spawn_rng
 from jetgeo.expr import CoordinateFrame
+
+from conftest import geodesic_oracle
 
 
 def write(path, data):
@@ -162,13 +166,18 @@ def test_geodesic_domain_error_truncates(tmp_path, monkeypatch):
     )
     argv = ["geodesic", spec, "--start", "0,0", "--velocity", "2,0", "--h", "0.1", "--steps", "20"]
     assert main(argv + ["--out", str(tmp_path / "compiled.csv")]) == 3
-    # the same run with every Christoffel table evaluated by the interpreter
-    monkeypatch.setattr(connections, "_INTERPRETED_CALLS", 10 ** 9)
-    assert main(argv + ["--out", str(tmp_path / "interpreted.csv")]) == 3
-    text = (tmp_path / "compiled.csv").read_text()
-    rows = text.splitlines()
+    rows = (tmp_path / "compiled.csv").read_text().splitlines()
     assert len(rows) > 3 and rows[-1].startswith("error,sqrt of negative value")
-    assert text == (tmp_path / "interpreted.csv").read_text()
+    # the numpy oracle, with every Christoffel table evaluated by the
+    # interpreter, stops after as many points with the same message
+    monkeypatch.setattr(connections, "_INTERPRETED_CALLS", 10 ** 9)
+    points = []
+    with pytest.raises(DomainError) as stop:
+        for point in geodesic_oracle(connections.load_connection(spec), connections.Connection.flat(1),
+                                     [0.0, 0.0], [2.0, 0.0], 0.1, 20):
+            points.append(point)
+    assert len(rows) == 1 + len(points) + 1
+    assert rows[-1] == f"error,{stop.value}"
 
 
 @pytest.mark.parametrize("option", ["--start", "--velocity"])
@@ -241,6 +250,14 @@ def test_malformed_connection_spec_exits_2(tmp_path, change, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("split", [1.5, "2", True], ids=["float", "string", "bool"])
+def test_non_integer_split_exits_2(tmp_path, split, capsys):
+    spec = write(tmp_path / "split.json", {"coords": ["u1", "u2", "u3"], "n": split, "christoffel": []})
+    assert main(["invariants", spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed connection spec: split n must be an integer")
+
+
 @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999", "1" + "0" * 400],
                          ids=["inf", "-inf", "nan", "float-overflow", "int-overflow"])
 def test_non_finite_number_in_jet_file_exits_2(tmp_path, number, capsys):
@@ -269,6 +286,32 @@ def test_overflowing_sum_is_a_domain_error(tmp_path, capsys):
     argv = ["geodesic", spec, "--start", "0.9,0.9", "--velocity", "1,0", "--h", "0.1", "--steps", "3"]
     assert main(argv) == 3
     assert "sum overflow" in capsys.readouterr().out
+
+
+def test_cover_check_worst_keeps_nan(tmp_path, capsys):
+    # inf - inf in the deviations of some samples; max(0.0, nan) would drop them
+    spec = write(tmp_path / "big.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": "10^308*u1 + 10^308*u2 + 10^308"}]})
+    assert main(["cover-check", spec, "--samples", "5", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert ",nan," in captured.out
+    assert "FAIL covering checks: worst nan" in captured.err
+
+
+def test_residual_worst_keeps_nan(tmp_path, capsys):
+    # Γ_1{}^1{}_1 v^1 v^1 + Γ_2{}^1{}_2 v^2 v^2 is inf - inf at the second jet only
+    spec = write(tmp_path / "pair.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 1, "expr": "10^300"}, {"lower": [2, 2], "upper": 1, "expr": "-10^300"}]})
+
+    def jet(speed):
+        return {"kind": "secjet", "n": 1, "l": 2, "r": 2, "x": [0.0], "u": [0.0, 0.0], "derivs": [
+            {"A": a, "sigma": sigma, "value": speed if sigma == [1] else 0.0}
+            for a in (1, 2) for sigma in ([1], [1, 1])]}
+    jets = write(tmp_path / "jets.json", {"jets": [jet(1.0), jet(1e10)]})
+    assert main(["residual", spec, "--jets", jets, "--mode", "param", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert math.isnan(json.loads(captured.out)["summary"]["max_abs"])
+    assert "worst residual nan" in captured.err
 
 
 @pytest.mark.parametrize("command", ["equivalent", "invariants", "cover-check", "--map", "--field", "--affine"])

@@ -13,6 +13,7 @@ from jetgeo.errors import DomainError, MissingSymbolError
 from jetgeo.expr import Add, Const, CoordinateFrame, Func, Mul, Sym, compile_table, evaluate, parse
 from jetgeo.sampling import random_connection, spawn_rng
 
+from conftest import sphere_chart
 from test_expr import _CORPUS_NAMES, _random_expression
 
 
@@ -30,22 +31,6 @@ def assert_same(table, names, point):
     compiled = _outcome(lambda: compile_table(table, names)(*point))
     assert compiled == interpreted, [expr.to_text(e) for e in table]
     return interpreted
-
-
-def sphere_chart(l):
-    """Round metric 4 (1 + |u|^2)^-2 δ on R^l in the stereographic chart."""
-    names = tuple(f"u{i}" for i in range(1, l + 1))
-    den = "(1 + " + " + ".join(f"{u}^2" for u in names) + ")"
-    entries = {}
-    for a in range(1, l + 1):
-        for b in range(a, l + 1):
-            for c in range(1, l + 1):
-                if a == b:
-                    entries[(a, a, c)] = f"-2*u{a}/{den}" if c == a else f"2*u{c}/{den}"
-                elif c in (a, b):
-                    entries[(a, b, c)] = f"-2*u{a + b - c}/{den}"
-    frame = CoordinateFrame(names, 1)
-    return Connection(frame, {k: parse(v, frame) for k, v in entries.items()})
 
 
 def test_corpus_tables_bit_identical():

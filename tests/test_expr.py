@@ -362,7 +362,7 @@ def test_deviation_at_random_points_redraws_and_separates():
 
 def test_frame_validation():
     f = CoordinateFrame(("u1", "u2", "u3"), 1)
-    assert f.dim == 3 and f.base_names() == ("u1",) and f.fibre_names() == ("u2", "u3")
+    assert f.dim == 3 and f.split == 1
     with pytest.raises(ValueError):
         CoordinateFrame(("u1", "u1"), 1)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from jetgeo import expr
 from jetgeo.connections import Connection, projective_shift, thomas_pi
 from jetgeo.errors import DomainError, FrameMismatchError
-from jetgeo.expr import CoordinateFrame
+from jetgeo.expr import CoordinateFrame, compile_table
 from jetgeo.geodesy import (
     XiTable,
     covering_commutation_deviation,
@@ -16,13 +18,14 @@ from jetgeo.geodesy import (
     dot_gamma,
     dot_gamma_pro,
     dot_gamma_via_xi,
+    geodesic_steps,
     grass_equivalent,
     integrate_geodesic,
     param_residual2,
     quotient_diagram_deviation,
     residual2,
 )
-from jetgeo.jets import AffineMap, ParamMap, SubJet, affine_act, cover1, cover2, prolong
+from jetgeo.jets import AffineMap, ParamMap, SubJet, affine_act, cover1, cover2, jet_to_dict, prolong
 from jetgeo.sampling import (
     random_connection,
     random_expressions,
@@ -30,6 +33,8 @@ from jetgeo.sampling import (
     random_subjet1,
     spawn_rng,
 )
+
+from conftest import geodesic_oracle, sphere_chart
 
 X1 = CoordinateFrame(("x1",), 1)
 X2 = CoordinateFrame(("x1", "x2"), 2)
@@ -69,8 +74,8 @@ def test_dot_gamma_single_component():
     for _ in range(5):
         p = random_subjet1(1, 1, rng)
         dg = dot_gamma(g, p)
-        assert dg.value(1, 2, 1) == pytest.approx(1.0, abs=1e-15)
-        assert dg.value(2, 2, 1) == pytest.approx(0.0, abs=1e-15)
+        assert dg.table[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert dg.table[1, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dot_gamma_frame_mismatch():
@@ -109,7 +114,7 @@ def test_via_xi_with_zero_table_matches_closed_form():
     g = random_connection(frame(3, 1), rng)
     p = random_subjet1(1, 2, rng)
     direct = dot_gamma(g, p)
-    via = dot_gamma_via_xi(g, XiTable.zero(1, 2), p)
+    via = dot_gamma_via_xi(g, XiTable(np.zeros((3, 1, 1)), np.zeros((1, 2, 1, 1))), p)
     assert np.abs(direct.table - via.table).max() <= 1e-14
 
 
@@ -298,7 +303,7 @@ def test_residual2_flat_affine_jet():
 def test_residual2_leading_term():
     c = 0.37
     p = SubJet(1, 1, (0.0, 0.0), [[0.25]]).with_second(np.full((1, 1, 1), c))
-    assert residual2(flat(2), p).component(2, 1, 1) == pytest.approx(c)
+    assert residual2(flat(2), p).table[0, 0, 0] == pytest.approx(c)
 
 
 def test_residual2_symmetric_in_base_pair():
@@ -554,6 +559,72 @@ def test_geodesic_emitted_jets_satisfy_param_residual(sphere_connection):
     jets = integrate_geodesic(sphere_connection, theta, [0.05, -0.1], [0.4, 0.2], 1e-2, 50)
     worst = max(param_residual2(sphere_connection, theta, t).max_abs() for t in jets)
     assert worst <= 1e-14
+
+
+def _one_entry_theta():
+    return Connection.from_entries(theta_frame(1), {(1, 1, 1): expr.parse("1/5 + x1/3", theta_frame(1))})
+
+
+_CHARTS = {
+    "S2": lambda: sphere_chart(2),
+    "S5": lambda: sphere_chart(5),
+    "polynomial": lambda: random_connection(frame(3), spawn_rng(57), fill=0.8),
+}
+
+
+@pytest.mark.parametrize("theta", [lambda: Connection.zero(theta_frame(1)), _one_entry_theta],
+                         ids=["flat-theta", "one-entry-theta"])
+@pytest.mark.parametrize("chart", sorted(_CHARTS))
+def test_geodesic_kernel_matches_numpy_oracle(chart, theta):
+    g, theta = _CHARTS[chart](), theta()
+    rng = spawn_rng(58)
+    start, velocity = rng.uniform(-0.5, 0.5, g.dim), rng.uniform(-1.0, 1.0, g.dim)
+    steps = list(geodesic_steps(g, theta, start, velocity, 1e-2, 60))
+    oracle = list(geodesic_oracle(g, theta, start, velocity, 1e-2, 60))
+    assert len(steps) == len(oracle) == 61
+    for step, (x, u, v, a) in zip(steps, oracle):
+        assert step.x == x
+        for got, want in ((step.u, u), (step.v, v), (step.a, a)):
+            assert np.abs(np.subtract(got, want)).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_geodesic_step_residual_is_param_residual2():
+    g, theta = sphere_chart(2), _one_entry_theta()
+    run = ([0.1, -0.2], [0.6, 0.3], 0.05, 10)
+    for step, jet in zip(geodesic_steps(g, theta, *run), integrate_geodesic(g, theta, *run)):
+        assert step.residual().table.tobytes() == param_residual2(g, theta, jet).table.tobytes()
+
+
+@pytest.mark.parametrize("theta", [lambda: Connection.zero(theta_frame(1)), _one_entry_theta],
+                         ids=["flat-theta", "one-entry-theta"])
+def test_geodesic_calls_each_table_once_per_stage(monkeypatch, theta):
+    """One call to g's compiled table per RK4 stage (4 per step, and one at
+    the last point); a θ without entries is neither compiled nor called."""
+    calls = []
+
+    def counting_compile(exprs, names):
+        table = compile_table(exprs, names)
+        calls.append(0)
+        index = len(calls) - 1
+
+        def counted(*coords):
+            calls[index] += 1
+            return table(*coords)
+        return counted
+
+    monkeypatch.setattr(expr, "compile_table", counting_compile)
+    monkeypatch.setattr(Connection, "christoffel_at", None)
+    g, theta = sphere_chart(2), theta()
+    assert len(list(geodesic_steps(g, theta, [0.1, -0.2], [0.6, 0.3], 0.05, 30))) == 31
+    assert calls == [4 * 30 + 1] * (1 + len(theta.christoffel))
+
+
+def test_connection_pickles_after_geodesic_run():
+    g, theta = sphere_chart(2), _one_entry_theta()
+    before = integrate_geodesic(g, theta, [0.1, -0.2], [0.6, 0.3], 0.05, 10)
+    g_copy, theta_copy = pickle.loads(pickle.dumps((g, theta)))
+    after = integrate_geodesic(g_copy, theta_copy, [0.1, -0.2], [0.6, 0.3], 0.05, 10)
+    assert g_copy == g and [jet_to_dict(t) for t in after] == [jet_to_dict(t) for t in before]
 
 
 # ---------------------------------------------------------------------------

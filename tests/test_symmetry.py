@@ -19,6 +19,7 @@ from jetgeo.symmetry import (
     preserves_distribution,
     prolong_point_field,
     prolong_point_map,
+    SymmetryReport,
     reparam_symmetry_check,
     subjet1_chart,
 )
@@ -242,3 +243,8 @@ def test_jetmap_json_loading():
 
     with pytest.raises(Exception):
         jetmap_from_dict({**data, "components": {"u1": "u1"}})
+
+
+def test_worst_residual_keeps_nan():
+    report = SymmetryReport((((0.0,), 0.5), ((0.0,), float("nan")), ((0.0,), 1e-12)), 0, 1.0)
+    assert np.isnan(report.worst_residual) and not report.passed
