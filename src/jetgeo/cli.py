@@ -24,6 +24,7 @@ from .connections import (
     grass_invariants,
     invariants_match,
     load_connection,
+    pi_deviation,
     thomas_pi,
 )
 from .errors import (
@@ -128,15 +129,10 @@ def cmd_invariants(args):
     n = _split(args, g)
     if args.compare:
         other = load_connection(args.compare)
-        pi_dev = thomas_pi(g).max_deviation(thomas_pi(other), spawn_rng(args.seed, 0))
-        _, grass_dev = invariants_match(
-            grass_invariants(g, n), grass_invariants(other, n), spawn_rng(args.seed, 1)
-        )
+        pi_dev = pi_deviation(g, other, spawn_rng(args.seed, 0))
+        _, grass_dev = invariants_match(g, other, n, spawn_rng(args.seed, 1))
         out = Output(args)
-        out.table(
-            ["family", "max_deviation"],
-            [["thomas", pi_dev], ["grassmann", grass_dev]],
-        )
+        out.table(["family", "max_deviation"], [["thomas", pi_dev], ["grassmann", grass_dev]])
         tol = args.tol if args.tol is not None else 1e-10
         same = pi_dev <= tol and grass_dev <= tol
         out.flush({"identical": same, "tol": tol})

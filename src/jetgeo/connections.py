@@ -10,6 +10,8 @@ implements:
 * the four invariant coefficient families of the equation of
   unparametrized totally geodesic submanifolds for a base/fibre split n
   (base indices 1..n, fibre indices n+1..l);
+* both invariant sets as arrays at one point, and their numeric
+  comparison between two connections;
 * the general admissible shift between connections sharing those
   invariants, parametrized by the free functions that survive the
   delta-identity contractions.
@@ -29,7 +31,9 @@ from .errors import (
     InconsistentPerturbationError,
     SpecLoadError,
     draw_regular,
+    json_int,
     load_json,
+    require_finite,
     worst,
 )
 from .expr import Const, CoordinateFrame
@@ -161,32 +165,7 @@ class Connection:
 class ProjInvariants:
     """Thomas projective invariants Π_A{}^C{}_B, keyed (A, C, B)."""
 
-    frame: CoordinateFrame
     pi: Mapping
-
-    def at(self, point):
-        l = self.frame.dim
-        env = {name: float(v) for name, v in zip(self.frame.names, point)}
-        out = np.zeros((l, l, l))
-        for (a, c, b), e in self.pi.items():
-            out[a - 1, c - 1, b - 1] = expr.evaluate(e, env)
-        return out
-
-    def max_deviation(self, other, rng):
-        """max |Π - Π'| over 12 points drawn uniformly from [-1, 1]^l;
-        points where either table fails to evaluate are redrawn."""
-
-        def draw():
-            point = rng.uniform(-1, 1, self.frame.dim)
-            return float(np.abs(self.at(point) - other.at(point)).max())
-
-        return worst(draw_regular(draw, 12)[0])
-
-    def trace_deviation(self, point):
-        """max_A |Π_A{}^F{}_F| at the point; identically zero in exact
-        arithmetic."""
-        table = self.at(point)
-        return float(np.abs(np.einsum("aff->a", table)).max())
 
 
 @dataclass(frozen=True)
@@ -208,37 +187,13 @@ class GrassInvariants:
     The second-order family is one matching per quadratic monomial of the
     equation; the well-defined coefficient of the monomial u^j_al * u^i_be
     is the symmetrization over the simultaneous swap (j, al) <-> (i, be),
-    which is what `invariants_match` compares.
+    which is what `grass_arrays` returns.
     """
 
-    frame: CoordinateFrame
-    n: int
     order0: Mapping
     order1: Mapping
     order2: Mapping
     order3: Mapping
-
-    def at(self, point):
-        env = {name: float(v) for name, v in zip(self.frame.names, point)}
-        return {
-            name: {key: expr.evaluate(e, env) for key, e in family.items()}
-            for name, family in (
-                ("order0", self.order0),
-                ("order1", self.order1),
-                ("order2", self.order2),
-                ("order3", self.order3),
-            )
-        }
-
-    def second_order_symmetrized_at(self, point):
-        """Coefficients of the quadratic monomials: order2 symmetrized over
-        the simultaneous swap of the two derivative slots."""
-        env = {name: float(v) for name, v in zip(self.frame.names, point)}
-        raw = {key: expr.evaluate(e, env) for key, e in self.order2.items()}
-        return {
-            (j, k, i, al, be, lam, xi): v + raw[(i, k, j, be, al, lam, xi)]
-            for (j, k, i, al, be, lam, xi), v in raw.items()
-        }
 
 
 def projective_shift(g, phi):
@@ -290,7 +245,7 @@ def thomas_pi(g):
                 e = expr.simplify(e - scale * correction)
                 if not (isinstance(e, Const) and e.value == 0):
                     pi[(a, c, b)] = e
-    return ProjInvariants(g.frame, pi)
+    return ProjInvariants(pi)
 
 
 def _check_split(g, n):
@@ -341,7 +296,7 @@ def grass_invariants(g, n):
     order3 = {
         (j, beta, i): g.gamma(j, beta, i) for j in fibre for beta in base for i in fibre
     }
-    return GrassInvariants(g.frame, n, order0, order1, order2, order3)
+    return GrassInvariants(order0, order1, order2, order3)
 
 
 def grass_shift(g, n, psi, chi=None):
@@ -411,25 +366,62 @@ def grass_shift(g, n, psi, chi=None):
     return Connection(g.frame, entries, g.singular_points)
 
 
-def invariants_match(inv1, inv2, rng, tol=1e-10):
-    """Numeric equality of two invariant sets at 12 random base points;
-    points where either set fails to evaluate are redrawn.
+# ---------------------------------------------------------------------------
+# the invariants at one point from its `christoffel_at` array G (each is
+# linear in Γ), and their numeric comparison; the symbolic tables only print
 
-    The zeroth, first and third families compare entrywise; the second
-    compares after symmetrizing over the two derivative slots.  Returns
-    (equal, max deviation).
-    """
-    if inv1.frame.names != inv2.frame.names or inv1.n != inv2.n:
-        raise DimensionMismatchError("invariant sets live on different frames or splits")
+
+def pi_array(G):
+    """Π of `thomas_pi` at one point, laid out like G: [A-1][C-1][B-1]."""
+    trace = np.einsum("aff->a", G) / (len(G) + 1)
+    diag = np.arange(len(G))
+    pi = G.copy()
+    pi[:, diag, diag] -= trace[:, None]
+    pi[diag, diag, :] -= trace[None, :]
+    return pi
+
+
+def grass_arrays(G, n):
+    """The four families of `grass_invariants` at one point, as arrays
+    indexed in the order of their keys: base index lam at lam-1, fibre
+    index k at k-n-1.  order2 is summed over the simultaneous swap
+    (j, al) <-> (i, be)."""
+    base, fibre = slice(None, n), slice(n, None)
+    en, em = np.eye(n), np.eye(len(G) - n)
+    order1 = (np.einsum("lki,bx->lkibx", G[base, fibre, fibre], en)
+              + np.einsum("ikx,lb->lkibx", G[fibre, fibre, base], en)
+              - np.einsum("lbx,ki->lkibx", G[base, base, base], em))
+    order2 = (np.einsum("jki,al,bx->jkiablx", G[fibre, fibre, fibre], en, en)
+              - np.einsum("lbj,ax,ki->jkiablx", G[base, base, fibre], en, em)
+              - np.einsum("jbx,al,ki->jkiablx", G[fibre, base, base], en, em))
+    order2 = order2 + order2.transpose(2, 1, 0, 4, 3, 5, 6)
+    return G[base, fibre, base], order1, order2, G[fibre, base, fibre]
+
+
+def _max_difference(g1, g2, arrays, rng):
+    """max |arrays(Γ) - arrays(Γ')| over 12 points drawn uniformly from
+    [-1, 1]^l; a point where either Γ fails or the difference is not finite is redrawn."""
+    if g1.frame.names != g2.frame.names:
+        raise DimensionMismatchError("connections live on different frames")
 
     def draw():
-        point = rng.uniform(-1.0, 1.0, inv1.frame.dim)
-        a, b = inv1.at(point), inv2.at(point)
-        s1, s2 = inv1.second_order_symmetrized_at(point), inv2.second_order_symmetrized_at(point)
-        return worst([abs(v - b[fam][key]) for fam in ("order0", "order1", "order3")
-                      for key, v in a[fam].items()] + [abs(v - s2[key]) for key, v in s1.items()])
+        point = rng.uniform(-1.0, 1.0, g1.dim)
+        pairs = zip(arrays(g1.christoffel_at(point)), arrays(g2.christoffel_at(point)))
+        return require_finite(worst(np.abs(a - b).max() for a, b in pairs), "invariant deviation")
 
-    max_dev = worst(draw_regular(draw, 12)[0])
+    return worst(draw_regular(draw, 12)[0])
+
+
+def pi_deviation(g1, g2, rng):
+    """max |Π - Π'| over 12 random points; see `_max_difference`."""
+    return _max_difference(g1, g2, lambda G: (pi_array(G),), rng)
+
+
+def invariants_match(g1, g2, n, rng, tol=1e-10):
+    """(equal, max deviation) of the four invariant families of g1 and g2
+    for split n at 12 random points; see `_max_difference`."""
+    _check_split(g1, n)
+    max_dev = _max_difference(g1, g2, lambda G: grass_arrays(G, n), rng)
     return max_dev <= tol, max_dev
 
 
@@ -446,9 +438,7 @@ def connection_from_dict(data):
     """
     try:
         coords = tuple(data["coords"])
-        n = data.get("n", 1)
-        if type(n) is not int:
-            raise ValueError(f"split n must be an integer, got {n!r}")
+        n = json_int(data.get("n", 1), "split n")
         frame = CoordinateFrame(coords, n)
         raw = data.get("christoffel", [])
         singular = tuple(tuple(float(x) for x in p) for p in data.get("singular_points", []))
@@ -461,8 +451,8 @@ def connection_from_dict(data):
     entries = {}
     for item in raw:
         try:
-            a, b = (int(v) for v in item["lower"])
-            c = int(item["upper"])
+            a, b = (json_int(v, "lower index") for v in item["lower"])
+            c = json_int(item["upper"], "upper index")
             text = item["expr"]
         except (KeyError, TypeError, ValueError) as e:
             raise SpecLoadError(f"malformed christoffel item {item!r}: {e}") from None

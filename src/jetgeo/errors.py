@@ -1,10 +1,12 @@
-"""Exception types shared across the package, the reader of JSON spec
-files, which reports malformed JSON as a SpecLoadError, `draw_regular`,
-the one loop that redraws random samples, and `worst`, the one reduction
-of their deviations."""
+"""Exception types shared across the package; the reader of JSON spec
+files, which reports malformed JSON as a SpecLoadError, and `json_int`;
+`draw_regular`, the one loop that redraws random samples, with
+`require_finite`, and `worst`, the one reduction of their deviations."""
 
 import json
 import math
+
+import numpy as np
 
 
 class JetGeoError(Exception):
@@ -81,6 +83,14 @@ def load_json(path):
             raise SpecLoadError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}") from None
 
 
+def json_int(value, what):
+    """`value` if it is a JSON integer; 1.5, "2" or true raise ValueError,
+    which the spec loaders report as SpecLoadError, and are never truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # A sampler gives up after this many failed draws per requested sample.
 _REDRAWS_PER_SAMPLE = 100
 
@@ -91,19 +101,30 @@ def draw_regular(draw, count):
     A draw that raises DomainError or SingularJacobianError is redrawn;
     any other exception propagates.  After 100 failed draws per requested
     sample the sampler gives up with DomainError.  Returns (results,
-    redrawn).
+    redrawn).  numpy's overflow and invalid-value warnings are off: a
+    non-finite deviation is redrawn by `require_finite` or kept by `worst`.
     """
     results = []
     redrawn = 0
-    while len(results) < count:
-        try:
-            results.append(draw())
-        except (DomainError, SingularJacobianError) as e:
-            redrawn += 1
-            if redrawn >= _REDRAWS_PER_SAMPLE * count:
-                raise DomainError(f"could not sample: {redrawn} draws failed and {len(results)} "
-                                  f"of {count} succeeded; the last failed with: {e}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(results) < count:
+            try:
+                results.append(draw())
+            except (DomainError, SingularJacobianError) as e:
+                redrawn += 1
+                if redrawn >= _REDRAWS_PER_SAMPLE * count:
+                    raise DomainError(f"could not sample: {redrawn} draws failed and {len(results)} "
+                                      f"of {count} succeeded; the last failed with: {e}") from None
     return results, redrawn
+
+
+def require_finite(deviation, what):
+    """`deviation` as a float; DomainError, which `draw_regular` redraws,
+    if it is NaN or infinite."""
+    deviation = float(deviation)
+    if not math.isfinite(deviation):
+        raise DomainError(f"{what} is not finite ({deviation})")
+    return deviation
 
 
 def worst(values):

@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     UnknownSymbolError,
     draw_regular,
+    worst,
 )
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt")
@@ -963,4 +964,4 @@ def deviation_at_random_points(e1, e2, names, rng, points=12):
         env = {name: float(v) for name, v in zip(names, rng.uniform(-1.0, 1.0, len(names)))}
         return abs(evaluate(e1, env) - evaluate(e2, env))
 
-    return max([0.0] + draw_regular(draw, points)[0])
+    return worst(draw_regular(draw, points)[0])

@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import expr
-from .errors import DimensionMismatchError, SingularJacobianError, SpecLoadError, load_json
+from .errors import DimensionMismatchError, SingularJacobianError, SpecLoadError, json_int, load_json
 from .expr import CoordinateFrame
 
 _DET_THRESHOLD = 1e-12
@@ -457,15 +457,16 @@ def jet_from_dict(data):
     if kind not in ("secjet", "subjet"):
         raise SpecLoadError(f"unknown jet kind {kind!r}")
     try:
-        n, r = int(data["n"]), int(data["r"])
+        n, r = json_int(data["n"], "n"), json_int(data["r"], "r")
         if r not in (1, 2):
             raise SpecLoadError(f"jet order r must be 1 or 2, got {r}")
         if kind == "secjet":
-            rows, start, key = int(data["l"]), 1, "A"
+            rows, start, key = json_int(data["l"], "l"), 1, "A"
         else:
-            rows, start, key = int(data["m"]), n + 1, "i"
+            rows, start, key = json_int(data["m"], "m"), n + 1, "i"
         derivs = {
-            (int(item[key]), tuple(int(s) for s in item["sigma"])): float(item["value"])
+            (json_int(item[key], key), tuple(json_int(s, "sigma") for s in item["sigma"])):
+                float(item["value"])
             for item in data["derivs"]
         }
         first, second = _derivative_arrays(derivs, start, rows, n, r, kind)

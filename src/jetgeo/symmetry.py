@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr
 from .connections import Connection
-from .errors import DimensionMismatchError, SpecLoadError, draw_regular, worst
+from .errors import DimensionMismatchError, SpecLoadError, draw_regular, json_int, worst
 from .expr import CoordinateFrame, Sym
 from .geodesy import ddot_gamma_pro, distribution_fields, param_residual2, residual2
 from .jets import SecJet, SubJet, affine_act, cover1, cover2, reparam_act
@@ -492,10 +492,10 @@ def jetmap_from_dict(data, what=JetMap):
     "x_coords": [... secjet only], "components": {chart name: expr}}"""
     try:
         kind = data["kind"]
-        n = int(data["n"])
+        n = json_int(data["n"], "n")
         coords = tuple(data["coords"])
         comp_map = data["components"]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed jet map spec: {e}") from None
     if kind == "subjet":
         chart = subjet1_chart(CoordinateFrame(coords, n), n)

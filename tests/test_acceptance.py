@@ -4,7 +4,9 @@ the command line as `jetgeo selftest`."""
 import numpy as np
 import pytest
 
+from jetgeo import acceptance
 from jetgeo.acceptance import ALL_CRITERIA, AcceptanceConfig, sphere_chart_connection
+from jetgeo.geodesy import Residual2
 
 from conftest import levi_civita_connection, sphere_metric
 
@@ -26,6 +28,28 @@ def test_tolerance_squeeze_fails_controlled():
     result = ALL_CRITERIA[0](AcceptanceConfig(seed=0, tol_override=1e-30))
     assert not result.passed
     assert result.deviation > 1e-30
+
+
+def _nan_on_second_call(kernel, poison):
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        result = kernel(*args, **kwargs)
+        return poison(result) if len(calls) == 2 else result
+    return patched
+
+
+@pytest.mark.parametrize("name, kernel, poison", [
+    ("criterion_1", "residual2", lambda r: Residual2(r.n, r.m, r.table * np.nan)),
+    ("criterion_3", "pi_deviation", lambda dev: np.nan),
+    ("criterion_5", "covering_commutation_deviation", lambda dev: np.nan),
+    ("criterion_6", "quotient_diagram_deviation", lambda dev: np.nan),
+])
+def test_a_nan_deviation_fails_its_criterion(name, kernel, poison, monkeypatch):
+    monkeypatch.setattr(acceptance, kernel, _nan_on_second_call(getattr(acceptance, kernel), poison))
+    result = getattr(acceptance, name)(AcceptanceConfig(seed=0))
+    assert not result.passed and np.isnan(result.deviation)
 
 
 def test_sphere_fixture_matches_levi_civita(sphere_frame):

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jetgeo
 from jetgeo import connections
 from jetgeo.cli import main
 from jetgeo.connections import connection_to_dict, projective_shift
@@ -12,6 +16,9 @@ from jetgeo.sampling import random_connection, random_expressions, random_secjet
 from jetgeo.expr import CoordinateFrame
 
 from conftest import geodesic_oracle
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(jetgeo.__file__)))
 
 
 def write(path, data):
@@ -258,6 +265,25 @@ def test_non_integer_split_exits_2(tmp_path, split, capsys):
     assert err.startswith("error: malformed connection spec: split n must be an integer")
 
 
+@pytest.mark.parametrize("value", [1.5, "2", True], ids=["float", "string", "bool"])
+@pytest.mark.parametrize("file, key", [("subjets_n2.json", "n"), ("subjets_n2.json", "r"),
+                                       ("subjets_n2.json", "m"), ("secjets_n2.json", "l"),
+                                       ("map_subjet.json", "n")])
+def test_non_integer_jet_size_exits_2(tmp_path, file, key, value, capsys):
+    with open(os.path.join(GOLDEN, file), encoding="utf-8") as fh:
+        data = json.load(fh)
+    if file == "map_subjet.json":
+        argv = ["symmetry-check", os.path.join(GOLDEN, "s2.json"), "--samples", "2",
+                "--map", write(tmp_path / file, {**data, key: value})]
+    else:
+        jets = write(tmp_path / file, {"jets": [{**data["jets"][0], key: value}]})
+        argv = ["residual", os.path.join(GOLDEN, "l4.json"), "--jets", jets, "--mode", "unparam"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed jet") and f"{key} must be an integer" in captured.err
+
+
 @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999", "1" + "0" * 400],
                          ids=["inf", "-inf", "nan", "float-overflow", "int-overflow"])
 def test_non_finite_number_in_jet_file_exits_2(tmp_path, number, capsys):
@@ -286,6 +312,25 @@ def test_overflowing_sum_is_a_domain_error(tmp_path, capsys):
     argv = ["geodesic", spec, "--start", "0.9,0.9", "--velocity", "1,0", "--h", "0.1", "--steps", "3"]
     assert main(argv) == 3
     assert "sum overflow" in capsys.readouterr().out
+
+
+def test_invariants_compare_on_another_frame_exits_2(zero_spec, tmp_path, capsys):
+    other = write(tmp_path / "three.json", {"coords": ["u1", "u2", "u3"], "n": 1, "christoffel": []})
+    assert main(["invariants", zero_spec, "--compare", other]) == 2
+    assert capsys.readouterr().err == "error: connections live on different frames\n"
+
+
+@pytest.mark.parametrize("command, code, summary", [("cover-check", 1, "FAIL covering checks"),
+                                                    ("equivalent", 0, "EQUIVALENT")])
+def test_overflow_writes_only_the_summary_to_stderr(tmp_path, command, code, summary):
+    spec = write(tmp_path / "big.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": "10^308*u1 + 10^308*u2 + 10^308"}]})
+    argv = [command, spec] + ([spec] if command == "equivalent" else []) + ["--samples", "5"]
+    # a fresh interpreter, so that numpy warnings would reach stderr as they do for a user
+    run = subprocess.run([sys.executable, "-m", "jetgeo.cli", *argv],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert run.returncode == code
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(summary)
 
 
 def test_cover_check_worst_keeps_nan(tmp_path, capsys):

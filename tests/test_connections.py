@@ -9,15 +9,19 @@ from jetgeo.connections import (
     Connection,
     connection_from_dict,
     connection_to_dict,
+    grass_arrays,
     grass_invariants,
     grass_shift,
     invariants_match,
+    pi_array,
+    pi_deviation,
     projective_shift,
     thomas_pi,
 )
 from jetgeo.errors import (
     BadSplitError,
     DimensionMismatchError,
+    DomainError,
     InconsistentPerturbationError,
     SpecLoadError,
 )
@@ -98,9 +102,8 @@ def test_thomas_pi_vanishes_on_shifted_zero():
         want = expr.simplify(Const(Fraction(-(l + 1))) * phi[a - 1])
         dev = expr.deviation_at_random_points(trace, want, f.names, rng, points=8)
         assert dev <= 1e-12
-    inv = thomas_pi(shifted)
     for _ in range(10):
-        assert np.abs(inv.at(rng.uniform(-1, 1, l))).max() <= 1e-12
+        assert np.abs(pi_array(shifted.christoffel_at(rng.uniform(-1, 1, l)))).max() <= 1e-12
 
 
 def test_thomas_pi_invariant_under_shift():
@@ -109,12 +112,11 @@ def test_thomas_pi_invariant_under_shift():
     worst = 0.0
     for _ in range(10):
         g = random_connection(f, rng)
-        phi = random_expressions(f.names, rng, 3)
-        inv_g = thomas_pi(g)
-        inv_s = thomas_pi(projective_shift(g, phi))
+        shifted = projective_shift(g, random_expressions(f.names, rng, 3))
         for _ in range(20):
             p = rng.uniform(-1, 1, 3)
-            worst = max(worst, float(np.abs(inv_g.at(p) - inv_s.at(p)).max()))
+            deviation = np.abs(pi_array(g.christoffel_at(p)) - pi_array(shifted.christoffel_at(p))).max()
+            worst = max(worst, float(deviation))
     assert worst <= 1e-10
 
 
@@ -122,9 +124,9 @@ def test_thomas_pi_trace_free():
     f = frame(4, n=2)
     rng = spawn_rng(5)
     g = random_connection(f, rng)
-    inv = thomas_pi(g)
     for _ in range(10):
-        assert inv.trace_deviation(rng.uniform(-1, 1, 4)) <= 1e-10
+        pi = pi_array(g.christoffel_at(rng.uniform(-1, 1, 4)))
+        assert np.abs(np.einsum("aff->a", pi)).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +158,47 @@ def test_order1_family_symmetric_in_base_pair():
     f = frame(4, 2)
     rng = spawn_rng(6)
     g = random_connection(f, rng)
-    inv = grass_invariants(g, 2)
-    p = rng.uniform(-1, 1, 4)
-    vals = inv.at(p)["order1"]
-    for (lam, k, i, beta, xi), v in vals.items():
-        assert abs(v - vals[(xi, k, i, beta, lam)]) <= 1e-12
+    order1 = grass_arrays(g.christoffel_at(rng.uniform(-1, 1, 4)), 2)[1]
+    assert np.abs(order1 - order1.transpose(4, 1, 2, 3, 0)).max() <= 1e-12
+
+
+def _evaluated(table, point, names):
+    env = {name: float(v) for name, v in zip(names, point)}
+    return {key: expr.evaluate(e, env) for key, e in table.items()}
+
+
+def _laid_out(values, kinds, n, l):
+    """The array holding the 1-based keyed `values`; kinds says which key
+    slots run over all l indices ("a"), the n base ("b") or the l - n
+    fibre ("f") indices."""
+    count_and_first = {"a": (l, 1), "b": (n, 1), "f": (l - n, n + 1)}
+    out = np.zeros(tuple(count_and_first[kind][0] for kind in kinds))
+    for key, v in values.items():
+        out[tuple(k - count_and_first[kind][1] for k, kind in zip(key, kinds))] = v
+    return out
+
+
+@pytest.mark.parametrize("l,n", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_array_forms_equal_the_evaluated_symbolic_tables(l, n):
+    f = frame(l, n)
+    rng = spawn_rng(200 + 10 * l + n)
+    for _ in range(3):
+        g = random_connection(f, rng)
+        pi, inv = thomas_pi(g), grass_invariants(g, n)
+        for _ in range(4):
+            point = rng.uniform(-1, 1, l)
+            G = g.christoffel_at(point)
+            want = _laid_out(_evaluated(pi.pi, point, f.names), "aaa", n, l)
+            assert np.abs(pi_array(G) - want).max() <= 1e-14
+            order0, order1, raw2, order3 = (_evaluated(family, point, f.names) for family in
+                                            (inv.order0, inv.order1, inv.order2, inv.order3))
+            order2 = {(j, k, i, al, be, lam, xi): v + raw2[(i, k, j, be, al, lam, xi)]
+                      for (j, k, i, al, be, lam, xi), v in raw2.items()}
+            for array, values, kinds in zip(grass_arrays(G, n), (order0, order1, order2, order3),
+                                            ("bfb", "bffbb", "fffbbbb", "fbf")):
+                want = _laid_out(values, kinds, n, l)
+                assert array.shape == want.shape and len(values) == want.size
+                assert np.abs(array - want).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +213,7 @@ def test_grass_shift_preserves_invariants(l, n):
     psi = random_expressions(f.names, rng, n)
     chi = random_expressions(f.names, rng, l - n) if n == 1 else None
     shifted = grass_shift(g, n, psi, chi)
-    ok, dev = invariants_match(grass_invariants(g, n), grass_invariants(shifted, n), rng)
+    ok, dev = invariants_match(g, shifted, n, rng)
     assert ok, dev
 
 
@@ -211,8 +249,64 @@ def test_inadmissible_perturbation_changes_invariants():
     tweaked = Connection.from_entries(
         f, {**dict(g.christoffel), (1, 1, 2): g.gamma(1, 2, 1) + Const(Fraction(1))}
     )
-    ok, dev = invariants_match(grass_invariants(g, 1), grass_invariants(tweaked, 1), rng)
+    ok, dev = invariants_match(g, tweaked, 1, rng)
     assert not ok and dev > 1e-3
+
+
+def _comparisons(g1, g2):
+    return {"thomas": lambda rng: pi_deviation(g1, g2, rng),
+            "grassmann": lambda rng: invariants_match(g1, g2, 1, rng)[1]}
+
+
+@pytest.mark.parametrize("family", ["thomas", "grassmann"])
+def test_comparisons_redraw_where_gamma_fails(family):
+    # sqrt(u1) fails wherever u1 < 0: each comparison redraws those points
+    # and stops at the twelfth point with u1 >= 0
+    f = frame(2)
+    g = Connection.from_entries(f, {(1, 1, 2): expr.parse("sqrt(u1)", f.names)})
+    shifted = projective_shift(g, [expr.parse("u2^2", f.names), expr.parse("u1", f.names)])
+    rng, replay = spawn_rng(11), spawn_rng(11)
+    assert _comparisons(g, shifted)[family](rng) <= 1e-12
+    regular = drawn = 0
+    while regular < 12:
+        drawn += 1
+        regular += int(replay.uniform(-1.0, 1.0, 2)[0] >= 0)
+    assert drawn > 12
+    assert rng.uniform() == replay.uniform()
+
+
+@pytest.mark.parametrize("family", ["thomas", "grassmann"])
+def test_comparisons_redraw_a_non_finite_deviation(family, monkeypatch):
+    f = frame(3)
+    g = random_connection(f, spawn_rng(12))
+    evaluate, calls = Connection.christoffel_at, []
+
+    def nan_on_first_call(self, point):
+        calls.append(point)
+        return evaluate(self, point) * (np.nan if len(calls) == 1 else 1.0)
+
+    monkeypatch.setattr(Connection, "christoffel_at", nan_on_first_call)
+    rng, replay = spawn_rng(13), spawn_rng(13)
+    assert _comparisons(g, g)[family](rng) == 0.0
+    assert len(calls) == 2 * 13
+    for _ in range(13):
+        replay.uniform(-1.0, 1.0, 3)
+    assert rng.uniform() == replay.uniform()
+
+
+def test_comparisons_give_up_where_every_deviation_is_nan(monkeypatch):
+    g = random_connection(frame(3), spawn_rng(14))
+    monkeypatch.setattr(Connection, "christoffel_at", lambda self, point: np.full((3, 3, 3), np.nan))
+    for compare in _comparisons(g, g).values():
+        with pytest.raises(DomainError, match="could not sample"):
+            compare(spawn_rng(15))
+
+
+def test_comparisons_reject_different_frames():
+    with pytest.raises(DimensionMismatchError):
+        pi_deviation(Connection.zero(frame(2)), Connection.zero(frame(3)), spawn_rng(16))
+    with pytest.raises(BadSplitError):
+        invariants_match(Connection.zero(frame(3)), Connection.zero(frame(3)), 3, spawn_rng(16))
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,14 @@ def test_deviation_at_random_points_redraws_and_separates():
     assert deviation_at_random_points(parse("u", UV), parse("v", UV), UV, rng) > 1e-3
 
 
+def test_deviation_at_random_points_keeps_nan(monkeypatch):
+    # a NaN at the second of three points; max(0.0, nan) would drop it
+    values = iter([0.0, 0.0, np.nan, 0.0, 0.0, 0.0])
+    monkeypatch.setattr(jetgeo.expr, "evaluate", lambda e, env: next(values))
+    assert np.isnan(deviation_at_random_points(parse("u", UV), parse("v", UV), UV,
+                                               np.random.default_rng(0), points=3))
+
+
 # ---------------------------------------------------------------------------
 # frames
 

@@ -4,7 +4,7 @@ import pytest
 
 from jetgeo import errors
 from jetgeo.connections import Connection
-from jetgeo.errors import DomainError, SingularJacobianError, draw_regular
+from jetgeo.errors import DomainError, SingularJacobianError, draw_regular, require_finite
 from jetgeo.expr import CoordinateFrame, parse
 from jetgeo.sampling import random_point, spawn_rng
 
@@ -48,6 +48,25 @@ def test_draw_regular_propagates_other_errors():
         draw_regular(lambda: 1 / 0, 3)
     with pytest.raises(errors.DimensionMismatchError):
         draw_regular(counting_draw(lambda k: k == 2, errors.DimensionMismatchError), 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_deviation_is_redrawn_and_counted(value):
+    values = iter([0.5, value, 0.25])
+
+    def draw():
+        return require_finite(next(values), "test deviation")
+
+    assert draw_regular(draw, 2) == ([0.5, 0.25], 1)
+
+
+def test_draws_raise_no_numpy_warnings(recwarn):
+    def draw():
+        big = np.array([1e308, -1e308])
+        return float(np.abs(big * 10 - big * 10).max())
+
+    assert np.isnan(draw_regular(draw, 1)[0][0])
+    assert len(recwarn) == 0
 
 
 def test_random_point_is_one_draw():
