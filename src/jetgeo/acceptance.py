@@ -264,10 +264,8 @@ def criterion_8(cfg):
             coeffs = rng.integers(-3, 4, (3, n + 1))
             comps = []
             for a in range(3):
-                terms = [Const(Fraction(int(coeffs[a, -1])))]
-                for lam in range(n):
-                    terms.append(Const(Fraction(int(coeffs[a, lam]))) * Sym(x_frame.names[lam]))
-                comps.append(expr.simplify(expr.Add(tuple(terms))))
+                linear = [(Sym(x_frame.names[lam]), Fraction(int(coeffs[a, lam]))) for lam in range(n)]
+                comps.append(expr.normal_sum(linear, Fraction(int(coeffs[a, -1]))))
             # keep the base block invertible: force the identity on it
             for lam in range(n):
                 comps[lam] = Sym(x_frame.names[lam])
@@ -331,10 +329,8 @@ def criterion_11(cfg):
     for i in range(5):
         a = rng.uniform(-1, 1, (2, 2)) + 2.0 * np.eye(2)
         comps = tuple(
-            expr.simplify(
-                Const(Fraction(a[r, 0]).limit_denominator(10**6)) * Sym("u1")
-                + Const(Fraction(a[r, 1]).limit_denominator(10**6)) * Sym("u2")
-            )
+            expr.normal_sum([(Sym(name), Fraction(a[r, k]).limit_denominator(10**6))
+                             for k, name in enumerate(frame.names)], Fraction(0))
             for r in range(2)
         )
         report = preserves_distribution(prolong_point_map(comps, frame, 1), g, 1,

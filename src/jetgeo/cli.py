@@ -221,8 +221,8 @@ def cmd_residual(args):
 
 
 def cmd_geodesic(args):
-    if args.h <= 0:
-        raise JetGeoError("step size must be positive")
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise JetGeoError("step size must be a positive finite number")
     g = load_connection(args.connection)
     theta = _load_theta(args, 1)
     start = _vector(args.start, "--start")
@@ -407,12 +407,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
-        args.seed = int(os.environ.get("JETGEO_SEED", "0"))
+        text = os.environ.get("JETGEO_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            _say(f"error: JETGEO_SEED must be a non-negative integer, got {text!r}")
+            return 2
+    if args.seed < 0:
+        _say(f"error: seed must be a non-negative integer, got {args.seed}")
+        return 2
     if args.samples < 1:
         _say("error: samples must be >= 1")
         return 2
-    if args.tol is not None and args.tol <= 0:
-        _say("error: tol must be positive")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        _say(f"error: tol must be a positive finite number, got {args.tol}")
         return 2
     try:
         return args.fn(args)

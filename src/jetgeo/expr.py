@@ -609,19 +609,24 @@ def _simplify_add(terms):
             flat.append(t)
     constant = Fraction(0)
     groups = {}
-    order = []
     for t in flat:
         if isinstance(t, Const):
             constant += t.value
             continue
         coeff, core = _coeff_core(t)
-        if core not in groups:
-            groups[core] = Fraction(0)
-            order.append(core)
-        groups[core] += coeff
+        groups[core] = groups.get(core, 0) + coeff
+    return normal_sum(groups.items(), constant)
+
+
+def normal_sum(terms, constant):
+    """The normal form of sum(c * core for core, c in terms) + constant,
+    marked as one.  The (core, rational c) pairs must have distinct cores,
+    each simplified, non-constant and free of rational factors, as
+    `_coeff_core` returns them.  Cores go in `_key` order, zero terms are
+    dropped, a core with coefficient 1 stands bare, and the constant goes
+    last."""
     out = []
-    for core in sorted(order, key=_key):
-        c = groups[core]
+    for core, c in sorted(terms, key=lambda term: _key(term[0])):
         if c == 0:
             continue
         if c == 1:
@@ -635,10 +640,13 @@ def _simplify_add(terms):
     if constant != 0:
         out.append(Const(constant))
     if not out:
-        return ZERO
-    if len(out) == 1:
-        return out[0]
-    return Add(tuple(out))
+        out = ZERO
+    elif len(out) == 1:
+        out = out[0]
+    else:
+        out = Add(tuple(out))
+    out.__dict__["_normal"] = True
+    return out
 
 
 def _coeff_core(t):

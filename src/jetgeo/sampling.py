@@ -6,6 +6,7 @@ same configuration draw identical numbers.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -14,7 +15,7 @@ import numpy as np
 from . import expr
 from .connections import Connection
 from .errors import DomainError, SingularJacobianError, draw_regular
-from .expr import Const, Mul, Sym
+from .expr import Mul, Sym
 from .jets import AffineMap, SecJet, SubJet
 
 
@@ -23,23 +24,35 @@ def spawn_rng(seed, index=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))))
 
 
-def random_polynomial(names, rng, degree=2, max_terms=3, scale=1.0):
-    """Random polynomial over the names: up to max_terms monomials of total
-    degree <= degree with rational coefficients drawn from [-scale, scale]."""
-    monomials = [()]
-    for d in range(1, degree + 1):
-        monomials.extend(combinations_with_replacement(range(len(names)), d))
-    k = int(rng.integers(1, max_terms + 1))
-    terms = []
-    for _ in range(k):
-        coeff = Fraction(int(rng.integers(-1000, 1001)), 1000) * Fraction(scale).limit_denominator(1000)
-        mono = monomials[int(rng.integers(0, len(monomials)))]
-        factors = (Const(coeff),) + tuple(Sym(names[i]) for i in mono)
-        terms.append(Mul(factors))
-    return expr.simplify(expr.Add(tuple(terms)))
+@functools.cache
+def _monomial_cores(names):
+    """The monomials of total degree <= 2 over `names`, indexed as
+    `random_polynomial` draws them: None for the constant, then each name,
+    then each product of two names in `combinations_with_replacement`
+    order.  A product's factors are sorted by name, which is their `_key`
+    order (so u10 comes before u2)."""
+    syms = [Sym(name) for name in names]
+    pairs = combinations_with_replacement(syms, 2)
+    return (None, *syms, *(Mul(tuple(sorted(pair, key=lambda s: s.name))) for pair in pairs))
 
 
-def random_connection(frame, rng, degree=2, fill=0.6, scale=1.0):
+def random_polynomial(names, rng):
+    """Random polynomial over the names: one to three monomials of total
+    degree <= 2, each with a coefficient k/1000, k drawn from
+    [-1000, 1000].  The terms are collected straight into `simplify`'s
+    normal form; the result equals, and is marked as, what `simplify`
+    gives for their sum."""
+    cores = _monomial_cores(tuple(names))
+    thousandths = {}
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(-1000, 1001))
+        index = int(rng.integers(0, len(cores)))
+        thousandths[index] = thousandths.get(index, 0) + k
+    constant = Fraction(thousandths.pop(0, 0), 1000)
+    return expr.normal_sum([(cores[i], Fraction(k, 1000)) for i, k in thousandths.items()], constant)
+
+
+def random_connection(frame, rng, fill=0.6):
     """Connection with random polynomial Christoffels on a fraction `fill`
     of the independent components."""
     l = frame.dim
@@ -47,13 +60,13 @@ def random_connection(frame, rng, degree=2, fill=0.6, scale=1.0):
     for a in range(1, l + 1):
         for b in range(a, l + 1):
             for c in range(1, l + 1):
-                if rng.uniform() < fill:
-                    entries[(a, b, c)] = random_polynomial(frame.names, rng, degree, scale=scale)
+                if rng.random() < fill:
+                    entries[(a, b, c)] = random_polynomial(frame.names, rng)
     return Connection(frame, entries)
 
 
-def random_expressions(names, rng, count, degree=2):
-    return [random_polynomial(names, rng, degree) for _ in range(count)]
+def random_expressions(names, rng, count):
+    return [random_polynomial(names, rng) for _ in range(count)]
 
 
 def random_point(g, rng):

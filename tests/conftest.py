@@ -1,15 +1,24 @@
 """Shared fixtures and helpers: frames, the round-sphere chart connections,
-the metric-to-Christoffel helper used to derive one, and the numpy
-geodesic integrator that the generated kernel is checked against
-(test-only, not public API)."""
+the metric-to-Christoffel helper used to derive one, the numpy geodesic
+integrator that the generated kernel is checked against, and the
+`simplify`-based random polynomials that the sampler is checked against
+(test-only, not public API).
+
+Hypothesis runs derandomized and without an example database, so every
+run of the suite draws the same examples."""
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from jetgeo import expr
 from jetgeo.connections import Connection
-from jetgeo.expr import Const, CoordinateFrame
+from jetgeo.expr import Const, CoordinateFrame, Mul, Sym
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def levi_civita_connection(metric, frame):
@@ -97,3 +106,30 @@ def geodesic_oracle(g, theta, start, velocity, h, steps):
         u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         x += h
+
+
+def random_polynomial_oracle(names, rng):
+    """`sampling.random_polynomial` the slow way: the same draws, in the same
+    order, assembled term by term and normalised by `simplify`."""
+    monomials = [()]
+    for d in (1, 2):
+        monomials.extend(combinations_with_replacement(range(len(names)), d))
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        coeff = Fraction(int(rng.integers(-1000, 1001)), 1000)
+        mono = monomials[int(rng.integers(0, len(monomials)))]
+        terms.append(Mul((Const(coeff),) + tuple(Sym(names[i]) for i in mono)))
+    return expr.simplify(expr.Add(tuple(terms)))
+
+
+def random_connection_oracle(frame, rng, fill=0.6):
+    """`sampling.random_connection` with the fill drawn by `uniform()` and
+    the entries by `random_polynomial_oracle`."""
+    l = frame.dim
+    entries = {}
+    for a in range(1, l + 1):
+        for b in range(a, l + 1):
+            for c in range(1, l + 1):
+                if rng.uniform() < fill:
+                    entries[(a, b, c)] = random_polynomial_oracle(frame.names, rng)
+    return Connection(frame, entries)

@@ -443,3 +443,46 @@ def test_selftest_squeezed_tolerance_fails(capsys, monkeypatch):
 def test_env_seed_fallback(zero_spec, capsys, monkeypatch):
     monkeypatch.setenv("JETGEO_SEED", "17")
     assert main(["equivalent", zero_spec, zero_spec, "--samples", "3"]) == 0
+
+
+@pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3"), ([], "abc"), ([], "")],
+                         ids=["negative-flag", "negative-env", "non-integer-env", "empty-env"])
+def test_invalid_seed_exits_2(zero_spec, flag, env, capsys, monkeypatch):
+    if env is None:
+        monkeypatch.delenv("JETGEO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("JETGEO_SEED", env)
+    assert main(["equivalent", zero_spec, zero_spec, "--samples", "3"] + flag) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "seed" in err.lower() and len(err.splitlines()) == 1
+
+
+@pytest.fixture
+def l4_plus_one(tmp_path):
+    """l4.json with `+ 1` added to its first entry: not equivalent to l4.json."""
+    with open(os.path.join(GOLDEN, "l4.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    spec["christoffel"][0]["expr"] += " + 1"
+    return write(tmp_path / "l4_plus_one.json", spec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["equivalent", "l4.json", "OTHER", "--tol", "inf"],
+    ["selftest", "--tol", "nan"],
+    ["residual", "l4.json", "--jets", "secjets_n2.json", "--mode", "param", "--tol", "nan"],
+    ["geodesic", "s2.json", "--start", "0,0", "--velocity", "1,0", "--h", "nan", "--steps", "5"],
+    ["geodesic", "s2.json", "--start", "0,0", "--velocity", "1,0", "--h", "inf", "--steps", "5"],
+], ids=["equivalent-tol-inf", "selftest-tol-nan", "residual-tol-nan",
+        "geodesic-h-nan", "geodesic-h-inf"])
+def test_non_finite_tol_or_step_exits_2(argv, l4_plus_one, capsys):
+    argv = [l4_plus_one if a == "OTHER" else os.path.join(GOLDEN, a) if a.endswith(".json") else a
+            for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_plus_one_pair_is_not_equivalent_at_the_default_tol(l4_plus_one, capsys):
+    assert main(["equivalent", os.path.join(GOLDEN, "l4.json"), l4_plus_one]) == 1

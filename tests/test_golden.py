@@ -9,6 +9,11 @@ The inputs (`*.json`) are fixtures; the expected outputs (`*.out`,
 Regenerate them only for a change that is meant to move CLI output, and
 say why in CHANGES.md.
 
+`selftest` prints the wall time of criterion 1 as `  [elapsed 0.12s]`;
+that bracket is cut from stdout before the comparison, and CI cuts it
+with the same pattern when it diffs `selftest --seed 0` against
+`selftest_seed0.out`.
+
 `l4_shift.json` is the admissible split-2 shift of `l4.json`,
 `grass_shift(g, 2, psi)` with psi = (1/3*u1*u3 - 2/5*u4, 7/10*u2*u2 + 1/4),
 written with `connection_to_dict`; its entries are printed simplified trees.
@@ -17,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -47,7 +53,10 @@ CASES = {
     "invariants_n2": ["invariants", "l4.json", "--n", "2"],
     "invariants_compare_shift": ["invariants", "l4.json", "--compare", "l4_shift.json"],
     "equivalent_shift": ["equivalent", "l4.json", "l4_shift.json"],
+    "selftest_seed0": ["selftest", "--seed", "0"],
 }
+
+ELAPSED = re.compile(r"  \[elapsed [0-9.]+s\]")
 
 ROUND_TRIPS = ("secjets_n2.json", "subjets_n2.json")
 
@@ -58,12 +67,13 @@ def _path(name):
 
 def run_case(argv):
     """(exit code, stdout, stderr) of the CLI on argv, with *.json
-    arguments resolved inside tests/golden/."""
+    arguments resolved inside tests/golden/ and wall times cut from
+    stdout."""
     argv = [_path(a) if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return f"{code}\n", out.getvalue(), err.getvalue()
+    return f"{code}\n", ELAPSED.sub("", out.getvalue()), err.getvalue()
 
 
 def round_trip(name):

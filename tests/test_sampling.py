@@ -1,12 +1,22 @@
-"""The one redraw loop, `errors.draw_regular`, and the single draws built on it."""
+"""The one redraw loop, `errors.draw_regular`, the single draws built on
+it, and the random polynomials checked against their `simplify` oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetgeo import errors
+from jetgeo.acceptance import _DIM_CASES, _frame, _theta_frame
 from jetgeo.connections import Connection
 from jetgeo.errors import DomainError, SingularJacobianError, draw_regular, require_finite
-from jetgeo.expr import CoordinateFrame, parse
-from jetgeo.sampling import random_point, spawn_rng
+from jetgeo.expr import CoordinateFrame, parse, simplify, to_text
+from jetgeo.sampling import random_connection, random_point, random_polynomial, spawn_rng
+
+from conftest import random_connection_oracle, random_polynomial_oracle
+
+# 11 coordinates put u10 and u11 between u1 and u2 in `_key` order, away
+# from their place in the draw order; x names are the parameter frames'
+NAME_FRAMES = [tuple(f"u{i}" for i in range(1, l + 1)) for l in (1, 2, 3, 11)] + [("x1",), ("x1", "x2")]
 
 
 def counting_draw(fails, error=DomainError):
@@ -89,3 +99,31 @@ def test_random_point_avoids_declared_singular_points():
     with pytest.raises(DomainError, match="singular point"):
         random_point(g, spawn_rng(6))
     assert np.array_equal(random_point(Connection(frame, {}), spawn_rng(6)), point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 63 - 1), st.sampled_from(NAME_FRAMES))
+def test_random_polynomial_is_the_simplified_sum_of_its_draws(seed, names):
+    rng, oracle_rng = spawn_rng(seed), spawn_rng(seed)
+    for _ in range(4):
+        p = random_polynomial(names, rng)
+        q = random_polynomial_oracle(names, oracle_rng)
+        assert p == q and to_text(p) == to_text(q)
+        assert simplify(p) is p
+    assert rng.random() == oracle_rng.random()
+
+
+# the acceptance criteria's frames, and 11 coordinates as above
+CONNECTION_FRAMES = ([_frame(n + m, n) for n, m in _DIM_CASES] + [_theta_frame(1), _theta_frame(2)]
+                     + [_frame(11, 1)])
+
+
+@pytest.mark.parametrize("frame", CONNECTION_FRAMES, ids=lambda f: f"{f.names[0][0]}{f.dim}-split{f.split}")
+def test_random_connection_matches_its_oracle(frame):
+    rng, oracle_rng = spawn_rng(frame.dim, frame.split), spawn_rng(frame.dim, frame.split)
+    for _ in range(3):
+        g = random_connection(frame, rng)
+        h = random_connection_oracle(frame, oracle_rng)
+        assert g == h and list(g.christoffel) == list(h.christoffel)
+        assert all(to_text(g.christoffel[k]) == to_text(h.christoffel[k]) for k in g.christoffel)
+    assert rng.random() == oracle_rng.random()
