@@ -21,6 +21,7 @@ from . import expr
 from .acceptance import AcceptanceConfig, run_all
 from .connections import (
     Connection,
+    _check_split,
     grass_invariants,
     invariants_match,
     load_connection,
@@ -117,7 +118,9 @@ def _vector(text, option):
 
 
 def _split(args, g):
-    return args.n if args.n is not None else g.frame.split
+    n = args.n if args.n is not None else g.frame.split
+    _check_split(g, n)
+    return n
 
 
 # ---------------------------------------------------------------------------

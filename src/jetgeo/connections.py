@@ -41,11 +41,6 @@ from .expr import Const, CoordinateFrame
 
 _ZERO = Const(Fraction(0))
 
-# `christoffel_at` interprets a table this many times before compiling it.
-# In one selftest run, 800 of the 967 connections built are evaluated only
-# once or twice, and compiling costs as much as several interpreted calls.
-_INTERPRETED_CALLS = 2
-
 
 @dataclass(frozen=True)
 class Connection:
@@ -54,6 +49,8 @@ class Connection:
     `christoffel` maps (A, B, C), 1-based with A <= B, to the expression
     of Γ_A{}^C{}_B; absent entries are zero.  Entries may only use the
     frame's coordinates (they are functions on the underlying manifold).
+    `table` is the `expr.Table` of the stored entries, in `christoffel`
+    order.
     """
 
     frame: CoordinateFrame
@@ -61,7 +58,7 @@ class Connection:
     singular_points: tuple = ()
 
     def __post_init__(self):
-        table = {}
+        entries = {}
         l = self.frame.dim
         allowed = set(self.frame.names)
         for (a, b, c), e in dict(self.christoffel).items():
@@ -73,11 +70,16 @@ class Connection:
             if bad:
                 raise SpecLoadError(f"christoffel entry uses non-frame symbols {sorted(bad)}")
             if not expr.is_zero(e):
-                table[(a, b, c)] = e
-        object.__setattr__(self, "christoffel", table)
+                entries[(a, b, c)] = e
+        object.__setattr__(self, "christoffel", entries)
         object.__setattr__(self, "singular_points", tuple(tuple(p) for p in self.singular_points))
-        object.__setattr__(self, "_interpreted", 0)
-        object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "table", expr.Table(entries.values(), self.frame.names))
+        # christoffel_at(point).flat[k] = values[gather.flat[k]], where the
+        # slot after the last value holds 0.0
+        gather = np.full((l, l, l), len(entries))
+        for i, (a, b, c) in enumerate(entries):
+            gather[a - 1, c - 1, b - 1] = gather[b - 1, c - 1, a - 1] = i
+        object.__setattr__(self, "_gather", gather)
 
     @classmethod
     def zero(cls, frame):
@@ -112,53 +114,12 @@ class Connection:
 
     def christoffel_at(self, point):
         """All components at a point, as an (l, l, l) array indexed
-        [A-1][C-1][B-1].
-
-        The first `_INTERPRETED_CALLS` calls evaluate the entries with
-        `expr.evaluate`; later calls run the table of `compiled()`, which
-        gives the same floats and errors.
-        """
-        env = self._env(point)
-        if self._compiled is None and self._interpreted < _INTERPRETED_CALLS:
-            object.__setattr__(self, "_interpreted", self._interpreted + 1)
-            l = self.dim
-            out = np.zeros((l, l, l))
-            for (a, b, c), e in self.christoffel.items():
-                v = expr.evaluate(e, env)
-                out[a - 1, c - 1, b - 1] = v
-                out[b - 1, c - 1, a - 1] = v
-            return out
-        return self.christoffel_array(self.compiled()(*env.values()))
-
-    def compiled(self):
-        """The entries compiled by `expr.compile_table`, built on the first
-        call and kept: ``compiled()(*coords)`` returns the values of the
-        stored entries, in `christoffel` order, at that point."""
-        if self._compiled is None:
-            l = self.dim
-            table = expr.compile_table(list(self.christoffel.values()), self.frame.names)
-            # out.flat[k] = values[gather.flat[k]]; the slot after the last entry holds 0.0
-            gather = np.full((l, l, l), len(self.christoffel))
-            for i, (a, b, c) in enumerate(self.christoffel):
-                gather[a - 1, c - 1, b - 1] = gather[b - 1, c - 1, a - 1] = i
-            object.__setattr__(self, "_compiled", (table, gather))
-        return self._compiled[0]
+        [A-1][C-1][B-1], from the values of `table`."""
+        return self.christoffel_array(self.table(point))
 
     def christoffel_array(self, values):
-        """The array of `christoffel_at`, laid out from values that
-        `compiled()` returned."""
-        return np.fromiter(values + (0.0,), float, len(self.christoffel) + 1)[self._compiled[1]]
-
-    def __getstate__(self):
-        # the compiled table is a generated function, which does not pickle
-        return {**self.__dict__, "_interpreted": 0, "_compiled": None}
-
-    def _env(self, point):
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point of length {len(point)} for frame of dimension {self.dim}"
-            )
-        return {name: float(v) for name, v in zip(self.frame.names, point)}
+        """The array of `christoffel_at`, laid out from values of `table`."""
+        return np.fromiter(values + (0.0,), float, len(values) + 1)[self._gather]
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,8 @@ class XiTable:
     base: np.ndarray  # (l, n, n)
 
     @classmethod
-    def random(cls, n, m, rng, scale=1.0):
-        return cls(rng.uniform(-scale, scale, (n + m, n, n)))
+    def random(cls, n, m, rng):
+        return cls(rng.uniform(-1.0, 1.0, (n + m, n, n)))
 
 
 def dot_gamma_via_xi(g, xi, p):
@@ -397,8 +397,8 @@ def geodesic_steps(g, theta, start, velocity, h, steps):
         raise DimensionMismatchError("start point/velocity do not match the connection dimension")
     if h <= 0 or steps < 0:
         raise DimensionMismatchError("step size must be positive and steps non-negative")
-    table, spray = g.compiled(), _spray(tuple(g.christoffel), g.dim)
-    theta_table = theta.compiled() if theta.christoffel else None
+    table, spray = g.table.compiled(), _spray(tuple(g.christoffel), g.dim)
+    theta_table = theta.table.compiled() if theta.christoffel else None
 
     def accel(x, u, v):
         values = table(*u)

@@ -173,7 +173,8 @@ class SecJet(_Jet):
 class ParamMap:
     """An n-parameter family of expressions: a local section x -> s(x).
 
-    frame names the parameters; components are the l fibre expressions.
+    frame names the parameters; components are the l fibre expressions,
+    evaluated through the `expr.Table` `table`.
     """
 
     frame: CoordinateFrame
@@ -186,6 +187,7 @@ class ParamMap:
             bad = expr.symbols_of(c) - allowed
             if bad:
                 raise SpecLoadError(f"component uses non-parameter symbols {sorted(bad)}")
+        object.__setattr__(self, "table", expr.Table(self.components, self.frame.names))
 
     @property
     def n(self):
@@ -196,11 +198,8 @@ class ParamMap:
         return len(self.components)
 
     def jacobian_at(self, x):
-        env = dict(zip(self.frame.names, map(float, x)))
-        return np.array(
-            [[expr.evaluate(expr.differentiate(c, name), env) for name in self.frame.names]
-             for c in self.components]
-        )
+        """∂_lam s^A at x as an (l, n) array."""
+        return np.column_stack([self.table.derivative(name)(x) for name in self.frame.names])
 
     def is_immersion_at(self, x, tol=1e-9):
         return np.linalg.matrix_rank(self.jacobian_at(x), tol=tol) == self.n
@@ -248,25 +247,20 @@ def prolong(s, x, r):
     point x.
 
     Fills u^A = s^A(x), u^A_{x lam} = ∂_lam s^A and, at order 2,
-    u^A_{x lam x xi} = ∂_xi ∂_lam s^A for lam <= xi, each differentiated
-    symbolically and evaluated at x.
+    u^A_{x lam x xi} = ∂_xi ∂_lam s^A for lam <= xi, from the derivative
+    tables of `s.table`, evaluated at x.
     """
     if r not in (1, 2):
         raise DimensionMismatchError(f"jets of order {r} are not modelled; r must be 1 or 2")
-    if len(x) != s.n:
-        raise DimensionMismatchError(f"point has {len(x)} parameters, map expects {s.n}")
-    names = s.frame.names
-    env = dict(zip(names, map(float, x)))
-    u = tuple(expr.evaluate(c, env) for c in s.components)
-    first = np.zeros((s.l, s.n))
-    second = np.zeros((s.l, s.n, s.n)) if r == 2 else None
-    for a, comp in enumerate(s.components):
-        for lam in range(s.n):
-            d = expr.differentiate(comp, names[lam])
-            first[a, lam] = expr.evaluate(d, env)
-            if r == 2:
-                for xi in range(lam, s.n):
-                    second[a, lam, xi] = expr.evaluate(expr.differentiate(d, names[xi]), env)
+    u = s.table(x)
+    first = s.jacobian_at(x)
+    second = None
+    if r == 2:
+        names = s.frame.names
+        second = np.zeros((s.l, s.n, s.n))
+        for lam, name in enumerate(names):
+            for xi in range(lam, s.n):
+                second[:, lam, xi] = s.table.derivative(name).derivative(names[xi])(x)
     return SecJet(s.n, s.l, tuple(map(float, x)), u, first, second)
 
 
@@ -359,40 +353,28 @@ def affine_act(g, t):
     return out
 
 
-def reparam_act(phi, x_frame, t):
+def reparam_act(phi, t):
     """Lift of a smooth reparametrization x~ = phi(x) to order-2 section
     jets by the chain rule.
 
-    phi is one expression per parameter over x_frame.  Unlike the affine
-    action the lift carries the inhomogeneous second-derivative term of
-    phi; for affine phi it reduces to `affine_act`.
+    phi is a `ParamMap` with one component per parameter.  Unlike the
+    affine action the lift carries the inhomogeneous second-derivative term
+    of phi; for affine phi it reduces to `affine_act`.
     """
-    names = x_frame.names if isinstance(x_frame, CoordinateFrame) else tuple(x_frame)
-    if len(phi) != t.n or len(names) != t.n:
+    if phi.l != t.n or phi.n != t.n:
         raise DimensionMismatchError("reparametrization arity does not match the jet")
-    env = dict(zip(names, t.x))
-    n = t.n
-    jac = np.array(
-        [[expr.evaluate(expr.differentiate(p, names[lam]), env) for lam in range(n)] for p in phi]
-    )
+    n, names = t.n, phi.frame.names
+    jac = phi.jacobian_at(t.x)
     scale = max(1.0, float(np.abs(jac).max())) ** n
     if abs(np.linalg.det(jac)) < _DET_THRESHOLD * scale:
         raise SingularJacobianError("reparametrization Jacobian is singular at the jet")
-    hess = np.array(
-        [
-            [
-                [expr.evaluate(expr.differentiate(expr.differentiate(p, names[lam]), names[mu]), env)
-                 for mu in range(n)]
-                for lam in range(n)
-            ]
-            for p in phi
-        ]
-    )
+    # hess[p, lam, mu] = ∂_mu ∂_lam phi^p
+    hess = np.array([[phi.table.derivative(lam).derivative(mu)(t.x) for mu in names]
+                     for lam in names]).transpose(2, 0, 1)
     binv = np.linalg.solve(jac, np.eye(n))
     dbinv = -np.einsum("ag,gcb,cl->bal", binv, hess, binv)  # d(binv[a,l])/dx^b
-    new_x = [expr.evaluate(p, env) for p in phi]
     first = t.first_matrix() @ binv
-    out = SecJet(t.n, t.l, new_x, t.u, first)
+    out = SecJet(t.n, t.l, phi.table(t.x), t.u, first)
     if t.r == 2:
         d1 = t.first_matrix()
         d2 = t.second_array()

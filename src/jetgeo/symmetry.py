@@ -23,7 +23,7 @@ from .connections import Connection
 from .errors import DimensionMismatchError, SpecLoadError, draw_regular, json_int, worst
 from .expr import CoordinateFrame, Sym
 from .geodesy import ddot_gamma_pro, distribution_fields, param_residual2, residual2
-from .jets import SecJet, SubJet, affine_act, cover1, cover2, reparam_act
+from .jets import ParamMap, SecJet, SubJet, affine_act, cover1, cover2, reparam_act
 from .sampling import random_affine, random_secjet1, random_subjet1, spawn_rng
 
 
@@ -45,12 +45,9 @@ def secjet1_chart(x_frame, u_frame):
     return tuple(names)
 
 
-def _subjet_values(p, chart):
-    return dict(zip(chart, list(p.base) + p.first_matrix().ravel().tolist()))
-
-
-def _secjet_values(p, chart):
-    return dict(zip(chart, list(p.x) + list(p.u) + p.first_matrix().ravel().tolist()))
+def _subjet_point(p):
+    """The coordinates of an order-1 submanifold jet in chart order."""
+    return (*p.base, *p.first_matrix().ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,9 @@ class JetMap:
     """Smooth map of order-1 jet coordinates, componentwise symbolic.
 
     kind is "subjet" or "secjet"; chart lists the coordinate names and
-    components gives one expression per chart coordinate, in order.
+    components gives one expression per chart coordinate, in order.  The
+    methods take a point in chart order and evaluate the `expr.Table`
+    `table` of the components.
     """
 
     kind: str
@@ -71,24 +70,20 @@ class JetMap:
             raise SpecLoadError(f"unknown jet map kind {self.kind!r}")
         if len(self.components) != len(self.chart):
             raise DimensionMismatchError("one component per chart coordinate required")
-        jac = tuple(
-            tuple(expr.differentiate(comp, name) for name in self.chart)
-            for comp in self.components
-        )
-        object.__setattr__(self, "_jacobian_exprs", jac)
+        object.__setattr__(self, "table", expr.Table(self.components, self.chart))
 
-    def apply(self, env):
-        return np.array([expr.evaluate(c, env) for c in self.components])
+    def apply(self, point):
+        return np.array(self.table(point))
 
-    def jacobian_at(self, env):
-        return np.array(
-            [[expr.evaluate(d, env) for d in row] for row in self._jacobian_exprs]
-        )
+    def jacobian_at(self, point):
+        """One row per component, one column per chart coordinate."""
+        return np.column_stack([self.table.derivative(name)(point) for name in self.chart])
 
 
 @dataclass(frozen=True)
 class JetField:
-    """Vector field on order-1 jet coordinates, componentwise symbolic."""
+    """Vector field on order-1 jet coordinates, componentwise symbolic;
+    `at` takes a point in chart order."""
 
     kind: str
     n: int
@@ -100,9 +95,10 @@ class JetField:
             raise SpecLoadError(f"unknown jet field kind {self.kind!r}")
         if len(self.components) != len(self.chart):
             raise DimensionMismatchError("one component per chart coordinate required")
+        object.__setattr__(self, "table", expr.Table(self.components, self.chart))
 
-    def at(self, env):
-        return np.array([expr.evaluate(c, env) for c in self.components])
+    def at(self, point):
+        return np.array(self.table(point))
 
 
 @dataclass(frozen=True)
@@ -173,26 +169,21 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
     def draw():
         if jmap.kind == "subjet":
             p = random_subjet1(n, m, rng)
-            env = _subjet_values(p, jmap.chart)
-            rows = distribution_fields(g, p)
-            image_vals = jmap.apply(env)
-            jac = jmap.jacobian_at(env)
-            q = SubJet(n, m, image_vals[:l], image_vals[l:].reshape(m, n))
-            rows_image = distribution_fields(g, q)
+            point, rows = _subjet_point(p), distribution_fields(g, p)
         else:
             p = random_secjet1(n, l, rng)
-            env = _secjet_values(p, jmap.chart)
+            point = (*p.x, *p.u, *p.first_matrix().ravel().tolist())
             rows = _pro_distribution_rows(g, theta, p)
-            image_vals = jmap.apply(env)
-            jac = jmap.jacobian_at(env)
-            q = SecJet(
-                n, l, image_vals[:n], image_vals[n:n + l],
-                image_vals[n + l:].reshape(l, n),
-            )
+        image = jmap.apply(point)
+        jac = jmap.jacobian_at(point)
+        if jmap.kind == "subjet":
+            rows_image = distribution_fields(g, SubJet(n, m, image[:l], image[l:].reshape(m, n)))
+        else:
+            q = SecJet(n, l, image[:n], image[n:n + l], image[n + l:].reshape(l, n))
             rows_image = _pro_distribution_rows(g, theta, q)
         scale = _span_scale(rows_image)
         local = max(_span_residual(rows_image, jac @ row) / scale for row in rows)
-        return tuple(env[name] for name in jmap.chart), local
+        return point, local
 
     return SymmetryReport.sample(draw, samples, tol)
 
@@ -226,9 +217,9 @@ def preserves_contact(jmap, samples=25, tol=1e-8, seed=0):
 
     def draw():
         p = random_subjet1(n, m, rng)
-        env = _subjet_values(p, jmap.chart)
-        vals = jmap.apply(env)
-        jac = jmap.jacobian_at(env)
+        point = _subjet_point(p)
+        vals = jmap.apply(point)
+        jac = jmap.jacobian_at(point)
         first_image = vals[l:].reshape(m, n)
         basis = np.zeros((n + m * n, dim))
         for lam in range(n):
@@ -243,7 +234,7 @@ def preserves_contact(jmap, samples=25, tol=1e-8, seed=0):
             for kk in range(m):
                 omega = pushed[n + kk] - first_image[kk, :] @ pushed[:n]
                 local = max(local, abs(omega))
-        return tuple(env[name] for name in jmap.chart), local
+        return point, local
 
     return SymmetryReport.sample(draw, samples, tol)
 
@@ -313,16 +304,16 @@ def field_preserves_distribution(f, g, n, samples=25, tol=1e-8, seed=0):
     chart = generators[0].chart
     if f.chart != chart:
         raise DimensionMismatchError("field is not expressed over the jet chart of g")
-    brackets = [commutator(f, x, chart) for x in generators]
+    brackets = expr.Table([c for x in generators for c in commutator(f, x, chart)], chart)
     rng = spawn_rng(seed, 0)
 
     def draw():
         p = random_subjet1(n, m, rng)
-        env = _subjet_values(p, chart)
+        point = _subjet_point(p)
         rows = distribution_fields(g, p)
-        values = [np.array([expr.evaluate(c, env) for c in bracket]) for bracket in brackets]
+        values = np.array(brackets(point)).reshape(len(generators), len(chart))
         scale = _span_scale(rows)
-        return tuple(env[name] for name in chart), max(_span_residual(rows, v) / scale for v in values)
+        return point, max(_span_residual(rows, v) / scale for v in values)
 
     return SymmetryReport.sample(draw, samples, tol)
 
@@ -421,14 +412,16 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
 def reparam_symmetry_check(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0):
     """Same check for a general (possibly non-affine) reparametrization,
     lifted honestly by the chain rule; non-affine maps pick up the
-    inhomogeneous second-derivative term and fail for generic data."""
+    inhomogeneous second-derivative term and fail for generic data.  phi is
+    one expression per parameter over x_frame."""
     if theta.christoffel:
         raise DimensionMismatchError("reparametrization check requires the flat parameter connection")
+    phi = ParamMap(x_frame, phi)
     rng = spawn_rng(seed, 0)
 
     def draw():
         p = random_secjet1(theta.dim, g.dim, rng)
-        acted = reparam_act(phi, x_frame, ddot_gamma_pro(g, theta, p))
+        acted = reparam_act(phi, ddot_gamma_pro(g, theta, p))
         return p.x + p.u, param_residual2(g, theta, acted).max_abs()
 
     return SymmetryReport.sample(draw, samples, tol)

@@ -1,8 +1,8 @@
 """Shared fixtures and helpers: frames, the round-sphere chart connections,
 the metric-to-Christoffel helper used to derive one, the numpy geodesic
-integrator that the generated kernel is checked against, and the
-`simplify`-based random polynomials that the sampler is checked against
-(test-only, not public API).
+integrator that the generated kernel is checked against, the
+`simplify`-based random polynomials that the sampler is checked against,
+and a hypothesis strategy for expression trees (test-only, not public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
@@ -12,10 +12,11 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from jetgeo import expr
 from jetgeo.connections import Connection
-from jetgeo.expr import Const, CoordinateFrame, Mul, Sym
+from jetgeo.expr import FUNCTION_NAMES, Add, Const, CoordinateFrame, Div, Func, Mul, Pow, Sym
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -133,3 +134,29 @@ def random_connection_oracle(frame, rng, fill=0.6):
                 if rng.uniform() < fill:
                     entries[(a, b, c)] = random_polynomial_oracle(frame.names, rng)
     return Connection(frame, entries)
+
+
+TREE_NAMES = ("u", "v")
+
+
+def trees():
+    """Expression trees over TREE_NAMES and the whole node set: every
+    function, negative exponents, unguarded denominators and sqrt arguments.
+    One leaf in ten is an edge case: a constant beyond or at the edge of
+    float range, or the symbol "w", which a table over TREE_NAMES leaves
+    unassigned."""
+    plain = st.one_of(st.fractions(-4, 4, max_denominator=6).map(Const), st.sampled_from(TREE_NAMES).map(Sym))
+    edge = st.sampled_from([Const(Fraction(10) ** 200), Const(Fraction(10) ** 308),
+                            Const(Fraction(10) ** 400), Const(Fraction(1, 10 ** 400)), Sym("w")])
+    leaves = st.integers(0, 9).flatmap(lambda k: edge if k == 0 else plain)
+
+    def nodes(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=4).map(lambda terms: Add(tuple(terms))),
+            st.lists(children, min_size=2, max_size=3).map(lambda factors: Mul(tuple(factors))),
+            st.builds(Pow, children, st.integers(-3, 4)),
+            st.builds(Div, children, children),
+            st.builds(Func, st.sampled_from(FUNCTION_NAMES), children),
+        )
+
+    return st.recursive(leaves, nodes, max_leaves=12)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import jetgeo
-from jetgeo import connections
+from jetgeo import connections, expr
 from jetgeo.cli import main
 from jetgeo.connections import connection_to_dict, projective_shift
 from jetgeo.errors import DomainError
@@ -177,7 +177,7 @@ def test_geodesic_domain_error_truncates(tmp_path, monkeypatch):
     assert len(rows) > 3 and rows[-1].startswith("error,sqrt of negative value")
     # the numpy oracle, with every Christoffel table evaluated by the
     # interpreter, stops after as many points with the same message
-    monkeypatch.setattr(connections, "_INTERPRETED_CALLS", 10 ** 9)
+    monkeypatch.setattr(expr, "_INTERPRETED_CALLS", 10 ** 9)
     points = []
     with pytest.raises(DomainError) as stop:
         for point in geodesic_oracle(connections.load_connection(spec), connections.Connection.flat(1),
@@ -486,3 +486,19 @@ def test_non_finite_tol_or_step_exits_2(argv, l4_plus_one, capsys):
 
 def test_plus_one_pair_is_not_equivalent_at_the_default_tol(l4_plus_one, capsys):
     assert main(["equivalent", os.path.join(GOLDEN, "l4.json"), l4_plus_one]) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "dim", "dim+3"])
+@pytest.mark.parametrize("argv, dim", [
+    (["equivalent", "l4.json", "l4.json"], 4),
+    (["cover-check", "l4.json", "--samples", "2"], 4),
+    (["symmetry-check", "l4.json", "--affine", "affine_n2.json", "--samples", "2"], 4),
+    (["symmetry-check", "s2.json", "--map", "map_subjet.json", "--samples", "2"], 2),
+], ids=["equivalent", "cover-check", "symmetry-check-affine", "symmetry-check-map"])
+def test_split_out_of_range_exits_2(argv, dim, n, capsys):
+    n = {"dim": dim, "dim+3": dim + 3}.get(n, n)
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a for a in argv]
+    assert main(argv + ["--n", str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: split n=") and "Traceback" not in err and len(err.splitlines()) == 1

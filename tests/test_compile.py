@@ -1,19 +1,26 @@
 """compile_table against its oracle, the tree interpreter `evaluate`:
-bit-identical floats, and the same first exception with the same message."""
+bit-identical floats, and the same first exception with the same message;
+and `expr.Table`, which interprets first and compiles later."""
 import pickle
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetgeo import connections, expr
+from jetgeo import expr
 from jetgeo.acceptance import sphere_chart_connection
 from jetgeo.connections import Connection
-from jetgeo.errors import DomainError, MissingSymbolError
-from jetgeo.expr import Add, Const, CoordinateFrame, Func, Mul, Sym, compile_table, evaluate, parse
+from jetgeo.errors import DimensionMismatchError, DomainError, MissingSymbolError
+from jetgeo.expr import (
+    Add, Const, CoordinateFrame, Func, Mul, Sym, Table, compile_table, differentiate, evaluate, parse,
+)
+from jetgeo.jets import ParamMap
 from jetgeo.sampling import random_connection, spawn_rng
+from jetgeo.symmetry import prolong_point_map
 
-from conftest import sphere_chart
+from conftest import TREE_NAMES, sphere_chart, trees
 from test_expr import _CORPUS_NAMES, _random_expression
 
 
@@ -121,24 +128,102 @@ def test_christoffel_at_compiles_on_third_call(monkeypatch):
     point = np.array([0.1, -0.4, 0.25])
     calls = []
     monkeypatch.setattr(expr, "evaluate", lambda e, env: calls.append(e) or evaluate(e, env))
-    results = [g.christoffel_at(point) for _ in range(connections._INTERPRETED_CALLS + 3)]
-    assert len(calls) == connections._INTERPRETED_CALLS * len(g.christoffel)
+    results = [g.christoffel_at(point) for _ in range(expr._INTERPRETED_CALLS + 3)]
+    assert len(calls) == expr._INTERPRETED_CALLS * len(g.christoffel)
     for r in results:
         assert r.shape == (3, 3, 3) and r.tobytes() == results[0].tobytes()
 
 
 def test_compiled_connection_pickles():
     g = sphere_chart(2)
-    results = [g.christoffel_at([0.3, 0.1]) for _ in range(connections._INTERPRETED_CALLS + 1)]
+    results = [g.christoffel_at([0.3, 0.1]) for _ in range(expr._INTERPRETED_CALLS + 1)]
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and copy.christoffel_at([0.3, 0.1]).tobytes() == results[-1].tobytes()
 
 
 def test_christoffel_at_compiled_domain_error_matches():
     g = Connection(CoordinateFrame(U, 1), {(1, 1, 1): parse("1/u1", U), (1, 2, 2): parse("sqrt(u2)", U)})
-    for _ in range(connections._INTERPRETED_CALLS + 1):
+    for _ in range(expr._INTERPRETED_CALLS + 1):
         g.christoffel_at([1.0, 1.0])
     with pytest.raises(DomainError, match="division by zero"):
         g.christoffel_at([0.0, -1.0])
     with pytest.raises(DomainError, match="sqrt of negative value -1.0"):
         g.christoffel_at([1.0, -1.0])
+
+
+# ---------------------------------------------------------------------------
+# expr.Table
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+_COORDINATES = st.one_of(
+    st.floats(-3, 3),
+    st.sampled_from([0.0, -0.0, 1e300, float("inf"), float("-inf"), float("nan")]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(trees(), min_size=1, max_size=4), st.tuples(_COORDINATES, _COORDINATES))
+def test_fresh_table_interpreted_calls_match_its_compiled_function(exprs, point):
+    table = Table(exprs, TREE_NAMES)
+    interpreted = [_outcome(lambda: table(point)) for _ in range(expr._INTERPRETED_CALLS)]
+    assert table._compiled is None
+    assert interpreted == [_outcome(lambda: table.compiled()(*point))] * expr._INTERPRETED_CALLS
+
+
+def test_table_interprets_then_compiles(monkeypatch):
+    g = sphere_chart(3)
+    table = Table(g.christoffel.values(), g.frame.names)
+    point = np.array([0.1, -0.4, 0.25])
+    evaluated, compiled = [], []
+    monkeypatch.setattr(expr, "evaluate", lambda e, env: evaluated.append(e) or evaluate(e, env))
+    monkeypatch.setattr(expr, "compile_table", lambda *a: compiled.append(a) or compile_table(*a))
+    results = []
+    for call in range(1, expr._INTERPRETED_CALLS + 4):
+        results.append(table(point))
+        assert len(evaluated) == min(call, expr._INTERPRETED_CALLS) * len(table.exprs)
+        assert len(compiled) == (call > expr._INTERPRETED_CALLS)
+    assert len({_bits(r) for r in results}) == 1
+
+
+def test_table_checks_the_point_length():
+    with pytest.raises(DimensionMismatchError, match="point of length 3 for frame of dimension 2"):
+        Table([parse("u1", U)], U)([1.0, 2.0, 3.0])
+
+
+def test_table_derivative_is_kept_and_holds_the_differentiated_trees():
+    table = Table([parse("u1^2*sin(u2)", U), parse("u2/(1 + u1^2)", U)], U)
+    first = table.derivative("u1")
+    assert table.derivative("u1") is first and table.derivative("u2") is not first
+    assert first.exprs == tuple(differentiate(e, "u1") for e in table.exprs)
+    assert first.derivative("u2").exprs == tuple(
+        differentiate(differentiate(e, "u1"), "u2") for e in table.exprs
+    )
+
+
+def test_compiled_table_pickles():
+    g = sphere_chart(2)
+    table = Table(g.christoffel.values(), g.frame.names)
+    results = [table([0.3, 0.1]) for _ in range(expr._INTERPRETED_CALLS + 1)]
+    copy = pickle.loads(pickle.dumps(table))
+    assert copy.exprs == table.exprs and copy._compiled is None
+    for _ in range(expr._INTERPRETED_CALLS + 1):
+        assert _bits(copy([0.3, 0.1])) == _bits(results[-1])
+
+
+def test_param_map_and_jet_map_pickle_after_use():
+    x2 = CoordinateFrame(("x1", "x2"), 2)
+    s = ParamMap(x2, tuple(parse(t, x2) for t in ("x1*x2^2", "sin(x1) + x2", "exp(x2)/(2 + x1^2)")))
+    frame = CoordinateFrame(U, 1)
+    jmap = prolong_point_map((parse("u1 + u2^2", U), parse("u2*exp(u1)", U)), frame, 1)
+    point = [0.3, -0.2, 0.7]
+    for _ in range(expr._INTERPRETED_CALLS + 1):
+        before = _bits(s.jacobian_at([0.4, -0.6])), _bits(jmap.apply(point)), _bits(jmap.jacobian_at(point))
+    s2, jmap2 = pickle.loads(pickle.dumps((s, jmap)))
+    assert s2 == s and jmap2 == jmap
+    for _ in range(expr._INTERPRETED_CALLS + 1):
+        after = _bits(s2.jacobian_at([0.4, -0.6])), _bits(jmap2.apply(point)), _bits(jmap2.jacobian_at(point))
+        assert after == before

@@ -29,6 +29,8 @@ from jetgeo.expr import (
     to_text,
 )
 
+from conftest import TREE_NAMES, trees
+
 UV = ("u", "v")
 
 
@@ -90,6 +92,24 @@ def test_print_parse_round_trip(text):
     assert parse(to_text(e), UV) == e
     s = simplify(e)
     assert parse(to_text(s), UV) == s
+
+
+@pytest.mark.parametrize("text", ["u + (-1/2)/u", "u*(1/3)", "u + (-1/2*u)/v", "v*(-2/3)*u"])
+def test_print_parse_round_trip_of_quotients_and_fractions(text):
+    # a quotient with a negative numerator inside a sum, and a fraction
+    # after the first factor of a product, keep their parentheses
+    e = parse(text, UV)
+    assert parse(to_text(e), UV) == e
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+def test_printed_trees_parse_back_to_themselves(e):
+    # parse(to_text(x)) == x holds for parsed trees; any printed tree is
+    # brought into that form by one parse
+    names = TREE_NAMES + ("w",)
+    parsed = parse(to_text(e), names)
+    assert parse(to_text(parsed), names) == parsed
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,12 @@ def test_prolong_rejects_orders_other_than_1_or_2():
             prolong(s, [0.5], r)
 
 
+def test_prolong_rejects_a_point_of_the_wrong_length():
+    s = ParamMap(X1, (expr.parse("x1", X1), expr.parse("x1^2", X1)))
+    with pytest.raises(DimensionMismatchError, match="point of length 2"):
+        prolong(s, [0.5, 0.1], 1)
+
+
 def test_secjet_immersion_flags():
     t = secjet1(1, 2, [0.0], [0.0, 0.0], [[2.0], [6.0]])
     assert t.top_det() == 2.0
@@ -306,7 +312,7 @@ def test_reparam_act_reduces_to_affine_for_affine_phi():
     g = AffineMap(np.array([[2.0]]), np.array([1.0]))
     phi = [expr.parse("2*x1 + 1", X1)]
     a = affine_act(g, t)
-    b = reparam_act(phi, X1, t)
+    b = reparam_act(ParamMap(X1, phi), t)
     assert a.x == pytest.approx(b.x)
     assert np.abs(a.second_array() - b.second_array()).max() <= 1e-12
 
@@ -315,7 +321,7 @@ def test_reparam_act_carries_inhomogeneous_term():
     # honest lift of x~ = x^3 + x at a jet with zero second derivatives
     t = secjet2(1, 2, [0.5], [0.0, 0.0], [[1.0], [2.0]], [[[0.0]], [[0.0]]])
     phi = [expr.parse("x1^3 + x1", X1)]
-    out = reparam_act(phi, X1, t)
+    out = reparam_act(ParamMap(X1, phi), t)
     dphi = 3 * 0.25 + 1
     ddphi = 6 * 0.5
     expected = -1.0 * ddphi / dphi**3

@@ -149,15 +149,14 @@ def test_vertical_shift_field_fails():
 def test_generator_expressions_match_numeric_rows():
     from jetgeo.geodesy import distribution_fields
     from jetgeo.sampling import random_subjet1
-    from jetgeo.symmetry import _subjet_values
+    from jetgeo.symmetry import _subjet_point
 
     rng = spawn_rng(63)
     g = random_connection(E3, rng)
     gens = distribution_generator_expressions(g, 1)
     p = random_subjet1(1, 2, rng)
-    env = _subjet_values(p, gens[0].chart)
     rows = distribution_fields(g, p)
-    sym_rows = np.array([gen.at(env) for gen in gens])
+    sym_rows = np.array([gen.at(_subjet_point(p)) for gen in gens])
     assert np.abs(rows - sym_rows).max() <= 1e-12
 
 
