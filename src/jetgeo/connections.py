@@ -415,6 +415,8 @@ def connection_from_dict(data):
             a, b = (json_int(v, "lower index") for v in item["lower"])
             c = json_int(item["upper"], "upper index")
             text = item["expr"]
+            if not isinstance(text, str):
+                raise TypeError(f"expr must be a string, got {text!r}")
         except (KeyError, TypeError, ValueError) as e:
             raise SpecLoadError(f"malformed christoffel item {item!r}: {e}") from None
         e = expr.parse(text, frame)

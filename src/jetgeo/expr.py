@@ -24,6 +24,7 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    JetGeoError,
     MissingSymbolError,
     ParseError,
     UnknownSymbolError,
@@ -245,7 +246,7 @@ def _eval(e, env):
         try:
             return float(e.value)
         except OverflowError:
-            raise DomainError(_CONST_RANGE) from None
+            raise DomainError("constant out of float range") from None
     if isinstance(e, Sym):
         try:
             return float(env[e.name])
@@ -255,9 +256,9 @@ def _eval(e, env):
         try:
             return _finite(math.fsum(_eval(t, env) for t in e.terms))
         except OverflowError:
-            raise DomainError(_SUM_OVERFLOW) from None
+            raise DomainError("sum overflow") from None
         except ValueError:
-            raise DomainError(_SUM_INFINITIES) from None
+            raise DomainError("sum of opposite infinities") from None
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
@@ -282,7 +283,7 @@ def _eval(e, env):
             try:
                 return math.sin(arg) if e.name == "sin" else math.cos(arg)
             except ValueError:
-                raise DomainError(_TRIG_INFINITE) from None
+                raise DomainError("sin or cos of an infinite value") from None
         if e.name == "exp":
             try:
                 return _finite(math.exp(arg))
@@ -301,179 +302,102 @@ def _finite(x):
     return x
 
 
-# Messages of the DomainErrors that stand for an OverflowError or a
-# ValueError of float(), fsum, sin or cos; compile_table raises the same.
-_CONST_RANGE = "constant out of float range"
-_SUM_OVERFLOW = "sum overflow"
-_SUM_INFINITIES = "sum of opposite infinities"
-_TRIG_INFINITE = "sin or cos of an infinite value"
-
-
 # ---------------------------------------------------------------------------
 # compiled evaluation
+
+# Factors per generated product statement.  Python's compiler recurses once
+# per operator of an expression, so one product of thousands of factors
+# raises RecursionError at compile time; a longer product takes several.
+_PRODUCT_FACTORS = 100
 
 
 def compile_table(exprs, names):
     """Compile a table of trees into one straight-line Python function.
 
-    ``f = compile_table(exprs, names)``; ``f(*coords)`` returns the tuple
-    of ``evaluate(e, dict(zip(names, coords)))`` for e in exprs, bit for
-    bit, and raises the first exception those calls would raise, with its
-    message.  Each structurally distinct subtree gets one local, computed
-    at its first use in the interpreter's order; later uses read it.  The
-    arithmetic is the interpreter's: the same float constants, fsum for
-    sums, products from 1.0 left to right, and every check at the node
-    where `_eval` makes it.  `evaluate` stays the oracle.
+    ``compile_table(exprs, names)(*coords)`` returns what
+    ``_interpret(exprs, names, coords)`` returns, bit for bit, and raises
+    what it raises, with the same message.  The function does the
+    arithmetic only: one local per structurally distinct subtree, computed
+    the way `_eval` computes it (the same float constants, fsum for sums,
+    products from 1.0 left to right), then one guard that every local is
+    finite.  If the body raises anything, or the guard trips, it returns
+    `_interpret` at the same point, so the interpreter raises its own first
+    error.  That is exact: the interpreter raises only where a node's value
+    is not finite or one of its checks fires, and each check it makes at a
+    point stands for an exception of the float operation at that node (a
+    zero division, an overflow, a negative sqrt, sin or cos of an infinity,
+    fsum of opposite infinities).  A table with a node that cannot be
+    emitted (a constant beyond float range, an unassigned symbol, an
+    unknown function) is interpreted at every point.
     """
-    return _TableCompiler(tuple(names)).compile(exprs)
+    exprs, names = tuple(exprs), tuple(names)
+    args = {name: f"c{i}" for i, name in enumerate(names)}
+    operands = {}   # subtree -> float literal or the local holding its value
+    lines = []
 
+    def product(name, first, factors):
+        # name = first * factors[0] * ..., left to right, in bounded statements
+        for i in range(0, max(len(factors), 1), _PRODUCT_FACTORS):
+            lines.append(f"{name} = {' * '.join([first, *factors[i:i + _PRODUCT_FACTORS]])}")
+            first = name
 
-def _fail(error, *sums):
-    """Raise `error`, unless the running total of an enclosing sum has
-    already overflowed: the interpreter's fsum takes the terms as they are
-    evaluated, and raises OverflowError before it gets to this one.  Its
-    ValueError for opposite infinities comes only after the last term."""
-    for terms in sums:
-        try:
-            math.fsum(terms)
-        except OverflowError:
-            raise DomainError(_SUM_OVERFLOW) from None
-        except ValueError:
-            pass
-    raise error
-
-
-_COMPILED_NAMESPACE = {
-    "fsum": math.fsum, "sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt,
-    "_fail": _fail, "DomainError": DomainError, "MissingSymbolError": MissingSymbolError,
-}
-
-
-class _TableCompiler:
-    def __init__(self, names):
-        self.args = {name: f"c{i}" for i, name in enumerate(names)}
-        self.lines = []
-        self.values = {}        # subtree -> local holding its value
-        self.open_sums = []     # operands already fed to each enclosing sum
-        self.checked = set()    # conditions already tested: locals never change
-
-    def compile(self, exprs):
-        results = []
-        for e in exprs:
-            v = self.value(e)
-            # sums, products, powers, quotients and exp were checked at the node
-            if isinstance(e, (Sym, Func)) and e.name != "exp":
-                self.check(f"{v} - {v} != 0.0",
-                           f'DomainError(f"evaluation produced non-finite value {{{v}}}")')
-            results.append(v)
-        # every other call that raises OverflowError or ValueError is guarded
-        # at its node, so here they come from fsum, as in `_eval`'s Add
-        body = "".join(f"        {line}\n" for line in self.lines)
-        source = (f"def table({', '.join(self.args.values())}):\n    try:\n{body}"
-                  f"        return ({''.join(v + ', ' for v in results)})\n"
-                  f"    except OverflowError:\n        raise DomainError({_SUM_OVERFLOW!r}) from None\n"
-                  f"    except ValueError:\n        raise DomainError({_SUM_INFINITIES!r}) from None\n")
-        namespace = dict(_COMPILED_NAMESPACE)
-        exec(compile(source, "<jetgeo.expr.compile_table>", "exec"), namespace)
-        return namespace["table"]
-
-    def new_local(self, e):
-        name = self.values[e] = f"t{len(self.values)}"
+    def local(e, first, factors=()):
+        name = operands[e] = f"t{len(operands)}"
+        product(name, first, factors)
         return name
 
-    def local(self, e, code):
-        name = self.new_local(e)
-        self.lines.append(f"{name} = {code}")
-        return name
-
-    def raising(self, error):
-        """Source of a statement raising `error`, the source of an exception."""
-        sums = "".join(f", ({''.join(op + ', ' for op in fed)})"
-                       for fed in self.open_sums if len(fed) >= 2)
-        return f"_fail({error}{sums})"
-
-    def check(self, condition, error):
-        if condition not in self.checked:
-            self.checked.add(condition)
-            self.lines.append(f"if {condition}: {self.raising(error)}")
-
-    def finite(self, v):
-        # x - x is 0.0 exactly when x is finite
-        self.check(f"{v} - {v} != 0.0", "DomainError('intermediate value is not finite')")
-        return v
-
-    def call(self, e, code, *errors):
-        """Local holding `code`.  For each (exception name, message) in
-        `errors`, that exception becomes DomainError(message); inside a sum
-        whose total could have overflowed already, anything else it raises
-        goes through `_fail`."""
-        pending = any(len(fed) >= 2 for fed in self.open_sums)
-        if not errors and not pending:
-            return self.local(e, code)
-        name = self.new_local(e)
-        self.lines += ["try:", f"    {name} = {code}"]
-        for exception, message in errors:
-            self.lines += [f"except {exception}:", f"    {self.raising(f'DomainError({message!r})')}"]
-        if pending:
-            self.lines += ["except Exception as exc:", f"    {self.raising('exc')}"]
-        return name
-
-    def unreachable(self, e, error):
-        """Local for a node whose evaluation always raises `error`."""
-        self.lines.append(self.raising(error))
-        return self.local(e, "None")
-
-    def value(self, e):
-        """Source text of an operand holding e's value, after emitting the
-        statements that compute it."""
-        if e in self.values:
-            return self.values[e]
+    def operand(e):
+        if e in operands:
+            return operands[e]
         if isinstance(e, Const):
-            try:
-                text = repr(float(e.value))
-            except OverflowError:
-                return self.unreachable(e, f"DomainError({_CONST_RANGE!r})")
-            return f"({text})" if text.startswith("-") else text
+            text = repr(float(e.value))
+            operands[e] = f"({text})" if text.startswith("-") else text
+            return operands[e]
         if isinstance(e, Sym):
-            if e.name not in self.args:
-                message = f"no value assigned to '{e.name}'"
-                return self.unreachable(e, f"MissingSymbolError({message!r})")
-            return self.call(e, f"float({self.args[e.name]})")
+            return local(e, f"float({args[e.name]})")
         if isinstance(e, Add):
-            fed = []
-            self.open_sums.append(fed)
-            for t in e.terms:
-                fed.append(self.value(t))
-            self.open_sums.pop()
-            return self.finite(self.call(e, f"fsum(({''.join(op + ', ' for op in fed)}))"))
+            return local(e, f"fsum(({''.join(operand(t) + ', ' for t in e.terms)}))")
         if isinstance(e, Mul):
-            factors = [self.value(f) for f in e.factors]
-            return self.finite(self.local(e, " * ".join(["1.0"] + factors)))
+            return local(e, "1.0", [operand(f) for f in e.factors])
         if isinstance(e, Pow):
-            base = self.value(e.base)
-            if e.exponent < 0:
-                self.check(f"{base} == 0.0", "DomainError('zero base with negative exponent')")
-            return self.finite(self.call(e, f"{base} ** {e.exponent}", ("OverflowError", "power overflow")))
+            return local(e, f"{operand(e.base)} ** {e.exponent}")
         if isinstance(e, Div):
-            den = self.value(e.den)
-            self.check(f"{den} == 0.0", "DomainError('division by zero')")
-            num = self.value(e.num)
-            return self.finite(self.local(e, f"{num} / {den}"))
-        if isinstance(e, Func):
-            arg = self.value(e.arg)
-            if e.name in ("sin", "cos"):
-                return self.call(e, f"{e.name}({arg})", ("ValueError", _TRIG_INFINITE))
-            if e.name == "exp":
-                return self.finite(self.call(e, f"exp({arg})", ("OverflowError", "exp overflow")))
-            if e.name == "sqrt":
-                self.check(f"{arg} < 0.0", f'DomainError(f"sqrt of negative value {{{arg}}}")')
-                return self.local(e, f"sqrt({arg})")
-        message = f"cannot evaluate {type(e).__name__}"
-        return self.unreachable(e, f"TypeError({message!r})")
+            return local(e, f"{operand(e.num)} / {operand(e.den)}")
+        if isinstance(e, Func) and e.name in FUNCTION_NAMES:
+            return local(e, f"{e.name}({operand(e.arg)})")
+        raise TypeError(f"cannot evaluate {type(e).__name__}")
+
+    def interpreted(*coords):
+        return _interpret(exprs, names, coords)
+
+    try:
+        results = [operand(e) for e in exprs]
+    except (OverflowError, KeyError, TypeError):
+        return interpreted
+    # 0.0 times finite factors is ±0.0; an infinite or nan factor makes it nan
+    product("finite", "0.0", list(operands.values()))
+    params = "".join(f"{c}, " for c in args.values())
+    body = "".join(f"        {line}\n" for line in lines)
+    source = (f"def table({params}):\n    try:\n{body}"
+              f"        if finite == 0.0:\n            return ({''.join(v + ', ' for v in results)})\n"
+              f"    except Exception:\n        pass\n"
+              f"    return interpreted({params})\n")
+    namespace = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+                 "sqrt": math.sqrt, "interpreted": interpreted}
+    exec(compile(source, "<jetgeo.expr.compile_table>", "exec"), namespace)
+    return namespace["table"]
 
 
 # ---------------------------------------------------------------------------
 # tables evaluated at points
+
+
+def _interpret(exprs, names, point):
+    """The tuple of `evaluate(e, env)` for e in exprs, where env assigns the
+    point's coordinates to `names`."""
+    env = dict(zip(names, point))
+    return tuple(evaluate(e, env) for e in exprs)
+
 
 # A `Table` interprets its trees this many times before compiling them.  In
 # one selftest run, 800 of the 967 connections built are evaluated only once
@@ -504,8 +428,7 @@ class Table:
             )
         if self._compiled is None and self._interpreted < _INTERPRETED_CALLS:
             self._interpreted += 1
-            env = dict(zip(self.names, point))
-            return tuple(evaluate(e, env) for e in self.exprs)
+            return _interpret(self.exprs, self.names, point)
         return self.compiled()(*point)
 
     def compiled(self):
@@ -608,6 +531,11 @@ def _fold_func(name, value):
     return None
 
 
+# A power of a constant is folded only while its value has at most about
+# this many bits: 2^999999999999 from a spec stays a power, not a hang.
+_FOLD_BITS = 1 << 16
+
+
 def _simplify_pow(base, exponent):
     if exponent == 0:
         return ONE
@@ -618,6 +546,9 @@ def _simplify_pow(base, exponent):
             if exponent < 0:
                 return Pow(base, exponent)
             return ZERO
+        size = max(base.value.numerator.bit_length(), base.value.denominator.bit_length()) - 1
+        if abs(exponent) * size > _FOLD_BITS:
+            return Pow(base, exponent)
         return Const(base.value ** exponent)
     if isinstance(base, Pow):
         return _simplify_pow(base.base, base.exponent * exponent)
@@ -886,12 +817,12 @@ class _Parser:
         if kind != "number" or "." in value:
             raise ParseError("integer exponent required", pos)
         self.take()
-        return sign * int(value)
+        return sign * _number(int, value, pos)
 
     def atom(self):
         kind, value, pos = self.take()
         if kind == "number":
-            return Const(Fraction(value))
+            return Const(_number(Fraction, value, pos))
         if kind == "ident":
             if value in FUNCTION_NAMES:
                 self.expect_op("(")
@@ -906,6 +837,13 @@ class _Parser:
             self.expect_op(")")
             return e
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
+
+
+def _number(kind, text, pos):
+    try:
+        return kind(text)
+    except ValueError:  # beyond Python's limit on the digits of an int
+        raise ParseError("number has too many digits", pos) from None
 
 
 def parse(text, frame):
@@ -925,14 +863,19 @@ _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
 
 def to_text(e):
-    """Render to grammar text.  parse(to_text(x)) == x for parsed trees."""
+    """Render to grammar text.  parse(to_text(x)) == x for parsed trees.
+    A constant with more digits than Python turns into text raises
+    JetGeoError."""
     return _render(e)[0]
 
 
 def _render(e):
     """Returns (text, precedence of the outermost construct)."""
     if isinstance(e, Const):
-        text = str(e.value)
+        try:
+            text = str(e.value)
+        except ValueError:  # beyond Python's limit on the digits of an int
+            raise JetGeoError("constant has too many digits to print") from None
         return text, (_PREC_MUL if "/" in text else (_PREC_ADD if e.value < 0 else _PREC_ATOM))
     if isinstance(e, Sym):
         return e.name, _PREC_ATOM

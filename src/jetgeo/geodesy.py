@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connections import invariants_match
+from .connections import _check_split, invariants_match
 from .errors import DimensionMismatchError, FrameMismatchError, draw_regular, require_finite, worst
 from .jets import SecJet, SubJet, cover1, cover2, tangent_cover1
 from .sampling import random_point, spawn_rng
@@ -35,6 +35,7 @@ from .sampling import random_point, spawn_rng
 def _check_subjet(g, p):
     if p.l != g.dim:
         raise FrameMismatchError(f"jet over {p.l} coordinates, connection over {g.dim}")
+    _check_split(g, p.n)
 
 
 def _check_secjet(g, theta, p):

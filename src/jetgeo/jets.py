@@ -24,6 +24,7 @@ tuples, e.g. for n = 2, r = 2: (1), (1,1), (1,2), (2), (2,2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from itertools import combinations_with_replacement
 
@@ -416,6 +417,10 @@ def _derivative_arrays(derivs, start, rows, n, r, kind):
     for _, sigma in derivs:
         if tuple(sorted(sigma)) != sigma:
             raise SpecLoadError(f"{kind} multi-index {sigma} is not sorted")
+    # C(n+r, r) - 1 multi-indices per row, counted before any is built
+    if len(derivs) != rows * (math.comb(n + r, r) - 1):
+        raise SpecLoadError(f"{kind} derivative table incomplete or overfull "
+                            f"({len(derivs)} entries for {rows} rows, n={n}, r={r})")
     expected = {(i, sigma) for i in range(start, start + rows) for sigma in multi_indices(n, r)}
     if set(derivs) != expected:
         missing = sorted(expected - set(derivs))[:4]

@@ -1,17 +1,24 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetgeo
 from jetgeo import connections, expr
 from jetgeo.cli import main
 from jetgeo.connections import connection_to_dict, projective_shift
 from jetgeo.errors import DomainError
-from jetgeo.jets import jet_to_dict
+from jetgeo.jets import jet_to_dict, multi_indices
 from jetgeo.sampling import random_connection, random_expressions, random_secjet2, spawn_rng
 from jetgeo.expr import CoordinateFrame
 
@@ -502,3 +509,150 @@ def test_split_out_of_range_exits_2(argv, dim, n, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: split n=") and "Traceback" not in err and len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# hostile spec files
+
+
+def _one_entry(text):
+    return {"coords": ["u1", "u2"], "n": 1, "christoffel": [{"lower": [1, 1], "upper": 2, "expr": text}]}
+
+
+_SUBJET = {"kind": "subjet", "n": 1, "m": 1, "r": 2, "u": [0.1, 0.2],
+           "derivs": [{"i": 2, "sigma": [1], "value": 0.7}, {"i": 2, "sigma": [1, 1], "value": 0.0}]}
+
+
+@pytest.mark.parametrize("command, spec, jet, code, text", [
+    ("invariants", _one_entry("(10^300)^20*u1"), None, 2, "error: constant has too many digits to print"),
+    ("invariants", _one_entry("2^999999999999*u1"), None, 0, "2^999999999999"),
+    ("equivalent", _one_entry("(2^99999)^99999*u1"), None, 2, "error: could not sample"),
+    ("invariants", _one_entry("1" * 5000), None, 2, "error: number has too many digits"),
+    ("invariants", _one_entry("u1^" + "9" * 5000), None, 2, "error: number has too many digits"),
+    ("invariants", _one_entry(5), None, 2, "error: malformed christoffel item"),
+    ("residual", _one_entry("u1"), {**_SUBJET, "n": 10 ** 9}, 2, "error: subjet derivative table incomplete"),
+    ("residual", _one_entry("u1"), {**_SUBJET, "n": 2, "m": 0, "derivs": []}, 2,
+     "error: split n=2 invalid for dimension 2"),
+], ids=["constant-too-long-to-print", "huge-power", "huge-nested-power", "long-number", "long-exponent", "non-string-expr",
+        "huge-jet-n", "jet-without-fibre"])
+def test_hostile_inputs_found_by_fuzzing(tmp_path, capsys, command, spec, jet, code, text):
+    """Inputs that the fuzz test below found, and two of the same kind (a
+    long exponent, a nested power).  Each used to end in a traceback with
+    exit 1: TypeError, ValueError from Python's limit on the digits of an
+    int, MemoryError, or a numpy error on an empty residual."""
+    path = write(tmp_path / "g.json", spec)
+    argv = {"invariants": ["invariants", path], "equivalent": ["equivalent", path, path, "--samples", "3"],
+            "residual": ["residual", path, "--jets", write(tmp_path / "j.json", jet), "--mode", "unparam"]}
+    assert main(argv[command]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert text in out
+    else:
+        assert out == "" and err.startswith(text) and err.count("error:") == 1
+
+
+_HOSTILE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6), st.floats(-1e308, 1e308), st.text(max_size=4),
+    st.sampled_from([10 ** 9, 10 ** 30, -10 ** 30, [], {}, [[]], [1, 2, 3], {"jets": []}]),
+)
+
+_FORMULAS = st.recursive(
+    st.sampled_from(["u1", "u2", "2", "1/3", "0", "10^308"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt"]), inner).map(lambda p: f"{p[0]}({p[1]})"),
+        st.tuples(inner, st.integers(-3, 4)).map(lambda p: f"({p[0]})^({p[1]})"),
+    ),
+    max_leaves=5,
+)
+
+# mostly formulas; else huge constants and exponents, zero denominators,
+# text beyond Python's limit on the digits of an int, or a short string of
+# the grammar's characters
+_EXPRESSIONS = st.integers(0, 9).flatmap(lambda k: st.text("u12^*/+-() 09.", max_size=12) if k == 0 else (
+    st.sampled_from([
+        "1/(u1 - u1)", "sqrt(-1 - u1^2)", "10^400*u1", "(10^300)^20*u1", "exp(1000*u1)",
+        "10^308*u1 + 10^308*u1 + 10^308", "2^999999999999", "(2^99999)^99999*u1",
+        "u1^999999999999", "u1^(-999999999999)", "1" * 5000, "0." + "1" * 5000, "u1^" + "9" * 5000,
+    ]) if k <= 3 else _FORMULAS))
+
+
+@st.composite
+def _connection_specs(draw, l):
+    item = st.fixed_dictionaries({"lower": st.lists(st.integers(1, l), min_size=2, max_size=2),
+                                  "upper": st.integers(1, l), "expr": _EXPRESSIONS})
+    items = st.lists(item, max_size=3, unique_by=lambda it: (*sorted(it["lower"]), it["upper"]))
+    return {"coords": [f"u{i}" for i in range(1, l + 1)], "n": draw(st.integers(1, l - 1)),
+            "christoffel": draw(items)}
+
+
+@st.composite
+def _jet_specs(draw, l, secjet):
+    n = draw(st.integers(1, l - 1))
+    r = draw(st.sampled_from([2, 2, 2, 1]))
+    value = st.floats(-2, 2)
+    if secjet or draw(st.booleans()):
+        jet = {"kind": "secjet", "n": n, "l": l, "r": r, "x": draw(st.lists(value, min_size=n, max_size=n)),
+               "u": draw(st.lists(value, min_size=l, max_size=l))}
+        rows, start, key = l, 1, "A"
+    else:
+        jet = {"kind": "subjet", "n": n, "m": l - n, "r": r, "u": draw(st.lists(value, min_size=l, max_size=l))}
+        rows, start, key = l - n, n + 1, "i"
+    jet["derivs"] = [{key: i, "sigma": list(sigma), "value": draw(value)}
+                     for i in range(start, start + rows) for sigma in multi_indices(n, r)]
+    return jet
+
+
+def _paths(data, path=()):
+    yield path
+    children = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _damaged(draw, data):
+    """A copy of the JSON value with one or two values in it, at any depth,
+    replaced by hostile ones."""
+    data = copy.deepcopy(data)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        if path:
+            reduce(lambda node, key: node[key], path[:-1], data)[path[-1]] = draw(_HOSTILE)
+        else:
+            data = draw(_HOSTILE)
+    return data
+
+
+@pytest.mark.parametrize("command", ["invariants", "equivalent", "residual"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hostile_specs_exit_0_1_or_2(command, data):
+    """Spec files with hostile values, one file at a time, through
+    `cli.main`: it returns 0, 1 or 2, and on 2 prints only an error."""
+    l = data.draw(st.integers(2, 3))
+    mode = data.draw(st.sampled_from(["param", "unparam"]))
+    files = {"a.json": data.draw(_connection_specs(l))}
+    if command == "equivalent":
+        files["b.json"] = data.draw(_connection_specs(l))
+    if command == "residual":
+        files["jets.json"] = {"jets": data.draw(st.lists(_jet_specs(l, mode == "param"), min_size=1, max_size=2))}
+    target = data.draw(st.sampled_from([None, *files]))
+    if target:
+        files[target] = data.draw(_damaged(files[target]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in files}
+        for name, value in files.items():
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(value, fh)
+        argv = {
+            "invariants": ["invariants", paths["a.json"]],
+            "equivalent": ["equivalent", paths["a.json"], paths.get("b.json"), "--samples", "3"],
+            "residual": ["residual", paths["a.json"], "--jets", paths.get("jets.json"), "--mode", mode],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")

@@ -14,7 +14,7 @@ from jetgeo.acceptance import sphere_chart_connection
 from jetgeo.connections import Connection
 from jetgeo.errors import DimensionMismatchError, DomainError, MissingSymbolError
 from jetgeo.expr import (
-    Add, Const, CoordinateFrame, Func, Mul, Sym, Table, compile_table, differentiate, evaluate, parse,
+    Add, Const, CoordinateFrame, Div, Func, Mul, Sym, Table, compile_table, differentiate, evaluate, parse,
 )
 from jetgeo.jets import ParamMap
 from jetgeo.sampling import random_connection, spawn_rng
@@ -227,3 +227,26 @@ def test_param_map_and_jet_map_pickle_after_use():
     for _ in range(expr._INTERPRETED_CALLS + 1):
         after = _bits(s2.jacobian_at([0.4, -0.6])), _bits(jmap2.apply(point)), _bits(jmap2.jacobian_at(point))
         assert after == before
+
+
+@pytest.mark.parametrize("make", [lambda: sphere_chart(2), lambda: sphere_chart(5),
+                                  lambda: random_connection(CoordinateFrame(("u1", "u2", "u3", "u4"), 1),
+                                                            spawn_rng(3))],
+                         ids=["S2", "S5", "random"])
+def test_compiled_table_does_not_interpret_at_regular_points(monkeypatch, make):
+    g = make()
+    table = Table(g.christoffel.values(), g.frame.names)
+    points = np.random.default_rng(8).uniform(-1, 1, (20, g.dim))
+    expected = [_bits(expr._interpret(table.exprs, table.names, p)) for p in points]
+    calls = []
+    monkeypatch.setattr(expr, "evaluate", lambda e, env: calls.append(e) or evaluate(e, env))
+    assert [_bits(table.compiled()(*p)) for p in points] == expected
+    assert calls == []
+
+
+def test_table_of_five_thousand_subtrees_compiles():
+    # 2500 distinct sums and 2500 distinct quotients, and one product of all the quotients
+    quotients = [Div(Sym("u1"), Add((Sym("u2"), Const(Fraction(k))))) for k in range(1, 2501)]
+    table = quotients + [Mul(tuple(quotients))]
+    assert assert_same(table, U, (0.5, 0.25))[0] == (0.5 / 1.25).hex()
+    assert assert_same(table, U, (0.5, -7.0)) == (DomainError, "division by zero")
