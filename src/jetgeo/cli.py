@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import expr
 from .acceptance import AcceptanceConfig, run_all
@@ -41,6 +44,7 @@ from .errors import (
 )
 from .geodesy import (
     covering_commutation_deviation,
+    geodesic_residuals,
     geodesic_steps,
     grass_equivalent,
     param_residual2,
@@ -201,15 +205,16 @@ def cmd_residual(args):
             raise JetGeoError("param mode needs section jets")
         theta = _load_theta(args, jets[0].n)
     for idx, t in enumerate(jets):
-        if args.mode == "param":
-            r = param_residual2(g, theta, t)
-        else:
-            try:
-                q = cover2(t) if isinstance(t, SecJet) else t
-            except SingularJacobianError:
-                rows.append([idx, "singular-jacobian"])
-                continue
-            r = residual2(g, q)
+        with np.errstate(all="ignore"):
+            if args.mode == "param":
+                r = param_residual2(g, theta, t)
+            else:
+                try:
+                    q = cover2(t) if isinstance(t, SecJet) else t
+                except SingularJacobianError:
+                    rows.append([idx, "singular-jacobian"])
+                    continue
+                r = residual2(g, q)
         flat = [r.table[c, a, b] for c in range(len(r.table)) for a in range(t.n) for b in range(a, t.n)]
         rows.append([idx, "ok"] + _jet_coord_row(t) + flat + [r.max_abs()])
         residuals.append(r.max_abs())
@@ -230,14 +235,14 @@ def cmd_geodesic(args):
     theta = _load_theta(args, 1)
     start = _vector(args.start, "--start")
     velocity = _vector(args.velocity, "--velocity")
-    rows = []
-    truncated = False
+    steps, errors = [], []
     try:
         for step in geodesic_steps(g, theta, start, velocity, args.h, args.steps):
-            rows.append([step.x, *step.u, *step.v, step.residual().max_abs()])
+            steps.append(step)
     except DomainError as e:
-        rows.append(["error", str(e)])
-        truncated = True
+        errors.append(["error", str(e)])
+    rows = [[s.x, *s.u, *s.v, r] for s, r in zip(steps, geodesic_residuals(steps))] + errors
+    truncated = bool(errors)
     l = g.dim
     header = (["t"] + [f"u{i}" for i in range(1, l + 1)]
               + [f"v{i}" for i in range(1, l + 1)] + ["residual_max"])
@@ -346,7 +351,10 @@ def _add_common(p):
     p.add_argument("--n", type=int, default=None, help="base/fibre split (default: from the spec)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and kept: parsing
+    leaves no state in it, so every `main` call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="jetgeo",
         description="Totally geodesic submanifold equations from symbolic Christoffel data.",
@@ -407,8 +415,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.seed is None:
         text = os.environ.get("JETGEO_SEED", "0")
         try:

@@ -50,7 +50,8 @@ class Connection:
     of Γ_A{}^C{}_B; absent entries are zero.  Entries may only use the
     frame's coordinates (they are functions on the underlying manifold).
     `table` is the `expr.Table` of the stored entries, in `christoffel`
-    order.
+    order.  Entries that are one tree object are checked (symbols, zero
+    test) once.
     """
 
     frame: CoordinateFrame
@@ -61,15 +62,18 @@ class Connection:
         entries = {}
         l = self.frame.dim
         allowed = set(self.frame.names)
+        nonzero = {}    # id of an entry's tree -> whether it is kept
         for (a, b, c), e in dict(self.christoffel).items():
             if not (1 <= a <= l and 1 <= b <= l and 1 <= c <= l):
                 raise DimensionMismatchError(f"christoffel index ({a},{b},{c}) out of range 1..{l}")
             if a > b:
                 raise SpecLoadError("christoffel storage keys must have A <= B")
-            bad = expr.symbols_of(e) - allowed
-            if bad:
-                raise SpecLoadError(f"christoffel entry uses non-frame symbols {sorted(bad)}")
-            if not expr.is_zero(e):
+            if id(e) not in nonzero:
+                bad = expr.symbols_of(e) - allowed
+                if bad:
+                    raise SpecLoadError(f"christoffel entry uses non-frame symbols {sorted(bad)}")
+                nonzero[id(e)] = not expr.is_zero(e)
+            if nonzero[id(e)]:
                 entries[(a, b, c)] = e
         object.__setattr__(self, "christoffel", entries)
         object.__setattr__(self, "singular_points", tuple(tuple(p) for p in self.singular_points))
@@ -390,26 +394,36 @@ def invariants_match(g1, g2, n, rng, tol=1e-10):
 # JSON spec format
 
 
+def _singular_points(points):
+    if not (isinstance(points, list) and all(
+            isinstance(p, list) and all(type(x) in (int, float) for x in p) for p in points)):
+        raise ValueError(f"singular_points must be a list of lists of numbers, got {points!r}")
+    return tuple(tuple(float(x) for x in p) for p in points)
+
+
 def connection_from_dict(data):
     """Load a connection from the JSON spec structure.
 
     {"coords": [...], "n": 1,
      "christoffel": [{"lower": [A, B], "upper": C, "expr": "..."}],
      "singular_points": [[...], ...]}
+
+    Equal `expr` texts are parsed once and share one tree, which
+    `Connection` checks once; each singular point is a list of numbers.
     """
     try:
         coords = tuple(data["coords"])
         n = json_int(data.get("n", 1), "split n")
         frame = CoordinateFrame(coords, n)
         raw = data.get("christoffel", [])
-        singular = tuple(tuple(float(x) for x in p) for p in data.get("singular_points", []))
+        singular = _singular_points(data.get("singular_points", []))
     except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed connection spec: {e}") from None
     if not isinstance(raw, list):
         raise SpecLoadError("malformed connection spec: christoffel must be a list")
     if any(len(p) != frame.dim for p in singular):
         raise SpecLoadError(f"malformed connection spec: singular points need {frame.dim} coordinates")
-    entries = {}
+    entries, parsed = {}, {}     # parsed: entry text -> its tree, shared by equal texts
     for item in raw:
         try:
             a, b = (json_int(v, "lower index") for v in item["lower"])
@@ -419,7 +433,9 @@ def connection_from_dict(data):
                 raise TypeError(f"expr must be a string, got {text!r}")
         except (KeyError, TypeError, ValueError) as e:
             raise SpecLoadError(f"malformed christoffel item {item!r}: {e}") from None
-        e = expr.parse(text, frame)
+        if text not in parsed:
+            parsed[text] = expr.parse(text, frame)
+        e = parsed[text]
         key = (min(a, b), max(a, b), c)
         if key in entries and entries[key] != e:
             raise SpecLoadError(

@@ -361,11 +361,29 @@ class GeodesicStep(NamedTuple):
     gamma: np.ndarray
     theta: float
 
-    def residual(self):
-        """`param_residual2` at this point by its own formula, an
-        independent check of the generated acceleration."""
-        D, second = np.array(self.v)[:, None], np.array(self.a)[:, None, None]
-        return _param_residual(self.gamma, np.array([[[self.theta]]]), D, second)
+
+def geodesic_residuals(steps):
+    """The max-abs `param_residual2` of each step's order-2 jet, from the
+    steps' own arrays in one numpy call:
+
+        max over C of |a^C + Γ_A{}^C{}_B v^A v^B - Θ_1{}^1{}_1 v^C|.
+
+    This checks the generated acceleration independently: numpy sums Γ·v·v
+    here, `_spray` sums it there.  For n = 1 the swap average of
+    `_param_residual`, 0.5 * (t + t), is exactly t, so the bits are those
+    of the per-step formula.  The one exception is |t| of at least half the
+    largest float, where t + t overflows and the per-step formula reads inf.
+    numpy's floating-point warnings are off, so an overflow shows only in
+    the values.
+    """
+    if not steps:
+        return []
+    G = np.stack([s.gamma for s in steps])
+    v, a = np.array([s.v for s in steps]), np.array([s.a for s in steps])
+    theta = np.array([s.theta for s in steps])[:, None]
+    with np.errstate(all="ignore"):
+        table = a + np.einsum("NACB,NA,NB->NC", G, v, v) - theta * v
+    return np.abs(table).max(axis=1).tolist()
 
 
 def _spray(keys, l):

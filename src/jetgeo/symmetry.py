@@ -488,16 +488,23 @@ def jetmap_from_dict(data, what=JetMap):
         n = json_int(data["n"], "n")
         coords = tuple(data["coords"])
         comp_map = data["components"]
+        if not isinstance(comp_map, dict):
+            raise TypeError(f"components must be an object, got {comp_map!r}")
+        if not 1 <= n <= len(coords):
+            raise ValueError(f"n={n} out of range 1..{len(coords)}")
+        if kind == "subjet":
+            chart = subjet1_chart(CoordinateFrame(coords, n), n)
+        else:
+            x_coords = tuple(data.get("x_coords", tuple(f"x{i}" for i in range(1, n + 1))))
+            chart = secjet1_chart(CoordinateFrame(x_coords, n), CoordinateFrame(coords, len(coords)))
     except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed jet map spec: {e}") from None
-    if kind == "subjet":
-        chart = subjet1_chart(CoordinateFrame(coords, n), n)
-    else:
-        x_coords = tuple(data.get("x_coords", tuple(f"x{i}" for i in range(1, n + 1))))
-        chart = secjet1_chart(CoordinateFrame(x_coords, n), CoordinateFrame(coords, len(coords)))
     missing = [name for name in chart if name not in comp_map]
     if missing:
         raise SpecLoadError(f"jet map spec missing components for {missing}")
+    bad = {name: comp_map[name] for name in chart if not isinstance(comp_map[name], str)}
+    if bad:
+        raise SpecLoadError(f"malformed jet map spec: components must be strings, got {bad!r}")
     components = tuple(expr.parse(comp_map[name], chart) for name in chart)
     return what(kind, n, chart, components)
 

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: frames, the round-sphere chart connections,
 the metric-to-Christoffel helper used to derive one, the numpy geodesic
-integrator that the generated kernel is checked against, the
+integrator that the generated kernel is checked against, the per-step
+geodesic residual that the batched one is checked against, the
 `simplify`-based random polynomials that the sampler is checked against,
 and a hypothesis strategy for expression trees (test-only, not public API).
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from jetgeo import expr
 from jetgeo.connections import Connection
 from jetgeo.expr import FUNCTION_NAMES, Add, Const, CoordinateFrame, Div, Func, Mul, Pow, Sym
+from jetgeo.geodesy import _param_residual
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -65,20 +67,32 @@ def sphere_connection(sphere_frame):
     return levi_civita_connection(sphere_metric(sphere_frame), sphere_frame)
 
 
-def sphere_chart(l):
-    """Round metric 4 (1 + |u|^2)^-2 δ on R^l in the stereographic chart."""
-    names = tuple(f"u{i}" for i in range(1, l + 1))
+def sphere_spec(l):
+    """JSON connection spec of the round metric 4 (1 + |u|^2)^-2 δ on R^l in
+    the stereographic chart: l^2 entries with A = B and l(l - 1) with A < B,
+    over 2l distinct texts, ±2 u_a over the shared denominator."""
+    names = [f"u{i}" for i in range(1, l + 1)]
     den = "(1 + " + " + ".join(f"{u}^2" for u in names) + ")"
-    entries = {}
+    items = []
     for a in range(1, l + 1):
         for b in range(a, l + 1):
             for c in range(1, l + 1):
                 if a == b:
-                    entries[(a, a, c)] = f"-2*u{a}/{den}" if c == a else f"2*u{c}/{den}"
+                    text = f"-2*u{a}/{den}" if c == a else f"2*u{c}/{den}"
                 elif c in (a, b):
-                    entries[(a, b, c)] = f"-2*u{a + b - c}/{den}"
-    frame = CoordinateFrame(names, 1)
-    return Connection(frame, {k: expr.parse(v, frame) for k, v in entries.items()})
+                    text = f"-2*u{a + b - c}/{den}"
+                else:
+                    continue
+                items.append({"lower": [a, b], "upper": c, "expr": text})
+    return {"coords": names, "n": 1, "christoffel": items}
+
+
+def sphere_chart(l):
+    """The connection of `sphere_spec(l)`, each entry parsed on its own."""
+    spec = sphere_spec(l)
+    frame = CoordinateFrame(tuple(spec["coords"]), 1)
+    return Connection(frame, {(*item["lower"], item["upper"]): expr.parse(item["expr"], frame)
+                              for item in spec["christoffel"]})
 
 
 def geodesic_oracle(g, theta, start, velocity, h, steps):
@@ -107,6 +121,13 @@ def geodesic_oracle(g, theta, start, velocity, h, steps):
         u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         x += h
+
+
+def geodesic_step_residual(step):
+    """`param_residual2` at one `geodesy.GeodesicStep` by its own formula,
+    the per-step oracle for `geodesy.geodesic_residuals`."""
+    D, second = np.array(step.v)[:, None], np.array(step.a)[:, None, None]
+    return _param_residual(step.gamma, np.array([[[step.theta]]]), D, second)
 
 
 def random_polynomial_oracle(names, rng):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import io
@@ -14,15 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetgeo
-from jetgeo import connections, expr
+from jetgeo import cli, connections, expr
 from jetgeo.cli import main
 from jetgeo.connections import connection_to_dict, projective_shift
 from jetgeo.errors import DomainError
+from jetgeo.geodesy import geodesic_residuals, geodesic_steps
 from jetgeo.jets import jet_to_dict, multi_indices
 from jetgeo.sampling import random_connection, random_expressions, random_secjet2, spawn_rng
 from jetgeo.expr import CoordinateFrame
 
-from conftest import geodesic_oracle
+from conftest import geodesic_oracle, geodesic_step_residual
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(jetgeo.__file__)))
@@ -194,6 +196,84 @@ def test_geodesic_domain_error_truncates(tmp_path, monkeypatch):
     assert rows[-1] == f"error,{stop.value}"
 
 
+@pytest.mark.parametrize("case", ["theta", "steps-0", "truncated"])
+def test_geodesic_residual_column_is_one_batched_call(tmp_path, monkeypatch, case):
+    """The residual_max column comes from one `geodesic_residuals` call over
+    the whole trajectory, and equals the per-step oracle bit for bit, also
+    with a non-flat --theta, at --steps 0, and before the error row of a
+    trajectory that a domain error cuts short."""
+    s2 = os.path.join(GOLDEN, "s2.json")
+    theta = write(tmp_path / "theta.json", {"coords": ["x1"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 1, "expr": "1/5 + x1/3"}]})
+    cut = write(tmp_path / "cut.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 1, "expr": "-sqrt(1 - u1)"}]})
+    spec, steps, code = {"theta": (s2, 30, 0), "steps-0": (s2, 0, 0), "truncated": (cut, 20, 3)}[case]
+    start, velocity = ([0.1, -0.2], [0.6, 0.3]) if spec == s2 else ([0.0, 0.0], [2.0, 0.0])
+    calls = []
+
+    def counted(run):
+        calls.append(len(run))
+        return geodesic_residuals(run)
+
+    monkeypatch.setattr(cli, "geodesic_residuals", counted)
+    out = tmp_path / "out.csv"
+    argv = ["geodesic", spec, "--start", ",".join(map(str, start)), "--velocity", ",".join(map(str, velocity)),
+            "--h", "0.05" if spec == s2 else "0.1", "--steps", str(steps), "--out", str(out)]
+    if case != "steps-0":
+        argv += ["--theta", theta]
+    assert main(argv) == code
+    rows = out.read_text().splitlines()[1:]
+    g = connections.load_connection(spec)
+    th = connections.load_connection(theta) if case != "steps-0" else connections.Connection.flat(1)
+    run = []
+    try:
+        for step in geodesic_steps(g, th, start, velocity, float(argv[argv.index("--h") + 1]), steps):
+            run.append(step)
+    except DomainError as e:
+        assert rows[-1] == f"error,{e}"
+    assert calls == [len(run)] and len(rows) == len(run) + (code == 3)
+    assert [row.split(",")[-1] for row in rows[:len(run)]] == [
+        repr(geodesic_step_residual(step).max_abs()) for step in run]
+
+
+def test_repeated_main_calls_share_one_parser_and_repeat_their_output(tmp_path, monkeypatch, capsys):
+    """`main` builds its parser once per process: later calls construct no
+    parser, and give the first calls' exit codes, stdout, stderr and --out
+    byte for byte, also right after an argparse error (exit 2)."""
+    s2, l4 = os.path.join(GOLDEN, "s2.json"), os.path.join(GOLDEN, "l4.json")
+    out = tmp_path / "out.csv"
+    geodesic = ["geodesic", s2, "--start", "0.1,-0.2", "--velocity", "0.6,0.3", "--h", "0.05", "--steps", "30"]
+    commands = [
+        geodesic,
+        geodesic + ["--out", str(out)],
+        ["invariants", l4, "--n", "2"],
+        ["invariants", l4, "--compare", l4, "--seed", "4", "--format", "json"],
+        ["geodesic", s2, "--start", "0,0"],
+        ["cover-check", l4, "--samples", "3", "--out", str(out)],
+    ]
+
+    def call(argv):
+        if out.exists():
+            out.unlink()
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_text() if out.exists() else None
+
+    first = [call(argv) for argv in commands]
+    assert [result[0] for result in first] == [0, 0, 0, 0, 2, 0]
+    assert first[4][2].startswith("usage: jetgeo geodesic") and first[1][3] == first[0][1]
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    for _ in range(2):
+        assert [call(argv) for argv in commands] == first
+    assert built == []
+
+
 @pytest.mark.parametrize("option", ["--start", "--velocity"])
 def test_geodesic_rejects_non_numeric_vector(zero_spec, option, capsys):
     argv = ["geodesic", zero_spec, "--start", "0,0", "--velocity", "1,0", "--h", "0.1", "--steps", "5"]
@@ -319,6 +399,57 @@ def test_overflowing_sum_is_a_domain_error(tmp_path, capsys):
     argv = ["geodesic", spec, "--start", "0.9,0.9", "--velocity", "1,0", "--h", "0.1", "--steps", "3"]
     assert main(argv) == 3
     assert "sum overflow" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["residual", "geodesic"])
+def test_overflow_leaves_only_the_summary_on_stderr(tmp_path, command):
+    """residual: Γ_1{}^2{}_1 = 10^308 overflows the swap average of
+    `residual2`; geodesic: the acceleration overflows and the batched
+    residual meets inf - inf.  Neither writes a numpy warning; each runs in
+    a fresh interpreter, where a warning would reach stderr."""
+    if command == "residual":
+        spec = write(tmp_path / "g.json", _one_entry("10^308"))
+        jets = write(tmp_path / "j.json", {"jets": [{**_SUBJET, "u": [0.5, 0.5], "derivs": [
+            {"i": 2, "sigma": [1], "value": 0.0}, {"i": 2, "sigma": [1, 1], "value": 1.0}]}]})
+        argv = ["residual", spec, "--jets", jets, "--mode", "unparam"]
+    else:
+        spec = write(tmp_path / "g.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+            {"lower": [1, 1], "upper": 1, "expr": "10^308"}, {"lower": [1, 2], "upper": 1, "expr": "10^308"}]})
+        argv = ["geodesic", spec, "--start", "0,0", "--velocity", "1,1", "--h", "0.1", "--steps", "2"]
+    run = subprocess.run([sys.executable, "-m", "jetgeo.cli", *argv],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert len(run.stderr.splitlines()) == 1 and "Warning" not in run.stderr
+    if command == "residual":
+        assert run.returncode == 0 and run.stderr == "1 jets, worst residual inf (tol 1.0e-10)\n"
+
+
+@pytest.mark.parametrize("points", [["12"], [[1, "2"]], [[True, 0.5]], "12"],
+                         ids=["string-point", "string-coordinate", "bool-coordinate", "string"])
+def test_singular_points_must_be_lists_of_numbers(tmp_path, points, capsys):
+    spec = write(tmp_path / "g.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [],
+                                       "singular_points": points})
+    assert main(["invariants", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: malformed connection spec: singular_points must be a list "
+                                 f"of lists of numbers, got {points!r}\n")
+
+
+@pytest.mark.parametrize("option", ["--map", "--field"])
+@pytest.mark.parametrize("change, message", [
+    ({"components": {"u1": 5, "u2": "u2", "u2_1": "u2_1"}}, "components must be strings, got {'u1': 5}"),
+    ({"components": {"u1": None, "u2": "u2", "u2_1": "u2_1"}}, "components must be strings, got {'u1': None}"),
+    ({"components": None}, "components must be an object, got None"),
+    ({"coords": ["u1", None]}, "expected string or bytes-like object"),
+    ({"kind": "secjet", "n": 10 ** 9}, "n=1000000000 out of range 1..2"),
+], ids=["number-component", "null-component", "null-components", "null-coordinate", "huge-n"])
+def test_malformed_jet_map_spec_exits_2(zero_spec, tmp_path, option, change, message, capsys):
+    """Each used to end in a traceback with exit 1 (a TypeError), except
+    huge-n, which built a billion parameter names before failing."""
+    spec = write(tmp_path / "m.json", {"kind": "subjet", "n": 1, "coords": ["u1", "u2"],
+                                       "components": {"u1": "u1", "u2": "u2", "u2_1": "u2_1"}, **change})
+    assert main(["symmetry-check", zero_spec, option, spec, "--samples", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: malformed jet map spec: {message}") and err.count("\n") == 1
 
 
 def test_invariants_compare_on_another_frame_exits_2(zero_spec, tmp_path, capsys):
@@ -624,12 +755,35 @@ def _damaged(draw, data):
     return data
 
 
-@pytest.mark.parametrize("command", ["invariants", "equivalent", "residual"])
+@st.composite
+def _jet_map_specs(draw, l, n, field):
+    """A jet map or field spec over u1..ul with split n, one formula of the
+    chart coordinates per component."""
+    kind = "subjet" if field else draw(st.sampled_from(["subjet", "secjet"]))
+    coords = [f"u{i}" for i in range(1, l + 1)]
+    if kind == "subjet":
+        chart = coords + [f"{u}_{lam}" for u in coords[n:] for lam in range(1, n + 1)]
+    else:
+        chart = ([f"x{lam}" for lam in range(1, n + 1)] + coords
+                 + [f"{u}_x{lam}" for u in coords for lam in range(1, n + 1)])
+    formulas = [lambda c: c, lambda c: "0", lambda c: f"2*{c} + 1/3", lambda c: f"{c} + {chart[0]}^2",
+                lambda c: f"sqrt({c})", lambda c: f"1/({c} - {c})", lambda c: f"10^308*{c}",
+                lambda c: f"exp(1000*{c})"]
+    return {"kind": kind, "n": n, "coords": coords,
+            "components": {c: draw(st.sampled_from(formulas))(c) for c in chart}}
+
+
+_THETA_EXPRESSIONS = st.sampled_from(["x1", "1/5 + x1/3", "0", "sqrt(x1)", "1/(x1 - x1)", "10^308*x1"])
+
+
+@pytest.mark.parametrize("command", ["invariants", "equivalent", "residual", "geodesic", "--map", "--field"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_hostile_specs_exit_0_1_or_2(command, data):
     """Spec files with hostile values, one file at a time, through
-    `cli.main`: it returns 0, 1 or 2, and on 2 prints only an error."""
+    `cli.main`: it returns 0, 1 or 2 (`geodesic`: 0, 2 or 3, where 3 is a
+    trajectory cut short by a domain error), and on 2 prints only an
+    error.  --map and --field are `symmetry-check`'s."""
     l = data.draw(st.integers(2, 3))
     mode = data.draw(st.sampled_from(["param", "unparam"]))
     files = {"a.json": data.draw(_connection_specs(l))}
@@ -637,6 +791,13 @@ def test_hostile_specs_exit_0_1_or_2(command, data):
         files["b.json"] = data.draw(_connection_specs(l))
     if command == "residual":
         files["jets.json"] = {"jets": data.draw(st.lists(_jet_specs(l, mode == "param"), min_size=1, max_size=2))}
+    if command == "geodesic":
+        files["theta.json"] = {"coords": ["x1"], "n": 1, "christoffel": [
+            {"lower": [1, 1], "upper": 1, "expr": data.draw(_THETA_EXPRESSIONS)}]}
+        vectors = [",".join(map(repr, data.draw(st.lists(st.floats(-2, 2), min_size=l, max_size=l))))
+                   for _ in range(2)]
+    if command in ("--map", "--field"):
+        files["map.json"] = data.draw(_jet_map_specs(l, files["a.json"]["n"], command == "--field"))
     target = data.draw(st.sampled_from([None, *files]))
     if target:
         files[target] = data.draw(_damaged(files[target]))
@@ -649,10 +810,14 @@ def test_hostile_specs_exit_0_1_or_2(command, data):
             "invariants": ["invariants", paths["a.json"]],
             "equivalent": ["equivalent", paths["a.json"], paths.get("b.json"), "--samples", "3"],
             "residual": ["residual", paths["a.json"], "--jets", paths.get("jets.json"), "--mode", mode],
+            "geodesic": lambda: ["geodesic", paths["a.json"], "--theta", paths["theta.json"],
+                                 f"--start={vectors[0]}", f"--velocity={vectors[1]}", "--h", "0.1", "--steps", "5"],
+            "--map": ["symmetry-check", paths["a.json"], "--map", paths.get("map.json"), "--samples", "3"],
+            "--field": ["symmetry-check", paths["a.json"], "--field", paths.get("map.json"), "--samples", "3"],
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 1, 2)
+            code = main(argv() if callable(argv) else argv)
+    assert code in ((0, 2, 3) if command == "geodesic" else (0, 1, 2))
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")

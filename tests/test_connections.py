@@ -28,6 +28,8 @@ from jetgeo.errors import (
 from jetgeo.expr import Const, CoordinateFrame
 from jetgeo.sampling import random_connection, random_expressions, spawn_rng
 
+from conftest import sphere_chart, sphere_spec
+
 
 def frame(l, n=1):
     return CoordinateFrame(tuple(f"u{i}" for i in range(1, l + 1)), n)
@@ -333,6 +335,28 @@ def test_connection_json_conflicting_symmetric_entries():
     }
     with pytest.raises(SpecLoadError):
         connection_from_dict(data)
+
+
+def test_spec_parses_and_checks_each_distinct_entry_text_once(monkeypatch):
+    """The S^5 spec lists 45 entries over 10 distinct texts: the loader
+    parses each text once, and `Connection` runs `symbols_of` and `is_zero`
+    once per shared tree; the entries equal a parse of each entry alone."""
+    spec = sphere_spec(5)
+    texts = [item["expr"] for item in spec["christoffel"]]
+    assert len(texts) == 45 and len(set(texts)) == 10
+    calls = {"parse": [], "symbols_of": [], "is_zero": []}
+    for name, log in calls.items():
+        original = getattr(expr, name)
+        monkeypatch.setattr(expr, name, lambda *args, log=log, original=original: log.append(args[0])
+                            or original(*args))
+    g = connection_from_dict(spec)
+    monkeypatch.undo()
+    assert sorted(calls["parse"]) == sorted(set(texts))
+    assert len(calls["symbols_of"]) == len(calls["is_zero"]) == 10
+    assert g == sphere_chart(5) and list(g.christoffel) == list(sphere_chart(5).christoffel)
+    for item in spec["christoffel"]:
+        a, b = item["lower"]
+        assert g.gamma(a, item["upper"], b) == expr.parse(item["expr"], g.frame)
 
 
 def test_connection_rejects_non_frame_symbols():

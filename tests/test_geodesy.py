@@ -18,6 +18,7 @@ from jetgeo.geodesy import (
     dot_gamma,
     dot_gamma_pro,
     dot_gamma_via_xi,
+    geodesic_residuals,
     geodesic_steps,
     grass_equivalent,
     integrate_geodesic,
@@ -34,7 +35,7 @@ from jetgeo.sampling import (
     spawn_rng,
 )
 
-from conftest import geodesic_oracle, sphere_chart
+from conftest import geodesic_oracle, geodesic_step_residual, sphere_chart
 
 X1 = CoordinateFrame(("x1",), 1)
 X2 = CoordinateFrame(("x1", "x2"), 2)
@@ -590,7 +591,7 @@ def test_geodesic_step_residual_is_param_residual2():
     g, theta = sphere_chart(2), _one_entry_theta()
     run = ([0.1, -0.2], [0.6, 0.3], 0.05, 10)
     for step, jet in zip(geodesic_steps(g, theta, *run), integrate_geodesic(g, theta, *run)):
-        assert step.residual().table.tobytes() == param_residual2(g, theta, jet).table.tobytes()
+        assert geodesic_step_residual(step).table.tobytes() == param_residual2(g, theta, jet).table.tobytes()
 
 
 @pytest.mark.parametrize("theta", [lambda: Connection.zero(theta_frame(1)), _one_entry_theta],
@@ -615,6 +616,33 @@ def test_geodesic_calls_each_table_once_per_stage(monkeypatch, theta):
     g, theta = sphere_chart(2), theta()
     assert len(list(geodesic_steps(g, theta, [0.1, -0.2], [0.6, 0.3], 0.05, 30))) == 31
     assert calls == [4 * 30 + 1] * (1 + len(theta.christoffel))
+
+
+@pytest.mark.parametrize("steps", [0, 60])
+@pytest.mark.parametrize("theta", [lambda: Connection.zero(theta_frame(1)), _one_entry_theta],
+                         ids=["flat-theta", "one-entry-theta"])
+@pytest.mark.parametrize("l", [2, 5, 6])
+def test_geodesic_residuals_equal_the_per_step_oracle(l, theta, steps):
+    g, theta = sphere_chart(l), theta()
+    rng = spawn_rng(59)
+    start, velocity = rng.uniform(-0.5, 0.5, l), rng.uniform(-1.0, 1.0, l)
+    run = list(geodesic_steps(g, theta, start, velocity, 1e-2, steps))
+    oracle = [geodesic_step_residual(step).max_abs() for step in run]
+    assert len(run) == steps + 1
+    assert np.array(geodesic_residuals(run)).tobytes() == np.array(oracle).tobytes()
+
+
+def test_geodesic_residuals_of_a_trajectory_cut_by_a_domain_error():
+    f = frame(2)
+    g = Connection.from_entries(f, {(1, 1, 1): expr.parse("-sqrt(1 - u1)", f)})
+    run = []
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        for step in geodesic_steps(g, _one_entry_theta(), [0.0, 0.0], [2.0, 0.0], 0.1, 20):
+            run.append(step)
+    oracle = [geodesic_step_residual(step).max_abs() for step in run]
+    assert len(run) > 3 and max(oracle) > 0.0
+    assert np.array(geodesic_residuals(run)).tobytes() == np.array(oracle).tobytes()
+    assert geodesic_residuals([]) == []
 
 
 def test_connection_pickles_after_geodesic_run():
