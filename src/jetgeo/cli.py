@@ -39,6 +39,7 @@ from .errors import (
     SpecLoadError,
     UnknownSymbolError,
     draw_regular,
+    json_numbers,
     load_json,
     worst,
 )
@@ -92,7 +93,11 @@ class Output:
             if self.columns:
                 writer.writerow(self.columns)
             for row in self.rows:
-                writer.writerow([_fmt(v) for v in row])
+                # the bytes csv.writer writes for a row of floats, which need no quoting
+                if all(type(v) is float for v in row):
+                    buf.write(",".join(map(repr, row)) + "\n")
+                else:
+                    writer.writerow(map(_fmt, row))
             text = buf.getvalue()
         if self.path:
             with open(self.path, "w", encoding="utf-8") as fh:
@@ -241,7 +246,7 @@ def cmd_geodesic(args):
             steps.append(step)
     except DomainError as e:
         errors.append(["error", str(e)])
-    rows = [[s.x, *s.u, *s.v, r] for s, r in zip(steps, geodesic_residuals(steps))] + errors
+    rows = [[s.x, *s.u, *s.v, r] for s, r in zip(steps, geodesic_residuals(g, steps))] + errors
     truncated = bool(errors)
     l = g.dim
     header = (["t"] + [f"u{i}" for i in range(1, l + 1)]
@@ -287,7 +292,10 @@ def cmd_cover_check(args):
 def _load_affine(path):
     data = load_json(path)
     try:
-        return AffineMap(data["a"], data["b"])
+        rows = data["a"]
+        if not isinstance(rows, list):
+            raise TypeError(f"a must be a list of rows, got {rows!r}")
+        return AffineMap([json_numbers(row, "each row of a") for row in rows], json_numbers(data["b"], "b"))
     except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed affine map spec: {e}") from None
 

@@ -32,6 +32,7 @@ from .errors import (
     SpecLoadError,
     draw_regular,
     json_int,
+    json_names,
     load_json,
     require_finite,
     worst,
@@ -124,6 +125,14 @@ class Connection:
     def christoffel_array(self, values):
         """The array of `christoffel_at`, laid out from values of `table`."""
         return np.fromiter(values + (0.0,), float, len(values) + 1)[self._gather]
+
+    def christoffel_arrays(self, rows):
+        """The arrays of `christoffel_array` for a non-empty list of rows of
+        `table` values, stacked: (len(rows), l, l, l), in one gather."""
+        k = len(self.christoffel)
+        stacked = np.zeros((len(rows), k + 1))
+        stacked[:, :k] = rows
+        return stacked[:, self._gather]
 
 
 @dataclass(frozen=True)
@@ -408,11 +417,12 @@ def connection_from_dict(data):
      "christoffel": [{"lower": [A, B], "upper": C, "expr": "..."}],
      "singular_points": [[...], ...]}
 
-    Equal `expr` texts are parsed once and share one tree, which
-    `Connection` checks once; each singular point is a list of numbers.
+    `coords` is a list of names.  Equal `expr` texts are parsed once and
+    share one tree, which `Connection` checks once; each singular point is a
+    list of numbers.
     """
     try:
-        coords = tuple(data["coords"])
+        coords = json_names(data["coords"], "coords")
         n = json_int(data.get("n", 1), "split n")
         frame = CoordinateFrame(coords, n)
         raw = data.get("christoffel", [])

@@ -1,5 +1,6 @@
 """Exception types shared across the package; the reader of JSON spec
-files, which reports malformed JSON as a SpecLoadError, and `json_int`;
+files, which reports malformed JSON as a SpecLoadError, with the type
+checks `json_int`, `json_number`, `json_numbers` and `json_names`;
 `draw_regular`, the one loop that redraws random samples, with
 `require_finite`, and `worst`, the one reduction of their deviations."""
 
@@ -89,6 +90,30 @@ def json_int(value, what):
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_number(value, what):
+    """`value` as a float if it is a JSON number; a string, null or true
+    raises ValueError."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def json_numbers(value, what):
+    """`value` as a tuple of floats if it is a JSON list of numbers; a
+    string, null or true in it raises ValueError."""
+    if not (isinstance(value, list) and all(type(x) in (int, float) for x in value)):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(float(x) for x in value)
+
+
+def json_names(value, what):
+    """`value` as a tuple if it is a JSON list of strings; a string, which
+    would read as a list of one-letter names, raises ValueError."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{what} must be a list of strings, got {value!r}")
+    return tuple(value)
 
 
 # A sampler gives up after this many failed draws per requested sample.

@@ -21,13 +21,14 @@ the same ordering.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .connections import _check_split, invariants_match
-from .errors import DimensionMismatchError, FrameMismatchError, draw_regular, require_finite, worst
+from .errors import DimensionMismatchError, DomainError, FrameMismatchError, draw_regular, require_finite, worst
 from .jets import SecJet, SubJet, cover1, cover2, tangent_cover1
 from .sampling import random_point, spawn_rng
 
@@ -351,23 +352,29 @@ def quotient_diagram_deviation(g, theta, p, dx, du, dd):
 
 class GeodesicStep(NamedTuple):
     """One point of a geodesic: parameter x, point u, velocity v and
-    acceleration a, with the Christoffel values that gave a: gamma, the
-    array of `christoffel_at(u)`, and theta, Θ_1{}^1{}_1 at x."""
+    acceleration a, with the Christoffel data that gave a: values, the
+    tuple of g's table at u (`christoffel_array(values)` is the array of
+    `christoffel_at(u)`), and theta, Θ_1{}^1{}_1 at x."""
 
     x: float
     u: tuple
     v: tuple
     a: tuple
-    gamma: np.ndarray
+    values: tuple
     theta: float
 
 
-def geodesic_residuals(steps):
-    """The max-abs `param_residual2` of each step's order-2 jet, from the
-    steps' own arrays in one numpy call:
+# steps gathered into Christoffel arrays at a time by `geodesic_residuals`
+_RESIDUAL_CHUNK = 1024
 
-        max over C of |a^C + Γ_A{}^C{}_B v^A v^B - Θ_1{}^1{}_1 v^C|.
 
+def geodesic_residuals(g, steps):
+    """The max-abs `param_residual2` of each step's order-2 jet, computed
+    with numpy a chunk of steps at a time:
+
+        max over C of |a^C + Γ_A{}^C{}_B v^A v^B - Θ_1{}^1{}_1 v^C|,
+
+    with Γ gathered from the steps' table values by `christoffel_arrays`.
     This checks the generated acceleration independently: numpy sums Γ·v·v
     here, `_spray` sums it there.  For n = 1 the swap average of
     `_param_residual`, 0.5 * (t + t), is exactly t, so the bits are those
@@ -376,29 +383,85 @@ def geodesic_residuals(steps):
     numpy's floating-point warnings are off, so an overflow shows only in
     the values.
     """
-    if not steps:
-        return []
-    G = np.stack([s.gamma for s in steps])
-    v, a = np.array([s.v for s in steps]), np.array([s.a for s in steps])
-    theta = np.array([s.theta for s in steps])[:, None]
-    with np.errstate(all="ignore"):
-        table = a + np.einsum("NACB,NA,NB->NC", G, v, v) - theta * v
-    return np.abs(table).max(axis=1).tolist()
+    out = []
+    for i in range(0, len(steps), _RESIDUAL_CHUNK):
+        chunk = steps[i:i + _RESIDUAL_CHUNK]
+        G = g.christoffel_arrays([s.values for s in chunk])
+        v, a = np.array([s.v for s in chunk]), np.array([s.a for s in chunk])
+        theta = np.array([s.theta for s in chunk])[:, None]
+        with np.errstate(all="ignore"):
+            table = a + np.einsum("NACB,NA,NB->NC", G, v, v) - theta * v
+        out += np.abs(table).max(axis=1).tolist()
+    return out
 
 
+def _generated(source, name, namespace):
+    exec(compile(source, f"<jetgeo.geodesy.{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+@functools.lru_cache(maxsize=16)
 def _spray(keys, l):
-    """Generated ``spray(values, v)``, the tuple over C of
+    """Generated ``spray(values, v0, ..., v{l-1})``, the tuple over C of
     -Γ_A{}^C{}_B v^A v^B from the values of the entries stored under
-    `keys`: one product per entry, doubled for A != B."""
+    `keys`: one product per entry, doubled for A != B.  Kept per `keys`, so
+    connections with the same stored entries share one."""
     terms = [[] for _ in range(l)]
     for i, (a, b, c) in enumerate(keys):
         terms[c - 1].append(f"{'' if a == b else '2.0 * '}g{i} * v{a - 1} * v{b - 1}")
     sums = "".join(f"-({' + '.join(t)}), " if t else "0.0, " for t in terms)
-    source = (f"def spray(values, v):\n    [{', '.join(f'g{i}' for i in range(len(keys)))}] = values\n"
-              f"    [{', '.join(f'v{i}' for i in range(l))}] = v\n    return ({sums})\n")
-    namespace = {}
-    exec(compile(source, "<jetgeo.geodesy.spray>", "exec"), namespace)
-    return namespace["spray"]
+    source = (f"def spray(values, {''.join(f'v{i}, ' for i in range(l))}):\n"
+              f"    [{', '.join(f'g{i}' for i in range(len(keys)))}] = values\n    return ({sums})\n")
+    return _generated(source, "spray", {})
+
+
+@functools.cache
+def _rk4(l, with_theta):
+    """The generated RK4 loop over l coordinates, a generator
+    ``rk4(table, spray, theta_table, u, v, h, steps)`` of `GeodesicStep`s
+    with scalar locals.  Each stage calls ``table(*u)``, then
+    ``theta_table(x)`` if `with_theta`, then ``spray(values, *v)``, and raises
+    a DomainError if the acceleration is not finite.  It reads no connection
+    data, so one loop serves every connection of dimension l."""
+
+    def each(template):     # template over index {i}, for i in 0..l-1
+        return ", ".join(template.format(i=i) for i in range(l))
+
+    def lines(template):
+        return "".join(f"        {template.format(i=i)}\n" for i in range(l))
+
+    def stage(values, th, u, x, v, acc):
+        # acc = the acceleration at (x, u, v); u, v, acc are templates over {i}
+        out = f"        {values} = table({each(u)})\n"
+        if with_theta:
+            out += (f"        [{th}] = theta_table({x})\n"
+                    f"        [{each('s{i}')}] = spray({values}, {each(v)})\n"
+                    + lines(f"{acc} = s{{i}} + {th} * {v}"))
+        else:
+            out += f"        [{each(acc)}] = spray({values}, {each(v)})\n"
+        finite = " * ".join(["0.0", *(acc.format(i=i) for i in range(l))])
+        return out + (f"        if {finite} != 0.0:\n"
+                      f"            raise DomainError(f'acceleration is not finite at t = {{{x}!r}}')\n")
+
+    source = (
+        "def rk4(table, spray, theta_table, u, v, h, steps):\n"
+        f"    [{each('u{i}')}] = u\n    [{each('v{i}')}] = v\n"
+        "    x, half, sixth, th = 0.0, 0.5 * h, h / 6.0, 0.0\n"
+        "    for step in range(steps + 1):\n"
+        + stage("values", "th", "u{i}", "x", "v{i}", "a{i}")
+        + f"        yield GeodesicStep(x, ({each('u{i}')},), ({each('v{i}')},), ({each('a{i}')},), values, th)\n"
+        "        if step == steps:\n            return\n"
+        + lines("b{i} = v{i} + half * a{i}")
+        + stage("w", "t", "u{i} + half * v{i}", "x + half", "b{i}", "c{i}")
+        + lines("d{i} = v{i} + half * c{i}")
+        + stage("w", "t", "u{i} + half * b{i}", "x + half", "d{i}", "e{i}")
+        + lines("f{i} = v{i} + h * e{i}")
+        + stage("w", "t", "u{i} + h * d{i}", "x + h", "f{i}", "k{i}")
+        + lines("u{i} = u{i} + sixth * (v{i} + 2 * b{i} + 2 * d{i} + f{i})")
+        + lines("v{i} = v{i} + sixth * (a{i} + 2 * c{i} + 2 * e{i} + k{i})")
+        + "        x += h\n"
+    )
+    return _generated(source, "rk4", {"GeodesicStep": GeodesicStep, "DomainError": DomainError})
 
 
 def geodesic_steps(g, theta, start, velocity, h, steps):
@@ -407,8 +470,10 @@ def geodesic_steps(g, theta, start, velocity, h, steps):
         u'' = -Γ_A{}^C{}_B u'^A u'^B + Θ_1{}^1{}_1 u'^C
 
     over a one-dimensional parameter space.  Yields steps+1
-    `GeodesicStep`s.  Each RK4 stage calls g's compiled table once, then a
-    generated `_spray`, and Θ's table once if Θ has entries.
+    `GeodesicStep`s from the generated loop `_rk4`: each RK4 stage calls
+    g's compiled table once, Θ's table once if Θ has entries, then a
+    generated `_spray`.  An acceleration that is not finite raises a
+    DomainError after the steps before it.
     """
     if theta.dim != 1:
         raise DimensionMismatchError("geodesic integration needs a 1-dimensional parameter space")
@@ -416,32 +481,10 @@ def geodesic_steps(g, theta, start, velocity, h, steps):
         raise DimensionMismatchError("start point/velocity do not match the connection dimension")
     if h <= 0 or steps < 0:
         raise DimensionMismatchError("step size must be positive and steps non-negative")
-    table, spray = g.table.compiled(), _spray(tuple(g.christoffel), g.dim)
+    loop = _rk4(g.dim, bool(theta.christoffel))
     theta_table = theta.table.compiled() if theta.christoffel else None
-
-    def accel(x, u, v):
-        values = table(*u)
-        if theta_table is None:
-            return values, 0.0, spray(values, v)
-        th, = theta_table(x)
-        return values, th, [ac + th * vc for ac, vc in zip(spray(values, v), v)]
-
-    x, u, v = 0.0, [float(c) for c in start], [float(c) for c in velocity]
-    half, sixth = 0.5 * h, h / 6.0
-    for step in range(steps + 1):
-        values, th, a = accel(x, u, v)
-        yield GeodesicStep(x, tuple(u), tuple(v), tuple(a), g.christoffel_array(values), th)
-        if step == steps:
-            return
-        v2 = [p + half * q for p, q in zip(v, a)]
-        a2 = accel(x + half, [p + half * q for p, q in zip(u, v)], v2)[2]
-        v3 = [p + half * q for p, q in zip(v, a2)]
-        a3 = accel(x + half, [p + half * q for p, q in zip(u, v2)], v3)[2]
-        v4 = [p + h * q for p, q in zip(v, a3)]
-        a4 = accel(x + h, [p + h * q for p, q in zip(u, v3)], v4)[2]
-        u = [p + sixth * (k1 + 2 * k2 + 2 * k3 + k4) for p, k1, k2, k3, k4 in zip(u, v, v2, v3, v4)]
-        v = [p + sixth * (k1 + 2 * k2 + 2 * k3 + k4) for p, k1, k2, k3, k4 in zip(v, a, a2, a3, a4)]
-        x += h
+    yield from loop(g.table.compiled(), _spray(tuple(g.christoffel), g.dim), theta_table,
+                    [float(c) for c in start], [float(c) for c in velocity], h, steps)
 
 
 def integrate_geodesic(g, theta, start, velocity, h, steps):

@@ -31,7 +31,15 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import expr
-from .errors import DimensionMismatchError, SingularJacobianError, SpecLoadError, json_int, load_json
+from .errors import (
+    DimensionMismatchError,
+    SingularJacobianError,
+    SpecLoadError,
+    json_int,
+    json_number,
+    json_numbers,
+    load_json,
+)
 from .expr import CoordinateFrame
 
 _DET_THRESHOLD = 1e-12
@@ -218,7 +226,9 @@ class AffineMap:
         b = np.array(self.b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
             raise DimensionMismatchError("affine map needs a square matrix and a matching vector")
-        if abs(np.linalg.det(a)) < _DET_THRESHOLD:
+        with np.errstate(all="ignore"):     # a determinant beyond float range reads inf
+            det = np.linalg.det(a)
+        if abs(det) < _DET_THRESHOLD:
             raise SingularJacobianError("affine map matrix is singular")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -453,13 +463,14 @@ def jet_from_dict(data):
             rows, start, key = json_int(data["m"], "m"), n + 1, "i"
         derivs = {
             (json_int(item[key], key), tuple(json_int(s, "sigma") for s in item["sigma"])):
-                float(item["value"])
+                json_number(item["value"], "derivative value")
             for item in data["derivs"]
         }
         first, second = _derivative_arrays(derivs, start, rows, n, r, kind)
+        u = json_numbers(data["u"], "u")
         if kind == "secjet":
-            return SecJet(n, rows, data["x"], data["u"], first, second)
-        return SubJet(n, rows, data["u"], first, second)
+            return SecJet(n, rows, json_numbers(data["x"], "x"), u, first, second)
+        return SubJet(n, rows, u, first, second)
     except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed jet spec: {e}") from None
 

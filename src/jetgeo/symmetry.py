@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr
 from .connections import Connection
-from .errors import DimensionMismatchError, SpecLoadError, draw_regular, json_int, worst
+from .errors import DimensionMismatchError, DomainError, SpecLoadError, draw_regular, json_int, json_names, worst
 from .expr import CoordinateFrame, Sym
 from .geodesy import ddot_gamma_pro, distribution_fields, param_residual2, residual2
 from .jets import ParamMap, SecJet, SubJet, affine_act, cover1, cover2, reparam_act
@@ -133,7 +133,10 @@ class SymmetryReport:
 
 def _span_residual(generators, vector):
     """Distance of the vector from the row span, scaled decision threshold
-    handled by the caller.  Least squares against the generator rows."""
+    handled by the caller.  Least squares against the generator rows; an
+    entry that is not finite raises DomainError, so the sample is redrawn."""
+    if not (np.isfinite(generators).all() and np.isfinite(vector).all()):
+        raise DomainError("distribution generators are not finite")
     sol, *_ = np.linalg.lstsq(generators.T, vector, rcond=None)
     return float(np.linalg.norm(generators.T @ sol - vector))
 
@@ -486,7 +489,7 @@ def jetmap_from_dict(data, what=JetMap):
     try:
         kind = data["kind"]
         n = json_int(data["n"], "n")
-        coords = tuple(data["coords"])
+        coords = json_names(data["coords"], "coords")
         comp_map = data["components"]
         if not isinstance(comp_map, dict):
             raise TypeError(f"components must be an object, got {comp_map!r}")
@@ -495,7 +498,7 @@ def jetmap_from_dict(data, what=JetMap):
         if kind == "subjet":
             chart = subjet1_chart(CoordinateFrame(coords, n), n)
         else:
-            x_coords = tuple(data.get("x_coords", tuple(f"x{i}" for i in range(1, n + 1))))
+            x_coords = json_names(data.get("x_coords", [f"x{i}" for i in range(1, n + 1)]), "x_coords")
             chart = secjet1_chart(CoordinateFrame(x_coords, n), CoordinateFrame(coords, len(coords)))
     except (KeyError, TypeError, ValueError) as e:
         raise SpecLoadError(f"malformed jet map spec: {e}") from None

@@ -1,7 +1,9 @@
 """Shared fixtures and helpers: frames, the round-sphere chart connections,
 the metric-to-Christoffel helper used to derive one, the numpy geodesic
-integrator that the generated kernel is checked against, the per-step
-geodesic residual that the batched one is checked against, the
+integrator that the generated kernel is checked against within rounding,
+the list-based RK4 stepper that the generated loop is checked against bit
+for bit, the per-step geodesic residual that the batched one is checked
+against, the
 `simplify`-based random polynomials that the sampler is checked against,
 and a hypothesis strategy for expression trees (test-only, not public API).
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from jetgeo import expr
 from jetgeo.connections import Connection
 from jetgeo.expr import FUNCTION_NAMES, Add, Const, CoordinateFrame, Div, Func, Mul, Pow, Sym
-from jetgeo.geodesy import _param_residual
+from jetgeo.geodesy import GeodesicStep, _param_residual, _spray
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -123,11 +125,45 @@ def geodesic_oracle(g, theta, start, velocity, h, steps):
         x += h
 
 
-def geodesic_step_residual(step):
-    """`param_residual2` at one `geodesy.GeodesicStep` by its own formula,
-    the per-step oracle for `geodesy.geodesic_residuals`."""
+def geodesic_steps_oracle(g, theta, start, velocity, h, steps):
+    """`geodesy.geodesic_steps` as a Python loop over lists, one `accel` call
+    per RK4 stage: the same float operations in the same order as the
+    generated loop, without its finiteness check.  Yields `GeodesicStep`s; a
+    DomainError propagates after the steps computed before it."""
+    table, spray = g.table.compiled(), _spray(tuple(g.christoffel), g.dim)
+    theta_table = theta.table.compiled() if theta.christoffel else None
+
+    def accel(x, u, v):
+        values = table(*u)
+        if theta_table is None:
+            return values, 0.0, spray(values, *v)
+        th, = theta_table(x)
+        return values, th, [ac + th * vc for ac, vc in zip(spray(values, *v), v)]
+
+    x, u, v = 0.0, [float(c) for c in start], [float(c) for c in velocity]
+    half, sixth = 0.5 * h, h / 6.0
+    for step in range(steps + 1):
+        values, th, a = accel(x, u, v)
+        yield GeodesicStep(x, tuple(u), tuple(v), tuple(a), values, th)
+        if step == steps:
+            return
+        v2 = [p + half * q for p, q in zip(v, a)]
+        a2 = accel(x + half, [p + half * q for p, q in zip(u, v)], v2)[2]
+        v3 = [p + half * q for p, q in zip(v, a2)]
+        a3 = accel(x + half, [p + half * q for p, q in zip(u, v2)], v3)[2]
+        v4 = [p + h * q for p, q in zip(v, a3)]
+        a4 = accel(x + h, [p + h * q for p, q in zip(u, v3)], v4)[2]
+        u = [p + sixth * (k1 + 2 * k2 + 2 * k3 + k4) for p, k1, k2, k3, k4 in zip(u, v, v2, v3, v4)]
+        v = [p + sixth * (k1 + 2 * k2 + 2 * k3 + k4) for p, k1, k2, k3, k4 in zip(v, a, a2, a3, a4)]
+        x += h
+
+
+def geodesic_step_residual(g, step):
+    """`param_residual2` at one `geodesy.GeodesicStep` of g by its own
+    formula, from its own `christoffel_array`: the per-step oracle for
+    `geodesy.geodesic_residuals`."""
     D, second = np.array(step.v)[:, None], np.array(step.a)[:, None, None]
-    return _param_residual(step.gamma, np.array([[[step.theta]]]), D, second)
+    return _param_residual(g.christoffel_array(step.values), np.array([[[step.theta]]]), D, second)
 
 
 def random_polynomial_oracle(names, rng):

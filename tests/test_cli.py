@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import sys
 import tempfile
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,9 +213,9 @@ def test_geodesic_residual_column_is_one_batched_call(tmp_path, monkeypatch, cas
     start, velocity = ([0.1, -0.2], [0.6, 0.3]) if spec == s2 else ([0.0, 0.0], [2.0, 0.0])
     calls = []
 
-    def counted(run):
+    def counted(g, run):
         calls.append(len(run))
-        return geodesic_residuals(run)
+        return geodesic_residuals(g, run)
 
     monkeypatch.setattr(cli, "geodesic_residuals", counted)
     out = tmp_path / "out.csv"
@@ -233,7 +235,34 @@ def test_geodesic_residual_column_is_one_batched_call(tmp_path, monkeypatch, cas
         assert rows[-1] == f"error,{e}"
     assert calls == [len(run)] and len(rows) == len(run) + (code == 3)
     assert [row.split(",")[-1] for row in rows[:len(run)]] == [
-        repr(geodesic_step_residual(step).max_abs()) for step in run]
+        repr(geodesic_step_residual(g, step).max_abs()) for step in run]
+
+
+_CELLS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308]),
+    st.integers(-10 ** 20, 10 ** 20), st.booleans(), st.floats().map(np.float64),
+    st.text(st.sampled_from('a,"\n\r ;'), max_size=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(st.lists(st.floats(), max_size=6), st.lists(_CELLS, max_size=6)), max_size=6))
+def test_output_flush_writes_the_bytes_of_csv_writer(rows):
+    """A row of Python floats is written by `repr` and joined; every row
+    gives the bytes that csv.writer gives with `_fmt`, also next to rows of
+    nan, ±inf, -0.0, subnormals, ints, bools, np.float64 and strings with
+    commas, quotes and newlines."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["a", "b"])
+    for row in rows:
+        writer.writerow([cli._fmt(v) for v in row])
+    out = cli.Output(argparse.Namespace(format="csv", out=None))
+    out.table(["a", "b"], rows)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        out.flush()
+    assert text.getvalue() == buf.getvalue()
 
 
 def test_repeated_main_calls_share_one_parser_and_repeat_their_output(tmp_path, monkeypatch, capsys):
@@ -328,6 +357,49 @@ def test_symmetry_check_malformed_spec_exits_2(zero_spec, tmp_path, option, text
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"a": [[None]], "b": [0]}, "each row of a must be a list of numbers, got [None]"),
+    ({"a": [["2"]], "b": [0]}, "each row of a must be a list of numbers, got ['2']"),
+    ({"a": [[2]], "b": [True]}, "b must be a list of numbers, got [True]"),
+    ({"a": "12", "b": [0]}, "a must be a list of rows, got '12'"),
+], ids=["null-entry", "string-entry", "bool-entry", "string-matrix"])
+def test_affine_map_entries_must_be_json_numbers(zero_spec, tmp_path, spec, message, capsys):
+    """null used to load as nan (a failing check, exit 1, and a numpy
+    warning from the determinant), "2" as 2.0 and true as 1.0."""
+    aff = write(tmp_path / "aff.json", spec)
+    assert main(["symmetry-check", zero_spec, "--affine", aff, "--samples", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: malformed affine map spec: {message}\n"
+
+
+def test_symmetry_check_redraws_where_the_image_generators_overflow(tmp_path, capsys):
+    """Found by the hostile-spec fuzz test: Γ_1{}^1{}_1 = exp(1000 u1) and a
+    map that scales u2_1 by 10^308 give generators at the image that are not
+    finite, and least squares over them ended in a LinAlgError traceback.
+    Such a sample is now redrawn.  Where the generators are finite, their
+    span residual overflows to nan, which fails the check with exit 1."""
+    spec = write(tmp_path / "g.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 1, "expr": "exp(1000*u1)"}, {"lower": [1, 1], "upper": 2, "expr": "u1"}]})
+    jmap = write(tmp_path / "m.json", {"kind": "subjet", "n": 1, "coords": ["u1", "u2"],
+                                       "components": {"u1": "u1", "u2": "u2", "u2_1": "10^308*u2_1"}})
+    assert main(["symmetry-check", spec, "--map", jmap, "--samples", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL 0/3 tol=1e-08 (worst residual nan, skipped ") and err.count("\n") == 1
+
+
+def test_affine_map_with_an_overflowing_determinant_writes_no_warning(tmp_path):
+    """det a overflows to inf, which is not singular; the check runs and
+    stderr holds only its summary, in a fresh interpreter, where a numpy
+    warning would reach stderr."""
+    spec = write(tmp_path / "g.json", {"coords": ["u1", "u2", "u3"], "n": 2, "christoffel": []})
+    theta = write(tmp_path / "theta.json", {"coords": ["x1", "x2"], "n": 2, "christoffel": []})
+    aff = write(tmp_path / "aff.json", {"a": [[1e200, 1e200], [1e200, -1e200]], "b": [0, 0]})
+    run = subprocess.run([sys.executable, "-m", "jetgeo.cli", "symmetry-check", spec, "--affine", aff,
+                          "--theta", theta, "--samples", "3"],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stderr.startswith("PASS 3/3") and len(run.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("change", [
     {"christoffel": 5},
     {"n": "x"},
@@ -404,9 +476,9 @@ def test_overflowing_sum_is_a_domain_error(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["residual", "geodesic"])
 def test_overflow_leaves_only_the_summary_on_stderr(tmp_path, command):
     """residual: Γ_1{}^2{}_1 = 10^308 overflows the swap average of
-    `residual2`; geodesic: the acceleration overflows and the batched
-    residual meets inf - inf.  Neither writes a numpy warning; each runs in
-    a fresh interpreter, where a warning would reach stderr."""
+    `residual2`; geodesic: the acceleration overflows, which ends the
+    trajectory.  Neither writes a numpy warning; each runs in a fresh
+    interpreter, where a warning would reach stderr."""
     if command == "residual":
         spec = write(tmp_path / "g.json", _one_entry("10^308"))
         jets = write(tmp_path / "j.json", {"jets": [{**_SUBJET, "u": [0.5, 0.5], "derivs": [
@@ -421,6 +493,21 @@ def test_overflow_leaves_only_the_summary_on_stderr(tmp_path, command):
     assert len(run.stderr.splitlines()) == 1 and "Warning" not in run.stderr
     if command == "residual":
         assert run.returncode == 0 and run.stderr == "1 jets, worst residual inf (tol 1.0e-10)\n"
+    else:
+        assert run.returncode == 3 and run.stderr == "trajectory truncated by a domain error\n"
+
+
+def test_geodesic_overflowing_acceleration_truncates_with_exit_3(tmp_path, capsys):
+    """Γ_1{}^1{}_1 = Γ_1{}^1{}_2 = 10^308 are finite, but the acceleration at
+    the start point is not: the run writes no step, then its error row, and
+    exits 3, as for any domain error.  It used to write nan rows and exit 0."""
+    spec = write(tmp_path / "g.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 1, "expr": "10^308"}, {"lower": [1, 2], "upper": 1, "expr": "10^308"}]})
+    argv = ["geodesic", spec, "--start", "0,0", "--velocity", "1,1", "--h", "0.1", "--steps", "2"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "t,u1,u2,v1,v2,residual_max\nerror,acceleration is not finite at t = 0.0\n"
+    assert err == "trajectory truncated by a domain error\n"
 
 
 @pytest.mark.parametrize("points", [["12"], [[1, "2"]], [[True, 0.5]], "12"],
@@ -434,17 +521,49 @@ def test_singular_points_must_be_lists_of_numbers(tmp_path, points, capsys):
                                  f"of lists of numbers, got {points!r}\n")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"u": ["0.1", True]}, "u must be a list of numbers, got ['0.1', True]"),
+    ({"u": "12"}, "u must be a list of numbers, got '12'"),
+    ({"kind": "secjet", "l": 2, "x": ["0.5"], "u": [0.1, 0.2], "derivs": [
+        {"A": a, "sigma": sigma, "value": 0.0} for a in (1, 2) for sigma in ([1], [1, 1])]},
+     "x must be a list of numbers, got ['0.5']"),
+    ({"derivs": [{"i": 2, "sigma": [1], "value": "0.7"}, {"i": 2, "sigma": [1, 1], "value": 0.0}]},
+     "derivative value must be a number, got '0.7'"),
+], ids=["string-and-bool-coordinates", "string-point", "string-parameter", "string-value"])
+def test_jet_coordinates_and_values_must_be_json_numbers(zero_spec, tmp_path, change, message, capsys):
+    """Each used to load: "0.1" as 0.1, true as 1.0, and the string "12" as
+    the point (1.0, 2.0)."""
+    jets = write(tmp_path / "j.json", {**_SUBJET, **change})
+    assert main(["residual", zero_spec, "--jets", jets, "--mode", "unparam"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: malformed jet spec: {message}\n"
+
+
+@pytest.mark.parametrize("coords", ["uv", "u1", None, ["u1", 2]], ids=["string", "one-name", "null", "number-name"])
+def test_connection_coords_must_be_a_list_of_strings(tmp_path, coords, capsys):
+    """A string used to load as a list of one-letter names: "uv" as u, v."""
+    spec = write(tmp_path / "g.json", {"coords": coords, "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": "u*v"}]})
+    assert main(["invariants", spec]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: malformed connection spec: coords must be a list of strings, got {coords!r}\n"
+
+
 @pytest.mark.parametrize("option", ["--map", "--field"])
 @pytest.mark.parametrize("change, message", [
     ({"components": {"u1": 5, "u2": "u2", "u2_1": "u2_1"}}, "components must be strings, got {'u1': 5}"),
     ({"components": {"u1": None, "u2": "u2", "u2_1": "u2_1"}}, "components must be strings, got {'u1': None}"),
     ({"components": None}, "components must be an object, got None"),
-    ({"coords": ["u1", None]}, "expected string or bytes-like object"),
+    ({"coords": ["u1", None]}, "coords must be a list of strings, got ['u1', None]"),
     ({"kind": "secjet", "n": 10 ** 9}, "n=1000000000 out of range 1..2"),
-], ids=["number-component", "null-component", "null-components", "null-coordinate", "huge-n"])
+    ({"coords": "uv", "components": {"u": "u", "v": "v", "v_1": "v_1"}}, "coords must be a list of strings, got 'uv'"),
+    ({"kind": "secjet", "x_coords": "x"}, "x_coords must be a list of strings, got 'x'"),
+], ids=["number-component", "null-component", "null-components", "null-coordinate", "huge-n", "string-coords",
+        "string-x-coords"])
 def test_malformed_jet_map_spec_exits_2(zero_spec, tmp_path, option, change, message, capsys):
     """Each used to end in a traceback with exit 1 (a TypeError), except
-    huge-n, which built a billion parameter names before failing."""
+    huge-n, which built a billion parameter names before failing, and the
+    string coordinates, which loaded as lists of one-letter names."""
     spec = write(tmp_path / "m.json", {"kind": "subjet", "n": 1, "coords": ["u1", "u2"],
                                        "components": {"u1": "u1", "u2": "u2", "u2_1": "u2_1"}, **change})
     assert main(["symmetry-check", zero_spec, option, spec, "--samples", "2"]) == 2
@@ -744,14 +863,15 @@ def _paths(data, path=()):
 @st.composite
 def _damaged(draw, data):
     """A copy of the JSON value with one or two values in it, at any depth,
-    replaced by hostile ones."""
+    replaced by hostile ones.  Each hostile value is a copy, so the second
+    replacement never writes into a list or object that `_HOSTILE` shares."""
     data = copy.deepcopy(data)
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(_paths(data))))
         if path:
-            reduce(lambda node, key: node[key], path[:-1], data)[path[-1]] = draw(_HOSTILE)
+            reduce(lambda node, key: node[key], path[:-1], data)[path[-1]] = copy.deepcopy(draw(_HOSTILE))
         else:
-            data = draw(_HOSTILE)
+            data = copy.deepcopy(draw(_HOSTILE))
     return data
 
 
@@ -776,14 +896,15 @@ def _jet_map_specs(draw, l, n, field):
 _THETA_EXPRESSIONS = st.sampled_from(["x1", "1/5 + x1/3", "0", "sqrt(x1)", "1/(x1 - x1)", "10^308*x1"])
 
 
-@pytest.mark.parametrize("command", ["invariants", "equivalent", "residual", "geodesic", "--map", "--field"])
+@pytest.mark.parametrize("command", ["invariants", "equivalent", "residual", "geodesic", "cover-check",
+                                     "--map", "--field", "--affine"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_hostile_specs_exit_0_1_or_2(command, data):
     """Spec files with hostile values, one file at a time, through
     `cli.main`: it returns 0, 1 or 2 (`geodesic`: 0, 2 or 3, where 3 is a
     trajectory cut short by a domain error), and on 2 prints only an
-    error.  --map and --field are `symmetry-check`'s."""
+    error.  --map, --field and --affine are `symmetry-check`'s."""
     l = data.draw(st.integers(2, 3))
     mode = data.draw(st.sampled_from(["param", "unparam"]))
     files = {"a.json": data.draw(_connection_specs(l))}
@@ -798,6 +919,14 @@ def test_hostile_specs_exit_0_1_or_2(command, data):
                    for _ in range(2)]
     if command in ("--map", "--field"):
         files["map.json"] = data.draw(_jet_map_specs(l, files["a.json"]["n"], command == "--field"))
+    if command in ("cover-check", "--affine"):
+        n = files["a.json"]["n"]
+        entries = [] if command == "--affine" else [{"lower": [1, 1], "upper": 1, "expr": data.draw(_THETA_EXPRESSIONS)}]
+        files["theta.json"] = {"coords": [f"x{i}" for i in range(1, n + 1)], "n": n, "christoffel": entries}
+    if command == "--affine":
+        files["affine.json"] = {"a": data.draw(st.lists(st.lists(st.floats(-2, 2), min_size=n, max_size=n),
+                                                        min_size=n, max_size=n)),
+                                "b": data.draw(st.lists(st.floats(-2, 2), min_size=n, max_size=n))}
     target = data.draw(st.sampled_from([None, *files]))
     if target:
         files[target] = data.draw(_damaged(files[target]))
@@ -814,6 +943,9 @@ def test_hostile_specs_exit_0_1_or_2(command, data):
                                  f"--start={vectors[0]}", f"--velocity={vectors[1]}", "--h", "0.1", "--steps", "5"],
             "--map": ["symmetry-check", paths["a.json"], "--map", paths.get("map.json"), "--samples", "3"],
             "--field": ["symmetry-check", paths["a.json"], "--field", paths.get("map.json"), "--samples", "3"],
+            "cover-check": ["cover-check", paths["a.json"], "--theta", paths.get("theta.json"), "--samples", "3"],
+            "--affine": ["symmetry-check", paths["a.json"], "--affine", paths.get("affine.json"),
+                         "--theta", paths.get("theta.json"), "--samples", "3"],
         }[command]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgeo import expr
+from jetgeo import expr, geodesy
 from jetgeo.connections import Connection, grass_arrays, pi_array, projective_shift
 from jetgeo.errors import DomainError, FrameMismatchError
 from jetgeo.expr import CoordinateFrame, compile_table
@@ -35,7 +35,7 @@ from jetgeo.sampling import (
     spawn_rng,
 )
 
-from conftest import geodesic_oracle, geodesic_step_residual, sphere_chart
+from conftest import geodesic_oracle, geodesic_step_residual, geodesic_steps_oracle, sphere_chart
 
 X1 = CoordinateFrame(("x1",), 1)
 X2 = CoordinateFrame(("x1", "x2"), 2)
@@ -587,11 +587,75 @@ def test_geodesic_kernel_matches_numpy_oracle(chart, theta):
             assert np.abs(np.subtract(got, want)).max() <= 1e-14 * np.abs(want).max()
 
 
+def _bits(step):
+    """The step's floats as bytes: x, u, v, a, θ and the table values Γ."""
+    return np.array([step.x, *step.u, *step.v, *step.a, step.theta, *step.values]).tobytes()
+
+
+@pytest.mark.parametrize("steps", [0, 1, 60])
+@pytest.mark.parametrize("theta", [lambda: Connection.zero(theta_frame(1)), _one_entry_theta],
+                         ids=["flat-theta", "one-entry-theta"])
+@pytest.mark.parametrize("l", [2, 5, 6])
+def test_generated_loop_matches_the_stepper_oracle_bit_for_bit(l, theta, steps):
+    g, theta = sphere_chart(l), theta()
+    rng = spawn_rng(60)
+    start, velocity = rng.uniform(-0.5, 0.5, l), rng.uniform(-1.0, 1.0, l)
+    run = list(geodesic_steps(g, theta, start, velocity, 1e-2, steps))
+    oracle = list(geodesic_steps_oracle(g, theta, start, velocity, 1e-2, steps))
+    assert len(run) == len(oracle) == steps + 1
+    assert all(type(step) is geodesy.GeodesicStep for step in run)
+    assert [_bits(step) for step in run] == [_bits(step) for step in oracle]
+
+
+def test_generated_loop_and_oracle_stop_at_the_same_domain_error():
+    f = frame(2)
+    g = Connection.from_entries(f, {(1, 1, 1): expr.parse("-sqrt(1 - u1)", f)})
+    runs, messages = [], []
+    for stepper in (geodesic_steps, geodesic_steps_oracle):
+        runs.append([])
+        with pytest.raises(DomainError, match="sqrt of negative value") as stop:
+            for step in stepper(g, _one_entry_theta(), [0.0, 0.0], [2.0, 0.0], 0.1, 20):
+                runs[-1].append(_bits(step))
+        messages.append(str(stop.value))
+    assert len(runs[0]) > 3 and runs[0] == runs[1] and messages[0] == messages[1]
+
+
+def test_an_overflowing_acceleration_raises_a_domain_error():
+    """Γ_1{}^1{}_1 = Γ_1{}^1{}_2 = 10^308 are finite, but -Γ·v·v overflows
+    at the start point.  With Γ_1{}^1{}_1 = -10^307 u1 the second stage of
+    the first step overflows, after that step is yielded."""
+    f = frame(2)
+    big = expr.parse("10^308", f)
+    g = Connection.from_entries(f, {(1, 1, 1): big, (1, 2, 1): big})
+    with pytest.raises(DomainError, match=r"^acceleration is not finite at t = 0\.0$"):
+        next(geodesic_steps(g, Connection.flat(1), [0.0, 0.0], [1.0, 1.0], 0.1, 2))
+    g = Connection.from_entries(f, {(1, 1, 1): expr.parse("-10^307 * u1", f)})
+    run = []
+    with pytest.raises(DomainError, match=r"^acceleration is not finite at t = 0\.25$"):
+        for step in geodesic_steps(g, Connection.flat(1), [1.0, 0.0], [1.0, 0.0], 0.5, 20):
+            run.append(step)
+    assert [step.a for step in run] == [(1e307, 0.0)]
+
+
+def test_a_second_call_generates_no_new_loop(monkeypatch):
+    """The loop is generated once per (dimension, whether Θ has entries) and
+    the spray once per stored-entry layout: a second S^5 run, on a freshly
+    loaded connection, compiles neither."""
+    theta = Connection.flat(1)
+    list(geodesic_steps(sphere_chart(5), theta, [0.1] * 5, [0.2] * 5, 0.01, 3))
+    generated = []
+    real = geodesy._generated
+    monkeypatch.setattr(geodesy, "_generated", lambda *args: generated.append(args[1]) or real(*args))
+    run = list(geodesic_steps(sphere_chart(5), theta, [0.1] * 5, [0.2] * 5, 0.01, 3))
+    assert len(run) == 4 and generated == []
+    assert geodesy._rk4(5, False) is geodesy._rk4(5, False) is not geodesy._rk4(5, True)
+
+
 def test_geodesic_step_residual_is_param_residual2():
     g, theta = sphere_chart(2), _one_entry_theta()
     run = ([0.1, -0.2], [0.6, 0.3], 0.05, 10)
     for step, jet in zip(geodesic_steps(g, theta, *run), integrate_geodesic(g, theta, *run)):
-        assert geodesic_step_residual(step).table.tobytes() == param_residual2(g, theta, jet).table.tobytes()
+        assert geodesic_step_residual(g, step).table.tobytes() == param_residual2(g, theta, jet).table.tobytes()
 
 
 @pytest.mark.parametrize("theta", [lambda: Connection.zero(theta_frame(1)), _one_entry_theta],
@@ -627,9 +691,21 @@ def test_geodesic_residuals_equal_the_per_step_oracle(l, theta, steps):
     rng = spawn_rng(59)
     start, velocity = rng.uniform(-0.5, 0.5, l), rng.uniform(-1.0, 1.0, l)
     run = list(geodesic_steps(g, theta, start, velocity, 1e-2, steps))
-    oracle = [geodesic_step_residual(step).max_abs() for step in run]
+    oracle = [geodesic_step_residual(g, step).max_abs() for step in run]
     assert len(run) == steps + 1
-    assert np.array(geodesic_residuals(run)).tobytes() == np.array(oracle).tobytes()
+    assert np.array(geodesic_residuals(g, run)).tobytes() == np.array(oracle).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 61, 62])
+def test_geodesic_residuals_in_chunks_equal_the_per_step_oracle(monkeypatch, chunk):
+    """The column is gathered a chunk of steps at a time; every chunk size
+    gives the per-step bits, in order, for each of the 61 steps."""
+    monkeypatch.setattr(geodesy, "_RESIDUAL_CHUNK", chunk)
+    g, theta = sphere_chart(5), _one_entry_theta()
+    rng = spawn_rng(61)
+    run = list(geodesic_steps(g, theta, rng.uniform(-0.5, 0.5, 5), rng.uniform(-1.0, 1.0, 5), 1e-2, 60))
+    oracle = [geodesic_step_residual(g, step).max_abs() for step in run]
+    assert np.array(geodesic_residuals(g, run)).tobytes() == np.array(oracle).tobytes()
 
 
 def test_geodesic_residuals_of_a_trajectory_cut_by_a_domain_error():
@@ -639,10 +715,10 @@ def test_geodesic_residuals_of_a_trajectory_cut_by_a_domain_error():
     with pytest.raises(DomainError, match="sqrt of negative value"):
         for step in geodesic_steps(g, _one_entry_theta(), [0.0, 0.0], [2.0, 0.0], 0.1, 20):
             run.append(step)
-    oracle = [geodesic_step_residual(step).max_abs() for step in run]
+    oracle = [geodesic_step_residual(g, step).max_abs() for step in run]
     assert len(run) > 3 and max(oracle) > 0.0
-    assert np.array(geodesic_residuals(run)).tobytes() == np.array(oracle).tobytes()
-    assert geodesic_residuals([]) == []
+    assert np.array(geodesic_residuals(g, run)).tobytes() == np.array(oracle).tobytes()
+    assert geodesic_residuals(g, []) == []
 
 
 def test_connection_pickles_after_geodesic_run():
