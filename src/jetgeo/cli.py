@@ -210,16 +210,18 @@ def cmd_residual(args):
             raise JetGeoError("param mode needs section jets")
         theta = _load_theta(args, jets[0].n)
     for idx, t in enumerate(jets):
-        with np.errstate(all="ignore"):
-            if args.mode == "param":
-                r = param_residual2(g, theta, t)
-            else:
-                try:
-                    q = cover2(t) if isinstance(t, SecJet) else t
-                except SingularJacobianError:
-                    rows.append([idx, "singular-jacobian"])
-                    continue
-                r = residual2(g, q)
+        try:
+            with np.errstate(all="ignore"):
+                if args.mode == "param":
+                    r = param_residual2(g, theta, t)
+                else:
+                    r = residual2(g, cover2(t) if isinstance(t, SecJet) else t)
+        except SingularJacobianError:
+            rows.append([idx, "singular-jacobian"])
+            continue
+        except DomainError:
+            rows.append([idx, "domain-error"])
+            continue
         flat = [r.table[c, a, b] for c in range(len(r.table)) for a in range(t.n) for b in range(a, t.n)]
         rows.append([idx, "ok"] + _jet_coord_row(t) + flat + [r.max_abs()])
         residuals.append(r.max_abs())

@@ -10,8 +10,8 @@ implements:
 * the four invariant coefficient families of the equation of
   unparametrized totally geodesic submanifolds for a base/fibre split n
   (base indices 1..n, fibre indices n+1..l);
-* both invariant sets as arrays at one point, and their numeric
-  comparison between two connections;
+* both invariant sets as arrays, at one point or at a batch of points,
+  and their numeric comparison between two connections;
 * the general admissible shift between connections sharing those
   invariants, parametrized by the free functions that survive the
   delta-identity contractions.
@@ -34,6 +34,7 @@ from .errors import (
     json_int,
     json_names,
     load_json,
+    outcome,
     require_finite,
     worst,
 )
@@ -127,12 +128,24 @@ class Connection:
         return np.fromiter(values + (0.0,), float, len(values) + 1)[self._gather]
 
     def christoffel_arrays(self, rows):
-        """The arrays of `christoffel_array` for a non-empty list of rows of
-        `table` values, stacked: (len(rows), l, l, l), in one gather."""
+        """The arrays of `christoffel_array` for a list or array of rows of
+        `table` values, stacked: (len(rows), l, l, l), in one gather.  The
+        result is C-contiguous, as `christoffel_array`'s is: einsum picks
+        its summation order by the memory layout, so a batch sums each
+        array's entries as a single array would."""
         k = len(self.christoffel)
         stacked = np.zeros((len(rows), k + 1))
         stacked[:, :k] = rows
-        return stacked[:, self._gather]
+        return np.take(stacked, self._gather, axis=1)
+
+    def christoffel_many(self, points):
+        """The arrays of `christoffel_at` at the rows of an (N, l) point
+        array, stacked (N, l, l, l), from one `Table.rows` call, and the
+        failures: a dict from the index of each point where `christoffel_at`
+        raises DomainError to the error.  A failed point's array is not
+        meaningful."""
+        values, failures = self.table.rows(points)
+        return self.christoffel_arrays(values), failures
 
 
 @dataclass(frozen=True)
@@ -341,49 +354,56 @@ def grass_shift(g, n, psi, chi=None):
 
 
 # ---------------------------------------------------------------------------
-# the invariants at one point from its `christoffel_at` array G (each is
-# linear in Γ), and their numeric comparison; the symbolic tables only print
+# the invariants from `christoffel_at` arrays G, at one point or stacked
+# along leading axes (each is linear in Γ), and their numeric comparison;
+# the symbolic tables only print
 
 
 def pi_array(G):
-    """Π of `thomas_pi` at one point, laid out like G: [A-1][C-1][B-1]."""
-    trace = np.einsum("aff->a", G) / (len(G) + 1)
-    diag = np.arange(len(G))
+    """Π of `thomas_pi`, laid out like G: [..., A-1, C-1, B-1]."""
+    l = G.shape[-1]
+    trace = np.einsum("...aff->...a", G) / (l + 1)
+    diag = np.arange(l)
     pi = G.copy()
-    pi[:, diag, diag] -= trace[:, None]
-    pi[diag, diag, :] -= trace[None, :]
+    pi[..., :, diag, diag] -= trace[..., :, None]
+    pi[..., diag, diag, :] -= trace[..., None, :]
     return pi
 
 
 def grass_arrays(G, n):
-    """The four families of `grass_invariants` at one point, as arrays
-    indexed in the order of their keys: base index lam at lam-1, fibre
-    index k at k-n-1.  order2 is summed over the simultaneous swap
+    """The four families of `grass_invariants`, as arrays indexed in the
+    order of their keys after G's leading axes: base index lam at lam-1,
+    fibre index k at k-n-1.  order2 is summed over the simultaneous swap
     (j, al) <-> (i, be)."""
     base, fibre = slice(None, n), slice(n, None)
-    en, em = np.eye(n), np.eye(len(G) - n)
-    order1 = (np.einsum("lki,bx->lkibx", G[base, fibre, fibre], en)
-              + np.einsum("ikx,lb->lkibx", G[fibre, fibre, base], en)
-              - np.einsum("lbx,ki->lkibx", G[base, base, base], em))
-    order2 = (np.einsum("jki,al,bx->jkiablx", G[fibre, fibre, fibre], en, en)
-              - np.einsum("lbj,ax,ki->jkiablx", G[base, base, fibre], en, em)
-              - np.einsum("jbx,al,ki->jkiablx", G[fibre, base, base], en, em))
-    order2 = order2 + order2.transpose(2, 1, 0, 4, 3, 5, 6)
-    return G[base, fibre, base], order1, order2, G[fibre, base, fibre]
+    en, em = np.eye(n), np.eye(G.shape[-1] - n)
+    order1 = (np.einsum("...lki,bx->...lkibx", G[..., base, fibre, fibre], en)
+              + np.einsum("...ikx,lb->...lkibx", G[..., fibre, fibre, base], en)
+              - np.einsum("...lbx,ki->...lkibx", G[..., base, base, base], em))
+    order2 = (np.einsum("...jki,al,bx->...jkiablx", G[..., fibre, fibre, fibre], en, en)
+              - np.einsum("...lbj,ax,ki->...jkiablx", G[..., base, base, fibre], en, em)
+              - np.einsum("...jbx,al,ki->...jkiablx", G[..., fibre, base, base], en, em))
+    lead = tuple(range(G.ndim - 3))
+    order2 = order2 + order2.transpose(*lead, *(len(lead) + i for i in (2, 1, 0, 4, 3, 5, 6)))
+    return G[..., base, fibre, base], order1, order2, G[..., fibre, base, fibre]
 
 
 def _max_difference(g1, g2, arrays, rng):
     """max |arrays(Γ) - arrays(Γ')| over 12 points drawn uniformly from
-    [-1, 1]^l; a point where either Γ fails or the difference is not finite is redrawn."""
+    [-1, 1]^l, one batch of points at a time; a point where either Γ fails
+    or the difference is not finite is redrawn.  `arrays` maps stacked
+    `christoffel_at` arrays to stacked families."""
     if g1.frame.names != g2.frame.names:
         raise DimensionMismatchError("connections live on different frames")
 
-    def draw():
-        point = rng.uniform(-1.0, 1.0, g1.dim)
-        pairs = zip(arrays(g1.christoffel_at(point)), arrays(g2.christoffel_at(point)))
-        return require_finite(worst(np.abs(a - b).max() for a, b in pairs), "invariant deviation")
+    def draw(k):
+        points = rng.uniform(-1.0, 1.0, (k, g1.dim))
+        (G1, failed1), (G2, failed2) = g1.christoffel_many(points), g2.christoffel_many(points)
+        families = [np.abs(a - b).reshape(k, -1).max(axis=1) for a, b in zip(arrays(G1), arrays(G2))]
+        return [failed1.get(i) or failed2.get(i) or outcome(require_finite, worst(devs), "invariant deviation")
+                for i, devs in enumerate(zip(*families))]
 
-    return worst(draw_regular(draw, 12)[0])
+    return worst(draw_regular(draw, 12, batch=True)[0])
 
 
 def pi_deviation(g1, g2, rng):
@@ -453,18 +473,6 @@ def connection_from_dict(data):
             )
         entries[key] = e
     return Connection(frame, entries, singular)
-
-
-def connection_to_dict(g):
-    return {
-        "coords": list(g.frame.names),
-        "n": g.frame.split,
-        "christoffel": [
-            {"lower": [a, b], "upper": c, "expr": expr.to_text(e)}
-            for (a, b, c), e in sorted(g.christoffel.items())
-        ],
-        "singular_points": [list(p) for p in g.singular_points],
-    }
 
 
 def load_connection(path):

@@ -1,8 +1,9 @@
 """Exception types shared across the package; the reader of JSON spec
 files, which reports malformed JSON as a SpecLoadError, with the type
 checks `json_int`, `json_number`, `json_numbers` and `json_names`;
-`draw_regular`, the one loop that redraws random samples, with
-`require_finite`, and `worst`, the one reduction of their deviations."""
+`draw_regular`, the one loop that redraws random samples, one at a time
+or in batches of `outcome`s, with `require_finite`, and `worst`, the one
+reduction of their deviations."""
 
 import json
 import math
@@ -120,26 +121,43 @@ def json_names(value, what):
 _REDRAWS_PER_SAMPLE = 100
 
 
-def draw_regular(draw, count):
-    """`count` results of `draw()`, and how many draws failed on the way.
+def outcome(fn, *args):
+    """fn(*args), or the DomainError or SingularJacobianError it raised: the
+    outcome of one sample, as a batch given to `draw_regular` reports it."""
+    try:
+        return fn(*args)
+    except (DomainError, SingularJacobianError) as e:
+        return e
 
-    A draw that raises DomainError or SingularJacobianError is redrawn;
-    any other exception propagates.  After 100 failed draws per requested
-    sample the sampler gives up with DomainError.  Returns (results,
-    redrawn).  numpy's overflow and invalid-value warnings are off: a
-    non-finite deviation is redrawn by `require_finite` or kept by `worst`.
+
+def draw_regular(draw, count, batch=False):
+    """`count` results of regular samples, and how many samples failed on
+    the way.
+
+    One sample is one call ``draw()``; a sample that raises DomainError or
+    SingularJacobianError is redrawn, and any other exception propagates.
+    With `batch`, ``draw(k)`` takes up to k samples at once, the next ones of
+    the same stream, and returns their outcomes in order (see `outcome`).
+    Each round asks for the shortfall, so the batched form accepts the same
+    samples in the same order as drawing one at a time from the stream, and
+    consumes no more of it.  After 100 failed samples per requested sample
+    the sampler gives up with DomainError.  Returns (results, redrawn).
+    numpy's floating-point warnings are off: a non-finite deviation is
+    redrawn by `require_finite` or kept by `worst`.
     """
+    take = draw if batch else lambda k: [outcome(draw)]
     results = []
     redrawn = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         while len(results) < count:
-            try:
-                results.append(draw())
-            except (DomainError, SingularJacobianError) as e:
+            for result in take(count - len(results)):
+                if not isinstance(result, (DomainError, SingularJacobianError)):
+                    results.append(result)
+                    continue
                 redrawn += 1
                 if redrawn >= _REDRAWS_PER_SAMPLE * count:
                     raise DomainError(f"could not sample: {redrawn} draws failed and {len(results)} "
-                                      f"of {count} succeeded; the last failed with: {e}") from None
+                                      f"of {count} succeeded; the last failed with: {result}") from None
     return results, redrawn
 
 

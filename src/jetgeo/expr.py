@@ -21,6 +21,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -411,7 +414,8 @@ class Table:
     ``table(point)`` returns the tuple of the trees' values at the point,
     whose coordinates follow `names`.  The first `_INTERPRETED_CALLS` calls
     interpret the trees with `evaluate`; later calls run `compiled()`, which
-    gives the same floats and raises the same first error.
+    gives the same floats and raises the same first error.  `at_many` and
+    `rows` evaluate many points at once with numpy.
     """
 
     def __init__(self, exprs, names):
@@ -419,6 +423,7 @@ class Table:
         self.names = tuple(names)
         self._interpreted = 0
         self._compiled = None
+        self._plan = None
         self._derivatives = {}
 
     def __call__(self, point):
@@ -438,6 +443,41 @@ class Table:
             self._compiled = compile_table(self.exprs, self.names)
         return self._compiled
 
+    def at_many(self, points):
+        """The values at each row of an (N, l) point array, with numpy: an
+        (N, k) array, and a boolean (N,) mask `ok`.
+
+        Each structurally distinct subtree is computed once, over all rows
+        (`_BatchPlan`, built on the first call and kept), with the float
+        operations of `_eval`, so a row that is ok holds the values the
+        per-point table gives, bit for bit.  A row is not ok where a node of
+        it is not finite, which is where a zero denominator, a zero base
+        with a negative exponent, a negative sqrt argument or an overflow
+        shows; at finite points `__call__` raises there, and it alone says
+        with which error.  Nothing is compiled."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != len(self.names):
+            raise DimensionMismatchError(
+                f"points of shape {points.shape} for frame of dimension {len(self.names)}"
+            )
+        if self._plan is None:
+            self._plan = _BatchPlan(self.exprs, self.names)
+        return self._plan.run(points)
+
+    def rows(self, points):
+        """The values of `at_many`, with each row that is not ok evaluated
+        once more by `__call__`, which gives that row's values or raises.
+        Returns (values, failures): failures maps the index of each row where
+        it raised DomainError to the error."""
+        values, ok = self.at_many(points)
+        failures = {}
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                values[i] = self(points[i])
+            except DomainError as e:
+                failures[i] = e
+        return values, failures
+
     def derivative(self, name):
         """The table of `differentiate(e, name)` over the trees, built on the
         first call and kept."""
@@ -446,8 +486,145 @@ class Table:
         return self._derivatives[name]
 
     def __getstate__(self):
-        # the compiled table is a generated function, which does not pickle
-        return {**self.__dict__, "_interpreted": 0, "_compiled": None}
+        # the compiled table is a generated function, and the batch plan holds
+        # closures: neither pickles
+        return {**self.__dict__, "_interpreted": 0, "_compiled": None, "_plan": None}
+
+
+def _each(fn, values):
+    """[fn(v) for v in values], with NaN where fn raises an ArithmeticError
+    or ValueError: math's overflow, zero division, domain and fsum errors."""
+    try:
+        return [fn(v) for v in values]
+    except (ArithmeticError, ValueError):
+        out = []
+        for v in values:
+            try:
+                out.append(fn(v))
+            except (ArithmeticError, ValueError):
+                out.append(math.nan)
+        return out
+
+
+class _BatchPlan:
+    """The distinct subtrees of a table, one row each of an (nodes, N) node
+    buffer, in an order where every operand comes before its node.
+
+    Constants and symbols fill their rows in one assignment each.  Every
+    other node takes the float operations `_eval` makes, over whole rows, so
+    each row of the buffer holds `_eval`'s value at each point:
+    - a product multiplies from its first factor left to right (`_eval`
+      starts from 1.0, and 1.0 * x is x);
+    - a sum of one term is t + 0.0, and of two (a + b) + 0.0: IEEE addition
+      rounds correctly, as fsum does, and + 0.0 turns -0.0 into fsum's 0.0.
+      A longer sum calls `math.fsum` per point;
+    - a quotient divides, correctly rounded as in Python;
+    - a power calls Python's ``float ** int``, and sin, cos, exp and sqrt
+      call `math`, per point: numpy's versions may round differently.
+    A node that `_eval` raises on without a non-finite value (a constant
+    beyond float range, an unassigned symbol, an unknown function) reads
+    NaN, as does a failing per-point call.
+
+    `ops` holds ``(ufunc, x, y, row)`` for ``ufunc(x, y, out=row)`` on rows,
+    and ``(fn, x, row)`` for fn per point, of the values of row x or, for a
+    list x, of the rows in it."""
+
+    def __init__(self, exprs, names):
+        columns = {name: j for j, name in enumerate(names)}
+        slots = {}      # a node's key, made of its operands' rows -> its row
+        rows = {}       # id of a node -> its row
+        consts, syms, self.ops = [], [], []
+
+        def slot(key):
+            if key not in slots:
+                slots[key] = len(slots)
+                if key[0] == "const":
+                    consts.append((slots[key], key[1]))
+                elif key[0] == "sym":
+                    syms.append((slots[key], key[1]))
+                else:
+                    emit(key[0], key[1], slots[key], *key[2:])
+            return slots[key]
+
+        def emit(kind, args, out, *exponent):
+            if kind == "mul":
+                first = (np.multiply, args[0], slot(("const", 1.0)), out)
+                self.ops += [first] if len(args) == 1 else [(np.multiply, args[0], args[1], out)]
+                self.ops += [(np.multiply, out, f, out) for f in args[2:]]
+            elif kind == "add" and len(args) <= 2:
+                zero = slot(("const", 0.0))
+                self.ops.append((np.add, args[0], args[1] if len(args) == 2 else zero, out))
+                self.ops += [(np.add, out, zero, out)] if len(args) == 2 else []
+            elif kind == "add":
+                self.ops.append((math.fsum, list(args), out))
+            elif kind == "div":
+                self.ops.append((np.divide, args[0], args[1], out))
+            elif kind == "pow":
+                self.ops.append((lambda b, k=exponent[0]: b ** k, args[0], out))
+            else:
+                self.ops.append((getattr(math, kind), args[0], out))
+
+        def row(e):
+            r = rows.get(id(e))
+            if r is not None:
+                return r
+            kind = type(e)
+            if kind is Mul and e.factors:
+                key = ("mul", tuple([row(f) for f in e.factors]))
+            elif kind is Add and e.terms:
+                key = ("add", tuple([row(t) for t in e.terms]))
+            elif kind is Sym and e.name in columns:
+                key = ("sym", columns[e.name])
+            elif kind is Div:
+                key = ("div", (row(e.num), row(e.den)))
+            elif kind is Pow:
+                key = ("pow", (row(e.base),), e.exponent)
+            elif kind is Func and e.name in FUNCTION_NAMES:
+                key = (e.name, (row(e.arg),))
+            else:
+                key = ("const", _const_value(e))
+            r = rows[id(e)] = slots[key] if key in slots else slot(key)
+            return r
+
+        self.outputs = [row(e) for e in exprs]
+        self.const_rows = [r for r, _ in consts]
+        self.const_values = np.array([v for _, v in consts], dtype=float).reshape(-1, 1)
+        self.sym_rows = [r for r, _ in syms]
+        self.sym_columns = [j for _, j in syms]
+        self.size = len(slots)
+        self._buffer = None     # (N, buffer, its rows as views), kept for the next call
+
+    def run(self, points):
+        if self._buffer is None or self._buffer[0] != len(points):
+            buf = np.empty((self.size, len(points)))
+            self._buffer = (len(points), buf, list(buf))
+        _, buf, v = self._buffer
+        buf[self.const_rows] = self.const_values
+        buf[self.sym_rows] = points.T[self.sym_columns]
+        with np.errstate(all="ignore"):
+            for op in self.ops:
+                if len(op) == 4:
+                    op[0](v[op[1]], v[op[2]], out=v[op[3]])
+                else:
+                    fn, x, out = op
+                    v[out][:] = _each(fn, buf[x].T.tolist() if type(x) is list else v[x].tolist())
+            ok = np.isfinite(buf).all(axis=0)
+        return buf[self.outputs].T, ok
+
+
+def _const_value(e):
+    """The float of a node `_BatchPlan` does not compute: a constant's value,
+    or NaN for one beyond float range; 0.0 for a sum of no terms and 1.0 for
+    a product of no factors; NaN for any other node, where `_eval` raises
+    MissingSymbolError or TypeError."""
+    if isinstance(e, (Add, Mul)):
+        return 0.0 if isinstance(e, Add) else 1.0
+    if isinstance(e, Const):
+        try:
+            return float(e.value)
+        except OverflowError:
+            return math.nan
+    return math.nan
 
 
 def symbols_of(e):

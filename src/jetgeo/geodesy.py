@@ -28,9 +28,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .connections import _check_split, invariants_match
-from .errors import DimensionMismatchError, DomainError, FrameMismatchError, draw_regular, require_finite, worst
-from .jets import SecJet, SubJet, cover1, cover2, tangent_cover1
-from .sampling import random_point, spawn_rng
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    FrameMismatchError,
+    draw_regular,
+    outcome,
+    require_finite,
+    worst,
+)
+from .jets import SecJet, cover1, cover2, tangent_cover1
+from .sampling import UniformStream, near_singular, spawn_rng
 
 
 def _check_subjet(g, p):
@@ -101,13 +109,44 @@ def dot_gamma(g, p):
     Christoffels evaluated at the jet's base point.
     """
     _check_subjet(g, p)
-    n, m = p.n, p.m
-    G = g.christoffel_at(p.base)
-    D = p.first_matrix()
-    lat = G[:, n:, :n] + np.einsum("aki,ix->akx", G[:, n:, n:], D)
-    grk = G[:, :n, :n] + np.einsum("abi,ix->abx", G[:, :n, n:], D)
-    table = lat - np.einsum("kb,abx->akx", D, grk)
-    return DotGamma(n, m, table)
+    return DotGamma(p.n, p.m, dot_gamma_table(g.christoffel_at(p.base), p.first_matrix()))
+
+
+# The array formulas behind the per-jet functions.  Each takes Christoffel
+# arrays and jet arrays at one jet or stacked along the same leading axes,
+# so a per-jet function and a batch of jets share one einsum per kernel.
+
+
+def dot_gamma_table(G, D):
+    """`dot_gamma`'s table from G (..., l, l, l) and D (..., m, n)."""
+    n = D.shape[-1]
+    lat = G[..., :, n:, :n] + np.einsum("...aki,...ix->...akx", G[..., :, n:, n:], D)
+    grk = G[..., :, :n, :n] + np.einsum("...abi,...ix->...abx", G[..., :, :n, n:], D)
+    return lat - np.einsum("...kb,...abx->...akx", D, grk)
+
+
+def ddot_second(G, D):
+    """`ddot_gamma`'s second derivatives (..., m, n, n) from G and D."""
+    n = D.shape[-1]
+    table = dot_gamma_table(G, D)
+    second = -(np.swapaxes(table[..., :n, :, :], -3, -2)
+               + np.einsum("...jl,...jkx->...klx", D, table[..., n:, :, :]))
+    return 0.5 * (second + np.swapaxes(second, -1, -2))
+
+
+def ddot_pro_second(G, Th, D):
+    """`ddot_gamma_pro`'s second derivatives (..., l, n, n) from G, Θ's
+    array Th (..., n, n, n) and D (..., l, n)."""
+    second = -np.einsum("...ACB,...Ax,...Bl->...Cxl", G, D, D) + np.einsum("...xel,...Ce->...Cxl", Th, D)
+    return 0.5 * (second + np.swapaxes(second, -1, -2))
+
+
+def param_residual_table(G, Th, D, second):
+    """`param_residual2`'s table (..., l, n, n)."""
+    table = (second
+             + np.einsum("...ACB,...Ax,...Bl->...Cxl", G, D, D)
+             - np.einsum("...xel,...Ce->...Cxl", Th, D))
+    return 0.5 * (table + np.swapaxes(table, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -174,13 +213,8 @@ def ddot_gamma(g, p):
     symmetrized over the base index pair.  `residual2` of the result
     vanishes identically.
     """
-    dg = dot_gamma(g, p)
-    D = p.first_matrix()
-    n = p.n
-    second = -(np.transpose(dg.table[:n, :, :], (1, 0, 2))
-               + np.einsum("jl,jkx->klx", D, dg.table[n:, :, :]))
-    second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
-    return p.with_second(second)
+    _check_subjet(g, p)
+    return p.with_second(ddot_second(g.christoffel_at(p.base), p.first_matrix()))
 
 
 def residual2(g, q):
@@ -273,12 +307,7 @@ def ddot_gamma_pro(g, theta, p):
     u^C_{x xi x lam} = -Γ_A{}^C{}_B u^A_{x xi} u^B_{x lam}
                        + Θ_xi{}^eta{}_lam u^C_{x eta}."""
     _check_secjet(g, theta, p)
-    G = g.christoffel_at(p.u)
-    Th = theta.christoffel_at(p.x)
-    D = p.first_matrix()
-    second = -np.einsum("ACB,Ax,Bl->Cxl", G, D, D) + np.einsum("xel,Ce->Cxl", Th, D)
-    second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
-    return p.with_second(second)
+    return p.with_second(ddot_pro_second(g.christoffel_at(p.u), theta.christoffel_at(p.x), p.first_matrix()))
 
 
 def param_residual2(g, theta, q):
@@ -297,10 +326,7 @@ def param_residual2(g, theta, q):
 
 
 def _param_residual(G, Th, D, second):
-    table = (second
-             + np.einsum("ACB,Ax,Bl->Cxl", G, D, D)
-             - np.einsum("xel,Ce->Cxl", Th, D))
-    return ParamResidual2(D.shape[1], D.shape[0], 0.5 * (table + np.transpose(table, (0, 2, 1))))
+    return ParamResidual2(D.shape[1], D.shape[0], param_residual_table(G, Th, D, second))
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +541,39 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     Ground truth: the order-2 extensions agree at `samples` random
     order-1 jets within tol.  Also reports the sufficient-condition fast
     path through the invariant families.
+
+    A jet is a point (`random_point`: redrawn near a declared singular
+    point or where g1 fails) and then its (m, n) derivative block, both
+    from one generator; a redrawn point takes l numbers, a jet l + m n.
+    A batch reads the jets as if every point were regular, evaluates g1 at
+    all of them, and keeps those before the first irregular point; the
+    deviation is redrawn where g2 fails or it is not finite.
     """
     if g1.frame.names != g2.frame.names:
         raise FrameMismatchError("connections live on different frames")
-    m = g1.dim - n
-    rng = spawn_rng(seed, 0)
+    _check_split(g1, n)
+    l = g1.dim
+    m = l - n
+    size = l + m * n
+    stream = UniformStream(spawn_rng(seed, 0))
 
-    def draw():
-        p = SubJet(n, m, random_point(g1, rng), rng.uniform(-1.0, 1.0, (m, n)))
-        deviation = np.abs(ddot_gamma(g1, p).second_array() - ddot_gamma(g2, p).second_array()).max()
-        return require_finite(deviation, "second-order extension deviation")
+    def draw(k):
+        drawn = stream.peek(k * size).reshape(k, size)
+        points = drawn[:, :l]
+        G1, failed = g1.christoffel_many(points)
+        if g1.singular_points:
+            failed.update((i, e) for i, e in enumerate(near_singular(g1, p) for p in points) if e)
+        regular = min(failed, default=k)
+        G2, failed2 = g2.christoffel_many(points[:regular])
+        D = drawn[:regular, l:].reshape(regular, m, n)
+        deviations = np.abs(ddot_second(G1[:regular], D) - ddot_second(G2, D)).max(axis=(1, 2, 3))
+        out = [failed2.get(i) or outcome(require_finite, dev, "second-order extension deviation")
+               for i, dev in enumerate(deviations.tolist())]
+        if regular < k:
+            out.append(failed[regular])
+        stream.skip(regular * size + (l if regular < k else 0))
+        return out
 
-    max_dev = worst(draw_regular(draw, samples)[0])
+    max_dev = worst(draw_regular(draw, samples, batch=True)[0])
     inv_equal, inv_dev = invariants_match(g1, g2, n, spawn_rng(seed, 1), tol=tol)
     return EquivalenceVerdict(max_dev <= tol, max_dev, inv_equal, inv_dev, samples, tol)

@@ -52,12 +52,17 @@ def _frozen(values, shape, symmetric=False):
     a = np.asarray(values, dtype=float)
     if a.shape != shape:
         raise DimensionMismatchError(f"derivative array has shape {a.shape}, expected {shape}")
-    if symmetric:
-        a = np.where(np.triu(np.ones(shape[1:], dtype=bool)), a, a.swapaxes(1, 2))
-    else:
-        a = a.copy()
+    a = mirrored(a) if symmetric else a.copy()
     a.flags.writeable = False
     return a
+
+
+def mirrored(second):
+    """A copy of second derivatives (..., n, n) with each entry [..., xi, lam]
+    below the diagonal replaced by [..., lam, xi]: what an order-2 jet
+    stores of them."""
+    n = second.shape[-1]
+    return np.where(np.triu(np.ones((n, n), dtype=bool)), second, np.swapaxes(second, -1, -2))
 
 
 class _Jet:
@@ -170,13 +175,6 @@ class SecJet(_Jet):
         """The base-direction block (u^xi_{x lambda}), xi, lambda in 1..n."""
         return self.first[: self.n, :]
 
-    def top_det(self):
-        return float(np.linalg.det(self.top_block()))
-
-    def is_immersion(self, tol=1e-9):
-        """Full Jacobian rank n; membership in the immersed-jet subset."""
-        return np.linalg.matrix_rank(self.first, tol=tol) == self.n
-
 
 @dataclass(frozen=True)
 class ParamMap:
@@ -210,9 +208,6 @@ class ParamMap:
         """∂_lam s^A at x as an (l, n) array."""
         return np.column_stack([self.table.derivative(name)(x) for name in self.frame.names])
 
-    def is_immersion_at(self, x, tol=1e-9):
-        return np.linalg.matrix_rank(self.jacobian_at(x), tol=tol) == self.n
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -239,10 +234,6 @@ class AffineMap:
 
     def apply(self, x):
         return self.a @ np.asarray(x, dtype=float) + self.b
-
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        return AffineMap(self.a @ other.a, self.a @ other.b + self.b)
 
     def inverse(self):
         inv = np.linalg.inv(self.a)
@@ -356,12 +347,14 @@ def affine_act(g, t):
     if g.n != t.n:
         raise DimensionMismatchError("affine map and jet disagree on parameter dimension")
     ainv = np.linalg.inv(g.a)
-    first = t.first_matrix() @ ainv
-    out = SecJet(t.n, t.l, g.apply(t.x), t.u, first)
-    if t.r == 2:
-        second = np.einsum("Cax,al,xb->Clb", t.second_array(), ainv, ainv)
-        out = out.with_second(second)
-    return out
+    second = None if t.r == 1 else affine_second(t.second_array(), ainv)
+    return SecJet(t.n, t.l, g.apply(t.x), t.u, t.first_matrix() @ ainv, second)
+
+
+def affine_second(second, ainv):
+    """`affine_act`'s second derivatives from second (..., l, n, n), at one
+    jet or stacked along leading axes, and the inverse linear part ainv."""
+    return np.einsum("...Cax,al,xb->...Clb", second, ainv, ainv)
 
 
 def reparam_act(phi, t):

@@ -69,14 +69,50 @@ def random_expressions(names, rng, count):
     return [random_polynomial(names, rng) for _ in range(count)]
 
 
+class UniformStream:
+    """The numbers of successive ``rng.uniform(-1.0, 1.0, size)`` calls, read
+    ahead from buffered draws of the generator, for a caller that owns its
+    generator and must look at numbers before it knows how many it consumes.
+
+    ``rng.uniform(-1, 1, (k, l))`` gives what k calls ``rng.uniform(-1, 1, l)``
+    give, so what is consumed lines up with those calls; the generator
+    itself runs ahead of it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.buffer = np.empty(0)
+        self.pos = 0
+
+    def peek(self, count):
+        """The next `count` numbers, without consuming them."""
+        if len(self.buffer) - self.pos < count:
+            fresh = self.rng.uniform(-1.0, 1.0, max(count, 256))
+            self.buffer = np.concatenate([self.buffer[self.pos:], fresh])
+            self.pos = 0
+        return self.buffer[self.pos:self.pos + count]
+
+    def skip(self, count):
+        """Consume `count` numbers."""
+        self.pos += count
+
+
+def near_singular(g, point):
+    """DomainError if the point lies within 1e-6 of one of g's declared
+    singular points, else None."""
+    if any(np.linalg.norm(point - np.asarray(s)) < 1e-6 for s in g.singular_points):
+        return DomainError("sample point within 1e-6 of a declared singular point")
+    return None
+
+
 def random_point(g, rng):
     """One point drawn from [-1, 1]^l.  Raises DomainError where a
     Christoffel entry fails to evaluate or within 1e-6 of one of the
     connection's declared singular points; callers redraw through
     `draw_regular`."""
     point = rng.uniform(-1.0, 1.0, g.dim)
-    if any(np.linalg.norm(point - np.asarray(s)) < 1e-6 for s in g.singular_points):
-        raise DomainError("sample point within 1e-6 of a declared singular point")
+    error = near_singular(g, point)
+    if error is not None:
+        raise error
     g.christoffel_at(point)
     return point
 
@@ -88,24 +124,24 @@ def random_subjet1(n, m, rng, base=None):
     return SubJet(n, m, base, rng.uniform(-1.0, 1.0, (m, n)))
 
 
-def random_secjet1(n, l, rng, min_det=0.3):
-    """Random order-1 section jet whose base-direction derivative block is
-    comfortably invertible (admissible for the covering projections)."""
+def secjet1_arrays(n, l, rng, min_det=0.3):
+    """The (x, u, first) of a random order-1 section jet whose base-direction
+    derivative block is comfortably invertible (admissible for the covering
+    projections): `first` is redrawn until |det first[:n]| >= min_det, then
+    x and u are drawn."""
 
     def draw():
         first = rng.uniform(-1.0, 1.0, (l, n))
         if abs(np.linalg.det(first[:n, :])) < min_det:
             raise SingularJacobianError("base-direction block of the section jet is near singular")
-        return SecJet(n, l, rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, l), first)
+        return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, l), first
 
     return draw_regular(draw, 1)[0][0]
 
 
-def random_secjet2(n, l, rng, min_det=0.3):
-    """Random admissible order-2 section jet."""
-    second = rng.uniform(-1.0, 1.0, (l, n, n))
-    second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
-    return random_secjet1(n, l, rng, min_det).with_second(second)
+def random_secjet1(n, l, rng, min_det=0.3):
+    """Random order-1 section jet drawn by `secjet1_arrays`."""
+    return SecJet(n, l, *secjet1_arrays(n, l, rng, min_det))
 
 
 def random_affine(n, rng):

@@ -20,11 +20,27 @@ import numpy as np
 
 from . import expr
 from .connections import Connection
-from .errors import DimensionMismatchError, DomainError, SpecLoadError, draw_regular, json_int, json_names, worst
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    SpecLoadError,
+    draw_regular,
+    json_int,
+    json_names,
+    require_finite,
+    worst,
+)
 from .expr import CoordinateFrame, Sym
-from .geodesy import ddot_gamma_pro, distribution_fields, param_residual2, residual2
-from .jets import ParamMap, SecJet, SubJet, affine_act, cover1, cover2, reparam_act
-from .sampling import random_affine, random_secjet1, random_subjet1, spawn_rng
+from .geodesy import (
+    ddot_gamma_pro,
+    ddot_pro_second,
+    distribution_fields,
+    param_residual2,
+    param_residual_table,
+    residual2,
+)
+from .jets import ParamMap, SecJet, SubJet, affine_act, affine_second, cover1, cover2, mirrored, reparam_act
+from .sampling import random_affine, random_secjet1, random_subjet1, secjet1_arrays, spawn_rng
 
 
 def subjet1_chart(frame, n):
@@ -112,10 +128,10 @@ class SymmetryReport:
     tol: float
 
     @classmethod
-    def sample(cls, draw, samples, tol):
+    def sample(cls, draw, samples, tol, batch=False):
         """Report on `samples` regular draws, each a (coordinates,
         residual) pair; see `errors.draw_regular`."""
-        rows, redrawn = draw_regular(draw, samples)
+        rows, redrawn = draw_regular(draw, samples, batch)
         return cls(tuple(rows), redrawn, tol)
 
     @property
@@ -134,11 +150,12 @@ class SymmetryReport:
 def _span_residual(generators, vector):
     """Distance of the vector from the row span, scaled decision threshold
     handled by the caller.  Least squares against the generator rows; an
-    entry that is not finite raises DomainError, so the sample is redrawn."""
+    entry that is not finite, or a distance that is not (the least-squares
+    fit can overflow), raises DomainError, so the sample is redrawn."""
     if not (np.isfinite(generators).all() and np.isfinite(vector).all()):
         raise DomainError("distribution generators are not finite")
     sol, *_ = np.linalg.lstsq(generators.T, vector, rcond=None)
-    return float(np.linalg.norm(generators.T @ sol - vector))
+    return require_finite(np.linalg.norm(generators.T @ sol - vector), "span residual")
 
 
 def _span_scale(generators):
@@ -397,19 +414,31 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     """Whether the affine parameter change preserves the parametrized
     equation: points of the zero set are acted on and the residual is
     re-evaluated.  Requires the flat parameter connection, the setting in
-    which the affine group acts by symmetries."""
+    which the affine group acts by symmetries.
+
+    Each batch draws its order-1 section jets by `secjet1_arrays`, evaluates
+    g once at all of their points, and runs `ddot_gamma_pro`, `affine_act`
+    and `param_residual2` on the stacked arrays; a jet where g fails is
+    redrawn.  Θ is zero at every point, the acted one included."""
     if theta.christoffel:
         raise DimensionMismatchError("affine symmetry check requires the flat parameter connection")
     if theta.dim != aff.n:
         raise DimensionMismatchError("affine map and parameter connection disagree")
+    n, l = aff.n, g.dim
+    ainv = np.linalg.inv(aff.a)
     rng = spawn_rng(seed, 0)
 
-    def draw():
-        p = random_secjet1(aff.n, g.dim, rng)
-        acted = affine_act(aff, ddot_gamma_pro(g, theta, p))
-        return p.x + p.u, param_residual2(g, theta, acted).max_abs()
+    def draw(k):
+        x, u, first = (np.array(a) for a in zip(*(secjet1_arrays(n, l, rng) for _ in range(k))))
+        G, failed = g.christoffel_many(u)
+        Th = np.zeros((k, n, n, n))
+        second = affine_second(mirrored(ddot_pro_second(G, Th, first)), ainv)
+        table = param_residual_table(G, Th, first @ ainv, mirrored(second))
+        residuals = np.abs(table).max(axis=(1, 2, 3)).tolist()
+        return [failed.get(i) or (tuple(x[i].tolist()) + tuple(u[i].tolist()), residuals[i])
+                for i in range(k)]
 
-    return SymmetryReport.sample(draw, samples, tol)
+    return SymmetryReport.sample(draw, samples, tol, batch=True)
 
 
 def reparam_symmetry_check(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0):

@@ -5,7 +5,9 @@ the list-based RK4 stepper that the generated loop is checked against bit
 for bit, the per-step geodesic residual that the batched one is checked
 against, the
 `simplify`-based random polynomials that the sampler is checked against,
-and a hypothesis strategy for expression trees (test-only, not public API).
+the one-sample-at-a-time comparisons and affine symmetry check that the
+batched ones are checked against, a hypothesis strategy for expression
+trees, and helpers only the tests use (test-only, not public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
@@ -18,9 +20,21 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from jetgeo import expr
-from jetgeo.connections import Connection
+from jetgeo.connections import Connection, grass_arrays, pi_array
+from jetgeo.errors import draw_regular, require_finite, worst
 from jetgeo.expr import FUNCTION_NAMES, Add, Const, CoordinateFrame, Div, Func, Mul, Pow, Sym
-from jetgeo.geodesy import GeodesicStep, _param_residual, _spray
+from jetgeo.geodesy import (
+    EquivalenceVerdict,
+    GeodesicStep,
+    _param_residual,
+    _spray,
+    ddot_gamma,
+    ddot_gamma_pro,
+    param_residual2,
+)
+from jetgeo.jets import AffineMap, SubJet, affine_act
+from jetgeo.sampling import random_point, random_secjet1, spawn_rng
+from jetgeo.symmetry import SymmetryReport
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -217,3 +231,103 @@ def trees():
         )
 
     return st.recursive(leaves, nodes, max_leaves=12)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+def connection_to_dict(g):
+    """The JSON spec structure of a connection, entries printed by `to_text`."""
+    return {
+        "coords": list(g.frame.names),
+        "n": g.frame.split,
+        "christoffel": [
+            {"lower": [a, b], "upper": c, "expr": expr.to_text(e)}
+            for (a, b, c), e in sorted(g.christoffel.items())
+        ],
+        "singular_points": [list(p) for p in g.singular_points],
+    }
+
+
+def random_secjet2(n, l, rng, min_det=0.3):
+    """Random admissible order-2 section jet: a symmetrized second block,
+    then `random_secjet1`."""
+    second = rng.uniform(-1.0, 1.0, (l, n, n))
+    second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
+    return random_secjet1(n, l, rng, min_det).with_second(second)
+
+
+def top_det(t):
+    """det of a section jet's base-direction block."""
+    return float(np.linalg.det(t.top_block()))
+
+
+def is_immersion(t, tol=1e-9):
+    """Whether a section jet's Jacobian has full rank n."""
+    return np.linalg.matrix_rank(t.first, tol=tol) == t.n
+
+
+def is_immersion_at(s, x, tol=1e-9):
+    """Whether a `ParamMap`'s Jacobian has full rank n at x."""
+    return np.linalg.matrix_rank(s.jacobian_at(x), tol=tol) == s.n
+
+
+def compose(f, g):
+    """The affine map f after g: x -> f(g(x))."""
+    return AffineMap(f.a @ g.a, f.a @ g.b + f.b)
+
+
+# ---------------------------------------------------------------------------
+# the sampled checks one sample at a time: `draw_regular`'s per-sample form,
+# one `christoffel_at` call per point and one jet per sample
+
+
+def max_difference_oracle(g1, g2, arrays, rng):
+    """`connections._max_difference` point by point; `arrays` maps one
+    `christoffel_at` array to its families."""
+
+    def draw():
+        point = rng.uniform(-1.0, 1.0, g1.dim)
+        pairs = zip(arrays(g1.christoffel_at(point)), arrays(g2.christoffel_at(point)))
+        return require_finite(worst(np.abs(a - b).max() for a, b in pairs), "invariant deviation")
+
+    return worst(draw_regular(draw, 12)[0])
+
+
+def pi_deviation_oracle(g1, g2, rng):
+    return max_difference_oracle(g1, g2, lambda G: (pi_array(G),), rng)
+
+
+def invariants_match_oracle(g1, g2, n, rng, tol=1e-10):
+    max_dev = max_difference_oracle(g1, g2, lambda G: grass_arrays(G, n), rng)
+    return max_dev <= tol, max_dev
+
+
+def grass_equivalent_oracle(g1, g2, n, samples=50, tol=1e-10, seed=0):
+    """`geodesy.grass_equivalent` jet by jet, through `random_point` and
+    `ddot_gamma`."""
+    m = g1.dim - n
+    rng = spawn_rng(seed, 0)
+
+    def draw():
+        p = SubJet(n, m, random_point(g1, rng), rng.uniform(-1.0, 1.0, (m, n)))
+        deviation = np.abs(ddot_gamma(g1, p).second_array() - ddot_gamma(g2, p).second_array()).max()
+        return require_finite(deviation, "second-order extension deviation")
+
+    max_dev = worst(draw_regular(draw, samples)[0])
+    inv_equal, inv_dev = invariants_match_oracle(g1, g2, n, spawn_rng(seed, 1), tol=tol)
+    return EquivalenceVerdict(max_dev <= tol, max_dev, inv_equal, inv_dev, samples, tol)
+
+
+def affine_symmetry_check_oracle(g, theta, aff, samples=25, tol=1e-10, seed=0):
+    """`symmetry.affine_symmetry_check` jet by jet, through
+    `random_secjet1`, `ddot_gamma_pro`, `affine_act` and `param_residual2`."""
+    rng = spawn_rng(seed, 0)
+
+    def draw():
+        p = random_secjet1(aff.n, g.dim, rng)
+        acted = affine_act(aff, ddot_gamma_pro(g, theta, p))
+        return p.x + p.u, param_residual2(g, theta, acted).max_abs()
+
+    return SymmetryReport.sample(draw, samples, tol)

@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 import jetgeo
 from jetgeo import cli, connections, expr
 from jetgeo.cli import main
-from jetgeo.connections import connection_to_dict, projective_shift
+from jetgeo.connections import projective_shift
 from jetgeo.errors import DomainError
 from jetgeo.geodesy import geodesic_residuals, geodesic_steps
 from jetgeo.jets import jet_to_dict, multi_indices
-from jetgeo.sampling import random_connection, random_expressions, random_secjet2, spawn_rng
+from jetgeo.sampling import random_connection, random_expressions, spawn_rng
 from jetgeo.expr import CoordinateFrame
 
-from conftest import geodesic_oracle, geodesic_step_residual
+from conftest import connection_to_dict, geodesic_oracle, geodesic_step_residual, random_secjet2
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(jetgeo.__file__)))
@@ -115,6 +115,24 @@ def test_residual_unparam_with_cover(zero_spec, tmp_path, capsys):
     assert main(["residual", zero_spec, "--jets", jets, "--mode", "unparam"]) == 0
     out = capsys.readouterr().out
     assert "singular-jacobian" in out
+
+
+def test_residual_reports_a_domain_error_per_jet(tmp_path, capsys):
+    """Γ_1{}^2{}_1 = sqrt(u1) fails at the jet with u1 = -0.5: that row reads
+    domain-error and the jets before and after it are still computed (the
+    whole report used to stop with exit 2)."""
+    spec = write(tmp_path / "g.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": "sqrt(u1)"}]})
+    jets = write(tmp_path / "jets.json", {"jets": [
+        {"kind": "subjet", "n": 1, "m": 1, "r": 2, "u": [u1, 0.0],
+         "derivs": [{"i": 2, "sigma": [1], "value": 0.0}, {"i": 2, "sigma": [1, 1], "value": 0.0}]}
+        for u1 in (0.5, -0.5, 0.25)]})
+    assert main(["residual", spec, "--jets", jets, "--mode", "unparam"]) == 0
+    out, err = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[:2] for row in rows] == [["0", "ok"], ["1", "domain-error"], ["2", "ok"]]
+    assert [float(rows[i][-1]) for i in (0, 2)] == [math.sqrt(0.5), 0.5]
+    assert err == "3 jets, worst residual 7.071e-01 (tol 1.0e-10)\n"
 
 
 def test_residual_unparam_direct_subjet_zeros(zero_spec, tmp_path, capsys):
@@ -377,14 +395,37 @@ def test_symmetry_check_redraws_where_the_image_generators_overflow(tmp_path, ca
     map that scales u2_1 by 10^308 give generators at the image that are not
     finite, and least squares over them ended in a LinAlgError traceback.
     Such a sample is now redrawn.  Where the generators are finite, their
-    span residual overflows to nan, which fails the check with exit 1."""
-    spec = write(tmp_path / "g.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
-        {"lower": [1, 1], "upper": 1, "expr": "exp(1000*u1)"}, {"lower": [1, 1], "upper": 2, "expr": "u1"}]})
-    jmap = write(tmp_path / "m.json", {"kind": "subjet", "n": 1, "coords": ["u1", "u2"],
-                                       "components": {"u1": "u1", "u2": "u2", "u2_1": "10^308*u2_1"}})
-    assert main(["symmetry-check", spec, "--map", jmap, "--samples", "3"]) == 1
+    span residual overflows, and that sample is redrawn too: no sample is
+    regular, so the check runs out of samples and exits 2."""
+    spec = write(tmp_path / "g.json", _EXP_SPEC)
+    jmap = write(tmp_path / "m.json", _scaling_map("10^308"))
+    assert main(["symmetry-check", spec, "--map", jmap, "--samples", "3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("FAIL 0/3 tol=1e-08 (worst residual nan, skipped ") and err.count("\n") == 1
+    assert err.startswith("error: could not sample: 300 draws failed and 0 of 3 succeeded")
+
+
+def test_symmetry_check_redraws_a_span_residual_that_is_not_finite(tmp_path, capsys):
+    """With the map scaling u2_1 by 10^155, least squares overflows to nan or
+    inf at some samples and not at others.  Those samples are redrawn, as
+    `grass_equivalent` redraws a deviation that is not finite; they used to
+    be kept as failing rows, and the check exited 1 with a nan worst
+    residual."""
+    spec = write(tmp_path / "g.json", _EXP_SPEC)
+    jmap = write(tmp_path / "m.json", _scaling_map("10^155"))
+    assert main(["symmetry-check", spec, "--map", jmap, "--samples", "6"]) == 0
+    out, err = capsys.readouterr()
+    residuals = [float(row[-2]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+    assert len(residuals) == 6 and all(math.isfinite(r) for r in residuals)
+    assert err == "PASS 6/6 tol=1e-08 (worst residual 0.000e+00, skipped 88)\n"
+
+
+_EXP_SPEC = {"coords": ["u1", "u2"], "n": 1, "christoffel": [
+    {"lower": [1, 1], "upper": 1, "expr": "exp(1000*u1)"}, {"lower": [1, 1], "upper": 2, "expr": "u1"}]}
+
+
+def _scaling_map(factor):
+    return {"kind": "subjet", "n": 1, "coords": ["u1", "u2"],
+            "components": {"u1": "u1", "u2": "u2", "u2_1": f"{factor}*u2_1"}}
 
 
 def test_affine_map_with_an_overflowing_determinant_writes_no_warning(tmp_path):

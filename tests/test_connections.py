@@ -8,7 +8,6 @@ from jetgeo import expr
 from jetgeo.connections import (
     Connection,
     connection_from_dict,
-    connection_to_dict,
     grass_arrays,
     grass_invariants,
     grass_shift,
@@ -28,7 +27,7 @@ from jetgeo.errors import (
 from jetgeo.expr import Const, CoordinateFrame
 from jetgeo.sampling import random_connection, random_expressions, spawn_rng
 
-from conftest import sphere_chart, sphere_spec
+from conftest import connection_to_dict, sphere_chart, sphere_spec
 
 
 def frame(l, n=1):
@@ -279,18 +278,23 @@ def test_comparisons_redraw_where_gamma_fails(family):
 
 @pytest.mark.parametrize("family", ["thomas", "grassmann"])
 def test_comparisons_redraw_a_non_finite_deviation(family, monkeypatch):
+    # the first point of the first batch reads nan: it is redrawn by a second
+    # batch of one point, for each connection
     f = frame(3)
     g = random_connection(f, spawn_rng(12))
-    evaluate, calls = Connection.christoffel_at, []
+    evaluate, calls = Connection.christoffel_many, []
 
-    def nan_on_first_call(self, point):
-        calls.append(point)
-        return evaluate(self, point) * (np.nan if len(calls) == 1 else 1.0)
+    def nan_on_first_call(self, points):
+        calls.append(len(points))
+        arrays, failures = evaluate(self, points)
+        if len(calls) == 1:
+            arrays[0] = np.nan
+        return arrays, failures
 
-    monkeypatch.setattr(Connection, "christoffel_at", nan_on_first_call)
+    monkeypatch.setattr(Connection, "christoffel_many", nan_on_first_call)
     rng, replay = spawn_rng(13), spawn_rng(13)
     assert _comparisons(g, g)[family](rng) == 0.0
-    assert len(calls) == 2 * 13
+    assert calls == [12, 12, 1, 1]
     for _ in range(13):
         replay.uniform(-1.0, 1.0, 3)
     assert rng.uniform() == replay.uniform()
@@ -298,7 +302,8 @@ def test_comparisons_redraw_a_non_finite_deviation(family, monkeypatch):
 
 def test_comparisons_give_up_where_every_deviation_is_nan(monkeypatch):
     g = random_connection(frame(3), spawn_rng(14))
-    monkeypatch.setattr(Connection, "christoffel_at", lambda self, point: np.full((3, 3, 3), np.nan))
+    monkeypatch.setattr(Connection, "christoffel_many",
+                        lambda self, points: (np.full((len(points), 3, 3, 3), np.nan), {}))
     for compare in _comparisons(g, g).values():
         with pytest.raises(DomainError, match="could not sample"):
             compare(spawn_rng(15))
