@@ -120,6 +120,10 @@ def json_names(value, what):
 # A sampler gives up after this many failed draws per requested sample.
 _REDRAWS_PER_SAMPLE = 100
 
+# A batch asks for at most this many samples, so that the arrays of one
+# batch stay small whatever the count.
+_BATCH_SAMPLES = 1024
+
 
 def outcome(fn, *args):
     """fn(*args), or the DomainError or SingularJacobianError it raised: the
@@ -138,9 +142,9 @@ def draw_regular(draw, count, batch=False):
     SingularJacobianError is redrawn, and any other exception propagates.
     With `batch`, ``draw(k)`` takes up to k samples at once, the next ones of
     the same stream, and returns their outcomes in order (see `outcome`).
-    Each round asks for the shortfall, so the batched form accepts the same
-    samples in the same order as drawing one at a time from the stream, and
-    consumes no more of it.  After 100 failed samples per requested sample
+    Each round asks for the shortfall, at most 1024, so the batched form
+    accepts the same samples in the same order as drawing one at a time
+    from the stream, and consumes no more of it.  After 100 failed samples per requested sample
     the sampler gives up with DomainError.  Returns (results, redrawn).
     numpy's floating-point warnings are off: a non-finite deviation is
     redrawn by `require_finite` or kept by `worst`.
@@ -150,7 +154,7 @@ def draw_regular(draw, count, batch=False):
     redrawn = 0
     with np.errstate(all="ignore"):
         while len(results) < count:
-            for result in take(count - len(results)):
+            for result in take(min(count - len(results), _BATCH_SAMPLES)):
                 if not isinstance(result, (DomainError, SingularJacobianError)):
                     results.append(result)
                     continue

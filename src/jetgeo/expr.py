@@ -583,7 +583,7 @@ class _BatchPlan:
                 key = (e.name, (row(e.arg),))
             else:
                 key = ("const", _const_value(e))
-            r = rows[id(e)] = slots[key] if key in slots else slot(key)
+            r = rows[id(e)] = slot(key)
             return r
 
         self.outputs = [row(e) for e in exprs]

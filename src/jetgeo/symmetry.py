@@ -432,8 +432,10 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
         x, u, first = (np.array(a) for a in zip(*(secjet1_arrays(n, l, rng) for _ in range(k))))
         G, failed = g.christoffel_many(u)
         Th = np.zeros((k, n, n, n))
-        second = affine_second(mirrored(ddot_pro_second(G, Th, first)), ainv)
-        table = param_residual_table(G, Th, first @ ainv, mirrored(second))
+        # ddot_pro_second's result is symmetric bit for bit, affine_second's
+        # is not: an order-2 jet stores the mirror of its upper triangle
+        second = mirrored(affine_second(ddot_pro_second(G, Th, first), ainv))
+        table = param_residual_table(G, Th, first @ ainv, second)
         residuals = np.abs(table).max(axis=(1, 2, 3)).tolist()
         return [failed.get(i) or (tuple(x[i].tolist()) + tuple(u[i].tolist()), residuals[i])
                 for i in range(k)]

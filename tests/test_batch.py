@@ -2,6 +2,8 @@
 against the per-point table, `draw_regular`'s batched form against its
 per-sample form, and the batched comparisons and affine symmetry check
 against their one-sample-at-a-time oracles in tests/conftest.py."""
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from conftest import (
     grass_equivalent_oracle,
     invariants_match_oracle,
     pi_deviation_oracle,
+    sphere_chart,
     trees,
 )
 
@@ -121,6 +124,14 @@ def test_at_many_of_no_points_and_of_no_trees():
     assert values.shape == (3, 0) and ok.all()
 
 
+def test_a_table_pickles_after_at_many():
+    g = sphere_chart(2)      # its powers are closures in the batch plan
+    points = np.array([[0.3, 0.1], [-0.5, 0.2]])
+    arrays, _ = g.christoffel_many(points)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy.christoffel_many(points)[0].tobytes() == arrays.tobytes()
+
+
 def test_christoffel_many_stacks_christoffel_at():
     g = Connection.from_entries(frame(2), {(1, 1, 2): parse("sqrt(u1)", frame(2)), (1, 2, 1): parse("u2", frame(2))})
     points = np.array([[0.25, 0.5], [-0.25, 0.5], [0.5, -1.0]])
@@ -155,7 +166,7 @@ def _check(x):
     return x
 
 
-@pytest.mark.parametrize("count", [1, 5, 40])
+@pytest.mark.parametrize("count", [1, 5, 40, 3000])
 def test_batched_draws_accept_the_same_samples_and_leave_the_same_stream(count):
     rng, replay = spawn_rng(21), spawn_rng(21)
     assert draw_regular(_batched(rng), count, batch=True) == draw_regular(_per_sample(replay), count)
