@@ -548,13 +548,13 @@ class _BatchPlan:
 
         def emit(kind, args, out, *exponent):
             if kind == "mul":
-                first = (np.multiply, args[0], slot(("const", 1.0)), out)
-                self.ops += [first] if len(args) == 1 else [(np.multiply, args[0], args[1], out)]
+                second = args[1] if len(args) > 1 else slot(("const", 1.0))
+                self.ops.append((np.multiply, args[0], second, out))
                 self.ops += [(np.multiply, out, f, out) for f in args[2:]]
-            elif kind == "add" and len(args) <= 2:
-                zero = slot(("const", 0.0))
-                self.ops.append((np.add, args[0], args[1] if len(args) == 2 else zero, out))
-                self.ops += [(np.add, out, zero, out)] if len(args) == 2 else []
+            elif kind == "add" and len(args) == 1:
+                self.ops.append((np.add, args[0], slot(("const", 0.0)), out))
+            elif kind == "add" and len(args) == 2:
+                self.ops += [(np.add, args[0], args[1], out), (np.add, out, slot(("const", 0.0)), out)]
             elif kind == "add":
                 self.ops.append((math.fsum, list(args), out))
             elif kind == "div":
@@ -568,18 +568,17 @@ class _BatchPlan:
             r = rows.get(id(e))
             if r is not None:
                 return r
-            kind = type(e)
-            if kind is Mul and e.factors:
+            if isinstance(e, Mul) and e.factors:
                 key = ("mul", tuple([row(f) for f in e.factors]))
-            elif kind is Add and e.terms:
+            elif isinstance(e, Add) and e.terms:
                 key = ("add", tuple([row(t) for t in e.terms]))
-            elif kind is Sym and e.name in columns:
+            elif isinstance(e, Sym) and e.name in columns:
                 key = ("sym", columns[e.name])
-            elif kind is Div:
+            elif isinstance(e, Div):
                 key = ("div", (row(e.num), row(e.den)))
-            elif kind is Pow:
+            elif isinstance(e, Pow):
                 key = ("pow", (row(e.base),), e.exponent)
-            elif kind is Func and e.name in FUNCTION_NAMES:
+            elif isinstance(e, Func) and e.name in FUNCTION_NAMES:
                 key = (e.name, (row(e.arg),))
             else:
                 key = ("const", _const_value(e))

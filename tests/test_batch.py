@@ -245,8 +245,8 @@ def _recorded(monkeypatch, module):
 def _equivalence_cases():
     g, shifted = _sqrt_connection(3)
     yield g, shifted, 1
-    # singular points at the first point drawn and at the point a regular
-    # first jet would be followed by: each takes l numbers, not l + m n
+    # singular points at the first two points of the stream when a redrawn
+    # point takes l numbers, not l + m n: the second is reached only so
     f = frame(3)
     first = spawn_rng(7, 0).uniform(-1.0, 1.0, 6)
     singular = (tuple(first[:3]), tuple(first[3:6]))
