@@ -545,9 +545,12 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     A jet is a point (`random_point`: redrawn near a declared singular
     point or where g1 fails) and then its (m, n) derivative block, both
     from one generator; a redrawn point takes l numbers, a jet l + m n.
-    A batch reads the jets as if every point were regular, evaluates g1 at
-    all of them, and keeps those before the first irregular point; the
-    deviation is redrawn where g2 fails or it is not finite.
+    A batch walks the numbers of k jets as one jet at a time would.  It
+    evaluates g1 at the points of one offset modulo l + m n at a time,
+    another only when a redrawn point shifts the walk there, and re-runs
+    on the per-point table only the points it reaches that `at_many`
+    marks not ok.  The deviation is redrawn where g2 fails or it is not
+    finite.
     """
     if g1.frame.names != g2.frame.names:
         raise FrameMismatchError("connections live on different frames")
@@ -558,21 +561,48 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     stream = UniformStream(spawn_rng(seed, 0))
 
     def draw(k):
-        drawn = stream.peek(k * size).reshape(k, size)
-        points = drawn[:, :l]
-        G1, failed = g1.christoffel_many(points)
-        if g1.singular_points:
-            failed.update((i, e) for i, e in enumerate(near_singular(g1, p) for p in points) if e)
-        regular = min(failed, default=k)
-        G2, failed2 = g2.christoffel_many(points[:regular])
-        D = drawn[:regular, l:].reshape(regular, m, n)
-        deviations = np.abs(ddot_second(G1[:regular], D) - ddot_second(G2, D)).max(axis=(1, 2, 3))
-        out = [failed2.get(i) or outcome(require_finite, dev, "second-order extension deviation")
-               for i, dev in enumerate(deviations.tolist())]
-        if regular < k:
-            out.append(failed[regular])
-        stream.skip(regular * size + (l if regular < k else 0))
-        return out
+        drawn = stream.peek(k * size)
+        shifts = {}
+        out, jets, rows, at = [], [], [], 0
+        while len(jets) < k and at + size <= len(drawn):
+            shift, r = at % size, at // size
+            if shift not in shifts:
+                values, ok = g1.table.at_many(np.lib.stride_tricks.sliding_window_view(drawn, l)[shift::size])
+                # with singular points declared, each point is checked alone
+                shifts[shift] = values, ok, ok & (not g1.singular_points)
+            values, ok, plain = shifts[shift]
+            # the jets up to the next point that needs a look of its own
+            stop = ~plain[r:r + min(k - len(jets), (len(drawn) - at) // size)]
+            run = int(stop.argmax()) if stop.any() else len(stop)
+            if run == 0:
+                point = drawn[at:at + l]
+                error = near_singular(g1, point) if g1.singular_points else None
+                if error is None and not ok[r]:
+                    try:
+                        values[r] = g1.table(point)
+                    except DomainError as e:
+                        error = e
+                if error is not None:
+                    out.append(error)
+                    at += l
+                    continue
+                run = 1
+            out.extend(range(len(jets), len(jets) + run))
+            jets.extend(range(at, at + run * size, size))
+            rows.append(values[r:r + run])
+            at += run * size
+        stream.skip(at)
+        if not jets:
+            return out
+        starts = np.array(jets)
+        points = drawn[starts[:, None] + np.arange(l)]
+        D = drawn[starts[:, None] + np.arange(l, size)].reshape(len(jets), m, n)
+        G1 = g1.christoffel_arrays(np.concatenate(rows))
+        G2, failed2 = g2.christoffel_many(points)
+        deviations = np.abs(ddot_second(G1, D) - ddot_second(G2, D)).max(axis=(1, 2, 3)).tolist()
+        return [o if isinstance(o, DomainError) else failed2.get(o)
+                or outcome(require_finite, deviations[o], "second-order extension deviation")
+                for o in out]
 
     max_dev = worst(draw_regular(draw, samples, batch=True)[0])
     inv_equal, inv_dev = invariants_match(g1, g2, n, spawn_rng(seed, 1), tol=tol)

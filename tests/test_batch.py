@@ -243,8 +243,10 @@ def _recorded(monkeypatch, module):
 
 
 def _equivalence_cases():
-    g, shifted = _sqrt_connection(3)
-    yield g, shifted, 1
+    # l, n = 4, 2: a point may start only at every fourth number
+    for l, n in ((3, 1), (4, 2), (5, 2)):
+        g, shifted = _sqrt_connection(l)
+        yield g, shifted, n
     # singular points at the first two points of the stream when a redrawn
     # point takes l numbers, not l + m n: the second is reached only so
     f = frame(3)
@@ -284,9 +286,10 @@ def test_batched_grass_equivalent_skips_a_singular_point_by_l_numbers():
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Connection, "christoffel_many", spy)
         grass_equivalent(singular, g, 1, samples=2, seed=9)
+    # g is evaluated at the jets kept after the singular point: the first
+    # batch's 10 numbers hold the point and one jet, the second batch the other
     numbers = spawn_rng(9, 0).uniform(-1.0, 1.0, 3 + 2 * 5)
-    assert np.array_equal(calls[0][0], numbers[:3])
-    assert np.array_equal(calls[2][:2], numbers[3:].reshape(2, 5)[:, :3])
+    assert np.array_equal(np.concatenate(calls[:2]), numbers[3:].reshape(2, 5)[:, :3])
 
 
 @pytest.mark.parametrize("case", ["random", "sqrt"])
