@@ -468,14 +468,16 @@ class Table:
         """The values of `at_many`, with each row that is not ok evaluated
         once more by `__call__`, which gives that row's values or raises.
         Returns (values, failures): failures maps the index of each row where
-        it raised DomainError to the error."""
+        it raised DomainError to the error, without its traceback: the
+        traceback holds this call's frame, which holds the dict, and such
+        a cycle kept the arrays of every batch until a full collection."""
         values, ok = self.at_many(points)
         failures = {}
         for i in np.flatnonzero(~ok).tolist():
             try:
                 values[i] = self(points[i])
             except DomainError as e:
-                failures[i] = e
+                failures[i] = e.with_traceback(None)
         return values, failures
 
     def derivative(self, name):

@@ -546,11 +546,11 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     point or where g1 fails) and then its (m, n) derivative block, both
     from one generator; a redrawn point takes l numbers, a jet l + m n.
     A batch walks the numbers of k jets as one jet at a time would.  It
-    evaluates g1 at the points of one offset modulo l + m n at a time,
-    another only when a redrawn point shifts the walk there, and re-runs
-    on the per-point table only the points it reaches that `at_many`
-    marks not ok.  The deviation is redrawn where g2 fails or it is not
-    finite.
+    evaluates g1 by `at_many` at the k points it reads if every point is
+    regular, and takes each run of ok ones at once; a point it reaches
+    that is not ok, or that a redrawn point has shifted off those k, goes
+    through the per-point table.  The deviation is redrawn where g2 fails
+    or it is not finite.
     """
     if g1.frame.names != g2.frame.names:
         raise FrameMismatchError("connections live on different frames")
@@ -562,42 +562,41 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
 
     def draw(k):
         drawn = stream.peek(k * size)
-        shifts = {}
+        values, ok = g1.table.at_many(drawn.reshape(k, size)[:, :l])
+        # with singular points declared, each point is checked alone
+        plain = ok & (not g1.singular_points)
         out, jets, rows, at = [], [], [], 0
         while len(jets) < k and at + size <= len(drawn):
-            shift, r = at % size, at // size
-            if shift not in shifts:
-                values, ok = g1.table.at_many(np.lib.stride_tricks.sliding_window_view(drawn, l)[shift::size])
-                # with singular points declared, each point is checked alone
-                shifts[shift] = values, ok, ok & (not g1.singular_points)
-            values, ok, plain = shifts[shift]
-            # the jets up to the next point that needs a look of its own
-            stop = ~plain[r:r + min(k - len(jets), (len(drawn) - at) // size)]
-            run = int(stop.argmax()) if stop.any() else len(stop)
-            if run == 0:
-                point = drawn[at:at + l]
-                error = near_singular(g1, point) if g1.singular_points else None
-                if error is None and not ok[r]:
-                    try:
-                        values[r] = g1.table(point)
-                    except DomainError as e:
-                        error = e
-                if error is not None:
-                    out.append(error)
-                    at += l
-                    continue
-                run = 1
-            out.extend(range(len(jets), len(jets) + run))
-            jets.extend(range(at, at + run * size, size))
-            rows.append(values[r:r + run])
-            at += run * size
+            r = at // size
+            if at % size == 0 and plain[r]:
+                stop = ~plain[r:r + k - len(jets)]
+                run = int(stop.argmax()) if stop.any() else len(stop)
+                out.extend(range(len(jets), len(jets) + run))
+                jets.extend(range(at, at + run * size, size))
+                rows.extend(values[r:r + run])
+                at += run * size
+                continue
+            point = drawn[at:at + l]
+            error = near_singular(g1, point) if g1.singular_points else None
+            if error is None:
+                try:
+                    rows.append(values[r] if at % size == 0 and ok[r] else g1.table(point))
+                except DomainError as e:
+                    error = e.with_traceback(None)  # see `Table.rows`
+            if error is None:
+                out.append(len(jets))
+                jets.append(at)
+                at += size
+            else:
+                out.append(error)
+                at += l
         stream.skip(at)
         if not jets:
             return out
         starts = np.array(jets)
         points = drawn[starts[:, None] + np.arange(l)]
         D = drawn[starts[:, None] + np.arange(l, size)].reshape(len(jets), m, n)
-        G1 = g1.christoffel_arrays(np.concatenate(rows))
+        G1 = g1.christoffel_arrays(rows)
         G2, failed2 = g2.christoffel_many(points)
         deviations = np.abs(ddot_second(G1, D) - ddot_second(G2, D)).max(axis=(1, 2, 3)).tolist()
         return [o if isinstance(o, DomainError) else failed2.get(o)

@@ -92,6 +92,8 @@ def test_the_mask_marks_each_domain_error():
     assert {i: str(e) for i, e in failures.items()} == {
         0: "division by zero", 1: "zero base with negative exponent",
         2: "sqrt of negative value -0.25", 3: "exp overflow", 4: "intermediate value is not finite"}
+    # a kept traceback would hold the frame of `rows`, and with it the batch
+    assert all(e.__traceback__ is None for e in failures.values())
     assert values[5].tolist() == list(table(points[5]))
 
 
