@@ -41,6 +41,7 @@ from .errors import (
     draw_regular,
     json_numbers,
     load_json,
+    require_finite,
     worst,
 )
 from .geodesy import (
@@ -271,13 +272,13 @@ def cmd_cover_check(args):
     rng = spawn_rng(args.seed, 0)
 
     def draw():
+        # every number of a sample is drawn before either deviation can fail,
+        # so a redrawn sample consumes as much of the stream as a kept one
         p = random_secjet1(n, g.dim, rng)
+        tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, g.dim), rng.uniform(-1, 1, (g.dim, n))
         c_dev = covering_commutation_deviation(g, theta, p)
-        q_dev = quotient_diagram_deviation(
-            g, theta, p,
-            rng.uniform(-1, 1, n), rng.uniform(-1, 1, g.dim), rng.uniform(-1, 1, (g.dim, n)),
-        )
-        return c_dev, q_dev
+        q_dev = quotient_diagram_deviation(g, theta, p, *tangent)
+        return require_finite(c_dev, "commutation deviation"), require_finite(q_dev, "quotient deviation")
 
     devs, _ = draw_regular(draw, args.samples)
     max_dev = worst(v for d in devs for v in d)
@@ -352,13 +353,20 @@ def cmd_selftest(args):
 # argument wiring
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None, help="random seed (default: $JETGEO_SEED or 0)")
-    p.add_argument("--samples", type=int, default=200, help="sample count for randomized checks")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="write the table to this path instead of stdout")
-    p.add_argument("--n", type=int, default=None, help="base/fibre split (default: from the spec)")
+_OPTIONS = {
+    "seed": dict(type=int, default=None, help="random seed (default: $JETGEO_SEED or 0)"),
+    "samples": dict(type=int, default=200, help="sample count for randomized checks"),
+    "tol": dict(type=float, default=None, help="tolerance override"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(default=None, help="write the table to this path instead of stdout"),
+    "n": dict(type=int, default=None, help="base/fibre split (default: from the spec)"),
+}
+
+
+def _add_options(p, *names):
+    """Add the options of `_OPTIONS` named in `names`: those the subcommand reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 @functools.cache
@@ -374,13 +382,13 @@ def build_parser():
     p = sub.add_parser("invariants", help="print projective and Grassmannian invariant tables")
     p.add_argument("connection")
     p.add_argument("--compare", default=None, help="second connection spec to diff against")
-    _add_common(p)
+    _add_options(p, "seed", "tol", "format", "out", "n")
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("equivalent", help="decide Grassmannian equivalence of two connections")
     p.add_argument("connection")
     p.add_argument("other")
-    _add_common(p)
+    _add_options(p, "seed", "samples", "tol", "format", "out", "n")
     p.set_defaults(fn=cmd_equivalent)
 
     p = sub.add_parser("residual", help="evaluate a totally geodesic residual on jet files")
@@ -388,7 +396,7 @@ def build_parser():
     p.add_argument("--jets", required=True)
     p.add_argument("--mode", choices=("param", "unparam"), required=True)
     p.add_argument("--theta", default=None, help="parameter-space connection spec (param mode)")
-    _add_common(p)
+    _add_options(p, "tol", "format", "out")
     p.set_defaults(fn=cmd_residual)
 
     p = sub.add_parser("geodesic", help="integrate the parametrized geodesic equation")
@@ -398,13 +406,13 @@ def build_parser():
     p.add_argument("--h", type=float, required=True, help="step size")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--theta", default=None)
-    _add_common(p)
+    _add_options(p, "format", "out")
     p.set_defaults(fn=cmd_geodesic)
 
     p = sub.add_parser("cover-check", help="verify covering commutation and the quotient diagram")
     p.add_argument("connection")
     p.add_argument("--theta", default=None)
-    _add_common(p)
+    _add_options(p, "seed", "samples", "tol", "format", "out", "n")
     p.set_defaults(fn=cmd_cover_check)
 
     p = sub.add_parser("symmetry-check", help="check a candidate symmetry")
@@ -414,11 +422,12 @@ def build_parser():
     group.add_argument("--field", default=None, help="jet field spec")
     group.add_argument("--affine", default=None, help="affine map spec")
     p.add_argument("--theta", default=None)
-    _add_common(p)
+    _add_options(p, "seed", "samples", "tol", "format", "out", "n")
     p.set_defaults(fn=cmd_symmetry_check)
 
     p = sub.add_parser("selftest", help="run every acceptance criterion")
-    _add_common(p)
+    # selftest writes no file; it takes --out because perfbench/run.py passes it to every call
+    _add_options(p, "seed", "tol", "out")
     p.set_defaults(fn=cmd_selftest)
 
     return parser
@@ -426,20 +435,20 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.seed is None:
+    if "seed" in args and args.seed is None:
         text = os.environ.get("JETGEO_SEED", "0")
         try:
             args.seed = int(text)
         except ValueError:
             _say(f"error: JETGEO_SEED must be a non-negative integer, got {text!r}")
             return 2
-    if args.seed < 0:
+    if "seed" in args and args.seed < 0:
         _say(f"error: seed must be a non-negative integer, got {args.seed}")
         return 2
-    if args.samples < 1:
+    if "samples" in args and args.samples < 1:
         _say("error: samples must be >= 1")
         return 2
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+    if "tol" in args and args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
         _say(f"error: tol must be a positive finite number, got {args.tol}")
         return 2
     try:

@@ -189,21 +189,33 @@ def projective_shift(g, phi):
     Φ is one expression per coordinate; Γ' has the same unparametrized
     geodesics as Γ.
     """
+    if len(phi) != g.dim:
+        raise DimensionMismatchError(f"phi has length {len(phi)}, expected {g.dim}")
+    return _shifted(g, lambda a, c, b: _delta(phi, a, c, b))
+
+
+def _delta(phi, a, c, b):
+    """δ^C_A Φ_B + δ^C_B Φ_A, 1-based; `_ZERO` where C is neither A nor B."""
+    e = _ZERO
+    if c == a:
+        e = e + phi[b - 1]
+    if c == b:
+        e = e + phi[a - 1]
+    return e
+
+
+def _shifted(g, diff):
+    """Γ' with Γ - Γ' = diff(A, C, B), simplified; an entry where diff is
+    `_ZERO` is kept only where g lists it."""
     l = g.dim
-    if len(phi) != l:
-        raise DimensionMismatchError(f"phi has length {len(phi)}, expected {l}")
     entries = {}
     for a in range(1, l + 1):
         for b in range(a, l + 1):
             for c in range(1, l + 1):
-                delta = _ZERO
-                if c == a:
-                    delta = delta + phi[b - 1]
-                if c == b:
-                    delta = delta + phi[a - 1]
-                if delta is _ZERO and (a, b, c) not in g.christoffel:
+                d = diff(a, c, b)
+                if d is _ZERO and (a, b, c) not in g.christoffel:
                     continue
-                entries[(a, b, c)] = expr.simplify(g.gamma(a, c, b) - delta)
+                entries[(a, b, c)] = expr.simplify(g.gamma(a, c, b) - d)
     return Connection(g.frame, entries, g.singular_points)
 
 
@@ -305,8 +317,7 @@ def grass_shift(g, n, psi, chi=None):
     shift by Φ = (psi_1, chi_2, ..., chi_l).
     """
     _check_split(g, n)
-    l = g.dim
-    m = l - n
+    m = g.dim - n
     if len(psi) != n:
         raise DimensionMismatchError(f"psi has length {len(psi)}, expected {n}")
     if chi is None:
@@ -321,36 +332,19 @@ def grass_shift(g, n, psi, chi=None):
     def diff(a, c, b):
         # Γ - Γ' on each block, 1-based indices; a <= b not assumed here.
         a_base, b_base, c_base = a <= n, b <= n, c <= n
-        e = _ZERO
         if a_base and b_base and c_base:
-            if c == a:
-                e = e + psi[b - 1]
-            if c == b:
-                e = e + psi[a - 1]
-        elif a_base != b_base:
+            return _delta(psi, a, c, b)
+        if not (a_base or b_base or c_base):
+            return _delta(chi, a - n, c - n, b - n)
+        if a_base != b_base:
             lam, i = (a, b) if a_base else (b, a)
-            if c_base:
-                if c == lam:
-                    e = e + chi[i - n - 1]
-            else:
-                if c == i:
-                    e = e + psi[lam - 1]
-        elif not (a_base or b_base or c_base):
-            if c == a:
-                e = e + chi[b - n - 1]
-            if c == b:
-                e = e + chi[a - n - 1]
-        return e
+            if c_base and c == lam:
+                return _ZERO + chi[i - n - 1]
+            if not c_base and c == i:
+                return _ZERO + psi[lam - 1]
+        return _ZERO
 
-    entries = {}
-    for a in range(1, l + 1):
-        for b in range(a, l + 1):
-            for c in range(1, l + 1):
-                d = diff(a, c, b)
-                if d is _ZERO and (a, b, c) not in g.christoffel:
-                    continue
-                entries[(a, b, c)] = expr.simplify(g.gamma(a, c, b) - d)
-    return Connection(g.frame, entries, g.singular_points)
+    return _shifted(g, diff)
 
 
 # ---------------------------------------------------------------------------

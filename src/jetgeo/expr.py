@@ -308,81 +308,64 @@ def _finite(x):
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
-# Factors per generated product statement.  Python's compiler recurses once
-# per operator of an expression, so one product of thousands of factors
-# raises RecursionError at compile time; a longer product takes several.
+# Factors per generated guard statement.  Python's compiler recurses once per
+# operator of an expression, so one product of thousands of factors raises
+# RecursionError at compile time; a longer guard takes several statements.
 _PRODUCT_FACTORS = 100
 
+# The operator `compile_table` prints for each numpy ufunc of a plan.
+_INFIX = {np.multiply: "*", np.add: "+", np.divide: "/"}
 
-def compile_table(exprs, names):
+
+def compile_table(exprs, names, plan=None):
     """Compile a table of trees into one straight-line Python function.
 
     ``compile_table(exprs, names)(*coords)`` returns what
     ``_interpret(exprs, names, coords)`` returns, bit for bit, and raises
-    what it raises, with the same message.  The function does the
-    arithmetic only: one local per structurally distinct subtree, computed
-    the way `_eval` computes it (the same float constants, fsum for sums,
-    products from 1.0 left to right), then one guard that every local is
-    finite.  If the body raises anything, or the guard trips, it returns
-    `_interpret` at the same point, so the interpreter raises its own first
-    error.  That is exact: the interpreter raises only where a node's value
-    is not finite or one of its checks fires, and each check it makes at a
-    point stands for an exception of the float operation at that node (a
-    zero division, an overflow, a negative sqrt, sin or cos of an infinity,
-    fsum of opposite infinities).  A table with a node that cannot be
-    emitted (a constant beyond float range, an unassigned symbol, an
-    unknown function) is interpreted at every point.
+    what it raises, with the same message.  The function prints the trees'
+    `_BatchPlan` (`plan`, built here if not given) as arithmetic on floats:
+    one local per row of the plan, one statement per operation of it, then
+    one guard that every local is finite.  If the body raises anything, or
+    the guard trips, it returns `_interpret` at the same point, so the
+    interpreter raises its own first error.  That is exact: the interpreter
+    raises only where a node's value is not finite or one of its checks
+    fires, and each check it makes at a point stands for an exception of the
+    float operation at that node (a zero division, an overflow, a negative
+    sqrt, sin or cos of an infinity, fsum of opposite infinities).  A plan
+    with a NaN constant (a constant beyond float range, an unassigned
+    symbol, an unknown function) is interpreted at every point.
     """
     exprs, names = tuple(exprs), tuple(names)
-    args = {name: f"c{i}" for i, name in enumerate(names)}
-    operands = {}   # subtree -> float literal or the local holding its value
-    lines = []
-
-    def product(name, first, factors):
-        # name = first * factors[0] * ..., left to right, in bounded statements
-        for i in range(0, max(len(factors), 1), _PRODUCT_FACTORS):
-            lines.append(f"{name} = {' * '.join([first, *factors[i:i + _PRODUCT_FACTORS]])}")
-            first = name
-
-    def local(e, first, factors=()):
-        name = operands[e] = f"t{len(operands)}"
-        product(name, first, factors)
-        return name
-
-    def operand(e):
-        if e in operands:
-            return operands[e]
-        if isinstance(e, Const):
-            text = repr(float(e.value))
-            operands[e] = f"({text})" if text.startswith("-") else text
-            return operands[e]
-        if isinstance(e, Sym):
-            return local(e, f"float({args[e.name]})")
-        if isinstance(e, Add):
-            return local(e, f"fsum(({''.join(operand(t) + ', ' for t in e.terms)}))")
-        if isinstance(e, Mul):
-            return local(e, "1.0", [operand(f) for f in e.factors])
-        if isinstance(e, Pow):
-            return local(e, f"{operand(e.base)} ** {e.exponent}")
-        if isinstance(e, Div):
-            return local(e, f"{operand(e.num)} / {operand(e.den)}")
-        if isinstance(e, Func) and e.name in FUNCTION_NAMES:
-            return local(e, f"{e.name}({operand(e.arg)})")
-        raise TypeError(f"cannot evaluate {type(e).__name__}")
+    plan = plan if plan is not None else _BatchPlan(exprs, names)
 
     def interpreted(*coords):
         return _interpret(exprs, names, coords)
 
-    try:
-        results = [operand(e) for e in exprs]
-    except (OverflowError, KeyError, TypeError):
+    if np.isnan(plan.const_values).any():
         return interpreted
-    # 0.0 times finite factors is ±0.0; an infinite or nan factor makes it nan
-    product("finite", "0.0", list(operands.values()))
-    params = "".join(f"{c}, " for c in args.values())
+    operands = [f"t{r}" for r in range(plan.size)]
+    for r, v in zip(plan.const_rows, plan.const_values[:, 0].tolist()):
+        operands[r] = f"({v!r})" if v < 0 else repr(v)
+    lines = [f"t{r} = float(c{j})" for r, j in zip(plan.sym_rows, plan.sym_columns)]
+    for fn, x, y, out in plan.ops:
+        if fn in _INFIX:
+            text = f"{operands[x]} {_INFIX[fn]} {operands[y]}"
+        elif y:
+            text = f"{operands[x]} ** {y[0]}"
+        elif type(x) is list:
+            text = f"fsum(({''.join(operands[r] + ', ' for r in x)}))"
+        else:
+            text = f"{fn.__name__}({operands[x]})"
+        lines.append(f"t{out} = {text}")
+    # 0.0 times finite factors is ±0.0; an infinite or nan factor makes it nan;
+    # the factors are the locals, the operands that are not float literals
+    factors = [t for t in operands if t.startswith("t")]
+    lines += [f"finite = {' * '.join(['finite' if i else '0.0', *factors[i:i + _PRODUCT_FACTORS]])}"
+              for i in range(0, max(len(factors), 1), _PRODUCT_FACTORS)]
+    params = "".join(f"c{j}, " for j in range(len(names)))
     body = "".join(f"        {line}\n" for line in lines)
     source = (f"def table({params}):\n    try:\n{body}"
-              f"        if finite == 0.0:\n            return ({''.join(v + ', ' for v in results)})\n"
+              f"        if finite == 0.0:\n            return ({''.join(operands[r] + ', ' for r in plan.outputs)})\n"
               f"    except Exception:\n        pass\n"
               f"    return interpreted({params})\n")
     namespace = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos, "exp": math.exp,
@@ -437,10 +420,11 @@ class Table:
         return self.compiled()(*point)
 
     def compiled(self):
-        """The trees compiled by `compile_table`, built on the first call and
-        kept: ``compiled()(*coords)`` returns the values at that point."""
+        """The table's `_BatchPlan` compiled by `compile_table`, built on the
+        first call and kept: ``compiled()(*coords)`` returns the values at
+        that point."""
         if self._compiled is None:
-            self._compiled = compile_table(self.exprs, self.names)
+            self._compiled = compile_table(self.exprs, self.names, self._batch_plan())
         return self._compiled
 
     def at_many(self, points):
@@ -448,21 +432,24 @@ class Table:
         (N, k) array, and a boolean (N,) mask `ok`.
 
         Each structurally distinct subtree is computed once, over all rows
-        (`_BatchPlan`, built on the first call and kept), with the float
-        operations of `_eval`, so a row that is ok holds the values the
-        per-point table gives, bit for bit.  A row is not ok where a node of
-        it is not finite, which is where a zero denominator, a zero base
-        with a negative exponent, a negative sqrt argument or an overflow
-        shows; at finite points `__call__` raises there, and it alone says
-        with which error.  Nothing is compiled."""
+        (`_BatchPlan`, built once per table and printed by `compiled()`),
+        with the float operations of `_eval`, so a row that is ok holds the
+        values the per-point table gives, bit for bit.  A row is not ok
+        where a node of it is not finite, which is where a zero denominator,
+        a zero base with a negative exponent, a negative sqrt argument or an
+        overflow shows; at finite points `__call__` raises there, and it
+        alone says with which error.  Nothing is compiled."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != len(self.names):
             raise DimensionMismatchError(
                 f"points of shape {points.shape} for frame of dimension {len(self.names)}"
             )
+        return self._batch_plan().run(points)
+
+    def _batch_plan(self):
         if self._plan is None:
             self._plan = _BatchPlan(self.exprs, self.names)
-        return self._plan.run(points)
+        return self._plan
 
     def rows(self, points):
         """The values of `at_many`, with each row that is not ok evaluated
@@ -528,8 +515,10 @@ class _BatchPlan:
     NaN, as does a failing per-point call.
 
     `ops` holds ``(ufunc, x, y, row)`` for ``ufunc(x, y, out=row)`` on rows,
-    and ``(fn, x, row)`` for fn per point, of the values of row x or, for a
-    list x, of the rows in it."""
+    and ``(fn, x, exponent, row)`` for fn per point, of the values of row x
+    or, for a list x, of the rows in it: a power, whose ``(k,)`` is kept for
+    `compile_table` to print, or `math.fsum`, sin, cos, exp or sqrt with
+    ``()``.  `compile_table` prints the same operations as Python."""
 
     def __init__(self, exprs, names):
         columns = {name: j for j, name in enumerate(names)}
@@ -558,13 +547,13 @@ class _BatchPlan:
             elif kind == "add" and len(args) == 2:
                 self.ops += [(np.add, args[0], args[1], out), (np.add, out, slot(("const", 0.0)), out)]
             elif kind == "add":
-                self.ops.append((math.fsum, list(args), out))
+                self.ops.append((math.fsum, list(args), (), out))
             elif kind == "div":
                 self.ops.append((np.divide, args[0], args[1], out))
             elif kind == "pow":
-                self.ops.append((lambda b, k=exponent[0]: b ** k, args[0], out))
+                self.ops.append((lambda b, k=exponent[0]: b ** k, args[0], exponent, out))
             else:
-                self.ops.append((getattr(math, kind), args[0], out))
+                self.ops.append((getattr(math, kind), args[0], (), out))
 
         def row(e):
             r = rows.get(id(e))
@@ -603,12 +592,11 @@ class _BatchPlan:
         buf[self.const_rows] = self.const_values
         buf[self.sym_rows] = points.T[self.sym_columns]
         with np.errstate(all="ignore"):
-            for op in self.ops:
-                if len(op) == 4:
-                    op[0](v[op[1]], v[op[2]], out=v[op[3]])
-                else:
-                    fn, x, out = op
+            for fn, x, y, out in self.ops:
+                if type(y) is tuple:
                     v[out][:] = _each(fn, buf[x].T.tolist() if type(x) is list else v[x].tolist())
+                else:
+                    fn(v[x], v[y], out=v[out])
             ok = np.isfinite(buf).all(axis=0)
         return buf[self.outputs].T, ok
 

@@ -27,6 +27,7 @@ from .errors import (
     draw_regular,
     json_int,
     json_names,
+    outcome,
     require_finite,
     worst,
 )
@@ -418,8 +419,9 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
 
     Each batch draws its order-1 section jets by `secjet1_arrays`, evaluates
     g once at all of their points, and runs `ddot_gamma_pro`, `affine_act`
-    and `param_residual2` on the stacked arrays; a jet where g fails is
-    redrawn.  Θ is zero at every point, the acted one included."""
+    and `param_residual2` on the stacked arrays; a jet where g fails, or
+    whose residual is not finite, is redrawn.  Θ is zero at every point,
+    the acted one included."""
     if theta.christoffel:
         raise DimensionMismatchError("affine symmetry check requires the flat parameter connection")
     if theta.dim != aff.n:
@@ -437,8 +439,10 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
         second = mirrored(affine_second(ddot_pro_second(G, Th, first), ainv))
         table = param_residual_table(G, Th, first @ ainv, second)
         residuals = np.abs(table).max(axis=(1, 2, 3)).tolist()
-        return [failed.get(i) or (tuple(x[i].tolist()) + tuple(u[i].tolist()), residuals[i])
-                for i in range(k)]
+
+        def row(i):
+            return tuple(x[i].tolist()) + tuple(u[i].tolist()), require_finite(residuals[i], "residual")
+        return [failed.get(i) or outcome(row, i) for i in range(k)]
 
     return SymmetryReport.sample(draw, samples, tol, batch=True)
 

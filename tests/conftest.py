@@ -328,6 +328,6 @@ def affine_symmetry_check_oracle(g, theta, aff, samples=25, tol=1e-10, seed=0):
     def draw():
         p = random_secjet1(aff.n, g.dim, rng)
         acted = affine_act(aff, ddot_gamma_pro(g, theta, p))
-        return p.x + p.u, param_residual2(g, theta, acted).max_abs()
+        return p.x + p.u, require_finite(param_residual2(g, theta, acted).max_abs(), "residual")
 
     return SymmetryReport.sample(draw, samples, tol)

@@ -2,6 +2,7 @@
 against the per-point table, `draw_regular`'s batched form against its
 per-sample form, and the batched comparisons and affine symmetry check
 against their one-sample-at-a-time oracles in tests/conftest.py."""
+import math
 import pickle
 
 import numpy as np
@@ -99,14 +100,40 @@ def test_the_mask_marks_each_domain_error():
 
 def test_at_many_sums_like_fsum():
     """Plain numpy addition changes the last bits of a sum of three or more
-    terms; 0.1 + 0.2 + 0.3 is one such sum.  A sum of -0.0 terms is 0.0."""
+    terms; 0.1 + 0.2 + 0.3 is one such sum.  A sum of -0.0 terms is 0.0.
+    The compiled table, which prints the same plan, sums the same way."""
     table = Table([parse("u + v + w", ("u", "v", "w")), parse("u + v", ("u", "v", "w")),
                    parse("-u", ("u", "v", "w"))], ("u", "v", "w"))
-    values, ok = table.at_many(np.array([[0.1, 0.2, 0.3], [-0.0, -0.0, -0.0], [1e308, 1e308, -1e308]]))
+    points = np.array([[0.1, 0.2, 0.3], [-0.0, -0.0, -0.0], [1e308, 1e308, -1e308]])
+    values, ok = table.at_many(points)
     assert values[0].tolist() == list(table([0.1, 0.2, 0.3]))
     assert values[0, 0] != (0.1 + 0.2) + 0.3
     assert [v.hex() for v in values[1]] == ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
     assert ok.tolist() == [True, True, False]    # fsum overflows inside 1e308 + 1e308 - 1e308
+    compiled = expr.compile_table(table.exprs, table.names)
+    outcomes = [per_point(lambda p: compiled(*p), p) for p in points.tolist()]
+    assert outcomes == [per_point(lambda p: expr._interpret(table.exprs, table.names, p), p)
+                        for p in points.tolist()]
+    assert outcomes[1] == ("0x0.0p+0",) * 3 and outcomes[2][0] is DomainError
+
+
+def test_at_many_and_the_compiled_table_share_one_plan(monkeypatch):
+    plans = []
+
+    class CountedPlan(expr._BatchPlan):
+        def __init__(self, *args):
+            plans.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(expr, "_BatchPlan", CountedPlan)
+    g = sphere_chart(3)
+    table = Table(g.christoffel.values(), g.frame.names)
+    points = np.random.default_rng(4).uniform(-1, 1, (6, 3))
+    values, ok = table.at_many(points)
+    assert ok.all() and len(plans) == 1
+    assert [tuple(table.compiled()(*p)) for p in points.tolist()] == [tuple(row) for row in values.tolist()]
+    table.at_many(points)
+    assert len(plans) == 1
 
 
 def test_at_many_compiles_nothing_and_checks_the_point_length(monkeypatch):
@@ -127,7 +154,7 @@ def test_at_many_of_no_points_and_of_no_trees():
 
 
 def test_a_table_pickles_after_at_many():
-    g = sphere_chart(2)      # its powers are closures in the batch plan
+    g = sphere_chart(2)      # its powers are per-point operations of the batch plan
     points = np.array([[0.3, 0.1], [-0.5, 0.2]])
     arrays, _ = g.christoffel_many(points)
     copy = pickle.loads(pickle.dumps(g))
@@ -294,15 +321,24 @@ def test_batched_grass_equivalent_skips_a_singular_point_by_l_numbers():
     assert np.array_equal(np.concatenate(calls[:2]), numbers[3:].reshape(2, 5)[:, :3])
 
 
-@pytest.mark.parametrize("case", ["random", "sqrt"])
+def _overflow_connection(l):
+    # a residual that overflows to inf, or is inf - inf, at some jets: they are redrawn
+    f = frame(l)
+    return Connection.from_entries(f, {(1, 1, 1): parse("10^308*u1", f), (1, 2, 2): parse("10^308*u2", f),
+                                       (2, 2, 1): parse("10^308", f)})
+
+
+@pytest.mark.parametrize("case", ["random", "sqrt", "overflow"])
 def test_batched_affine_symmetry_check_equals_the_oracle(case):
     rng = spawn_rng(29)
     for i, (n, m) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
-        g = random_connection(frame(n + m, n), rng) if case == "random" else _sqrt_connection(n + m)[0]
+        g = (random_connection(frame(n + m, n), rng) if case == "random"
+             else _sqrt_connection(n + m)[0] if case == "sqrt" else _overflow_connection(n + m))
         theta = Connection.flat(n)
         aff = random_affine(n, rng)
         for samples in (1, 7, 50):
             report = affine_symmetry_check(g, theta, aff, samples=samples, seed=i)
             assert report == affine_symmetry_check_oracle(g, theta, aff, samples=samples, seed=i)
-            if case == "sqrt" and samples == 50:
+            assert all(math.isfinite(r) for _, r in report.rows)
+            if case != "random" and samples == 50:
                 assert report.skipped > 0

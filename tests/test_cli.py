@@ -631,14 +631,37 @@ def test_overflow_writes_only_the_summary_to_stderr(tmp_path, command, code, sum
     assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith(summary)
 
 
-def test_cover_check_worst_keeps_nan(tmp_path, capsys):
-    # inf - inf in the deviations of some samples; max(0.0, nan) would drop them
-    spec = write(tmp_path / "big.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": [
-        {"lower": [1, 1], "upper": 2, "expr": "10^308*u1 + 10^308*u2 + 10^308"}]})
-    assert main(["cover-check", spec, "--samples", "5", "--seed", "0"]) == 1
+_REDRAWN = {
+    "sum": [{"lower": [1, 1], "upper": 2, "expr": "10^308*u1 + 10^308*u2 + 10^308"}],
+    "products": [{"lower": [1, 1], "upper": 1, "expr": "10^308*u1"},
+                 {"lower": [1, 2], "upper": 2, "expr": "10^308*u2"},
+                 {"lower": [2, 2], "upper": 1, "expr": "10^308"}],
+    "sqrt": [{"lower": [1, 1], "upper": 2, "expr": "sqrt(u1)"}],
+}
+
+
+@pytest.mark.parametrize("command, gamma, samples, code, summary", [
+    ("cover-check", "sum", 5, 1, "FAIL covering checks: worst 1.996e+292"),
+    ("cover-check", "products", 3, 1, "FAIL covering checks: worst 1.247e+292"),
+    ("--affine", "products", 5, 0, "PASS 5/5 tol=1e-08 (worst residual 0.000e+00, skipped 1)"),
+    # a sample drawn at u1 < 0 uses up its tangent numbers too before it is
+    # redrawn; drawing them only after the commutation deviation gives 4.441e-16
+    ("cover-check", "sqrt", 4, 0, "PASS covering checks: worst 2.220e-16,"),
+], ids=["cover-check-sum", "cover-check-products", "affine-products", "cover-check-sqrt"])
+def test_a_non_finite_deviation_is_redrawn(tmp_path, command, gamma, samples, code, summary, capsys):
+    """inf - inf or an overflow in the deviation of some samples: each such
+    sample is redrawn, as `equivalent`, `--map` and `--field` redraw one,
+    where the first two reported nan and the third inf. A sample outside
+    the domain of g is redrawn after the same numbers as one of these."""
+    spec = write(tmp_path / "big.json", {"coords": ["u1", "u2"], "n": 1, "christoffel": _REDRAWN[gamma]})
+    affine = write(tmp_path / "aff.json", {"a": [[2.0]], "b": [0.5]})
+    argv = ["cover-check", spec] if command == "cover-check" else ["symmetry-check", spec, "--affine", affine]
+    assert main(argv + ["--samples", str(samples), "--seed", "0", "--format", "json"]) == code
     captured = capsys.readouterr()
-    assert ",nan," in captured.out
-    assert "FAIL covering checks: worst nan" in captured.err
+    payload = json.loads(captured.out)
+    assert len(payload["rows"]) == samples
+    assert all(math.isfinite(v) for row in payload["rows"] for v in row if type(v) is float)
+    assert captured.err.startswith(summary)
 
 
 def test_residual_worst_keeps_nan(tmp_path, capsys):
@@ -677,7 +700,8 @@ def test_randomized_commands_redraw_and_give_up_alike(tmp_path, command, gamma, 
         "--field": ["symmetry-check", spec, "--field", zero],
         "--affine": ["symmetry-check", spec, "--affine", affine],
     }[command]
-    assert main(argv + ["--samples", "5"]) == code
+    # invariants --compare compares at 12 points and takes no --samples
+    assert main(argv + ([] if command == "invariants" else ["--samples", "5"])) == code
     err = capsys.readouterr().err
     assert ("could not sample" in err) == (code == 2) and "Traceback" not in err
 
@@ -754,6 +778,35 @@ def test_invalid_seed_exits_2(zero_spec, flag, env, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "seed" in err.lower() and len(err.splitlines()) == 1
+
+
+_GEODESIC = ["geodesic", "s2.json", "--start", "0,0", "--velocity", "1,0", "--h", "0.1", "--steps", "2"]
+_RESIDUAL = ["residual", "l4.json", "--jets", "secjets_n2.json", "--mode", "param"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "l4.json", "--samples", "5"],
+    _RESIDUAL + ["--seed", "5"],
+    _RESIDUAL + ["--samples", "5"],
+    _RESIDUAL + ["--n", "2"],
+    _GEODESIC + ["--seed", "5"],
+    _GEODESIC + ["--samples", "0"],
+    _GEODESIC + ["--tol", "3"],
+    _GEODESIC + ["--n", "7"],
+    ["selftest", "--samples", "5"],
+    ["selftest", "--format", "json"],
+    ["selftest", "--n", "1"],
+], ids=["invariants-samples", "residual-seed", "residual-samples", "residual-n", "geodesic-seed",
+        "geodesic-samples", "geodesic-tol", "geodesic-n", "selftest-samples", "selftest-format", "selftest-n"])
+def test_a_subcommand_rejects_an_option_it_does_not_read(argv, capsys):
+    """Each of these options used to be accepted and ignored (or, for
+    geodesic --samples 0, rejected as a bad sample count)."""
+    argv = [os.path.join(GOLDEN, a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
 
 @pytest.fixture

@@ -99,23 +99,27 @@ def test_domain_edges_raise_the_same_error(table, point):
 
 
 @pytest.mark.parametrize(
-    "table",
+    "table, interpreted",
     [
         # the running total of fsum overflows before the third term raises
-        [Add((Mul((BIG, Sym("u1"))), Mul((BIG, Sym("u1"))), parse("1/(u1 - u1)", U)))],
-        [Add((BIG, BIG, parse("sqrt(-u1)", U)))],
-        [Add((BIG, BIG, Mul((Sym("u1"), Add((BIG, BIG, Sym("w")))))))],
-        [Add((BIG, BIG, Func("sin", Sym("u1"))))],
-        [Add((BIG, BIG, Add((Sym("u1"), Sym("u2")))))],
-        [Const(Fraction(10) ** 400)],
-        [Sym("u1"), Add((Sym("w"), Func("sqrt", Sym("u2"))))],
-        [Func("tan", Sym("u1"))],
+        ([Add((Mul((BIG, Sym("u1"))), Mul((BIG, Sym("u1"))), parse("1/(u1 - u1)", U)))], False),
+        ([Add((BIG, BIG, parse("sqrt(-u1)", U)))], False),
+        ([Add((BIG, BIG, Mul((Sym("u1"), Add((BIG, BIG, Sym("w")))))))], True),
+        ([Add((BIG, BIG, Func("sin", Sym("u1"))))], False),
+        ([Add((BIG, BIG, Add((Sym("u1"), Sym("u2")))))], False),
+        ([Const(Fraction(10) ** 400)], True),
+        ([Sym("u1"), Add((Sym("w"), Func("sqrt", Sym("u2"))))], True),
+        ([Func("tan", Sym("u1"))], True),
     ],
+    ids=[f"table{i}" for i in range(8)],
 )
-def test_interpreter_errors_outside_domain_error_match(table):
+def test_interpreter_errors_outside_domain_error_match(table, interpreted):
     # overflow is a DomainError; only a missing symbol or an unknown function is not
     for point in ((1.0, -1.0), (1.0, 2.0), (float("inf"), float("-inf"))):
         assert assert_same(table, U, point)[0] in (DomainError, MissingSymbolError, TypeError)
+    # a constant beyond float range, an unassigned symbol or an unknown function
+    # leaves no float to compile, and the table is interpreted at every point
+    assert (compile_table(table, U).__name__ == "interpreted") is interpreted
 
 
 def test_shared_subtrees_get_one_local():

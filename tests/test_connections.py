@@ -227,13 +227,21 @@ def test_grass_shift_zero_perturbation_is_identity():
 
 
 def test_grass_shift_n1_coincides_with_projective_shift():
-    f = frame(3)
     rng = spawn_rng(8)
-    g = random_connection(f, rng)
-    phi = random_expressions(f.names, rng, 3)
-    via_grass = grass_shift(g, 1, [phi[0]], phi[1:])
-    via_proj = projective_shift(g, phi)
-    assert connection_deviation(via_grass, via_proj, rng) <= 1e-12
+    for l in (3, 2, 4, 5):
+        f = frame(l)
+        g = random_connection(f, rng)
+        phi = random_expressions(f.names, rng, l)
+        via_grass = grass_shift(g, 1, [phi[0]], phi[1:])
+        via_proj = projective_shift(g, phi)
+        assert list(via_grass.christoffel.items()) == list(via_proj.christoffel.items())
+
+
+def test_projective_shift_of_a_line():
+    # grass_shift has no split for l = 1; projective_shift shifts the one entry
+    f = frame(1)
+    shifted = projective_shift(Connection.zero(f), [expr.parse("u1", f.names)])
+    assert shifted.christoffel == {(1, 1, 1): expr.parse("-2*u1", f.names)}
 
 
 def test_grass_shift_rejects_fibre_functions_for_n2():

@@ -665,8 +665,8 @@ def test_geodesic_calls_each_table_once_per_stage(monkeypatch, theta):
     the last point); a θ without entries is neither compiled nor called."""
     calls = []
 
-    def counting_compile(exprs, names):
-        table = compile_table(exprs, names)
+    def counting_compile(*args):
+        table = compile_table(*args)
         calls.append(0)
         index = len(calls) - 1
 
