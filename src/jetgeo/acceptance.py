@@ -20,22 +20,24 @@ from .errors import worst
 from .expr import Const, CoordinateFrame, Sym
 from .geodesy import (
     XiTable,
-    covering_commutation_deviation,
+    covering_commutation_deviations,
     ddot_gamma,
+    ddot_second,
     dot_gamma,
     dot_gamma_via_xi,
+    geodesic_steps,
     grass_equivalent,
-    integrate_geodesic,
-    quotient_diagram_deviation,
+    quotient_diagram_deviations,
     residual2,
+    residual_table,
 )
-from .jets import ParamMap, SubJet, cover2, prolong
+from .jets import ParamMap, SubJet, cover2, cover_first, cover_second, inverse_top_blocks, prolong
 from .sampling import (
     random_affine,
     random_connection,
     random_expressions,
-    random_secjet1,
     random_subjet1,
+    secjet1_arrays,
     spawn_rng,
 )
 from .symmetry import (
@@ -88,6 +90,19 @@ def _tol(cfg, pinned):
     return pinned if cfg.tol_override is None else cfg.tol_override
 
 
+def _per_case(samples, kernel):
+    """The deviations of `samples`, in sample order, where samples[i] holds
+    the arrays of sample i and sample i has dimension case i % 4: one
+    `kernel` call per `_DIM_CASES` entry, on the C-contiguous stacks of its
+    samples' arrays."""
+    out = [None] * len(samples)
+    cases = len(_DIM_CASES)
+    for k in range(cases):
+        stacked = (np.array(arrays) for arrays in zip(*samples[k::cases]))
+        out[k::cases] = kernel(*stacked).tolist()
+    return out
+
+
 def _result(cid, title, deviations, tol, ok=True, detail=""):
     """A criterion that passes when `ok` holds and the worst of its
     deviations, NaN included, is within tol."""
@@ -116,12 +131,18 @@ def criterion_1(cfg):
     tol = _tol(cfg, 1e-10)
     rng = spawn_rng(cfg.seed, 1)
     start = time.perf_counter()
-    deviations = []
+    samples = []
     for i in range(200):
         n, m = _DIM_CASES[i % 4]
         g = random_connection(_frame(n + m, n), rng)
-        p = random_subjet1(n, m, rng)
-        deviations.append(residual2(g, ddot_gamma(g, p)).max_abs())
+        base = rng.uniform(-1.0, 1.0, n + m)
+        first = rng.uniform(-1.0, 1.0, (m, n))
+        samples.append((g.christoffel_at(base), first))
+
+    def residual(G, D):
+        return np.abs(residual_table(G, D, ddot_second(G, D))).max(axis=(1, 2, 3))
+
+    deviations = _per_case(samples, residual)
     elapsed = time.perf_counter() - start
     return _result(1, "defining identity on 200 random connections", deviations, tol,
                    elapsed < 5.0, f"elapsed {elapsed:.2f}s")
@@ -195,13 +216,14 @@ def criterion_5(cfg):
     """extend-then-project equals project-then-extend"""
     tol = _tol(cfg, 1e-10)
     rng = spawn_rng(cfg.seed, 5)
-    deviations = []
+    samples = []
     for i in range(200):
-        n, m = ((1, 1), (1, 2), (2, 1), (2, 2))[i % 4]
+        n, m = _DIM_CASES[i % 4]
         g = random_connection(_frame(n + m, n), rng)
         theta = random_connection(_theta_frame(n), rng)
-        p = random_secjet1(n, n + m, rng)
-        deviations.append(covering_commutation_deviation(g, theta, p))
+        x, u, first = secjet1_arrays(n, n + m, rng)
+        samples.append((g.christoffel_at(u), theta.christoffel_at(x), first))
+    deviations = _per_case(samples, covering_commutation_deviations)
     return _result(5, "covering commutation at 200 section jets", deviations, tol)
 
 
@@ -209,17 +231,16 @@ def criterion_6(cfg):
     """the induced connection is the quotient of the parametrized one"""
     tol = _tol(cfg, 1e-10)
     rng = spawn_rng(cfg.seed, 6)
-    deviations = []
+    samples = []
     for i in range(100):
         n, m = _DIM_CASES[i % 4]
         l = n + m
         g = random_connection(_frame(l, n), rng)
         theta = random_connection(_theta_frame(n), rng)
-        p = random_secjet1(n, l, rng)
-        dx = rng.uniform(-1, 1, n)
-        du = rng.uniform(-1, 1, l)
-        dd = rng.uniform(-1, 1, (l, n))
-        deviations.append(quotient_diagram_deviation(g, theta, p, dx, du, dd))
+        x, u, first = secjet1_arrays(n, l, rng)
+        tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, l), rng.uniform(-1, 1, (l, n))
+        samples.append((g.christoffel_at(u), theta.christoffel_at(x), first, *tangent))
+    deviations = _per_case(samples, quotient_diagram_deviations)
     return _result(6, "quotient diagram at 100 tangent vectors", deviations, tol)
 
 
@@ -281,17 +302,20 @@ def criterion_9(cfg):
     """sphere geodesics: conserved speed and vanishing covered residual"""
     tol = _tol(cfg, 1e-8)
     g = sphere_chart_connection()
-    theta = Connection.flat(1)
-    jets = integrate_geodesic(g, theta, [0.0, 0.0], [0.8, 0.6], 1e-3, 1000)
+    steps = list(geodesic_steps(g, Connection.flat(1), [0.0, 0.0], [0.8, 0.6], 1e-3, 1000))
+    u, v, a = (np.array(column) for column in zip(*((s.u, s.v, s.a) for s in steps)))
 
-    def speed(t):
-        u = np.asarray(t.u)
-        v = t.first_matrix()[:, 0]
-        return 4.0 / (1.0 + u @ u) ** 2 * (v @ v)
+    def dots(w):    # w @ w per step, through the per-row product of `@`
+        return (w[:, None, :] @ w[:, :, None])[:, 0, 0]
 
-    speeds = np.array([speed(t) for t in jets])
+    speeds = 4.0 / (1.0 + dots(u)) ** 2 * dots(v)
     drift = float(np.abs(speeds - speeds[0]).max())
-    resid = worst(residual2(g, cover2(t)).max_abs() for t in jets)
+    # each step is the order-2 section jet (x, u, u' = v, u'' = a)
+    D, second = v[:, :, None], a[:, :, None, None]
+    inv = inverse_top_blocks(D, 1)
+    G = g.christoffel_arrays([s.values for s in steps])
+    table = residual_table(G, cover_first(D, inv), cover_second(D, second, inv))
+    resid = worst(np.abs(table).max(axis=(1, 2, 3)).tolist())
     return _result(9, "sphere geodesics: energy drift and covered residual", (drift, resid), tol,
                    detail=f"drift {drift:.2e}, residual {resid:.2e}")
 

@@ -37,7 +37,7 @@ from .errors import (
     require_finite,
     worst,
 )
-from .jets import SecJet, cover1, cover2, tangent_cover1
+from .jets import SecJet, cover_first, cover_second, inverse_top_blocks, tangent_cover_table
 from .sampling import UniformStream, near_singular, spawn_rng
 
 
@@ -141,6 +141,26 @@ def ddot_pro_second(G, Th, D):
     return 0.5 * (second + np.swapaxes(second, -1, -2))
 
 
+def residual_table(G, D, u2):
+    """`residual2`'s table (..., m, n, n) from G, D (..., m, n) and the
+    second derivatives u2 (..., m, n, n)."""
+    n = D.shape[-1]
+    # P[lam][C][xi] = Γ_lam{}^C{}_xi + Γ_lam{}^C{}_i u^i_xi
+    #               + Γ_j{}^C{}_xi u^j_lam + Γ_j{}^C{}_i u^j_lam u^i_xi
+    base_part = G[..., :n, :, :n] + np.einsum("...lCi,...ix->...lCx", G[..., :n, :, n:], D)
+    fibre_part = G[..., n:, :, :n] + np.einsum("...jCi,...ix->...jCx", G[..., n:, :, n:], D)
+    P = base_part + np.einsum("...jl,...jCx->...lCx", D, fibre_part)
+    F = (u2 + np.swapaxes(P[..., :, n:, :], -3, -2)
+         - np.einsum("...kb,...lbx->...klx", D, P[..., :, :n, :]))
+    return 0.5 * (F + np.swapaxes(F, -1, -2))
+
+
+def pro_lift_tables(G, Th, D):
+    """`dot_gamma_pro`'s (x_lift, u_lift), (..., n, l, n) and (..., l, l, n),
+    from G, Θ's array Th (..., n, n, n) and D (..., l, n)."""
+    return np.einsum("...lxe,...Ax->...lAe", Th, D), -np.einsum("...BCA,...Ax->...BCx", G, D)
+
+
 def param_residual_table(G, Th, D, second):
     """`param_residual2`'s table (..., l, n, n)."""
     table = (second
@@ -231,19 +251,7 @@ def residual2(g, q):
     _check_subjet(g, q)
     if q.r < 2:
         raise FrameMismatchError("residual needs an order-2 jet")
-    n = q.n
-    G = g.christoffel_at(q.base)
-    D = q.first_matrix()
-    u2 = q.second_array()
-
-    # P[lam][C][xi] = Γ_lam{}^C{}_xi + Γ_lam{}^C{}_i u^i_xi
-    #               + Γ_j{}^C{}_xi u^j_lam + Γ_j{}^C{}_i u^j_lam u^i_xi
-    base_part = G[:n, :, :n] + np.einsum("lCi,ix->lCx", G[:n, :, n:], D)
-    fibre_part = G[n:, :, :n] + np.einsum("jCi,ix->jCx", G[n:, :, n:], D)
-    P = base_part + np.einsum("jl,jCx->lCx", D, fibre_part)
-    F = u2 + np.transpose(P[:, n:, :], (1, 0, 2)) - np.einsum("kb,lbx->klx", D, P[:, :n, :])
-    table = 0.5 * (F + np.transpose(F, (0, 2, 1)))
-    return Residual2(n, q.m, table)
+    return Residual2(q.n, q.m, residual_table(g.christoffel_at(q.base), q.first, q.second))
 
 
 def distribution_fields(g, p):
@@ -292,12 +300,7 @@ def dot_gamma_pro(g, theta, p):
     x_lift[lam][A][eta] = Θ_lam{}^xi{}_eta u^A_{x xi},
     u_lift[B][C][xi] = -Γ_B{}^C{}_A u^A_{x xi}."""
     _check_secjet(g, theta, p)
-    G = g.christoffel_at(p.u)
-    Th = theta.christoffel_at(p.x)
-    D = p.first_matrix()
-    x_lift = np.einsum("lxe,Ax->lAe", Th, D)
-    u_lift = -np.einsum("BCA,Ax->BCx", G, D)
-    return ProLift(p.n, p.l, x_lift, u_lift)
+    return ProLift(p.n, p.l, *pro_lift_tables(g.christoffel_at(p.u), theta.christoffel_at(p.x), p.first))
 
 
 def ddot_gamma_pro(g, theta, p):
@@ -336,40 +339,77 @@ def _param_residual(G, Th, D, second):
 def vertical_dot(g, q, du, dd):
     """Vertical projection of a tangent vector at an order-1 submanifold
     jet: out[k][xi] = dd[k][xi] + dotΓ_A{}^k{}_xi du^A."""
-    dg = dot_gamma(g, q)
-    return np.asarray(dd, dtype=float) + np.einsum("akx,a->kx", dg.table, np.asarray(du, dtype=float))
+    _check_subjet(g, q)
+    return vertical_dot_table(g.christoffel_at(q.base), q.first,
+                              np.asarray(du, dtype=float), np.asarray(dd, dtype=float))
 
 
 def vertical_pro(g, theta, p, dx, du, dd):
     """Vertical projection of a tangent vector at an order-1 section jet:
     out[C][eta] = dd[C][eta] - dx^lam Θ_lam{}^xi{}_eta u^C_{x xi}
                  + du^B Γ_B{}^C{}_A u^A_{x eta}."""
-    lift = dot_gamma_pro(g, theta, p)
-    dx = np.asarray(dx, dtype=float)
-    du = np.asarray(du, dtype=float)
-    dd = np.asarray(dd, dtype=float)
-    return dd - np.einsum("l,lCe->Ce", dx, lift.x_lift) - np.einsum("B,BCe->Ce", du, lift.u_lift)
+    _check_secjet(g, theta, p)
+    return vertical_pro_table(g.christoffel_at(p.u), theta.christoffel_at(p.x), p.first,
+                              *(np.asarray(v, dtype=float) for v in (dx, du, dd)))
 
 
 def covering_commutation_deviation(g, theta, p):
     """Max-abs difference between the two routes around the covering
     square: project-then-extend versus extend-then-project, at an
     admissible order-1 section jet."""
-    via_param = cover2(ddot_gamma_pro(g, theta, p))
-    via_sub = ddot_gamma(g, cover1(p))
-    return worst((np.abs(via_param.second_array() - via_sub.second_array()).max(),
-                  np.abs(via_param.first_matrix() - via_sub.first_matrix()).max()))
+    _check_secjet(g, theta, p)
+    _check_split(g, p.n)
+    return float(covering_commutation_deviations(g.christoffel_at(p.u), theta.christoffel_at(p.x), p.first))
 
 
 def quotient_diagram_deviation(g, theta, p, dx, du, dd):
     """Max-abs difference between pushing the vertical projection forward
     and projecting the pushforward, for one tangent vector at an
     admissible order-1 section jet."""
-    vp = vertical_pro(g, theta, p, dx, du, dd)
-    _, lhs = tangent_cover1(p, np.zeros(p.n), np.zeros(p.l), vp)
-    du_img, dd_img = tangent_cover1(p, dx, du, dd)
-    rhs = vertical_dot(g, cover1(p), du_img, dd_img)
-    return float(np.abs(lhs - rhs).max())
+    _check_secjet(g, theta, p)
+    _check_split(g, p.n)
+    return float(quotient_diagram_deviations(g.christoffel_at(p.u), theta.christoffel_at(p.x), p.first,
+                                             *(np.asarray(v, dtype=float) for v in (dx, du, dd))))
+
+
+# The array formulas of the functions above, at one jet or stacked along
+# the same leading axes: Christoffel arrays G (..., l, l, l) at u and Th
+# (..., n, n, n) at x, D (..., l, n) the section jet's first derivatives
+# and tangent vectors (dx, du, dd) of shapes (..., n), (..., l), (..., l, n).
+
+
+def vertical_dot_table(G, D, du, dd):
+    """`vertical_dot` at submanifold jets with first derivatives D
+    (..., m, n)."""
+    return dd + np.einsum("...akx,...a->...kx", dot_gamma_table(G, D), du)
+
+
+def vertical_pro_table(G, Th, D, dx, du, dd):
+    """`vertical_pro`, (..., l, n)."""
+    x_lift, u_lift = pro_lift_tables(G, Th, D)
+    return dd - np.einsum("...l,...lCe->...Ce", dx, x_lift) - np.einsum("...B,...BCe->...Ce", du, u_lift)
+
+
+def covering_commutation_deviations(G, Th, D):
+    """`covering_commutation_deviation` per jet, (...): `cover2` of
+    `ddot_gamma_pro` against `ddot_gamma` of `cover1`, from one inverse of
+    the base-direction block and one G."""
+    inv = inverse_top_blocks(D, D.shape[-1])
+    first = cover_first(D, inv)
+    via_param = cover_second(D, ddot_pro_second(G, Th, D), inv)
+    gap = np.abs(via_param - ddot_second(G, first)).max(axis=(-3, -2, -1))
+    # both routes carry these first derivatives: their difference is 0, or
+    # NaN where they are not finite
+    return np.maximum(gap, np.abs(first - first).max(axis=(-2, -1)))
+
+
+def quotient_diagram_deviations(G, Th, D, dx, du, dd):
+    """`quotient_diagram_deviation` per jet and tangent vector, (...), from
+    one inverse of the base-direction block and one G."""
+    inv = inverse_top_blocks(D, D.shape[-1])
+    lhs = tangent_cover_table(D, vertical_pro_table(G, Th, D, dx, du, dd), inv)
+    rhs = vertical_dot_table(G, cover_first(D, inv), du, tangent_cover_table(D, dd, inv))
+    return np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

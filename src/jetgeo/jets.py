@@ -171,10 +171,6 @@ class SecJet(_Jet):
         """u^A_{x lambda x xi} as an (l, n, n) array."""
         return self.second
 
-    def top_block(self):
-        """The base-direction block (u^xi_{x lambda}), xi, lambda in 1..n."""
-        return self.first[: self.n, :]
-
 
 @dataclass(frozen=True)
 class ParamMap:
@@ -270,16 +266,61 @@ def prolong(s, x, r):
 # covering projections
 
 
-def _inverse_top_block(t):
-    jac = t.top_block()
-    scale = max(1.0, float(np.abs(jac).max())) ** t.n
-    det = float(np.linalg.det(jac))
-    if abs(det) < _DET_THRESHOLD * scale:
-        raise SingularJacobianError(
-            f"base-direction block determinant {det:.3e} below threshold; "
-            "divided chart not concordant at this jet"
-        )
-    return np.linalg.solve(jac, np.eye(t.n))
+def inverse_top_blocks(first, n):
+    """The inverses (x^lam_{u^xi}) of the base-direction blocks
+    (u^xi_{x lam}) = first[..., :n, :] of section jets' first derivatives
+    (..., l, n), at one jet or stacked along leading axes.
+
+    Each block's determinant is tested against 1e-12 max(1, max |entry|)^n,
+    in row order; the first block below it raises SingularJacobianError.
+    Then one stacked solve inverts them all."""
+    jac = first[..., :n, :]
+    dets = np.linalg.det(jac)
+    scales = np.abs(jac).max(axis=(-2, -1))
+    for det, scale in zip(np.ravel(dets).tolist(), np.ravel(scales).tolist()):
+        if abs(det) < _DET_THRESHOLD * max(1.0, scale) ** n:
+            raise SingularJacobianError(
+                f"base-direction block determinant {det:.3e} below threshold; "
+                "divided chart not concordant at this jet"
+            )
+    return np.linalg.solve(jac, np.broadcast_to(np.eye(n), jac.shape))
+
+
+# The array formulas of the covering projections.  Each takes a section
+# jet's derivative arrays, first (..., l, n) and second (..., l, n, n), and
+# inv = `inverse_top_blocks(first, n)`, at one jet or stacked along the
+# same leading axes, so a per-jet projection and a batch of jets share one
+# formula.
+
+
+def cover_first(first, inv):
+    """The projected first derivatives u^j_xi = u^j_{x lam} x^lam_{u^xi},
+    (..., m, n)."""
+    return first[..., inv.shape[-1]:, :] @ inv
+
+
+def cover_second(first, second, inv):
+    """The projected second derivatives (..., m, n, n), by the closed formula
+
+    u^j_{xi eta} = u^j_{x lam x mu} x^lam_{u^xi} x^mu_{u^eta}
+                 - u^j_{x lam} x^lam_{u^al} u^al_{x be x ga} x^ga_{u^xi} x^be_{u^eta},
+
+    symmetrized over (xi, eta)."""
+    n = inv.shape[-1]
+    term1 = np.einsum("...jlm,...lx,...me->...jxe", second[..., n:, :, :], inv, inv)
+    chain = np.einsum("...jl,...la->...ja", first[..., n:, :], inv)
+    term2 = np.einsum("...ja,...abg,...gx,...be->...jxe", chain, second[..., :n, :, :], inv, inv)
+    out = term1 - term2
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def tangent_cover_table(first, dd, inv):
+    """`tangent_cover1`'s dd_out (..., m, n) from the derivative components
+    dd (..., l, n) of tangent vectors; per jet, as matrices,
+    dd_out = dd[n:] inv - first[n:] inv dd[:n] inv."""
+    n = inv.shape[-1]
+    lat = first[..., n:, :]
+    return dd[..., n:, :] @ inv - np.einsum("...jb,...bx,...la,...xl->...ja", lat, inv, inv, dd[..., :n, :])
 
 
 def cover1(t):
@@ -288,34 +329,17 @@ def cover1(t):
     Base values copy u^A; first derivatives are u^j_xi = x^lambda_{u^xi}
     u^j_{x lambda} with (x^lambda_{u^xi}) the inverse of (u^xi_{x lambda}).
     """
-    inv = _inverse_top_block(t)
-    first = t.first_matrix()[t.n:, :] @ inv
-    return SubJet(t.n, t.m, t.u, first)
+    return SubJet(t.n, t.m, t.u, cover_first(t.first, inverse_top_blocks(t.first, t.n)))
 
 
 def cover2(t):
     """Project an order-2 section jet to the order-2 submanifold jet of its
-    image.
-
-    Second derivatives follow the closed formula
-    u^j_{xi eta} = u^j_{x lam x mu} x^lam_{u^xi} x^mu_{u^eta}
-                 - u^j_{x lam} x^lam_{u^al} u^al_{x be x ga} x^ga_{u^xi} x^be_{u^eta},
-    symmetric in (xi, eta).
-    """
+    image: `cover1`'s first derivatives and `cover_second`'s second ones,
+    from one inverse of the base-direction block."""
     if t.r < 2:
         raise DimensionMismatchError("cover2 needs a jet of order 2")
-    inv = _inverse_top_block(t)  # inv[lam, xi] = x^lam_{u^xi}
-    order1 = cover1(t)
-    d1 = t.first_matrix()
-    d2 = t.second_array()
-    lat2 = d2[t.n:, :, :]
-    top2 = d2[: t.n, :, :]
-    term1 = np.einsum("jlm,lx,me->jxe", lat2, inv, inv)
-    chain = np.einsum("jl,la->ja", d1[t.n:, :], inv)
-    term2 = np.einsum("ja,abg,gx,be->jxe", chain, top2, inv, inv)
-    second = term1 - term2
-    second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
-    return order1.with_second(second)
+    inv = inverse_top_blocks(t.first, t.n)  # inv[lam, xi] = x^lam_{u^xi}
+    return SubJet(t.n, t.m, t.u, cover_first(t.first, inv), cover_second(t.first, t.second, inv))
 
 
 def tangent_cover1(t, dx, du, dd):
@@ -326,11 +350,8 @@ def tangent_cover1(t, dx, du, dd):
     the parameter directions are annihilated.  Returns (du_out over u^A,
     dd_out over u^j_alpha).
     """
-    inv = _inverse_top_block(t)
-    dd = np.asarray(dd, dtype=float)
-    lat = t.first_matrix()[t.n:, :]
-    dd_out = dd[t.n:, :] @ inv - np.einsum("jb,bx,la,xl->ja", lat, inv, inv, dd[: t.n, :])
-    return np.asarray(du, dtype=float).copy(), dd_out
+    inv = inverse_top_blocks(t.first, t.n)
+    return np.asarray(du, dtype=float).copy(), tangent_cover_table(t.first, np.asarray(dd, dtype=float), inv)
 
 
 # ---------------------------------------------------------------------------

@@ -451,7 +451,8 @@ def reparam_symmetry_check(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0
     """Same check for a general (possibly non-affine) reparametrization,
     lifted honestly by the chain rule; non-affine maps pick up the
     inhomogeneous second-derivative term and fail for generic data.  phi is
-    one expression per parameter over x_frame."""
+    one expression per parameter over x_frame.  A jet where g fails, or
+    whose residual is not finite, is redrawn."""
     if theta.christoffel:
         raise DimensionMismatchError("reparametrization check requires the flat parameter connection")
     phi = ParamMap(x_frame, phi)
@@ -460,7 +461,7 @@ def reparam_symmetry_check(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0
     def draw():
         p = random_secjet1(theta.dim, g.dim, rng)
         acted = reparam_act(phi, ddot_gamma_pro(g, theta, p))
-        return p.x + p.u, param_residual2(g, theta, acted).max_abs()
+        return p.x + p.u, require_finite(param_residual2(g, theta, acted).max_abs(), "residual")
 
     return SymmetryReport.sample(draw, samples, tol)
 

@@ -6,8 +6,11 @@ for bit, the per-step geodesic residual that the batched one is checked
 against, the
 `simplify`-based random polynomials that the sampler is checked against,
 the one-sample-at-a-time comparisons and affine symmetry check that the
-batched ones are checked against, a hypothesis strategy for expression
-trees, and helpers only the tests use (test-only, not public API).
+batched ones are checked against, the per-jet covering projections,
+residual and covering deviations that the array formulas are checked
+against, the per-sample loops of criteria 1, 5, 6 and 9, a hypothesis
+strategy for expression trees, and helpers only the tests use (test-only,
+not public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
@@ -21,19 +24,32 @@ from hypothesis import strategies as st
 
 from jetgeo import expr
 from jetgeo.connections import Connection, grass_arrays, pi_array
-from jetgeo.errors import draw_regular, require_finite, worst
+from jetgeo.acceptance import _DIM_CASES, _frame, _theta_frame, sphere_chart_connection
+from jetgeo.errors import (
+    DimensionMismatchError,
+    FrameMismatchError,
+    SingularJacobianError,
+    draw_regular,
+    require_finite,
+    worst,
+)
 from jetgeo.expr import FUNCTION_NAMES, Add, Const, CoordinateFrame, Div, Func, Mul, Pow, Sym
 from jetgeo.geodesy import (
     EquivalenceVerdict,
     GeodesicStep,
+    Residual2,
+    _check_subjet,
     _param_residual,
     _spray,
     ddot_gamma,
     ddot_gamma_pro,
+    dot_gamma,
+    dot_gamma_pro,
+    integrate_geodesic,
     param_residual2,
 )
 from jetgeo.jets import AffineMap, SubJet, affine_act
-from jetgeo.sampling import random_point, random_secjet1, spawn_rng
+from jetgeo.sampling import random_connection, random_point, random_secjet1, random_subjet1, spawn_rng
 from jetgeo.symmetry import SymmetryReport
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -260,7 +276,7 @@ def random_secjet2(n, l, rng, min_det=0.3):
 
 def top_det(t):
     """det of a section jet's base-direction block."""
-    return float(np.linalg.det(t.top_block()))
+    return float(np.linalg.det(t.first[: t.n, :]))
 
 
 def is_immersion(t, tol=1e-9):
@@ -331,3 +347,142 @@ def affine_symmetry_check_oracle(g, theta, aff, samples=25, tol=1e-10, seed=0):
         return p.x + p.u, require_finite(param_residual2(g, theta, acted).max_abs(), "residual")
 
     return SymmetryReport.sample(draw, samples, tol)
+
+
+# ---------------------------------------------------------------------------
+# the covering projections, the residual and the covering deviations jet by
+# jet, each projection inverting the base-direction block itself
+
+
+def _inverse_top_block_oracle(t):
+    jac = t.first[: t.n, :]
+    scale = max(1.0, float(np.abs(jac).max())) ** t.n
+    det = float(np.linalg.det(jac))
+    if abs(det) < 1e-12 * scale:
+        raise SingularJacobianError(
+            f"base-direction block determinant {det:.3e} below threshold; "
+            "divided chart not concordant at this jet"
+        )
+    return np.linalg.solve(jac, np.eye(t.n))
+
+
+def cover1_oracle(t):
+    inv = _inverse_top_block_oracle(t)
+    first = t.first_matrix()[t.n:, :] @ inv
+    return SubJet(t.n, t.m, t.u, first)
+
+
+def cover2_oracle(t):
+    if t.r < 2:
+        raise DimensionMismatchError("cover2 needs a jet of order 2")
+    inv = _inverse_top_block_oracle(t)  # inv[lam, xi] = x^lam_{u^xi}
+    order1 = cover1_oracle(t)
+    d1 = t.first_matrix()
+    d2 = t.second_array()
+    lat2 = d2[t.n:, :, :]
+    top2 = d2[: t.n, :, :]
+    term1 = np.einsum("jlm,lx,me->jxe", lat2, inv, inv)
+    chain = np.einsum("jl,la->ja", d1[t.n:, :], inv)
+    term2 = np.einsum("ja,abg,gx,be->jxe", chain, top2, inv, inv)
+    second = term1 - term2
+    second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
+    return order1.with_second(second)
+
+
+def tangent_cover1_oracle(t, dx, du, dd):
+    inv = _inverse_top_block_oracle(t)
+    dd = np.asarray(dd, dtype=float)
+    lat = t.first_matrix()[t.n:, :]
+    dd_out = dd[t.n:, :] @ inv - np.einsum("jb,bx,la,xl->ja", lat, inv, inv, dd[: t.n, :])
+    return np.asarray(du, dtype=float).copy(), dd_out
+
+
+def residual2_oracle(g, q):
+    _check_subjet(g, q)
+    if q.r < 2:
+        raise FrameMismatchError("residual needs an order-2 jet")
+    n = q.n
+    G = g.christoffel_at(q.base)
+    D = q.first_matrix()
+    u2 = q.second_array()
+    base_part = G[:n, :, :n] + np.einsum("lCi,ix->lCx", G[:n, :, n:], D)
+    fibre_part = G[n:, :, :n] + np.einsum("jCi,ix->jCx", G[n:, :, n:], D)
+    P = base_part + np.einsum("jl,jCx->lCx", D, fibre_part)
+    F = u2 + np.transpose(P[:, n:, :], (1, 0, 2)) - np.einsum("kb,lbx->klx", D, P[:, :n, :])
+    table = 0.5 * (F + np.transpose(F, (0, 2, 1)))
+    return Residual2(n, q.m, table)
+
+
+def covering_commutation_deviation_oracle(g, theta, p):
+    via_param = cover2_oracle(ddot_gamma_pro(g, theta, p))
+    via_sub = ddot_gamma(g, cover1_oracle(p))
+    return worst((np.abs(via_param.second_array() - via_sub.second_array()).max(),
+                  np.abs(via_param.first_matrix() - via_sub.first_matrix()).max()))
+
+
+def quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd):
+    lift = dot_gamma_pro(g, theta, p)
+    dx, du, dd = (np.asarray(v, dtype=float) for v in (dx, du, dd))
+    vp = dd - np.einsum("l,lCe->Ce", dx, lift.x_lift) - np.einsum("B,BCe->Ce", du, lift.u_lift)
+    _, lhs = tangent_cover1_oracle(p, np.zeros(p.n), np.zeros(p.l), vp)
+    du_img, dd_img = tangent_cover1_oracle(p, dx, du, dd)
+    rhs = dd_img + np.einsum("akx,a->kx", dot_gamma(g, cover1_oracle(p)).table, du_img)
+    return float(np.abs(lhs - rhs).max())
+
+
+# ---------------------------------------------------------------------------
+# criteria 1, 5, 6 and 9 one sample at a time: their deviation lists, from
+# one jet record and one kernel call per sample
+
+
+def criterion_1_oracle(seed):
+    rng = spawn_rng(seed, 1)
+    deviations = []
+    for i in range(200):
+        n, m = _DIM_CASES[i % 4]
+        g = random_connection(_frame(n + m, n), rng)
+        p = random_subjet1(n, m, rng)
+        deviations.append(residual2_oracle(g, ddot_gamma(g, p)).max_abs())
+    return deviations
+
+
+def criterion_5_oracle(seed):
+    rng = spawn_rng(seed, 5)
+    deviations = []
+    for i in range(200):
+        n, m = _DIM_CASES[i % 4]
+        g = random_connection(_frame(n + m, n), rng)
+        theta = random_connection(_theta_frame(n), rng)
+        p = random_secjet1(n, n + m, rng)
+        deviations.append(covering_commutation_deviation_oracle(g, theta, p))
+    return deviations
+
+
+def criterion_6_oracle(seed):
+    rng = spawn_rng(seed, 6)
+    deviations = []
+    for i in range(100):
+        n, m = _DIM_CASES[i % 4]
+        l = n + m
+        g = random_connection(_frame(l, n), rng)
+        theta = random_connection(_theta_frame(n), rng)
+        p = random_secjet1(n, l, rng)
+        dx = rng.uniform(-1, 1, n)
+        du = rng.uniform(-1, 1, l)
+        dd = rng.uniform(-1, 1, (l, n))
+        deviations.append(quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd))
+    return deviations
+
+
+def criterion_9_oracle(seed):
+    g = sphere_chart_connection()
+    jets = integrate_geodesic(g, Connection.flat(1), [0.0, 0.0], [0.8, 0.6], 1e-3, 1000)
+
+    def speed(t):
+        u = np.asarray(t.u)
+        v = t.first_matrix()[:, 0]
+        return 4.0 / (1.0 + u @ u) ** 2 * (v @ v)
+
+    speeds = np.array([speed(t) for t in jets])
+    drift = float(np.abs(speeds - speeds[0]).max())
+    return [drift, worst(residual2_oracle(g, cover2_oracle(t)).max_abs() for t in jets)]

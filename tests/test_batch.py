@@ -1,7 +1,10 @@
 """The batch axis of the sampled checks: `Table.at_many` and `Table.rows`
 against the per-point table, `draw_regular`'s batched form against its
-per-sample form, and the batched comparisons and affine symmetry check
-against their one-sample-at-a-time oracles in tests/conftest.py."""
+per-sample form, the batched comparisons and affine symmetry check
+against their one-sample-at-a-time oracles in tests/conftest.py, and the
+array formulas of the covering projections and the residual, and the
+criteria built on them, against their per-jet and per-sample oracles
+there."""
 import math
 import pickle
 
@@ -10,21 +13,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgeo import expr, geodesy
+from jetgeo import acceptance, expr, geodesy
+from jetgeo.acceptance import AcceptanceConfig
 from jetgeo.connections import Connection, grass_shift, invariants_match, pi_deviation, projective_shift
-from jetgeo.errors import DimensionMismatchError, DomainError, JetGeoError, draw_regular, outcome
+from jetgeo.errors import DimensionMismatchError, DomainError, JetGeoError, SingularJacobianError, draw_regular, outcome
 from jetgeo.expr import CoordinateFrame, Table, parse
-from jetgeo.geodesy import grass_equivalent
+from jetgeo.geodesy import (
+    covering_commutation_deviation,
+    covering_commutation_deviations,
+    grass_equivalent,
+    quotient_diagram_deviation,
+    quotient_diagram_deviations,
+    residual2,
+    residual_table,
+)
+from jetgeo.jets import (
+    SecJet,
+    cover1,
+    cover2,
+    cover_first,
+    cover_second,
+    inverse_top_blocks,
+    tangent_cover1,
+    tangent_cover_table,
+)
 from jetgeo.sampling import UniformStream, random_affine, random_connection, random_expressions, spawn_rng
 from jetgeo.symmetry import affine_symmetry_check
 
+import conftest
 from conftest import (
     TREE_NAMES,
     affine_symmetry_check_oracle,
+    cover1_oracle,
+    cover2_oracle,
+    covering_commutation_deviation_oracle,
     grass_equivalent_oracle,
     invariants_match_oracle,
     pi_deviation_oracle,
+    quotient_diagram_deviation_oracle,
+    random_secjet2,
+    residual2_oracle,
     sphere_chart,
+    tangent_cover1_oracle,
     trees,
 )
 
@@ -289,8 +319,6 @@ def _equivalence_cases():
 
 
 def test_batched_grass_equivalent_accepts_the_oracle_samples(monkeypatch):
-    import conftest
-
     batched, one_by_one = _recorded(monkeypatch, geodesy), _recorded(monkeypatch, conftest)
     for g1, g2, n in _equivalence_cases():
         for samples in (1, 10, 50):
@@ -342,3 +370,166 @@ def test_batched_affine_symmetry_check_equals_the_oracle(case):
             assert all(math.isfinite(r) for _, r in report.rows)
             if case != "random" and samples == 50:
                 assert report.skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# the array formulas of the covering projections and the residual against
+# their per-jet oracles
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_jet(a, b):
+    return a.base == b.base and same_bits(a.first, b.first) and (
+        a.second is b.second is None or same_bits(a.second, b.second))
+
+
+def _covering_case(n, m, rng, count=25):
+    """A connection g on l = n + m coordinates, a Θ on n, `count` order-2
+    section jets whose derivatives are scaled by 10^-2..10^2, and a tangent
+    vector (dx, du, dd) at each."""
+    l = n + m
+    g = random_connection(frame(l, n), rng)
+    theta = random_connection(CoordinateFrame(tuple(f"x{i}" for i in range(1, n + 1)), n), rng)
+    jets = []
+    for _ in range(count):
+        t = random_secjet2(n, l, rng)
+        scale = 10.0 ** rng.uniform(-2, 2)
+        jets.append(SecJet(n, l, t.x, t.u, scale * t.first, scale * t.second))
+    tangents = [(rng.uniform(-1, 1, n), rng.uniform(-1, 1, l), rng.uniform(-1, 1, (l, n))) for _ in jets]
+    return g, theta, jets, tangents
+
+
+def _stacks(g, theta, jets, tangents):
+    """G at each jet's u, Θ's array at its x, its first and second
+    derivatives, and dx, du, dd: C-contiguous stacks over the jets."""
+    G = np.array([g.christoffel_at(t.u) for t in jets])
+    Th = np.array([theta.christoffel_at(t.x) for t in jets])
+    D, second = np.array([t.first for t in jets]), np.array([t.second for t in jets])
+    return (G, Th, D, second, *(np.array(column) for column in zip(*tangents)))
+
+
+@pytest.mark.parametrize("n, m", acceptance._DIM_CASES)
+def test_covering_formulas_equal_the_per_jet_oracles(n, m):
+    g, theta, jets, tangents = _covering_case(n, m, spawn_rng(40 + 2 * n + m))
+    G, Th, D, second, dx, du, dd = _stacks(g, theta, jets, tangents)
+    inv = inverse_top_blocks(D, n)
+    first, sub_second = cover_first(D, inv), cover_second(D, second, inv)
+    pushed = tangent_cover_table(D, dd, inv)
+    residuals = np.abs(residual_table(G, first, sub_second)).max(axis=(1, 2, 3))
+    commutation = covering_commutation_deviations(G, Th, D)
+    quotient = quotient_diagram_deviations(G, Th, D, dx, du, dd)
+    for i, (t, tangent) in enumerate(zip(jets, tangents)):
+        q = cover2_oracle(t)
+        assert same_jet(cover1(t), cover1_oracle(t)) and same_jet(cover2(t), q)
+        assert same_bits(first[i], q.first) and same_bits(sub_second[i], q.second)
+        expected = tangent_cover1_oracle(t, *tangent)
+        assert all(same_bits(a, b) for a, b in zip(tangent_cover1(t, *tangent), expected))
+        assert same_bits(pushed[i], expected[1])
+        assert same_bits(residual2(g, q).table, residual2_oracle(g, q).table)
+        assert repr(residuals[i].item()) == repr(residual2_oracle(g, q).max_abs())
+        p = t.truncate(1)
+        expected = covering_commutation_deviation_oracle(g, theta, p)
+        assert repr(covering_commutation_deviation(g, theta, p)) == repr(commutation[i].item()) == repr(expected)
+        expected = quotient_diagram_deviation_oracle(g, theta, p, *tangent)
+        assert repr(quotient_diagram_deviation(g, theta, p, *tangent)) == repr(quotient[i].item()) == repr(expected)
+
+
+def _singular(t, top):
+    """t with its base-direction block replaced by `top`."""
+    first = np.array(t.first)
+    first[:t.n] = top
+    return SecJet(t.n, t.l, t.x, t.u, first, t.second)
+
+
+@pytest.mark.parametrize("n, tops", [
+    (1, ([[0.0]], [[1e-13]])),
+    (2, ([[1.0, 2.0], [2.0, 4.0]], [[3e-7, 0.0], [0.0, 3e-7]])),
+])
+def test_a_singular_top_block_raises_the_oracle_message(n, tops):
+    g, theta, jets, tangents = _covering_case(n, 1, spawn_rng(45 + n), count=5)
+    jets[1], jets[3] = _singular(jets[1], tops[0]), _singular(jets[3], tops[1])
+    G, Th, D, second, dx, du, dd = _stacks(g, theta, jets, tangents)
+
+    def message(fn, *args):
+        with pytest.raises(SingularJacobianError) as e:
+            fn(*args)
+        return str(e.value)
+
+    for t, tangent in zip((jets[1], jets[3]), (tangents[1], tangents[3])):
+        expected = message(cover1_oracle, t)
+        p = t.truncate(1)
+        assert expected == message(cover2_oracle, t) == message(tangent_cover1_oracle, t, *tangent)
+        for fn, args in ((cover1, (t,)), (cover2, (t,)), (tangent_cover1, (t, *tangent)),
+                         (covering_commutation_deviation, (g, theta, p)),
+                         (quotient_diagram_deviation, (g, theta, p, *tangent))):
+            assert message(fn, *args) == expected
+    # a stack raises at its first singular block
+    expected = message(cover1_oracle, jets[1])
+    assert message(inverse_top_blocks, D, n) == expected
+    assert message(covering_commutation_deviations, G, Th, D) == expected
+    assert message(quotient_diagram_deviations, G, Th, D, dx, du, dd) == expected
+
+
+class _Fixed:
+    """A connection stand-in whose `christoffel_at` is one fixed array."""
+
+    def __init__(self, G):
+        self.G, self.dim = G, G.shape[-1]
+
+    def christoffel_at(self, point):
+        return self.G
+
+
+@pytest.mark.parametrize("n, m", acceptance._DIM_CASES)
+def test_a_nan_in_gamma_propagates_to_its_rows_deviation(n, m):
+    rng = spawn_rng(47 + 2 * n + m)
+    g, theta, jets, tangents = _covering_case(n, m, rng, count=6)
+    G, Th, D, second, dx, du, dd = _stacks(g, theta, jets, tangents)
+    poisoned = (1, 4)
+    for i in poisoned:
+        G[i].flat[rng.integers(G[i].size)] = np.nan
+    inv = inverse_top_blocks(D, n)
+    residuals = np.abs(residual_table(G, cover_first(D, inv), cover_second(D, second, inv))).max(axis=(1, 2, 3))
+    commutation = covering_commutation_deviations(G, Th, D)
+    quotient = quotient_diagram_deviations(G, Th, D, dx, du, dd)
+    for i, (t, tangent) in enumerate(zip(jets, tangents)):
+        gi, thetai, p = _Fixed(G[i]), _Fixed(Th[i]), t.truncate(1)
+        expected = (residual2_oracle(gi, cover2_oracle(t)).max_abs(),
+                    covering_commutation_deviation_oracle(gi, thetai, p),
+                    quotient_diagram_deviation_oracle(gi, thetai, p, *tangent))
+        got = (residuals[i].item(), commutation[i].item(), quotient[i].item())
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
+        assert all(math.isnan(v) for v in got) == (i in poisoned)
+
+
+# ---------------------------------------------------------------------------
+# criteria 1, 5, 6 and 9 against their per-sample oracles
+
+
+_SELFTEST_SEEDS = (0, 1199949627, 40807560, 2134822917, 1431460730, 508547399)
+
+
+def _deviations(monkeypatch, cid, seed):
+    """The deviation list that criterion `cid` hands to `_result`."""
+    recorded = []
+    result = acceptance._result
+
+    def recording(cid, title, deviations, *args, **kwargs):
+        recorded.append(list(deviations))
+        return result(cid, title, recorded[-1], *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "_result", recording)
+    getattr(acceptance, f"criterion_{cid}")(AcceptanceConfig(seed=seed))
+    return [repr(float(d)) for d in recorded[0]]
+
+
+@pytest.mark.parametrize("cid, seeds", [(1, _SELFTEST_SEEDS), (5, _SELFTEST_SEEDS), (6, _SELFTEST_SEEDS),
+                                        (9, (0,))])     # criterion 9 draws nothing
+def test_batched_criteria_equal_their_per_sample_oracles(monkeypatch, cid, seeds):
+    oracle = getattr(conftest, f"criterion_{cid}_oracle")
+    for seed in seeds:
+        assert _deviations(monkeypatch, cid, seed) == [repr(float(d)) for d in oracle(seed)]

@@ -204,6 +204,18 @@ def test_affine_reparametrization_passes_via_reparam_path():
     assert report.passed
 
 
+def test_a_non_finite_reparam_residual_is_redrawn():
+    # the residual overflows to inf, or is inf - inf, at some jets: as in
+    # the affine check, they are redrawn and no row keeps them
+    g = Connection.from_entries(E2, {(1, 1, 1): expr.parse("10^308*u1", E2),
+                                     (1, 2, 2): expr.parse("10^308*u2", E2),
+                                     (2, 2, 1): expr.parse("10^308", E2)})
+    report = reparam_symmetry_check(g, Connection.flat(1), [expr.parse("2*x1 + 1/2", X1)], X1, samples=5)
+    assert report.skipped > 0
+    assert all(np.isfinite(r) for _, r in report.rows)
+    assert report.summary() == "PASS 5/5 tol=1e-10"
+
+
 # ---------------------------------------------------------------------------
 # orbits and factoring
 
