@@ -18,6 +18,9 @@ second seed, the first `selftest` seed perfbench draws at its seed 7.
 `l4_shift.json` is the admissible split-2 shift of `l4.json`,
 `grass_shift(g, 2, psi)` with psi = (1/3*u1*u3 - 2/5*u4, 7/10*u2*u2 + 1/4),
 written with `connection_to_dict`; its entries are printed simplified trees.
+`theta_n2.json` is a non-flat parameter connection for the split-2 jets of
+`l4.json`; its entry sqrt(1/2 + x1) fails where x1 < -1/2, so
+`cover_check_theta` redraws samples (two at seed 5) where Θ fails.
 """
 import contextlib
 import io
@@ -45,6 +48,8 @@ CASES = {
     "geodesic_s2": ["geodesic", "s2.json", "--start", "0.1,-0.2", "--velocity", "0.6,0.3",
                     "--h", "0.05", "--steps", "30"],
     "cover_check": ["cover-check", "l4.json", "--samples", "8", "--seed", "5"],
+    "cover_check_theta": ["cover-check", "l4.json", "--theta", "theta_n2.json", "--samples", "8",
+                          "--seed", "5"],
     "symmetry_affine": ["symmetry-check", "l4.json", "--affine", "affine_n2.json",
                         "--samples", "6", "--seed", "3"],
     "symmetry_map_subjet": ["symmetry-check", "s2.json", "--map", "map_subjet.json",
