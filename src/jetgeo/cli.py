@@ -41,20 +41,22 @@ from .errors import (
     draw_regular,
     json_numbers,
     load_json,
+    outcome,
     require_finite,
     worst,
 )
 from .geodesy import (
-    covering_commutation_deviation,
+    _check_theta,
+    covering_commutation_deviations,
     geodesic_residuals,
     geodesic_steps,
     grass_equivalent,
     param_residual2,
-    quotient_diagram_deviation,
+    quotient_diagram_deviations,
     residual2,
 )
 from .jets import AffineMap, SecJet, cover2, derivative_entries, load_jets
-from .sampling import random_secjet1, spawn_rng
+from .sampling import secjet1_arrays, spawn_rng
 from .symmetry import (
     affine_symmetry_check,
     field_preserves_distribution,
@@ -268,19 +270,31 @@ def cmd_cover_check(args):
     g = load_connection(args.connection)
     n = _split(args, g)
     theta = _load_theta(args, n)
+    _check_theta(theta, n)
     tol = args.tol if args.tol is not None else 1e-10
+    l = g.dim
     rng = spawn_rng(args.seed, 0)
 
-    def draw():
-        # every number of a sample is drawn before either deviation can fail,
-        # so a redrawn sample consumes as much of the stream as a kept one
-        p = random_secjet1(n, g.dim, rng)
-        tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, g.dim), rng.uniform(-1, 1, (g.dim, n))
-        c_dev = covering_commutation_deviation(g, theta, p)
-        q_dev = quotient_diagram_deviation(g, theta, p, *tangent)
-        return require_finite(c_dev, "commutation deviation"), require_finite(q_dev, "quotient deviation")
+    def draw(k):
+        # a sample draws its section jet (x, u, first), then a tangent vector
+        # (dx, du, dd), before anything can fail, so a redrawn sample consumes
+        # as much of the stream as a kept one
+        drawn = [(*secjet1_arrays(n, l, rng), rng.uniform(-1, 1, n), rng.uniform(-1, 1, l),
+                  rng.uniform(-1, 1, (l, n))) for _ in range(k)]
+        x, u, first, dx, du, dd = (np.array(a) for a in zip(*drawn))
+        G, failed = g.christoffel_many(u)
+        Th, theta_failed = theta.christoffel_many(x)
+        # secjet1_arrays keeps |det first[:n]| >= 0.3 with entries in [-1, 1],
+        # so inverse_top_blocks raises no SingularJacobianError here
+        c_devs = covering_commutation_deviations(G, Th, first).tolist()
+        q_devs = quotient_diagram_deviations(G, Th, first, dx, du, dd).tolist()
 
-    devs, _ = draw_regular(draw, args.samples)
+        def row(i):
+            return (require_finite(c_devs[i], "commutation deviation"),
+                    require_finite(q_devs[i], "quotient deviation"))
+        return [failed.get(i) or theta_failed.get(i) or outcome(row, i) for i in range(k)]
+
+    devs, _ = draw_regular(draw, args.samples, batch=True)
     max_dev = worst(v for d in devs for v in d)
     rows = [[idx, c_dev, q_dev, "pass" if worst((c_dev, q_dev)) <= tol else "fail"]
             for idx, (c_dev, q_dev) in enumerate(devs)]

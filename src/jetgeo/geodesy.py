@@ -50,10 +50,12 @@ def _check_subjet(g, p):
 def _check_secjet(g, theta, p):
     if p.l != g.dim:
         raise DimensionMismatchError(f"jet fibre dimension {p.l}, connection dimension {g.dim}")
-    if theta.dim != p.n:
-        raise DimensionMismatchError(
-            f"parameter connection dimension {theta.dim}, jet parameter dimension {p.n}"
-        )
+    _check_theta(theta, p.n)
+
+
+def _check_theta(theta, n):
+    if theta.dim != n:
+        raise DimensionMismatchError(f"parameter connection dimension {theta.dim}, jet parameter dimension {n}")
 
 
 @dataclass(frozen=True)
@@ -324,33 +326,13 @@ def param_residual2(g, theta, q):
     _check_secjet(g, theta, q)
     if q.r < 2:
         raise DimensionMismatchError("residual needs an order-2 jet")
-    return _param_residual(g.christoffel_at(q.u), theta.christoffel_at(q.x),
-                           q.first_matrix(), q.second_array())
-
-
-def _param_residual(G, Th, D, second):
-    return ParamResidual2(D.shape[1], D.shape[0], param_residual_table(G, Th, D, second))
+    return ParamResidual2(q.n, q.l, param_residual_table(g.christoffel_at(q.u), theta.christoffel_at(q.x),
+                                                        q.first_matrix(), q.second_array()))
 
 
 # ---------------------------------------------------------------------------
-# vertical projections and the covering identities
-
-
-def vertical_dot(g, q, du, dd):
-    """Vertical projection of a tangent vector at an order-1 submanifold
-    jet: out[k][xi] = dd[k][xi] + dotΓ_A{}^k{}_xi du^A."""
-    _check_subjet(g, q)
-    return vertical_dot_table(g.christoffel_at(q.base), q.first,
-                              np.asarray(du, dtype=float), np.asarray(dd, dtype=float))
-
-
-def vertical_pro(g, theta, p, dx, du, dd):
-    """Vertical projection of a tangent vector at an order-1 section jet:
-    out[C][eta] = dd[C][eta] - dx^lam Θ_lam{}^xi{}_eta u^C_{x xi}
-                 + du^B Γ_B{}^C{}_A u^A_{x eta}."""
-    _check_secjet(g, theta, p)
-    return vertical_pro_table(g.christoffel_at(p.u), theta.christoffel_at(p.x), p.first,
-                              *(np.asarray(v, dtype=float) for v in (dx, du, dd)))
+# the covering identities, at one jet: `cover-check` and criteria 5 and 6
+# evaluate them with the array formulas below, a batch of jets at a time
 
 
 def covering_commutation_deviation(g, theta, p):
@@ -379,13 +361,16 @@ def quotient_diagram_deviation(g, theta, p, dx, du, dd):
 
 
 def vertical_dot_table(G, D, du, dd):
-    """`vertical_dot` at submanifold jets with first derivatives D
-    (..., m, n)."""
+    """Vertical projection of tangent vectors (du, dd) at order-1
+    submanifold jets with first derivatives D (..., m, n):
+    out[k][xi] = dd[k][xi] + dotΓ_A{}^k{}_xi du^A, (..., m, n)."""
     return dd + np.einsum("...akx,...a->...kx", dot_gamma_table(G, D), du)
 
 
 def vertical_pro_table(G, Th, D, dx, du, dd):
-    """`vertical_pro`, (..., l, n)."""
+    """Vertical projection of tangent vectors at order-1 section jets:
+    out[C][eta] = dd[C][eta] - dx^lam Θ_lam{}^xi{}_eta u^C_{x xi}
+                 + du^B Γ_B{}^C{}_A u^A_{x eta}, (..., l, n)."""
     x_lift, u_lift = pro_lift_tables(G, Th, D)
     return dd - np.einsum("...l,...lCe->...Ce", dx, x_lift) - np.einsum("...B,...BCe->...Ce", du, u_lift)
 
@@ -443,7 +428,7 @@ def geodesic_residuals(g, steps):
     with Γ gathered from the steps' table values by `christoffel_arrays`.
     This checks the generated acceleration independently: numpy sums Γ·v·v
     here, `_spray` sums it there.  For n = 1 the swap average of
-    `_param_residual`, 0.5 * (t + t), is exactly t, so the bits are those
+    `param_residual_table`, 0.5 * (t + t), is exactly t, so the bits are those
     of the per-step formula.  The one exception is |t| of at least half the
     largest float, where t + t overflows and the per-step formula reads inf.
     numpy's floating-point warnings are off, so an overflow shows only in
@@ -582,9 +567,10 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     order-1 jets within tol.  Also reports the sufficient-condition fast
     path through the invariant families.
 
-    A jet is a point (`random_point`: redrawn near a declared singular
-    point or where g1 fails) and then its (m, n) derivative block, both
-    from one generator; a redrawn point takes l numbers, a jet l + m n.
+    A jet is a point (redrawn where `near_singular` finds a declared
+    singular point or where g1 fails) and then its (m, n) derivative
+    block, both from one generator; a redrawn point takes l numbers, a
+    jet l + m n.
     A batch walks the numbers of k jets as one jet at a time would.  It
     evaluates g1 by `at_many` at the k points it reads if every point is
     regular, and takes each run of ok ones at once; a point it reaches

@@ -315,9 +315,11 @@ def cover_second(first, second, inv):
 
 
 def tangent_cover_table(first, dd, inv):
-    """`tangent_cover1`'s dd_out (..., m, n) from the derivative components
-    dd (..., l, n) of tangent vectors; per jet, as matrices,
-    dd_out = dd[n:] inv - first[n:] inv dd[:n] inv."""
+    """The pushforward through the order-1 covering projection of tangent
+    vectors with derivative components dd (..., l, n): its derivative
+    components (..., m, n), per jet, as matrices,
+    dd_out = dd[n:] inv - first[n:] inv dd[:n] inv.  Its base components
+    are du, unchanged, and the parameter directions dx are annihilated."""
     n = inv.shape[-1]
     lat = first[..., n:, :]
     return dd[..., n:, :] @ inv - np.einsum("...jb,...bx,...la,...xl->...ja", lat, inv, inv, dd[..., :n, :])
@@ -340,18 +342,6 @@ def cover2(t):
         raise DimensionMismatchError("cover2 needs a jet of order 2")
     inv = inverse_top_blocks(t.first, t.n)  # inv[lam, xi] = x^lam_{u^xi}
     return SubJet(t.n, t.m, t.u, cover_first(t.first, inv), cover_second(t.first, t.second, inv))
-
-
-def tangent_cover1(t, dx, du, dd):
-    """Pushforward of a tangent vector at an order-1 section jet through
-    cover1.
-
-    Input components (dx over x^lambda, du over u^A, dd over u^A_{x lambda});
-    the parameter directions are annihilated.  Returns (du_out over u^A,
-    dd_out over u^j_alpha).
-    """
-    inv = inverse_top_blocks(t.first, t.n)
-    return np.asarray(du, dtype=float).copy(), tangent_cover_table(t.first, np.asarray(dd, dtype=float), inv)
 
 
 # ---------------------------------------------------------------------------

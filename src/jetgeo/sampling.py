@@ -117,11 +117,9 @@ def random_point(g, rng):
     return point
 
 
-def random_subjet1(n, m, rng, base=None):
+def random_subjet1(n, m, rng):
     """Random order-1 submanifold jet with coordinates in [-1, 1]."""
-    if base is None:
-        base = rng.uniform(-1.0, 1.0, n + m)
-    return SubJet(n, m, base, rng.uniform(-1.0, 1.0, (m, n)))
+    return SubJet(n, m, rng.uniform(-1.0, 1.0, n + m), rng.uniform(-1.0, 1.0, (m, n)))
 
 
 def secjet1_arrays(n, l, rng, min_det=0.3):

@@ -3,14 +3,13 @@ the metric-to-Christoffel helper used to derive one, the numpy geodesic
 integrator that the generated kernel is checked against within rounding,
 the list-based RK4 stepper that the generated loop is checked against bit
 for bit, the per-step geodesic residual that the batched one is checked
-against, the
-`simplify`-based random polynomials that the sampler is checked against,
-the one-sample-at-a-time comparisons and affine symmetry check that the
-batched ones are checked against, the per-jet covering projections,
-residual and covering deviations that the array formulas are checked
-against, the per-sample loops of criteria 1, 5, 6 and 9, a hypothesis
-strategy for expression trees, and helpers only the tests use (test-only,
-not public API).
+against, the `simplify`-based random polynomials that the sampler is
+checked against, the one-sample-at-a-time comparisons, affine symmetry
+check and `cover-check` sampling that the batched ones are checked
+against, the per-jet covering projections, residual and covering
+deviations that the array formulas are checked against, the per-sample
+loops of criteria 1, 5, 6 and 9, a hypothesis strategy for expression
+trees, and helpers only the tests use (test-only, not public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
@@ -37,16 +36,19 @@ from jetgeo.expr import FUNCTION_NAMES, Add, Const, CoordinateFrame, Div, Func, 
 from jetgeo.geodesy import (
     EquivalenceVerdict,
     GeodesicStep,
+    ParamResidual2,
     Residual2,
     _check_subjet,
-    _param_residual,
     _spray,
+    covering_commutation_deviation,
     ddot_gamma,
     ddot_gamma_pro,
     dot_gamma,
     dot_gamma_pro,
     integrate_geodesic,
     param_residual2,
+    param_residual_table,
+    quotient_diagram_deviation,
 )
 from jetgeo.jets import AffineMap, SubJet, affine_act
 from jetgeo.sampling import random_connection, random_point, random_secjet1, random_subjet1, spawn_rng
@@ -193,7 +195,8 @@ def geodesic_step_residual(g, step):
     formula, from its own `christoffel_array`: the per-step oracle for
     `geodesy.geodesic_residuals`."""
     D, second = np.array(step.v)[:, None], np.array(step.a)[:, None, None]
-    return _param_residual(g.christoffel_array(step.values), np.array([[[step.theta]]]), D, second)
+    return ParamResidual2(1, len(step.v), param_residual_table(g.christoffel_array(step.values),
+                                                               np.array([[[step.theta]]]), D, second))
 
 
 def random_polynomial_oracle(names, rng):
@@ -347,6 +350,21 @@ def affine_symmetry_check_oracle(g, theta, aff, samples=25, tol=1e-10, seed=0):
         return p.x + p.u, require_finite(param_residual2(g, theta, acted).max_abs(), "residual")
 
     return SymmetryReport.sample(draw, samples, tol)
+
+
+def cover_check_oracle(g, theta, n, samples, rng):
+    """`cli.cmd_cover_check`'s sampling jet by jet, through `random_secjet1`
+    and the per-jet covering deviations: `draw_regular`'s (results,
+    redrawn), each result a (commutation, quotient) pair."""
+
+    def draw():
+        p = random_secjet1(n, g.dim, rng)
+        tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, g.dim), rng.uniform(-1, 1, (g.dim, n))
+        c_dev = covering_commutation_deviation(g, theta, p)
+        q_dev = quotient_diagram_deviation(g, theta, p, *tangent)
+        return require_finite(c_dev, "commutation deviation"), require_finite(q_dev, "quotient deviation")
+
+    return draw_regular(draw, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The batch axis of the sampled checks: `Table.at_many` and `Table.rows`
 against the per-point table, `draw_regular`'s batched form against its
-per-sample form, the batched comparisons and affine symmetry check
-against their one-sample-at-a-time oracles in tests/conftest.py, and the
-array formulas of the covering projections and the residual, and the
-criteria built on them, against their per-jet and per-sample oracles
-there."""
+per-sample form, the batched comparisons, affine symmetry check and
+`cover-check` against their one-sample-at-a-time oracles in
+tests/conftest.py, and the array formulas of the covering projections
+and the residual, and the criteria built on them, against their per-jet
+and per-sample oracles there."""
+import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -13,9 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgeo import acceptance, expr, geodesy
+from jetgeo import acceptance, cli, expr, geodesy
 from jetgeo.acceptance import AcceptanceConfig
-from jetgeo.connections import Connection, grass_shift, invariants_match, pi_deviation, projective_shift
+from jetgeo.connections import (
+    Connection,
+    grass_shift,
+    invariants_match,
+    load_connection,
+    pi_deviation,
+    projective_shift,
+)
 from jetgeo.errors import DimensionMismatchError, DomainError, JetGeoError, SingularJacobianError, draw_regular, outcome
 from jetgeo.expr import CoordinateFrame, Table, parse
 from jetgeo.geodesy import (
@@ -34,7 +43,6 @@ from jetgeo.jets import (
     cover_first,
     cover_second,
     inverse_top_blocks,
-    tangent_cover1,
     tangent_cover_table,
 )
 from jetgeo.sampling import UniformStream, random_affine, random_connection, random_expressions, spawn_rng
@@ -45,6 +53,7 @@ from conftest import (
     TREE_NAMES,
     affine_symmetry_check_oracle,
     cover1_oracle,
+    cover_check_oracle,
     cover2_oracle,
     covering_commutation_deviation_oracle,
     grass_equivalent_oracle,
@@ -57,6 +66,9 @@ from conftest import (
     tangent_cover1_oracle,
     trees,
 )
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def frame(l, n=1):
@@ -372,6 +384,56 @@ def test_batched_affine_symmetry_check_equals_the_oracle(case):
                 assert report.skipped > 0
 
 
+_COVER_CHECK_CASES = {
+    # g and Θ: a golden spec, or entries over (u1, u2) with n = 1 and over x1
+    "flat-theta": ("l4.json", None, 40),
+    # Θ fails where x1 < -1/2, so samples are redrawn where g is regular
+    "theta-fails": ("l4.json", "theta_n2.json", 40),
+    "g-fails": ([{"lower": [1, 1], "upper": 2, "expr": "sqrt(u1)"}], None, 30),
+    "not-finite": ([{"lower": [1, 1], "upper": 2, "expr": "10^308*u1 + 10^308*u2 + 10^308"}], None, 10),
+    # both fail everywhere: the message is g's
+    "give-up": ([{"lower": [1, 1], "upper": 2, "expr": "sqrt(-1 - u1^2)"}],
+                [{"lower": [1, 1], "upper": 1, "expr": "sqrt(-2 - x1^2)"}], 3),
+}
+
+
+def _spec_path(tmp_path, spec, coords):
+    if isinstance(spec, str):
+        return os.path.join(GOLDEN, spec)
+    path = tmp_path / f"{coords[0]}.json"
+    path.write_text(json.dumps({"coords": coords, "n": 1, "christoffel": spec}))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", sorted(_COVER_CHECK_CASES))
+def test_batched_cover_check_equals_the_oracle_and_leaves_the_same_rng(case, tmp_path, monkeypatch, capsys):
+    spec, theta_spec, samples = _COVER_CHECK_CASES[case]
+    spec = _spec_path(tmp_path, spec, ["u1", "u2"])
+    g = load_connection(spec)
+    n = g.frame.split
+    argv = ["cover-check", spec, "--samples", str(samples), "--seed", "3", "--format", "json"]
+    theta = Connection.flat(n)
+    if theta_spec:
+        argv += ["--theta", _spec_path(tmp_path, theta_spec, ["x1"])]
+        theta = load_connection(argv[-1])
+    rngs = []
+    monkeypatch.setattr(cli, "spawn_rng", lambda *args: rngs.append(spawn_rng(*args)) or rngs[-1])
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    replay = spawn_rng(3, 0)
+    if case == "give-up":
+        with pytest.raises(DomainError) as e:
+            cover_check_oracle(g, theta, n, samples, replay)
+        assert "could not sample" in str(e.value)
+        assert (code, out, err) == (2, "", f"error: {e.value}\n")
+        return
+    devs, redrawn = cover_check_oracle(g, theta, n, samples, replay)
+    rows = json.loads(out)["rows"]
+    assert [(repr(c), repr(q)) for _, c, q, _ in rows] == [(repr(c), repr(q)) for c, q in devs]
+    assert rngs[0].uniform() == replay.uniform()
+    assert (redrawn > 0) == (case != "flat-theta")
+
+
 # ---------------------------------------------------------------------------
 # the array formulas of the covering projections and the residual against
 # their per-jet oracles
@@ -426,9 +488,7 @@ def test_covering_formulas_equal_the_per_jet_oracles(n, m):
         q = cover2_oracle(t)
         assert same_jet(cover1(t), cover1_oracle(t)) and same_jet(cover2(t), q)
         assert same_bits(first[i], q.first) and same_bits(sub_second[i], q.second)
-        expected = tangent_cover1_oracle(t, *tangent)
-        assert all(same_bits(a, b) for a, b in zip(tangent_cover1(t, *tangent), expected))
-        assert same_bits(pushed[i], expected[1])
+        assert same_bits(pushed[i], tangent_cover1_oracle(t, *tangent)[1])
         assert same_bits(residual2(g, q).table, residual2_oracle(g, q).table)
         assert repr(residuals[i].item()) == repr(residual2_oracle(g, q).max_abs())
         p = t.truncate(1)
@@ -463,7 +523,7 @@ def test_a_singular_top_block_raises_the_oracle_message(n, tops):
         expected = message(cover1_oracle, t)
         p = t.truncate(1)
         assert expected == message(cover2_oracle, t) == message(tangent_cover1_oracle, t, *tangent)
-        for fn, args in ((cover1, (t,)), (cover2, (t,)), (tangent_cover1, (t, *tangent)),
+        for fn, args in ((cover1, (t,)), (cover2, (t,)), (inverse_top_blocks, (t.first, n)),
                          (covering_commutation_deviation, (g, theta, p)),
                          (quotient_diagram_deviation, (g, theta, p, *tangent))):
             assert message(fn, *args) == expected

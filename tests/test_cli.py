@@ -712,6 +712,20 @@ def test_cover_check(random_spec_pair, capsys):
     assert "PASS" in capsys.readouterr().err
 
 
+def test_cover_check_with_a_theta_of_another_dimension_exits_2(tmp_path, monkeypatch, capsys):
+    """l4.json splits at n = 2; a 1-dimensional Θ is refused before any
+    sample is drawn."""
+    theta = write(tmp_path / "theta.json", {"coords": ["x1"], "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 1, "expr": "x1"}]})
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(cli, "secjet1_arrays", no_draw)
+    assert main(["cover-check", os.path.join(GOLDEN, "l4.json"), "--theta", theta]) == 2
+    assert capsys.readouterr() == ("", "error: parameter connection dimension 1, jet parameter dimension 2\n")
+
+
 def test_symmetry_check_affine(zero_spec, tmp_path, capsys):
     aff = write(tmp_path / "aff.json", {"a": [[2.0]], "b": [1.0]})
     assert main(["symmetry-check", zero_spec, "--affine", aff, "--samples", "10"]) == 0
