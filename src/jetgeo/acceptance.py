@@ -33,6 +33,7 @@ from .geodesy import (
 )
 from .jets import ParamMap, SubJet, cover2, cover_first, cover_second, inverse_top_blocks, prolong
 from .sampling import (
+    draw_connection,
     random_affine,
     random_connection,
     random_expressions,
@@ -134,7 +135,7 @@ def criterion_1(cfg):
     samples = []
     for i in range(200):
         n, m = _DIM_CASES[i % 4]
-        g = random_connection(_frame(n + m, n), rng)
+        g = draw_connection(_frame(n + m, n), rng)
         base = rng.uniform(-1.0, 1.0, n + m)
         first = rng.uniform(-1.0, 1.0, (m, n))
         samples.append((g.christoffel_at(base), first))
@@ -219,8 +220,8 @@ def criterion_5(cfg):
     samples = []
     for i in range(200):
         n, m = _DIM_CASES[i % 4]
-        g = random_connection(_frame(n + m, n), rng)
-        theta = random_connection(_theta_frame(n), rng)
+        g = draw_connection(_frame(n + m, n), rng)
+        theta = draw_connection(_theta_frame(n), rng)
         x, u, first = secjet1_arrays(n, n + m, rng)
         samples.append((g.christoffel_at(u), theta.christoffel_at(x), first))
     deviations = _per_case(samples, covering_commutation_deviations)
@@ -235,8 +236,8 @@ def criterion_6(cfg):
     for i in range(100):
         n, m = _DIM_CASES[i % 4]
         l = n + m
-        g = random_connection(_frame(l, n), rng)
-        theta = random_connection(_theta_frame(n), rng)
+        g = draw_connection(_frame(l, n), rng)
+        theta = draw_connection(_theta_frame(n), rng)
         x, u, first = secjet1_arrays(n, l, rng)
         tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, l), rng.uniform(-1, 1, (l, n))
         samples.append((g.christoffel_at(u), theta.christoffel_at(x), first, *tangent))

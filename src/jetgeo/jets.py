@@ -497,7 +497,9 @@ def jet_to_dict(jet):
 def load_jets(path):
     """Load a jet file: either one jet object or {"jets": [...]}."""
     data = load_json(path)
-    items = data["jets"] if isinstance(data, dict) and "jets" in data else [data]
+    if not isinstance(data, dict):
+        raise SpecLoadError(f'a jet file holds one jet object or {{"jets": [...]}}, got {type(data).__name__}')
+    items = data["jets"] if "jets" in data else [data]
     if not isinstance(items, list):
         raise SpecLoadError(f'"jets" must be a list, got {type(items).__name__}')
     return [jet_from_dict(item) for item in items]

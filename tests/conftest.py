@@ -450,7 +450,8 @@ def quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd):
 
 # ---------------------------------------------------------------------------
 # criteria 1, 5, 6 and 9 one sample at a time: their deviation lists, from
-# one jet record and one kernel call per sample
+# one jet record and one kernel call per sample, with each random connection
+# built as trees by `random_connection` and evaluated by `christoffel_at`
 
 
 def criterion_1_oracle(seed):

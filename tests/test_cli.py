@@ -355,6 +355,14 @@ def test_residual_rejects_non_list_jets(zero_spec, tmp_path, capsys):
     assert err.startswith("error:") and "must be a list" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("data, found", [([], "list"), ([{"kind": "subjet"}], "list"), (5, "int"), (None, "NoneType")])
+def test_residual_rejects_a_jet_file_that_is_not_an_object(zero_spec, tmp_path, capsys, data, found):
+    jets = write(tmp_path / "top.json", data)
+    assert main(["residual", zero_spec, "--jets", jets, "--mode", "unparam"]) == 2
+    err = capsys.readouterr().err
+    assert err == f'error: a jet file holds one jet object or {{"jets": [...]}}, got {found}\n'
+
+
 def test_directory_as_spec_path_exits_2(tmp_path, capsys):
     assert main(["invariants", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -1,5 +1,8 @@
 """The one redraw loop, `errors.draw_regular`, the single draws built on
-it, and the random polynomials checked against their `simplify` oracle."""
+it, the random polynomials checked against their `simplify` oracle, and
+the coefficient form of a random connection checked against its trees."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,16 @@ from jetgeo import errors
 from jetgeo.acceptance import _DIM_CASES, _frame, _theta_frame
 from jetgeo.connections import Connection
 from jetgeo.errors import DomainError, SingularJacobianError, draw_regular, require_finite
-from jetgeo.expr import CoordinateFrame, parse, simplify, to_text
-from jetgeo.sampling import random_connection, random_point, random_polynomial, spawn_rng
+from jetgeo.expr import CoordinateFrame, Mul, Sym, parse, simplify, to_text
+from jetgeo.sampling import (
+    PolynomialConnection,
+    _monomial_cores,
+    draw_connection,
+    random_connection,
+    random_point,
+    random_polynomial,
+    spawn_rng,
+)
 
 from conftest import random_connection_oracle, random_polynomial_oracle
 
@@ -127,3 +138,54 @@ def test_random_connection_matches_its_oracle(frame):
         assert g == h and list(g.christoffel) == list(h.christoffel)
         assert all(to_text(g.christoffel[k]) == to_text(h.christoffel[k]) for k in g.christoffel)
     assert rng.random() == oracle_rng.random()
+
+
+def same_array(G, H):
+    return G.shape == H.shape and G.tobytes() == H.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 63 - 1), st.sampled_from(CONNECTION_FRAMES))
+def test_drawn_coefficients_build_the_oracle_trees_and_evaluate_to_their_bits(seed, frame):
+    rng, oracle_rng = spawn_rng(seed), spawn_rng(seed)
+    for _ in range(2):
+        drawn = draw_connection(frame, rng)
+        g = drawn.connection()
+        h = random_connection_oracle(frame, oracle_rng)
+        assert g.christoffel == h.christoffel and list(g.christoffel) == list(h.christoffel)
+        for point in spawn_rng(seed, 1).uniform(-1.0, 1.0, (3, frame.dim)):
+            assert same_array(drawn.christoffel_at(point), h.christoffel_at(point))
+    assert rng.random() == oracle_rng.random()
+
+
+# hand-made entries on 11 coordinates, by monomial index: 0 is the constant,
+# 1..11 are u1..u11, and the products follow
+NAMES_11 = tuple(f"u{i}" for i in range(1, 12))
+U10_U2 = _monomial_cores(NAMES_11).index(Mul((Sym("u10"), Sym("u2"))))
+U1_U3 = _monomial_cores(NAMES_11).index(Mul((Sym("u1"), Sym("u3"))))
+HAND_MADE = {
+    (1, 1, 1): {4: 0},                          # cancels to zero: no stored entry
+    (1, 2, 1): {4: 0, 0: 250},                  # one term cancels, the constant stays
+    (1, 2, 2): {1: 1000},                       # a bare core
+    (2, 3, 1): {U1_U3: -1000},                  # coefficient -1
+    (2, 2, 3): {0: -417},                       # only a constant
+    (3, 3, 3): {0: 3, 2: -999, U1_U3: 731},     # three terms
+    (2, 10, 4): {U10_U2: 337},                  # a core whose factors are not in index order
+    (5, 6, 7): {U10_U2: 337, 0: -5},            # two terms
+}
+
+
+def test_hand_made_coefficients_evaluate_to_the_bits_of_their_trees():
+    drawn = PolynomialConnection(_frame(11, 1), HAND_MADE)
+    g = drawn.connection()
+    assert (1, 1, 1) not in g.christoffel and len(g.christoffel) == len(HAND_MADE) - 1
+    assert to_text(g.christoffel[(2, 10, 4)]) == "337/1000*u10*u2"
+    points = spawn_rng(17).uniform(-1.0, 1.0, (20, 11))
+    for point in points:
+        G = drawn.christoffel_at(point)
+        assert same_array(G, g.christoffel_at(point))
+        assert math.copysign(1.0, G[0, 0, 0]) == 1.0
+    # the points tell the factor order and fsum from their alternatives
+    xs = points.tolist()
+    assert any((0.337 * x[9]) * x[1] != (0.337 * x[1]) * x[9] for x in xs)
+    assert any(sum(t) != math.fsum(t) for t in ([0.003, -0.999 * x[1], (0.731 * x[0]) * x[2]] for x in xs))
