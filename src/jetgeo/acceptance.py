@@ -19,17 +19,18 @@ from .connections import Connection, grass_shift, invariants_match, pi_deviation
 from .errors import worst
 from .expr import Const, CoordinateFrame, Sym
 from .geodesy import (
-    XiTable,
     covering_commutation_deviations,
     ddot_gamma,
     ddot_second,
     dot_gamma,
-    dot_gamma_via_xi,
+    dot_gamma_table,
+    dot_gamma_via_xi_table,
     geodesic_steps,
     grass_equivalent,
     quotient_diagram_deviations,
     residual2,
     residual_table,
+    row_dot,
 )
 from .jets import ParamMap, SubJet, cover2, cover_first, cover_second, inverse_top_blocks, prolong
 from .sampling import (
@@ -158,10 +159,10 @@ def criterion_2(cfg):
         g = random_connection(_frame(n + m, n), rng)
         for _ in range(3):
             p = random_subjet1(n, m, rng)
-            closed = dot_gamma(g, p).table
-            for _ in range(50):
-                via = dot_gamma_via_xi(g, XiTable.random(n, m, rng), p).table
-                deviations.append(np.abs(via - closed).max())
+            G = g.christoffel_at(p.base)
+            # the 50 auxiliary tables of this jet: the numbers of 50 `XiTable.random` draws
+            via = dot_gamma_via_xi_table(G, rng.uniform(-1.0, 1.0, (50, n + m, n, n)), p.first)
+            deviations += np.abs(via - dot_gamma_table(G, p.first)).max(axis=(1, 2, 3)).tolist()
     return _result(2, "independence of the auxiliary connection", deviations, tol)
 
 
@@ -305,11 +306,7 @@ def criterion_9(cfg):
     g = sphere_chart_connection()
     steps = list(geodesic_steps(g, Connection.flat(1), [0.0, 0.0], [0.8, 0.6], 1e-3, 1000))
     u, v, a = (np.array(column) for column in zip(*((s.u, s.v, s.a) for s in steps)))
-
-    def dots(w):    # w @ w per step, through the per-row product of `@`
-        return (w[:, None, :] @ w[:, :, None])[:, 0, 0]
-
-    speeds = 4.0 / (1.0 + dots(u)) ** 2 * dots(v)
+    speeds = 4.0 / (1.0 + row_dot(u, u)) ** 2 * row_dot(v, v)
     drift = float(np.abs(speeds - speeds[0]).max())
     # each step is the order-2 section jet (x, u, u' = v, u'' = a)
     D, second = v[:, :, None], a[:, :, None, None]

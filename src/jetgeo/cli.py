@@ -32,6 +32,7 @@ from .connections import (
     thomas_pi,
 )
 from .errors import (
+    DimensionMismatchError,
     DomainError,
     JetGeoError,
     ParseError,
@@ -324,6 +325,8 @@ def cmd_symmetry_check(args):
     samples = args.samples
     if args.affine:
         aff = _load_affine(args.affine)
+        if aff.n != n:
+            raise DimensionMismatchError(f"affine map acts on {aff.n} parameters, the split is n={n}")
         theta = _load_theta(args, aff.n)
         report = affine_symmetry_check(g, theta, aff, samples=samples, tol=tol, seed=args.seed)
     elif args.field:

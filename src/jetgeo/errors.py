@@ -160,9 +160,14 @@ def draw_regular(draw, count, batch=False):
                     continue
                 redrawn += 1
                 if redrawn >= _REDRAWS_PER_SAMPLE * count:
-                    raise DomainError(f"could not sample: {redrawn} draws failed and {len(results)} "
-                                      f"of {count} succeeded; the last failed with: {result}") from None
+                    raise gave_up(redrawn, len(results), count, result) from None
     return results, redrawn
+
+
+def gave_up(redrawn, succeeded, count, last):
+    """The DomainError with which `draw_regular` gives up."""
+    return DomainError(f"could not sample: {redrawn} draws failed and {succeeded} of {count} "
+                       f"succeeded; the last failed with: {last}")
 
 
 def require_finite(deviation, what):

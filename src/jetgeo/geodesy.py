@@ -199,28 +199,34 @@ def dot_gamma_via_xi(g, xi, p):
     does not read.
     """
     _check_subjet(g, p)
-    n, m, l = p.n, p.m, p.l
-    if xi.base.shape != (l, n, n):
+    if xi.base.shape != (p.l, p.n, p.n):
         raise FrameMismatchError("auxiliary table shapes do not match the jet")
-    G = g.christoffel_at(p.base)
-    D = p.first_matrix()
+    return DotGamma(p.n, p.m, dot_gamma_via_xi_table(g.christoffel_at(p.base), xi.base, p.first))
 
-    # raw[A][C][xi]: du^A coefficient of the contraction, before projection
-    raw = np.zeros((l, l, n))
-    for a in range(l):
-        for c in range(l):
-            for x in range(n):
-                total = G[a, c, x]  # δ^lam_xi Γ_A{}^C{}_lam summed over lam
-                if c < n:
-                    total += xi.base[a, x, c]
-                else:
-                    total += xi.base[a, x, :] @ D[c - n, :]
-                total += G[a, c, n:] @ D[:, x]
-                raw[a, c, x] = total
 
+def row_dot(a, b):
+    """The dot products over the last axis of a and b, which broadcast,
+    each summed as the 1-d `@` of its two rows sums it: a stacked `@` of
+    C-contiguous (..., 1, k) and (..., k, 1) arrays, which numpy computes
+    per row with the same BLAS dot.  An einsum or an elementwise sum
+    rounds some rows differently."""
+    a, b = (np.ascontiguousarray(v) for v in np.broadcast_arrays(a, b))
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def dot_gamma_via_xi_table(G, Xi, D):
+    """`dot_gamma_via_xi`'s table from G (..., l, l, l), the auxiliary
+    table Xi (..., l, n, n) and D (..., m, n), over leading axes that
+    broadcast.  raw[A][C][xi], the du^A coefficient of the contraction,
+    is Γ_A{}^C{}_xi, plus Ξ_A{}_xi{}^C for C <= n or Ξ_A{}_xi{}^lam u^C_lam
+    above, plus Γ_A{}^C{}_i u^i_xi, added in that order."""
+    n = D.shape[-1]
+    xi_fibre = row_dot(Xi[..., :, None, :, :], D[..., None, :, None, :])
+    xi_base = np.broadcast_to(np.swapaxes(Xi, -1, -2), (*xi_fibre.shape[:-2], n, n))
+    fibre_dot = row_dot(G[..., :, :, None, n:], np.swapaxes(D, -1, -2)[..., None, None, :, :])
+    raw = (G[..., :n] + np.concatenate([xi_base, xi_fibre], axis=-2)) + fibre_dot
     # vertical projection: fibre slot minus u^k_beta times base slots
-    table = raw[:, n:, :] - np.einsum("kb,abx->akx", D, raw[:, :n, :])
-    return DotGamma(n, m, table)
+    return raw[..., :, n:, :] - np.einsum("...kb,...abx->...akx", D, raw[..., :, :n, :])
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from itertools import combinations_with_replacement
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr
 from .connections import Connection
-from .errors import DomainError, SingularJacobianError, draw_regular
+from .errors import _REDRAWS_PER_SAMPLE, DomainError, SingularJacobianError, draw_regular, gave_up
 from .expr import CoordinateFrame, Mul, Sym
 from .jets import AffineMap, SecJet, SubJet
 
@@ -168,6 +169,96 @@ class UniformStream:
         """Consume `count` numbers."""
         self.pos += count
 
+    def walk(self, n, draws, rounds, min_det=0.3):
+        """The offsets of `rounds` rounds of draws, each round the `draws` in
+        order, read as the per-sample samplers read them from the generator:
+        a `Draw` with a gate takes candidates until the n x n matrix at the
+        start of one has |det| >= min_det.  Returns the peeked numbers and an
+        int array (rounds, len(draws)) of each accepted draw's offset in
+        them, and consumes what the rounds read.
+
+        The determinant is taken at every offset of the numbers by one
+        stacked `np.linalg.det`, the bits of one per candidate.  A draw
+        rejected 100 times raises the DomainError with which `draw_regular`
+        gives up its per-sample sampler, after consuming what it read."""
+        numbers = self.peek(2 * rounds * sum(d.accepted for d in draws))
+        dets, at, starts = None, 0, []
+        try:
+            for _ in range(rounds):
+                for d in draws:
+                    rejected = 0
+                    while True:
+                        if at + d.accepted > len(numbers):
+                            numbers, dets = self.peek(2 * len(numbers)), None
+                        if d.gate is None:
+                            break
+                        if dets is None:
+                            windows = sliding_window_view(numbers, n * n).reshape(-1, n, n)
+                            dets = np.abs(np.linalg.det(windows)).tolist()
+                        if dets[at] >= min_det:
+                            break
+                        at += d.rejected
+                        rejected += 1
+                        if rejected == _REDRAWS_PER_SAMPLE:
+                            raise gave_up(rejected, 0, 1, d.gate)
+                    starts.append(at)
+                    at += d.accepted
+        finally:
+            self.skip(at)
+        return numbers, np.array(starts, dtype=int).reshape(rounds, len(draws))
+
+
+@dataclass(frozen=True)
+class Draw:
+    """What one per-sample draw reads from a `UniformStream`: `accepted`
+    numbers, and with a `gate` (why a candidate is rejected), a candidate
+    that `UniformStream.walk` rejects takes `rejected` numbers."""
+
+    accepted: int
+    rejected: int = 0
+    gate: str = None
+
+
+_SECJET_GATE = "base-direction block of the section jet is near singular"
+_AFFINE_GATE = "linear part of the affine map is near singular"
+
+
+def secjet1_draw(n, l):
+    """The `Draw` of `secjet1_arrays`: first (l, n), x (n) and u (l)."""
+    return Draw(l * n + n + l, l * n, _SECJET_GATE)
+
+
+def affine_draw(n):
+    """The `Draw` of `random_affine`: a (n, n), then b (n)."""
+    return Draw(n * n + n, n * n, _AFFINE_GATE)
+
+
+def subjet1_draw(n, m):
+    """The `Draw` of `random_subjet1`: base (n + m), then first (m, n)."""
+    return Draw(n + m + m * n)
+
+
+def gathered(numbers, starts, offset, shape):
+    """The numbers from each of `starts` + `offset` on, as arrays of `shape`
+    stacked along the axes of `starts`."""
+    width = math.prod(shape)
+    return numbers[np.asarray(starts)[..., None] + np.arange(offset, offset + width)].reshape(
+        *np.shape(starts), *shape)
+
+
+def secjet1_parts(numbers, starts, n, l):
+    """The (x, u, first) of the section jets drawn at `starts`, stacked."""
+    return (gathered(numbers, starts, l * n, (n,)), gathered(numbers, starts, l * n + n, (l,)),
+            gathered(numbers, starts, 0, (l, n)))
+
+
+def secjet1_stream(n, l, stream, k, min_det=0.3):
+    """The next k order-1 section jets of `stream`, as k `secjet1_arrays(n,
+    l, rng, min_det)` calls draw them from its generator: (x, u, first),
+    stacked (k, n), (k, l) and (k, l, n)."""
+    numbers, starts = stream.walk(n, [secjet1_draw(n, l)], k, min_det)
+    return secjet1_parts(numbers, starts[:, 0], n, l)
+
 
 def near_singular(g, point):
     """DomainError if the point lies within 1e-6 of one of g's declared
@@ -204,7 +295,7 @@ def secjet1_arrays(n, l, rng, min_det=0.3):
     def draw():
         first = rng.uniform(-1.0, 1.0, (l, n))
         if abs(np.linalg.det(first[:n, :])) < min_det:
-            raise SingularJacobianError("base-direction block of the section jet is near singular")
+            raise SingularJacobianError(_SECJET_GATE)
         return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, l), first
 
     return draw_regular(draw, 1)[0][0]
@@ -221,7 +312,7 @@ def random_affine(n, rng):
     def draw():
         a = rng.uniform(-1.0, 1.0, (n, n))
         if abs(np.linalg.det(a)) < 0.3:
-            raise SingularJacobianError("linear part of the affine map is near singular")
+            raise SingularJacobianError(_AFFINE_GATE)
         return AffineMap(a, rng.uniform(-1.0, 1.0, n))
 
     return draw_regular(draw, 1)[0][0]

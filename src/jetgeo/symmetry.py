@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .connections import Connection
+from .connections import _check_split
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -38,10 +38,31 @@ from .geodesy import (
     distribution_fields,
     param_residual2,
     param_residual_table,
-    residual2,
+    residual_table,
 )
-from .jets import ParamMap, SecJet, SubJet, affine_act, affine_second, cover1, cover2, mirrored, reparam_act
-from .sampling import random_affine, random_secjet1, random_subjet1, secjet1_arrays, spawn_rng
+from .jets import (
+    ParamMap,
+    SecJet,
+    SubJet,
+    affine_second,
+    cover_first,
+    cover_second,
+    inverse_top_blocks,
+    mirrored,
+    reparam_act,
+)
+from .sampling import (
+    UniformStream,
+    affine_draw,
+    gathered,
+    random_secjet1,
+    random_subjet1,
+    secjet1_draw,
+    secjet1_parts,
+    secjet1_stream,
+    spawn_rng,
+    subjet1_draw,
+)
 
 
 def subjet1_chart(frame, n):
@@ -417,21 +438,22 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     re-evaluated.  Requires the flat parameter connection, the setting in
     which the affine group acts by symmetries.
 
-    Each batch draws its order-1 section jets by `secjet1_arrays`, evaluates
-    g once at all of their points, and runs `ddot_gamma_pro`, `affine_act`
-    and `param_residual2` on the stacked arrays; a jet where g fails, or
-    whose residual is not finite, is redrawn.  Θ is zero at every point,
-    the acted one included."""
+    Each batch reads its order-1 section jets from a `UniformStream` by
+    `secjet1_stream`, evaluates g once at all of their points, and runs
+    `ddot_pro_second`, `affine_second` and `param_residual_table` on the
+    stacked arrays; a jet where g fails, or whose residual is not finite,
+    is redrawn.  Θ is zero at every point, the acted one included."""
     if theta.christoffel:
         raise DimensionMismatchError("affine symmetry check requires the flat parameter connection")
     if theta.dim != aff.n:
         raise DimensionMismatchError("affine map and parameter connection disagree")
     n, l = aff.n, g.dim
+    _check_split(g, n)
     ainv = np.linalg.inv(aff.a)
-    rng = spawn_rng(seed, 0)
+    stream = UniformStream(spawn_rng(seed, 0))
 
     def draw(k):
-        x, u, first = (np.array(a) for a in zip(*(secjet1_arrays(n, l, rng) for _ in range(k))))
+        x, u, first = secjet1_stream(n, l, stream, k)
         G, failed = g.christoffel_many(u)
         Th = np.zeros((k, n, n, n))
         # ddot_pro_second's result is symmetric bit for bit, affine_second's
@@ -487,30 +509,49 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
     (c) extending a section jet on the zero set (flat parameter
         connection) and projecting lands on the zero set of the
         unparametrized equation.
+
+    A sample reads, from one `UniformStream`, a section jet t, ten affine
+    maps, a submanifold jet p and a section jet q, and is redrawn where g
+    fails at q.  Each batch projects t, its ten images and the lift of p
+    with `cover_first`, and extends and projects q with `ddot_pro_second`
+    and `cover_second`, over the stacked arrays, with g evaluated once at
+    all of the q.  The base point of a projected jet is its u, the same on
+    both sides of (a) and (b), so only first derivatives are compared.
     """
+    _check_split(g, n)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     l = g.dim
     m = l - n
-    rng = spawn_rng(seed, 0)
-    theta = Connection.flat(n)
+    stream = UniformStream(spawn_rng(seed, 0))
+    draws = [secjet1_draw(n, l), *[affine_draw(n)] * 10, subjet1_draw(n, m), secjet1_draw(n, l)]
 
-    def gap(a, b):
-        return max(float(np.abs(np.asarray(a.base) - np.asarray(b.base)).max()),
-                   float(np.abs(a.first_matrix() - b.first_matrix()).max()))
+    def projected(first):
+        # never raises: t and q have |det| >= 0.3, an acted jet has
+        # |det| >= 0.3 / |det a| >= 0.15 with entries below 7, and the
+        # lift's top block is the identity, all far above 1e-12 max(1,
+        # max |entry|)^n
+        return cover_first(first, inverse_top_blocks(first, n))
 
-    def draw():
-        t = random_secjet1(n, l, rng)
-        base = cover1(t)
-        orbit = max(gap(cover1(affine_act(random_affine(n, rng), t)), base) for _ in range(10))
-        p = random_subjet1(n, m, rng)
-        lift = SecJet(
-            n, l, np.zeros(n), p.base,
-            np.vstack([np.eye(n), p.first_matrix()]),
-        )
-        q = ddot_gamma_pro(g, theta, random_secjet1(n, l, rng))
-        return orbit, gap(cover1(lift), p), residual2(g, cover2(q)).max_abs()
+    def draw(k):
+        numbers, starts = stream.walk(n, draws, k)
+        t = gathered(numbers, starts[:, 0], 0, (l, n))
+        acted = t[:, None] @ np.linalg.inv(gathered(numbers, starts[:, 1:11], 0, (n, n)))
+        orbit = np.abs(projected(acted) - projected(t)[:, None]).max(axis=(1, 2, 3))
+        p_first = gathered(numbers, starts[:, 11], n + m, (m, n))
+        lift = np.concatenate([np.broadcast_to(np.eye(n), (k, n, n)), p_first], axis=1)
+        preimage = np.abs(projected(lift) - p_first).max(axis=(1, 2))
+        _, u, first = secjet1_parts(numbers, starts[:, 12], n, l)
+        G, failed = g.christoffel_many(u)
+        inv = inverse_top_blocks(first, n)
+        # both second-derivative formulas are symmetric bit for bit
+        second = cover_second(first, ddot_pro_second(G, np.zeros((k, n, n, n)), first), inv)
+        factoring = np.abs(residual_table(G, cover_first(first, inv), second)).max(axis=(1, 2, 3))
+        rows = zip(orbit.tolist(), preimage.tolist(), factoring.tolist())
+        return [failed.get(i) or row for i, row in enumerate(rows)]
 
     orbit_dev, preimage_dev, factoring_dev = (
-        worst(column) for column in zip(*draw_regular(draw, samples)[0])
+        worst(column) for column in zip(*draw_regular(draw, samples, batch=True)[0])
     )
     passed = orbit_dev <= orbit_tol and preimage_dev <= orbit_tol and factoring_dev <= factoring_tol
     return OrbitReport(orbit_dev, preimage_dev, factoring_dev, passed)

@@ -7,9 +7,11 @@ against, the `simplify`-based random polynomials that the sampler is
 checked against, the one-sample-at-a-time comparisons, affine symmetry
 check and `cover-check` sampling that the batched ones are checked
 against, the per-jet covering projections, residual and covering
-deviations that the array formulas are checked against, the per-sample
-loops of criteria 1, 5, 6 and 9, a hypothesis strategy for expression
-trees, and helpers only the tests use (test-only, not public API).
+deviations that the array formulas are checked against, the per-jet loop
+of `dot_gamma_via_xi` and the per-sample orbit check that the batched ones
+are checked against, the per-sample loops of criteria 1, 2, 5, 6 and 9, a
+hypothesis strategy for expression trees, and helpers only the tests use
+(test-only, not public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
@@ -50,9 +52,16 @@ from jetgeo.geodesy import (
     param_residual_table,
     quotient_diagram_deviation,
 )
-from jetgeo.jets import AffineMap, SubJet, affine_act
-from jetgeo.sampling import random_connection, random_point, random_secjet1, random_subjet1, spawn_rng
-from jetgeo.symmetry import SymmetryReport
+from jetgeo.jets import AffineMap, SecJet, SubJet, affine_act
+from jetgeo.sampling import (
+    random_affine,
+    random_connection,
+    random_point,
+    random_secjet1,
+    random_subjet1,
+    spawn_rng,
+)
+from jetgeo.symmetry import OrbitReport, SymmetryReport
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -352,6 +361,53 @@ def affine_symmetry_check_oracle(g, theta, aff, samples=25, tol=1e-10, seed=0):
     return SymmetryReport.sample(draw, samples, tol)
 
 
+def dot_gamma_via_xi_oracle(G, xi, D):
+    """`geodesy.dot_gamma_via_xi_table` at one jet, entry by entry, each dot
+    product a 1-d `@`."""
+    l, n = G.shape[0], D.shape[1]
+    raw = np.zeros((l, l, n))
+    for a in range(l):
+        for c in range(l):
+            for x in range(n):
+                total = G[a, c, x]  # δ^lam_xi Γ_A{}^C{}_lam summed over lam
+                if c < n:
+                    total += xi[a, x, c]
+                else:
+                    total += xi[a, x, :] @ D[c - n, :]
+                total += G[a, c, n:] @ D[:, x]
+                raw[a, c, x] = total
+    return raw[:, n:, :] - np.einsum("kb,abx->akx", D, raw[:, :n, :])
+
+
+def orbit_quotient_check_oracle(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_tol=1e-10):
+    """`symmetry.orbit_quotient_check` one sample at a time, through
+    `random_secjet1`, `random_affine`, `affine_act`, `cover1`, `cover2` and
+    `residual2`, each jet a record."""
+    l = g.dim
+    m = l - n
+    rng = spawn_rng(seed, 0)
+    theta = Connection.flat(n)
+
+    def gap(a, b):
+        return max(float(np.abs(np.asarray(a.base) - np.asarray(b.base)).max()),
+                   float(np.abs(a.first_matrix() - b.first_matrix()).max()))
+
+    def draw():
+        t = random_secjet1(n, l, rng)
+        base = cover1_oracle(t)
+        orbit = max(gap(cover1_oracle(affine_act(random_affine(n, rng), t)), base) for _ in range(10))
+        p = random_subjet1(n, m, rng)
+        lift = SecJet(n, l, np.zeros(n), p.base, np.vstack([np.eye(n), p.first_matrix()]))
+        q = ddot_gamma_pro(g, theta, random_secjet1(n, l, rng))
+        return orbit, gap(cover1_oracle(lift), p), residual2_oracle(g, cover2_oracle(q)).max_abs()
+
+    orbit_dev, preimage_dev, factoring_dev = (
+        worst(column) for column in zip(*draw_regular(draw, samples)[0])
+    )
+    passed = orbit_dev <= orbit_tol and preimage_dev <= orbit_tol and factoring_dev <= factoring_tol
+    return OrbitReport(orbit_dev, preimage_dev, factoring_dev, passed)
+
+
 def cover_check_oracle(g, theta, n, samples, rng):
     """`cli.cmd_cover_check`'s sampling jet by jet, through `random_secjet1`
     and the per-jet covering deviations: `draw_regular`'s (results,
@@ -449,7 +505,7 @@ def quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd):
 
 
 # ---------------------------------------------------------------------------
-# criteria 1, 5, 6 and 9 one sample at a time: their deviation lists, from
+# criteria 1, 2, 5, 6 and 9 one sample at a time: their deviation lists, from
 # one jet record and one kernel call per sample, with each random connection
 # built as trees by `random_connection` and evaluated by `christoffel_at`
 
@@ -462,6 +518,21 @@ def criterion_1_oracle(seed):
         g = random_connection(_frame(n + m, n), rng)
         p = random_subjet1(n, m, rng)
         deviations.append(residual2_oracle(g, ddot_gamma(g, p)).max_abs())
+    return deviations
+
+
+def criterion_2_oracle(seed):
+    rng = spawn_rng(seed, 2)
+    deviations = []
+    for n, m in _DIM_CASES:
+        g = random_connection(_frame(n + m, n), rng)
+        for _ in range(3):
+            p = random_subjet1(n, m, rng)
+            closed = dot_gamma(g, p).table
+            for _ in range(50):
+                via = dot_gamma_via_xi_oracle(g.christoffel_at(p.base), rng.uniform(-1.0, 1.0, (n + m, n, n)),
+                                              p.first_matrix())
+                deviations.append(np.abs(via - closed).max())
     return deviations
 
 

@@ -1,10 +1,11 @@
 """The batch axis of the sampled checks: `Table.at_many` and `Table.rows`
 against the per-point table, `draw_regular`'s batched form against its
-per-sample form, the batched comparisons, affine symmetry check and
-`cover-check` against their one-sample-at-a-time oracles in
-tests/conftest.py, and the array formulas of the covering projections
-and the residual, and the criteria built on them, against their per-jet
-and per-sample oracles there."""
+per-sample form, the section jets read from a `UniformStream` against
+`secjet1_arrays`, the batched comparisons, affine symmetry check, orbit
+check and `cover-check` against their one-sample-at-a-time oracles in
+tests/conftest.py, and the array formulas of the covering projections,
+the residual and the auxiliary-connection construction, and the criteria
+built on them, against their per-jet and per-sample oracles there."""
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgeo import acceptance, cli, expr, geodesy
+from jetgeo import acceptance, cli, expr, geodesy, symmetry
 from jetgeo.acceptance import AcceptanceConfig
 from jetgeo.connections import (
     Connection,
@@ -30,6 +31,7 @@ from jetgeo.expr import CoordinateFrame, Table, parse
 from jetgeo.geodesy import (
     covering_commutation_deviation,
     covering_commutation_deviations,
+    dot_gamma_via_xi_table,
     grass_equivalent,
     quotient_diagram_deviation,
     quotient_diagram_deviations,
@@ -45,8 +47,16 @@ from jetgeo.jets import (
     inverse_top_blocks,
     tangent_cover_table,
 )
-from jetgeo.sampling import UniformStream, random_affine, random_connection, random_expressions, spawn_rng
-from jetgeo.symmetry import affine_symmetry_check
+from jetgeo.sampling import (
+    UniformStream,
+    random_affine,
+    random_connection,
+    random_expressions,
+    secjet1_arrays,
+    secjet1_stream,
+    spawn_rng,
+)
+from jetgeo.symmetry import affine_symmetry_check, orbit_quotient_check
 
 import conftest
 from conftest import (
@@ -56,8 +66,10 @@ from conftest import (
     cover_check_oracle,
     cover2_oracle,
     covering_commutation_deviation_oracle,
+    dot_gamma_via_xi_oracle,
     grass_equivalent_oracle,
     invariants_match_oracle,
+    orbit_quotient_check_oracle,
     pi_deviation_oracle,
     quotient_diagram_deviation_oracle,
     random_secjet2,
@@ -268,6 +280,42 @@ def test_uniform_stream_lines_up_with_successive_draws():
         stream.skip(size)
 
 
+def _counting_peeks(stream):
+    """The counts `stream.peek` is asked for, recorded from now on."""
+    counts, peek = [], stream.peek
+    stream.peek = lambda count: counts.append(count) or peek(count)
+    return counts
+
+
+@pytest.mark.parametrize("min_det", [0.3, 0.9])
+@pytest.mark.parametrize("n, l", [(1, 2), (1, 3), (2, 3), (2, 4)])
+def test_secjet1_stream_reads_what_secjet1_arrays_draws(n, l, min_det):
+    stream, rng = UniformStream(spawn_rng(31 + l)), spawn_rng(31 + l)
+    peeks = _counting_peeks(stream)
+    for k in (1, 7, 50):
+        drawn = secjet1_stream(n, l, stream, k, min_det)
+        expected = [np.array(column) for column in zip(*(secjet1_arrays(n, l, rng, min_det) for _ in range(k)))]
+        assert all(same_bits(a, b) for a, b in zip(drawn, expected))
+        # the stream has consumed what the generator has drawn
+        assert stream.peek(1)[0] == rng.uniform(-1.0, 1.0)
+        stream.skip(1)
+    # at |det| >= 0.9 most candidates are rejected: a walk peeks again
+    assert len(peeks) > 6 or min_det != 0.9
+
+
+def test_secjet1_stream_gives_up_as_secjet1_arrays_does():
+    # |det| >= 1.6 holds for about one 2 x 2 block in 1600
+    stream, rng = UniformStream(spawn_rng(36)), spawn_rng(36)
+    with pytest.raises(DomainError) as batched:
+        secjet1_stream(2, 3, stream, 50, 1.6)
+    with pytest.raises(DomainError) as one_by_one:
+        for _ in range(50):
+            secjet1_arrays(2, 3, rng, 1.6)
+    assert str(batched.value) == str(one_by_one.value)
+    assert str(batched.value).startswith("could not sample: 100 draws failed and 0 of 1 succeeded")
+    assert stream.peek(1)[0] == rng.uniform(-1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the batched checks against their per-sample oracles
 
@@ -384,6 +432,24 @@ def test_batched_affine_symmetry_check_equals_the_oracle(case):
                 assert report.skipped > 0
 
 
+@pytest.mark.parametrize("case", ["random", "sqrt", "overflow"])
+def test_batched_orbit_quotient_check_equals_the_oracle(case, monkeypatch):
+    batched, one_by_one = _recorded(monkeypatch, symmetry), _recorded(monkeypatch, conftest)
+    rng = spawn_rng(30)
+    for n, l in ((1, 2), (1, 3), (2, 3), (2, 4)):
+        g = (random_connection(frame(l, n), rng) if case == "random"
+             else _sqrt_connection(l)[0] if case == "sqrt" else _overflow_connection(l))
+        for samples in (1, 7, 25):
+            report = orbit_quotient_check(g, n, samples=samples, seed=l)
+            # repr, so that a NaN deviation compares equal to itself
+            assert repr(report) == repr(orbit_quotient_check_oracle(g, n, samples=samples, seed=l))
+            assert repr(batched[-1]) == repr(one_by_one[-1])
+    if case == "sqrt":
+        assert any(redrawn > 0 for _, redrawn in batched)
+    if case == "overflow":
+        assert not math.isfinite(report.factoring_deviation)
+
+
 _COVER_CHECK_CASES = {
     # g and Θ: a golden spec, or entries over (u1, u2) with n = 1 and over x1
     "flat-theta": ("l4.json", None, 40),
@@ -498,6 +564,28 @@ def test_covering_formulas_equal_the_per_jet_oracles(n, m):
         assert repr(quotient_diagram_deviation(g, theta, p, *tangent)) == repr(quotient[i].item()) == repr(expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(acceptance._DIM_CASES), st.lists(st.integers(1, 3), max_size=2), st.integers(0, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_dot_gamma_via_xi_table_is_the_per_jet_loop(case, lead, bare, seed):
+    """Bit i of `bare` leaves the i-th of G, Xi and D without the leading
+    axes, so that it broadcasts against the others."""
+    n, m = case
+    l = n + m
+    rng = spawn_rng(seed)
+
+    def operand(i, shape):
+        full = shape if bare >> i & 1 else (*lead, *shape)
+        return rng.uniform(-1.0, 1.0, full) * 10.0 ** rng.uniform(-2, 2)
+
+    G, Xi, D = operand(0, (l, l, l)), operand(1, (l, n, n)), operand(2, (m, n))
+    table = dot_gamma_via_xi_table(G, Xi, D)
+    assert table.shape == (*lead, l, m, n)
+    for index in np.ndindex(*lead):
+        jet = (np.ascontiguousarray(a[index] if a.ndim > k else a) for a, k in ((G, 3), (Xi, 3), (D, 2)))
+        assert same_bits(table[index], dot_gamma_via_xi_oracle(*jet))
+
+
 def _singular(t, top):
     """t with its base-direction block replaced by `top`."""
     first = np.array(t.first)
@@ -592,9 +680,25 @@ def _deviations(monkeypatch, cid, seed):
 _ORACLE_SEEDS = _SELFTEST_SEEDS + (11, 2026)
 
 
+def _spawned(monkeypatch, module):
+    """Record the generators that `module` spawns."""
+    made = []
+
+    def spawning(*args):
+        made.append(spawn_rng(*args))
+        return made[-1]
+
+    monkeypatch.setattr(module, "spawn_rng", spawning)
+    return made
+
+
 @pytest.mark.parametrize("cid, seeds", [(1, _ORACLE_SEEDS), (5, _ORACLE_SEEDS), (6, _ORACLE_SEEDS),
-                                        (9, (0,))])     # criterion 9 draws nothing
+                                        (9, (0,)),     # criterion 9 draws nothing
+                                        (2, _ORACLE_SEEDS)])
 def test_batched_criteria_equal_their_per_sample_oracles(monkeypatch, cid, seeds):
     oracle = getattr(conftest, f"criterion_{cid}_oracle")
+    batched, one_by_one = _spawned(monkeypatch, acceptance), _spawned(monkeypatch, conftest)
     for seed in seeds:
         assert _deviations(monkeypatch, cid, seed) == [repr(float(d)) for d in oracle(seed)]
+        # and each generator ends in the same state
+        assert [repr(r.bit_generator.state) for r in batched] == [repr(r.bit_generator.state) for r in one_by_one]

@@ -740,6 +740,18 @@ def test_symmetry_check_affine(zero_spec, tmp_path, capsys):
     assert "PASS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, a, extra, message", [
+    ("s2.json", np.eye(3), [], "affine map acts on 3 parameters, the split is n=1"),
+    ("s2.json", np.eye(2), [], "affine map acts on 2 parameters, the split is n=1"),
+    ("l4.json", None, ["--n", "1"], "affine map acts on 2 parameters, the split is n=1"),
+], ids=["3x3-on-s2", "2x2-on-s2", "n1-on-l4"])
+def test_symmetry_check_refuses_an_affine_map_off_the_split(spec, a, extra, message, tmp_path, capsys):
+    aff = (os.path.join(GOLDEN, "affine_n2.json") if a is None
+           else write(tmp_path / "aff.json", {"a": a.tolist(), "b": [0.0] * len(a)}))
+    assert main(["symmetry-check", os.path.join(GOLDEN, spec), "--affine", aff, *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_symmetry_check_map_fails_for_quadratic(zero_spec, tmp_path, capsys):
     quad = write(
         tmp_path / "quad.json",

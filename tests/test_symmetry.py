@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from jetgeo import expr
+from jetgeo import expr, symmetry
 from jetgeo.connections import Connection
-from jetgeo.errors import DimensionMismatchError
+from jetgeo.errors import BadSplitError, DimensionMismatchError
 from jetgeo.expr import CoordinateFrame, Sym
 from jetgeo.jets import AffineMap
 from jetgeo.sampling import random_connection, spawn_rng
@@ -186,6 +186,17 @@ def test_affine_symmetry_requires_flat_theta():
         affine_symmetry_check(flat(E2), theta, AffineMap(np.eye(1), np.zeros(1)))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_affine_symmetry_refuses_a_split_of_the_whole_frame_before_any_draw(n, monkeypatch):
+    monkeypatch.setattr(symmetry, "spawn_rng", _no_draw)
+    with pytest.raises(BadSplitError, match=f"split n={n} invalid for dimension 2"):
+        affine_symmetry_check(flat(E2), Connection.flat(n), AffineMap(np.eye(n), np.zeros(n)))
+
+
+def _no_draw(*args):
+    raise AssertionError("a generator was made")
+
+
 def test_cubic_reparametrization_is_not_a_symmetry():
     g = flat(E2)
     theta = Connection.zero(X1)
@@ -235,6 +246,18 @@ def test_orbit_quotient_check_n2():
     g = random_connection(f, rng)
     report = orbit_quotient_check(g, 2, samples=15, seed=15)
     assert report.passed, report
+
+
+@pytest.mark.parametrize("n", [0, 3, 4])
+def test_orbit_quotient_check_refuses_a_bad_split_before_any_draw(n, monkeypatch):
+    monkeypatch.setattr(symmetry, "spawn_rng", _no_draw)
+    with pytest.raises(BadSplitError, match=f"split n={n} invalid for dimension 3"):
+        orbit_quotient_check(flat(E3), n)
+
+
+def test_orbit_quotient_check_needs_a_sample():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        orbit_quotient_check(flat(E3), 1, samples=0)
 
 
 # ---------------------------------------------------------------------------
