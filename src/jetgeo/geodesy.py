@@ -209,7 +209,9 @@ def row_dot(a, b):
     each summed as the 1-d `@` of its two rows sums it: a stacked `@` of
     C-contiguous (..., 1, k) and (..., k, 1) arrays, which numpy computes
     per row with the same BLAS dot.  An einsum or an elementwise sum
-    rounds some rows differently."""
+    rounds some rows differently.  That numpy sends both to one dot is
+    its choice, not a promise: the parity was checked with numpy 2.4.6
+    and its bundled OpenBLAS, the version the Python 3.11 CI job pins."""
     a, b = (np.ascontiguousarray(v) for v in np.broadcast_arrays(a, b))
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 

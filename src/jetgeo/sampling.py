@@ -143,6 +143,11 @@ def random_expressions(names, rng, count):
     return [random_polynomial(names, rng) for _ in range(count)]
 
 
+# the least |det| of the n x n block that `secjet1_arrays` and `random_affine`
+# accept (and `UniformStream.walk` with them)
+MIN_DET = 0.3
+
+
 class UniformStream:
     """The numbers of successive ``rng.uniform(-1.0, 1.0, size)`` calls, read
     ahead from buffered draws of the generator, for a caller that owns its
@@ -169,11 +174,11 @@ class UniformStream:
         """Consume `count` numbers."""
         self.pos += count
 
-    def walk(self, n, draws, rounds, min_det=0.3):
+    def walk(self, n, draws, rounds):
         """The offsets of `rounds` rounds of draws, each round the `draws` in
         order, read as the per-sample samplers read them from the generator:
         a `Draw` with a gate takes candidates until the n x n matrix at the
-        start of one has |det| >= min_det.  Returns the peeked numbers and an
+        start of one has |det| >= MIN_DET.  Returns the peeked numbers and an
         int array (rounds, len(draws)) of each accepted draw's offset in
         them, and consumes what the rounds read.
 
@@ -181,28 +186,29 @@ class UniformStream:
         stacked `np.linalg.det`, the bits of one per candidate.  A draw
         rejected 100 times raises the DomainError with which `draw_regular`
         gives up its per-sample sampler, after consuming what it read."""
-        numbers = self.peek(2 * rounds * sum(d.accepted for d in draws))
+        sizes = [(d.accepted, d.rejected, d.gate) for d in draws]
+        numbers = self.peek(2 * rounds * sum(accepted for accepted, _, _ in sizes))
         dets, at, starts = None, 0, []
         try:
             for _ in range(rounds):
-                for d in draws:
+                for accepted, rejected_size, gate in sizes:
                     rejected = 0
                     while True:
-                        if at + d.accepted > len(numbers):
+                        if at + accepted > len(numbers):
                             numbers, dets = self.peek(2 * len(numbers)), None
-                        if d.gate is None:
+                        if gate is None:
                             break
                         if dets is None:
                             windows = sliding_window_view(numbers, n * n).reshape(-1, n, n)
                             dets = np.abs(np.linalg.det(windows)).tolist()
-                        if dets[at] >= min_det:
+                        if dets[at] >= MIN_DET:
                             break
-                        at += d.rejected
+                        at += rejected_size
                         rejected += 1
                         if rejected == _REDRAWS_PER_SAMPLE:
-                            raise gave_up(rejected, 0, 1, d.gate)
+                            raise gave_up(rejected, 0, 1, gate)
                     starts.append(at)
-                    at += d.accepted
+                    at += accepted
         finally:
             self.skip(at)
         return numbers, np.array(starts, dtype=int).reshape(rounds, len(draws))
@@ -210,13 +216,32 @@ class UniformStream:
 
 @dataclass(frozen=True)
 class Draw:
-    """What one per-sample draw reads from a `UniformStream`: `accepted`
-    numbers, and with a `gate` (why a candidate is rejected), a candidate
-    that `UniformStream.walk` rejects takes `rejected` numbers."""
+    """What one per-sample draw reads from a `UniformStream`: arrays of
+    `shapes`, in order.  With a `gate` (why a candidate is rejected), the
+    first array is a candidate, redrawn until the n x n matrix at its start
+    has |det| >= MIN_DET; a rejected candidate reads that array alone."""
 
-    accepted: int
-    rejected: int = 0
+    shapes: tuple
     gate: str = None
+
+    @property
+    def accepted(self):
+        return sum(math.prod(shape) for shape in self.shapes)
+
+    @property
+    def rejected(self):
+        return math.prod(self.shapes[0])
+
+    def parts(self, numbers, starts):
+        """The arrays of the draws at `starts` (as `UniformStream.walk`
+        returns them), in the order drawn, each stacked along the axes of
+        `starts`."""
+        starts, offset, parts = np.asarray(starts)[..., None], 0, []
+        for shape in self.shapes:
+            width = math.prod(shape)
+            parts.append(numbers[starts + np.arange(offset, offset + width)].reshape(*starts.shape[:-1], *shape))
+            offset += width
+        return tuple(parts)
 
 
 _SECJET_GATE = "base-direction block of the section jet is near singular"
@@ -224,40 +249,28 @@ _AFFINE_GATE = "linear part of the affine map is near singular"
 
 
 def secjet1_draw(n, l):
-    """The `Draw` of `secjet1_arrays`: first (l, n), x (n) and u (l)."""
-    return Draw(l * n + n + l, l * n, _SECJET_GATE)
+    """The `Draw` of `secjet1_arrays`: first (l, n), x (n), then u (l)."""
+    return Draw(((l, n), (n,), (l,)), _SECJET_GATE)
 
 
 def affine_draw(n):
     """The `Draw` of `random_affine`: a (n, n), then b (n)."""
-    return Draw(n * n + n, n * n, _AFFINE_GATE)
+    return Draw(((n, n), (n,)), _AFFINE_GATE)
 
 
 def subjet1_draw(n, m):
     """The `Draw` of `random_subjet1`: base (n + m), then first (m, n)."""
-    return Draw(n + m + m * n)
+    return Draw(((n + m,), (m, n)))
 
 
-def gathered(numbers, starts, offset, shape):
-    """The numbers from each of `starts` + `offset` on, as arrays of `shape`
-    stacked along the axes of `starts`."""
-    width = math.prod(shape)
-    return numbers[np.asarray(starts)[..., None] + np.arange(offset, offset + width)].reshape(
-        *np.shape(starts), *shape)
-
-
-def secjet1_parts(numbers, starts, n, l):
-    """The (x, u, first) of the section jets drawn at `starts`, stacked."""
-    return (gathered(numbers, starts, l * n, (n,)), gathered(numbers, starts, l * n + n, (l,)),
-            gathered(numbers, starts, 0, (l, n)))
-
-
-def secjet1_stream(n, l, stream, k, min_det=0.3):
+def secjet1_stream(n, l, stream, k):
     """The next k order-1 section jets of `stream`, as k `secjet1_arrays(n,
-    l, rng, min_det)` calls draw them from its generator: (x, u, first),
-    stacked (k, n), (k, l) and (k, l, n)."""
-    numbers, starts = stream.walk(n, [secjet1_draw(n, l)], k, min_det)
-    return secjet1_parts(numbers, starts[:, 0], n, l)
+    l, rng)` calls draw them from its generator: (x, u, first), stacked
+    (k, n), (k, l) and (k, l, n)."""
+    draw = secjet1_draw(n, l)
+    numbers, starts = stream.walk(n, [draw], k)
+    first, x, u = draw.parts(numbers, starts[:, 0])
+    return x, u, first
 
 
 def near_singular(g, point):
@@ -286,7 +299,7 @@ def random_subjet1(n, m, rng):
     return SubJet(n, m, rng.uniform(-1.0, 1.0, n + m), rng.uniform(-1.0, 1.0, (m, n)))
 
 
-def secjet1_arrays(n, l, rng, min_det=0.3):
+def secjet1_arrays(n, l, rng, min_det=MIN_DET):
     """The (x, u, first) of a random order-1 section jet whose base-direction
     derivative block is comfortably invertible (admissible for the covering
     projections): `first` is redrawn until |det first[:n]| >= min_det, then
@@ -301,17 +314,17 @@ def secjet1_arrays(n, l, rng, min_det=0.3):
     return draw_regular(draw, 1)[0][0]
 
 
-def random_secjet1(n, l, rng, min_det=0.3):
+def random_secjet1(n, l, rng, min_det=MIN_DET):
     """Random order-1 section jet drawn by `secjet1_arrays`."""
     return SecJet(n, l, *secjet1_arrays(n, l, rng, min_det))
 
 
 def random_affine(n, rng):
-    """Random affine map of the parameter space with |det| >= 0.3."""
+    """Random affine map of the parameter space with |det a| >= MIN_DET."""
 
     def draw():
         a = rng.uniform(-1.0, 1.0, (n, n))
-        if abs(np.linalg.det(a)) < 0.3:
+        if abs(np.linalg.det(a)) < MIN_DET:
             raise SingularJacobianError(_AFFINE_GATE)
         return AffineMap(a, rng.uniform(-1.0, 1.0, n))
 

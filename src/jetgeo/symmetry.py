@@ -54,11 +54,9 @@ from .jets import (
 from .sampling import (
     UniformStream,
     affine_draw,
-    gathered,
     random_secjet1,
     random_subjet1,
     secjet1_draw,
-    secjet1_parts,
     secjet1_stream,
     spawn_rng,
     subjet1_draw,
@@ -524,7 +522,8 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
     l = g.dim
     m = l - n
     stream = UniformStream(spawn_rng(seed, 0))
-    draws = [secjet1_draw(n, l), *[affine_draw(n)] * 10, subjet1_draw(n, m), secjet1_draw(n, l)]
+    secjet, affine, subjet = secjet1_draw(n, l), affine_draw(n), subjet1_draw(n, m)
+    draws = [secjet, *[affine] * 10, subjet, secjet]
 
     def projected(first):
         # never raises: t and q have |det| >= 0.3, an acted jet has
@@ -535,13 +534,13 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
 
     def draw(k):
         numbers, starts = stream.walk(n, draws, k)
-        t = gathered(numbers, starts[:, 0], 0, (l, n))
-        acted = t[:, None] @ np.linalg.inv(gathered(numbers, starts[:, 1:11], 0, (n, n)))
+        t = secjet.parts(numbers, starts[:, 0])[0]
+        acted = t[:, None] @ np.linalg.inv(affine.parts(numbers, starts[:, 1:11])[0])
         orbit = np.abs(projected(acted) - projected(t)[:, None]).max(axis=(1, 2, 3))
-        p_first = gathered(numbers, starts[:, 11], n + m, (m, n))
+        p_first = subjet.parts(numbers, starts[:, 11])[1]
         lift = np.concatenate([np.broadcast_to(np.eye(n), (k, n, n)), p_first], axis=1)
         preimage = np.abs(projected(lift) - p_first).max(axis=(1, 2))
-        _, u, first = secjet1_parts(numbers, starts[:, 12], n, l)
+        first, _, u = secjet.parts(numbers, starts[:, 12])
         G, failed = g.christoffel_many(u)
         inv = inverse_top_blocks(first, n)
         # both second-derivative formulas are symmetric bit for bit

@@ -287,30 +287,45 @@ def _counting_peeks(stream):
     return counts
 
 
-@pytest.mark.parametrize("min_det", [0.3, 0.9])
+class _Shrunk:
+    """A generator whose uniform numbers are those of `rng` times `scale`:
+    an n x n block of them has |det| scaled by scale^n, so that more of
+    the candidates are rejected than with `rng`."""
+
+    def __init__(self, rng, scale):
+        self.rng, self.scale = rng, scale
+
+    def uniform(self, low, high, size=None):
+        return self.scale * self.rng.uniform(low, high, size)
+
+
+@pytest.mark.parametrize("rejecting", [False, True])
 @pytest.mark.parametrize("n, l", [(1, 2), (1, 3), (2, 3), (2, 4)])
-def test_secjet1_stream_reads_what_secjet1_arrays_draws(n, l, min_det):
-    stream, rng = UniformStream(spawn_rng(31 + l)), spawn_rng(31 + l)
+def test_secjet1_stream_reads_what_secjet1_arrays_draws(n, l, rejecting):
+    # shrunk by (1/3)^(1/n), a block passes where |det| >= 0.9 unshrunk
+    scale = (1 / 3) ** (1 / n) if rejecting else 1.0
+    stream, rng = UniformStream(_Shrunk(spawn_rng(31 + l), scale)), _Shrunk(spawn_rng(31 + l), scale)
     peeks = _counting_peeks(stream)
     for k in (1, 7, 50):
-        drawn = secjet1_stream(n, l, stream, k, min_det)
-        expected = [np.array(column) for column in zip(*(secjet1_arrays(n, l, rng, min_det) for _ in range(k)))]
+        drawn = secjet1_stream(n, l, stream, k)
+        expected = [np.array(column) for column in zip(*(secjet1_arrays(n, l, rng) for _ in range(k)))]
         assert all(same_bits(a, b) for a, b in zip(drawn, expected))
         # the stream has consumed what the generator has drawn
         assert stream.peek(1)[0] == rng.uniform(-1.0, 1.0)
         stream.skip(1)
-    # at |det| >= 0.9 most candidates are rejected: a walk peeks again
-    assert len(peeks) > 6 or min_det != 0.9
+    # where most candidates are rejected, a walk peeks again
+    assert len(peeks) > 6 or not rejecting
 
 
 def test_secjet1_stream_gives_up_as_secjet1_arrays_does():
-    # |det| >= 1.6 holds for about one 2 x 2 block in 1600
-    stream, rng = UniformStream(spawn_rng(36)), spawn_rng(36)
+    # shrunk by 0.4, a 2 x 2 block passes where |det| >= 1.875 unshrunk,
+    # which almost none do
+    stream, rng = UniformStream(_Shrunk(spawn_rng(36), 0.4)), _Shrunk(spawn_rng(36), 0.4)
     with pytest.raises(DomainError) as batched:
-        secjet1_stream(2, 3, stream, 50, 1.6)
+        secjet1_stream(2, 3, stream, 50)
     with pytest.raises(DomainError) as one_by_one:
         for _ in range(50):
-            secjet1_arrays(2, 3, rng, 1.6)
+            secjet1_arrays(2, 3, rng)
     assert str(batched.value) == str(one_by_one.value)
     assert str(batched.value).startswith("could not sample: 100 draws failed and 0 of 1 succeeded")
     assert stream.peek(1)[0] == rng.uniform(-1.0, 1.0)
