@@ -22,7 +22,6 @@ from .geodesy import (
     covering_commutation_deviations,
     ddot_gamma,
     ddot_second,
-    dot_gamma,
     dot_gamma_table,
     dot_gamma_via_xi_table,
     geodesic_steps,
@@ -32,8 +31,9 @@ from .geodesy import (
     residual_table,
     row_dot,
 )
-from .jets import ParamMap, SubJet, cover2, cover_first, cover_second, inverse_top_blocks, prolong
+from .jets import ParamMap, cover2, cover_first, cover_second, inverse_top_blocks, prolong
 from .sampling import (
+    WordStream,
     draw_connection,
     random_affine,
     random_connection,
@@ -131,15 +131,15 @@ def sphere_chart_connection():
 def criterion_1(cfg):
     """residual of the order-2 extension vanishes for random connections"""
     tol = _tol(cfg, 1e-10)
-    rng = spawn_rng(cfg.seed, 1)
     start = time.perf_counter()
     samples = []
-    for i in range(200):
-        n, m = _DIM_CASES[i % 4]
-        g = draw_connection(_frame(n + m, n), rng)
-        base = rng.uniform(-1.0, 1.0, n + m)
-        first = rng.uniform(-1.0, 1.0, (m, n))
-        samples.append((g.christoffel_at(base), first))
+    with WordStream(spawn_rng(cfg.seed, 1)) as rng:
+        for i in range(200):
+            n, m = _DIM_CASES[i % 4]
+            g = draw_connection(_frame(n + m, n), rng)
+            base = rng.uniform(-1.0, 1.0, n + m)
+            first = rng.uniform(-1.0, 1.0, (m, n))
+            samples.append((g.christoffel_at(base), first))
 
     def residual(G, D):
         return np.abs(residual_table(G, D, ddot_second(G, D))).max(axis=(1, 2, 3))
@@ -153,35 +153,35 @@ def criterion_1(cfg):
 def criterion_2(cfg):
     """auxiliary-connection construction is independent of the choice"""
     tol = _tol(cfg, 1e-12)
-    rng = spawn_rng(cfg.seed, 2)
     deviations = []
-    for n, m in _DIM_CASES:
-        g = random_connection(_frame(n + m, n), rng)
-        for _ in range(3):
-            p = random_subjet1(n, m, rng)
-            G = g.christoffel_at(p.base)
-            # the 50 auxiliary tables of this jet: the numbers of 50 `XiTable.random` draws
-            via = dot_gamma_via_xi_table(G, rng.uniform(-1.0, 1.0, (50, n + m, n, n)), p.first)
-            deviations += np.abs(via - dot_gamma_table(G, p.first)).max(axis=(1, 2, 3)).tolist()
+    with WordStream(spawn_rng(cfg.seed, 2)) as rng:
+        for n, m in _DIM_CASES:
+            g = draw_connection(_frame(n + m, n), rng)
+            for _ in range(3):
+                p = random_subjet1(n, m, rng)
+                G = g.christoffel_at(p.base)
+                # the 50 auxiliary tables of this jet: the numbers of 50 `XiTable.random` draws
+                via = dot_gamma_via_xi_table(G, rng.uniform(-1.0, 1.0, (50, n + m, n, n)), p.first)
+                deviations += np.abs(via - dot_gamma_table(G, p.first)).max(axis=(1, 2, 3)).tolist()
     return _result(2, "independence of the auxiliary connection", deviations, tol)
 
 
 def criterion_3(cfg):
     """projective change preserves the trace-adjusted invariants"""
     tol = _tol(cfg, 1e-10)
-    rng = spawn_rng(cfg.seed, 3)
     deviations = []
     equivalent_all = True
-    for case in range(50):
-        l = 2 + case % 2
-        frame = _frame(l, 1)
-        g = random_connection(frame, rng)
-        phi = random_expressions(frame.names, rng, l)
-        shifted = projective_shift(g, phi)
-        deviations.append(pi_deviation(g, shifted, rng))
-        verdict = grass_equivalent(g, shifted, 1, samples=10, tol=tol, seed=cfg.seed + case)
-        equivalent_all = equivalent_all and verdict.equivalent
-        deviations.append(verdict.max_deviation)
+    with WordStream(spawn_rng(cfg.seed, 3)) as rng:
+        for case in range(50):
+            l = 2 + case % 2
+            frame = _frame(l, 1)
+            g = random_connection(frame, rng)
+            phi = random_expressions(frame.names, rng, l)
+            shifted = projective_shift(g, phi)
+            deviations.append(pi_deviation(g, shifted, rng))
+            verdict = grass_equivalent(g, shifted, 1, samples=10, tol=tol, seed=cfg.seed + case)
+            equivalent_all = equivalent_all and verdict.equivalent
+            deviations.append(verdict.max_deviation)
     return _result(3, "projective invariance of the trace-adjusted table", deviations, tol,
                    equivalent_all)
 
@@ -189,22 +189,22 @@ def criterion_3(cfg):
 def criterion_4(cfg):
     """admissible shifts preserve the invariant families and the equation"""
     tol = _tol(cfg, 1e-10)
-    rng = spawn_rng(cfg.seed, 4)
     deviations = []
     ok = True
-    for l, n in ((2, 1), (3, 1), (3, 2), (4, 2)):
-        frame = _frame(l, n)
+    with WordStream(spawn_rng(cfg.seed, 4)) as rng:
+        for l, n in ((2, 1), (3, 1), (3, 2), (4, 2)):
+            frame = _frame(l, n)
+            g = random_connection(frame, rng)
+            psi = random_expressions(frame.names, rng, n)
+            chi = random_expressions(frame.names, rng, l - n) if n == 1 else None
+            shifted = grass_shift(g, n, psi, chi)
+            inv_ok, inv_dev = invariants_match(g, shifted, n, rng, tol=tol)
+            verdict = grass_equivalent(g, shifted, n, samples=20, tol=tol, seed=cfg.seed + l)
+            ok = ok and inv_ok and verdict.equivalent
+            deviations += [inv_dev, verdict.max_deviation]
+        # a non-admissible perturbation must be detected
+        frame = _frame(3, 1)
         g = random_connection(frame, rng)
-        psi = random_expressions(frame.names, rng, n)
-        chi = random_expressions(frame.names, rng, l - n) if n == 1 else None
-        shifted = grass_shift(g, n, psi, chi)
-        inv_ok, inv_dev = invariants_match(g, shifted, n, rng, tol=tol)
-        verdict = grass_equivalent(g, shifted, n, samples=20, tol=tol, seed=cfg.seed + l)
-        ok = ok and inv_ok and verdict.equivalent
-        deviations += [inv_dev, verdict.max_deviation]
-    # a non-admissible perturbation must be detected
-    frame = _frame(3, 1)
-    g = random_connection(frame, rng)
     tweaked = Connection.from_entries(
         frame, {**dict(g.christoffel), (1, 1, 2): g.gamma(1, 2, 1) + Const(Fraction(1))}
     )
@@ -217,14 +217,14 @@ def criterion_4(cfg):
 def criterion_5(cfg):
     """extend-then-project equals project-then-extend"""
     tol = _tol(cfg, 1e-10)
-    rng = spawn_rng(cfg.seed, 5)
     samples = []
-    for i in range(200):
-        n, m = _DIM_CASES[i % 4]
-        g = draw_connection(_frame(n + m, n), rng)
-        theta = draw_connection(_theta_frame(n), rng)
-        x, u, first = secjet1_arrays(n, n + m, rng)
-        samples.append((g.christoffel_at(u), theta.christoffel_at(x), first))
+    with WordStream(spawn_rng(cfg.seed, 5)) as rng:
+        for i in range(200):
+            n, m = _DIM_CASES[i % 4]
+            g = draw_connection(_frame(n + m, n), rng)
+            theta = draw_connection(_theta_frame(n), rng)
+            x, u, first = secjet1_arrays(n, n + m, rng)
+            samples.append((g.christoffel_at(u), theta.christoffel_at(x), first))
     deviations = _per_case(samples, covering_commutation_deviations)
     return _result(5, "covering commutation at 200 section jets", deviations, tol)
 
@@ -232,16 +232,16 @@ def criterion_5(cfg):
 def criterion_6(cfg):
     """the induced connection is the quotient of the parametrized one"""
     tol = _tol(cfg, 1e-10)
-    rng = spawn_rng(cfg.seed, 6)
     samples = []
-    for i in range(100):
-        n, m = _DIM_CASES[i % 4]
-        l = n + m
-        g = draw_connection(_frame(l, n), rng)
-        theta = draw_connection(_theta_frame(n), rng)
-        x, u, first = secjet1_arrays(n, l, rng)
-        tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, l), rng.uniform(-1, 1, (l, n))
-        samples.append((g.christoffel_at(u), theta.christoffel_at(x), first, *tangent))
+    with WordStream(spawn_rng(cfg.seed, 6)) as rng:
+        for i in range(100):
+            n, m = _DIM_CASES[i % 4]
+            l = n + m
+            g = draw_connection(_frame(l, n), rng)
+            theta = draw_connection(_theta_frame(n), rng)
+            x, u, first = secjet1_arrays(n, l, rng)
+            tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, l), rng.uniform(-1, 1, (l, n))
+            samples.append((g.christoffel_at(u), theta.christoffel_at(x), first, *tangent))
     deviations = _per_case(samples, quotient_diagram_deviations)
     return _result(6, "quotient diagram at 100 tangent vectors", deviations, tol)
 
@@ -250,18 +250,18 @@ def criterion_7(cfg):
     """affine maps act by symmetries; the orbit map is well defined"""
     tol = _tol(cfg, 1e-10)
     orbit_tol = _tol(cfg, 1e-12)
-    rng = spawn_rng(cfg.seed, 7)
     deviations = []
     ok = True
-    for i in range(20):
-        n, m = _DIM_CASES[i % 4]
-        g = random_connection(_frame(n + m, n), rng)
-        theta = Connection.flat(n)
-        aff = random_affine(n, rng)
-        report = affine_symmetry_check(g, theta, aff, samples=50, tol=tol, seed=cfg.seed + i)
-        ok = ok and report.passed
-        deviations.append(report.worst_residual)
-    g = random_connection(_frame(3, 1), rng)
+    with WordStream(spawn_rng(cfg.seed, 7)) as rng:
+        for i in range(20):
+            n, m = _DIM_CASES[i % 4]
+            g = random_connection(_frame(n + m, n), rng)
+            theta = Connection.flat(n)
+            aff = random_affine(n, rng)
+            report = affine_symmetry_check(g, theta, aff, samples=50, tol=tol, seed=cfg.seed + i)
+            ok = ok and report.passed
+            deviations.append(report.worst_residual)
+        g = random_connection(_frame(3, 1), rng)
     orbit = orbit_quotient_check(g, 1, samples=25, seed=cfg.seed, orbit_tol=orbit_tol, factoring_tol=tol)
     x_frame = _theta_frame(1)
     cubic = [expr.parse("x1^3 + x1", x_frame)]
@@ -321,22 +321,22 @@ def criterion_9(cfg):
 def criterion_10(cfg):
     """induced Christoffels are quadratic in each first-derivative slot"""
     tol = _tol(cfg, 1e-12)
-    rng = spawn_rng(cfg.seed, 10)
     deviations = []
-    for n, m in _DIM_CASES:
-        g = random_connection(_frame(n + m, n), rng)
-        p = random_subjet1(n, m, rng)
-        first = p.first_matrix()
-        for kk in range(m):
-            for lam in range(n):
-                def at(t):
-                    mod = first.copy()
-                    mod[kk, lam] = t
-                    return dot_gamma(g, SubJet(n, m, p.base, mod)).table
-                v0, v1, v2 = at(0.0), at(1.0), at(2.0)
-                t = 3.5
-                interp = v0 * (t - 1) * (t - 2) / 2 - v1 * t * (t - 2) + v2 * t * (t - 1) / 2
-                deviations.append(np.abs(interp - at(t)).max())
+    with WordStream(spawn_rng(cfg.seed, 10)) as rng:
+        for n, m in _DIM_CASES:
+            g = draw_connection(_frame(n + m, n), rng)
+            p = random_subjet1(n, m, rng)
+            G, first = g.christoffel_at(p.base), p.first_matrix()
+            for kk in range(m):
+                for lam in range(n):
+                    def at(t):
+                        mod = first.copy()
+                        mod[kk, lam] = t
+                        return dot_gamma_table(G, mod)
+                    v0, v1, v2 = at(0.0), at(1.0), at(2.0)
+                    t = 3.5
+                    interp = v0 * (t - 1) * (t - 2) / 2 - v1 * t * (t - 2) + v2 * t * (t - 1) / 2
+                    deviations.append(np.abs(interp - at(t)).max())
     return _result(10, "degree-two bound via quadratic interpolation", deviations, tol)
 
 

@@ -397,8 +397,9 @@ class Table:
     ``table(point)`` returns the tuple of the trees' values at the point,
     whose coordinates follow `names`.  The first `_INTERPRETED_CALLS` calls
     interpret the trees with `evaluate`; later calls run `compiled()`, which
-    gives the same floats and raises the same first error.  `at_many` and
-    `rows` evaluate many points at once with numpy.
+    gives the same floats and raises the same first error; a table of no
+    trees returns () and never compiles.  `at_many` and `rows` evaluate many
+    points at once with numpy.
     """
 
     def __init__(self, exprs, names):
@@ -414,6 +415,8 @@ class Table:
             raise DimensionMismatchError(
                 f"point of length {len(point)} for frame of dimension {len(self.names)}"
             )
+        if not self.exprs:
+            return ()
         if self._compiled is None and self._interpreted < _INTERPRETED_CALLS:
             self._interpreted += 1
             return _interpret(self.exprs, self.names, point)
@@ -658,9 +661,19 @@ def simplify(e):
     """
     if getattr(e, "_normal", False):
         return e
-    out = _normal_form(e)
-    out.__dict__["_normal"] = True
-    return out
+    return _marked(_normal_form(e))
+
+
+def _marked(e):
+    """`e`, marked as a normal form."""
+    e.__dict__["_normal"] = True
+    return e
+
+
+def _product(values):
+    """The product of a list of rationals: a lone one as it is, no need to
+    multiply it by 1."""
+    return values[0] if len(values) == 1 else math.prod(values, start=Fraction(1))
 
 
 def _normal_form(e):
@@ -723,16 +736,17 @@ def _simplify_pow(base, exponent):
 
 def _simplify_mul(factors):
     flat = []
-    coeff = Fraction(1)
+    coeffs = []
     stack = list(factors)
     while stack:
         f = simplify(stack.pop(0))
         if isinstance(f, Mul):
             stack = list(f.factors) + stack
         elif isinstance(f, Const):
-            coeff *= f.value
+            coeffs.append(f.value)
         else:
             flat.append(f)
+    coeff = _product(coeffs)
     if coeff == 0:
         return ZERO
     divs = [f for f in flat if isinstance(f, Div)]
@@ -767,7 +781,8 @@ def _simplify_add(terms):
             constant += t.value
             continue
         coeff, core = _coeff_core(t)
-        groups[core] = groups.get(core, 0) + coeff
+        previous = groups.get(core)
+        groups[core] = coeff if previous is None else previous + coeff
     return normal_sum(groups.items(), constant)
 
 
@@ -777,7 +792,8 @@ def normal_sum(terms, constant):
     each simplified, non-constant and free of rational factors, as
     `_coeff_core` returns them.  Cores go in `_key` order, zero terms are
     dropped, a core with coefficient 1 stands bare, and the constant goes
-    last."""
+    last.  Each product c * core built here is marked too: by the
+    precondition it is what `_simplify_mul` gives for it."""
     out = []
     for core, c in sorted(terms, key=lambda term: _key(term[0])):
         if c == 0:
@@ -785,21 +801,16 @@ def normal_sum(terms, constant):
         if c == 1:
             out.append(core)
         elif isinstance(core, Mul):
-            out.append(Mul((Const(c),) + core.factors))
+            out.append(_marked(Mul((Const(c),) + core.factors)))
         elif isinstance(core, Div):
             out.append(simplify(Mul((Const(c), core))))
         else:
-            out.append(Mul((Const(c), core)))
+            out.append(_marked(Mul((Const(c), core))))
     if constant != 0:
         out.append(Const(constant))
     if not out:
-        out = ZERO
-    elif len(out) == 1:
-        out = out[0]
-    else:
-        out = Add(tuple(out))
-    out.__dict__["_normal"] = True
-    return out
+        return ZERO
+    return _marked(out[0] if len(out) == 1 else Add(tuple(out)))
 
 
 def _coeff_core(t):
@@ -812,13 +823,14 @@ def _coeff_core(t):
         coeff, core_num = _coeff_core(t.num)
         return coeff, Div(core_num, t.den)
     if isinstance(t, Mul):
-        coeff = Fraction(1)
+        coeffs = []
         rest = []
         for f in t.factors:
             if isinstance(f, Const):
-                coeff *= f.value
+                coeffs.append(f.value)
             else:
                 rest.append(f)
+        coeff = _product(coeffs)
         if not rest:
             return coeff, ONE
         if len(rest) == 1:

@@ -3,6 +3,14 @@
 All randomness in the package flows through numpy Generators seeded by a
 single 64-bit seed plus a stream index, so parallel and serial runs of the
 same configuration draw identical numbers.
+
+Two readers draw ahead of a generator's calls.  A `WordStream` serves
+`random`, `integers` and `uniform` from the generator's raw 64-bit words,
+read in chunks, by the rules numpy's Generator applies to them, and leaves
+the generator where the same calls would; the acceptance criteria read
+their draws through one.  A `UniformStream` serves the numbers of
+successive ``uniform(-1, 1, size)`` calls to a caller that owns its
+generator and lets it run ahead.
 """
 from __future__ import annotations
 
@@ -26,6 +34,114 @@ from .jets import AffineMap, SecJet, SubJet
 def spawn_rng(seed, index=0):
     """Generator for stream `index` of the run seeded by `seed`."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))))
+
+
+# raw words a `WordStream` reads from its copy of the bit generator at a time
+_WORDS_PER_CHUNK = 1024
+
+
+class WordStream:
+    """The scalar draws of a Generator on Philox, read ahead from its raw
+    64-bit words: ``with WordStream(rng) as s`` gives an `s` whose
+    `random`, `integers` and `uniform` return what the same calls on `rng`
+    return, bit for bit, and when the block ends, normally or by an
+    exception, `rng` is left in the state those calls would have left.
+
+    The words come in chunks from a copy of the bit generator, and each
+    call is the fixed function of them that numpy's Generator computes
+    (numpy 2.4.6): a double is ``(w >> 11) * 2**-53``; a 32-bit draw is the
+    buffered high half of the last word split, or else the low half of a
+    new word whose high half is buffered; `integers` is Lemire's bounded
+    draw on 32-bit draws.  Only the current chunk is kept.
+
+    It stays apart from `UniformStream`, which leaves its generator ahead
+    of what it consumed: this one leaves the generator where the scalar
+    calls would, and, reading raw words, cannot stand on a fake generator
+    that scales `uniform`, as `UniformStream`'s tests do."""
+
+    def __init__(self, rng):
+        bit_generator = rng.bit_generator
+        if not isinstance(bit_generator, np.random.Philox):
+            raise TypeError(f"WordStream reads a Philox bit generator, not {type(bit_generator).__name__}")
+        state = bit_generator.state
+        self._rng = rng
+        self._copy = np.random.Philox(key=0)
+        self._copy.state = state
+        self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
+        self._doubles, self._low, self._high = [], [], []
+        self._pos = self._end = self._read = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        bit_generator = self._rng.bit_generator
+        bit_generator.random_raw(self._read - (self._end - self._pos), output=False)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        bit_generator.state = state
+
+    def _refill(self, count):
+        """Replace the chunk by the next `count` words."""
+        words = self._copy.random_raw(count)
+        self._read += count
+        self._pos, self._end = 0, count
+        self._doubles = ((words >> 11) * 2.0 ** -53).tolist()
+        self._low = (words & 0xFFFFFFFF).tolist()
+        self._high = (words >> 32).tolist()
+
+    def random(self):
+        """``rng.random()``: one word's double in [0, 1)."""
+        if self._pos == self._end:
+            self._refill(_WORDS_PER_CHUNK)
+        self._pos += 1
+        return self._doubles[self._pos - 1]
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """``rng.uniform(low, high, size)``: low + (high - low) * d for one
+        word's double d per number, in C order."""
+        low, scale = float(low), float(high) - float(low)
+        if size is None:
+            return low + scale * self.random()
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        count, start = math.prod(shape), self._pos
+        if start + count <= self._end:
+            self._pos += count
+            doubles = self._doubles[start:self._pos]
+        else:
+            doubles = self._doubles[start:self._end]
+            self._refill(max(count - len(doubles), _WORDS_PER_CHUNK))
+            self._pos = count - len(doubles)
+            doubles += self._doubles[:self._pos]
+        return np.array([low + scale * d for d in doubles]).reshape(shape)
+
+    def _uint32(self):
+        """A 32-bit draw: the buffered high half, else a new word's low half."""
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        if self._pos == self._end:
+            self._refill(_WORDS_PER_CHUNK)
+        self._pos += 1
+        self._has_half, self._half = True, self._high[self._pos - 1]
+        return self._low[self._pos - 1]
+
+    def integers(self, low, high):
+        """``int(rng.integers(low, high))``, by Lemire's method: with span
+        r = high - low, m = x * r for a 32-bit draw x, redrawn while
+        m mod 2^32 < (2^32 - r) mod r, gives low + (m >> 32).  A span of 1
+        draws nothing."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"integers({low}, {high}) needs 1 <= high - low <= 2**32")
+        m = self._uint32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = ((1 << 32) - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
 
 
 @functools.cache
@@ -155,7 +271,12 @@ class UniformStream:
 
     ``rng.uniform(-1, 1, (k, l))`` gives what k calls ``rng.uniform(-1, 1, l)``
     give, so what is consumed lines up with those calls; the generator
-    itself runs ahead of it."""
+    itself runs ahead of it.
+
+    It stays apart from `WordStream`: its callers own their generators and
+    let them run ahead, and its tests force rejections with a fake
+    generator whose `uniform` is scaled, which a reader of raw words
+    cannot use."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -299,24 +420,24 @@ def random_subjet1(n, m, rng):
     return SubJet(n, m, rng.uniform(-1.0, 1.0, n + m), rng.uniform(-1.0, 1.0, (m, n)))
 
 
-def secjet1_arrays(n, l, rng, min_det=MIN_DET):
+def secjet1_arrays(n, l, rng):
     """The (x, u, first) of a random order-1 section jet whose base-direction
     derivative block is comfortably invertible (admissible for the covering
-    projections): `first` is redrawn until |det first[:n]| >= min_det, then
+    projections): `first` is redrawn until |det first[:n]| >= MIN_DET, then
     x and u are drawn."""
 
     def draw():
         first = rng.uniform(-1.0, 1.0, (l, n))
-        if abs(np.linalg.det(first[:n, :])) < min_det:
+        if abs(np.linalg.det(first[:n, :])) < MIN_DET:
             raise SingularJacobianError(_SECJET_GATE)
         return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, l), first
 
     return draw_regular(draw, 1)[0][0]
 
 
-def random_secjet1(n, l, rng, min_det=MIN_DET):
+def random_secjet1(n, l, rng):
     """Random order-1 section jet drawn by `secjet1_arrays`."""
-    return SecJet(n, l, *secjet1_arrays(n, l, rng, min_det))
+    return SecJet(n, l, *secjet1_arrays(n, l, rng))
 
 
 def random_affine(n, rng):

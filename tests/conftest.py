@@ -10,6 +10,7 @@ against, the per-jet covering projections, residual and covering
 deviations that the array formulas are checked against, the per-jet loop
 of `dot_gamma_via_xi` and the per-sample orbit check that the batched ones
 are checked against, the per-sample loops of criteria 1, 2, 5, 6 and 9, a
+word stream with a planted fault that the stream's tests must catch, a
 hypothesis strategy for expression trees, and helpers only the tests use
 (test-only, not public API).
 
@@ -54,6 +55,7 @@ from jetgeo.geodesy import (
 )
 from jetgeo.jets import AffineMap, SecJet, SubJet, affine_act
 from jetgeo.sampling import (
+    WordStream,
     random_affine,
     random_connection,
     random_point,
@@ -235,6 +237,16 @@ def random_connection_oracle(frame, rng, fill=0.6):
     return Connection(frame, entries)
 
 
+class HalfIgnoringStream(WordStream):
+    """A `WordStream` with a planted fault: each 32-bit draw takes a new
+    word and ignores the buffered high half of the last one, which numpy
+    serves first.  The stream's tests must tell it from the Generator."""
+
+    def _uint32(self):
+        self._has_half = False
+        return super()._uint32()
+
+
 TREE_NAMES = ("u", "v")
 
 
@@ -278,12 +290,12 @@ def connection_to_dict(g):
     }
 
 
-def random_secjet2(n, l, rng, min_det=0.3):
+def random_secjet2(n, l, rng):
     """Random admissible order-2 section jet: a symmetrized second block,
     then `random_secjet1`."""
     second = rng.uniform(-1.0, 1.0, (l, n, n))
     second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
-    return random_secjet1(n, l, rng, min_det).with_second(second)
+    return random_secjet1(n, l, rng).with_second(second)
 
 
 def top_det(t):

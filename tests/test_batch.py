@@ -5,7 +5,10 @@ per-sample form, the section jets read from a `UniformStream` against
 check and `cover-check` against their one-sample-at-a-time oracles in
 tests/conftest.py, and the array formulas of the covering projections,
 the residual and the auxiliary-connection construction, and the criteria
-built on them, against their per-jet and per-sample oracles there."""
+built on them, against their per-jet and per-sample oracles there, and the
+criteria that read their draws through a `WordStream` against the same
+criteria on the bare generator."""
+import contextlib
 import json
 import math
 import os
@@ -49,6 +52,7 @@ from jetgeo.jets import (
 )
 from jetgeo.sampling import (
     UniformStream,
+    WordStream,
     random_affine,
     random_connection,
     random_expressions,
@@ -61,6 +65,7 @@ from jetgeo.symmetry import affine_symmetry_check, orbit_quotient_check
 import conftest
 from conftest import (
     TREE_NAMES,
+    HalfIgnoringStream,
     affine_symmetry_check_oracle,
     cover1_oracle,
     cover_check_oracle,
@@ -717,3 +722,23 @@ def test_batched_criteria_equal_their_per_sample_oracles(monkeypatch, cid, seeds
         assert _deviations(monkeypatch, cid, seed) == [repr(float(d)) for d in oracle(seed)]
         # and each generator ends in the same state
         assert [repr(r.bit_generator.state) for r in batched] == [repr(r.bit_generator.state) for r in one_by_one]
+
+
+def _through(monkeypatch, stream, cid, seed):
+    """The deviations of criterion `cid` at `seed` with its generator opened
+    through `stream`, and the end state of that generator."""
+    monkeypatch.setattr(acceptance, "WordStream", stream)
+    made = _spawned(monkeypatch, acceptance)
+    return _deviations(monkeypatch, cid, seed), [repr(r.bit_generator.state) for r in made]
+
+
+@pytest.mark.parametrize("cid", (1, 2, 3, 4, 5, 6, 7, 10))
+def test_criteria_read_the_word_stream_as_the_generator(monkeypatch, cid):
+    for seed in _ORACLE_SEEDS:
+        assert _through(monkeypatch, WordStream, cid, seed) == _through(monkeypatch, contextlib.nullcontext, cid, seed)
+
+
+def test_a_stream_that_ignores_the_buffered_half_fails_the_criteria_test(monkeypatch):
+    bare = _through(monkeypatch, contextlib.nullcontext, 1, 0)
+    assert _through(monkeypatch, WordStream, 1, 0) == bare
+    assert _through(monkeypatch, HalfIgnoringStream, 1, 0) != bare

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetgeo
+from jetgeo import expr
+from jetgeo.connections import grass_shift, projective_shift
 from jetgeo.errors import DomainError, MissingSymbolError, ParseError, UnknownSymbolError
 from jetgeo.expr import (
     Add,
@@ -28,6 +30,7 @@ from jetgeo.expr import (
     simplify,
     to_text,
 )
+from jetgeo.sampling import random_connection, random_expressions, spawn_rng
 
 from conftest import TREE_NAMES, trees
 
@@ -289,16 +292,54 @@ def _combinations(a, b):
             Func("sin", Mul((a, b))), Func("sqrt", Add((Const(Fraction(1)), Pow(a, 2))))]
 
 
+def _simplified_by(fn, *args):
+    """The (tree, result) of each `simplify` call that `fn(*args)` makes
+    from outside `simplify` itself."""
+    calls, depth, original = [], [0], expr.simplify
+
+    def recording(e):
+        depth[0] += 1
+        try:
+            out = original(e)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            calls.append((e, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "simplify", recording)
+        fn(*args)
+    return calls
+
+
+def _shift_trees(seed):
+    """The trees that `projective_shift` and `grass_shift` simplify for a
+    random connection and random shift functions, with the results."""
+    rng = spawn_rng(seed)
+    l = 2 + seed % 3
+    n = 1 + seed % 2 if l > 2 else 1
+    frame = CoordinateFrame(tuple(f"u{i}" for i in range(1, l + 1)), n)
+    g = random_connection(frame, rng)
+    phi = random_expressions(frame.names, rng, l)
+    return (_simplified_by(projective_shift, g, phi)
+            + _simplified_by(grass_shift, g, n, phi[:n], phi[n:] if n == 1 else None))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 63 - 1))
 def test_simplify_of_marked_operands_matches_unmarked_oracle(seed):
     rng = np.random.default_rng(seed)
     a = simplify(_random_expression(rng, 3))
     b = simplify(_random_expression(rng, 3))
-    for tree in _combinations(a, b):
+    simplified = [(tree, simplify(tree)) for tree in _combinations(a, b)]
+    # the shifts subtract marked normal sums, whose product terms are marked too
+    shifted = _shift_trees(seed)
+    assert shifted
+    for tree, out in simplified + shifted:
         oracle = simplify(_fresh(tree))
-        assert simplify(tree) == oracle
-        assert to_text(simplify(tree)) == to_text(oracle)
+        assert out == oracle
+        assert to_text(out) == to_text(oracle)
 
 
 @settings(max_examples=100, deadline=None)

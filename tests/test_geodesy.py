@@ -232,7 +232,7 @@ def test_tangent_cover_table_matches_finite_differences():
     for _ in range(10):
         n, m = ((1, 1), (2, 2))[int(rng.integers(0, 2))]
         l = n + m
-        t = random_secjet1(n, l, rng, min_det=0.5)
+        t = random_secjet1(n, l, rng)
         du = rng.uniform(-1, 1, l)
         dd = rng.uniform(-1, 1, (l, n))
 

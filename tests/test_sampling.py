@@ -1,6 +1,8 @@
 """The one redraw loop, `errors.draw_regular`, the single draws built on
-it, the random polynomials checked against their `simplify` oracle, and
-the coefficient form of a random connection checked against its trees."""
+it, the random polynomials checked against their `simplify` oracle, the
+coefficient form of a random connection checked against its trees, and the
+`WordStream` checked against the Generator whose raw words it reads."""
+import contextlib
 import math
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgeo import errors
+from jetgeo import errors, sampling
 from jetgeo.acceptance import _DIM_CASES, _frame, _theta_frame
 from jetgeo.connections import Connection
 from jetgeo.errors import DomainError, SingularJacobianError, draw_regular, require_finite
 from jetgeo.expr import CoordinateFrame, Mul, Sym, parse, simplify, to_text
 from jetgeo.sampling import (
     PolynomialConnection,
+    WordStream,
     _monomial_cores,
     draw_connection,
     random_connection,
@@ -23,7 +26,7 @@ from jetgeo.sampling import (
     spawn_rng,
 )
 
-from conftest import random_connection_oracle, random_polynomial_oracle
+from conftest import HalfIgnoringStream, random_connection_oracle, random_polynomial_oracle
 
 # 11 coordinates put u10 and u11 between u1 and u2 in `_key` order, away
 # from their place in the draw order; x names are the parameter frames'
@@ -189,3 +192,95 @@ def test_hand_made_coefficients_evaluate_to_the_bits_of_their_trees():
     xs = points.tolist()
     assert any((0.337 * x[9]) * x[1] != (0.337 * x[1]) * x[9] for x in xs)
     assert any(sum(t) != math.fsum(t) for t in ([0.003, -0.999 * x[1], (0.731 * x[0]) * x[2]] for x in xs))
+
+
+# ---------------------------------------------------------------------------
+# the word stream against the Generator
+
+
+# calls as (method, args): the ranges the samplers draw integers from, one
+# where about one first draw in four is rejected, widths 1 and 2**32, and
+# the uniform shapes of the criteria
+_STREAM_CALLS = st.one_of(
+    st.just(("random", ())),
+    st.sampled_from([(1, 4), (-1000, 1001), (0, 3 * 2 ** 30), (7, 8), (-2, -1), (0, 2 ** 32)])
+    .map(lambda span: ("integers", span)),
+    st.integers(1, 60).map(lambda size: ("integers", (0, size))),
+    st.integers(0, 5).map(lambda k: ("uniform", (-1.0, 1.0, k))),
+    st.integers(0, 5).map(lambda k: ("uniform", (-0.3, 2.9, k))),
+    st.tuples(st.integers(1, 3), st.integers(1, 2)).map(lambda shape: ("uniform", (-1, 1, shape))),
+    st.tuples(st.integers(2, 4), st.integers(1, 2)).map(lambda ln: ("uniform", (-1.0, 1.0, (50, ln[0], ln[1], ln[1])))),
+    st.just(("uniform", ())),
+)
+
+# a call that raises ValueError on the Generator and on the stream alike
+_EMPTY_RANGE = ("integers", (3, 3))
+
+
+def _replay(rng, calls, out):
+    """Append what each of `calls` returns on rng to `out`, comparably: a
+    float by its repr, an integer by the repr of its int, an array by its
+    shape, dtype and bytes."""
+    for name, args in calls:
+        value = getattr(rng, name)(*args)
+        if isinstance(value, np.ndarray):
+            out.append((value.shape, value.dtype.str, value.tobytes()))
+        else:
+            out.append(repr(int(value) if name == "integers" else value))
+
+
+def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_PER_CHUNK):
+    """Whether `calls` made in a ``with stream(rng)`` block return what they
+    return on a Generator with the same seed, and leave rng in that
+    Generator's state, when both start with a buffered high half if
+    `buffered` and the stream reads `chunk` words at a time.  A call that
+    raises ends both runs, and the block with it."""
+    rng, oracle = spawn_rng(seed), spawn_rng(seed)
+    if buffered:
+        rng.integers(0, 10), oracle.integers(0, 10)
+    want, got = [], []
+    with contextlib.suppress(ValueError):
+        _replay(oracle, calls, want)
+    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(ValueError):
+        patch.setattr(sampling, "_WORDS_PER_CHUNK", chunk)
+        with stream(rng) as words:
+            _replay(words, calls, got)
+    return got == want and repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
+
+
+def _stream_property(stream):
+    """The property that `stream` returns what the Generator returns, over
+    drawn seeds, calls, starting halves, raising blocks and chunk sizes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 63 - 1), st.lists(_STREAM_CALLS, max_size=40), st.booleans(), st.booleans(),
+           st.sampled_from([1, 5, sampling._WORDS_PER_CHUNK]))
+    def check(seed, calls, buffered, raises, chunk):
+        calls = calls + [_EMPTY_RANGE, ("random", ())] if raises else calls
+        assert _stream_matches(stream, calls, seed, buffered, chunk)
+
+    return check
+
+
+test_word_stream_returns_what_the_generator_returns = _stream_property(WordStream)
+
+
+def test_word_stream_crosses_chunks_with_every_call():
+    calls = [("uniform", (-1.0, 1.0, (50, 4, 2, 2)))] * 3 + [("integers", (-1000, 1001)), ("random", ())] * 700
+    assert _stream_matches(WordStream, calls, 8)
+
+
+def test_a_stream_that_ignores_the_buffered_half_fails_the_stream_test():
+    with pytest.raises(AssertionError):
+        _stream_property(HalfIgnoringStream)()
+    two_draws = [("integers", (1, 4)), ("integers", (-1000, 1001))]
+    assert _stream_matches(WordStream, two_draws, 5)
+    assert not _stream_matches(HalfIgnoringStream, two_draws, 5)
+    assert not _stream_matches(HalfIgnoringStream, two_draws[:1], 5, buffered=True)
+
+
+def test_word_stream_rejects_other_bit_generators_and_wide_ranges():
+    with pytest.raises(TypeError, match="Philox"):
+        WordStream(np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        WordStream(spawn_rng(0)).integers(0, 2 ** 32 + 1)
