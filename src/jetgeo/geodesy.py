@@ -127,12 +127,19 @@ def dot_gamma_table(G, D):
     return lat - np.einsum("...kb,...abx->...akx", D, grk)
 
 
-def ddot_second(G, D):
-    """`ddot_gamma`'s second derivatives (..., m, n, n) from G and D."""
+def _raw_second(G, D):
+    """-(dotΓ_lam{}^k{}_xi + u^j_lam dotΓ_j{}^k{}_xi), (..., m, n, n) indexed
+    [k, lam, xi], from G and D: `ddot_second` before its symmetrization,
+    and the vertical part of the distribution generators."""
     n = D.shape[-1]
     table = dot_gamma_table(G, D)
-    second = -(np.swapaxes(table[..., :n, :, :], -3, -2)
-               + np.einsum("...jl,...jkx->...klx", D, table[..., n:, :, :]))
+    return -(np.swapaxes(table[..., :n, :, :], -3, -2)
+             + np.einsum("...jl,...jkx->...klx", D, table[..., n:, :, :]))
+
+
+def ddot_second(G, D):
+    """`ddot_gamma`'s second derivatives (..., m, n, n) from G and D."""
+    second = _raw_second(G, D)
     return 0.5 * (second + np.swapaxes(second, -1, -2))
 
 
@@ -161,6 +168,20 @@ def pro_lift_tables(G, Th, D):
     """`dot_gamma_pro`'s (x_lift, u_lift), (..., n, l, n) and (..., l, l, n),
     from G, Θ's array Th (..., n, n, n) and D (..., l, n)."""
     return np.einsum("...lxe,...Ax->...lAe", Th, D), -np.einsum("...BCA,...Ax->...BCx", G, D)
+
+
+def pro_distribution_rows(G, Th, D):
+    """Generators of the parametrized-side distribution at order-1 section
+    jets, (..., n, n + l + l n), rows over the section jet chart, from G,
+    Θ's array Th (..., n, n, n) and D (..., l, n): row lam is the
+    coordinate vector of ∂_{x^lam} + u^A_{x lam} ∂_{u^A} + u^A_{x xi x lam}
+    ∂_{u^A_{x xi}}, with the second derivatives of `ddot_pro_second`."""
+    l, n = D.shape[-2:]
+    rows = np.zeros((*D.shape[:-2], n, n + l + l * n))
+    rows[..., :n] = np.eye(n)
+    rows[..., n:n + l] = np.swapaxes(D, -1, -2)
+    rows[..., n + l:] = np.moveaxis(ddot_pro_second(G, Th, D), -1, -3).reshape(*D.shape[:-2], n, l * n)
+    return rows
 
 
 def param_residual_table(G, Th, D, second):
@@ -266,23 +287,26 @@ def residual2(g, q):
 
 def distribution_fields(g, p):
     """Generators of the distinguished n-dimensional distribution at an
-    order-1 jet, as rows over the jet-chart coordinates.
+    order-1 jet, as rows over the jet-chart coordinates; see
+    `distribution_rows`."""
+    _check_subjet(g, p)
+    return distribution_rows(g.christoffel_at(p.base), p.first)
+
+
+def distribution_rows(G, D):
+    """`distribution_fields`' rows (..., n, l + m n) from G (..., l, l, l)
+    and D (..., m, n).
 
     Row lam is the coordinate vector of
     ∂_{u^lam} + u^j_lam ∂_{u^j} - (dotΓ_lam{}^k{}_xi + u^j_lam dotΓ_j{}^k{}_xi) ∂_{u^k_xi};
     columns are ordered base coordinates (l), then derivative coordinates
     (fibre-major, base-minor).
     """
-    dg = dot_gamma(g, p)
-    n, m, l = p.n, p.m, p.l
-    D = p.first_matrix()
-    vert = -(np.transpose(dg.table[:n, :, :], (1, 0, 2))
-             + np.einsum("jl,jkx->klx", D, dg.table[n:, :, :]))  # (k, lam, xi)
-    rows = np.zeros((n, l + m * n))
-    for lam in range(n):
-        rows[lam, lam] = 1.0
-        rows[lam, n:l] = D[:, lam]
-        rows[lam, l:] = vert[:, lam, :].reshape(m * n)
+    m, n = D.shape[-2:]
+    rows = np.zeros((*D.shape[:-2], n, n + m + m * n))
+    rows[..., :n] = np.eye(n)
+    rows[..., n:n + m] = np.swapaxes(D, -1, -2)
+    rows[..., n + m:] = np.swapaxes(_raw_second(G, D), -3, -2).reshape(*D.shape[:-2], n, m * n)
     return rows
 
 
@@ -571,9 +595,21 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
     """Whether two connections induce the same equation of unparametrized
     totally geodesic submanifolds for split n.
 
-    Ground truth: the order-2 extensions agree at `samples` random
-    order-1 jets within tol.  Also reports the sufficient-condition fast
-    path through the invariant families.
+    Ground truth: the order-2 extensions agree within tol at `samples`
+    random order-1 jets, by `extension_deviation` on stream 0 of `seed`.
+    Also reports the sufficient-condition fast path through the invariant
+    families, by `invariants_match` on stream 1.  A caller that reads only
+    the ground truth calls `extension_deviation` alone.
+    """
+    max_dev = extension_deviation(g1, g2, n, samples, seed)
+    inv_equal, inv_dev = invariants_match(g1, g2, n, spawn_rng(seed, 1), tol=tol)
+    return EquivalenceVerdict(max_dev <= tol, max_dev, inv_equal, inv_dev, samples, tol)
+
+
+def extension_deviation(g1, g2, n, samples=50, seed=0):
+    """The largest max-abs difference of the order-2 extensions
+    (`ddot_gamma`) of g1 and g2 over `samples` random order-1 jets, drawn
+    from stream 0 of `seed`.
 
     A jet is a point (redrawn where `near_singular` finds a declared
     singular point or where g1 fails) and then its (m, n) derivative
@@ -637,6 +673,4 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
                 or outcome(require_finite, deviations[o], "second-order extension deviation")
                 for o in out]
 
-    max_dev = worst(draw_regular(draw, samples, batch=True)[0])
-    inv_equal, inv_dev = invariants_match(g1, g2, n, spawn_rng(seed, 1), tol=tol)
-    return EquivalenceVerdict(max_dev <= tol, max_dev, inv_equal, inv_dev, samples, tol)
+    return worst(draw_regular(draw, samples, batch=True)[0])

@@ -384,6 +384,15 @@ def subjet1_draw(n, m):
     return Draw(((n + m,), (m, n)))
 
 
+def subjet1_stream(n, m, stream, k):
+    """The next k order-1 submanifold jets of `stream`, as k
+    `random_subjet1(n, m, rng)` calls draw them from its generator: (base,
+    first), stacked (k, n + m) and (k, m, n)."""
+    draw = subjet1_draw(n, m)
+    numbers, starts = stream.walk(n, [draw], k)
+    return draw.parts(numbers, starts[:, 0])
+
+
 def secjet1_stream(n, l, stream, k):
     """The next k order-1 section jets of `stream`, as k `secjet1_arrays(n,
     l, rng)` calls draw them from its generator: (x, u, first), stacked

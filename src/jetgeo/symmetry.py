@@ -33,17 +33,17 @@ from .errors import (
 )
 from .expr import CoordinateFrame, Sym
 from .geodesy import (
+    _check_theta,
     ddot_gamma_pro,
     ddot_pro_second,
-    distribution_fields,
+    distribution_rows,
     param_residual2,
     param_residual_table,
+    pro_distribution_rows,
     residual_table,
 )
 from .jets import (
     ParamMap,
-    SecJet,
-    SubJet,
     affine_second,
     cover_first,
     cover_second,
@@ -60,6 +60,7 @@ from .sampling import (
     secjet1_stream,
     spawn_rng,
     subjet1_draw,
+    subjet1_stream,
 )
 
 
@@ -69,7 +70,7 @@ def subjet1_chart(frame, n):
     for fibre in frame.names[n:]:
         for lam in range(1, n + 1):
             names.append(f"{fibre}_{lam}")
-    return tuple(names)
+    return _distinct(names)
 
 
 def secjet1_chart(x_frame, u_frame):
@@ -78,6 +79,18 @@ def secjet1_chart(x_frame, u_frame):
     for fibre in u_frame.names:
         for lam in range(1, x_frame.dim + 1):
             names.append(f"{fibre}_x{lam}")
+    return _distinct(names)
+
+
+def _distinct(names):
+    """The chart names as a tuple; SpecLoadError naming the first one that
+    repeats, as "u2_1" does when a coordinate of that name sits beside u2:
+    a table over the chart would read one value for both."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise SpecLoadError(f"jet chart names the coordinate {name!r} twice; rename the coordinates that clash")
+        seen.add(name)
     return tuple(names)
 
 
@@ -191,56 +204,87 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
 
     At each sampled jet the generators are pushed through the map's
     Jacobian and tested for membership in the span of the generators at
-    the image jet, by least squares.  Samples where the map or its
+    the image jet, by least squares.  Samples where g, Θ, the map or its
     Jacobian fails to evaluate are redrawn and counted in `skipped`.
+
+    Each batch reads its jets from a `UniformStream` by `subjet1_stream` or
+    `secjet1_stream`, evaluates the map and its derivative tables with one
+    `Table.rows`, and the generators with `_generators_at`, at the jets and
+    at the images of the jets where nothing failed before.  A sample is
+    redrawn with the first error met in the order g, then Θ, at the jet,
+    the map, each derivative table in chart order, g, then Θ, at the image,
+    then the span residual.  Only the span residuals are per sample.
     """
     if theta is None and jmap.kind == "secjet":
         raise DimensionMismatchError("section-side distribution needs a parameter connection")
     l = g.dim
     m = l - n
-    expected = l + m * n if jmap.kind == "subjet" else n + l + l * n
-    if len(jmap.chart) != expected:
+    dim = l + m * n if jmap.kind == "subjet" else n + l + l * n
+    if len(jmap.chart) != dim:
         raise DimensionMismatchError(
-            f"map chart has {len(jmap.chart)} coordinates, expected {expected} "
+            f"map chart has {len(jmap.chart)} coordinates, expected {dim} "
             f"for the {jmap.kind} side of this connection"
         )
-    rng = spawn_rng(seed, 0)
+    if jmap.kind == "subjet":
+        _check_split(g, n)
+        theta = None
+    else:
+        _check_theta(theta, n)
+    # the components, then the derivatives by each chart coordinate in turn:
+    # a row that fails raises the error of the first tree that fails
+    table = expr.Table([*jmap.components, *(e for name in jmap.chart for e in jmap.table.derivative(name).exprs)],
+                       jmap.chart)
+    stream = UniformStream(spawn_rng(seed, 0))
 
-    def draw():
-        if jmap.kind == "subjet":
-            p = random_subjet1(n, m, rng)
-            point, rows = _subjet_point(p), distribution_fields(g, p)
+    def draw(k):
+        if theta is None:
+            points = _subjet_points(*subjet1_stream(n, m, stream, k))
         else:
-            p = random_secjet1(n, l, rng)
-            point = (*p.x, *p.u, *p.first_matrix().ravel().tolist())
-            rows = _pro_distribution_rows(g, theta, p)
-        image = jmap.apply(point)
-        jac = jmap.jacobian_at(point)
-        if jmap.kind == "subjet":
-            rows_image = distribution_fields(g, SubJet(n, m, image[:l], image[l:].reshape(m, n)))
-        else:
-            q = SecJet(n, l, image[:n], image[n:n + l], image[n + l:].reshape(l, n))
-            rows_image = _pro_distribution_rows(g, theta, q)
-        scale = _span_scale(rows_image)
-        local = max(_span_residual(rows_image, jac @ row) / scale for row in rows)
-        return point, local
+            x, u, first = secjet1_stream(n, l, stream, k)
+            points = np.concatenate([x, u, first.reshape(k, l * n)], axis=1)
+        rows, failed = _generators_at(g, theta, n, points)
+        values, failed_map = table.rows(points)
+        out = [failed.get(i) or failed_map.get(i) for i in range(k)]
+        alive = [i for i, error in enumerate(out) if error is None]
+        if not alive:
+            return out
+        images, failed_image = _generators_at(g, theta, n, values[alive, :dim])
+        # jacobians[j][r, c]: the derivative of component r by chart coordinate c,
+        # C-contiguous as `JetMap.jacobian_at`'s is: `@` on the strided
+        # transpose rounds differently
+        jacobians = np.ascontiguousarray(values[alive, dim:].reshape(-1, dim, dim).swapaxes(1, 2))
 
-    return SymmetryReport.sample(draw, samples, tol)
+        def row(i, j):
+            scale = _span_scale(images[j])
+            return (tuple(points[i].tolist()),
+                    max(_span_residual(images[j], jacobians[j] @ v) / scale for v in rows[i]))
+
+        for j, i in enumerate(alive):
+            out[i] = failed_image.get(j) or outcome(row, i, j)
+        return out
+
+    return SymmetryReport.sample(draw, samples, tol, batch=True)
 
 
-def _pro_distribution_rows(g, theta, p):
-    """Generators of the parametrized-side distribution at an order-1
-    section jet, rows over the section jet chart."""
-    q2 = ddot_gamma_pro(g, theta, p)
-    n, l = p.n, p.l
-    rows = np.zeros((n, n + l + l * n))
-    d1 = p.first_matrix()
-    d2 = q2.second_array()
-    for lam in range(n):
-        rows[lam, lam] = 1.0
-        rows[lam, n:n + l] = d1[:, lam]
-        rows[lam, n + l:] = d2[:, :, lam].reshape(-1)
-    return rows
+def _subjet_points(base, first):
+    """Stacked order-1 submanifold jets (k, l) and (k, m, n) as points of
+    the jet chart, (k, l + m n)."""
+    return np.concatenate([base, first.reshape(len(first), -1)], axis=1)
+
+
+def _generators_at(g, theta, n, points):
+    """The distribution generators at points of the jet chart (k, dim), by
+    `distribution_rows` or, where Θ is given, by `pro_distribution_rows`
+    over the section jet chart, and a dict from the index of each point
+    where g, or else Θ, fails to that error."""
+    l = g.dim
+    if theta is None:
+        G, failed = g.christoffel_many(points[:, :l])
+        return distribution_rows(G, np.ascontiguousarray(points[:, l:]).reshape(-1, l - n, n)), failed
+    G, failed = g.christoffel_many(points[:, n:n + l])
+    Th, failed_theta = theta.christoffel_many(points[:, :n])
+    D = np.ascontiguousarray(points[:, n + l:]).reshape(-1, l, n)
+    return pro_distribution_rows(G, Th, D), {**failed_theta, **failed}
 
 
 def preserves_contact(jmap, samples=25, tol=1e-8, seed=0):
@@ -337,7 +381,12 @@ def commutator(f, x, chart):
 
 def field_preserves_distribution(f, g, n, samples=25, tol=1e-8, seed=0):
     """Infinitesimal version: the commutator of the field with each
-    generator must stay in the distribution span at sampled jets."""
+    generator must stay in the distribution span at sampled jets.
+
+    Each batch reads its jets from a `UniformStream` by `subjet1_stream`,
+    evaluates the generators with `_generators_at` and the brackets with one
+    `Table.rows`; a sample is redrawn where g fails, else where a bracket
+    fails, else where a span residual is not finite."""
     l = g.dim
     m = l - n
     generators = distribution_generator_expressions(g, n)
@@ -345,17 +394,21 @@ def field_preserves_distribution(f, g, n, samples=25, tol=1e-8, seed=0):
     if f.chart != chart:
         raise DimensionMismatchError("field is not expressed over the jet chart of g")
     brackets = expr.Table([c for x in generators for c in commutator(f, x, chart)], chart)
-    rng = spawn_rng(seed, 0)
+    stream = UniformStream(spawn_rng(seed, 0))
 
-    def draw():
-        p = random_subjet1(n, m, rng)
-        point = _subjet_point(p)
-        rows = distribution_fields(g, p)
-        values = np.array(brackets(point)).reshape(len(generators), len(chart))
-        scale = _span_scale(rows)
-        return point, max(_span_residual(rows, v) / scale for v in values)
+    def draw(k):
+        points = _subjet_points(*subjet1_stream(n, m, stream, k))
+        rows, failed = _generators_at(g, None, n, points)
+        values, failed_brackets = brackets.rows(points)
+        values = np.ascontiguousarray(values).reshape(k, len(generators), len(chart))
 
-    return SymmetryReport.sample(draw, samples, tol)
+        def row(i):
+            scale = _span_scale(rows[i])
+            return tuple(points[i].tolist()), max(_span_residual(rows[i], v) / scale for v in values[i])
+
+        return [failed.get(i) or failed_brackets.get(i) or outcome(row, i) for i in range(k)]
+
+    return SymmetryReport.sample(draw, samples, tol, batch=True)
 
 
 # ---------------------------------------------------------------------------

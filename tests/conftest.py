@@ -5,14 +5,15 @@ the list-based RK4 stepper that the generated loop is checked against bit
 for bit, the per-step geodesic residual that the batched one is checked
 against, the `simplify`-based random polynomials that the sampler is
 checked against, the one-sample-at-a-time comparisons, affine symmetry
-check and `cover-check` sampling that the batched ones are checked
-against, the per-jet covering projections, residual and covering
-deviations that the array formulas are checked against, the per-jet loop
-of `dot_gamma_via_xi` and the per-sample orbit check that the batched ones
-are checked against, the per-sample loops of criteria 1, 2, 5, 6 and 9, a
-word stream with a planted fault that the stream's tests must catch, a
-hypothesis strategy for expression trees, and helpers only the tests use
-(test-only, not public API).
+check, distribution checks and `cover-check` sampling that the batched
+ones are checked against, the per-jet distribution generators,
+covering projections, residual and covering deviations that the array
+formulas are checked against, the per-jet loop of `dot_gamma_via_xi` and
+the per-sample orbit check that the batched ones are checked against, the
+per-sample loops of criteria 1, 2, 5, 6 and 9, a word stream with a
+planted fault that the stream's tests must catch, a hypothesis strategy
+for expression trees, and helpers only the tests use (test-only, not
+public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
@@ -63,7 +64,15 @@ from jetgeo.sampling import (
     random_subjet1,
     spawn_rng,
 )
-from jetgeo.symmetry import OrbitReport, SymmetryReport
+from jetgeo.symmetry import (
+    OrbitReport,
+    SymmetryReport,
+    _span_residual,
+    _span_scale,
+    _subjet_point,
+    commutator,
+    distribution_generator_expressions,
+)
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -369,6 +378,87 @@ def affine_symmetry_check_oracle(g, theta, aff, samples=25, tol=1e-10, seed=0):
         p = random_secjet1(aff.n, g.dim, rng)
         acted = affine_act(aff, ddot_gamma_pro(g, theta, p))
         return p.x + p.u, require_finite(param_residual2(g, theta, acted).max_abs(), "residual")
+
+    return SymmetryReport.sample(draw, samples, tol)
+
+
+def distribution_fields_oracle(g, p):
+    """`geodesy.distribution_fields` row by row from `dot_gamma`."""
+    dg = dot_gamma(g, p)
+    n, m, l = p.n, p.m, p.l
+    D = p.first_matrix()
+    vert = -(np.transpose(dg.table[:n, :, :], (1, 0, 2))
+             + np.einsum("jl,jkx->klx", D, dg.table[n:, :, :]))  # (k, lam, xi)
+    rows = np.zeros((n, l + m * n))
+    for lam in range(n):
+        rows[lam, lam] = 1.0
+        rows[lam, n:l] = D[:, lam]
+        rows[lam, l:] = vert[:, lam, :].reshape(m * n)
+    return rows
+
+
+def pro_distribution_rows_oracle(g, theta, p):
+    """`geodesy.pro_distribution_rows` at one section jet, row by row from
+    `ddot_gamma_pro`."""
+    q2 = ddot_gamma_pro(g, theta, p)
+    n, l = p.n, p.l
+    rows = np.zeros((n, n + l + l * n))
+    d1 = p.first_matrix()
+    d2 = q2.second_array()
+    for lam in range(n):
+        rows[lam, lam] = 1.0
+        rows[lam, n:n + l] = d1[:, lam]
+        rows[lam, n + l:] = d2[:, :, lam].reshape(-1)
+    return rows
+
+
+def preserves_distribution_oracle(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None):
+    """`symmetry.preserves_distribution` jet by jet, through
+    `random_subjet1` or `random_secjet1`, `JetMap.apply`,
+    `JetMap.jacobian_at` and the per-jet generator oracles."""
+    l = g.dim
+    m = l - n
+    rng = spawn_rng(seed, 0)
+
+    def draw():
+        if jmap.kind == "subjet":
+            p = random_subjet1(n, m, rng)
+            point, rows = _subjet_point(p), distribution_fields_oracle(g, p)
+        else:
+            p = random_secjet1(n, l, rng)
+            point = (*p.x, *p.u, *p.first_matrix().ravel().tolist())
+            rows = pro_distribution_rows_oracle(g, theta, p)
+        image = jmap.apply(point)
+        jac = jmap.jacobian_at(point)
+        if jmap.kind == "subjet":
+            rows_image = distribution_fields_oracle(g, SubJet(n, m, image[:l], image[l:].reshape(m, n)))
+        else:
+            q = SecJet(n, l, image[:n], image[n:n + l], image[n + l:].reshape(l, n))
+            rows_image = pro_distribution_rows_oracle(g, theta, q)
+        scale = _span_scale(rows_image)
+        local = max(_span_residual(rows_image, jac @ row) / scale for row in rows)
+        return point, local
+
+    return SymmetryReport.sample(draw, samples, tol)
+
+
+def field_preserves_distribution_oracle(f, g, n, samples=25, tol=1e-8, seed=0):
+    """`symmetry.field_preserves_distribution` jet by jet, through
+    `random_subjet1`, `distribution_fields_oracle` and the per-point table
+    of the brackets."""
+    m = g.dim - n
+    generators = distribution_generator_expressions(g, n)
+    chart = generators[0].chart
+    brackets = expr.Table([c for x in generators for c in commutator(f, x, chart)], chart)
+    rng = spawn_rng(seed, 0)
+
+    def draw():
+        p = random_subjet1(n, m, rng)
+        point = _subjet_point(p)
+        rows = distribution_fields_oracle(g, p)
+        values = np.array(brackets(point)).reshape(len(generators), len(chart))
+        scale = _span_scale(rows)
+        return point, max(_span_residual(rows, v) / scale for v in values)
 
     return SymmetryReport.sample(draw, samples, tol)
 

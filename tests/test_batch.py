@@ -13,6 +13,7 @@ import json
 import math
 import os
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,8 +35,10 @@ from jetgeo.expr import CoordinateFrame, Table, parse
 from jetgeo.geodesy import (
     covering_commutation_deviation,
     covering_commutation_deviations,
+    distribution_rows,
     dot_gamma_via_xi_table,
     grass_equivalent,
+    pro_distribution_rows,
     quotient_diagram_deviation,
     quotient_diagram_deviations,
     residual2,
@@ -43,6 +46,7 @@ from jetgeo.geodesy import (
 )
 from jetgeo.jets import (
     SecJet,
+    SubJet,
     cover1,
     cover2,
     cover_first,
@@ -56,11 +60,24 @@ from jetgeo.sampling import (
     random_affine,
     random_connection,
     random_expressions,
+    random_subjet1,
     secjet1_arrays,
     secjet1_stream,
     spawn_rng,
+    subjet1_stream,
 )
-from jetgeo.symmetry import affine_symmetry_check, orbit_quotient_check
+from jetgeo.symmetry import (
+    JetField,
+    JetMap,
+    affine_symmetry_check,
+    field_preserves_distribution,
+    orbit_quotient_check,
+    preserves_distribution,
+    prolong_point_field,
+    prolong_point_map,
+    secjet1_chart,
+    subjet1_chart,
+)
 
 import conftest
 from conftest import (
@@ -71,11 +88,15 @@ from conftest import (
     cover_check_oracle,
     cover2_oracle,
     covering_commutation_deviation_oracle,
+    distribution_fields_oracle,
     dot_gamma_via_xi_oracle,
+    field_preserves_distribution_oracle,
     grass_equivalent_oracle,
     invariants_match_oracle,
     orbit_quotient_check_oracle,
     pi_deviation_oracle,
+    preserves_distribution_oracle,
+    pro_distribution_rows_oracle,
     quotient_diagram_deviation_oracle,
     random_secjet2,
     residual2_oracle,
@@ -672,6 +693,194 @@ def test_a_nan_in_gamma_propagates_to_its_rows_deviation(n, m):
         got = (residuals[i].item(), commutation[i].item(), quotient[i].item())
         assert [repr(v) for v in got] == [repr(v) for v in expected]
         assert all(math.isnan(v) for v in got) == (i in poisoned)
+
+
+# ---------------------------------------------------------------------------
+# the distribution checks against their per-sample oracles
+
+
+def test_subjet1_stream_reads_what_random_subjet1_draws():
+    for n, m in acceptance._DIM_CASES:
+        stream, rng = UniformStream(spawn_rng(50 + 2 * n + m)), spawn_rng(50 + 2 * n + m)
+        for k in (1, 7, 300):
+            base, first = subjet1_stream(n, m, stream, k)
+            jets = [random_subjet1(n, m, rng) for _ in range(k)]
+            assert same_bits(base, [p.base for p in jets]) and same_bits(first, [p.first for p in jets])
+            assert stream.peek(1)[0] == rng.uniform(-1.0, 1.0)
+            stream.skip(1)
+
+
+@pytest.mark.parametrize("n, m", acceptance._DIM_CASES + ((1, 3), (3, 1)))
+def test_distribution_generators_equal_the_per_jet_oracles(n, m):
+    """The stacked generators at jets whose derivatives are scaled by
+    10^-2..10^2, against the per-jet `distribution_fields` and the
+    row-by-row oracles."""
+    rng = spawn_rng(60 + 4 * n + m)
+    l = n + m
+    g = random_connection(frame(l, n), rng)
+    theta = random_connection(CoordinateFrame(tuple(f"x{i}" for i in range(1, n + 1)), n), rng)
+    subjets = [random_subjet1(n, m, rng) for _ in range(12)]
+    subjets = [SubJet(n, m, p.base, 10.0 ** rng.uniform(-2, 2) * p.first) for p in subjets]
+    secjets = [random_secjet2(n, l, rng).truncate(1) for _ in range(12)]
+    rows = distribution_rows(np.array([g.christoffel_at(p.base) for p in subjets]),
+                             np.array([p.first for p in subjets]))
+    pro_rows = pro_distribution_rows(np.array([g.christoffel_at(t.u) for t in secjets]),
+                                     np.array([theta.christoffel_at(t.x) for t in secjets]),
+                                     np.array([t.first for t in secjets]))
+    for i, (p, t) in enumerate(zip(subjets, secjets)):
+        assert same_bits(rows[i], distribution_fields_oracle(g, p))
+        assert same_bits(geodesy.distribution_fields(g, p), distribution_fields_oracle(g, p))
+        assert same_bits(pro_rows[i], pro_distribution_rows_oracle(g, theta, t))
+
+
+def _outcomes(monkeypatch):
+    """Record, where `symmetry` calls `draw_regular`, each sample's outcome
+    in the order drawn: its row's repr, or the type and text of its error."""
+    seen = []
+
+    def text(result):
+        return (type(result), str(result)) if isinstance(result, Exception) else repr(result)
+
+    def recording(draw, count, batch=False):
+        if batch:
+            def batched(k):
+                out = draw(k)
+                seen.extend(text(o) for o in out)
+                return out
+            return draw_regular(batched, count, batch=True)
+
+        def single():
+            result = outcome(draw)
+            seen.append(text(result))
+            if isinstance(result, Exception):
+                raise result
+            return result
+        return draw_regular(single, count)
+
+    monkeypatch.setattr(symmetry, "draw_regular", recording)
+    return seen
+
+
+def _same_checks(monkeypatch, check, oracle, *args, **kwargs):
+    """`check` and `oracle` on the same arguments give reports with equal
+    reprs, or give up with the same message, after the same sample outcomes
+    (the batch may have drawn past the one it gave up at)."""
+    seen = _outcomes(monkeypatch)
+    results = []
+    for fn in (check, oracle):
+        start = len(seen)
+        try:
+            results.append(repr(fn(*args, **kwargs)))
+        except DomainError as e:
+            results.append(("gave up", str(e)))
+        results.append(seen[start:])
+        del seen[start:]
+    report, outcomes, expected_report, expected = results
+    assert report == expected_report
+    if isinstance(report, tuple):
+        assert outcomes[:len(expected)] == expected
+    else:
+        assert outcomes == expected
+    return report
+
+
+def _subjet_maps(f, n, rng):
+    """Maps over the submanifold jet chart of frame f: a prolonged linear
+    point map, random polynomials, and random polynomials with a component
+    that fails where the second coordinate is negative and one whose
+    derivative by the first overflows at about half of the points."""
+    chart = subjet1_chart(f, n)
+    l = f.dim
+    a = rng.uniform(-1, 1, (l, l)) + 2.0 * np.eye(l)
+    linear = [expr.normal_sum([(expr.Sym(name), Fraction(a[r, c]).limit_denominator(1000))
+                               for c, name in enumerate(f.names)], Fraction(0)) for r in range(l)]
+    polynomials = random_expressions(chart, rng, len(chart))
+    failing = list(random_expressions(chart, rng, len(chart)))
+    failing[0] = parse(f"{chart[0]} + sqrt({chart[1]})", chart)
+    failing[-1] = parse(f"{chart[-1]} + 10^305*sin(3000*{chart[0]})", chart)
+    return [prolong_point_map(linear, f, n)] + [JetMap("subjet", n, chart, tuple(c)) for c in (polynomials, failing)]
+
+
+def _connections(l, n, rng):
+    f = frame(l, n)
+    return [random_connection(f, rng), Connection(f, _sqrt_connection(l)[0].christoffel), _overflow_connection(l)]
+
+
+@pytest.mark.parametrize("n, m", acceptance._DIM_CASES)
+def test_batched_preserves_distribution_equals_the_oracle_on_subjet_maps(n, m, monkeypatch):
+    rng = spawn_rng(70 + 2 * n + m)
+    reports = []
+    for g in _connections(n + m, n, rng):
+        for jmap in _subjet_maps(g.frame, n, rng):
+            for samples in (1, 12):
+                reports.append(_same_checks(monkeypatch, preserves_distribution, preserves_distribution_oracle,
+                                            jmap, g, n, samples=samples, seed=samples))
+    # some checks redraw samples and still report
+    assert any("skipped=0" not in r for r in reports if isinstance(r, str))
+
+
+def _secjet_cases(n, l, rng):
+    """Θ (flat, or failing where x1 < -1/2) and maps over the section jet
+    chart: the identity, random polynomials, and a map that sends x1 to
+    2 x1 + 1 with a component that fails where the first fibre derivative
+    is negative."""
+    x_frame = CoordinateFrame(tuple(f"x{i}" for i in range(1, n + 1)), n)
+    chart = secjet1_chart(x_frame, frame(l, n))
+    thetas = [Connection.flat(n), Connection(x_frame, {(1, 1, 1): parse("sqrt(1/2 + x1)", x_frame)})]
+    identity = tuple(parse(name, chart) for name in chart)
+    failing = list(random_expressions(chart, rng, len(chart)))
+    failing[0] = parse("2*x1 + 1", chart)
+    failing[n + l] = parse(f"sqrt({chart[n + l]})", chart)
+    maps = [JetMap("secjet", n, chart, c) for c in (identity, random_expressions(chart, rng, len(chart)), failing)]
+    return thetas, maps
+
+
+@pytest.mark.parametrize("n, m", acceptance._DIM_CASES)
+def test_batched_preserves_distribution_equals_the_oracle_on_secjet_maps(n, m, monkeypatch):
+    rng = spawn_rng(80 + 2 * n + m)
+    l = n + m
+    thetas, maps = _secjet_cases(n, l, rng)
+    for g in _connections(l, n, rng):
+        for theta in thetas:
+            for jmap in maps:
+                for samples in (1, 12):
+                    _same_checks(monkeypatch, preserves_distribution, preserves_distribution_oracle,
+                                 jmap, g, n, samples=samples, seed=samples, theta=theta)
+
+
+@pytest.mark.parametrize("n, m", acceptance._DIM_CASES)
+def test_batched_field_preserves_distribution_equals_the_oracle(n, m, monkeypatch):
+    rng = spawn_rng(90 + 2 * n + m)
+    l = n + m
+    for g in _connections(l, n, rng):
+        chart = subjet1_chart(g.frame, n)
+        failing = list(random_expressions(chart, rng, len(chart)))
+        failing[-1] = parse(f"sqrt({chart[0]})", chart)
+        fields = [prolong_point_field(random_expressions(g.frame.names, rng, l), g.frame, n),
+                  JetField("subjet", n, chart, tuple(failing))]
+        for f in fields:
+            for samples in (1, 12):
+                _same_checks(monkeypatch, field_preserves_distribution, field_preserves_distribution_oracle,
+                             f, g, n, samples=samples, seed=samples)
+
+
+def test_the_distribution_checks_give_up_with_the_oracle_message(monkeypatch):
+    """g fails where u1 < 0 and, as the map negates u1, at the image where
+    u1 > 0, so every sample is redrawn; the map fails where u2 < 0 in
+    between.  The last error named is the first one of the last sample."""
+    f = frame(2)
+    g = Connection(f, {(1, 1, 2): parse("sqrt(u1)", f)})
+    chart = subjet1_chart(f, 1)
+    jmap = JetMap("subjet", 1, chart, tuple(parse(c, chart) for c in ("-u1", "u2 + sqrt(u2)", "u2_1")))
+    euler = prolong_point_field((expr.Sym("u1"), expr.Sym("u2")), f, 1)
+    for seed in range(4):
+        report = _same_checks(monkeypatch, preserves_distribution, preserves_distribution_oracle,
+                              jmap, g, 1, samples=2, seed=seed)
+        assert report[1].startswith("could not sample: 200 draws failed and 0 of 2 succeeded")
+        report = _same_checks(monkeypatch, field_preserves_distribution, field_preserves_distribution_oracle,
+                              euler, Connection(f, {(1, 1, 2): parse("sqrt(-1 - u1^2)", f)}), 1,
+                              samples=1, seed=seed)
+        assert report[1].startswith("could not sample: 100 draws failed")
 
 
 # ---------------------------------------------------------------------------

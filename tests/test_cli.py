@@ -436,6 +436,30 @@ def _scaling_map(factor):
             "components": {"u1": "u1", "u2": "u2", "u2_1": f"{factor}*u2_1"}}
 
 
+@pytest.mark.parametrize("kind, coords, option, clash", [
+    # u2's derivative coordinate u2_1 is also a coordinate
+    ("subjet", ["u1", "u2", "u2_1"], "--map", "u2_1"),
+    ("subjet", ["u1", "u2", "u2_1"], "--field", "u2_1"),
+    # the default parameter name x1 is also a coordinate
+    ("secjet", ["x1", "u2"], "--map", "x1"),
+])
+def test_symmetry_check_rejects_a_jet_chart_that_repeats_a_name(tmp_path, capsys, kind, coords, option, clash):
+    """A table over such a chart reads one value for both coordinates of
+    the repeated name, so the identity map, and the field of the same
+    components, failed with exit 1 (worst residual 5.819e-01, 1.162e+00
+    and 6.417e-01 here).  Now the chart is refused: exit 2, naming the
+    coordinate."""
+    spec = write(tmp_path / "g.json", {"coords": coords, "n": 1, "christoffel": [
+        {"lower": [1, 1], "upper": 2, "expr": f"{coords[0]}*{coords[1]}"}]})
+    chart = (coords + [f"{c}_1" for c in coords[1:]] if kind == "subjet"
+             else ["x1"] + coords + [f"{c}_x1" for c in coords])
+    identity = write(tmp_path / "m.json", {"kind": kind, "n": 1, "coords": coords,
+                                           "components": {name: name for name in chart}})
+    assert main(["symmetry-check", spec, option, identity, "--samples", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: jet chart names the coordinate {clash!r} twice; rename the coordinates that clash\n"
+
+
 def test_affine_map_with_an_overflowing_determinant_writes_no_warning(tmp_path):
     """det a overflows to inf, which is not singular; the check runs and
     stderr holds only its summary, in a fresh interpreter, where a numpy

@@ -12,8 +12,9 @@ say why in CHANGES.md.
 `selftest` prints the wall time of criterion 1 as `  [elapsed 0.12s]`;
 that bracket is cut from stdout before the comparison, and CI cuts it
 with the same pattern when it diffs `selftest --seed 0` against
-`selftest_seed0.out`.  `selftest_seed1199949627` pins the bits at a
-second seed, the first `selftest` seed perfbench draws at its seed 7.
+`selftest_seed0.out`.  `selftest_seed1199949627` and
+`selftest_seed40807560` pin the bits at the first two `selftest` seeds
+perfbench draws at its seed 7.
 
 `l4_shift.json` is the admissible split-2 shift of `l4.json`,
 `grass_shift(g, 2, psi)` with psi = (1/3*u1*u3 - 2/5*u4, 7/10*u2*u2 + 1/4),
@@ -21,6 +22,9 @@ written with `connection_to_dict`; its entries are printed simplified trees.
 `theta_n2.json` is a non-flat parameter connection for the split-2 jets of
 `l4.json`; its entry sqrt(1/2 + x1) fails where x1 < -1/2, so
 `cover_check_theta` redraws samples (two at seed 5) where Θ fails.
+`map_sqrt.json` is the prolonged point map (u1, u2 + sqrt(u1)), which
+fails where u1 <= 0, so `symmetry_map_sqrt` redraws samples (ten at seed
+3); `field_euler.json` is the prolonged Euler field u1 ∂_u1 + u2 ∂_u2.
 """
 import contextlib
 import io
@@ -56,11 +60,16 @@ CASES = {
                             "--samples", "6", "--seed", "4"],
     "symmetry_map_secjet": ["symmetry-check", "s2.json", "--map", "map_secjet.json",
                             "--samples", "6", "--seed", "4"],
+    "symmetry_map_sqrt": ["symmetry-check", "s2.json", "--map", "map_sqrt.json",
+                          "--samples", "5", "--seed", "3"],
+    "symmetry_field_euler": ["symmetry-check", "s2.json", "--field", "field_euler.json",
+                             "--samples", "6", "--seed", "4"],
     "invariants_n2": ["invariants", "l4.json", "--n", "2"],
     "invariants_compare_shift": ["invariants", "l4.json", "--compare", "l4_shift.json"],
     "equivalent_shift": ["equivalent", "l4.json", "l4_shift.json"],
     "selftest_seed0": ["selftest", "--seed", "0"],
     "selftest_seed1199949627": ["selftest", "--seed", "1199949627"],
+    "selftest_seed40807560": ["selftest", "--seed", "40807560"],
 }
 
 ELAPSED = re.compile(r"  \[elapsed [0-9.]+s\]")
