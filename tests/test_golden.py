@@ -14,7 +14,8 @@ that bracket is cut from stdout before the comparison, and CI cuts it
 with the same pattern when it diffs `selftest --seed 0` against
 `selftest_seed0.out`.  `selftest_seed1199949627` and
 `selftest_seed40807560` pin the bits at the first two `selftest` seeds
-perfbench draws at its seed 7.
+perfbench draws at its seed 7; `selftest_seed2026` pins a seed perfbench
+does not draw.
 
 `l4_shift.json` is the admissible split-2 shift of `l4.json`,
 `grass_shift(g, 2, psi)` with psi = (1/3*u1*u3 - 2/5*u4, 7/10*u2*u2 + 1/4),
@@ -70,6 +71,7 @@ CASES = {
     "selftest_seed0": ["selftest", "--seed", "0"],
     "selftest_seed1199949627": ["selftest", "--seed", "1199949627"],
     "selftest_seed40807560": ["selftest", "--seed", "40807560"],
+    "selftest_seed2026": ["selftest", "--seed", "2026"],
 }
 
 ELAPSED = re.compile(r"  \[elapsed [0-9.]+s\]")
