@@ -36,9 +36,9 @@ from .jets import ParamMap, cover2, cover_first, cover_second, inverse_top_block
 from .sampling import (
     WordStream,
     draw_connection,
+    draw_polynomials,
     random_affine,
     random_connection,
-    random_expressions,
     random_subjet1,
     secjet1_arrays,
     spawn_rng,
@@ -176,9 +176,8 @@ def criterion_3(cfg):
         for case in range(50):
             l = 2 + case % 2
             frame = _frame(l, 1)
-            g = random_connection(frame, rng)
-            phi = random_expressions(frame.names, rng, l)
-            shifted = projective_shift(g, phi)
+            g = draw_connection(frame, rng)
+            shifted = projective_shift(g, draw_polynomials(frame.names, rng, l))
             deviations.append(pi_deviation(g, shifted, rng))
             deviation = extension_deviation(g, shifted, 1, samples=10, seed=cfg.seed + case)
             equivalent_all = equivalent_all and deviation <= tol
@@ -195,15 +194,16 @@ def criterion_4(cfg):
     with WordStream(spawn_rng(cfg.seed, 4)) as rng:
         for l, n in ((2, 1), (3, 1), (3, 2), (4, 2)):
             frame = _frame(l, n)
-            g = random_connection(frame, rng)
-            psi = random_expressions(frame.names, rng, n)
-            chi = random_expressions(frame.names, rng, l - n) if n == 1 else None
+            g = draw_connection(frame, rng)
+            psi = draw_polynomials(frame.names, rng, n)
+            chi = draw_polynomials(frame.names, rng, l - n) if n == 1 else None
             shifted = grass_shift(g, n, psi, chi)
             inv_ok, inv_dev = invariants_match(g, shifted, n, rng, tol=tol)
             deviation = extension_deviation(g, shifted, n, samples=20, seed=cfg.seed + l)
             ok = ok and inv_ok and deviation <= tol
             deviations += [inv_dev, deviation]
-        # a non-admissible perturbation must be detected
+        # a non-admissible perturbation must be detected; the tweak is left
+        # unsimplified on purpose, so this one case builds trees
         frame = _frame(3, 1)
         g = random_connection(frame, rng)
     tweaked = Connection.from_entries(
@@ -256,13 +256,13 @@ def criterion_7(cfg):
     with WordStream(spawn_rng(cfg.seed, 7)) as rng:
         for i in range(20):
             n, m = _DIM_CASES[i % 4]
-            g = random_connection(_frame(n + m, n), rng)
+            g = draw_connection(_frame(n + m, n), rng)
             theta = Connection.flat(n)
             aff = random_affine(n, rng)
             report = affine_symmetry_check(g, theta, aff, samples=50, tol=tol, seed=cfg.seed + i)
             ok = ok and report.passed
             deviations.append(report.worst_residual)
-        g = random_connection(_frame(3, 1), rng)
+        g = draw_connection(_frame(3, 1), rng)
     orbit = orbit_quotient_check(g, 1, samples=25, seed=cfg.seed, orbit_tol=orbit_tol, factoring_tol=tol)
     x_frame = _theta_frame(1)
     cubic = [expr.parse("x1^3 + x1", x_frame)]

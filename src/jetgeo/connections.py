@@ -15,6 +15,18 @@ implements:
 * the general admissible shift between connections sharing those
   invariants, parametrized by the free functions that survive the
   delta-identity contractions.
+
+The sampled checks (`pi_deviation`, `invariants_match`,
+`geodesy.extension_deviation`, `symmetry.affine_symmetry_check` and
+`symmetry.orbit_quotient_check`) read a connection as a *numeric
+connection*: only its `frame`, `dim`, `singular_points` and
+`christoffel_many(points)`, which returns the stacked (N, l, l, l) arrays
+of its Christoffel symbols at the rows of an (N, l) point array, indexed
+[A-1][C-1][B-1], and a dict from the index of each point where it fails to
+the DomainError.  `Connection` evaluates its trees; the coefficient form
+of a random connection, `sampling.PolynomialConnection`, gives the same
+bits without them.  `check_same_frame` is the one check that two numeric
+connections can be compared.
 """
 from __future__ import annotations
 
@@ -28,6 +40,8 @@ from . import expr
 from .errors import (
     BadSplitError,
     DimensionMismatchError,
+    DomainError,
+    FrameMismatchError,
     InconsistentPerturbationError,
     SpecLoadError,
     draw_regular,
@@ -80,12 +94,7 @@ class Connection:
         object.__setattr__(self, "christoffel", entries)
         object.__setattr__(self, "singular_points", tuple(tuple(p) for p in self.singular_points))
         object.__setattr__(self, "table", expr.Table(entries.values(), self.frame.names))
-        # christoffel_at(point).flat[k] = values[gather.flat[k]], where the
-        # slot after the last value holds 0.0
-        gather = np.full((l, l, l), len(entries))
-        for i, (a, b, c) in enumerate(entries):
-            gather[a - 1, c - 1, b - 1] = gather[b - 1, c - 1, a - 1] = i
-        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_gather", gather_index(entries, l))
 
     @classmethod
     def zero(cls, frame):
@@ -143,9 +152,46 @@ class Connection:
         array, stacked (N, l, l, l), from one `Table.rows` call, and the
         failures: a dict from the index of each point where `christoffel_at`
         raises DomainError to the error.  A failed point's array is not
-        meaningful."""
+        meaningful.  A single point goes through the per-point table, which
+        compiles after two calls: a connection checked one point at a time,
+        as `extension_deviation` checks the points a redraw shifts, pays
+        for one compile, not for a batch run per point."""
+        if len(points) == 1:
+            try:
+                return self.christoffel_at(points[0])[None], {}
+            except DomainError as e:
+                return np.full((1, self.dim, self.dim, self.dim), np.nan), {0: e.with_traceback(None)}
         values, failures = self.table.rows(points)
         return self.christoffel_arrays(values), failures
+
+    def shifted(self, diff):
+        """Γ' with Γ - Γ' = the sum of the parts diff(A, C, B), expressions,
+        at each entry `shift_parts` yields; each entry is simplified."""
+        entries = {}
+        for (a, b, c), parts in shift_parts(self.dim, self.christoffel, diff):
+            d = _ZERO
+            for part in parts:
+                d = d + part
+            entries[(a, b, c)] = expr.simplify(self.gamma(a, c, b) - d)
+        return Connection(self.frame, entries, self.singular_points)
+
+
+def gather_index(keys, l):
+    """The (l, l, l) index that lays out one value per stored (A, B, C) of
+    `keys`, in their order, as ``array[A-1][C-1][B-1]`` and its mirror
+    ``[B-1][C-1][A-1]``; the index after the last value marks a zero
+    entry."""
+    gather = [len(keys)] * (l * l * l)
+    for i, (a, b, c) in enumerate(keys):
+        gather[((a - 1) * l + c - 1) * l + b - 1] = gather[((b - 1) * l + c - 1) * l + a - 1] = i
+    return np.array(gather).reshape(l, l, l)
+
+
+def check_same_frame(g1, g2):
+    """FrameMismatchError unless two numeric connections share their
+    coordinate names, the condition for comparing them point by point."""
+    if g1.frame.names != g2.frame.names:
+        raise FrameMismatchError("connections live on different frames")
 
 
 @dataclass(frozen=True)
@@ -186,37 +232,36 @@ class GrassInvariants:
 def projective_shift(g, phi):
     """Connection Γ' with Γ - Γ' = δ^C_A Φ_B + δ^C_B Φ_A.
 
-    Φ is one expression per coordinate; Γ' has the same unparametrized
-    geodesics as Γ.
+    Φ is one polynomial per coordinate, in g's form (expressions for a
+    `Connection`, thousandths for a `sampling.PolynomialConnection`); Γ'
+    has the same unparametrized geodesics as Γ.
     """
     if len(phi) != g.dim:
         raise DimensionMismatchError(f"phi has length {len(phi)}, expected {g.dim}")
-    return _shifted(g, lambda a, c, b: _delta(phi, a, c, b))
+    return g.shifted(lambda a, c, b: _delta(phi, a, c, b))
 
 
 def _delta(phi, a, c, b):
-    """δ^C_A Φ_B + δ^C_B Φ_A, 1-based; `_ZERO` where C is neither A nor B."""
-    e = _ZERO
-    if c == a:
-        e = e + phi[b - 1]
-    if c == b:
-        e = e + phi[a - 1]
-    return e
+    """The parts of δ^C_A Φ_B + δ^C_B Φ_A, 1-based: Φ_B where C is A, then
+    Φ_A where C is B."""
+    return (phi[b - 1],) * (c == a) + (phi[a - 1],) * (c == b)
 
 
-def _shifted(g, diff):
-    """Γ' with Γ - Γ' = diff(A, C, B), simplified; an entry where diff is
-    `_ZERO` is kept only where g lists it."""
-    l = g.dim
-    entries = {}
+def shift_parts(l, stored, diff):
+    """(A, B, C) and its parts diff(A, C, B), for each A <= B and C in
+    order, where there are parts or `stored` holds the entry: what a
+    connection's `shifted` subtracts, entry by entry."""
     for a in range(1, l + 1):
         for b in range(a, l + 1):
             for c in range(1, l + 1):
-                d = diff(a, c, b)
-                if d is _ZERO and (a, b, c) not in g.christoffel:
-                    continue
-                entries[(a, b, c)] = expr.simplify(g.gamma(a, c, b) - d)
-    return Connection(g.frame, entries, g.singular_points)
+                parts = diff(a, c, b)
+                if parts or (a, b, c) in stored:
+                    yield (a, b, c), parts
+
+
+def _is_zero(part):
+    """Whether a polynomial, in either form, is zero."""
+    return not any(part.values()) if isinstance(part, dict) else expr.is_zero(part)
 
 
 def thomas_pi(g):
@@ -320,31 +365,30 @@ def grass_shift(g, n, psi, chi=None):
     m = g.dim - n
     if len(psi) != n:
         raise DimensionMismatchError(f"psi has length {len(psi)}, expected {n}")
-    if chi is None:
-        chi = [_ZERO] * m
-    if len(chi) != m:
+    if chi is not None and len(chi) != m:
         raise DimensionMismatchError(f"chi has length {len(chi)}, expected {m}")
-    if n > 1 and any(not expr.is_zero(c) for c in chi):
+    if n > 1 and chi is not None and not all(_is_zero(c) for c in chi):
         raise InconsistentPerturbationError(
             "fibre-block differences must vanish for n >= 2; only psi is free"
         )
 
     def diff(a, c, b):
-        # Γ - Γ' on each block, 1-based indices; a <= b not assumed here.
+        # the parts of Γ - Γ' on each block, 1-based indices; a <= b not
+        # assumed here.  Without chi its blocks have no parts.
         a_base, b_base, c_base = a <= n, b <= n, c <= n
         if a_base and b_base and c_base:
             return _delta(psi, a, c, b)
         if not (a_base or b_base or c_base):
-            return _delta(chi, a - n, c - n, b - n)
+            return () if chi is None else _delta(chi, a - n, c - n, b - n)
         if a_base != b_base:
             lam, i = (a, b) if a_base else (b, a)
-            if c_base and c == lam:
-                return _ZERO + chi[i - n - 1]
+            if c_base and c == lam and chi is not None:
+                return (chi[i - n - 1],)
             if not c_base and c == i:
-                return _ZERO + psi[lam - 1]
-        return _ZERO
+                return (psi[lam - 1],)
+        return ()
 
-    return _shifted(g, diff)
+    return g.shifted(diff)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +431,7 @@ def _max_difference(g1, g2, arrays, rng):
     [-1, 1]^l, one batch of points at a time; a point where either Γ fails
     or the difference is not finite is redrawn.  `arrays` maps stacked
     `christoffel_at` arrays to stacked families."""
-    if g1.frame.names != g2.frame.names:
-        raise DimensionMismatchError("connections live on different frames")
+    check_same_frame(g1, g2)
 
     def draw(k):
         points = rng.uniform(-1.0, 1.0, (k, g1.dim))

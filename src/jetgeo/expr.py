@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -385,9 +386,10 @@ def _interpret(exprs, names, point):
     return tuple(evaluate(e, env) for e in exprs)
 
 
-# A `Table` interprets its trees this many times before compiling them.  In
-# one selftest run, 800 of the 967 connections built are evaluated only once
-# or twice, and compiling costs as much as several interpreted calls.
+# A `Table` interprets its trees this many times before compiling them:
+# compiling costs as much as several interpreted calls, and most tables are
+# called at one point only a few times (in a selftest op, 25 of the 29
+# connections built, whose random connections carry no trees, at most twice).
 _INTERPRETED_CALLS = 2
 
 
@@ -455,20 +457,30 @@ class Table:
         return self._plan
 
     def rows(self, points):
-        """The values of `at_many`, with each row that is not ok evaluated
-        once more by `__call__`, which gives that row's values or raises.
-        Returns (values, failures): failures maps the index of each row where
-        it raised DomainError to the error, without its traceback: the
-        traceback holds this call's frame, which holds the dict, and such
-        a cycle kept the arrays of every batch until a full collection."""
+        """The values of `at_many`, and the failures: a mapping from the
+        index of each row where `__call__` raises DomainError to the error,
+        in row order.
+
+        A row that is not ok is evaluated once more by `__call__`, which
+        gives that row's values or raises, where one of its coordinates is
+        not finite or the plan has a NaN constant.  Elsewhere `__call__`
+        raises at such a row (see `at_many`), so it is a failure at once,
+        and its error is made when it is first read: a caller that reads
+        the errors of a few rows, as `geodesy.extension_deviation` reads
+        those of the points its walk reaches, pays for those alone."""
+        points = np.asarray(points, dtype=float)
         values, ok = self.at_many(points)
-        failures = {}
+        decided = np.isfinite(points).all(axis=1) & (not np.isnan(self._batch_plan().const_values).any())
+        errors = {}
         for i in np.flatnonzero(~ok).tolist():
+            if decided[i]:
+                errors[i] = None
+                continue
             try:
                 values[i] = self(points[i])
             except DomainError as e:
-                failures[i] = e.with_traceback(None)
-        return values, failures
+                errors[i] = e.with_traceback(None)
+        return values, _RowErrors(self, points, errors)
 
     def derivative(self, name):
         """The table of `differentiate(e, name)` over the trees, built on the
@@ -481,6 +493,34 @@ class Table:
         # the compiled table is a generated function, and the batch plan holds
         # closures: neither pickles
         return {**self.__dict__, "_interpreted": 0, "_compiled": None, "_plan": None}
+
+
+class _RowErrors(Mapping):
+    """The failures of `Table.rows`: the index of each failed row, in row
+    order, mapped to its DomainError.  An error not made yet (None) is made
+    when first read, by the per-point table, which raises at that row.  An
+    error is kept without its traceback: the traceback holds the frame that
+    made it, which holds the arrays of the batch, and such a cycle kept
+    them until a full collection."""
+
+    def __init__(self, table, points, errors):
+        self._table, self._points, self._errors = table, points, errors
+
+    def __getitem__(self, i):
+        if self._errors[i] is None:
+            try:
+                self._table(self._points[i])
+            except DomainError as e:
+                self._errors[i] = e.with_traceback(None)
+            else:
+                raise RuntimeError(f"row {i} is not ok, but the per-point table evaluates it")
+        return self._errors[i]
+
+    def __iter__(self):
+        return iter(self._errors)
+
+    def __len__(self):
+        return len(self._errors)
 
 
 def _each(fn, values):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connections import _check_split, invariants_match
+from .connections import _check_split, check_same_frame, invariants_match
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -608,22 +608,21 @@ def grass_equivalent(g1, g2, n, samples=50, tol=1e-10, seed=0):
 
 def extension_deviation(g1, g2, n, samples=50, seed=0):
     """The largest max-abs difference of the order-2 extensions
-    (`ddot_gamma`) of g1 and g2 over `samples` random order-1 jets, drawn
-    from stream 0 of `seed`.
+    (`ddot_gamma`) of two numeric connections (see `connections`) over
+    `samples` random order-1 jets, drawn from stream 0 of `seed`.
 
     A jet is a point (redrawn where `near_singular` finds a declared
     singular point or where g1 fails) and then its (m, n) derivative
     block, both from one generator; a redrawn point takes l numbers, a
     jet l + m n.
     A batch walks the numbers of k jets as one jet at a time would.  It
-    evaluates g1 by `at_many` at the k points it reads if every point is
-    regular, and takes each run of ok ones at once; a point it reaches
-    that is not ok, or that a redrawn point has shifted off those k, goes
-    through the per-point table.  The deviation is redrawn where g2 fails
-    or it is not finite.
+    evaluates g1 by `christoffel_many` at the k points it reads, and takes
+    each run of regular ones at once if no singular point is declared; a
+    point that fails, or that a redrawn point has shifted off those k, is
+    checked alone, by `christoffel_many` of that point.  The deviation is
+    redrawn where g2 fails or it is not finite.
     """
-    if g1.frame.names != g2.frame.names:
-        raise FrameMismatchError("connections live on different frames")
+    check_same_frame(g1, g2)
     _check_split(g1, n)
     l = g1.dim
     m = l - n
@@ -632,10 +631,11 @@ def extension_deviation(g1, g2, n, samples=50, seed=0):
 
     def draw(k):
         drawn = stream.peek(k * size)
-        values, ok = g1.table.at_many(drawn.reshape(k, size)[:, :l])
+        grid, failed = g1.christoffel_many(drawn.reshape(k, size)[:, :l])
         # with singular points declared, each point is checked alone
-        plain = ok & (not g1.singular_points)
-        out, jets, rows, at = [], [], [], 0
+        plain = np.full(k, not g1.singular_points)
+        plain[list(failed)] = False
+        out, jets, arrays, at = [], [], [], 0
         while len(jets) < k and at + size <= len(drawn):
             r = at // size
             if at % size == 0 and plain[r]:
@@ -643,19 +643,20 @@ def extension_deviation(g1, g2, n, samples=50, seed=0):
                 run = int(stop.argmax()) if stop.any() else len(stop)
                 out.extend(range(len(jets), len(jets) + run))
                 jets.extend(range(at, at + run * size, size))
-                rows.extend(values[r:r + run])
+                arrays.append(grid[r:r + run])
                 at += run * size
                 continue
             point = drawn[at:at + l]
             error = near_singular(g1, point) if g1.singular_points else None
-            if error is None:
-                try:
-                    rows.append(values[r] if at % size == 0 and ok[r] else g1.table(point))
-                except DomainError as e:
-                    error = e.with_traceback(None)  # see `Table.rows`
+            if error is None and at % size == 0:
+                G, error = grid[r:r + 1], failed.get(r)
+            elif error is None:
+                G, failures = g1.christoffel_many(point[None])
+                error = failures.get(0)
             if error is None:
                 out.append(len(jets))
                 jets.append(at)
+                arrays.append(G)
                 at += size
             else:
                 out.append(error)
@@ -666,7 +667,7 @@ def extension_deviation(g1, g2, n, samples=50, seed=0):
         starts = np.array(jets)
         points = drawn[starts[:, None] + np.arange(l)]
         D = drawn[starts[:, None] + np.arange(l, size)].reshape(len(jets), m, n)
-        G1 = g1.christoffel_arrays(rows)
+        G1 = np.concatenate(arrays)
         G2, failed2 = g2.christoffel_many(points)
         deviations = np.abs(ddot_second(G1, D) - ddot_second(G2, D)).max(axis=(1, 2, 3)).tolist()
         return [o if isinstance(o, DomainError) else failed2.get(o)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Mapping
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr
-from .connections import Connection
+from .connections import Connection, gather_index, shift_parts
 from .errors import _REDRAWS_PER_SAMPLE, DomainError, SingularJacobianError, draw_regular, gave_up
 from .expr import CoordinateFrame, Mul, Sym
 from .jets import AffineMap, SecJet, SubJet
@@ -169,11 +169,23 @@ def _draw_thousandths(size, rng):
     return thousandths
 
 
-def _polynomial(cores, thousandths):
+def draw_polynomials(names, rng, count):
+    """The thousandths of `count` random polynomials over the names, drawn
+    by `_draw_thousandths` one after another."""
+    size = len(_monomial_cores(tuple(names)))
+    return [_draw_thousandths(size, rng) for _ in range(count)]
+
+
+def _polynomial(cores, thousandths, subtracted=None):
     """The tree of a polynomial drawn by `_draw_thousandths`, collected
     straight into `simplify`'s normal form: the result equals, and is
-    marked as, what `simplify` gives for the sum of the drawn terms."""
+    marked as, what `simplify` gives for the sum of the drawn terms.  With
+    `subtracted`, the thousandths of a polynomial of two or more terms, the
+    tree is that of the polynomial minus the whole of the other, which
+    `simplify` keeps as the one term (-1)*(its normal form)."""
     terms = [(cores[i], Fraction(k, 1000)) for i, k in thousandths.items() if i != 0]
+    if subtracted:
+        terms.append((_polynomial(cores, subtracted), Fraction(-1)))
     return expr.normal_sum(terms, Fraction(thousandths.get(0, 0), 1000))
 
 
@@ -194,44 +206,130 @@ def _monomial_factors(names):
                  else tuple(index[s.name] for s in core.factors) for core in _monomial_cores(names))
 
 
+def _fsum_columns(terms, count):
+    """`math.fsum` of the terms at each of `count` points, where a term is
+    an array over the points or a float, the same at each; NaN where fsum
+    raises (see `expr._each`)."""
+    stacked = np.empty((len(terms), count))
+    for row, term in zip(stacked, terms):
+        row[:] = term
+    return np.array(expr._each(math.fsum, stacked.T.tolist()))
+
+
 @dataclass(frozen=True)
 class PolynomialConnection:
-    """A random polynomial connection as drawn: `entries` maps each stored
-    (A, B, C) to its polynomial as `_draw_thousandths` returns it, a dict
-    from an index into `_monomial_cores(frame.names)` to thousandths."""
+    """A random polynomial connection in coefficient form: `entries` maps
+    each stored (A, B, C) to its polynomial as `_draw_thousandths` returns
+    it, a dict from an index into `_monomial_cores(frame.names)` to
+    thousandths.  An entry may also have a polynomial of two or more terms
+    in `subtracted`, with the same keys, that is taken away as a whole: the
+    shifts leave one there, as `simplify` leaves a (-1)*(sum) in the trees.
+
+    It is a numeric connection (see `connections`): `christoffel_at` and
+    `christoffel_many` give the bits of ``connection()``'s without building
+    trees, and it has no singular points."""
 
     frame: CoordinateFrame
     entries: Mapping
+    subtracted: Mapping = field(default_factory=dict)
+    singular_points = ()
+
+    @property
+    def dim(self):
+        return self.frame.dim
 
     def connection(self):
-        """The `Connection` of the drawn trees (entries that cancel to zero
-        are dropped by `Connection`)."""
+        """The `Connection` of the trees (entries that cancel to zero are
+        dropped by `Connection`)."""
         cores = _monomial_cores(self.frame.names)
-        return Connection(self.frame, {key: _polynomial(cores, t) for key, t in self.entries.items()})
+        return Connection(self.frame, {key: _polynomial(cores, t, self.subtracted.get(key))
+                                       for key, t in self.entries.items()})
 
-    def christoffel_at(self, point):
-        """The array of ``connection().christoffel_at(point)``, bit for bit,
-        straight from the coefficients.  Each term is the interpreter's
-        product: k/1000 (the correctly rounded value of the constant), then
-        times each factor in the core's order (a bare core's 1.0 * x is x).
-        Terms that cancel are dropped; one term stands as it is, two or more
-        are summed by `math.fsum`, and no terms give fsum's +0.0, the slot
-        that `Connection` leaves for a dropped entry."""
-        l = self.frame.dim
-        xs = [float(x) for x in point]
+    def _values(self, xs, fsum):
+        """The value of each stored entry, in order, by the interpreter's
+        float operations on its tree.  `xs` holds one column per
+        coordinate: floats at one point, with `math.fsum`, or arrays over a
+        batch of points, with `_fsum_columns` over them.
+
+        A term is k/1000 (the correctly rounded value of the constant)
+        times each factor in the core's order (a bare core's 1.0 * x is x),
+        and a subtracted polynomial is the one term -1.0 * its sum.  One
+        term stands as it is; two sum as (a + b) + 0.0, which rounds as
+        `fsum` does and turns -0.0 into fsum's 0.0; more go through
+        `fsum`; no terms (all cancel) give fsum's 0.0, the slot that
+        `Connection` leaves for the entry it drops.  A sum does not depend
+        on the order of its terms, so only the terms must match the
+        trees', not the order in which the trees sort them."""
         factors = _monomial_factors(self.frame.names)
-        flat = [0.0] * (l * l * l)
-        for (a, b, c), thousandths in self.entries.items():
-            terms = []
+
+        def total(thousandths, terms):
             for index, k in thousandths.items():
                 if k:
                     value = k / 1000
                     for i in factors[index]:
                         value *= xs[i]
                     terms.append(value)
-            value = terms[0] if len(terms) == 1 else math.fsum(terms)
+            if len(terms) > 2:
+                return fsum(terms)
+            if len(terms) == 2:
+                return (terms[0] + terms[1]) + 0.0
+            return terms[0] if terms else 0.0
+
+        subtracted = self.subtracted
+        if not subtracted:
+            return [total(t, []) for t in self.entries.values()]
+        return [total(t, [-1.0 * total(subtracted[key], [])] if key in subtracted else [])
+                for key, t in self.entries.items()]
+
+    def christoffel_at(self, point):
+        """The array of ``connection().christoffel_at(point)``, bit for bit,
+        straight from the coefficients."""
+        l = self.frame.dim
+        flat = [0.0] * (l * l * l)
+        for (a, b, c), value in zip(self.entries, self._values([float(x) for x in point], math.fsum)):
             flat[((a - 1) * l + c - 1) * l + b - 1] = flat[((b - 1) * l + c - 1) * l + a - 1] = value
         return np.array(flat).reshape(l, l, l)
+
+    def christoffel_many(self, points):
+        """The arrays of `christoffel_at` at the rows of an (N, l) point
+        array, stacked (N, l, l, l) and C-contiguous, as
+        ``connection().christoffel_many(points)`` gives them, with the
+        same failures: a DomainError at each point where a value is not
+        finite, which is where the trees' evaluation raises."""
+        points = np.asarray(points, dtype=float)
+        k = len(self.entries)
+        stacked = np.zeros((len(points), k + 1))
+        fsum = functools.partial(_fsum_columns, count=len(points))
+        with np.errstate(all="ignore"):
+            for j, value in enumerate(self._values(list(np.ascontiguousarray(points.T)), fsum)):
+                stacked[:, j] = value
+        failed = np.flatnonzero(~np.isfinite(stacked).all(axis=1)).tolist()
+        failures = {i: DomainError("evaluation produced a non-finite Christoffel value") for i in failed}
+        return np.take(stacked, gather_index(self.entries, self.frame.dim), axis=1), failures
+
+    def shifted(self, diff):
+        """`Connection.shifted` in integer thousandths: each entry minus the
+        collected sum of its parts (thousandths too), at each entry
+        `shift_parts` yields.  As `simplify` treats the (-1)*(sum) it is
+        given, a sum of one term merges into the entry's thousandths, and a
+        sum of two or more goes whole into `subtracted`."""
+        if self.subtracted:
+            raise ValueError("a connection with a subtracted polynomial is not shifted again")
+        entries, subtracted = {}, {}
+        for key, parts in shift_parts(self.frame.dim, self.entries, diff):
+            whole = {}
+            for part in parts:
+                for index, k in part.items():
+                    whole[index] = whole.get(index, 0) + k
+            terms = {index: k for index, k in whole.items() if k}
+            entry = dict(self.entries.get(key, {}))
+            if len(terms) == 1:
+                [(index, k)] = terms.items()
+                entry[index] = entry.get(index, 0) - k
+            elif terms:
+                subtracted[key] = terms
+            entries[key] = entry
+        return PolynomialConnection(self.frame, entries, subtracted)
 
 
 def draw_connection(frame, rng, fill=0.6):

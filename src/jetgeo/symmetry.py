@@ -94,6 +94,26 @@ def _distinct(names):
     return tuple(names)
 
 
+def _check_chart(f, g, n, theta=None):
+    """DimensionMismatchError, before any draw, unless the jet map or field
+    `f` is written over the jet chart that its check reads at split n: its
+    kind, n and chart names must be those of `subjet1_chart(g.frame, n)`,
+    or, where a parameter connection Θ is given, of the section side
+    `secjet1_chart(theta.frame, g.frame)`.  A table over any other chart
+    would read the check's coordinates by position.  The message names
+    both charts."""
+    if theta is None:
+        kind, chart = "subjet", subjet1_chart(g.frame, n)
+    else:
+        kind, chart = "secjet", secjet1_chart(theta.frame, g.frame)
+    if (f.kind, f.n, f.chart) != (kind, n, chart):
+        what = "field" if isinstance(f, JetField) else "map"
+        raise DimensionMismatchError(
+            f"the {f.kind} {what} with n={f.n} is written over the chart ({', '.join(f.chart)}), "
+            f"not over the {kind} jet chart of the connection at split n={n}, ({', '.join(chart)})"
+        )
+
+
 def _subjet_point(p):
     """The coordinates of an order-1 submanifold jet in chart order."""
     return (*p.base, *p.first_matrix().ravel().tolist())
@@ -219,17 +239,13 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
         raise DimensionMismatchError("section-side distribution needs a parameter connection")
     l = g.dim
     m = l - n
-    dim = l + m * n if jmap.kind == "subjet" else n + l + l * n
-    if len(jmap.chart) != dim:
-        raise DimensionMismatchError(
-            f"map chart has {len(jmap.chart)} coordinates, expected {dim} "
-            f"for the {jmap.kind} side of this connection"
-        )
     if jmap.kind == "subjet":
         _check_split(g, n)
         theta = None
     else:
         _check_theta(theta, n)
+    _check_chart(jmap, g, n, theta)
+    dim = len(jmap.chart)
     # the components, then the derivatives by each chart coordinate in turn:
     # a row that fails raises the error of the first tree that fails
     table = expr.Table([*jmap.components, *(e for name in jmap.chart for e in jmap.table.derivative(name).exprs)],
@@ -389,10 +405,10 @@ def field_preserves_distribution(f, g, n, samples=25, tol=1e-8, seed=0):
     fails, else where a span residual is not finite."""
     l = g.dim
     m = l - n
+    _check_split(g, n)
+    _check_chart(f, g, n)
     generators = distribution_generator_expressions(g, n)
-    chart = generators[0].chart
-    if f.chart != chart:
-        raise DimensionMismatchError("field is not expressed over the jet chart of g")
+    chart = f.chart
     brackets = expr.Table([c for x in generators for c in commutator(f, x, chart)], chart)
     stream = UniformStream(spawn_rng(seed, 0))
 

@@ -10,7 +10,8 @@ ones are checked against, the per-jet distribution generators,
 covering projections, residual and covering deviations that the array
 formulas are checked against, the per-jet loop of `dot_gamma_via_xi` and
 the per-sample orbit check that the batched ones are checked against, the
-per-sample loops of criteria 1, 2, 5, 6 and 9, a word stream with a
+per-sample loops of criteria 1, 2, 5, 6 and 9, criteria 3, 4 and 7 on the
+trees of their random connections and shifts, a word stream with a
 planted fault that the stream's tests must catch, a hypothesis strategy
 for expression trees, and helpers only the tests use (test-only, not
 public API).
@@ -26,7 +27,15 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from jetgeo import expr
-from jetgeo.connections import Connection, grass_arrays, pi_array
+from jetgeo.connections import (
+    Connection,
+    grass_arrays,
+    grass_shift,
+    invariants_match,
+    pi_array,
+    pi_deviation,
+    projective_shift,
+)
 from jetgeo.acceptance import _DIM_CASES, _frame, _theta_frame, sphere_chart_connection
 from jetgeo.errors import (
     DimensionMismatchError,
@@ -49,6 +58,7 @@ from jetgeo.geodesy import (
     ddot_gamma_pro,
     dot_gamma,
     dot_gamma_pro,
+    extension_deviation,
     integrate_geodesic,
     param_residual2,
     param_residual_table,
@@ -59,6 +69,7 @@ from jetgeo.sampling import (
     WordStream,
     random_affine,
     random_connection,
+    random_expressions,
     random_point,
     random_secjet1,
     random_subjet1,
@@ -70,8 +81,10 @@ from jetgeo.symmetry import (
     _span_residual,
     _span_scale,
     _subjet_point,
+    affine_symmetry_check,
     commutator,
     distribution_generator_expressions,
+    orbit_quotient_check,
 )
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -636,6 +649,53 @@ def criterion_2_oracle(seed):
                                               p.first_matrix())
                 deviations.append(np.abs(via - closed).max())
     return deviations
+
+
+# criteria 3, 4 and 7 on trees: each random connection and each polynomial
+# of a shift built by `random_connection` and `random_expressions`, and each
+# shift simplified by `projective_shift` or `grass_shift` on the trees
+
+
+def criterion_3_oracle(seed):
+    deviations = []
+    with WordStream(spawn_rng(seed, 3)) as rng:
+        for case in range(50):
+            l = 2 + case % 2
+            frame = _frame(l, 1)
+            g = random_connection(frame, rng)
+            shifted = projective_shift(g, random_expressions(frame.names, rng, l))
+            deviations.append(pi_deviation(g, shifted, rng))
+            deviations.append(extension_deviation(g, shifted, 1, samples=10, seed=seed + case))
+    return deviations
+
+
+def criterion_4_oracle(seed):
+    deviations = []
+    with WordStream(spawn_rng(seed, 4)) as rng:
+        for l, n in ((2, 1), (3, 1), (3, 2), (4, 2)):
+            frame = _frame(l, n)
+            g = random_connection(frame, rng)
+            psi = random_expressions(frame.names, rng, n)
+            chi = random_expressions(frame.names, rng, l - n) if n == 1 else None
+            shifted = grass_shift(g, n, psi, chi)
+            deviations.append(invariants_match(g, shifted, n, rng)[1])
+            deviations.append(extension_deviation(g, shifted, n, samples=20, seed=seed + l))
+        # the connection of the non-admissible case, which adds no deviation
+        random_connection(_frame(3, 1), rng)
+    return deviations
+
+
+def criterion_7_oracle(seed):
+    deviations = []
+    with WordStream(spawn_rng(seed, 7)) as rng:
+        for i in range(20):
+            n, m = _DIM_CASES[i % 4]
+            g = random_connection(_frame(n + m, n), rng)
+            aff = random_affine(n, rng)
+            deviations.append(affine_symmetry_check(g, Connection.flat(n), aff, samples=50, seed=seed + i).worst_residual)
+        g = random_connection(_frame(3, 1), rng)
+    orbit = orbit_quotient_check(g, 1, samples=25, seed=seed)
+    return deviations + [orbit.wellposed_deviation, orbit.preimage_deviation, orbit.factoring_deviation]
 
 
 def criterion_5_oracle(seed):

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgeo import acceptance, cli, expr, geodesy, symmetry
-from jetgeo.acceptance import AcceptanceConfig
+from jetgeo import acceptance, cli, expr, geodesy, sampling, symmetry
+from jetgeo.acceptance import AcceptanceConfig, _frame
 from jetgeo.connections import (
     Connection,
     grass_shift,
@@ -30,13 +30,22 @@ from jetgeo.connections import (
     pi_deviation,
     projective_shift,
 )
-from jetgeo.errors import DimensionMismatchError, DomainError, JetGeoError, SingularJacobianError, draw_regular, outcome
-from jetgeo.expr import CoordinateFrame, Table, parse
+from jetgeo.errors import (
+    DimensionMismatchError,
+    DomainError,
+    FrameMismatchError,
+    JetGeoError,
+    SingularJacobianError,
+    draw_regular,
+    outcome,
+)
+from jetgeo.expr import CoordinateFrame, Table, parse, to_text
 from jetgeo.geodesy import (
     covering_commutation_deviation,
     covering_commutation_deviations,
     distribution_rows,
     dot_gamma_via_xi_table,
+    extension_deviation,
     grass_equivalent,
     pro_distribution_rows,
     quotient_diagram_deviation,
@@ -55,8 +64,12 @@ from jetgeo.jets import (
     tangent_cover_table,
 )
 from jetgeo.sampling import (
+    PolynomialConnection,
     UniformStream,
     WordStream,
+    _monomial_cores,
+    draw_connection,
+    draw_polynomials,
     random_affine,
     random_connection,
     random_expressions,
@@ -176,6 +189,28 @@ def test_the_mask_marks_each_domain_error():
     # a kept traceback would hold the frame of `rows`, and with it the batch
     assert all(e.__traceback__ is None for e in failures.values())
     assert values[5].tolist() == list(table(points[5]))
+
+
+def test_rows_makes_the_error_of_a_finite_row_when_it_is_read(monkeypatch):
+    """At finite coordinates a row that is not ok fails, so `rows` knows its
+    index at once and calls the per-point table for its error only when
+    the error is read; a row with an infinite coordinate is evaluated at
+    once, since it may not fail."""
+    table = Table([parse("sqrt(u)", ("u", "v")), parse("u + v", ("u", "v"))], ("u", "v"))
+    points = np.array([[-0.25, 0.5], [0.5, 0.5], [-1.0, 0.0], [math.inf, 1.0]])
+    calls = []
+    original = Table.__call__
+
+    def spy(self, point):
+        calls.append(list(point))
+        return original(self, point)
+
+    monkeypatch.setattr(Table, "__call__", spy)
+    _, failures = table.rows(points)
+    assert list(failures) == [0, 2, 3] and calls == [[math.inf, 1.0]]
+    assert str(failures[2]) == "sqrt of negative value -1.0" and calls[1:] == [[-1.0, 0.0]]
+    assert failures.get(1) is None and failures[2] is failures.get(2) and len(calls) == 2
+    assert {i: str(e) for i, e in failures.items()} == {i: per_point(table, points[i])[1] for i in (0, 2, 3)}
 
 
 def test_at_many_sums_like_fsum():
@@ -438,13 +473,15 @@ def test_batched_grass_equivalent_skips_a_singular_point_by_l_numbers():
     original = Connection.christoffel_many
 
     def spy(self, points):
-        calls.append(np.array(points))
+        if self is g:
+            calls.append(np.array(points))
         return original(self, points)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Connection, "christoffel_many", spy)
         grass_equivalent(singular, g, 1, samples=2, seed=9)
-    # g is evaluated at the jets kept after the singular point: the first
+    # g (not the singular copy, which is evaluated through the same method)
+    # is evaluated at the jets kept after the singular point: the first
     # batch's 10 numbers hold the point and one jet, the second batch the other
     numbers = spawn_rng(9, 0).uniform(-1.0, 1.0, 3 + 2 * 5)
     assert np.array_equal(np.concatenate(calls[:2]), numbers[3:].reshape(2, 5)[:, :3])
@@ -884,7 +921,132 @@ def test_the_distribution_checks_give_up_with_the_oracle_message(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# criteria 1, 5, 6 and 9 against their per-sample oracles
+# the coefficient form of random connections and of their shifts against
+# the trees
+
+
+def _coefficient_points(l, seed, count=6):
+    """Points in [-1, 1]^l, then the same with a zero and a negative zero
+    coordinate, where a product with a negative coefficient is -0.0 and a
+    sum of two such terms must turn it into fsum's 0.0."""
+    points = spawn_rng(seed, 5).uniform(-1.0, 1.0, (count, l))
+    zeros = points.copy()
+    zeros[:, 0] = 0.0
+    zeros[:, -1] = -0.0
+    return np.concatenate([points, zeros, np.zeros((1, l)), np.full((1, l), -0.0)])
+
+
+def _same_as_trees(drawn, points):
+    """The coefficient form evaluates to the bits of its trees, at one point
+    and over the batch."""
+    g = drawn.connection()
+    G, failures = drawn.christoffel_many(points)
+    H, tree_failures = g.christoffel_many(points)
+    assert G.tobytes() == H.tobytes() and G.flags.c_contiguous and failures == tree_failures == {}
+    for point, row in zip(points, G):
+        at = drawn.christoffel_at(point)
+        assert at.tobytes() == g.christoffel_at(point).tobytes() == row.tobytes()
+
+
+_COEFFICIENT_FRAMES = [_frame(l, n) for l, n in ((2, 1), (3, 1), (3, 2), (4, 2))] + [CoordinateFrame(("x1", "x2"), 1)]
+
+
+@pytest.mark.parametrize("f", _COEFFICIENT_FRAMES, ids=lambda f: f"{','.join(f.names)}-n{f.split}")
+def test_drawn_and_shifted_coefficients_evaluate_to_the_bits_of_their_trees(f):
+    l, n = f.dim, f.split
+    kinds = set()
+    for seed in range(40):
+        rng = spawn_rng(seed, 30)
+        drawn = draw_connection(f, rng)
+        phi = draw_polynomials(f.names, rng, l)
+        psi, chi = phi[:n], (phi[n:] if n == 1 else None)
+        for coefficients, trees in (
+            (drawn, drawn.connection()),
+            (projective_shift(drawn, phi), projective_shift(drawn.connection(), _trees(f, phi))),
+            (grass_shift(drawn, n, psi, chi),
+             grass_shift(drawn.connection(), n, _trees(f, psi), chi and _trees(f, chi))),
+        ):
+            built = coefficients.connection()
+            assert built == trees and list(built.christoffel) == list(trees.christoffel)
+            assert [to_text(e) for e in built.christoffel.values()] == [to_text(e) for e in trees.christoffel.values()]
+            _same_as_trees(coefficients, _coefficient_points(l, seed))
+            kinds |= {len(t) for t in coefficients.subtracted.values()}
+    # nested parts of two and of three terms were met
+    assert {2, 3} <= kinds
+
+
+def _trees(f, polynomials):
+    cores = _monomial_cores(f.names)
+    return [sampling._polynomial(cores, t) for t in polynomials]
+
+
+# on u1, u2, u3, by monomial index: 0 is the constant, 1..3 are u1..u3, then
+# u1*u1, u1*u2, u1*u3, u2*u2, u2*u3, u3*u3
+_HAND_PHI = [
+    {2: 250},                       # one term: merges into each entry it shifts
+    {0: 500, 1: -125},              # two terms: a nested sum
+    {5: 300, 5 + 1: 0, 9: -710, 0: 3},  # a cancelled index and three terms: nested, fsum
+]
+_HAND_G = {
+    (1, 1, 1): {2: 500},            # minus 2Φ_1 = 500/1000 u2: cancels to no terms
+    (1, 2, 1): {0: 1, 2: -250},     # minus Φ_2, nested, beside terms of its own
+    (2, 2, 2): {0: -1000},          # minus 2Φ_2: a nested sum of doubled thousandths
+    (2, 3, 3): {7: 1},              # minus Φ_2, nested
+    (3, 3, 3): {},                  # no terms of its own: minus 2Φ_3 alone, -1.0 * sum
+}
+
+
+def test_hand_made_shifts_merge_one_term_and_nest_longer_sums_as_the_trees_do():
+    f = _frame(3, 1)
+    drawn = PolynomialConnection(f, _HAND_G)
+    shifted = projective_shift(drawn, _HAND_PHI)
+    # Φ_1 has one term: it merges, and at (1, 1, 1) 2Φ_1 cancels the entry's own
+    assert shifted.entries[(1, 1, 1)] == {2: 0} and (1, 1, 1) not in shifted.subtracted
+    assert shifted.entries[(1, 2, 2)] == {2: -250} and (1, 2, 2) not in shifted.subtracted
+    assert shifted.subtracted[(2, 2, 2)] == {0: 1000, 1: -250}
+    assert shifted.subtracted[(3, 3, 3)] == {5: 600, 9: -1420, 0: 6}
+    trees = projective_shift(drawn.connection(), _trees(f, _HAND_PHI))
+    assert shifted.connection() == trees
+    assert to_text(trees.christoffel[(3, 3, 3)]) == to_text(shifted.connection().christoffel[(3, 3, 3)])
+    _same_as_trees(shifted, _coefficient_points(3, 1, count=20))
+    # the nested sum is rounded on its own: collecting it into the entry's
+    # thousandths would change bits at these points
+    collected = PolynomialConnection(f, {key: {i: t.get(i, 0) - shifted.subtracted.get(key, {}).get(i, 0)
+                                               for i in {*t, *shifted.subtracted.get(key, {})}}
+                                         for key, t in shifted.entries.items()})
+    points = _coefficient_points(3, 1, count=20)
+    assert collected.christoffel_many(points)[0].tobytes() != shifted.christoffel_many(points)[0].tobytes()
+
+
+def test_a_shifted_coefficient_connection_is_not_shifted_again():
+    f = _frame(3, 1)
+    shifted = projective_shift(PolynomialConnection(f, _HAND_G), _HAND_PHI)
+    with pytest.raises(ValueError):
+        projective_shift(shifted, _HAND_PHI)
+
+
+def test_the_coefficient_form_fails_where_its_trees_fail():
+    drawn = projective_shift(PolynomialConnection(_frame(3, 1), _HAND_G), _HAND_PHI)
+    points = np.array([[0.5, -0.25, 0.75], [1e200, 1e200, 1.0], [1e300, -1e300, 1e300], [1.0, 0.0, -1.0]])
+    G, failures = drawn.christoffel_many(points)
+    H, tree_failures = drawn.connection().christoffel_many(points)
+    assert sorted(failures) == sorted(tree_failures) == [1, 2]
+    assert all(isinstance(e, DomainError) for e in failures.values())
+    assert G[[0, 3]].tobytes() == H[[0, 3]].tobytes()
+
+
+def test_the_numeric_connections_share_one_frame_check():
+    f, other = _frame(3, 1), CoordinateFrame(("a", "b", "c"), 1)
+    drawn = draw_connection(f, spawn_rng(31))
+    for g1, g2 in ((drawn, draw_connection(other, spawn_rng(31))), (drawn.connection(), Connection.zero(other))):
+        for check in (lambda: pi_deviation(g1, g2, spawn_rng(0)), lambda: invariants_match(g1, g2, 1, spawn_rng(0)),
+                      lambda: extension_deviation(g1, g2, 1)):
+            with pytest.raises(FrameMismatchError, match="^connections live on different frames$"):
+                check()
+
+
+# ---------------------------------------------------------------------------
+# criteria 1, 2, 3, 4, 5, 6, 7 and 9 against their per-sample or tree oracles
 
 
 _SELFTEST_SEEDS = (0, 1199949627, 40807560, 2134822917, 1431460730, 508547399)
@@ -923,7 +1085,8 @@ def _spawned(monkeypatch, module):
 
 @pytest.mark.parametrize("cid, seeds", [(1, _ORACLE_SEEDS), (5, _ORACLE_SEEDS), (6, _ORACLE_SEEDS),
                                         (9, (0,)),     # criterion 9 draws nothing
-                                        (2, _ORACLE_SEEDS)])
+                                        (2, _ORACLE_SEEDS), (3, _ORACLE_SEEDS), (4, _ORACLE_SEEDS),
+                                        (7, _ORACLE_SEEDS)])
 def test_batched_criteria_equal_their_per_sample_oracles(monkeypatch, cid, seeds):
     oracle = getattr(conftest, f"criterion_{cid}_oracle")
     batched, one_by_one = _spawned(monkeypatch, acceptance), _spawned(monkeypatch, conftest)

@@ -460,6 +460,56 @@ def test_symmetry_check_rejects_a_jet_chart_that_repeats_a_name(tmp_path, capsys
     assert out == "" and err == f"error: jet chart names the coordinate {clash!r} twice; rename the coordinates that clash\n"
 
 
+_FLAT3 = {"coords": ["u1", "u2", "u3"], "n": 2, "christoffel": []}
+_FLAT2 = {"coords": ["u1", "u2"], "n": 1, "christoffel": []}
+# the prolonged linear map (2 u1, u2, u3) for split 1: a symmetry of the flat equation
+_SCALING3 = {"kind": "subjet", "n": 1, "coords": ["u1", "u2", "u3"],
+             "components": {"u1": "2*u1", "u2": "u2", "u3": "u3", "u2_1": "u2_1/2", "u3_1": "u3_1/2"}}
+_SPLIT_1, _SPLIT_2 = "(u1, u2, u3, u2_1, u3_1)", "(u1, u2, u3, u3_1, u3_2)"
+_SECJET_T = {"kind": "secjet", "n": 1, "coords": ["u1", "u2"], "x_coords": ["t"],
+             "components": {c: c for c in ("t", "u1", "u2", "u1_x1", "u2_x1")}}
+
+
+@pytest.mark.parametrize("option, connection, spec, extra, spec_chart, chart", [
+    # the spec's n (1) is not the connection's split (2): --map gave a verdict
+    # on another map (FAIL 0/3, worst residual 2.434e-01), --field exited 2
+    ("--map", _FLAT3, _SCALING3, [], _SPLIT_1, _SPLIT_2),
+    ("--field", _FLAT3, _SCALING3, [], _SPLIT_1, _SPLIT_2),
+    # the same, with the split from --n
+    ("--map", {**_FLAT3, "n": 1}, _SCALING3, ["--n", "2"], _SPLIT_1, _SPLIT_2),
+    ("--field", {**_FLAT3, "n": 1}, _SCALING3, ["--n", "2"], _SPLIT_1, _SPLIT_2),
+    # other coordinate names, read by position before: --map printed PASS
+    ("--map", _FLAT2, {"kind": "subjet", "n": 1, "coords": ["a", "b"],
+                       "components": {"a": "a", "b": "b", "b_1": "b_1"}}, [], "(a, b, b_1)", "(u1, u2, u2_1)"),
+    ("--field", _FLAT2, {"kind": "subjet", "n": 1, "coords": ["a", "b"],
+                         "components": {"a": "1", "b": "0", "b_1": "0"}}, [], "(a, b, b_1)", "(u1, u2, u2_1)"),
+    # a section-side field: the field check reads the submanifold chart
+    ("--field", _FLAT2, {**_SECJET_T, "x_coords": ["x1"], "components": {
+        c: c for c in ("x1", "u1", "u2", "u1_x1", "u2_x1")}}, [], "(x1, u1, u2, u1_x1, u2_x1)", "(u1, u2, u2_1)"),
+    # a section-side map whose parameter is not the parameter connection's x1
+    ("--map", _FLAT2, _SECJET_T, [], "(t, u1, u2, u1_x1, u2_x1)", "(x1, u1, u2, u1_x1, u2_x1)"),
+], ids=["map-n", "field-n", "map-split-option", "field-split-option", "map-coords", "field-coords",
+        "field-kind", "map-x-coords"])
+def test_symmetry_check_refuses_a_map_or_field_over_another_jet_chart(tmp_path, capsys, option, connection, spec,
+                                                                       extra, spec_chart, chart):
+    """One check, before any draw: the spec's kind, n and chart names must
+    be those of the connection's jet chart at the split in use.  A mismatch
+    exits 2 with one error line naming both charts."""
+    g, f = write(tmp_path / "g.json", connection), write(tmp_path / "f.json", spec)
+    assert main(["symmetry-check", g, option, f, "--samples", "3", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"chart {spec_chart}, not over" in err and err.endswith(f", {chart}\n")
+
+
+def test_the_chart_check_passes_the_map_at_the_split_it_is_written_for(tmp_path, capsys):
+    g = write(tmp_path / "g.json", {**_FLAT3, "n": 1})
+    f = write(tmp_path / "f.json", _SCALING3)
+    assert main(["symmetry-check", g, "--map", f, "--samples", "3"]) == 0
+    assert main(["symmetry-check", write(tmp_path / "g2.json", _FLAT3), "--map", f, "--samples", "3",
+                 "--n", "1"]) == 0
+
+
 def test_affine_map_with_an_overflowing_determinant_writes_no_warning(tmp_path):
     """det a overflows to inf, which is not singular; the check runs and
     stderr holds only its summary, in a fresh interpreter, where a numpy

@@ -21,6 +21,7 @@ from jetgeo.errors import (
     BadSplitError,
     DimensionMismatchError,
     DomainError,
+    FrameMismatchError,
     InconsistentPerturbationError,
     SpecLoadError,
 )
@@ -318,7 +319,8 @@ def test_comparisons_give_up_where_every_deviation_is_nan(monkeypatch):
 
 
 def test_comparisons_reject_different_frames():
-    with pytest.raises(DimensionMismatchError):
+    # the one frame check of two numeric connections, as in extension_deviation
+    with pytest.raises(FrameMismatchError, match="^connections live on different frames$"):
         pi_deviation(Connection.zero(frame(2)), Connection.zero(frame(3)), spawn_rng(16))
     with pytest.raises(BadSplitError):
         invariants_match(Connection.zero(frame(3)), Connection.zero(frame(3)), 3, spawn_rng(16))
