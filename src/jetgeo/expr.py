@@ -388,8 +388,8 @@ def _interpret(exprs, names, point):
 
 # A `Table` interprets its trees this many times before compiling them:
 # compiling costs as much as several interpreted calls, and most tables are
-# called at one point only a few times (in a selftest op, 25 of the 29
-# connections built, whose random connections carry no trees, at most twice).
+# called at one point only a few times (a selftest op builds 29 connections,
+# its random ones carry no trees, and about 25 tables are called at most twice).
 _INTERPRETED_CALLS = 2
 
 

@@ -5,7 +5,9 @@ per-sample form, the section jets read from a `UniformStream` against
 check and `cover-check` against their one-sample-at-a-time oracles in
 tests/conftest.py, and the array formulas of the covering projections,
 the residual and the auxiliary-connection construction, and the criteria
-built on them, against their per-jet and per-sample oracles there, and the
+built on them, against their per-jet and per-sample oracles there, the
+coefficient form of random connections and of their shifts against the
+trees, and criteria 3, 4 and 7 against their tree oracles, and the
 criteria that read their draws through a `WordStream` against the same
 criteria on the bare generator."""
 import contextlib
