@@ -22,8 +22,8 @@ The sampled checks (`pi_deviation`, `invariants_match`,
 connection*: only its `frame`, `dim`, `singular_points` and
 `christoffel_many(points)`, which returns the stacked (N, l, l, l) arrays
 of its Christoffel symbols at the rows of an (N, l) point array, indexed
-[A-1][C-1][B-1], and a dict from the index of each point where it fails to
-the DomainError.  `Connection` evaluates its trees; the coefficient form
+[A-1][C-1][B-1], and a mapping from the index of each point where it fails
+to the DomainError.  `Connection` evaluates its trees; the coefficient form
 of a random connection, `sampling.PolynomialConnection`, gives the same
 bits without them.  `check_same_frame` is the one check that two numeric
 connections can be compared.
@@ -150,8 +150,8 @@ class Connection:
     def christoffel_many(self, points):
         """The arrays of `christoffel_at` at the rows of an (N, l) point
         array, stacked (N, l, l, l), from one `Table.rows` call, and the
-        failures: a dict from the index of each point where `christoffel_at`
-        raises DomainError to the error.  A failed point's array is not
+        failures: a mapping from the index of each point where
+        `christoffel_at` raises DomainError to the error.  A failed point's array is not
         meaningful.  A single point goes through the per-point table, which
         compiles after two calls: a connection checked one point at a time,
         as `extension_deviation` checks the points a redraw shifts, pays
