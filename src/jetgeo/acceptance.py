@@ -34,14 +34,18 @@ from .geodesy import (
 )
 from .jets import ParamMap, cover2, cover_first, cover_second, inverse_top_blocks, prolong
 from .sampling import (
+    Draw,
     WordStream,
+    christoffel_stack,
+    connection_draw,
     draw_connection,
     draw_polynomials,
     random_affine,
     random_connection,
     random_subjet1,
-    secjet1_arrays,
+    secjet1_draw,
     spawn_rng,
+    subjet1_draw,
 )
 from .symmetry import (
     affine_symmetry_check,
@@ -93,16 +97,36 @@ def _tol(cfg, pinned):
     return pinned if cfg.tol_override is None else cfg.tol_override
 
 
-def _per_case(samples, kernel):
-    """The deviations of `samples`, in sample order, where samples[i] holds
-    the arrays of sample i and sample i has dimension case i % 4: one
-    `kernel` call per `_DIM_CASES` entry, on the C-contiguous stacks of its
-    samples' arrays."""
-    out = [None] * len(samples)
-    cases = len(_DIM_CASES)
-    for k in range(cases):
-        stacked = (np.array(arrays) for arrays in zip(*samples[k::cases]))
-        out[k::cases] = kernel(*stacked).tolist()
+def _walk_cases(seed, stream, layouts, count):
+    """The `Walked` of `count` samples read from stream `stream` of the
+    seed, sample i drawn by layouts[i % 4], one per `_DIM_CASES` entry, and
+    the samples of each case."""
+    with WordStream(spawn_rng(seed, stream)) as rng:
+        walked = rng.walk([layouts[i % len(layouts)] for i in range(count)])
+    return walked, [np.arange(k, count, len(layouts)) for k in range(len(layouts))]
+
+
+def _theta_per_case(walked, j, samples, x):
+    """The arrays of each case's Θ, item j of its samples, at x[k] for
+    case k: one `christoffel_stack` per n, over the cases that share it."""
+    out = [None] * len(_DIM_CASES)
+    for n in sorted({n for n, _ in _DIM_CASES}):
+        cases = [k for k, (nk, _) in enumerate(_DIM_CASES) if nk == n]
+        joined = np.concatenate([samples[k] for k in cases])
+        Th, _ = christoffel_stack(_theta_frame(n), walked.stacked_terms(j, joined),
+                                  np.concatenate([x[k] for k in cases]))
+        for k, part in zip(cases, np.split(Th, np.cumsum([len(samples[k]) for k in cases])[:-1])):
+            out[k] = part
+    return out
+
+
+def _per_case(stacks, kernel):
+    """The deviations of the samples in sample order, where sample i has
+    dimension case i % 4 and stacks[k] holds the C-contiguous stacked
+    arrays of the samples of case k: one `kernel` call per case."""
+    out = [None] * sum(len(arrays[0]) for arrays in stacks)
+    for k, arrays in enumerate(stacks):
+        out[k::len(stacks)] = kernel(*arrays).tolist()
     return out
 
 
@@ -133,19 +157,18 @@ def criterion_1(cfg):
     """residual of the order-2 extension vanishes for random connections"""
     tol = _tol(cfg, 1e-10)
     start = time.perf_counter()
-    samples = []
-    with WordStream(spawn_rng(cfg.seed, 1)) as rng:
-        for i in range(200):
-            n, m = _DIM_CASES[i % 4]
-            g = draw_connection(_frame(n + m, n), rng)
-            base = rng.uniform(-1.0, 1.0, n + m)
-            first = rng.uniform(-1.0, 1.0, (m, n))
-            samples.append((g.christoffel_at(base), first))
+    frames = [_frame(n + m, n) for n, m in _DIM_CASES]
+    layouts = [(connection_draw(f), subjet1_draw(n, m)) for f, (n, m) in zip(frames, _DIM_CASES)]
+    walked, samples = _walk_cases(cfg.seed, 1, layouts, 200)
+    stacks = []
+    for f, s in zip(frames, samples):
+        base, first = walked.parts(1, s)
+        stacks.append((christoffel_stack(f, walked.stacked_terms(0, s), base)[0], first))
 
     def residual(G, D):
         return np.abs(residual_table(G, D, ddot_second(G, D))).max(axis=(1, 2, 3))
 
-    deviations = _per_case(samples, residual)
+    deviations = _per_case(stacks, residual)
     elapsed = time.perf_counter() - start
     return _result(1, "defining identity on 200 random connections", deviations, tol,
                    elapsed < 5.0, f"elapsed {elapsed:.2f}s")
@@ -215,35 +238,34 @@ def criterion_4(cfg):
                    ok and detected)
 
 
+def _section_jet_stacks(cfg, stream, count, tangent):
+    """The stacked arrays of criteria 5 and 6 per case: g's and Θ's
+    Christoffel arrays at each section jet's u and x, its first
+    derivatives and, with `tangent`, a tangent vector (dx, du, dd) drawn
+    after it."""
+    frames = [_frame(n + m, n) for n, m in _DIM_CASES]
+    layouts = [(connection_draw(f), connection_draw(_theta_frame(n)), secjet1_draw(n, n + m))
+               + ((Draw(((n,), (n + m,), (n + m, n))),) if tangent else ())
+               for f, (n, m) in zip(frames, _DIM_CASES)]
+    walked, samples = _walk_cases(cfg.seed, stream, layouts, count)
+    jets = [walked.parts(2, s) for s in samples]
+    thetas = _theta_per_case(walked, 1, samples, [x for _, x, _ in jets])
+    return [(christoffel_stack(f, walked.stacked_terms(0, s), u)[0], Th, first)
+            + (walked.parts(3, s) if tangent else ())
+            for f, s, (first, x, u), Th in zip(frames, samples, jets, thetas)]
+
+
 def criterion_5(cfg):
     """extend-then-project equals project-then-extend"""
     tol = _tol(cfg, 1e-10)
-    samples = []
-    with WordStream(spawn_rng(cfg.seed, 5)) as rng:
-        for i in range(200):
-            n, m = _DIM_CASES[i % 4]
-            g = draw_connection(_frame(n + m, n), rng)
-            theta = draw_connection(_theta_frame(n), rng)
-            x, u, first = secjet1_arrays(n, n + m, rng)
-            samples.append((g.christoffel_at(u), theta.christoffel_at(x), first))
-    deviations = _per_case(samples, covering_commutation_deviations)
+    deviations = _per_case(_section_jet_stacks(cfg, 5, 200, False), covering_commutation_deviations)
     return _result(5, "covering commutation at 200 section jets", deviations, tol)
 
 
 def criterion_6(cfg):
     """the induced connection is the quotient of the parametrized one"""
     tol = _tol(cfg, 1e-10)
-    samples = []
-    with WordStream(spawn_rng(cfg.seed, 6)) as rng:
-        for i in range(100):
-            n, m = _DIM_CASES[i % 4]
-            l = n + m
-            g = draw_connection(_frame(l, n), rng)
-            theta = draw_connection(_theta_frame(n), rng)
-            x, u, first = secjet1_arrays(n, l, rng)
-            tangent = rng.uniform(-1, 1, n), rng.uniform(-1, 1, l), rng.uniform(-1, 1, (l, n))
-            samples.append((g.christoffel_at(u), theta.christoffel_at(x), first, *tangent))
-    deviations = _per_case(samples, quotient_diagram_deviations)
+    deviations = _per_case(_section_jet_stacks(cfg, 6, 100, True), quotient_diagram_deviations)
     return _result(6, "quotient diagram at 100 tangent vectors", deviations, tol)
 
 

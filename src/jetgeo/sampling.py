@@ -36,23 +36,50 @@ def spawn_rng(seed, index=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))))
 
 
-# raw words a `WordStream` reads from its copy of the bit generator at a time
+# raw words a `WordStream` reads from its copy of the bit generator at a
+# time, and the most a walk turns into Python lists at a time
 _WORDS_PER_CHUNK = 1024
+_WORDS_PER_WINDOW = 256
+
+# a walk of at most this many stored polynomials reads their terms in
+# Python, not numpy, whose fixed cost per call outweighs a few terms
+_ENTRIES_READ_ONE_BY_ONE = 48
+
+# the spans of a polynomial's term count, integers(1, 4), and of a term's
+# thousandths, integers(-1000, 1001)
+_COUNT_SPAN, _K_SPAN = 3, 2001
+
+
+def _lemire_threshold(span):
+    """(2^32 - span) mod span: Lemire's method redraws a 32-bit draw x for
+    this span while x * span mod 2^32 is below it, and else gives
+    x * span >> 32."""
+    return ((1 << 32) - span) % span
+
+
+_COUNT_THRESHOLD = _lemire_threshold(_COUNT_SPAN)
+
+
+def _doubles(words):
+    """``rng.random()`` of each raw word: (w >> 11) * 2**-53."""
+    return (words >> 11) * 2.0 ** -53
 
 
 class WordStream:
-    """The scalar draws of a Generator on Philox, read ahead from its raw
-    64-bit words: ``with WordStream(rng) as s`` gives an `s` whose
-    `random`, `integers` and `uniform` return what the same calls on `rng`
-    return, bit for bit, and when the block ends, normally or by an
-    exception, `rng` is left in the state those calls would have left.
+    """The draws of a Generator on Philox or PCG64, read ahead from its raw
+    64-bit words: ``with WordStream(rng) as s`` gives an `s` whose `random`
+    and `uniform` return what the same calls on `rng` return, bit for bit,
+    and whose `walk` reads the random polynomials and uniform arrays of
+    many samples as the per-sample calls read them; when the block ends,
+    normally or by an exception, `rng` is left in the state those calls
+    would have left.
 
     The words come in chunks from a copy of the bit generator, and each
-    call is the fixed function of them that numpy's Generator computes
+    draw is the fixed function of them that numpy's Generator computes
     (numpy 2.4.6): a double is ``(w >> 11) * 2**-53``; a 32-bit draw is the
     buffered high half of the last word split, or else the low half of a
     new word whose high half is buffered; `integers` is Lemire's bounded
-    draw on 32-bit draws.  Only the current chunk is kept.
+    draw on 32-bit draws.
 
     It stays apart from `UniformStream`, which leaves its generator ahead
     of what it consumed: this one leaves the generator where the scalar
@@ -61,15 +88,15 @@ class WordStream:
 
     def __init__(self, rng):
         bit_generator = rng.bit_generator
-        if not isinstance(bit_generator, np.random.Philox):
-            raise TypeError(f"WordStream reads a Philox bit generator, not {type(bit_generator).__name__}")
+        if not isinstance(bit_generator, (np.random.Philox, np.random.PCG64)):
+            raise TypeError(f"WordStream reads a Philox or PCG64 bit generator, not {type(bit_generator).__name__}")
         state = bit_generator.state
         self._rng = rng
-        self._copy = np.random.Philox(key=0)
+        self._copy = type(bit_generator)(0)
         self._copy.state = state
         self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
-        self._doubles, self._low, self._high = [], [], []
-        self._pos = self._end = self._read = 0
+        self._read = 0
+        self._set_chunk(np.empty(0, np.uint64))
 
     def __enter__(self):
         return self
@@ -81,19 +108,20 @@ class WordStream:
         state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
         bit_generator.state = state
 
-    def _refill(self, count):
-        """Replace the chunk by the next `count` words."""
-        words = self._copy.random_raw(count)
+    def _fresh(self, count):
+        """The next `count` words of the copy."""
         self._read += count
-        self._pos, self._end = 0, count
-        self._doubles = ((words >> 11) * 2.0 ** -53).tolist()
-        self._low = (words & 0xFFFFFFFF).tolist()
-        self._high = (words >> 32).tolist()
+        return self._copy.random_raw(count)
+
+    def _set_chunk(self, words):
+        """Serve the draws from these words on."""
+        self._words, self._doubles, self._halves = words, _doubles(words).tolist(), None
+        self._pos, self._end = 0, len(words)
 
     def random(self):
         """``rng.random()``: one word's double in [0, 1)."""
         if self._pos == self._end:
-            self._refill(_WORDS_PER_CHUNK)
+            self._set_chunk(self._fresh(_WORDS_PER_CHUNK))
         self._pos += 1
         return self._doubles[self._pos - 1]
 
@@ -110,38 +138,233 @@ class WordStream:
             doubles = self._doubles[start:self._pos]
         else:
             doubles = self._doubles[start:self._end]
-            self._refill(max(count - len(doubles), _WORDS_PER_CHUNK))
+            self._set_chunk(self._fresh(max(count - len(doubles), _WORDS_PER_CHUNK)))
             self._pos = count - len(doubles)
             doubles += self._doubles[:self._pos]
         return np.array([low + scale * d for d in doubles]).reshape(shape)
 
-    def _uint32(self):
-        """A 32-bit draw: the buffered high half, else a new word's low half."""
-        if self._has_half:
-            self._has_half = False
-            return self._half
-        if self._pos == self._end:
-            self._refill(_WORDS_PER_CHUNK)
-        self._pos += 1
-        self._has_half, self._half = True, self._high[self._pos - 1]
-        return self._low[self._pos - 1]
+    def walk(self, layouts):
+        """The draws of `layouts`, one tuple of `Polynomials` and `Draw`
+        items per sample, read in order as the per-sample calls read them,
+        as a `Walked`.  A `Draw` reads as `secjet1_arrays` reads its arrays
+        (with a gate) or as ``uniform(-1, 1, shape)`` calls (without).
 
-    def integers(self, low, high):
-        """``int(rng.integers(low, high))``, by Lemire's method: with span
-        r = high - low, m = x * r for a 32-bit draw x, redrawn while
-        m mod 2^32 < (2^32 - r) mod r, gives low + (m >> 32).  A span of 1
-        draws nothing."""
-        span = high - low
-        if span == 1:
-            return low
-        if not 1 <= span <= 1 << 32:
-            raise ValueError(f"integers({low}, {high}) needs 1 <= high - low <= 2**32")
-        m = self._uint32() * span
-        if m & 0xFFFFFFFF < span:
-            threshold = ((1 << 32) - span) % span
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * span
-        return low + (m >> 32)
+        One Python loop does index arithmetic on the words and decides
+        only what moves the rest: each fill, each term count and each gate.
+        An entry's terms take the 32-bit halves that follow its count, one
+        after another, so the loop places them without reading them; then
+        each term's thousandths and monomial index are read from its half
+        by Lemire's method, by numpy for a walk of many entries.  Where
+        that method rejects a half (about one in two million, or a zero
+        half), the entry's terms take one more half, and the loop runs
+        again with that entry's run known.  A gate reads |det| of the
+        n x n matrix at each offset of the words in hand from one stacked
+        `np.linalg.det`; a draw rejected 100 times raises the DomainError
+        with which `draw_regular` gives up its per-sample sampler, after
+        consuming what it read."""
+        plans = {}
+        for layout in layouts:
+            if id(layout) not in plans:
+                plans[id(layout)] = tuple(_plan(item) for item in layout)
+        self._walk_words = self._words[self._pos:]
+        runs = {}
+        while True:
+            p, has_half, hp, entries, starts, error = self._pass(layouts, plans, runs)
+            terms = self._terms(entries, runs, p)
+            if terms is not None:
+                break
+        words = self._walked(p)
+        draws = any(not item[0] for plan in plans.values() for item in plan)
+        numbers = -1.0 + 2.0 * _doubles(words[:p]) if draws else None
+        if len(words) == self._end - self._pos:
+            self._pos += p
+        else:
+            self._set_chunk(words[p:])
+        if hp:
+            self._half = int(words[(hp - 1) >> 1] >> 32)
+        self._has_half = has_half
+        del self._walk_words
+        if error is not None:
+            raise error
+        return Walked(layouts, numbers, np.array(starts, dtype=np.int64), entries, terms)
+
+    def _terms(self, entries, runs, p):
+        """The (entry, thousandths, monomial index) of each term of the
+        entries of a `_pass` that read p words, as rows of an int array, or
+        of a list for a few entries; or None, after adding to `runs` the first entry whose run the pass
+        did not know and Lemire's method lengthens."""
+        if len(entries) <= _ENTRIES_READ_ONE_BY_ONE:
+            if not runs:
+                terms = self._read_plain_terms(entries, p)
+                if terms is not None:
+                    return terms
+            terms = []
+            for e, values, run in self._read_terms(entries, range(len(entries)), p):
+                if run != runs.get(e, len(values)):
+                    runs[e] = run
+                    return None
+                terms += [(e, k - 1000, index) for k, index in zip(values[::2], values[1::2])]
+            return terms
+        table = np.array(entries, dtype=np.int64)
+        counts = table[:, 4]
+        entry = np.repeat(np.arange(len(table)), counts)
+        offsets = np.cumsum(counts) - counts
+        at = np.repeat(table[:, 3] - 2 * offsets, counts) + 2 * np.arange(len(entry))
+        halves = np.concatenate([[self._half], self._walked(p)[:p].astype("<u8").view("<u4")]).astype(np.uint64)
+        spans = np.empty((len(entry), 2), dtype=np.uint64)
+        spans[:, 0], spans[:, 1] = _K_SPAN, table[entry, 5]
+        m = halves[np.stack([at, at + 1], axis=1)] * spans
+        values = (m >> 32).astype(np.int64)
+        rejected = ((m & 0xFFFFFFFF) < _lemire_threshold(spans)).any(axis=1)
+        for e, read, _ in self._read_terms(entries, runs, p):
+            rejected[offsets[e]:offsets[e] + counts[e]] = False
+            values[offsets[e]:offsets[e] + counts[e]] = np.reshape(read, (-1, 2))
+        if rejected.any():
+            [(e, _, runs[e])] = self._read_terms(entries, [int(entry[rejected.argmax()])], p)
+            return None
+        return np.stack([entry, values[:, 0] - 1000, values[:, 1]], axis=1)
+
+    def _read_plain_terms(self, entries, p):
+        """The terms of `_terms` for a few entries, read in Python where no
+        half is one that Lemire's method may reject (one whose m mod 2^32
+        is below its span; the test takes the largest span), else None."""
+        if not entries:
+            return []
+        halves, shift = self._halves, 2 * self._pos - 1
+        if p > self._end - self._pos:
+            halves, shift = [self._half] + self._walked(p)[:p].astype("<u8").view("<u4").tolist(), 0
+        owners, at, spans = [], [], []
+        for e, (_, _, _, first, count, size) in enumerate(entries):
+            owners += [e] * count
+            at += range(first + shift, first + shift + 2 * count)
+            spans += (_K_SPAN, size) * count
+        products = [halves[q] * span for q, span in zip(at, spans)]
+        if products and min([m & 0xFFFFFFFF for m in products]) < max(spans):
+            return None
+        values = [m >> 32 for m in products]
+        return list(zip(owners, [k - 1000 for k in values[::2]], values[1::2]))
+
+    def _read_terms(self, entries, chosen, p):
+        """For each chosen entry of a `_pass` that read p words: its index,
+        the values of its terms' draws (thousandths + 1000, then monomial
+        index, term after term) and how many halves they read, by Lemire's
+        method in Python.  The halves are the stream chunk's list where the
+        walk has not read past it."""
+        words, halves, shift = p + 32, self._halves, 2 * self._pos - 1
+        while True:
+            if words > self._end - self._pos:
+                halves, shift = [self._half] + self._walked(words)[:words].astype("<u8").view("<u4").tolist(), 0
+            try:
+                return [(e, *_lemire_run(halves, entries[e][3] + shift, (_K_SPAN, entries[e][5]) * entries[e][4]))
+                        for e in chosen]
+            except IndexError:
+                words *= 2
+
+    def _pass(self, layouts, plans, runs):
+        """One run of `walk`'s loop, where entry e's terms take runs[e]
+        halves: the next word, whether a half is buffered, the position of
+        the high half of the last word split, the entries (sample, item,
+        slot, position of its first term's half, term count, monomials),
+        the start of each `Draw` (-1 for a `Polynomials` item) per sample,
+        and the DomainError of a gate that gave up, else None.
+
+        Words count from the walk's first; half 0 is the one buffered
+        before the walk, and halves 2w + 1 and 2w + 2 are the low and high
+        halves of word w.  The words in hand, as Python lists, start at
+        the buffered half's word, so a term count can read it; the first
+        are the rest of the stream's chunk."""
+        if self._halves is None:
+            self._halves = self._words.astype("<u8").view("<u4").tolist()
+        half0, p, has_half, hp = self._half, 0, self._has_half, 0
+        window = self._window
+        base, end, doubles, halves, dets = -self._pos, self._end - self._pos, self._doubles, self._halves, {}
+        entries, starts = [], []
+        append = entries.append
+        for i, layout in enumerate(layouts):
+            row = []
+            for j, plan in enumerate(plans[id(layout)]):
+                if plan[0]:
+                    _, count, fill, size = plan
+                    for slot in range(count):
+                        if fill is not None:
+                            if p >= end:
+                                base, end, doubles, halves, dets = window((hp - 1) >> 1 if has_half and hp else p, p + 1)
+                            p += 1
+                            if doubles[p - 1 - base] >= fill:
+                                continue
+                        while True:
+                            if has_half:
+                                pos, has_half = hp, False
+                            else:
+                                pos = 2 * p + 1
+                                hp, has_half, p = pos + 1, True, p + 1
+                            if pos > 2 * end:
+                                base, end, doubles, halves, dets = window((pos - 1) >> 1, p)
+                            x = halves[pos - 2 * base - 1] if pos else half0
+                            if x * _COUNT_SPAN & 0xFFFFFFFF >= _COUNT_THRESHOLD:
+                                break
+                        terms = 1 + (x * _COUNT_SPAN >> 32)
+                        first = hp if has_half else 2 * p + 1
+                        last = first - 1 + (runs.get(len(entries), 2 * terms) if runs else 2 * terms)
+                        p, has_half, hp = (last + 1) >> 1, last & 1 == 1, last + (last & 1)
+                        append((i, j, slot, first, terms, size))
+                    row.append(-1)
+                    continue
+                _, accepted, rejected, n, gate = plan
+                if gate is not None:
+                    width, tries = n * n, 0
+                    while True:
+                        if p + width > end:
+                            base, end, doubles, halves, dets = window((hp - 1) >> 1 if has_half and hp else p, p + width)
+                        block = dets.get(n)
+                        if block is None:
+                            numbers = -1.0 + 2.0 * np.array(doubles)
+                            windows = sliding_window_view(numbers, n * n).reshape(-1, n, n)
+                            block = dets[n] = np.abs(np.linalg.det(windows)).tolist()
+                        if block[p - base] >= MIN_DET:
+                            break
+                        p += rejected
+                        tries += 1
+                        if tries == _REDRAWS_PER_SAMPLE:
+                            return p, has_half, hp, entries, starts, gave_up(tries, 0, 1, gate)
+                row.append(p)
+                p += accepted
+            starts.append(row)
+        return p, has_half, hp, entries, starts, None
+
+    def _walked(self, count):
+        """The words of the walk, at least `count` of them."""
+        if len(self._walk_words) < count:
+            fresh = self._fresh(max(count - len(self._walk_words), _WORDS_PER_CHUNK))
+            self._walk_words = np.concatenate([self._walk_words, fresh])
+        return self._walk_words
+
+    def _window(self, start, need):
+        """Words `start` to at least `need` of the walk, for `_pass`: their
+        start and end, their doubles and halves as lists, and an empty
+        dict for the |det|s of their blocks."""
+        end = max(need, start + _WORDS_PER_WINDOW)
+        words = self._walked(end)[start:end]
+        return start, end, _doubles(words).tolist(), words.astype("<u8").view("<u4").tolist(), {}
+
+
+def _lemire_run(halves, first, spans):
+    """Bounded draws, one per span of `spans` in order, by Lemire's method
+    on the 32-bit halves of the list from `first` on: the values
+    x * span >> 32 of the halves x not rejected, and how many halves they
+    read.  IndexError where the list ends first."""
+    products = [x * span for x, span in zip(halves[first:first + len(spans)], spans)]
+    if len(products) == len(spans) and all(m & 0xFFFFFFFF >= span for m, span in zip(products, spans)):
+        return [m >> 32 for m in products], len(spans)
+    # a half with m mod 2^32 below its span may be rejected: below the threshold
+    values, pos = [], first
+    for span in spans:
+        threshold = _lemire_threshold(span)
+        while halves[pos] * span & 0xFFFFFFFF < threshold:
+            pos += 1
+        values.append(halves[pos] * span >> 32)
+        pos += 1
+    return values, pos - first
 
 
 @functools.cache
@@ -156,28 +379,127 @@ def _monomial_cores(names):
     return (None, *syms, *(Mul(tuple(sorted(pair, key=lambda s: s.name))) for pair in pairs))
 
 
-def _draw_thousandths(size, rng):
-    """The draws of one random polynomial over `size` monomials: one to three
-    terms, each k/1000 with k drawn from [-1000, 1000] times a monomial
-    index drawn from [0, size).  Returns the thousandths summed per index,
-    in first-drawn order; a sum may cancel to 0."""
-    thousandths = {}
-    for _ in range(int(rng.integers(1, 4))):
-        k = int(rng.integers(-1000, 1001))
-        index = int(rng.integers(0, size))
-        thousandths[index] = thousandths.get(index, 0) + k
-    return thousandths
+@dataclass(frozen=True)
+class Polynomials:
+    """What a draw of `count` random polynomials over `names` reads from a
+    generator, one candidate after another.  With a `fill`, a candidate
+    first reads a double d, ``random()``, and has a polynomial only where
+    d < fill.  A polynomial reads its number of terms, ``integers(1, 4)``,
+    then for each term its thousandths k, ``integers(-1000, 1001)``, and
+    the index of its monomial in `_monomial_cores(names)`,
+    ``integers(0, size)``: it is the sum of the k/1000 times their
+    monomials.
+
+    This is the one statement of that layout.  `WordStream.walk` reads it
+    for many samples at once; `draw_connection` and `draw_polynomials`
+    are walks of one sample of one item."""
+
+    names: tuple
+    count: int
+    fill: float = None
+
+    @property
+    def size(self):
+        return len(_monomial_cores(self.names))
+
+
+@functools.cache
+def _candidate_keys(l):
+    """The (A, B, C) of the independent components of a connection in l
+    coordinates, A <= B, in the order `connection_draw` reads them."""
+    return tuple((a, b, c) for a in range(1, l + 1) for b in range(a, l + 1) for c in range(1, l + 1))
+
+
+def connection_draw(frame, fill=0.6):
+    """The `Polynomials` of a random connection on `frame`: one candidate
+    per `_candidate_keys` entry, stored with probability `fill`."""
+    return Polynomials(frame.names, len(_candidate_keys(frame.dim)), fill)
+
+
+def _plan(item):
+    """The numbers by which `WordStream._pass` reads a layout item."""
+    if isinstance(item, Polynomials):
+        return True, item.count, item.fill, item.size
+    return False, item.accepted, item.rejected, item.shapes[0][-1], item.gate
+
+
+class Walked:
+    """The draws a walk read, over its samples.
+
+    `numbers` holds the uniform number -1 + 2d of each word's double d
+    (None where the walk read no `Draw`), and starts[i, j] the offset in
+    it of the arrays of `Draw` j of sample i (-1 at a `Polynomials` item).
+    `entries` lists the (sample, item, slot, ...) of each stored
+    polynomial and `terms` the (entry, thousandths, monomial index) of
+    each drawn term, both in the order drawn, as rows of an int array or
+    of a list."""
+
+    def __init__(self, layouts, numbers, starts, entries, terms):
+        self.layouts, self.numbers, self.starts = layouts, numbers, starts
+        self.entries, self.terms = entries, terms
+
+    def parts(self, j, samples):
+        """The arrays of `Draw` j, the same at each of `samples`, stacked
+        along them in the order drawn (see `Draw.parts`)."""
+        return self.layouts[samples[0]][j].parts(self.numbers, self.starts[samples, j])
+
+    def polynomials(self, j, sample):
+        """The stored polynomials of item j at one sample, by slot in the
+        order drawn: each a dict from monomial index to the thousandths
+        drawn for it, summed, in first-drawn order (a sum may cancel to
+        0)."""
+        out, slots = {}, {}
+        for e, row in enumerate(_rows(self.entries)):
+            if row[0] == sample and row[1] == j:
+                slots[e] = out[row[2]] = {}
+        for e, k, index in _rows(self.terms):
+            thousandths = slots.get(e)
+            if thousandths is not None:
+                thousandths[index] = thousandths.get(index, 0) + k
+        return out
+
+    def stacked_terms(self, j, samples):
+        """The terms of the polynomials of item j at `samples`, for
+        `christoffel_stack`: arrays (row, slot, thousandths, monomial
+        index), where row is the place of the term's sample in `samples`.
+        The thousandths drawn for one monomial of an entry are summed, sums
+        of 0 are dropped, and the terms of an entry stand together."""
+        rank = np.full(len(self.starts), -1)
+        rank[samples] = np.arange(len(samples))
+        sample, item, slot = np.asarray(self.entries, dtype=np.int64).reshape(len(self.entries), -1)[:, :3].T
+        terms = np.asarray(self.terms, dtype=np.int64).reshape(-1, 3)
+        chosen = (item == j) & (rank[sample] >= 0)
+        entry, k, index = terms[chosen[terms[:, 0]]].T
+        keys, inverse = np.unique(entry << 32 | index, return_inverse=True)
+        sums = np.bincount(inverse, weights=k, minlength=len(keys)).astype(np.int64)
+        keys, sums = keys[sums != 0], sums[sums != 0]
+        entry = keys >> 32
+        return rank[sample[entry]], slot[entry], sums, keys & 0xFFFFFFFF
+
+
+def _rows(table):
+    """The rows of an int array, or of a list, as a list."""
+    return table if isinstance(table, list) else table.tolist()
+
+
+def _walk(rng, layouts):
+    """``rng.walk(layouts)`` of a stream, or of a `WordStream` opened on a
+    Generator for this walk alone."""
+    if isinstance(rng, np.random.Generator):
+        with WordStream(rng) as stream:
+            return stream.walk(layouts)
+    return rng.walk(layouts)
 
 
 def draw_polynomials(names, rng, count):
     """The thousandths of `count` random polynomials over the names, drawn
-    by `_draw_thousandths` one after another."""
-    size = len(_monomial_cores(tuple(names)))
-    return [_draw_thousandths(size, rng) for _ in range(count)]
+    one after another (see `Polynomials`): each a dict from monomial index
+    to the thousandths drawn for it, summed, in first-drawn order."""
+    return list(_walk(rng, [(Polynomials(tuple(names), count),)]).polynomials(0, 0).values())
 
 
 def _polynomial(cores, thousandths, subtracted=None):
-    """The tree of a polynomial drawn by `_draw_thousandths`, collected
+    """The tree of a polynomial drawn by `draw_polynomials`, collected
     straight into `simplify`'s normal form: the result equals, and is
     marked as, what `simplify` gives for the sum of the drawn terms.  With
     `subtracted`, the thousandths of a polynomial of two or more terms, the
@@ -193,8 +515,7 @@ def random_polynomial(names, rng):
     """Random polynomial over the names: one to three monomials of total
     degree <= 2, each with a coefficient k/1000, k drawn from
     [-1000, 1000]."""
-    cores = _monomial_cores(tuple(names))
-    return _polynomial(cores, _draw_thousandths(len(cores), rng))
+    return random_expressions(names, rng, 1)[0]
 
 
 @functools.cache
@@ -204,6 +525,11 @@ def _monomial_factors(names):
     index = {name: i for i, name in enumerate(names)}
     return tuple(() if core is None else (index[core.name],) if isinstance(core, Sym)
                  else tuple(index[s.name] for s in core.factors) for core in _monomial_cores(names))
+
+
+def _fsum(terms):
+    """`math.fsum` of the terms, NaN where it raises."""
+    return expr._each(math.fsum, [terms])[0]
 
 
 def _fsum_columns(terms, count):
@@ -219,8 +545,8 @@ def _fsum_columns(terms, count):
 @dataclass(frozen=True)
 class PolynomialConnection:
     """A random polynomial connection in coefficient form: `entries` maps
-    each stored (A, B, C) to its polynomial as `_draw_thousandths` returns
-    it, a dict from an index into `_monomial_cores(frame.names)` to
+    each stored (A, B, C) to its polynomial as `draw_polynomials` returns
+    one, a dict from an index into `_monomial_cores(frame.names)` to
     thousandths.  An entry may also have a polynomial of two or more terms
     in `subtracted`, with the same keys, that is taken away as a whole: the
     shifts leave one there, as `simplify` leaves a (-1)*(sum) in the trees.
@@ -283,19 +609,23 @@ class PolynomialConnection:
 
     def christoffel_at(self, point):
         """The array of ``connection().christoffel_at(point)``, bit for bit,
-        straight from the coefficients."""
+        straight from the coefficients, with the same failure: where a
+        value is not finite, the trees' DomainError."""
         l = self.frame.dim
         flat = [0.0] * (l * l * l)
-        for (a, b, c), value in zip(self.entries, self._values([float(x) for x in point], math.fsum)):
+        values = self._values([float(x) for x in point], _fsum)
+        for (a, b, c), value in zip(self.entries, values):
             flat[((a - 1) * l + c - 1) * l + b - 1] = flat[((b - 1) * l + c - 1) * l + a - 1] = value
+        if not all(map(math.isfinite, values)):
+            raise self._failure(point)
         return np.array(flat).reshape(l, l, l)
 
     def christoffel_many(self, points):
         """The arrays of `christoffel_at` at the rows of an (N, l) point
         array, stacked (N, l, l, l) and C-contiguous, as
         ``connection().christoffel_many(points)`` gives them, with the
-        same failures: a DomainError at each point where a value is not
-        finite, which is where the trees' evaluation raises."""
+        same failures: the trees' DomainError at each point where a value
+        is not finite."""
         points = np.asarray(points, dtype=float)
         k = len(self.entries)
         stacked = np.zeros((len(points), k + 1))
@@ -304,8 +634,20 @@ class PolynomialConnection:
             for j, value in enumerate(self._values(list(np.ascontiguousarray(points.T)), fsum)):
                 stacked[:, j] = value
         failed = np.flatnonzero(~np.isfinite(stacked).all(axis=1)).tolist()
-        failures = {i: DomainError("evaluation produced a non-finite Christoffel value") for i in failed}
+        failures = {i: self._failure(points[i]) for i in failed}
         return np.take(stacked, gather_index(self.entries, self.frame.dim), axis=1), failures
+
+    def _failure(self, point):
+        """The DomainError with which the trees fail at a point where a
+        value of the coefficients is not finite.  Where the trees evaluate
+        (an fsum whose partial sums overflow in one order of its terms and
+        not in the trees'), the error the trees give for a node that is
+        not finite."""
+        try:
+            self.connection().christoffel_at(point)
+        except DomainError as e:
+            return e.with_traceback(None)
+        return DomainError("intermediate value is not finite")
 
     def shifted(self, diff):
         """`Connection.shifted` in integer thousandths: each entry minus the
@@ -332,20 +674,79 @@ class PolynomialConnection:
         return PolynomialConnection(self.frame, entries, subtracted)
 
 
+@functools.cache
+def _factor_columns(names):
+    """For each monomial of `_monomial_cores(names)`, the columns of its two
+    factors in a point extended by a last column of 1.0: its factors in
+    the core's order, then that column for each missing one; as an int
+    array (2, monomials)."""
+    l = len(names)
+    return np.array([(*factors, l, l)[:2] for factors in _monomial_factors(names)]).T
+
+
+@functools.cache
+def _mirrors(l):
+    """The places in a flat (l, l, l) array of each `_candidate_keys(l)`
+    entry: [A-1][C-1][B-1], and its mirror [B-1][C-1][A-1]."""
+    a, b, c = (np.array(_candidate_keys(l)) - 1).T
+    return (a * l + c) * l + b, (b * l + c) * l + a
+
+
+def christoffel_stack(frame, terms, points):
+    """The Christoffel arrays of K random connections on `frame`, each at a
+    point of its own: from `terms`, the arrays (row, slot, thousandths,
+    monomial index) of `Walked.stacked_terms`, and a (K, l) point array,
+    the (K, l, l, l) stack whose row r is, bit for bit, what
+    `PolynomialConnection.christoffel_at` gives for the connection of row r
+    at points[r]; and the failures, a mapping from each row where a value
+    is not finite to the trees' DomainError there.
+
+    All terms are taken at once, with the float operations of
+    `PolynomialConnection._values`: a term is (k/1000 * x_f1) * x_f2, with
+    1.0 for a missing factor; an entry of one term is that term, of two
+    (a + b) + 0.0, of more their `math.fsum`; an entry whose terms all
+    cancel is 0.0."""
+    row, slot, k, index = terms
+    points = np.asarray(points, dtype=float)
+    count, l = points.shape
+    columns = np.ones((count, l + 1))
+    columns[:, :l] = points
+    first, second = _factor_columns(frame.names)[:, index]
+    with np.errstate(all="ignore"):
+        values = (k / 1000 * columns[row, first]) * columns[row, second]
+        starts = np.flatnonzero(np.diff(row * len(_candidate_keys(l)) + slot, prepend=-1))
+        sizes = np.diff(starts, append=len(values))
+        sums = values[starts]
+        two = starts[sizes == 2]
+        sums[sizes == 2] = (values[two] + values[two + 1]) + 0.0
+        many = np.flatnonzero(sizes > 2)
+        if len(many):
+            listed = values.tolist()
+            sums[many] = expr._each(math.fsum, [listed[s:s + n] for s, n in
+                                                zip(starts[many].tolist(), sizes[many].tolist())])
+    flat = np.zeros((count, l ** 3))
+    rows, slots = row[starts], slot[starts]
+    for places in _mirrors(l):
+        flat[rows, places[slots]] = sums
+    failures = {}
+    keys = _candidate_keys(l)
+    for r in np.unique(rows[~np.isfinite(sums)]).tolist():
+        entries = {}
+        for s, i, t in zip(*(a[row == r].tolist() for a in (slot, index, k))):
+            entries.setdefault(keys[s], {})[i] = t
+        failures[r] = PolynomialConnection(frame, entries)._failure(points[r])
+    return flat.reshape(count, l, l, l), failures
+
+
 def draw_connection(frame, rng, fill=0.6):
     """Random polynomial Christoffels on a fraction `fill` of the
-    independent components, as a `PolynomialConnection`: for each (A, B, C)
-    with A <= B in order, one uniform draw decides whether the entry is
-    stored, and a stored entry's polynomial is drawn at once."""
-    l = frame.dim
-    size = len(_monomial_cores(frame.names))
-    entries = {}
-    for a in range(1, l + 1):
-        for b in range(a, l + 1):
-            for c in range(1, l + 1):
-                if rng.random() < fill:
-                    entries[(a, b, c)] = _draw_thousandths(size, rng)
-    return PolynomialConnection(frame, entries)
+    independent components, as a `PolynomialConnection`: the walk of one
+    `connection_draw`, where for each (A, B, C) with A <= B in order one
+    double decides whether the entry is stored, and a stored entry's
+    polynomial is drawn at once."""
+    keys = _candidate_keys(frame.dim)
+    drawn = _walk(rng, [(connection_draw(frame, fill),)]).polynomials(0, 0)
+    return PolynomialConnection(frame, {keys[slot]: thousandths for slot, thousandths in drawn.items()})
 
 
 def random_connection(frame, rng, fill=0.6):
@@ -354,7 +755,9 @@ def random_connection(frame, rng, fill=0.6):
 
 
 def random_expressions(names, rng, count):
-    return [random_polynomial(names, rng) for _ in range(count)]
+    """The trees of `draw_polynomials(names, rng, count)`."""
+    cores = _monomial_cores(tuple(names))
+    return [_polynomial(cores, thousandths) for thousandths in draw_polynomials(names, rng, count)]
 
 
 # the least |det| of the n x n block that `secjet1_arrays` and `random_affine`

@@ -11,8 +11,11 @@ covering projections, residual and covering deviations that the array
 formulas are checked against, the per-jet loop of `dot_gamma_via_xi` and
 the per-sample orbit check that the batched ones are checked against, the
 per-sample loops of criteria 1, 2, 5, 6 and 9, criteria 3, 4 and 7 on the
-trees of their random connections and shifts, a word stream with a
-planted fault that the stream's tests must catch, a hypothesis strategy
+trees of their random connections and shifts, the random polynomials and
+connections and the walks of a `WordStream` drawn one call at a time (on
+a bare Generator, or on the stream's words by the scalar 32-bit and
+`integers` draws), a word stream with a planted fault that the stream's
+tests must catch, a hypothesis strategy
 for expression trees, and helpers only the tests use (test-only, not
 public API).
 
@@ -65,8 +68,14 @@ from jetgeo.geodesy import (
     quotient_diagram_deviation,
 )
 from jetgeo.jets import AffineMap, SecJet, SubJet, affine_act
+from jetgeo import sampling
 from jetgeo.sampling import (
+    MIN_DET,
+    PolynomialConnection,
+    Walked,
     WordStream,
+    Polynomials,
+    _monomial_cores,
     random_affine,
     random_connection,
     random_expressions,
@@ -259,10 +268,138 @@ def random_connection_oracle(frame, rng, fill=0.6):
     return Connection(frame, entries)
 
 
-class HalfIgnoringStream(WordStream):
-    """A `WordStream` with a planted fault: each 32-bit draw takes a new
-    word and ignores the buffered high half of the last one, which numpy
-    serves first.  The stream's tests must tell it from the Generator."""
+def draw_thousandths_oracle(size, rng):
+    """One random polynomial over `size` monomials drawn one call at a time,
+    as `sampling.Polynomials` lays it out: the term count, then each term's
+    thousandths and monomial index.  Returns the thousandths summed per
+    index, in first-drawn order; a sum may cancel to 0."""
+    thousandths = {}
+    for _ in range(int(rng.integers(1, 4))):
+        k = int(rng.integers(-1000, 1001))
+        index = int(rng.integers(0, size))
+        thousandths[index] = thousandths.get(index, 0) + k
+    return thousandths
+
+
+def draw_connection_oracle(frame, rng, fill=0.6):
+    """`sampling.draw_connection` one call at a time: a `random()` fill per
+    candidate (A, B, C), A <= B, and `draw_thousandths_oracle` for each
+    stored one."""
+    l, size = frame.dim, len(_monomial_cores(frame.names))
+    entries = {}
+    for a in range(1, l + 1):
+        for b in range(a, l + 1):
+            for c in range(1, l + 1):
+                if rng.random() < fill:
+                    entries[(a, b, c)] = draw_thousandths_oracle(size, rng)
+    return PolynomialConnection(frame, entries)
+
+
+def walk_oracle(stream, layouts):
+    """`WordStream.walk` one draw at a time, by the `random`, `integers` and
+    `uniform` calls of `stream`: each `Polynomials` candidate by a fill and
+    `draw_thousandths_oracle`'s calls, each `Draw` by a `uniform` call per
+    array, one with a gate redrawn through `draw_regular` as
+    `secjet1_arrays` redraws.  Returns the `Walked` the walk must equal."""
+    numbers, starts, entries, terms = [], [], [], []
+    for i, layout in enumerate(layouts):
+        row = []
+        for j, item in enumerate(layout):
+            if isinstance(item, Polynomials):
+                for slot in range(item.count):
+                    if item.fill is None or stream.random() < item.fill:
+                        for _ in range(int(stream.integers(1, 4))):
+                            k = int(stream.integers(-1000, 1001))
+                            terms.append((len(entries), k, int(stream.integers(0, item.size))))
+                        entries.append((i, j, slot))
+                row.append(-1)
+                continue
+
+            def draw(item=item):
+                first = stream.uniform(-1.0, 1.0, item.shapes[0])
+                n = item.shapes[0][-1]
+                if item.gate is not None and abs(np.linalg.det(first[:n])) < MIN_DET:
+                    raise SingularJacobianError(item.gate)
+                return [first] + [stream.uniform(-1.0, 1.0, shape) for shape in item.shapes[1:]]
+
+            row.append(len(numbers))
+            numbers += [x for array in draw_regular(draw, 1)[0][0] for x in array.ravel().tolist()]
+        starts.append(row)
+    return Walked(layouts, np.array(numbers), np.array(starts, dtype=np.int64), entries, terms)
+
+
+class GeneratorStream:
+    """A bare Generator's own calls behind a stream's face: `random`,
+    `integers` and `uniform` call it, and `walk` is `walk_oracle` of
+    them.  The criteria run on it as on the Generator itself."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def random(self):
+        return self._rng.random()
+
+    def integers(self, low, high):
+        return int(self._rng.integers(low, high))
+
+    def uniform(self, *args):
+        return self._rng.uniform(*args)
+
+    def walk(self, layouts):
+        return walk_oracle(self, layouts)
+
+
+class ScalarWordStream(WordStream):
+    """A `WordStream` that reads its walks one draw at a time: a 32-bit draw
+    is the buffered high half of the last word split, or else the low half
+    of a new word, whose high half it buffers; `integers` is Lemire's
+    method on them; `walk` is `walk_oracle` of these calls.  It is the
+    scalar oracle of the walk's words, and its `integers` is checked
+    against the Generator's."""
+
+    def _uint32(self):
+        if self._has_half:
+            self._has_half = False
+            return self._half
+        if self._pos == self._end:
+            self._set_chunk(self._fresh(sampling._WORDS_PER_CHUNK))
+        word = int(self._words[self._pos])
+        self._pos += 1
+        self._has_half, self._half = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low, high):
+        """``int(rng.integers(low, high))``, by Lemire's method: with span
+        r = high - low, m = x * r for a 32-bit draw x, redrawn while
+        m mod 2^32 < (2^32 - r) mod r, gives low + (m >> 32).  A span of 1
+        draws nothing."""
+        span = high - low
+        if span == 1:
+            return low
+        if not 1 <= span <= 1 << 32:
+            raise ValueError(f"integers({low}, {high}) needs 1 <= high - low <= 2**32")
+        m = self._uint32() * span
+        if m & 0xFFFFFFFF < span:
+            threshold = ((1 << 32) - span) % span
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * span
+        return low + (m >> 32)
+
+    def walk(self, layouts):
+        return walk_oracle(self, layouts)
+
+
+class HalfIgnoringStream(ScalarWordStream):
+    """A word stream with a planted fault: each 32-bit draw of its walks
+    takes a new word and ignores the buffered high half of the last one,
+    which numpy serves first.  The stream's tests must tell it from the
+    Generator."""
 
     def _uint32(self):
         self._has_half = False
@@ -622,7 +759,8 @@ def quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd):
 # ---------------------------------------------------------------------------
 # criteria 1, 2, 5, 6 and 9 one sample at a time: their deviation lists, from
 # one jet record and one kernel call per sample, with each random connection
-# built as trees by `random_connection` and evaluated by `christoffel_at`
+# drawn by `draw_connection_oracle`, built as trees and evaluated by
+# `christoffel_at`
 
 
 def criterion_1_oracle(seed):
@@ -630,7 +768,7 @@ def criterion_1_oracle(seed):
     deviations = []
     for i in range(200):
         n, m = _DIM_CASES[i % 4]
-        g = random_connection(_frame(n + m, n), rng)
+        g = draw_connection_oracle(_frame(n + m, n), rng).connection()
         p = random_subjet1(n, m, rng)
         deviations.append(residual2_oracle(g, ddot_gamma(g, p)).max_abs())
     return deviations
@@ -640,7 +778,7 @@ def criterion_2_oracle(seed):
     rng = spawn_rng(seed, 2)
     deviations = []
     for n, m in _DIM_CASES:
-        g = random_connection(_frame(n + m, n), rng)
+        g = draw_connection_oracle(_frame(n + m, n), rng).connection()
         for _ in range(3):
             p = random_subjet1(n, m, rng)
             closed = dot_gamma(g, p).table
@@ -703,8 +841,8 @@ def criterion_5_oracle(seed):
     deviations = []
     for i in range(200):
         n, m = _DIM_CASES[i % 4]
-        g = random_connection(_frame(n + m, n), rng)
-        theta = random_connection(_theta_frame(n), rng)
+        g = draw_connection_oracle(_frame(n + m, n), rng).connection()
+        theta = draw_connection_oracle(_theta_frame(n), rng).connection()
         p = random_secjet1(n, n + m, rng)
         deviations.append(covering_commutation_deviation_oracle(g, theta, p))
     return deviations
@@ -716,8 +854,8 @@ def criterion_6_oracle(seed):
     for i in range(100):
         n, m = _DIM_CASES[i % 4]
         l = n + m
-        g = random_connection(_frame(l, n), rng)
-        theta = random_connection(_theta_frame(n), rng)
+        g = draw_connection_oracle(_frame(l, n), rng).connection()
+        theta = draw_connection_oracle(_theta_frame(n), rng).connection()
         p = random_secjet1(n, l, rng)
         dx = rng.uniform(-1, 1, n)
         du = rng.uniform(-1, 1, l)

@@ -9,8 +9,7 @@ built on them, against their per-jet and per-sample oracles there, the
 coefficient form of random connections and of their shifts against the
 trees, and criteria 3, 4 and 7 against their tree oracles, and the
 criteria that read their draws through a `WordStream` against the same
-criteria on the bare generator."""
-import contextlib
+criteria on the bare generator, whose walks draw one call at a time."""
 import json
 import math
 import os
@@ -70,6 +69,8 @@ from jetgeo.sampling import (
     UniformStream,
     WordStream,
     _monomial_cores,
+    christoffel_stack,
+    connection_draw,
     draw_connection,
     draw_polynomials,
     random_affine,
@@ -97,7 +98,9 @@ from jetgeo.symmetry import (
 import conftest
 from conftest import (
     TREE_NAMES,
+    GeneratorStream,
     HalfIgnoringStream,
+    ScalarWordStream,
     affine_symmetry_check_oracle,
     cover1_oracle,
     cover_check_oracle,
@@ -1037,6 +1040,55 @@ def test_the_coefficient_form_fails_where_its_trees_fail():
     assert G[[0, 3]].tobytes() == H[[0, 3]].tobytes()
 
 
+def _walked_connections(frame, rng, count):
+    """`count` random connections on `frame` read by one walk, with its
+    `Walked`."""
+    keys = sampling._candidate_keys(frame.dim)
+    with WordStream(rng) as stream:
+        walked = stream.walk([(connection_draw(frame),)] * count)
+    return walked, [PolynomialConnection(frame, {keys[slot]: t for slot, t in walked.polynomials(0, i).items()})
+                    for i in range(count)]
+
+
+def test_the_coefficient_form_fails_with_the_trees_error_at_an_overflow_point():
+    f = _frame(2, 1)
+    point = np.array([1e200, 1e200])
+    walked, drawn = _walked_connections(f, spawn_rng(0, 1), 3)
+    assert drawn[0] == draw_connection(f, spawn_rng(0, 1))
+    with pytest.raises(DomainError) as raised:
+        drawn[0].connection().christoffel_at(point)
+    message = str(raised.value)
+    assert message == "intermediate value is not finite"
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        drawn[0].christoffel_at(point)
+    points = np.array([[0.5, -0.25], point, [1.0, 0.0]])
+    for g in drawn:
+        failures, tree_failures = g.christoffel_many(points)[1], g.connection().christoffel_many(points)[1]
+        assert {i: str(e) for i, e in failures.items()} == {i: str(e) for i, e in tree_failures.items()}
+    assert {i: str(e) for i, e in drawn[0].christoffel_many(points)[1].items()} == {1: message}
+    # the stacked evaluator, connection r at points[r]
+    G, failures = christoffel_stack(f, walked.stacked_terms(0, np.arange(3)), points)
+    assert {i: str(e) for i, e in failures.items()} == {1: message}
+    for r in (0, 2):
+        assert G[r].tobytes() == drawn[r].christoffel_at(points[r]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 63 - 1), st.sampled_from(_COEFFICIENT_FRAMES + [_frame(11, 1)]))
+def test_the_stacked_evaluator_gives_the_bits_of_each_connection_at_its_point(seed, f):
+    """Rows with zero and negative zero coordinates, entries whose terms
+    cancel, and samples taken out of order."""
+    points = _coefficient_points(f.dim, seed, count=10)
+    walked, drawn = _walked_connections(f, spawn_rng(seed, 2), len(points))
+    G, failures = christoffel_stack(f, walked.stacked_terms(0, np.arange(len(points))), points)
+    assert failures == {} and G.flags.c_contiguous and G.shape == (len(points),) + (f.dim,) * 3
+    for g, point, row in zip(drawn, points, G):
+        assert row.tobytes() == g.christoffel_at(point).tobytes() == g.connection().christoffel_at(point).tobytes()
+    order = np.arange(len(points))[::-2]
+    H, _ = christoffel_stack(f, walked.stacked_terms(0, order), points[order])
+    assert H.tobytes() == G[order].tobytes()
+
+
 def test_the_numeric_connections_share_one_frame_check():
     f, other = _frame(3, 1), CoordinateFrame(("a", "b", "c"), 1)
     drawn = draw_connection(f, spawn_rng(31))
@@ -1109,10 +1161,11 @@ def _through(monkeypatch, stream, cid, seed):
 @pytest.mark.parametrize("cid", (1, 2, 3, 4, 5, 6, 7, 10))
 def test_criteria_read_the_word_stream_as_the_generator(monkeypatch, cid):
     for seed in _ORACLE_SEEDS:
-        assert _through(monkeypatch, WordStream, cid, seed) == _through(monkeypatch, contextlib.nullcontext, cid, seed)
+        assert _through(monkeypatch, WordStream, cid, seed) == _through(monkeypatch, GeneratorStream, cid, seed)
 
 
 def test_a_stream_that_ignores_the_buffered_half_fails_the_criteria_test(monkeypatch):
-    bare = _through(monkeypatch, contextlib.nullcontext, 1, 0)
+    bare = _through(monkeypatch, GeneratorStream, 1, 0)
     assert _through(monkeypatch, WordStream, 1, 0) == bare
+    assert _through(monkeypatch, ScalarWordStream, 1, 0) == bare
     assert _through(monkeypatch, HalfIgnoringStream, 1, 0) != bare

@@ -17,16 +17,28 @@ from jetgeo.errors import DomainError, SingularJacobianError, draw_regular, requ
 from jetgeo.expr import CoordinateFrame, Mul, Sym, parse, simplify, to_text
 from jetgeo.sampling import (
     PolynomialConnection,
+    Polynomials,
     WordStream,
     _monomial_cores,
+    affine_draw,
+    connection_draw,
     draw_connection,
     random_connection,
     random_point,
     random_polynomial,
+    secjet1_draw,
     spawn_rng,
+    subjet1_draw,
 )
 
-from conftest import HalfIgnoringStream, random_connection_oracle, random_polynomial_oracle
+from conftest import (
+    GeneratorStream,
+    HalfIgnoringStream,
+    ScalarWordStream,
+    draw_connection_oracle,
+    random_connection_oracle,
+    random_polynomial_oracle,
+)
 
 # 11 coordinates put u10 and u11 between u1 and u2 in `_key` order, away
 # from their place in the draw order; x names are the parameter frames'
@@ -198,14 +210,10 @@ def test_hand_made_coefficients_evaluate_to_the_bits_of_their_trees():
 # the word stream against the Generator
 
 
-# calls as (method, args): the ranges the samplers draw integers from, one
-# where about one first draw in four is rejected, widths 1 and 2**32, and
-# the uniform shapes of the criteria
-_STREAM_CALLS = st.one_of(
+# scalar calls as (method, args): `random`, and the uniform shapes of the
+# criteria
+_SCALAR_CALLS = st.one_of(
     st.just(("random", ())),
-    st.sampled_from([(1, 4), (-1000, 1001), (0, 3 * 2 ** 30), (7, 8), (-2, -1), (0, 2 ** 32)])
-    .map(lambda span: ("integers", span)),
-    st.integers(1, 60).map(lambda size: ("integers", (0, size))),
     st.integers(0, 5).map(lambda k: ("uniform", (-1.0, 1.0, k))),
     st.integers(0, 5).map(lambda k: ("uniform", (-0.3, 2.9, k))),
     st.tuples(st.integers(1, 3), st.integers(1, 2)).map(lambda shape: ("uniform", (-1, 1, shape))),
@@ -213,74 +221,244 @@ _STREAM_CALLS = st.one_of(
     st.just(("uniform", ())),
 )
 
-# a call that raises ValueError on the Generator and on the stream alike
-_EMPTY_RANGE = ("integers", (3, 3))
+# the ranges the samplers draw integers from, one where about one first
+# draw in four is rejected, and widths 1 and 2**32
+_INTEGER_CALLS = st.one_of(
+    st.sampled_from([(1, 4), (-1000, 1001), (0, 3 * 2 ** 30), (7, 8), (-2, -1), (0, 2 ** 32)])
+    .map(lambda span: ("integers", span)),
+    st.integers(1, 60).map(lambda size: ("integers", (0, size))),
+)
+
+# walks of samples whose items are random polynomials over the frames'
+# names, with and without a fill, and the uniform arrays of the jets and
+# affine maps, gated and not
+_ITEMS = st.one_of(
+    st.tuples(st.sampled_from(NAME_FRAMES), st.integers(0, 12), st.sampled_from([None, 0.6, 0.3]))
+    .map(lambda item: Polynomials(*item)),
+    st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda nm: subjet1_draw(*nm)),
+    st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda nm: secjet1_draw(nm[0], nm[0] + nm[1])),
+    st.integers(1, 2).map(affine_draw),
+)
+_WALK_CALLS = st.lists(st.lists(_ITEMS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=5).map(
+    lambda layouts: ("walk", (layouts,)))
+
+# a step that ends the block by an exception
+_RAISE = ("raise", ())
+
+
+def _walked(walked):
+    """What a `Walked` read, comparably: per sample and item, the
+    polynomials by slot, or the arrays' shapes and bytes."""
+    out = []
+    for i, layout in enumerate(walked.layouts):
+        for j, item in enumerate(layout):
+            if isinstance(item, Polynomials):
+                out.append(repr(walked.polynomials(j, i)))
+            else:
+                out.append([(a.shape, a.tobytes()) for a in walked.parts(j, [i])])
+    return out
 
 
 def _replay(rng, calls, out):
     """Append what each of `calls` returns on rng to `out`, comparably: a
     float by its repr, an integer by the repr of its int, an array by its
-    shape, dtype and bytes."""
+    shape, dtype and bytes, a walk by `_walked`; ("raise", ()) raises
+    ValueError."""
     for name, args in calls:
+        if name == "raise":
+            raise ValueError("the block ends by an exception")
         value = getattr(rng, name)(*args)
         if isinstance(value, np.ndarray):
             out.append((value.shape, value.dtype.str, value.tobytes()))
+        elif name == "walk":
+            out.append(_walked(value))
         else:
             out.append(repr(int(value) if name == "integers" else value))
 
 
-def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_PER_CHUNK):
-    """Whether `calls` made in a ``with stream(rng)`` block return what they
-    return on a Generator with the same seed, and leave rng in that
-    Generator's state, when both start with a buffered high half if
-    `buffered` and the stream reads `chunk` words at a time.  A call that
-    raises ends both runs, and the block with it."""
+def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_PER_CHUNK,
+                    window=sampling._WORDS_PER_WINDOW, one_by_one=sampling._ENTRIES_READ_ONE_BY_ONE):
+    """Whether `calls` made in a ``with stream(rng) as s`` block return what
+    they return on a Generator with the same seed (through
+    `GeneratorStream`, whose walks draw one call at a time), and leave rng
+    in that Generator's state, when both start with a buffered high half
+    if `buffered`, and the stream reads `chunk` words at a time, holds
+    `window` words in lists and reads up to `one_by_one` entries in
+    Python.  A call that raises ends both runs, and the block with it."""
     rng, oracle = spawn_rng(seed), spawn_rng(seed)
     if buffered:
         rng.integers(0, 10), oracle.integers(0, 10)
     want, got = [], []
-    with contextlib.suppress(ValueError):
-        _replay(oracle, calls, want)
-    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(ValueError):
+    with contextlib.suppress(ValueError, DomainError):
+        _replay(GeneratorStream(oracle), calls, want)
+    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(ValueError, DomainError):
         patch.setattr(sampling, "_WORDS_PER_CHUNK", chunk)
+        patch.setattr(sampling, "_WORDS_PER_WINDOW", window)
+        patch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
         with stream(rng) as words:
             _replay(words, calls, got)
     return got == want and repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
 
 
-def _stream_property(stream):
+def _stream_property(stream, calls=st.one_of(_SCALAR_CALLS, _WALK_CALLS)):
     """The property that `stream` returns what the Generator returns, over
-    drawn seeds, calls, starting halves, raising blocks and chunk sizes."""
+    drawn seeds, calls, starting halves, raising blocks, chunk and window
+    sizes, and both ways of reading the terms of a walk."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2 ** 63 - 1), st.lists(_STREAM_CALLS, max_size=40), st.booleans(), st.booleans(),
-           st.sampled_from([1, 5, sampling._WORDS_PER_CHUNK]))
-    def check(seed, calls, buffered, raises, chunk):
-        calls = calls + [_EMPTY_RANGE, ("random", ())] if raises else calls
-        assert _stream_matches(stream, calls, seed, buffered, chunk)
+    @given(st.integers(0, 2 ** 63 - 1), st.lists(calls, max_size=40), st.booleans(), st.booleans(),
+           st.sampled_from([(1, 1), (5, 3), (sampling._WORDS_PER_CHUNK, sampling._WORDS_PER_WINDOW)]),
+           st.sampled_from([0, sampling._ENTRIES_READ_ONE_BY_ONE]))
+    def check(seed, calls, buffered, raises, sizes, one_by_one):
+        calls = calls + [_RAISE, ("random", ())] if raises else calls
+        assert _stream_matches(stream, calls, seed, buffered, *sizes, one_by_one)
 
     return check
 
 
 test_word_stream_returns_what_the_generator_returns = _stream_property(WordStream)
+test_scalar_word_stream_returns_what_the_generator_returns = _stream_property(
+    ScalarWordStream, st.one_of(_SCALAR_CALLS, _INTEGER_CALLS, _WALK_CALLS))
+
+# criterion 5's layout, whose walks cross chunks with each kind of item
+_SECTION_JETS = [(connection_draw(_frame(n + m, n)), connection_draw(_theta_frame(n)), secjet1_draw(n, n + m))
+                 for n, m in _DIM_CASES]
 
 
 def test_word_stream_crosses_chunks_with_every_call():
-    calls = [("uniform", (-1.0, 1.0, (50, 4, 2, 2)))] * 3 + [("integers", (-1000, 1001)), ("random", ())] * 700
-    assert _stream_matches(WordStream, calls, 8)
+    walk = ("walk", ([_SECTION_JETS[i % 4] for i in range(60)],))
+    calls = [("uniform", (-1.0, 1.0, (50, 4, 2, 2)))] * 3 + [walk, ("random", ())] * 3 + [("random", ())] * 1500
+    for sizes in ((5, 3), (7, 2), (sampling._WORDS_PER_CHUNK, sampling._WORDS_PER_WINDOW)):
+        for one_by_one in (0, 10 ** 6):
+            assert _stream_matches(WordStream, calls, 8, False, *sizes, one_by_one)
+            assert _stream_matches(WordStream, calls, 9, True, *sizes, one_by_one)
 
 
 def test_a_stream_that_ignores_the_buffered_half_fails_the_stream_test():
     with pytest.raises(AssertionError):
-        _stream_property(HalfIgnoringStream)()
+        _stream_property(HalfIgnoringStream, st.one_of(_INTEGER_CALLS, _WALK_CALLS))()
     two_draws = [("integers", (1, 4)), ("integers", (-1000, 1001))]
-    assert _stream_matches(WordStream, two_draws, 5)
+    assert _stream_matches(ScalarWordStream, two_draws, 5)
     assert not _stream_matches(HalfIgnoringStream, two_draws, 5)
     assert not _stream_matches(HalfIgnoringStream, two_draws[:1], 5, buffered=True)
 
 
 def test_word_stream_rejects_other_bit_generators_and_wide_ranges():
-    with pytest.raises(TypeError, match="Philox"):
-        WordStream(np.random.default_rng(0))
+    with pytest.raises(TypeError, match="Philox or PCG64"):
+        WordStream(np.random.Generator(np.random.MT19937(0)))
     with pytest.raises(ValueError):
-        WordStream(spawn_rng(0)).integers(0, 2 ** 32 + 1)
+        ScalarWordStream(spawn_rng(0)).integers(0, 2 ** 32 + 1)
+
+
+def test_default_rng_callers_walk_through_the_same_words():
+    f = _frame(3, 1)
+    rng, oracle = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        assert draw_connection(f, rng) == draw_connection_oracle(f, oracle)
+        assert rng.random() == oracle.random()
+    assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
+
+
+# ---------------------------------------------------------------------------
+# walks over planted words against the scalar oracle
+
+
+def _planted(stream, zeros):
+    """`stream` reading words whose halves at `zeros`, (word, half) pairs
+    counted from the block's first word read, half 0 low and 1 high, are
+    zero."""
+
+    class Planted(stream):
+        def _fresh(self, count):
+            start, words = self._read, super()._fresh(count).copy()
+            for w, half in zeros:
+                if start <= w < start + count:
+                    words[w - start] &= np.uint64(0xFFFFFFFF00000000 if half == 0 else 0xFFFFFFFF)
+            return words
+
+    return Planted
+
+
+class _Recording(ScalarWordStream):
+    """The scalar oracle, recording the span of each `integers` draw and the
+    (word, half) of the first 32-bit half it reads."""
+
+    def __init__(self, rng):
+        super().__init__(rng)
+        self.draws, self._split = [], None
+
+    def _uint32(self):
+        if self._has_half:
+            self.halves.append((self._split, 1))
+        else:
+            self._split = self._read - (self._end - self._pos)
+            self.halves.append((self._split, 0))
+        return super()._uint32()
+
+    def integers(self, low, high):
+        self.halves = []
+        value = super().integers(low, high)
+        self.draws.append((high - low, self.halves))
+        return value
+
+
+def _generator(seed, buffered=False):
+    """spawn_rng(seed), with a buffered high half if `buffered`."""
+    rng = spawn_rng(seed)
+    if buffered:
+        rng.integers(0, 10)
+    return rng
+
+
+def _walk_with(stream, seed, layouts, buffered=False):
+    """What a ``with stream(rng) as s`` block's walk of `layouts` read, or
+    its DomainError's message, and rng's state after the block."""
+    rng = _generator(seed, buffered)
+    try:
+        with stream(rng) as words:
+            out = _walked(words.walk(layouts))
+    except DomainError as e:
+        out = str(e)
+    return out, repr(rng.bit_generator.state)
+
+
+# criterion 1's layout on u1, u2 (six monomials) with Θ's on x1 (three): a
+# term count spans 3, thousandths 2001, a monomial index 6 or 3
+_PLANT_LAYOUTS = [(connection_draw(_frame(2, 1)), subjet1_draw(1, 1), connection_draw(_theta_frame(1)))] * 30
+
+
+@pytest.mark.parametrize("one_by_one", [0, 10 ** 6])
+@pytest.mark.parametrize("span", [3, 2001, 6])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_walk_reads_planted_rejections_as_the_scalar_oracle(monkeypatch, one_by_one, span, buffered):
+    """A zero half is rejected for every span; zero the first half of the
+    3rd, the 40th and the 41st draw of a span: a rejection near the start,
+    and the 40th can meet a second zero half when it redraws."""
+    monkeypatch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
+    recording = _Recording(_generator(21, buffered))
+    recording.walk(_PLANT_LAYOUTS)
+    firsts = [halves[0] for drawn, halves in recording.draws if drawn == span]
+    zeros = {firsts[2], firsts[39], firsts[40]}
+    planted = _planted(_Recording, zeros)(_generator(21, buffered))
+    planted.walk(_PLANT_LAYOUTS)
+    assert any(len(halves) > 1 for drawn, halves in planted.draws if drawn == span)
+    assert sum(len(halves) - 1 for _, halves in planted.draws) >= 2
+    want = _walk_with(_planted(ScalarWordStream, zeros), 21, _PLANT_LAYOUTS, buffered)
+    assert _walk_with(_planted(WordStream, zeros), 21, _PLANT_LAYOUTS, buffered) == want
+    assert want != _walk_with(ScalarWordStream, 21, _PLANT_LAYOUTS, buffered)
+
+
+def _zero_words(first, last):
+    return {(w, half) for w in range(first, last) for half in (0, 1)}
+
+
+@pytest.mark.parametrize("one_by_one", [0, 10 ** 6])
+def test_walk_gate_rejects_zero_blocks_and_gives_up_as_the_scalar_oracle(monkeypatch, one_by_one):
+    monkeypatch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
+    # all-zero words are uniform -1.0: a 2 x 2 block of them has det 0
+    layouts = [(secjet1_draw(2, 3), connection_draw(_frame(3, 2)))] * 8
+    for zeros in (set(), _zero_words(0, 4), _zero_words(0, 40), _zero_words(50, 90), _zero_words(0, 600)):
+        want = _walk_with(_planted(ScalarWordStream, zeros), 22, layouts)
+        assert _walk_with(_planted(WordStream, zeros), 22, layouts) == want
+    assert want[0].startswith("could not sample: 100 draws failed and 0 of 1 succeeded; the last failed with: "
+                              "base-direction block")
