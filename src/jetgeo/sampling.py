@@ -207,22 +207,27 @@ class WordStream:
             return terms
         table = np.array(entries, dtype=np.int64)
         counts = table[:, 4]
-        entry = np.repeat(np.arange(len(table)), counts)
+        terms = np.empty((counts.sum(), 3), dtype=np.int64)
+        entry = terms[:, 0]
+        entry[:] = np.repeat(np.arange(len(table)), counts)
         offsets = np.cumsum(counts) - counts
-        at = np.repeat(table[:, 3] - 2 * offsets, counts) + 2 * np.arange(len(entry))
-        halves = np.concatenate([[self._half], self._walked(p)[:p].astype("<u8").view("<u4")]).astype(np.uint64)
-        spans = np.empty((len(entry), 2), dtype=np.uint64)
-        spans[:, 0], spans[:, 1] = _K_SPAN, table[entry, 5]
-        m = halves[np.stack([at, at + 1], axis=1)] * spans
-        values = (m >> 32).astype(np.int64)
-        rejected = ((m & 0xFFFFFFFF) < _lemire_threshold(spans)).any(axis=1)
+        at = np.repeat(table[:, 3] - 2 * offsets, counts)
+        at += np.arange(0, 2 * len(entry), 2)
+        halves = np.empty(2 * p + 1, dtype=np.uint64)
+        halves[0], halves[1:] = self._half, self._walked(p)[:p].astype("<u8", copy=False).view("<u4")
+        size = table[entry, 5].astype(np.uint64)
+        k, index = halves[at] * np.uint64(_K_SPAN), halves[at + 1] * size
+        rejected = (k & 0xFFFFFFFF) < _lemire_threshold(_K_SPAN)
+        rejected |= (index & 0xFFFFFFFF) < _lemire_threshold(size)
+        terms[:, 1], terms[:, 2] = k >> 32, index >> 32
+        terms[:, 1] -= 1000
         for e, read, _ in self._read_terms(entries, runs, p):
             rejected[offsets[e]:offsets[e] + counts[e]] = False
-            values[offsets[e]:offsets[e] + counts[e]] = np.reshape(read, (-1, 2))
+            terms[offsets[e]:offsets[e] + counts[e], 1:] = np.reshape(read, (-1, 2)) - [1000, 0]
         if rejected.any():
             [(e, _, runs[e])] = self._read_terms(entries, [int(entry[rejected.argmax()])], p)
             return None
-        return np.stack([entry, values[:, 0] - 1000, values[:, 1]], axis=1)
+        return terms
 
     def _read_plain_terms(self, entries, p):
         """The terms of `_terms` for a few entries, read in Python where no
@@ -250,6 +255,8 @@ class WordStream:
         index, term after term) and how many halves they read, by Lemire's
         method in Python.  The halves are the stream chunk's list where the
         walk has not read past it."""
+        if not chosen:
+            return []
         words, halves, shift = p + 32, self._halves, 2 * self._pos - 1
         while True:
             if words > self._end - self._pos:
