@@ -39,7 +39,7 @@ def spawn_rng(seed, index=0):
 # raw words a `WordStream` reads from its copy of the bit generator at a
 # time, and the most a walk turns into Python lists at a time
 _WORDS_PER_CHUNK = 1024
-_WORDS_PER_WINDOW = 256
+_WORDS_PER_WINDOW = 1024
 
 # a walk of at most this many stored polynomials reads their terms in
 # Python, not numpy, whose fixed cost per call outweighs a few terms
@@ -284,7 +284,7 @@ class WordStream:
             self._halves = self._words.astype("<u8").view("<u4").tolist()
         half0, p, has_half, hp = self._half, 0, self._has_half, 0
         window = self._window
-        base, end, doubles, halves, dets = -self._pos, self._end - self._pos, self._doubles, self._halves, {}
+        base, end, doubles, halves = -self._pos, self._end - self._pos, self._doubles, self._halves
         entries, starts = [], []
         append = entries.append
         for i, layout in enumerate(layouts):
@@ -295,7 +295,7 @@ class WordStream:
                     for slot in range(count):
                         if fill is not None:
                             if p >= end:
-                                base, end, doubles, halves, dets = window((hp - 1) >> 1 if has_half and hp else p, p + 1)
+                                base, end, doubles, halves = window((hp - 1) >> 1 if has_half and hp else p, p + 1)
                             p += 1
                             if doubles[p - 1 - base] >= fill:
                                 continue
@@ -306,7 +306,7 @@ class WordStream:
                                 pos = 2 * p + 1
                                 hp, has_half, p = pos + 1, True, p + 1
                             if pos > 2 * end:
-                                base, end, doubles, halves, dets = window((pos - 1) >> 1, p)
+                                base, end, doubles, halves = window((pos - 1) >> 1, p)
                             x = halves[pos - 2 * base - 1] if pos else half0
                             if x * _COUNT_SPAN & 0xFFFFFFFF >= _COUNT_THRESHOLD:
                                 break
@@ -322,13 +322,9 @@ class WordStream:
                     width, tries = n * n, 0
                     while True:
                         if p + width > end:
-                            base, end, doubles, halves, dets = window((hp - 1) >> 1 if has_half and hp else p, p + width)
-                        block = dets.get(n)
-                        if block is None:
-                            numbers = -1.0 + 2.0 * np.array(doubles)
-                            windows = sliding_window_view(numbers, n * n).reshape(-1, n, n)
-                            block = dets[n] = np.abs(np.linalg.det(windows)).tolist()
-                        if block[p - base] >= MIN_DET:
+                            base, end, doubles, halves = window((hp - 1) >> 1 if has_half and hp else p, p + width)
+                        block = -1.0 + 2.0 * np.array(doubles[p - base:p - base + width]).reshape(n, n)
+                        if abs(np.linalg.det(block)) >= MIN_DET:
                             break
                         p += rejected
                         tries += 1
@@ -348,11 +344,10 @@ class WordStream:
 
     def _window(self, start, need):
         """Words `start` to at least `need` of the walk, for `_pass`: their
-        start and end, their doubles and halves as lists, and an empty
-        dict for the |det|s of their blocks."""
+        start and end, and their doubles and halves as lists."""
         end = max(need, start + _WORDS_PER_WINDOW)
         words = self._walked(end)[start:end]
-        return start, end, _doubles(words).tolist(), words.astype("<u8").view("<u4").tolist(), {}
+        return start, end, _doubles(words).tolist(), words.astype("<u8").view("<u4").tolist()
 
 
 def _lemire_run(halves, first, spans):
@@ -471,10 +466,14 @@ class Walked:
         index), where row is the place of the term's sample in `samples`.
         The thousandths drawn for one monomial of an entry are summed, sums
         of 0 are dropped, and the terms of an entry stand together."""
+        if isinstance(self.entries, list):
+            width = len(self.entries[0]) if self.entries else 3
+            self.entries = np.array(self.entries, dtype=np.int64).reshape(-1, width)
+            self.terms = np.array(self.terms, dtype=np.int64).reshape(-1, 3)
         rank = np.full(len(self.starts), -1)
         rank[samples] = np.arange(len(samples))
-        sample, item, slot = np.asarray(self.entries, dtype=np.int64).reshape(len(self.entries), -1)[:, :3].T
-        terms = np.asarray(self.terms, dtype=np.int64).reshape(-1, 3)
+        sample, item, slot = self.entries[:, :3].T
+        terms = self.terms
         chosen = (item == j) & (rank[sample] >= 0)
         entry, k, index = terms[chosen[terms[:, 0]]].T
         keys, inverse = np.unique(entry << 32 | index, return_inverse=True)
