@@ -232,22 +232,18 @@ class WordStream:
     def _read_plain_terms(self, entries, p):
         """The terms of `_terms` for a few entries, read in Python where no
         half is one that Lemire's method may reject (one whose m mod 2^32
-        is below its span; the test takes the largest span), else None."""
-        if not entries:
-            return []
+        is below its span), else None."""
         halves, shift = self._halves, 2 * self._pos - 1
         if p > self._end - self._pos:
             halves, shift = [self._half] + self._walked(p)[:p].astype("<u8").view("<u4").tolist(), 0
-        owners, at, spans = [], [], []
+        terms = []
         for e, (_, _, _, first, count, size) in enumerate(entries):
-            owners += [e] * count
-            at += range(first + shift, first + shift + 2 * count)
-            spans += (_K_SPAN, size) * count
-        products = [halves[q] * span for q, span in zip(at, spans)]
-        if products and min([m & 0xFFFFFFFF for m in products]) < max(spans):
-            return None
-        values = [m >> 32 for m in products]
-        return list(zip(owners, [k - 1000 for k in values[::2]], values[1::2]))
+            for at in range(first + shift, first + shift + 2 * count, 2):
+                k, index = halves[at] * _K_SPAN, halves[at + 1] * size
+                if k & 0xFFFFFFFF < _K_SPAN or index & 0xFFFFFFFF < size:
+                    return None
+                terms.append((e, (k >> 32) - 1000, index >> 32))
+        return terms
 
     def _read_terms(self, entries, chosen, p):
         """For each chosen entry of a `_pass` that read p words: its index,
