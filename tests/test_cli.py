@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -1155,3 +1156,96 @@ def test_hostile_specs_exit_0_1_or_2(command, data):
     assert code in ((0, 2, 3) if command == "geodesic" else (0, 1, 2))
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# every subcommand that reads two specs, with one spec's chart changed
+
+
+# the subcommand, its arguments with {i} for the i-th spec, and the golden
+# specs of a matched pair
+_TWO_SPECS = {
+    "equivalent": (["equivalent", "{0}", "{1}", "--samples", "3"], ["l4.json", "l4_shift.json"]),
+    "invariants --compare": (["invariants", "{0}", "--compare", "{1}"], ["l4.json", "l4_shift.json"]),
+    "residual --jets": (["residual", "{0}", "--jets", "{1}", "--mode", "unparam"], ["l4.json", "subjets_n2.json"]),
+    "residual --theta": (["residual", "{0}", "--jets", "{1}", "--mode", "param", "--theta", "{2}"],
+                         ["l4.json", "secjets_n2.json", "theta_n2.json"]),
+    "cover-check --theta": (["cover-check", "{0}", "--theta", "{1}", "--samples", "3", "--seed", "5"],
+                            ["l4.json", "theta_n2.json"]),
+    "symmetry-check --map": (["symmetry-check", "{0}", "--map", "{1}", "--samples", "3", "--seed", "4"],
+                             ["s2.json", "map_secjet.json"]),
+    "symmetry-check --field": (["symmetry-check", "{0}", "--field", "{1}", "--samples", "3", "--seed", "4"],
+                               ["s2.json", "field_euler.json"]),
+    "symmetry-check --affine": (["symmetry-check", "{0}", "--affine", "{1}", "--samples", "3", "--seed", "3"],
+                                ["l4.json", "affine_n2.json"]),
+}
+
+
+def _run_specs(argv, specs):
+    """(exit code, stdout, stderr) of `argv` on the specs, written to files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, spec in enumerate(specs):
+            paths.append(os.path.join(tmp, f"spec{i}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(*paths) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _renamed(spec, old, new):
+    """The spec with coordinate `old` called `new` everywhere: in its
+    coords, its expressions and its chart's names."""
+    pattern = rf"(?<![A-Za-z0-9]){old}(?![A-Za-z0-9])"
+    return json.loads(re.sub(pattern, new, json.dumps(spec)))
+
+
+@st.composite
+def _changed_charts(draw, spec, connection):
+    """The spec with its coords renamed or reordered, its `n` changed, or
+    its kind swapped (a jet file's: each jet's).  The pair's connection
+    keeps its chart and changes only its `n`: the pair no longer matches,
+    while a connection on other coordinates is another connection."""
+    jets = spec.get("jets")
+    changes = [change for change, ok in (("rename", "coords" in spec and not connection),
+                                         ("reorder", len(spec.get("coords", [])) > 1 and not connection),
+                                         ("n", "n" in spec or jets), ("kind", "kind" in spec or jets)) if ok]
+    change = draw(st.sampled_from(changes))
+    spec = copy.deepcopy(spec)
+    if change == "rename":
+        return _renamed(spec, draw(st.sampled_from(spec["coords"])), draw(st.sampled_from(["w1", "u9", "x3", "t"])))
+    if change == "reorder":
+        i, j = draw(st.lists(st.integers(0, len(spec["coords"]) - 1), min_size=2, max_size=2, unique=True))
+        spec["coords"][i], spec["coords"][j] = spec["coords"][j], spec["coords"][i]
+        return spec
+    for target in jets or [spec]:
+        if change == "n":
+            target["n"] = draw(st.sampled_from([v for v in (1, 2, 3) if v != target["n"]]))
+        else:
+            target["kind"] = {"subjet": "secjet", "secjet": "subjet"}[target["kind"]]
+    return spec
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_SPECS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_second_spec_on_another_chart_exits_2_or_keeps_the_verdict(case, data):
+    """One spec of a matched pair gets other coordinate names, another
+    order of them, another `n` or another kind: the run exits 2 with an
+    error, or gives the matched pair's verdict (its exit code)."""
+    argv, names = _TWO_SPECS[case]
+    specs = []
+    for name in names:
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            specs.append(json.load(fh))
+    matched = _run_specs(argv, specs)
+    assert matched[0] in (0, 1)
+    i = data.draw(st.sampled_from([i for i, spec in enumerate(specs) if {"coords", "n", "kind", "jets"} & set(spec)]))
+    specs[i] = data.draw(_changed_charts(specs[i], i == 0))
+    code, out, err = _run_specs(argv, specs)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert code == matched[0]
