@@ -4,13 +4,16 @@ All randomness in the package flows through numpy Generators seeded by a
 single 64-bit seed plus a stream index, so parallel and serial runs of the
 same configuration draw identical numbers.
 
-Two readers draw ahead of a generator's calls.  A `WordStream` serves
-`random`, `integers` and `uniform` from the generator's raw 64-bit words,
-read in chunks, by the rules numpy's Generator applies to them, and leaves
-the generator where the same calls would; the acceptance criteria read
-their draws through one.  A `UniformStream` serves the numbers of
-successive ``uniform(-1, 1, size)`` calls to a caller that owns its
-generator and lets it run ahead.
+Two readers draw ahead of a generator's calls.  A `WordStream` reads the
+generator's raw 64-bit words in chunks, by the rules numpy's Generator
+applies to them, and leaves the generator where the same calls would.
+It serves `random` and `uniform`, and its `walk` reads the draws of many
+samples, each a tuple of `Polynomials` (random polynomials and
+connections) and `Draw`s (uniform arrays, gated or not), in one loop over
+the words; the acceptance criteria read their draws through one, and
+`draw_connection` and `draw_polynomials` are walks of one sample.  A
+`UniformStream` serves the numbers of successive ``uniform(-1, 1, size)``
+calls to a caller that owns its generator and lets it run ahead.
 """
 from __future__ import annotations
 
@@ -78,8 +81,8 @@ class WordStream:
     draw is the fixed function of them that numpy's Generator computes
     (numpy 2.4.6): a double is ``(w >> 11) * 2**-53``; a 32-bit draw is the
     buffered high half of the last word split, or else the low half of a
-    new word whose high half is buffered; `integers` is Lemire's bounded
-    draw on 32-bit draws.
+    new word whose high half is buffered; ``integers(low, high)`` is
+    Lemire's bounded draw on 32-bit draws.
 
     It stays apart from `UniformStream`, which leaves its generator ahead
     of what it consumed: this one leaves the generator where the scalar
@@ -157,10 +160,11 @@ class WordStream:
         by Lemire's method, by numpy for a walk of many entries.  Where
         that method rejects a half (about one in two million, or a zero
         half), the entry's terms take one more half, and the loop runs
-        again with that entry's run known.  A gate reads |det| of the
-        n x n matrix at each offset of the words in hand from one stacked
-        `np.linalg.det`; a draw rejected 100 times raises the DomainError
-        with which `draw_regular` gives up its per-sample sampler, after
+        again with that entry's run known.  A gate takes `np.linalg.det` of
+        each candidate's n x n block, as the per-sample draw does (a stacked
+        det over every offset of the words in hand cost more than the few
+        candidates); a draw rejected 100 times raises the DomainError with
+        which `draw_regular` gives up its per-sample sampler, after
         consuming what it read."""
         plans = {}
         for layout in layouts:
@@ -191,8 +195,9 @@ class WordStream:
     def _terms(self, entries, runs, p):
         """The (entry, thousandths, monomial index) of each term of the
         entries of a `_pass` that read p words, as rows of an int array, or
-        of a list for a few entries; or None, after adding to `runs` the first entry whose run the pass
-        did not know and Lemire's method lengthens."""
+        of a list for a few entries; or None, after adding to `runs` the
+        first entry whose run the pass did not know and Lemire's method
+        lengthens."""
         if len(entries) <= _ENTRIES_READ_ONE_BY_ONE:
             if not runs:
                 terms = self._read_plain_terms(entries, p)
@@ -233,9 +238,7 @@ class WordStream:
         """The terms of `_terms` for a few entries, read in Python where no
         half is one that Lemire's method may reject (one whose m mod 2^32
         is below its span), else None."""
-        halves, shift = self._halves, 2 * self._pos - 1
-        if p > self._end - self._pos:
-            halves, shift = [self._half] + self._walked(p)[:p].astype("<u8").view("<u4").tolist(), 0
+        halves, shift = self._half_list(p)
         terms = []
         for e, (_, _, _, first, count, size) in enumerate(entries):
             for at in range(first + shift, first + shift + 2 * count, 2):
@@ -249,19 +252,25 @@ class WordStream:
         """For each chosen entry of a `_pass` that read p words: its index,
         the values of its terms' draws (thousandths + 1000, then monomial
         index, term after term) and how many halves they read, by Lemire's
-        method in Python.  The halves are the stream chunk's list where the
-        walk has not read past it."""
+        method in Python."""
         if not chosen:
             return []
-        words, halves, shift = p + 32, self._halves, 2 * self._pos - 1
+        words = p + 32
         while True:
-            if words > self._end - self._pos:
-                halves, shift = [self._half] + self._walked(words)[:words].astype("<u8").view("<u4").tolist(), 0
+            halves, shift = self._half_list(words)
             try:
                 return [(e, *_lemire_run(halves, entries[e][3] + shift, (_K_SPAN, entries[e][5]) * entries[e][4]))
                         for e in chosen]
             except IndexError:
                 words *= 2
+
+    def _half_list(self, words):
+        """The halves of the walk's first `words` words as a list, and the
+        shift from a half's position (see `_pass`) to its index: the
+        stream chunk's list where the walk has not read past it."""
+        if words <= self._end - self._pos:
+            return self._halves, 2 * self._pos - 1
+        return [self._half] + self._walked(words)[:words].astype("<u8").view("<u4").tolist(), 0
 
     def _pass(self, layouts, plans, runs):
         """One run of `walk`'s loop, where entry e's terms take runs[e]
