@@ -190,7 +190,7 @@ class WordStream:
         del self._walk_words
         if error is not None:
             raise error
-        return Walked(layouts, numbers, np.array(starts, dtype=np.int64), entries, terms)
+        return Walked(layouts, numbers, starts, entries, terms)
 
     def _terms(self, entries, runs, p):
         """The (entry, thousandths, monomial index) of each term of the
@@ -360,10 +360,6 @@ def _lemire_run(halves, first, spans):
     on the 32-bit halves of the list from `first` on: the values
     x * span >> 32 of the halves x not rejected, and how many halves they
     read.  IndexError where the list ends first."""
-    products = [x * span for x, span in zip(halves[first:first + len(spans)], spans)]
-    if len(products) == len(spans) and all(m & 0xFFFFFFFF >= span for m, span in zip(products, spans)):
-        return [m >> 32 for m in products], len(spans)
-    # a half with m mod 2^32 below its span may be rejected: below the threshold
     values, pos = [], first
     for span in spans:
         threshold = _lemire_threshold(span)
@@ -423,6 +419,7 @@ def connection_draw(frame, fill=0.6):
     return Polynomials(frame.names, len(_candidate_keys(frame.dim)), fill)
 
 
+@functools.cache
 def _plan(item):
     """The numbers by which `WordStream._pass` reads a layout item."""
     if isinstance(item, Polynomials):
@@ -434,12 +431,12 @@ class Walked:
     """The draws a walk read, over its samples.
 
     `numbers` holds the uniform number -1 + 2d of each word's double d
-    (None where the walk read no `Draw`), and starts[i, j] the offset in
+    (None where the walk read no `Draw`), and starts[i][j] the offset in
     it of the arrays of `Draw` j of sample i (-1 at a `Polynomials` item).
     `entries` lists the (sample, item, slot, ...) of each stored
     polynomial and `terms` the (entry, thousandths, monomial index) of
-    each drawn term, both in the order drawn, as rows of an int array or
-    of a list."""
+    each drawn term, both in the order drawn.  Each of the three is an int
+    array or a list of rows, made an array when first needed as one."""
 
     def __init__(self, layouts, numbers, starts, entries, terms):
         self.layouts, self.numbers, self.starts = layouts, numbers, starts
@@ -448,6 +445,7 @@ class Walked:
     def parts(self, j, samples):
         """The arrays of `Draw` j, the same at each of `samples`, stacked
         along them in the order drawn (see `Draw.parts`)."""
+        self.starts = np.asarray(self.starts, dtype=np.int64)
         return self.layouts[samples[0]][j].parts(self.numbers, self.starts[samples, j])
 
     def polynomials(self, j, sample):
