@@ -174,8 +174,9 @@ class WordStream:
         runs = {}
         while True:
             p, has_half, hp, entries, starts, error = self._pass(layouts, plans, runs)
-            terms = self._terms(entries, runs, p)
-            if terms is not None:
+            read = self._terms(entries, runs, p)
+            if read is not None:
+                entries, terms = read
                 break
         words = self._walked(p)
         draws = any(not item[0] for plan in plans.values() for item in plan)
@@ -193,23 +194,23 @@ class WordStream:
         return Walked(layouts, numbers, starts, entries, terms)
 
     def _terms(self, entries, runs, p):
-        """The (entry, thousandths, monomial index) of each term of the
-        entries of a `_pass` that read p words, as rows of an int array, or
-        of a list for a few entries; or None, after adding to `runs` the
-        first entry whose run the pass did not know and Lemire's method
-        lengthens."""
+        """The entries of a `_pass` that read p words and the (entry,
+        thousandths, monomial index) of each of their terms, both as rows
+        of an int array, or of a list for a few entries; or None, after
+        adding to `runs` the first entry whose run the pass did not know
+        and Lemire's method lengthens."""
         if len(entries) <= _ENTRIES_READ_ONE_BY_ONE:
             if not runs:
                 terms = self._read_plain_terms(entries, p)
                 if terms is not None:
-                    return terms
+                    return entries, terms
             terms = []
             for e, values, run in self._read_terms(entries, range(len(entries)), p):
                 if run != runs.get(e, len(values)):
                     runs[e] = run
                     return None
                 terms += [(e, k - 1000, index) for k, index in zip(values[::2], values[1::2])]
-            return terms
+            return entries, terms
         table = np.array(entries, dtype=np.int64)
         counts = table[:, 4]
         terms = np.empty((counts.sum(), 3), dtype=np.int64)
@@ -232,7 +233,7 @@ class WordStream:
         if rejected.any():
             [(e, _, runs[e])] = self._read_terms(entries, [int(entry[rejected.argmax()])], p)
             return None
-        return terms
+        return table, terms
 
     def _read_plain_terms(self, entries, p):
         """The terms of `_terms` for a few entries, read in Python where no

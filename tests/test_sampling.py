@@ -1,7 +1,9 @@
 """The one redraw loop, `errors.draw_regular`, the single draws built on
 it, the random polynomials checked against their `simplify` oracle, the
-coefficient form of a random connection checked against its trees, and the
-`WordStream` checked against the Generator whose raw words it reads."""
+coefficient form of a random connection checked against its trees, the
+`WordStream` and its walks checked against the Generator whose raw words
+it reads, and walks over planted words checked against the scalar reader
+of the same words."""
 import contextlib
 import math
 
