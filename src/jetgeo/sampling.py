@@ -169,7 +169,7 @@ class WordStream:
         plans = {}
         for layout in layouts:
             if id(layout) not in plans:
-                plans[id(layout)] = tuple(_plan(item) for item in layout)
+                plans[id(layout)] = tuple(map(_plan, layout))
         self._walk_words = self._words[self._pos:]
         runs = {}
         while True:
@@ -186,7 +186,7 @@ class WordStream:
         else:
             self._set_chunk(words[p:])
         if hp:
-            self._half = int(words[(hp - 1) >> 1] >> 32)
+            self._half = int(words[(hp - 1) >> 1]) >> 32
         self._has_half = has_half
         del self._walk_words
         if error is not None:
@@ -420,7 +420,6 @@ def connection_draw(frame, fill=0.6):
     return Polynomials(frame.names, len(_candidate_keys(frame.dim)), fill)
 
 
-@functools.cache
 def _plan(item):
     """The numbers by which `WordStream._pass` reads a layout item."""
     if isinstance(item, Polynomials):
