@@ -279,15 +279,16 @@ def _replay(rng, calls, out):
 
 
 def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_PER_CHUNK,
-                    window=sampling._WORDS_PER_WINDOW, one_by_one=sampling._ENTRIES_READ_ONE_BY_ONE):
+                    window=sampling._WORDS_PER_WINDOW, one_by_one=sampling._ENTRIES_READ_ONE_BY_ONE, make=spawn_rng):
     """Whether `calls` made in a ``with stream(rng) as s`` block return what
     they return on a Generator with the same seed (through
     `GeneratorStream`, whose walks draw one call at a time), and leave rng
     in that Generator's state, when both start with a buffered high half
     if `buffered`, and the stream reads `chunk` words at a time, holds
     `window` words in lists and reads up to `one_by_one` entries in
-    Python.  A call that raises ends both runs, and the block with it."""
-    rng, oracle = spawn_rng(seed), spawn_rng(seed)
+    Python.  The generators are ``make(seed)``.  A call that raises ends
+    both runs, and the block with it."""
+    rng, oracle = make(seed), make(seed)
     if buffered:
         rng.integers(0, 10), oracle.integers(0, 10)
     want, got = [], []
@@ -359,6 +360,14 @@ def test_default_rng_callers_walk_through_the_same_words():
         assert draw_connection(f, rng) == draw_connection_oracle(f, oracle)
         assert rng.random() == oracle.random()
     assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
+    # PCG64's words follow the same rules, through a stream block
+    walk = ("walk", ([_SECTION_JETS[i % 4] for i in range(40)],))
+    calls = [("random", ()), walk, ("uniform", (-1.0, 1.0, (3, 2))), walk, ("random", ())]
+    for seed in range(5):
+        for buffered in (False, True):
+            assert _stream_matches(WordStream, calls, seed, buffered, make=np.random.default_rng)
+            assert _stream_matches(ScalarWordStream, calls + [("integers", (0, 7))] * 3, seed, buffered,
+                                   make=np.random.default_rng)
 
 
 # ---------------------------------------------------------------------------
