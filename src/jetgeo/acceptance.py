@@ -106,15 +106,23 @@ def _walk_cases(seed, stream, layouts, count):
     return walked, [np.arange(k, count, len(layouts)) for k in range(len(layouts))]
 
 
+def _stack(frame, terms, points):
+    """The arrays of `christoffel_stack`, or the first of its failures
+    raised, as a per-point `christoffel_at` raises it."""
+    G, failures = christoffel_stack(frame, terms, points)
+    if failures:
+        raise failures[min(failures)]
+    return G
+
+
 def _theta_per_case(walked, j, samples, x):
     """The arrays of each case's Θ, item j of its samples, at x[k] for
-    case k: one `christoffel_stack` per n, over the cases that share it."""
+    case k: one `_stack` per n, over the cases that share it."""
     out = [None] * len(_DIM_CASES)
     for n in sorted({n for n, _ in _DIM_CASES}):
         cases = [k for k, (nk, _) in enumerate(_DIM_CASES) if nk == n]
         joined = np.concatenate([samples[k] for k in cases])
-        Th, _ = christoffel_stack(_theta_frame(n), walked.stacked_terms(j, joined),
-                                  np.concatenate([x[k] for k in cases]))
+        Th = _stack(_theta_frame(n), walked.stacked_terms(j, joined), np.concatenate([x[k] for k in cases]))
         for k, part in zip(cases, np.split(Th, np.cumsum([len(samples[k]) for k in cases])[:-1])):
             out[k] = part
     return out
@@ -163,7 +171,7 @@ def criterion_1(cfg):
     stacks = []
     for f, s in zip(frames, samples):
         base, first = walked.parts(1, s)
-        stacks.append((christoffel_stack(f, walked.stacked_terms(0, s), base)[0], first))
+        stacks.append((_stack(f, walked.stacked_terms(0, s), base), first))
 
     def residual(G, D):
         return np.abs(residual_table(G, D, ddot_second(G, D))).max(axis=(1, 2, 3))
@@ -250,7 +258,7 @@ def _section_jet_stacks(cfg, stream, count, tangent):
     walked, samples = _walk_cases(cfg.seed, stream, layouts, count)
     jets = [walked.parts(2, s) for s in samples]
     thetas = _theta_per_case(walked, 1, samples, [x for _, x, _ in jets])
-    return [(christoffel_stack(f, walked.stacked_terms(0, s), u)[0], Th, first)
+    return [(_stack(f, walked.stacked_terms(0, s), u), Th, first)
             + (walked.parts(3, s) if tangent else ())
             for f, s, (first, x, u), Th in zip(frames, samples, jets, thetas)]
 

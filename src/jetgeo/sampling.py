@@ -42,11 +42,17 @@ def spawn_rng(seed, index=0):
 # raw words a `WordStream` reads from its copy of the bit generator at a
 # time, and the most a walk turns into Python lists at a time
 _WORDS_PER_CHUNK = 1024
-_WORDS_PER_WINDOW = 1024
 
 # a walk of at most this many stored polynomials reads their terms in
-# Python, not numpy, whose fixed cost per call outweighs a few terms
-_ENTRIES_READ_ONE_BY_ONE = 48
+# Python, not numpy: the Python reader costs about 2 us per polynomial and
+# the numpy reader about 25 us per walk, so they break even at about 13
+# (README "Performance" gives the timings)
+_ENTRIES_READ_ONE_BY_ONE = 12
+
+# the bit generators whose doubles and 32-bit draws follow `WordStream`'s
+# rules: a double from one word, a 32-bit draw from half of one, the other
+# half buffered (MT19937 draws 32 bits at a time and a double from two)
+_WORD_BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
 
 # the spans of a polynomial's term count, integers(1, 4), and of a term's
 # thousandths, integers(-1000, 1001)
@@ -60,7 +66,7 @@ def _lemire_threshold(span):
     return ((1 << 32) - span) % span
 
 
-_COUNT_THRESHOLD = _lemire_threshold(_COUNT_SPAN)
+_COUNT_THRESHOLD, _K_THRESHOLD = _lemire_threshold(_COUNT_SPAN), _lemire_threshold(_K_SPAN)
 
 
 def _doubles(words):
@@ -69,13 +75,13 @@ def _doubles(words):
 
 
 class WordStream:
-    """The draws of a Generator on Philox or PCG64, read ahead from its raw
-    64-bit words: ``with WordStream(rng) as s`` gives an `s` whose `random`
-    and `uniform` return what the same calls on `rng` return, bit for bit,
-    and whose `walk` reads the random polynomials and uniform arrays of
-    many samples as the per-sample calls read them; when the block ends,
-    normally or by an exception, `rng` is left in the state those calls
-    would have left.
+    """The draws of a Generator on Philox, PCG64 (`default_rng`), PCG64DXSM
+    or SFC64, read ahead from its raw 64-bit words: ``with WordStream(rng)
+    as s`` gives an `s` whose `random` and `uniform` return what the same
+    calls on `rng` return, bit for bit, and whose `walk` reads the random
+    polynomials and uniform arrays of many samples as the per-sample calls
+    read them; when the block ends, normally or by an exception, `rng` is
+    left in the state those calls would have left.
 
     The words come in chunks from a copy of the bit generator, and each
     draw is the fixed function of them that numpy's Generator computes
@@ -91,8 +97,9 @@ class WordStream:
 
     def __init__(self, rng):
         bit_generator = rng.bit_generator
-        if not isinstance(bit_generator, (np.random.Philox, np.random.PCG64)):
-            raise TypeError(f"WordStream reads a Philox or PCG64 bit generator, not {type(bit_generator).__name__}")
+        if not isinstance(bit_generator, _WORD_BIT_GENERATORS):
+            names = ", ".join(kind.__name__ for kind in _WORD_BIT_GENERATORS)
+            raise TypeError(f"WordStream reads a {names} bit generator, not {type(bit_generator).__name__}")
         state = bit_generator.state
         self._rng = rng
         self._copy = type(bit_generator)(0)
@@ -157,7 +164,8 @@ class WordStream:
         An entry's terms take the 32-bit halves that follow its count, one
         after another, so the loop places them without reading them; then
         each term's thousandths and monomial index are read from its half
-        by Lemire's method, by numpy for a walk of many entries.  Where
+        by Lemire's method, by numpy for a walk of more than
+        `_ENTRIES_READ_ONE_BY_ONE` entries and in Python below.  Where
         that method rejects a half (about one in two million, or a zero
         half), the entry's terms take one more half, and the loop runs
         again with that entry's run known.  A gate takes `np.linalg.det` of
@@ -200,10 +208,6 @@ class WordStream:
         adding to `runs` the first entry whose run the pass did not know
         and Lemire's method lengthens."""
         if len(entries) <= _ENTRIES_READ_ONE_BY_ONE:
-            if not runs:
-                terms = self._read_plain_terms(entries, p)
-                if terms is not None:
-                    return entries, terms
             terms = []
             for e, values, run in self._read_terms(entries, range(len(entries)), p):
                 if run != runs.get(e, len(values)):
@@ -223,7 +227,7 @@ class WordStream:
         halves[0], halves[1:] = self._half, self._walked(p)[:p].astype("<u8", copy=False).view("<u4")
         size = table[entry, 5].astype(np.uint64)
         k, index = halves[at] * np.uint64(_K_SPAN), halves[at + 1] * size
-        rejected = (k & 0xFFFFFFFF) < _lemire_threshold(_K_SPAN)
+        rejected = (k & 0xFFFFFFFF) < _K_THRESHOLD
         rejected |= (index & 0xFFFFFFFF) < _lemire_threshold(size)
         terms[:, 1], terms[:, 2] = k >> 32, index >> 32
         terms[:, 1] -= 1000
@@ -234,20 +238,6 @@ class WordStream:
             [(e, _, runs[e])] = self._read_terms(entries, [int(entry[rejected.argmax()])], p)
             return None
         return table, terms
-
-    def _read_plain_terms(self, entries, p):
-        """The terms of `_terms` for a few entries, read in Python where no
-        half is one that Lemire's method may reject (one whose m mod 2^32
-        is below its span), else None."""
-        halves, shift = self._half_list(p)
-        terms = []
-        for e, (_, _, _, first, count, size) in enumerate(entries):
-            for at in range(first + shift, first + shift + 2 * count, 2):
-                k, index = halves[at] * _K_SPAN, halves[at + 1] * size
-                if k & 0xFFFFFFFF < _K_SPAN or index & 0xFFFFFFFF < size:
-                    return None
-                terms.append((e, (k >> 32) - 1000, index >> 32))
-        return terms
 
     def _read_terms(self, entries, chosen, p):
         """For each chosen entry of a `_pass` that read p words: its index,
@@ -260,7 +250,7 @@ class WordStream:
         while True:
             halves, shift = self._half_list(words)
             try:
-                return [(e, *_lemire_run(halves, entries[e][3] + shift, (_K_SPAN, entries[e][5]) * entries[e][4]))
+                return [(e, *_lemire_run(halves, entries[e][3] + shift, *entries[e][4:6]))
                         for e in chosen]
             except IndexError:
                 words *= 2
@@ -333,9 +323,9 @@ class WordStream:
                         if abs(np.linalg.det(block)) >= MIN_DET:
                             break
                         p += rejected
-                        tries += 1
-                        if tries == _REDRAWS_PER_SAMPLE:
-                            return p, has_half, hp, entries, starts, gave_up(tries, 0, 1, gate)
+                        tries, error = _rejected(tries, gate)
+                        if error is not None:
+                            return p, has_half, hp, entries, starts, error
                 row.append(p)
                 p += accepted
             starts.append(row)
@@ -351,19 +341,28 @@ class WordStream:
     def _window(self, start, need):
         """Words `start` to at least `need` of the walk, for `_pass`: their
         start and end, and their doubles and halves as lists."""
-        end = max(need, start + _WORDS_PER_WINDOW)
+        end = max(need, start + _WORDS_PER_CHUNK)
         words = self._walked(end)[start:end]
         return start, end, _doubles(words).tolist(), words.astype("<u8").view("<u4").tolist()
 
 
-def _lemire_run(halves, first, spans):
-    """Bounded draws, one per span of `spans` in order, by Lemire's method
-    on the 32-bit halves of the list from `first` on: the values
-    x * span >> 32 of the halves x not rejected, and how many halves they
-    read.  IndexError where the list ends first."""
+def _rejected(tries, gate):
+    """The count of a gated draw's rejected candidates, `tries`, after one
+    more, and the DomainError with which `draw_regular` gives up its
+    per-sample sampler at the 100th, else None: the rule of both walks'
+    gates."""
+    tries += 1
+    return tries, gave_up(tries, 0, 1, gate) if tries == _REDRAWS_PER_SAMPLE else None
+
+
+def _lemire_run(halves, first, count, size):
+    """The draws of `count` terms over `size` monomials, each its
+    thousandths + 1000 then its monomial index, by Lemire's method on the
+    32-bit halves of the list from `first` on: the values x * span >> 32 of
+    the halves x not rejected, and how many halves they read.  IndexError
+    where the list ends first."""
     values, pos = [], first
-    for span in spans:
-        threshold = _lemire_threshold(span)
+    for span, threshold in ((_K_SPAN, _K_THRESHOLD), (size, _lemire_threshold(size))) * count:
         while halves[pos] * span & 0xFFFFFFFF < threshold:
             pos += 1
         values.append(halves[pos] * span >> 32)
@@ -493,17 +492,23 @@ def _rows(table):
 
 def _walk(rng, layouts):
     """``rng.walk(layouts)`` of a stream, or of a `WordStream` opened on a
-    Generator for this walk alone."""
+    Generator for this walk alone.  The draw functions take either: a
+    Generator on another bit generator (MT19937), or an object with no
+    `walk`, is a TypeError."""
     if isinstance(rng, np.random.Generator):
         with WordStream(rng) as stream:
             return stream.walk(layouts)
+    if not hasattr(rng, "walk"):
+        raise TypeError(f"random polynomials are drawn from a Generator or a WordStream, not {type(rng).__name__}")
     return rng.walk(layouts)
 
 
 def draw_polynomials(names, rng, count):
     """The thousandths of `count` random polynomials over the names, drawn
     one after another (see `Polynomials`): each a dict from monomial index
-    to the thousandths drawn for it, summed, in first-drawn order."""
+    to the thousandths drawn for it, summed, in first-drawn order.  `rng`
+    is a `WordStream`, or a Generator on one of the bit generators it
+    reads (see `_walk`), as for each draw built on this one."""
     return list(_walk(rng, [(Polynomials(tuple(names), count),)]).polynomials(0, 0).values())
 
 
@@ -752,7 +757,7 @@ def draw_connection(frame, rng, fill=0.6):
     independent components, as a `PolynomialConnection`: the walk of one
     `connection_draw`, where for each (A, B, C) with A <= B in order one
     double decides whether the entry is stored, and a stored entry's
-    polynomial is drawn at once."""
+    polynomial is drawn at once.  `rng` is as for `draw_polynomials`."""
     keys = _candidate_keys(frame.dim)
     drawn = _walk(rng, [(connection_draw(frame, fill),)]).polynomials(0, 0)
     return PolynomialConnection(frame, {keys[slot]: thousandths for slot, thousandths in drawn.items()})
@@ -835,9 +840,9 @@ class UniformStream:
                         if dets[at] >= MIN_DET:
                             break
                         at += rejected_size
-                        rejected += 1
-                        if rejected == _REDRAWS_PER_SAMPLE:
-                            raise gave_up(rejected, 0, 1, gate)
+                        rejected, error = _rejected(rejected, gate)
+                        if error is not None:
+                            raise error
                     starts.append(at)
                     at += accepted
         finally:

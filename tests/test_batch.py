@@ -1071,6 +1071,17 @@ def test_the_coefficient_form_fails_with_the_trees_error_at_an_overflow_point():
     assert {i: str(e) for i, e in failures.items()} == {1: message}
     for r in (0, 2):
         assert G[r].tobytes() == drawn[r].christoffel_at(points[r]).tobytes()
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        acceptance._stack(f, walked.stacked_terms(0, np.arange(3)), points)
+
+
+@pytest.mark.parametrize("cid", [1, 5, 6])
+def test_criteria_raise_the_trees_error_where_a_stacked_value_is_not_finite(monkeypatch, cid):
+    """As a per-point `christoffel_at` raised it before the stacks."""
+    stack = acceptance.christoffel_stack
+    monkeypatch.setattr(acceptance, "christoffel_stack", lambda f, terms, points: stack(f, terms, points * 1e200))
+    with pytest.raises(DomainError, match="^intermediate value is not finite$"):
+        getattr(acceptance, f"criterion_{cid}")(AcceptanceConfig(seed=0))
 
 
 @settings(max_examples=60, deadline=None)

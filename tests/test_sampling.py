@@ -6,6 +6,7 @@ it reads, and walks over planted words checked against the scalar reader
 of the same words."""
 import contextlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from jetgeo.sampling import (
     affine_draw,
     connection_draw,
     draw_connection,
+    draw_polynomials,
     random_connection,
     random_point,
     random_polynomial,
@@ -279,14 +281,13 @@ def _replay(rng, calls, out):
 
 
 def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_PER_CHUNK,
-                    window=sampling._WORDS_PER_WINDOW, one_by_one=sampling._ENTRIES_READ_ONE_BY_ONE, make=spawn_rng):
+                    one_by_one=sampling._ENTRIES_READ_ONE_BY_ONE, make=spawn_rng):
     """Whether `calls` made in a ``with stream(rng) as s`` block return what
     they return on a Generator with the same seed (through
     `GeneratorStream`, whose walks draw one call at a time), and leave rng
     in that Generator's state, when both start with a buffered high half
-    if `buffered`, and the stream reads `chunk` words at a time, holds
-    `window` words in lists and reads up to `one_by_one` entries in
-    Python.  The generators are ``make(seed)``.  A call that raises ends
+    if `buffered`, and the stream reads `chunk` words at a time (and holds
+    as many in lists) and reads up to `one_by_one` entries in Python.  The generators are ``make(seed)``.  A call that raises ends
     both runs, and the block with it."""
     rng, oracle = make(seed), make(seed)
     if buffered:
@@ -296,7 +297,6 @@ def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_P
         _replay(GeneratorStream(oracle), calls, want)
     with pytest.MonkeyPatch.context() as patch, contextlib.suppress(ValueError, DomainError):
         patch.setattr(sampling, "_WORDS_PER_CHUNK", chunk)
-        patch.setattr(sampling, "_WORDS_PER_WINDOW", window)
         patch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
         with stream(rng) as words:
             _replay(words, calls, got)
@@ -305,16 +305,16 @@ def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_P
 
 def _stream_property(stream, calls=st.one_of(_SCALAR_CALLS, _WALK_CALLS)):
     """The property that `stream` returns what the Generator returns, over
-    drawn seeds, calls, starting halves, raising blocks, chunk and window
-    sizes, and both ways of reading the terms of a walk."""
+    drawn seeds, calls, starting halves, raising blocks, chunk sizes, and
+    both ways of reading the terms of a walk."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 63 - 1), st.lists(calls, max_size=40), st.booleans(), st.booleans(),
-           st.sampled_from([(1, 1), (5, 3), (sampling._WORDS_PER_CHUNK, sampling._WORDS_PER_WINDOW)]),
+           st.sampled_from([1, 3, 5, sampling._WORDS_PER_CHUNK]),
            st.sampled_from([0, sampling._ENTRIES_READ_ONE_BY_ONE]))
-    def check(seed, calls, buffered, raises, sizes, one_by_one):
+    def check(seed, calls, buffered, raises, chunk, one_by_one):
         calls = calls + [_RAISE, ("random", ())] if raises else calls
-        assert _stream_matches(stream, calls, seed, buffered, *sizes, one_by_one)
+        assert _stream_matches(stream, calls, seed, buffered, chunk, one_by_one)
 
     return check
 
@@ -331,10 +331,10 @@ _SECTION_JETS = [(connection_draw(_frame(n + m, n)), connection_draw(_theta_fram
 def test_word_stream_crosses_chunks_with_every_call():
     walk = ("walk", ([_SECTION_JETS[i % 4] for i in range(60)],))
     calls = [("uniform", (-1.0, 1.0, (50, 4, 2, 2)))] * 3 + [walk, ("random", ())] * 3 + [("random", ())] * 1500
-    for sizes in ((5, 3), (7, 2), (sampling._WORDS_PER_CHUNK, sampling._WORDS_PER_WINDOW)):
+    for chunk in (2, 3, 5, 7, sampling._WORDS_PER_CHUNK):
         for one_by_one in (0, 10 ** 6):
-            assert _stream_matches(WordStream, calls, 8, False, *sizes, one_by_one)
-            assert _stream_matches(WordStream, calls, 9, True, *sizes, one_by_one)
+            assert _stream_matches(WordStream, calls, 8, False, chunk, one_by_one)
+            assert _stream_matches(WordStream, calls, 9, True, chunk, one_by_one)
 
 
 def test_a_stream_that_ignores_the_buffered_half_fails_the_stream_test():
@@ -347,27 +347,40 @@ def test_a_stream_that_ignores_the_buffered_half_fails_the_stream_test():
 
 
 def test_word_stream_rejects_other_bit_generators_and_wide_ranges():
-    with pytest.raises(TypeError, match="Philox or PCG64"):
+    with pytest.raises(TypeError, match="Philox, PCG64, PCG64DXSM, SFC64 bit generator, not MT19937"):
         WordStream(np.random.Generator(np.random.MT19937(0)))
     with pytest.raises(ValueError):
         ScalarWordStream(spawn_rng(0)).integers(0, 2 ** 32 + 1)
 
 
-def test_default_rng_callers_walk_through_the_same_words():
+@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64])
+def test_generators_on_other_half_buffering_bit_generators_walk_through_the_same_words(kind):
+    """PCG64 is `default_rng`'s; each follows the rules of Philox's words."""
     f = _frame(3, 1)
-    rng, oracle = np.random.default_rng(3), np.random.default_rng(3)
+    make = lambda seed: np.random.Generator(kind(seed))
+    rng, oracle = make(3), make(3)
     for _ in range(20):
         assert draw_connection(f, rng) == draw_connection_oracle(f, oracle)
         assert rng.random() == oracle.random()
     assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
-    # PCG64's words follow the same rules, through a stream block
+    # through a stream block
     walk = ("walk", ([_SECTION_JETS[i % 4] for i in range(40)],))
     calls = [("random", ()), walk, ("uniform", (-1.0, 1.0, (3, 2))), walk, ("random", ())]
     for seed in range(5):
         for buffered in (False, True):
-            assert _stream_matches(WordStream, calls, seed, buffered, make=np.random.default_rng)
-            assert _stream_matches(ScalarWordStream, calls + [("integers", (0, 7))] * 3, seed, buffered,
-                                   make=np.random.default_rng)
+            assert _stream_matches(WordStream, calls, seed, buffered, make=make)
+            assert _stream_matches(ScalarWordStream, calls + [("integers", (0, 7))] * 3, seed, buffered, make=make)
+
+
+def test_draws_from_mt19937_or_an_object_without_walk_are_type_errors():
+    f = _frame(3, 1)
+    rng = np.random.Generator(np.random.MT19937(0))
+    state = repr(rng.bit_generator.state)
+    with pytest.raises(TypeError, match="not MT19937"):
+        draw_connection(f, rng)
+    assert repr(rng.bit_generator.state) == state
+    with pytest.raises(TypeError, match="from a Generator or a WordStream, not Random"):
+        draw_polynomials(f.names, random.Random(0), 2)
 
 
 # ---------------------------------------------------------------------------
