@@ -57,7 +57,7 @@ from .geodesy import (
     residual2,
 )
 from .jets import AffineMap, SecJet, cover2, derivative_entries, load_jets
-from .sampling import secjet1_arrays, spawn_rng
+from .sampling import Draw, WordStream, secjet1_draw, spawn_rng
 from .symmetry import (
     affine_symmetry_check,
     field_preserves_distribution,
@@ -130,7 +130,12 @@ def _vector(text, option):
     raise JetGeoError(f"{option} must be comma-separated finite numbers, got {text!r}")
 
 
-def _split(args, g):
+def _split(args, g, other=None):
+    """`--n`, or else the `n` of g's spec, which that of `other`, a
+    connection compared with g, must equal."""
+    if args.n is None and other is not None and other.frame.split != g.frame.split:
+        raise JetGeoError(f"the specs declare different splits, n={g.frame.split} and n={other.frame.split}; "
+                          "choose one with --n")
     n = args.n if args.n is not None else g.frame.split
     _check_split(g, n)
     return n
@@ -142,9 +147,9 @@ def _split(args, g):
 
 def cmd_invariants(args):
     g = load_connection(args.connection)
-    n = _split(args, g)
-    if args.compare:
-        other = load_connection(args.compare)
+    other = load_connection(args.compare) if args.compare else None
+    n = _split(args, g, other)
+    if other is not None:
         pi_dev = pi_deviation(g, other, spawn_rng(args.seed, 0))
         _, grass_dev = invariants_match(g, other, n, spawn_rng(args.seed, 1))
         out = Output(args)
@@ -176,7 +181,7 @@ def cmd_equivalent(args):
     g2 = load_connection(args.other)
     if g1.frame.names != g2.frame.names:
         raise JetGeoError("connections live on different coordinate frames")
-    n = _split(args, g1)
+    n = _split(args, g1, g2)
     tol = args.tol if args.tol is not None else 1e-10
     verdict = grass_equivalent(g1, g2, n, samples=args.samples, tol=tol, seed=args.seed)
     out = Output(args)
@@ -274,19 +279,19 @@ def cmd_cover_check(args):
     _check_theta(theta, n)
     tol = args.tol if args.tol is not None else 1e-10
     l = g.dim
-    rng = spawn_rng(args.seed, 0)
+    # a sample draws its section jet (first, x, u), then a tangent vector
+    # (dx, du, dd), before anything can fail, so a redrawn sample consumes
+    # as much of the stream as a kept one
+    layout = (secjet1_draw(n, l), Draw(((n,), (l,), (l, n))))
+    stream = WordStream(spawn_rng(args.seed, 0))
 
     def draw(k):
-        # a sample draws its section jet (x, u, first), then a tangent vector
-        # (dx, du, dd), before anything can fail, so a redrawn sample consumes
-        # as much of the stream as a kept one
-        drawn = [(*secjet1_arrays(n, l, rng), rng.uniform(-1, 1, n), rng.uniform(-1, 1, l),
-                  rng.uniform(-1, 1, (l, n))) for _ in range(k)]
-        x, u, first, dx, du, dd = (np.array(a) for a in zip(*drawn))
+        walked, jets = stream.walk([layout] * k), np.arange(k)
+        (first, x, u), (dx, du, dd) = walked.parts(0, jets), walked.parts(1, jets)
         G, failed = g.christoffel_many(u)
         Th, theta_failed = theta.christoffel_many(x)
-        # secjet1_arrays keeps |det first[:n]| >= 0.3 with entries in [-1, 1],
-        # so inverse_top_blocks raises no SingularJacobianError here
+        # the gate keeps |det first[:n]| >= 0.3 with entries in [-1, 1], so
+        # inverse_top_blocks raises no SingularJacobianError here
         c_devs = covering_commutation_deviations(G, Th, first).tolist()
         q_devs = quotient_diagram_deviations(G, Th, first, dx, du, dd).tolist()
 
@@ -295,7 +300,8 @@ def cmd_cover_check(args):
                     require_finite(q_devs[i], "quotient deviation"))
         return [failed.get(i) or theta_failed.get(i) or outcome(row, i) for i in range(k)]
 
-    devs, _ = draw_regular(draw, args.samples, batch=True)
+    with stream:
+        devs, _ = draw_regular(draw, args.samples, batch=True)
     max_dev = worst(v for d in devs for v in d)
     rows = [[idx, c_dev, q_dev, "pass" if worst((c_dev, q_dev)) <= tol else "fail"]
             for idx, (c_dev, q_dev) in enumerate(devs)]

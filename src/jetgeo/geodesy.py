@@ -38,7 +38,7 @@ from .errors import (
     worst,
 )
 from .jets import SecJet, cover_first, cover_second, inverse_top_blocks, tangent_cover_table
-from .sampling import UniformStream, near_singular, spawn_rng
+from .sampling import WordStream, near_singular, spawn_rng
 
 
 def _check_subjet(g, p):
@@ -615,7 +615,8 @@ def extension_deviation(g1, g2, n, samples=50, seed=0):
     singular point or where g1 fails) and then its (m, n) derivative
     block, both from one generator; a redrawn point takes l numbers, a
     jet l + m n.
-    A batch walks the numbers of k jets as one jet at a time would.  It
+    A batch peeks at the numbers of k jets in a `WordStream`, walks them
+    as one jet at a time would and skips what those jets read.  It
     evaluates g1 by `christoffel_many` at the k points it reads, and takes
     each run of regular ones at once if no singular point is declared; a
     point that fails, or that a redrawn point has shifted off those k, is
@@ -627,7 +628,7 @@ def extension_deviation(g1, g2, n, samples=50, seed=0):
     l = g1.dim
     m = l - n
     size = l + m * n
-    stream = UniformStream(spawn_rng(seed, 0))
+    stream = WordStream(spawn_rng(seed, 0))
 
     def draw(k):
         drawn = stream.peek(k * size)

@@ -4,16 +4,16 @@ All randomness in the package flows through numpy Generators seeded by a
 single 64-bit seed plus a stream index, so parallel and serial runs of the
 same configuration draw identical numbers.
 
-Two readers draw ahead of a generator's calls.  A `WordStream` reads the
+One reader draws ahead of a generator's calls.  A `WordStream` reads the
 generator's raw 64-bit words in chunks, by the rules numpy's Generator
 applies to them, and leaves the generator where the same calls would.
-It serves `random` and `uniform`, and its `walk` reads the draws of many
+It serves `random` and `uniform`, `peek` and `skip` over the numbers of
+``uniform(-1, 1, size)`` calls, and its `walk` reads the draws of many
 samples, each a tuple of `Polynomials` (random polynomials and
 connections) and `Draw`s (uniform arrays, gated or not), in one loop over
-the words; the acceptance criteria read their draws through one, and
-`draw_connection` and `draw_polynomials` are walks of one sample.  A
-`UniformStream` serves the numbers of successive ``uniform(-1, 1, size)``
-calls to a caller that owns its generator and lets it run ahead.
+the words.  The acceptance criteria, the sampled checks and `cover-check`
+read their batches of draws through one, and `draw_connection` and
+`draw_polynomials` are walks of one sample.
 """
 from __future__ import annotations
 
@@ -21,11 +21,10 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import expr
 from .connections import Connection, gather_index, shift_parts
@@ -39,8 +38,8 @@ def spawn_rng(seed, index=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))))
 
 
-# raw words a `WordStream` reads from its copy of the bit generator at a
-# time, and the most a walk turns into Python lists at a time
+# raw words a `WordStream` reads from the bit generator at a time, and the
+# most a walk turns into Python lists at a time
 _WORDS_PER_CHUNK = 1024
 
 # a walk of at most this many stored polynomials reads their terms in
@@ -78,33 +77,31 @@ class WordStream:
     """The draws of a Generator on Philox, PCG64 (`default_rng`), PCG64DXSM
     or SFC64, read ahead from its raw 64-bit words: ``with WordStream(rng)
     as s`` gives an `s` whose `random` and `uniform` return what the same
-    calls on `rng` return, bit for bit, and whose `walk` reads the random
-    polynomials and uniform arrays of many samples as the per-sample calls
-    read them; when the block ends, normally or by an exception, `rng` is
-    left in the state those calls would have left.
+    calls on `rng` return, bit for bit, whose `peek` and `skip` serve the
+    numbers of ``uniform(-1, 1, size)`` calls to a caller that looks at
+    them before it knows how many it takes, and whose `walk` reads the
+    random polynomials and uniform arrays of many samples as the
+    per-sample calls read them; when the block ends, normally or by an
+    exception, `rng` is left in the state those calls would have left.
 
-    The words come in chunks from a copy of the bit generator, and each
-    draw is the fixed function of them that numpy's Generator computes
-    (numpy 2.4.6): a double is ``(w >> 11) * 2**-53``; a 32-bit draw is the
-    buffered high half of the last word split, or else the low half of a
-    new word whose high half is buffered; ``integers(low, high)`` is
-    Lemire's bounded draw on 32-bit draws.
-
-    It stays apart from `UniformStream`, which leaves its generator ahead
-    of what it consumed: this one leaves the generator where the scalar
-    calls would, and, reading raw words, cannot stand on a fake generator
-    that scales `uniform`, as `UniformStream`'s tests do."""
+    The words come in chunks, read ahead from the bit generator itself,
+    and each draw is the fixed function of them that numpy's Generator
+    computes (numpy 2.4.6): a double is ``(w >> 11) * 2**-53``; a 32-bit
+    draw is the buffered high half of the last word split, or else the low
+    half of a new word whose high half is buffered; ``integers(low,
+    high)`` is Lemire's bounded draw on 32-bit draws.  The block's end
+    sets the bit generator back to its state at the start, with the
+    buffered half the draws leave, and advances it over the words they
+    consumed; a caller that owns its generator and discards it needs no
+    block."""
 
     def __init__(self, rng):
         bit_generator = rng.bit_generator
         if not isinstance(bit_generator, _WORD_BIT_GENERATORS):
             names = ", ".join(kind.__name__ for kind in _WORD_BIT_GENERATORS)
             raise TypeError(f"WordStream reads a {names} bit generator, not {type(bit_generator).__name__}")
-        state = bit_generator.state
-        self._rng = rng
-        self._copy = type(bit_generator)(0)
-        self._copy.state = state
-        self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
+        self._bit_generator, self._state = bit_generator, bit_generator.state
+        self._has_half, self._half = bool(self._state["has_uint32"]), self._state["uinteger"]
         self._read = 0
         self._set_chunk(np.empty(0, np.uint64))
 
@@ -112,28 +109,60 @@ class WordStream:
         return self
 
     def __exit__(self, *exc):
-        bit_generator = self._rng.bit_generator
-        bit_generator.random_raw(self._read - (self._end - self._pos), output=False)
-        state = bit_generator.state
+        state, bit_generator = self._state, self._bit_generator
         state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
         bit_generator.state = state
+        bit_generator.random_raw(self._read - (self._end - self._pos), output=False)
 
     def _fresh(self, count):
-        """The next `count` words of the copy."""
+        """The next `count` words of the bit generator."""
         self._read += count
-        return self._copy.random_raw(count)
+        return self._bit_generator.random_raw(count)
 
     def _set_chunk(self, words):
         """Serve the draws from these words on."""
-        self._words, self._doubles, self._halves = words, _doubles(words).tolist(), None
-        self._pos, self._end = 0, len(words)
+        self._words, self._pos, self._end = words, 0, len(words)
+        self._doubles = self._halves = self._numbers = None
+
+    def _ahead(self, count):
+        """The chunk's words from the next on, at least `count` of them:
+        where the chunk has fewer, it becomes its unread words and fresh
+        ones (so `_pos` stays the index of the next word), at least a
+        chunk of them after the block's first read."""
+        if self._pos + count > self._end:
+            fresh = self._fresh(max(self._pos + count - self._end, _WORDS_PER_CHUNK if self._read else 0))
+            self._set_chunk(np.concatenate([self._words[self._pos:], fresh]) if self._pos < self._end else fresh)
+        return self._words[self._pos:]
+
+    def _chunk_doubles(self):
+        """The chunk's doubles, as a list made when first asked for."""
+        if self._doubles is None:
+            self._doubles = _doubles(self._words).tolist()
+        return self._doubles
+
+    def _chunk_halves(self):
+        """The chunk's 32-bit halves, low then high of each word, as a list
+        made when first asked for."""
+        if self._halves is None:
+            self._halves = self._words.astype("<u8").view("<u4").tolist()
+        return self._halves
+
+    def _uniforms(self, start, stop):
+        """``uniform(-1, 1)`` of the words `start` to `stop` from the next,
+        -1 + 2 d for a word's double d (2 d, (w >> 11) * 2**-52, is exact),
+        as an array: a slice of the chunk's, made when first asked for."""
+        self._ahead(stop)
+        if self._numbers is None:
+            self._numbers = (self._words >> 11) * 2.0 ** -52
+            self._numbers -= 1.0
+        return self._numbers[self._pos + start:self._pos + stop]
 
     def random(self):
         """``rng.random()``: one word's double in [0, 1)."""
         if self._pos == self._end:
             self._set_chunk(self._fresh(_WORDS_PER_CHUNK))
         self._pos += 1
-        return self._doubles[self._pos - 1]
+        return self._chunk_doubles()[self._pos - 1]
 
     def uniform(self, low=0.0, high=1.0, size=None):
         """``rng.uniform(low, high, size)``: low + (high - low) * d for one
@@ -145,13 +174,22 @@ class WordStream:
         count, start = math.prod(shape), self._pos
         if start + count <= self._end:
             self._pos += count
-            doubles = self._doubles[start:self._pos]
+            doubles = self._chunk_doubles()[start:self._pos]
         else:
-            doubles = self._doubles[start:self._end]
+            doubles = self._chunk_doubles()[start:self._end]
             self._set_chunk(self._fresh(max(count - len(doubles), _WORDS_PER_CHUNK)))
             self._pos = count - len(doubles)
-            doubles += self._doubles[:self._pos]
+            doubles += self._chunk_doubles()[:self._pos]
         return np.array([low + scale * d for d in doubles]).reshape(shape)
+
+    def peek(self, count):
+        """The numbers of the next ``uniform(-1, 1, count)`` call, as an
+        array, without consuming them."""
+        return self._uniforms(0, count)
+
+    def skip(self, count):
+        """Consume `count` numbers of `peek`."""
+        self._pos += count
 
     def walk(self, layouts):
         """The draws of `layouts`, one tuple of `Polynomials` and `Draw`
@@ -168,35 +206,38 @@ class WordStream:
         `_ENTRIES_READ_ONE_BY_ONE` entries and in Python below.  Where
         that method rejects a half (about one in two million, or a zero
         half), the entry's terms take one more half, and the loop runs
-        again with that entry's run known.  A gate takes `np.linalg.det` of
-        each candidate's n x n block, as the per-sample draw does (a stacked
-        det over every offset of the words in hand cost more than the few
-        candidates); a draw rejected 100 times raises the DomainError with
-        which `draw_regular` gives up its per-sample sampler, after
-        consuming what it read."""
-        plans = {}
-        for layout in layouts:
-            if id(layout) not in plans:
-                plans[id(layout)] = tuple(map(_plan, layout))
-        self._walk_words = self._words[self._pos:]
-        runs = {}
+        again with that entry's run known.
+
+        A gate takes `np.linalg.det` of a candidate's n x n block, as the
+        per-sample draw does.  In a walk with a `Polynomials` item the
+        candidates are few among the words, and it takes one det per
+        candidate; in a walk of `Draw`s alone nearly every offset can start
+        one, and it takes the dets at all offsets of a stretch of words at
+        once, by one stacked det (the same bits): twice the words that the
+        samples left accept, and a new stretch from where one runs out.  A
+        draw rejected 100 times raises the DomainError with which
+        `draw_regular` gives up its per-sample sampler, after consuming
+        what it read."""
+        plans = dict(zip(map(id, layouts), layouts))
+        for key, layout in plans.items():
+            plans[key] = tuple(map(_plan, layout))
+        kinds = {item[0] for plan in plans.values() for item in plan}
+        chunk, runs = self._words, {}
         while True:
-            p, has_half, hp, entries, starts, error = self._pass(layouts, plans, runs)
+            p, has_half, hp, entries, starts, error = self._pass(layouts, plans, runs, True not in kinds)
             read = self._terms(entries, runs, p)
             if read is not None:
                 entries, terms = read
                 break
-        words = self._walked(p)
-        draws = any(not item[0] for plan in plans.values() for item in plan)
-        numbers = -1.0 + 2.0 * _doubles(words[:p]) if draws else None
-        if len(words) == self._end - self._pos:
-            self._pos += p
-        else:
-            self._set_chunk(words[p:])
+        numbers = self._uniforms(0, p) if False in kinds else None
+        words = self._ahead(p)
         if hp:
             self._half = int(words[(hp - 1) >> 1]) >> 32
         self._has_half = has_half
-        del self._walk_words
+        if self._words is chunk:
+            self._pos += p
+        else:
+            self._set_chunk(words[p:])
         if error is not None:
             raise error
         return Walked(layouts, numbers, starts, entries, terms)
@@ -224,7 +265,7 @@ class WordStream:
         at = np.repeat(table[:, 3] - 2 * offsets, counts)
         at += np.arange(0, 2 * len(entry), 2)
         halves = np.empty(2 * p + 1, dtype=np.uint64)
-        halves[0], halves[1:] = self._half, self._walked(p)[:p].astype("<u8", copy=False).view("<u4")
+        halves[0], halves[1:] = self._half, self._ahead(p)[:p].astype("<u8", copy=False).view("<u4")
         size = table[entry, 5].astype(np.uint64)
         k, index = halves[at] * np.uint64(_K_SPAN), halves[at + 1] * size
         rejected = (k & 0xFFFFFFFF) < _K_THRESHOLD
@@ -258,34 +299,35 @@ class WordStream:
     def _half_list(self, words):
         """The halves of the walk's first `words` words as a list, and the
         shift from a half's position (see `_pass`) to its index: the
-        stream chunk's list where the walk has not read past it."""
+        chunk's list where the chunk holds them."""
         if words <= self._end - self._pos:
-            return self._halves, 2 * self._pos - 1
-        return [self._half] + self._walked(words)[:words].astype("<u8").view("<u4").tolist(), 0
+            return self._chunk_halves(), 2 * self._pos - 1
+        return [self._half] + self._ahead(words)[:words].astype("<u8").view("<u4").tolist(), 0
 
-    def _pass(self, layouts, plans, runs):
+    def _pass(self, layouts, plans, runs, stacked):
         """One run of `walk`'s loop, where entry e's terms take runs[e]
-        halves: the next word, whether a half is buffered, the position of
-        the high half of the last word split, the entries (sample, item,
-        slot, position of its first term's half, term count, monomials),
-        the start of each `Draw` (-1 for a `Polynomials` item) per sample,
+        halves and, if `stacked`, gates take their dets in stretches: the
+        next word, whether a half is buffered, the position of the high
+        half of the last word split, the entries (sample, item, slot,
+        position of its first term's half, term count, monomials), the
+        start of each item of each sample in turn (-1 for `Polynomials`),
         and the DomainError of a gate that gave up, else None.
 
         Words count from the walk's first; half 0 is the one buffered
         before the walk, and halves 2w + 1 and 2w + 2 are the low and high
         halves of word w.  The words in hand, as Python lists, start at
         the buffered half's word, so a term count can read it; the first
-        are the rest of the stream's chunk."""
-        if self._halves is None:
-            self._halves = self._words.astype("<u8").view("<u4").tolist()
+        are the rest of the stream's chunk.  A walk that takes its dets in
+        stretches reads no lists."""
         half0, p, has_half, hp = self._half, 0, self._has_half, 0
         window = self._window
-        base, end, doubles, halves = -self._pos, self._end - self._pos, self._doubles, self._halves
+        base, end = -self._pos, self._end - self._pos
+        doubles, halves = (None, None) if stacked else (self._chunk_doubles(), self._chunk_halves())
+        lo = hi = det_n = 0
         entries, starts = [], []
         append = entries.append
-        for i, layout in enumerate(layouts):
-            row = []
-            for j, plan in enumerate(plans[id(layout)]):
+        for i, layout in enumerate(map(plans.__getitem__, map(id, layouts))):
+            for j, plan in enumerate(layout):
                 if plan[0]:
                     _, count, fill, size = plan
                     for slot in range(count):
@@ -311,45 +353,53 @@ class WordStream:
                         last = first - 1 + (runs.get(len(entries), 2 * terms) if runs else 2 * terms)
                         p, has_half, hp = (last + 1) >> 1, last & 1 == 1, last + (last & 1)
                         append((i, j, slot, first, terms, size))
-                    row.append(-1)
+                    starts.append(-1)
                     continue
                 _, accepted, rejected, n, gate = plan
                 if gate is not None:
-                    width, tries = n * n, 0
+                    tries = 0
                     while True:
-                        if p + width > end:
-                            base, end, doubles, halves = window((hp - 1) >> 1 if has_half and hp else p, p + width)
-                        block = -1.0 + 2.0 * np.array(doubles[p - base:p - base + width]).reshape(n, n)
-                        if abs(np.linalg.det(block)) >= MIN_DET:
-                            break
+                        if stacked:
+                            if p >= hi or n != det_n:
+                                span = 2 * (len(layouts) - i) * sum(item[1] for item in layout)
+                                lo, hi, det_n, regular = p, p + span, n, self._regular(p, n, span)
+                            if regular[p - lo]:
+                                break
+                        else:
+                            if p + n * n > end:
+                                base, end, doubles, halves = window((hp - 1) >> 1 if has_half and hp else p, p + n * n)
+                            block = -1.0 + 2.0 * np.array(doubles[p - base:p - base + n * n]).reshape(n, n)
+                            if abs(np.linalg.det(block)) >= MIN_DET:
+                                break
                         p += rejected
                         tries, error = _rejected(tries, gate)
                         if error is not None:
                             return p, has_half, hp, entries, starts, error
-                row.append(p)
+                starts.append(p)
                 p += accepted
-            starts.append(row)
         return p, has_half, hp, entries, starts, None
 
-    def _walked(self, count):
-        """The words of the walk, at least `count` of them."""
-        if len(self._walk_words) < count:
-            fresh = self._fresh(max(count - len(self._walk_words), _WORDS_PER_CHUNK))
-            self._walk_words = np.concatenate([self._walk_words, fresh])
-        return self._walk_words
+    def _regular(self, start, n, count):
+        """Whether |det| >= MIN_DET for the n x n block at each of `count`
+        offsets of the walk's words from `start`, by one stacked
+        `np.linalg.det`, as a list."""
+        width = n * n
+        numbers = self._uniforms(start, start + count + width - 1)
+        blocks = numbers[np.add.outer(np.arange(count), np.arange(width))].reshape(count, n, n)
+        return (np.abs(np.linalg.det(blocks)) >= MIN_DET).tolist()
 
     def _window(self, start, need):
         """Words `start` to at least `need` of the walk, for `_pass`: their
         start and end, and their doubles and halves as lists."""
         end = max(need, start + _WORDS_PER_CHUNK)
-        words = self._walked(end)[start:end]
+        words = self._ahead(end)[start:end]
         return start, end, _doubles(words).tolist(), words.astype("<u8").view("<u4").tolist()
 
 
 def _rejected(tries, gate):
     """The count of a gated draw's rejected candidates, `tries`, after one
     more, and the DomainError with which `draw_regular` gives up its
-    per-sample sampler at the 100th, else None: the rule of both walks'
+    per-sample sampler at the 100th, else None: the rule of a walk's
     gates."""
     tries += 1
     return tries, gave_up(tries, 0, 1, gate) if tries == _REDRAWS_PER_SAMPLE else None
@@ -419,6 +469,7 @@ def connection_draw(frame, fill=0.6):
     return Polynomials(frame.names, len(_candidate_keys(frame.dim)), fill)
 
 
+@functools.cache
 def _plan(item):
     """The numbers by which `WordStream._pass` reads a layout item."""
     if isinstance(item, Polynomials):
@@ -430,22 +481,31 @@ class Walked:
     """The draws a walk read, over its samples.
 
     `numbers` holds the uniform number -1 + 2d of each word's double d
-    (None where the walk read no `Draw`), and starts[i][j] the offset in
-    it of the arrays of `Draw` j of sample i (-1 at a `Polynomials` item).
-    `entries` lists the (sample, item, slot, ...) of each stored
-    polynomial and `terms` the (entry, thousandths, monomial index) of
-    each drawn term, both in the order drawn.  Each of the three is an int
-    array or a list of rows, made an array when first needed as one."""
+    (None where the walk read no `Draw`), and `starts`, item after item of
+    one sample after another, the offset in it of the arrays of each
+    `Draw` (-1 at a `Polynomials` item).  `entries` lists the (sample,
+    item, slot, ...) of each stored polynomial and `terms` the (entry,
+    thousandths, monomial index) of each drawn term, both in the order
+    drawn.  Each of the three is an int array or a list, made an array
+    when first needed as one."""
 
     def __init__(self, layouts, numbers, starts, entries, terms):
         self.layouts, self.numbers, self.starts = layouts, numbers, starts
         self.entries, self.terms = entries, terms
+        self._firsts = None
+
+    def offsets(self, j, samples):
+        """The offsets in `numbers` of the arrays of item j at `samples`,
+        an int array broadcast over both (j may be an array of items)."""
+        if self._firsts is None:
+            self.starts = np.asarray(self.starts, dtype=np.int64)
+            self._firsts = np.array([0, *accumulate(map(len, self.layouts))])
+        return self.starts[self._firsts[samples] + j]
 
     def parts(self, j, samples):
         """The arrays of `Draw` j, the same at each of `samples`, stacked
         along them in the order drawn (see `Draw.parts`)."""
-        self.starts = np.asarray(self.starts, dtype=np.int64)
-        return self.layouts[samples[0]][j].parts(self.numbers, self.starts[samples, j])
+        return self.layouts[samples[0]][j].parts(self.numbers, self.offsets(j, samples))
 
     def polynomials(self, j, sample):
         """The stored polynomials of item j at one sample, by slot in the
@@ -472,7 +532,7 @@ class Walked:
             width = len(self.entries[0]) if self.entries else 3
             self.entries = np.array(self.entries, dtype=np.int64).reshape(-1, width)
             self.terms = np.array(self.terms, dtype=np.int64).reshape(-1, 3)
-        rank = np.full(len(self.starts), -1)
+        rank = np.full(len(self.layouts), -1)
         rank[samples] = np.arange(len(samples))
         sample, item, slot = self.entries[:, :3].T
         terms = self.terms
@@ -775,87 +835,18 @@ def random_expressions(names, rng, count):
 
 
 # the least |det| of the n x n block that `secjet1_arrays` and `random_affine`
-# accept (and `UniformStream.walk` with them)
+# accept (and a walk's gates with them)
 MIN_DET = 0.3
-
-
-class UniformStream:
-    """The numbers of successive ``rng.uniform(-1.0, 1.0, size)`` calls, read
-    ahead from buffered draws of the generator, for a caller that owns its
-    generator and must look at numbers before it knows how many it consumes.
-
-    ``rng.uniform(-1, 1, (k, l))`` gives what k calls ``rng.uniform(-1, 1, l)``
-    give, so what is consumed lines up with those calls; the generator
-    itself runs ahead of it.
-
-    It stays apart from `WordStream`: its callers own their generators and
-    let them run ahead, and its tests force rejections with a fake
-    generator whose `uniform` is scaled, which a reader of raw words
-    cannot use."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.buffer = np.empty(0)
-        self.pos = 0
-
-    def peek(self, count):
-        """The next `count` numbers, without consuming them."""
-        if len(self.buffer) - self.pos < count:
-            fresh = self.rng.uniform(-1.0, 1.0, max(count, 256))
-            self.buffer = np.concatenate([self.buffer[self.pos:], fresh])
-            self.pos = 0
-        return self.buffer[self.pos:self.pos + count]
-
-    def skip(self, count):
-        """Consume `count` numbers."""
-        self.pos += count
-
-    def walk(self, n, draws, rounds):
-        """The offsets of `rounds` rounds of draws, each round the `draws` in
-        order, read as the per-sample samplers read them from the generator:
-        a `Draw` with a gate takes candidates until the n x n matrix at the
-        start of one has |det| >= MIN_DET.  Returns the peeked numbers and an
-        int array (rounds, len(draws)) of each accepted draw's offset in
-        them, and consumes what the rounds read.
-
-        The determinant is taken at every offset of the numbers by one
-        stacked `np.linalg.det`, the bits of one per candidate.  A draw
-        rejected 100 times raises the DomainError with which `draw_regular`
-        gives up its per-sample sampler, after consuming what it read."""
-        sizes = [(d.accepted, d.rejected, d.gate) for d in draws]
-        numbers = self.peek(2 * rounds * sum(accepted for accepted, _, _ in sizes))
-        dets, at, starts = None, 0, []
-        try:
-            for _ in range(rounds):
-                for accepted, rejected_size, gate in sizes:
-                    rejected = 0
-                    while True:
-                        if at + accepted > len(numbers):
-                            numbers, dets = self.peek(2 * len(numbers)), None
-                        if gate is None:
-                            break
-                        if dets is None:
-                            windows = sliding_window_view(numbers, n * n).reshape(-1, n, n)
-                            dets = np.abs(np.linalg.det(windows)).tolist()
-                        if dets[at] >= MIN_DET:
-                            break
-                        at += rejected_size
-                        rejected, error = _rejected(rejected, gate)
-                        if error is not None:
-                            raise error
-                    starts.append(at)
-                    at += accepted
-        finally:
-            self.skip(at)
-        return numbers, np.array(starts, dtype=int).reshape(rounds, len(draws))
 
 
 @dataclass(frozen=True)
 class Draw:
-    """What one per-sample draw reads from a `UniformStream`: arrays of
-    `shapes`, in order.  With a `gate` (why a candidate is rejected), the
-    first array is a candidate, redrawn until the n x n matrix at its start
-    has |det| >= MIN_DET; a rejected candidate reads that array alone."""
+    """What one per-sample draw reads from a generator, as
+    ``uniform(-1, 1, shape)`` calls: arrays of `shapes`, in order.  With a
+    `gate` (why a candidate is rejected), the first array is a candidate,
+    redrawn until the n x n matrix at its start has |det| >= MIN_DET; a
+    rejected candidate reads that array alone.  `WordStream.walk` reads it
+    for many samples at once."""
 
     shapes: tuple
     gate: str = None
@@ -869,9 +860,9 @@ class Draw:
         return math.prod(self.shapes[0])
 
     def parts(self, numbers, starts):
-        """The arrays of the draws at `starts` (as `UniformStream.walk`
-        returns them), in the order drawn, each stacked along the axes of
-        `starts`."""
+        """The arrays of the draws at `starts`, offsets in `numbers` (as a
+        `Walked` holds them), in the order drawn, each stacked along the
+        axes of `starts`."""
         starts, offset, parts = np.asarray(starts)[..., None], 0, []
         for shape in self.shapes:
             width = math.prod(shape)
@@ -884,37 +875,36 @@ _SECJET_GATE = "base-direction block of the section jet is near singular"
 _AFFINE_GATE = "linear part of the affine map is near singular"
 
 
+@functools.cache
 def secjet1_draw(n, l):
     """The `Draw` of `secjet1_arrays`: first (l, n), x (n), then u (l)."""
     return Draw(((l, n), (n,), (l,)), _SECJET_GATE)
 
 
+@functools.cache
 def affine_draw(n):
     """The `Draw` of `random_affine`: a (n, n), then b (n)."""
     return Draw(((n, n), (n,)), _AFFINE_GATE)
 
 
+@functools.cache
 def subjet1_draw(n, m):
     """The `Draw` of `random_subjet1`: base (n + m), then first (m, n)."""
     return Draw(((n + m,), (m, n)))
 
 
 def subjet1_stream(n, m, stream, k):
-    """The next k order-1 submanifold jets of `stream`, as k
+    """The next k order-1 submanifold jets of a `WordStream`, as k
     `random_subjet1(n, m, rng)` calls draw them from its generator: (base,
     first), stacked (k, n + m) and (k, m, n)."""
-    draw = subjet1_draw(n, m)
-    numbers, starts = stream.walk(n, [draw], k)
-    return draw.parts(numbers, starts[:, 0])
+    return stream.walk([(subjet1_draw(n, m),)] * k).parts(0, np.arange(k))
 
 
 def secjet1_stream(n, l, stream, k):
-    """The next k order-1 section jets of `stream`, as k `secjet1_arrays(n,
-    l, rng)` calls draw them from its generator: (x, u, first), stacked
-    (k, n), (k, l) and (k, l, n)."""
-    draw = secjet1_draw(n, l)
-    numbers, starts = stream.walk(n, [draw], k)
-    first, x, u = draw.parts(numbers, starts[:, 0])
+    """The next k order-1 section jets of a `WordStream`, as k
+    `secjet1_arrays(n, l, rng)` calls draw them from its generator: (x, u,
+    first), stacked (k, n), (k, l) and (k, l, n)."""
+    first, x, u = stream.walk([(secjet1_draw(n, l),)] * k).parts(0, np.arange(k))
     return x, u, first
 
 

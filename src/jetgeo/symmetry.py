@@ -52,7 +52,7 @@ from .jets import (
     reparam_act,
 )
 from .sampling import (
-    UniformStream,
+    WordStream,
     affine_draw,
     random_secjet1,
     random_subjet1,
@@ -227,7 +227,7 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
     the image jet, by least squares.  Samples where g, Θ, the map or its
     Jacobian fails to evaluate are redrawn and counted in `skipped`.
 
-    Each batch reads its jets from a `UniformStream` by `subjet1_stream` or
+    Each batch reads its jets from a `WordStream` by `subjet1_stream` or
     `secjet1_stream`, evaluates the map and its derivative tables with one
     `Table.rows`, and the generators with `_generators_at`, at the jets and
     at the images of the jets where nothing failed before.  A sample is
@@ -250,7 +250,7 @@ def preserves_distribution(jmap, g, n, samples=25, tol=1e-8, seed=0, theta=None)
     # a row that fails raises the error of the first tree that fails
     table = expr.Table([*jmap.components, *(e for name in jmap.chart for e in jmap.table.derivative(name).exprs)],
                        jmap.chart)
-    stream = UniformStream(spawn_rng(seed, 0))
+    stream = WordStream(spawn_rng(seed, 0))
 
     def draw(k):
         if theta is None:
@@ -399,7 +399,7 @@ def field_preserves_distribution(f, g, n, samples=25, tol=1e-8, seed=0):
     """Infinitesimal version: the commutator of the field with each
     generator must stay in the distribution span at sampled jets.
 
-    Each batch reads its jets from a `UniformStream` by `subjet1_stream`,
+    Each batch reads its jets from a `WordStream` by `subjet1_stream`,
     evaluates the generators with `_generators_at` and the brackets with one
     `Table.rows`; a sample is redrawn where g fails, else where a bracket
     fails, else where a span residual is not finite."""
@@ -410,7 +410,7 @@ def field_preserves_distribution(f, g, n, samples=25, tol=1e-8, seed=0):
     generators = distribution_generator_expressions(g, n)
     chart = f.chart
     brackets = expr.Table([c for x in generators for c in commutator(f, x, chart)], chart)
-    stream = UniformStream(spawn_rng(seed, 0))
+    stream = WordStream(spawn_rng(seed, 0))
 
     def draw(k):
         points = _subjet_points(*subjet1_stream(n, m, stream, k))
@@ -505,7 +505,7 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     re-evaluated.  Requires the flat parameter connection, the setting in
     which the affine group acts by symmetries.
 
-    Each batch reads its order-1 section jets from a `UniformStream` by
+    Each batch reads its order-1 section jets from a `WordStream` by
     `secjet1_stream`, evaluates g once at all of their points, and runs
     `ddot_pro_second`, `affine_second` and `param_residual_table` on the
     stacked arrays; a jet where g fails, or whose residual is not finite,
@@ -517,7 +517,7 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     n, l = aff.n, g.dim
     _check_split(g, n)
     ainv = np.linalg.inv(aff.a)
-    stream = UniformStream(spawn_rng(seed, 0))
+    stream = WordStream(spawn_rng(seed, 0))
 
     def draw(k):
         x, u, first = secjet1_stream(n, l, stream, k)
@@ -577,7 +577,7 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
         connection) and projecting lands on the zero set of the
         unparametrized equation.
 
-    A sample reads, from one `UniformStream`, a section jet t, ten affine
+    A sample reads, from one `WordStream` walk, a section jet t, ten affine
     maps, a submanifold jet p and a section jet q, and is redrawn where g
     fails at q.  Each batch projects t, its ten images and the lift of p
     with `cover_first`, and extends and projects q with `ddot_pro_second`
@@ -590,9 +590,9 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
         raise ValueError("samples must be >= 1")
     l = g.dim
     m = l - n
-    stream = UniformStream(spawn_rng(seed, 0))
+    stream = WordStream(spawn_rng(seed, 0))
     secjet, affine, subjet = secjet1_draw(n, l), affine_draw(n), subjet1_draw(n, m)
-    draws = [secjet, *[affine] * 10, subjet, secjet]
+    layout = (secjet, *[affine] * 10, subjet, secjet)
 
     def projected(first):
         # never raises: t and q have |det| >= 0.3, an acted jet has
@@ -602,14 +602,15 @@ def orbit_quotient_check(g, n, samples=25, seed=0, orbit_tol=1e-12, factoring_to
         return cover_first(first, inverse_top_blocks(first, n))
 
     def draw(k):
-        numbers, starts = stream.walk(n, draws, k)
-        t = secjet.parts(numbers, starts[:, 0])[0]
-        acted = t[:, None] @ np.linalg.inv(affine.parts(numbers, starts[:, 1:11])[0])
+        walked, jets = stream.walk([layout] * k), np.arange(k)
+        t = walked.parts(0, jets)[0]
+        a = affine.parts(walked.numbers, walked.offsets(np.arange(1, 11), jets[:, None]))[0]
+        acted = t[:, None] @ np.linalg.inv(a)
         orbit = np.abs(projected(acted) - projected(t)[:, None]).max(axis=(1, 2, 3))
-        p_first = subjet.parts(numbers, starts[:, 11])[1]
+        p_first = walked.parts(11, jets)[1]
         lift = np.concatenate([np.broadcast_to(np.eye(n), (k, n, n)), p_first], axis=1)
         preimage = np.abs(projected(lift) - p_first).max(axis=(1, 2))
-        first, _, u = secjet.parts(numbers, starts[:, 12])
+        first, _, u = walked.parts(12, jets)
         G, failed = g.christoffel_many(u)
         inv = inverse_top_blocks(first, n)
         # both second-derivative formulas are symmetric bit for bit

@@ -303,7 +303,6 @@ def walk_oracle(stream, layouts):
     `secjet1_arrays` redraws.  Returns the `Walked` the walk must equal."""
     numbers, starts, entries, terms = [], [], [], []
     for i, layout in enumerate(layouts):
-        row = []
         for j, item in enumerate(layout):
             if isinstance(item, Polynomials):
                 for slot in range(item.count):
@@ -312,7 +311,7 @@ def walk_oracle(stream, layouts):
                             k = int(stream.integers(-1000, 1001))
                             terms.append((len(entries), k, int(stream.integers(0, item.size))))
                         entries.append((i, j, slot))
-                row.append(-1)
+                starts.append(-1)
                 continue
 
             def draw(item=item):
@@ -322,10 +321,9 @@ def walk_oracle(stream, layouts):
                     raise SingularJacobianError(item.gate)
                 return [first] + [stream.uniform(-1.0, 1.0, shape) for shape in item.shapes[1:]]
 
-            row.append(len(numbers))
+            starts.append(len(numbers))
             numbers += [x for array in draw_regular(draw, 1)[0][0] for x in array.ravel().tolist()]
-        starts.append(row)
-    return Walked(layouts, np.array(numbers), np.array(starts, dtype=np.int64), entries, terms)
+    return Walked(layouts, np.array(numbers), starts, entries, terms)
 
 
 class GeneratorStream:

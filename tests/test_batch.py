@@ -1,6 +1,6 @@
 """The batch axis of the sampled checks: `Table.at_many` and `Table.rows`
 against the per-point table, `draw_regular`'s batched form against its
-per-sample form, the section jets read from a `UniformStream` against
+per-sample form, the section jets read from a `WordStream` against
 `secjet1_arrays`, the batched comparisons, affine symmetry check, orbit
 check and `cover-check` against their one-sample-at-a-time oracles in
 tests/conftest.py, and the array formulas of the covering projections,
@@ -66,7 +66,6 @@ from jetgeo.jets import (
 )
 from jetgeo.sampling import (
     PolynomialConnection,
-    UniformStream,
     WordStream,
     _monomial_cores,
     christoffel_stack,
@@ -339,39 +338,27 @@ def test_batched_draws_give_up_with_the_same_message():
     assert str(batched.value).startswith("could not sample: 300 draws failed and 0 of 3 succeeded")
 
 
-def test_uniform_stream_lines_up_with_successive_draws():
-    stream, rng = UniformStream(spawn_rng(23)), spawn_rng(23)
-    for size in (3, 300, 7, 1000, 1):
-        assert np.array_equal(stream.peek(size), rng.uniform(-1.0, 1.0, size))
-        stream.skip(size)
+def _counting_stretches(monkeypatch):
+    """The stretches of stacked dets that walks take, recorded from now
+    on as (start, n, count)."""
+    stretches, regular = [], WordStream._regular
 
+    def counting(self, start, n, count):
+        stretches.append((start, n, count))
+        return regular(self, start, n, count)
 
-def _counting_peeks(stream):
-    """The counts `stream.peek` is asked for, recorded from now on."""
-    counts, peek = [], stream.peek
-    stream.peek = lambda count: counts.append(count) or peek(count)
-    return counts
-
-
-class _Shrunk:
-    """A generator whose uniform numbers are those of `rng` times `scale`:
-    an n x n block of them has |det| scaled by scale^n, so that more of
-    the candidates are rejected than with `rng`."""
-
-    def __init__(self, rng, scale):
-        self.rng, self.scale = rng, scale
-
-    def uniform(self, low, high, size=None):
-        return self.scale * self.rng.uniform(low, high, size)
+    monkeypatch.setattr(WordStream, "_regular", counting)
+    return stretches
 
 
 @pytest.mark.parametrize("rejecting", [False, True])
 @pytest.mark.parametrize("n, l", [(1, 2), (1, 3), (2, 3), (2, 4)])
-def test_secjet1_stream_reads_what_secjet1_arrays_draws(n, l, rejecting):
-    # shrunk by (1/3)^(1/n), a block passes where |det| >= 0.9 unshrunk
-    scale = (1 / 3) ** (1 / n) if rejecting else 1.0
-    stream, rng = UniformStream(_Shrunk(spawn_rng(31 + l), scale)), _Shrunk(spawn_rng(31 + l), scale)
-    peeks = _counting_peeks(stream)
+def test_secjet1_stream_reads_what_secjet1_arrays_draws(n, l, rejecting, monkeypatch):
+    # a block passes where |det| >= 0.9, which rejects most candidates
+    if rejecting:
+        monkeypatch.setattr(sampling, "MIN_DET", 0.9)
+    stretches = _counting_stretches(monkeypatch)
+    stream, rng = WordStream(spawn_rng(31 + l)), spawn_rng(31 + l)
     for k in (1, 7, 50):
         drawn = secjet1_stream(n, l, stream, k)
         expected = [np.array(column) for column in zip(*(secjet1_arrays(n, l, rng) for _ in range(k)))]
@@ -379,14 +366,14 @@ def test_secjet1_stream_reads_what_secjet1_arrays_draws(n, l, rejecting):
         # the stream has consumed what the generator has drawn
         assert stream.peek(1)[0] == rng.uniform(-1.0, 1.0)
         stream.skip(1)
-    # where most candidates are rejected, a walk peeks again
-    assert len(peeks) > 6 or not rejecting
+    # where most candidates are rejected, a walk runs past its first stretch
+    assert len(stretches) > 3 or not rejecting
 
 
-def test_secjet1_stream_gives_up_as_secjet1_arrays_does():
-    # shrunk by 0.4, a 2 x 2 block passes where |det| >= 1.875 unshrunk,
-    # which almost none do
-    stream, rng = UniformStream(_Shrunk(spawn_rng(36), 0.4)), _Shrunk(spawn_rng(36), 0.4)
+def test_secjet1_stream_gives_up_as_secjet1_arrays_does(monkeypatch):
+    # a 2 x 2 block passes where |det| >= 1.875, which almost none do
+    monkeypatch.setattr(sampling, "MIN_DET", 1.875)
+    stream, rng = WordStream(spawn_rng(36)), spawn_rng(36)
     with pytest.raises(DomainError) as batched:
         secjet1_stream(2, 3, stream, 50)
     with pytest.raises(DomainError) as one_by_one:
@@ -543,6 +530,9 @@ _COVER_CHECK_CASES = {
     # both fail everywhere: the message is g's
     "give-up": ([{"lower": [1, 1], "upper": 2, "expr": "sqrt(-1 - u1^2)"}],
                 [{"lower": [1, 1], "upper": 1, "expr": "sqrt(-2 - x1^2)"}], 3),
+    # more samples than one batch takes: a shortfall of redrawn samples
+    # walks on in the same stream, round after round
+    "theta-fails-many": ("l4.json", "theta_n2.json", 1500),
 }
 
 
@@ -743,7 +733,7 @@ def test_a_nan_in_gamma_propagates_to_its_rows_deviation(n, m):
 
 def test_subjet1_stream_reads_what_random_subjet1_draws():
     for n, m in acceptance._DIM_CASES:
-        stream, rng = UniformStream(spawn_rng(50 + 2 * n + m)), spawn_rng(50 + 2 * n + m)
+        stream, rng = WordStream(spawn_rng(50 + 2 * n + m)), spawn_rng(50 + 2 * n + m)
         for k in (1, 7, 300):
             base, first = subjet1_stream(n, m, stream, k)
             jets = [random_subjet1(n, m, rng) for _ in range(k)]

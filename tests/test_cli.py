@@ -804,7 +804,7 @@ def test_cover_check_with_a_theta_of_another_dimension_exits_2(tmp_path, monkeyp
     def no_draw(*args):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(cli, "secjet1_arrays", no_draw)
+    monkeypatch.setattr(cli, "WordStream", no_draw)
     assert main(["cover-check", os.path.join(GOLDEN, "l4.json"), "--theta", theta]) == 2
     assert capsys.readouterr() == ("", "error: parameter connection dimension 1, jet parameter dimension 2\n")
 
@@ -1249,3 +1249,22 @@ def test_a_second_spec_on_another_chart_exits_2_or_keeps_the_verdict(case, data)
         assert out == "" and err.startswith("error: ")
     else:
         assert code == matched[0]
+
+
+@pytest.mark.parametrize("case", ["equivalent", "invariants --compare"])
+@pytest.mark.parametrize("first, second", [(2, 1), (2, 3), (1, 2), (3, 2)])
+def test_two_specs_whose_splits_differ_exit_2_unless_n_is_given(case, first, second):
+    """Without --n, two specs that declare different splits exit 2 with
+    one error line naming both; with --n both are read at that split, as
+    the matched pair is."""
+    argv, names = _TWO_SPECS[case]
+    matched = []
+    for name in names:
+        with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+            matched.append(json.load(fh))
+    specs = copy.deepcopy(matched)
+    specs[0]["n"], specs[1]["n"] = first, second
+    code, out, err = _run_specs(argv, specs)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err == f"error: the specs declare different splits, n={first} and n={second}; choose one with --n\n"
+    assert _run_specs(argv + ["--n", "2"], specs) == _run_specs(argv + ["--n", "2"], matched)

@@ -337,6 +337,30 @@ def test_word_stream_crosses_chunks_with_every_call():
             assert _stream_matches(WordStream, calls, 9, True, chunk, one_by_one)
 
 
+@pytest.mark.parametrize("chunk", [3, 7, sampling._WORDS_PER_CHUNK])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_word_stream_peek_and_skip_line_up_with_successive_draws(monkeypatch, chunk, buffered):
+    """`peek` gives the numbers of the next ``uniform(-1, 1, size)`` calls
+    and `skip` consumes them, across chunk ends, between walks and
+    `uniform` calls, and the generator ends where those calls leave it."""
+    monkeypatch.setattr(sampling, "_WORDS_PER_CHUNK", chunk)
+    rng, oracle = _generator(23, buffered), _generator(23, buffered)
+    # a walk with random connections, and one of gated draws alone
+    walks = [[_SECTION_JETS[i % 4] + (secjet1_draw(1, 2),) for i in range(6)],
+             [(secjet1_draw(2, 3), affine_draw(1), subjet1_draw(1, 1))] * 9]
+    with WordStream(rng) as stream:
+        for i, (size, taken) in enumerate(((3, 3), (300, 120), (7, 0), (1000, 1000), (1, 1), (40, 17))):
+            peeked = stream.peek(size)
+            assert peeked.shape == (size,)
+            assert stream.peek(size).tobytes() == peeked.tobytes()
+            stream.skip(taken)
+            assert peeked[:taken].tobytes() == oracle.uniform(-1.0, 1.0, taken).tobytes()
+            walk = walks[i % 2]
+            assert _walked(stream.walk(walk)) == _walked(GeneratorStream(oracle).walk(walk))
+            assert stream.uniform(-1.0, 1.0, (2, 3)).tobytes() == oracle.uniform(-1.0, 1.0, (2, 3)).tobytes()
+    assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
+
+
 def test_a_stream_that_ignores_the_buffered_half_fails_the_stream_test():
     with pytest.raises(AssertionError):
         _stream_property(HalfIgnoringStream, st.one_of(_INTEGER_CALLS, _WALK_CALLS))()
