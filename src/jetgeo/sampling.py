@@ -213,8 +213,9 @@ class WordStream:
         candidates are few among the words, and it takes one det per
         candidate; in a walk of `Draw`s alone nearly every offset can start
         one, and it takes the dets at all offsets of a stretch of words at
-        once, by one stacked det (the same bits): twice the words that the
-        samples left accept, and a new stretch from where one runs out.  A
+        once, by one stacked det (the same bits): one and a half times the
+        words that the samples left accept (rejections add about a fifth),
+        and a new stretch from where one runs out.  A
         draw rejected 100 times raises the DomainError with which
         `draw_regular` gives up its per-sample sampler, after consuming
         what it read."""
@@ -361,7 +362,7 @@ class WordStream:
                     while True:
                         if stacked:
                             if p >= hi or n != det_n:
-                                span = 2 * (len(layouts) - i) * sum(item[1] for item in layout)
+                                span = 3 * (len(layouts) - i) * sum(item[1] for item in layout) // 2
                                 lo, hi, det_n, regular = p, p + span, n, self._regular(p, n, span)
                             if regular[p - lo]:
                                 break
@@ -863,10 +864,11 @@ class Draw:
         """The arrays of the draws at `starts`, offsets in `numbers` (as a
         `Walked` holds them), in the order drawn, each stacked along the
         axes of `starts`."""
-        starts, offset, parts = np.asarray(starts)[..., None], 0, []
+        starts = np.asarray(starts)
+        drawn, offset, parts = numbers[starts[..., None] + np.arange(self.accepted)], 0, []
         for shape in self.shapes:
             width = math.prod(shape)
-            parts.append(numbers[starts + np.arange(offset, offset + width)].reshape(*starts.shape[:-1], *shape))
+            parts.append(np.ascontiguousarray(drawn[..., offset:offset + width]).reshape(*starts.shape, *shape))
             offset += width
         return tuple(parts)
 
