@@ -16,7 +16,8 @@ with the same pattern when it diffs `selftest --seed 0` against
 `selftest_seed40807560`, `selftest_seed2134822917`,
 `selftest_seed1431460730` and `selftest_seed508547399` pin the output at
 the five `selftest` seeds perfbench draws at its seed 7;
-`selftest_seed2026` pins a seed perfbench does not draw.
+`selftest_seed2026` and `selftest_seed11` pin two seeds perfbench does not
+draw.
 
 `l4_shift.json` is the admissible split-2 shift of `l4.json`,
 `grass_shift(g, 2, psi)` with psi = (1/3*u1*u3 - 2/5*u4, 7/10*u2*u2 + 1/4),
@@ -76,6 +77,7 @@ CASES = {
     "selftest_seed1431460730": ["selftest", "--seed", "1431460730"],
     "selftest_seed508547399": ["selftest", "--seed", "508547399"],
     "selftest_seed2026": ["selftest", "--seed", "2026"],
+    "selftest_seed11": ["selftest", "--seed", "11"],
 }
 
 ELAPSED = re.compile(r"  \[elapsed [0-9.]+s\]")
