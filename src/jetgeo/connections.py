@@ -426,33 +426,51 @@ def grass_arrays(G, n):
     return G[..., base, fibre, base], order1, order2, G[..., fibre, base, fibre]
 
 
-def _max_difference(g1, g2, arrays, rng):
-    """max |arrays(Γ) - arrays(Γ')| over 12 points drawn uniformly from
+def _largest_differences(families1, families2, lead):
+    """max |a - b| over the families of two stacks of arrays whose leading
+    axes are `lead`, at each point: NaN where one is NaN."""
+    return np.max([np.abs(a - b).reshape(*lead, -1).max(axis=-1) for a, b in zip(families1, families2)], axis=0)
+
+
+def pi_deviations(G1, G2):
+    """max |Π - Π'| at each point of two stacks of `christoffel_at` arrays
+    (..., l, l, l): the per-point deviation of `pi_deviation`."""
+    return _largest_differences((pi_array(G1),), (pi_array(G2),), G1.shape[:-3])
+
+
+def grass_deviations(G1, G2, n):
+    """max |f - f'| over the four families of `grass_arrays` for split n
+    at each point of two stacks: the per-point deviation of
+    `invariants_match`."""
+    return _largest_differences(grass_arrays(G1, n), grass_arrays(G2, n), G1.shape[:-3])
+
+
+def _max_difference(g1, g2, deviations, rng):
+    """The largest of ``deviations(G1, G2)``, per-point deviations of
+    stacked `christoffel_at` arrays, at 12 points drawn uniformly from
     [-1, 1]^l, one batch of points at a time; a point where either Γ fails
-    or the difference is not finite is redrawn.  `arrays` maps stacked
-    `christoffel_at` arrays to stacked families."""
+    or the deviation is not finite is redrawn."""
     check_same_frame(g1, g2)
 
     def draw(k):
         points = rng.uniform(-1.0, 1.0, (k, g1.dim))
         (G1, failed1), (G2, failed2) = g1.christoffel_many(points), g2.christoffel_many(points)
-        families = [np.abs(a - b).reshape(k, -1).max(axis=1) for a, b in zip(arrays(G1), arrays(G2))]
-        return [failed1.get(i) or failed2.get(i) or outcome(require_finite, worst(devs), "invariant deviation")
-                for i, devs in enumerate(zip(*families))]
+        return [failed1.get(i) or failed2.get(i) or outcome(require_finite, deviation, "invariant deviation")
+                for i, deviation in enumerate(deviations(G1, G2).tolist())]
 
     return worst(draw_regular(draw, 12, batch=True)[0])
 
 
 def pi_deviation(g1, g2, rng):
     """max |Π - Π'| over 12 random points; see `_max_difference`."""
-    return _max_difference(g1, g2, lambda G: (pi_array(G),), rng)
+    return _max_difference(g1, g2, pi_deviations, rng)
 
 
 def invariants_match(g1, g2, n, rng, tol=1e-10):
     """(equal, max deviation) of the four invariant families of g1 and g2
     for split n at 12 random points; see `_max_difference`."""
     _check_split(g1, n)
-    max_dev = _max_difference(g1, g2, lambda G: grass_arrays(G, n), rng)
+    max_dev = _max_difference(g1, g2, lambda G1, G2: grass_deviations(G1, G2, n), rng)
     return max_dev <= tol, max_dev
 
 

@@ -150,6 +150,13 @@ def ddot_pro_second(G, Th, D):
     return 0.5 * (second + np.swapaxes(second, -1, -2))
 
 
+def extension_deviations(G1, G2, D):
+    """max |`ddot_second`(G1, D) - `ddot_second`(G2, D)| at each jet, of two
+    connections' arrays at its point: the per-jet deviation of
+    `extension_deviation`."""
+    return np.abs(ddot_second(G1, D) - ddot_second(G2, D)).max(axis=(-3, -2, -1))
+
+
 def residual_table(G, D, u2):
     """`residual2`'s table (..., m, n, n) from G, D (..., m, n) and the
     second derivatives u2 (..., m, n, n)."""
@@ -670,7 +677,7 @@ def extension_deviation(g1, g2, n, samples=50, seed=0):
         D = drawn[starts[:, None] + np.arange(l, size)].reshape(len(jets), m, n)
         G1 = np.concatenate(arrays)
         G2, failed2 = g2.christoffel_many(points)
-        deviations = np.abs(ddot_second(G1, D) - ddot_second(G2, D)).max(axis=(1, 2, 3)).tolist()
+        deviations = extension_deviations(G1, G2, D).tolist()
         return [o if isinstance(o, DomainError) else failed2.get(o)
                 or outcome(require_finite, deviations[o], "second-order extension deviation")
                 for o in out]

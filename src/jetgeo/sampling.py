@@ -493,7 +493,7 @@ class Walked:
     def __init__(self, layouts, numbers, starts, entries, terms):
         self.layouts, self.numbers, self.starts = layouts, numbers, starts
         self.entries, self.terms = entries, terms
-        self._firsts = None
+        self._firsts = self._polynomials = None
 
     def offsets(self, j, samples):
         """The offsets in `numbers` of the arrays of item j at `samples`,
@@ -512,16 +512,21 @@ class Walked:
         """The stored polynomials of item j at one sample, by slot in the
         order drawn: each a dict from monomial index to the thousandths
         drawn for it, summed, in first-drawn order (a sum may cancel to
-        0)."""
-        out, slots = {}, {}
-        for e, row in enumerate(_rows(self.entries)):
-            if row[0] == sample and row[1] == j:
-                slots[e] = out[row[2]] = {}
-        for e, k, index in _rows(self.terms):
-            thousandths = slots.get(e)
-            if thousandths is not None:
-                thousandths[index] = thousandths.get(index, 0) + k
-        return out
+        0).  The first call groups the polynomials of every sample and item
+        in one pass over the entries and terms."""
+        if self._polynomials is None:
+            self._polynomials, drawn = {}, []
+            for row in _rows(self.entries):
+                drawn.append(self._polynomials.setdefault((row[0], row[1]), {}).setdefault(row[2], {}))
+            for e, k, index in _rows(self.terms):
+                drawn[e][index] = drawn[e].get(index, 0) + k
+        return self._polynomials.get((sample, j), {})
+
+    def connection(self, j, sample, frame):
+        """The `PolynomialConnection` on `frame` that item j, a
+        `connection_draw(frame)`, drew at one sample."""
+        keys = _candidate_keys(frame.dim)
+        return PolynomialConnection(frame, {keys[slot]: t for slot, t in self.polynomials(j, sample).items()})
 
     def stacked_terms(self, j, samples):
         """The terms of the polynomials of item j at `samples`, for
@@ -768,49 +773,98 @@ def _mirrors(l):
 
 
 def christoffel_stack(frame, terms, points):
-    """The Christoffel arrays of K random connections on `frame`, each at a
-    point of its own: from `terms`, the arrays (row, slot, thousandths,
-    monomial index) of `Walked.stacked_terms`, and a (K, l) point array,
-    the (K, l, l, l) stack whose row r is, bit for bit, what
+    """The Christoffel arrays of K random connections on `frame`, each at
+    points of its own: from `terms`, the arrays (row, slot, thousandths,
+    monomial index) of `Walked.stacked_terms`, or with a fifth, `nested`,
+    those of `polynomial_terms`, and a (K, l) point array, the (K, l, l, l)
+    stack whose row r is, bit for bit, what
     `PolynomialConnection.christoffel_at` gives for the connection of row r
     at points[r]; and the failures, a mapping from each row where a value
-    is not finite to the trees' DomainError there.
+    is not finite to the trees' DomainError there.  A (K, P, l) point array
+    gives connection r at each of points[r], stacked (K, P, l, l, l), and
+    failures keyed (r, p).
 
     All terms are taken at once, with the float operations of
     `PolynomialConnection._values`: a term is (k/1000 * x_f1) * x_f2, with
     1.0 for a missing factor; an entry of one term is that term, of two
     (a + b) + 0.0, of more their `math.fsum`; an entry whose terms all
-    cancel is 0.0."""
-    row, slot, k, index = terms
+    cancel is 0.0.  The nested terms of an entry sum by the same rule,
+    and -1.0 times that sum is one more term of the entry."""
+    row, slot, k, index, *rest = terms
+    nested = rest[0].astype(bool) if rest else np.zeros(len(row), bool)
     points = np.asarray(points, dtype=float)
-    count, l = points.shape
-    columns = np.ones((count, l + 1))
-    columns[:, :l] = points
+    l = frame.dim
+    grid = points.reshape(len(points), -1, l)
+    columns = np.ones(grid.shape[:2] + (l + 1,))
+    columns[..., :l] = grid
     first, second = _factor_columns(frame.names)[:, index]
+    slots = len(_candidate_keys(l))
+    key = row * slots + slot
     with np.errstate(all="ignore"):
-        values = (k / 1000 * columns[row, first]) * columns[row, second]
-        starts = np.flatnonzero(np.diff(row * len(_candidate_keys(l)) + slot, prepend=-1))
-        sizes = np.diff(starts, append=len(values))
-        sums = values[starts]
-        two = starts[sizes == 2]
-        sums[sizes == 2] = (values[two] + values[two + 1]) + 0.0
-        many = np.flatnonzero(sizes > 2)
-        if len(many):
-            listed = values.tolist()
-            sums[many] = expr._each(math.fsum, [listed[s:s + n] for s, n in
-                                                zip(starts[many].tolist(), sizes[many].tolist())])
-    flat = np.zeros((count, l ** 3))
-    rows, slots = row[starts], slot[starts]
+        values = (k[:, None] / 1000 * columns[row, :, first]) * columns[row, :, second]
+        if nested.any():
+            starts, sums = _entry_sums(key[nested], values[nested])
+            key = np.concatenate([key[~nested], key[nested][starts]])
+            values = np.concatenate([values[~nested], -1.0 * sums])
+            order = np.argsort(key, kind="stable")
+            key, values = key[order], values[order]
+        starts, sums = _entry_sums(key, values)
+    flat = np.zeros(grid.shape[:2] + (l ** 3,))
+    rows = key[starts] // slots
     for places in _mirrors(l):
-        flat[rows, places[slots]] = sums
+        flat[rows, :, places[key[starts] % slots]] = sums
     failures = {}
     keys = _candidate_keys(l)
-    for r in np.unique(rows[~np.isfinite(sums)]).tolist():
-        entries = {}
-        for s, i, t in zip(*(a[row == r].tolist() for a in (slot, index, k))):
-            entries.setdefault(keys[s], {})[i] = t
-        failures[r] = PolynomialConnection(frame, entries)._failure(points[r])
-    return flat.reshape(count, l, l, l), failures
+    bad, at = np.nonzero(~np.isfinite(sums))
+    for r, p in sorted(set(zip(rows[bad].tolist(), at.tolist()))):
+        entries, subtracted = {}, {}
+        for s, i, t, inside in zip(*(a[row == r].tolist() for a in (slot, index, k, nested))):
+            part = entries.setdefault(keys[s], {})
+            if inside:
+                part = subtracted.setdefault(keys[s], {})
+            part[i] = t
+        failures[(r, p) if points.ndim == 3 else r] = PolynomialConnection(frame, entries, subtracted)._failure(grid[r, p])
+    return flat.reshape(points.shape[:-1] + (l, l, l)), failures
+
+
+def _entry_sums(key, values):
+    """The start of each run of equal keys among the rows of `values`
+    (terms by points), and the sum of each run at each point by the rule
+    of `christoffel_stack`: one term as it is, two as (a + b) + 0.0, more
+    by `math.fsum`, NaN where fsum raises."""
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    sizes = np.diff(starts, append=len(key))
+    sums = values[starts]
+    two = starts[sizes == 2]
+    sums[sizes == 2] = (values[two] + values[two + 1]) + 0.0
+    for n in np.unique(sizes[sizes > 2]).tolist():
+        runs = starts[sizes == n]
+        terms = values[runs[:, None] + np.arange(n)].transpose(0, 2, 1).reshape(-1, n)
+        sums[sizes == n] = np.reshape(expr._each(math.fsum, terms.tolist()), (len(runs), -1))
+    return starts, sums
+
+
+def polynomial_terms(connections):
+    """The terms of `PolynomialConnection`s on one frame for
+    `christoffel_stack`, row r for connections[r]: arrays (row, slot,
+    thousandths, monomial index, nested), each entry's terms and then,
+    marked nested, those of the polynomial it subtracts.  Thousandths of 0
+    are dropped, as `_values` drops them."""
+    flat = []
+    for r, g in enumerate(connections):
+        slots = _slots(g.dim)
+        for key, thousandths in g.entries.items():
+            for nested, polynomial in enumerate((thousandths, g.subtracted.get(key, {}))):
+                for index, k in polynomial.items():
+                    if k:
+                        flat += (r, slots[key], k, index, nested)
+    return tuple(np.array(flat, dtype=np.int64).reshape(-1, 5).T)
+
+
+@functools.cache
+def _slots(l):
+    """The slot of each (A, B, C) of `_candidate_keys(l)`."""
+    return {key: slot for slot, key in enumerate(_candidate_keys(l))}
 
 
 def draw_connection(frame, rng, fill=0.6):
@@ -819,9 +873,7 @@ def draw_connection(frame, rng, fill=0.6):
     `connection_draw`, where for each (A, B, C) with A <= B in order one
     double decides whether the entry is stored, and a stored entry's
     polynomial is drawn at once.  `rng` is as for `draw_polynomials`."""
-    keys = _candidate_keys(frame.dim)
-    drawn = _walk(rng, [(connection_draw(frame, fill),)]).polynomials(0, 0)
-    return PolynomialConnection(frame, {keys[slot]: thousandths for slot, thousandths in drawn.items()})
+    return _walk(rng, [(connection_draw(frame, fill),)]).connection(0, 0, frame)
 
 
 def random_connection(frame, rng, fill=0.6):

@@ -501,8 +501,8 @@ def invariants_match_oracle(g1, g2, n, rng, tol=1e-10):
     return max_dev <= tol, max_dev
 
 
-def grass_equivalent_oracle(g1, g2, n, samples=50, tol=1e-10, seed=0):
-    """`geodesy.grass_equivalent` jet by jet, through `random_point` and
+def extension_deviation_oracle(g1, g2, n, samples=50, seed=0):
+    """`geodesy.extension_deviation` jet by jet, through `random_point` and
     `ddot_gamma`."""
     m = g1.dim - n
     rng = spawn_rng(seed, 0)
@@ -512,7 +512,13 @@ def grass_equivalent_oracle(g1, g2, n, samples=50, tol=1e-10, seed=0):
         deviation = np.abs(ddot_gamma(g1, p).second_array() - ddot_gamma(g2, p).second_array()).max()
         return require_finite(deviation, "second-order extension deviation")
 
-    max_dev = worst(draw_regular(draw, samples)[0])
+    return worst(draw_regular(draw, samples)[0])
+
+
+def grass_equivalent_oracle(g1, g2, n, samples=50, tol=1e-10, seed=0):
+    """`geodesy.grass_equivalent` through `extension_deviation_oracle` and
+    `invariants_match_oracle`."""
+    max_dev = extension_deviation_oracle(g1, g2, n, samples, seed)
     inv_equal, inv_dev = invariants_match_oracle(g1, g2, n, spawn_rng(seed, 1), tol=tol)
     return EquivalenceVerdict(max_dev <= tol, max_dev, inv_equal, inv_dev, samples, tol)
 
@@ -789,7 +795,8 @@ def criterion_2_oracle(seed):
 
 # criteria 3, 4 and 7 on trees: each random connection and each polynomial
 # of a shift built by `random_connection` and `random_expressions`, and each
-# shift simplified by `projective_shift` or `grass_shift` on the trees
+# shift simplified by `projective_shift` or `grass_shift` on the trees;
+# criterion 3 takes its deviations point by point and jet by jet
 
 
 def criterion_3_oracle(seed):
@@ -800,8 +807,8 @@ def criterion_3_oracle(seed):
             frame = _frame(l, 1)
             g = random_connection(frame, rng)
             shifted = projective_shift(g, random_expressions(frame.names, rng, l))
-            deviations.append(pi_deviation(g, shifted, rng))
-            deviations.append(extension_deviation(g, shifted, 1, samples=10, seed=seed + case))
+            deviations.append(pi_deviation_oracle(g, shifted, rng))
+            deviations.append(extension_deviation_oracle(g, shifted, 1, samples=10, seed=seed + case))
     return deviations
 
 

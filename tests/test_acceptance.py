@@ -39,11 +39,12 @@ def _nan_on_second_call(kernel, poison):
     return patched
 
 
-# criteria 1, 5 and 6 call their kernel once per dimension case: the second
-# call poisons every sample of the second case
+# criteria 1, 5 and 6 call their kernel once per dimension case, and
+# criterion 3 once per dimension: the second call poisons every sample of
+# the second case
 @pytest.mark.parametrize("name, kernel, poison", [
     ("criterion_1", "residual_table", lambda table: table * np.nan),
-    ("criterion_3", "pi_deviation", lambda dev: np.nan),
+    ("criterion_3", "pi_deviations", lambda devs: devs * np.nan),
     ("criterion_5", "covering_commutation_deviations", lambda devs: devs * np.nan),
     ("criterion_6", "quotient_diagram_deviations", lambda devs: devs * np.nan),
 ])

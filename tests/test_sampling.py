@@ -246,8 +246,13 @@ _ITEMS = st.one_of(
 _WALK_CALLS = st.lists(st.lists(_ITEMS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=5).map(
     lambda layouts: ("walk", (layouts,)))
 
-# a step that ends the block by an exception
+# a step that ends the block by an exception of its own class
 _RAISE = ("raise", ())
+
+
+class _EndsTheBlock(Exception):
+    """What the planted ("raise", ()) step raises, and the one exception
+    `_stream_matches` expects besides a gate's DomainError."""
 
 
 def _walked(walked):
@@ -267,10 +272,10 @@ def _replay(rng, calls, out):
     """Append what each of `calls` returns on rng to `out`, comparably: a
     float by its repr, an integer by the repr of its int, an array by its
     shape, dtype and bytes, a walk by `_walked`; ("raise", ()) raises
-    ValueError."""
+    `_EndsTheBlock`."""
     for name, args in calls:
         if name == "raise":
-            raise ValueError("the block ends by an exception")
+            raise _EndsTheBlock("the block ends by an exception")
         value = getattr(rng, name)(*args)
         if isinstance(value, np.ndarray):
             out.append((value.shape, value.dtype.str, value.tobytes()))
@@ -287,15 +292,17 @@ def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_P
     `GeneratorStream`, whose walks draw one call at a time), and leave rng
     in that Generator's state, when both start with a buffered high half
     if `buffered`, and the stream reads `chunk` words at a time (and holds
-    as many in lists) and reads up to `one_by_one` entries in Python.  The generators are ``make(seed)``.  A call that raises ends
-    both runs, and the block with it."""
+    as many in lists) and reads up to `one_by_one` entries in Python.  The
+    generators are ``make(seed)``.  The planted step, or a gate that gives
+    up, ends both runs and the block with it; any other exception is a
+    failure."""
     rng, oracle = make(seed), make(seed)
     if buffered:
         rng.integers(0, 10), oracle.integers(0, 10)
     want, got = [], []
-    with contextlib.suppress(ValueError, DomainError):
+    with contextlib.suppress(_EndsTheBlock, DomainError):
         _replay(GeneratorStream(oracle), calls, want)
-    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(ValueError, DomainError):
+    with pytest.MonkeyPatch.context() as patch, contextlib.suppress(_EndsTheBlock, DomainError):
         patch.setattr(sampling, "_WORDS_PER_CHUNK", chunk)
         patch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
         with stream(rng) as words:
