@@ -1035,11 +1035,9 @@ def test_the_coefficient_form_fails_where_its_trees_fail():
 def _walked_connections(frame, rng, count):
     """`count` random connections on `frame` read by one walk, with its
     `Walked`."""
-    keys = sampling._candidate_keys(frame.dim)
     with WordStream(rng) as stream:
         walked = stream.walk([(connection_draw(frame),)] * count)
-    return walked, [PolynomialConnection(frame, {keys[slot]: t for slot, t in walked.polynomials(0, i).items()})
-                    for i in range(count)]
+    return walked, [walked.connection(0, i, frame) for i in range(count)]
 
 
 def test_the_coefficient_form_fails_with_the_trees_error_at_an_overflow_point():
