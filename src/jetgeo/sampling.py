@@ -823,7 +823,8 @@ def christoffel_stack(frame, terms, points):
             if inside:
                 part = subtracted.setdefault(keys[s], {})
             part[i] = t
-        failures[(r, p) if points.ndim == 3 else r] = PolynomialConnection(frame, entries, subtracted)._failure(grid[r, p])
+        failure = PolynomialConnection(frame, entries, subtracted)._failure(grid[r, p])
+        failures[(r, p) if points.ndim == 3 else r] = failure
     return flat.reshape(points.shape[:-1] + (l, l, l)), failures
 
 

@@ -1069,13 +1069,14 @@ def _stacked_as_each(f, connections, points):
     """The stack of the connections, each at every one of the points, and
     at one point each, gives the bits of each connection's
     `christoffel_at` and of its trees'."""
-    G, failures = christoffel_stack(f, polynomial_terms(connections), np.broadcast_to(points, (len(connections),) + points.shape))
+    terms = polynomial_terms(connections)
+    G, failures = christoffel_stack(f, terms, np.broadcast_to(points, (len(connections),) + points.shape))
     assert failures == {} and G.flags.c_contiguous and G.shape == (len(connections), len(points)) + (f.dim,) * 3
     for g, rows in zip(connections, G):
         trees = g.connection()
         for point, row in zip(points, rows):
             assert row.tobytes() == g.christoffel_at(point).tobytes() == trees.christoffel_at(point).tobytes()
-    H, failures = christoffel_stack(f, polynomial_terms(connections), points[:len(connections)])
+    H, failures = christoffel_stack(f, terms, points[:len(connections)])
     assert failures == {} and H.tobytes() == G[np.arange(len(H)), np.arange(len(H))].tobytes()
     return G
 
