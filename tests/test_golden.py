@@ -28,6 +28,9 @@ written with `connection_to_dict`; its entries are printed simplified trees.
 `map_sqrt.json` is the prolonged point map (u1, u2 + sqrt(u1)), which
 fails where u1 <= 0, so `symmetry_map_sqrt` redraws samples (ten at seed
 3); `field_euler.json` is the prolonged Euler field u1 ∂_u1 + u2 ∂_u2.
+`sqrt4.json` has the one entry Γ_1{}^3{}_2 = sqrt(u1) + u2*u4, which
+fails where u1 < 0, so `symmetry_affine_sqrt` redraws samples (three at
+seed 3) where g fails.
 """
 import contextlib
 import io
@@ -59,6 +62,8 @@ CASES = {
                           "--seed", "5"],
     "symmetry_affine": ["symmetry-check", "l4.json", "--affine", "affine_n2.json",
                         "--samples", "6", "--seed", "3"],
+    "symmetry_affine_sqrt": ["symmetry-check", "sqrt4.json", "--affine", "affine_n2.json",
+                             "--samples", "6", "--seed", "3"],
     "symmetry_map_subjet": ["symmetry-check", "s2.json", "--map", "map_subjet.json",
                             "--samples", "6", "--seed", "4"],
     "symmetry_map_secjet": ["symmetry-check", "s2.json", "--map", "map_secjet.json",
