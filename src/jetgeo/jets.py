@@ -271,19 +271,28 @@ def inverse_top_blocks(first, n):
     (u^xi_{x lam}) = first[..., :n, :] of section jets' first derivatives
     (..., l, n), at one jet or stacked along leading axes.
 
-    Each block's determinant is tested against 1e-12 max(1, max |entry|)^n,
-    in row order; the first block below it raises SingularJacobianError.
-    Then one stacked solve inverts them all."""
+    The first block that `singular_blocks` finds singular, in row order,
+    raises SingularJacobianError.  Then one stacked solve inverts them
+    all."""
     jac = first[..., :n, :]
-    dets = np.linalg.det(jac)
-    scales = np.abs(jac).max(axis=(-2, -1))
-    for det, scale in zip(np.ravel(dets).tolist(), np.ravel(scales).tolist()):
-        if abs(det) < _DET_THRESHOLD * max(1.0, scale) ** n:
+    for det, singular in zip(*singular_blocks(jac)):
+        if singular:
             raise SingularJacobianError(
                 f"base-direction block determinant {det:.3e} below threshold; "
                 "divided chart not concordant at this jet"
             )
     return np.linalg.solve(jac, np.broadcast_to(np.eye(n), jac.shape))
+
+
+def singular_blocks(blocks):
+    """The determinants of square blocks (..., n, n), at one block or
+    stacked along leading axes, as a list in row order, and for each
+    whether the block counts as singular: |det| < 1e-12 max(1, max
+    |entry|)^n."""
+    n = blocks.shape[-1]
+    dets = np.ravel(np.linalg.det(blocks)).tolist()
+    scales = np.ravel(np.abs(blocks).max(axis=(-2, -1))).tolist()
+    return dets, [abs(det) < _DET_THRESHOLD * max(1.0, scale) ** n for det, scale in zip(dets, scales)]
 
 
 # The array formulas of the covering projections.  Each takes a section
@@ -364,8 +373,9 @@ def affine_act(g, t):
 
 def affine_second(second, ainv):
     """`affine_act`'s second derivatives from second (..., l, n, n), at one
-    jet or stacked along leading axes, and the inverse linear part ainv."""
-    return np.einsum("...Cax,al,xb->...Clb", second, ainv, ainv)
+    jet or stacked along leading axes, and the inverse linear part ainv
+    (..., n, n), stacked along the same axes or one for all."""
+    return np.einsum("...Cax,...al,...xb->...Clb", second, ainv, ainv)
 
 
 def reparam_act(phi, t):
@@ -380,25 +390,30 @@ def reparam_act(phi, t):
         raise DimensionMismatchError("reparametrization arity does not match the jet")
     n, names = t.n, phi.frame.names
     jac = phi.jacobian_at(t.x)
-    scale = max(1.0, float(np.abs(jac).max())) ** n
-    if abs(np.linalg.det(jac)) < _DET_THRESHOLD * scale:
+    if singular_blocks(jac)[1][0]:
         raise SingularJacobianError("reparametrization Jacobian is singular at the jet")
     # hess[p, lam, mu] = ∂_mu ∂_lam phi^p
     hess = np.array([[phi.table.derivative(lam).derivative(mu)(t.x) for mu in names]
                      for lam in names]).transpose(2, 0, 1)
-    binv = np.linalg.solve(jac, np.eye(n))
-    dbinv = -np.einsum("ag,gcb,cl->bal", binv, hess, binv)  # d(binv[a,l])/dx^b
-    first = t.first_matrix() @ binv
-    out = SecJet(t.n, t.l, phi.table(t.x), t.u, first)
-    if t.r == 2:
-        d1 = t.first_matrix()
-        d2 = t.second_array()
-        second = np.einsum("Aab,al,bm->Alm", d2, binv, binv) + np.einsum(
-            "Aa,bal,bm->Alm", d1, dbinv, binv
-        )
-        second = 0.5 * (second + np.transpose(second, (0, 2, 1)))
-        out = out.with_second(second)
-    return out
+    x = phi.table(t.x)
+    first, second = reparam_derivatives(t.first_matrix(), t.second, jac, hess)
+    return SecJet(t.n, t.l, x, t.u, first, second)
+
+
+def reparam_derivatives(first, second, jac, hess):
+    """`reparam_act`'s derivatives from first (..., l, n), second (..., l,
+    n, n) or None, φ's Jacobian jac (..., n, n), jac[p, lam] = ∂_lam φ^p,
+    and its Hessian hess (..., n, n, n), hess[p, lam, mu] = ∂_mu ∂_lam φ^p,
+    at one jet or stacked along leading axes: the acted first derivatives
+    and the acted second ones, symmetric bit for bit, or None."""
+    n = jac.shape[-1]
+    binv = np.linalg.solve(jac, np.broadcast_to(np.eye(n), jac.shape))
+    if second is None:
+        return first @ binv, None
+    dbinv = -np.einsum("...ag,...gcb,...cl->...bal", binv, hess, binv)  # d(binv[a,l])/dx^b
+    acted = (np.einsum("...Aab,...al,...bm->...Alm", second, binv, binv)
+             + np.einsum("...Aa,...bal,...bm->...Alm", first, dbinv, binv))
+    return first @ binv, 0.5 * (acted + np.swapaxes(acted, -1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import expr
 from .connections import Connection, gather_index, shift_parts
-from .errors import _REDRAWS_PER_SAMPLE, DomainError, SingularJacobianError, draw_regular, gave_up
+from .errors import _REDRAWS_PER_SAMPLE, DomainError, gave_up
 from .expr import CoordinateFrame, Mul, Sym
-from .jets import AffineMap, SecJet, SubJet
+from .jets import SubJet
 
 
 def spawn_rng(seed, index=0):
@@ -194,8 +194,8 @@ class WordStream:
     def walk(self, layouts):
         """The draws of `layouts`, one tuple of `Polynomials` and `Draw`
         items per sample, read in order as the per-sample calls read them,
-        as a `Walked`.  A `Draw` reads as `secjet1_arrays` reads its arrays
-        (with a gate) or as ``uniform(-1, 1, shape)`` calls (without).
+        as a `Walked`.  A `Draw` reads as ``uniform(-1, 1, shape)`` calls,
+        with a gated first array redrawn as `Draw` says.
 
         One Python loop does index arithmetic on the words and decides
         only what moves the rest: each fill, each term count and each gate.
@@ -888,8 +888,7 @@ def random_expressions(names, rng, count):
     return [_polynomial(cores, thousandths) for thousandths in draw_polynomials(names, rng, count)]
 
 
-# the least |det| of the n x n block that `secjet1_arrays` and `random_affine`
-# accept (and a walk's gates with them)
+# the least |det| of the n x n block that a walk's gates accept (see `Draw`)
 MIN_DET = 0.3
 
 
@@ -932,13 +931,17 @@ _AFFINE_GATE = "linear part of the affine map is near singular"
 
 @functools.cache
 def secjet1_draw(n, l):
-    """The `Draw` of `secjet1_arrays`: first (l, n), x (n), then u (l)."""
+    """The `Draw` of a random order-1 section jet whose base-direction block
+    is comfortably invertible (admissible for the covering projections):
+    first (l, n), redrawn until |det first[:n]| >= MIN_DET, then x (n) and
+    u (l)."""
     return Draw(((l, n), (n,), (l,)), _SECJET_GATE)
 
 
 @functools.cache
 def affine_draw(n):
-    """The `Draw` of `random_affine`: a (n, n), then b (n)."""
+    """The `Draw` of a random affine map x -> a x + b of the parameter
+    space: a (n, n), redrawn until |det a| >= MIN_DET, then b (n)."""
     return Draw(((n, n), (n,)), _AFFINE_GATE)
 
 
@@ -956,9 +959,9 @@ def subjet1_stream(n, m, stream, k):
 
 
 def secjet1_stream(n, l, stream, k):
-    """The next k order-1 section jets of a `WordStream`, as k
-    `secjet1_arrays(n, l, rng)` calls draw them from its generator: (x, u,
-    first), stacked (k, n), (k, l) and (k, l, n)."""
+    """The next k order-1 section jets of a `WordStream`, drawn by
+    `secjet1_draw(n, l)`: (x, u, first), stacked (k, n), (k, l) and (k, l,
+    n)."""
     first, x, u = stream.walk([(secjet1_draw(n, l),)] * k).parts(0, np.arange(k))
     return x, u, first
 
@@ -987,35 +990,3 @@ def random_point(g, rng):
 def random_subjet1(n, m, rng):
     """Random order-1 submanifold jet with coordinates in [-1, 1]."""
     return SubJet(n, m, rng.uniform(-1.0, 1.0, n + m), rng.uniform(-1.0, 1.0, (m, n)))
-
-
-def secjet1_arrays(n, l, rng):
-    """The (x, u, first) of a random order-1 section jet whose base-direction
-    derivative block is comfortably invertible (admissible for the covering
-    projections): `first` is redrawn until |det first[:n]| >= MIN_DET, then
-    x and u are drawn."""
-
-    def draw():
-        first = rng.uniform(-1.0, 1.0, (l, n))
-        if abs(np.linalg.det(first[:n, :])) < MIN_DET:
-            raise SingularJacobianError(_SECJET_GATE)
-        return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, l), first
-
-    return draw_regular(draw, 1)[0][0]
-
-
-def random_secjet1(n, l, rng):
-    """Random order-1 section jet drawn by `secjet1_arrays`."""
-    return SecJet(n, l, *secjet1_arrays(n, l, rng))
-
-
-def random_affine(n, rng):
-    """Random affine map of the parameter space with |det a| >= MIN_DET."""
-
-    def draw():
-        a = rng.uniform(-1.0, 1.0, (n, n))
-        if abs(np.linalg.det(a)) < MIN_DET:
-            raise SingularJacobianError(_AFFINE_GATE)
-        return AffineMap(a, rng.uniform(-1.0, 1.0, n))
-
-    return draw_regular(draw, 1)[0][0]

@@ -23,6 +23,7 @@ from .connections import _check_split
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    SingularJacobianError,
     SpecLoadError,
     draw_regular,
     json_int,
@@ -34,10 +35,8 @@ from .errors import (
 from .expr import CoordinateFrame, Sym
 from .geodesy import (
     _check_theta,
-    ddot_gamma_pro,
     ddot_pro_second,
     distribution_rows,
-    param_residual2,
     param_residual_table,
     pro_distribution_rows,
     residual_table,
@@ -49,12 +48,12 @@ from .jets import (
     cover_second,
     inverse_top_blocks,
     mirrored,
-    reparam_act,
+    reparam_derivatives,
+    singular_blocks,
 )
 from .sampling import (
     WordStream,
     affine_draw,
-    random_secjet1,
     random_subjet1,
     secjet1_draw,
     secjet1_stream,
@@ -499,6 +498,21 @@ def prolong_point_field(components, frame, n):
 # the affine action on the parameter space
 
 
+def affine_residuals(G, first, ainv):
+    """The residual of `affine_symmetry_check` at each section jet: from g's
+    arrays G (..., l, l, l) at its u, its first derivatives (..., l, n) and
+    the inverse linear part ainv (..., n, n) of the affine map that acts on
+    it, stacked along the same leading axes (or ainv alone, (n, n), for
+    all), max |`param_residual_table`| of the acted order-2 extension,
+    with Θ zero at every point, the acted one included."""
+    n = first.shape[-1]
+    Th = np.zeros(first.shape[:-2] + (n, n, n))
+    # ddot_pro_second's result is symmetric bit for bit, affine_second's
+    # is not: an order-2 jet stores the mirror of its upper triangle
+    second = mirrored(affine_second(ddot_pro_second(G, Th, first), ainv))
+    return np.abs(param_residual_table(G, Th, first @ ainv, second)).max(axis=(-3, -2, -1))
+
+
 def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     """Whether the affine parameter change preserves the parametrized
     equation: points of the zero set are acted on and the residual is
@@ -506,10 +520,9 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     which the affine group acts by symmetries.
 
     Each batch reads its order-1 section jets from a `WordStream` by
-    `secjet1_stream`, evaluates g once at all of their points, and runs
-    `ddot_pro_second`, `affine_second` and `param_residual_table` on the
-    stacked arrays; a jet where g fails, or whose residual is not finite,
-    is redrawn.  Θ is zero at every point, the acted one included."""
+    `secjet1_stream`, evaluates g once at all of their points, and takes
+    `affine_residuals` of the stacked arrays; a jet where g fails, or whose
+    residual is not finite, is redrawn."""
     if theta.christoffel:
         raise DimensionMismatchError("affine symmetry check requires the flat parameter connection")
     if theta.dim != aff.n:
@@ -522,12 +535,7 @@ def affine_symmetry_check(g, theta, aff, samples=25, tol=1e-10, seed=0):
     def draw(k):
         x, u, first = secjet1_stream(n, l, stream, k)
         G, failed = g.christoffel_many(u)
-        Th = np.zeros((k, n, n, n))
-        # ddot_pro_second's result is symmetric bit for bit, affine_second's
-        # is not: an order-2 jet stores the mirror of its upper triangle
-        second = mirrored(affine_second(ddot_pro_second(G, Th, first), ainv))
-        table = param_residual_table(G, Th, first @ ainv, second)
-        residuals = np.abs(table).max(axis=(1, 2, 3)).tolist()
+        residuals = affine_residuals(G, first, ainv).tolist()
 
         def row(i):
             return tuple(x[i].tolist()) + tuple(u[i].tolist()), require_finite(residuals[i], "residual")
@@ -540,19 +548,59 @@ def reparam_symmetry_check(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0
     """Same check for a general (possibly non-affine) reparametrization,
     lifted honestly by the chain rule; non-affine maps pick up the
     inhomogeneous second-derivative term and fail for generic data.  phi is
-    one expression per parameter over x_frame.  A jet where g fails, or
-    whose residual is not finite, is redrawn."""
+    one expression per parameter over x_frame.
+
+    Each batch reads its order-1 section jets from a `WordStream` by
+    `secjet1_stream`, evaluates g once at all of their u, and φ's Jacobian,
+    then its Hessian and φ itself, at all of their x by `Table.rows`; the
+    lift (`jets.reparam_derivatives`, as `reparam_act` takes it) and the
+    residual run on the stacked arrays.
+    A jet is redrawn with the first failure that `reparam_act` after
+    `ddot_gamma_pro` meets there: g fails, an entry of the Jacobian fails,
+    the Jacobian fails `reparam_act`'s determinant test, an entry of the
+    Hessian or of φ fails, or the residual is not finite."""
     if theta.christoffel:
         raise DimensionMismatchError("reparametrization check requires the flat parameter connection")
     phi = ParamMap(x_frame, phi)
-    rng = spawn_rng(seed, 0)
+    n, l, names = theta.dim, g.dim, x_frame.names
+    if phi.l != n or phi.n != n:
+        raise DimensionMismatchError("reparametrization arity does not match the jet")
+    # the Jacobian's column lam * n + p is ∂_lam φ^p; rest's first n^3
+    # columns are ∂_mu ∂_lam φ^p in the order (lam, mu, p), then φ: the
+    # order in which `reparam_act` evaluates them
+    jacobian = expr.Table([e for lam in names for e in phi.table.derivative(lam).exprs], names)
+    rest = expr.Table([*(e for lam in names for mu in names for e in phi.table.derivative(lam).derivative(mu).exprs),
+                       *phi.components], names)
+    stream = WordStream(spawn_rng(seed, 0))
 
-    def draw():
-        p = random_secjet1(theta.dim, g.dim, rng)
-        acted = reparam_act(phi, ddot_gamma_pro(g, theta, p))
-        return p.x + p.u, require_finite(param_residual2(g, theta, acted).max_abs(), "residual")
+    def draw(k):
+        x, u, first = secjet1_stream(n, l, stream, k)
+        G, failed = g.christoffel_many(u)
+        jac, failed_jac = jacobian.rows(x)
+        values, failed_rest = rest.rows(x)
+        # jac[i][p, lam], C-contiguous as `ParamMap.jacobian_at`'s is
+        jac = np.ascontiguousarray(jac.reshape(k, n, n).swapaxes(1, 2))
+        singular = singular_blocks(jac)[1]
+        out = [failed.get(i) or failed_jac.get(i)
+               or (SingularJacobianError("reparametrization Jacobian is singular at the jet") if singular[i] else None)
+               or failed_rest.get(i) for i in range(k)]
+        alive = [i for i, error in enumerate(out) if error is None]
+        G, D = G[alive], first[alive]
+        Th = np.zeros((len(alive), n, n, n))
+        # hess[j][p, lam, mu], a view as `reparam_act`'s is: einsum sums in
+        # the order of the memory layout
+        hess = values[alive, :n ** 3].reshape(-1, n, n, n).transpose(0, 3, 1, 2)
+        acted = reparam_derivatives(D, ddot_pro_second(G, Th, D), jac[alive], hess)
+        residuals = np.abs(param_residual_table(G, Th, *acted)).max(axis=(1, 2, 3)).tolist()
 
-    return SymmetryReport.sample(draw, samples, tol)
+        def row(i, j):
+            return tuple(x[i].tolist()) + tuple(u[i].tolist()), require_finite(residuals[j], "residual")
+
+        for j, i in enumerate(alive):
+            out[i] = outcome(row, i, j)
+        return out
+
+    return SymmetryReport.sample(draw, samples, tol, batch=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,20 +4,20 @@ integrator that the generated kernel is checked against within rounding,
 the list-based RK4 stepper that the generated loop is checked against bit
 for bit, the per-step geodesic residual that the batched one is checked
 against, the `simplify`-based random polynomials that the sampler is
-checked against, the one-sample-at-a-time comparisons, affine symmetry
-check, distribution checks and `cover-check` sampling that the batched
-ones are checked against, the per-jet distribution generators,
-covering projections, residual and covering deviations that the array
-formulas are checked against, the per-jet loop of `dot_gamma_via_xi` and
-the per-sample orbit check that the batched ones are checked against, the
-per-sample loops of criteria 1, 2, 5, 6 and 9, criteria 3, 4 and 7 on the
-trees of their random connections and shifts, the random polynomials and
-connections and the walks of a `WordStream` drawn one call at a time (on
-a bare Generator, or on the stream's words by the scalar 32-bit and
-`integers` draws), a word stream with a planted fault that the stream's
-tests must catch, a hypothesis strategy
-for expression trees, and helpers only the tests use (test-only, not
-public API).
+checked against, the one-sample-at-a-time comparisons, affine and
+reparametrization symmetry checks, distribution checks and `cover-check`
+sampling that the batched ones are checked against, the per-jet
+distribution generators, covering projections, residual and covering
+deviations that the array formulas are checked against, the per-jet loop
+of `dot_gamma_via_xi` and the per-sample orbit check that the batched ones
+are checked against, the per-sample loops of criteria 1, 2, 5, 6, 7 and 9,
+criteria 3 and 4 on the trees of their random connections and shifts, the
+random polynomials, connections, section jets and affine maps and the
+walks of a `WordStream` drawn one call at a time (on a bare Generator, or
+on the stream's words by the scalar 32-bit and `integers` draws), a word
+stream with a planted fault that the stream's tests must catch, a
+hypothesis strategy for expression trees, and helpers only the tests use
+(test-only, not public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
@@ -67,7 +67,7 @@ from jetgeo.geodesy import (
     param_residual_table,
     quotient_diagram_deviation,
 )
-from jetgeo.jets import AffineMap, SecJet, SubJet, affine_act
+from jetgeo.jets import AffineMap, ParamMap, SecJet, SubJet, affine_act, reparam_act
 from jetgeo import sampling
 from jetgeo.sampling import (
     MIN_DET,
@@ -76,11 +76,9 @@ from jetgeo.sampling import (
     WordStream,
     Polynomials,
     _monomial_cores,
-    random_affine,
     random_connection,
     random_expressions,
     random_point,
-    random_secjet1,
     random_subjet1,
     spawn_rng,
 )
@@ -90,7 +88,6 @@ from jetgeo.symmetry import (
     _span_residual,
     _span_scale,
     _subjet_point,
-    affine_symmetry_check,
     commutator,
     distribution_generator_expressions,
     orbit_quotient_check,
@@ -293,6 +290,39 @@ def draw_connection_oracle(frame, rng, fill=0.6):
                 if rng.random() < fill:
                     entries[(a, b, c)] = draw_thousandths_oracle(size, rng)
     return PolynomialConnection(frame, entries)
+
+
+def secjet1_arrays(n, l, rng):
+    """The (x, u, first) of a random order-1 section jet drawn one call at a
+    time, as `sampling.secjet1_draw` lays it out: `first` is redrawn until
+    |det first[:n]| >= `sampling.MIN_DET`, then x and u are drawn."""
+
+    def draw():
+        first = rng.uniform(-1.0, 1.0, (l, n))
+        if abs(np.linalg.det(first[:n, :])) < sampling.MIN_DET:
+            raise SingularJacobianError(sampling._SECJET_GATE)
+        return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, l), first
+
+    return draw_regular(draw, 1)[0][0]
+
+
+def random_secjet1(n, l, rng):
+    """Random order-1 section jet drawn by `secjet1_arrays`."""
+    return SecJet(n, l, *secjet1_arrays(n, l, rng))
+
+
+def random_affine(n, rng):
+    """Random affine map of the parameter space drawn one call at a time, as
+    `sampling.affine_draw` lays it out: a redrawn until |det a| >=
+    `sampling.MIN_DET`, then b."""
+
+    def draw():
+        a = rng.uniform(-1.0, 1.0, (n, n))
+        if abs(np.linalg.det(a)) < sampling.MIN_DET:
+            raise SingularJacobianError(sampling._AFFINE_GATE)
+        return AffineMap(a, rng.uniform(-1.0, 1.0, n))
+
+    return draw_regular(draw, 1)[0][0]
 
 
 def walk_oracle(stream, layouts):
@@ -536,6 +566,20 @@ def affine_symmetry_check_oracle(g, theta, aff, samples=25, tol=1e-10, seed=0):
     return SymmetryReport.sample(draw, samples, tol)
 
 
+def reparam_symmetry_check_oracle(g, theta, phi, x_frame, samples=25, tol=1e-10, seed=0):
+    """`symmetry.reparam_symmetry_check` jet by jet, through
+    `random_secjet1`, `ddot_gamma_pro`, `reparam_act` and `param_residual2`."""
+    phi = ParamMap(x_frame, phi)
+    rng = spawn_rng(seed, 0)
+
+    def draw():
+        p = random_secjet1(theta.dim, g.dim, rng)
+        acted = reparam_act(phi, ddot_gamma_pro(g, theta, p))
+        return p.x + p.u, require_finite(param_residual2(g, theta, acted).max_abs(), "residual")
+
+    return SymmetryReport.sample(draw, samples, tol)
+
+
 def distribution_fields_oracle(g, p):
     """`geodesy.distribution_fields` row by row from `dot_gamma`."""
     dg = dot_gamma(g, p)
@@ -761,10 +805,11 @@ def quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd):
 
 
 # ---------------------------------------------------------------------------
-# criteria 1, 2, 5, 6 and 9 one sample at a time: their deviation lists, from
-# one jet record and one kernel call per sample, with each random connection
-# drawn by `draw_connection_oracle`, built as trees and evaluated by
-# `christoffel_at`
+# criteria 1, 2, 5, 6, 7 and 9 one sample at a time: their deviation lists,
+# from one jet record and one kernel call per sample (criterion 7: one
+# `affine_symmetry_check_oracle` per affine check), with each random
+# connection drawn by `draw_connection_oracle`, built as trees and evaluated
+# by `christoffel_at`
 
 
 def criterion_1_oracle(seed):
@@ -793,7 +838,7 @@ def criterion_2_oracle(seed):
     return deviations
 
 
-# criteria 3, 4 and 7 on trees: each random connection and each polynomial
+# criteria 3 and 4 on trees: each random connection and each polynomial
 # of a shift built by `random_connection` and `random_expressions`, and each
 # shift simplified by `projective_shift` or `grass_shift` on the trees;
 # criterion 3 takes its deviations point by point and jet by jet
@@ -828,19 +873,6 @@ def criterion_4_oracle(seed):
     return deviations
 
 
-def criterion_7_oracle(seed):
-    deviations = []
-    with WordStream(spawn_rng(seed, 7)) as rng:
-        for i in range(20):
-            n, m = _DIM_CASES[i % 4]
-            g = random_connection(_frame(n + m, n), rng)
-            aff = random_affine(n, rng)
-            deviations.append(affine_symmetry_check(g, Connection.flat(n), aff, samples=50, seed=seed + i).worst_residual)
-        g = random_connection(_frame(3, 1), rng)
-    orbit = orbit_quotient_check(g, 1, samples=25, seed=seed)
-    return deviations + [orbit.wellposed_deviation, orbit.preimage_deviation, orbit.factoring_deviation]
-
-
 def criterion_5_oracle(seed):
     rng = spawn_rng(seed, 5)
     deviations = []
@@ -867,6 +899,20 @@ def criterion_6_oracle(seed):
         dd = rng.uniform(-1, 1, (l, n))
         deviations.append(quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd))
     return deviations
+
+
+def criterion_7_oracle(seed):
+    rng = spawn_rng(seed, 7)
+    deviations = []
+    for i in range(20):
+        n, m = _DIM_CASES[i % 4]
+        g = draw_connection_oracle(_frame(n + m, n), rng).connection()
+        aff = random_affine(n, rng)
+        report = affine_symmetry_check_oracle(g, Connection.flat(n), aff, samples=50, seed=seed + i)
+        deviations.append(report.worst_residual)
+    g = draw_connection_oracle(_frame(3, 1), rng).connection()
+    orbit = orbit_quotient_check(g, 1, samples=25, seed=seed)
+    return deviations + [orbit.wellposed_deviation, orbit.preimage_deviation, orbit.factoring_deviation]
 
 
 def criterion_9_oracle(seed):

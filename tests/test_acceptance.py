@@ -39,7 +39,7 @@ def _nan_on_second_call(kernel, poison):
     return patched
 
 
-# criteria 1, 5 and 6 call their kernel once per dimension case, and
+# criteria 1, 5, 6 and 7 call their kernel once per dimension case, and
 # criterion 3 once per dimension: the second call poisons every sample of
 # the second case
 @pytest.mark.parametrize("name, kernel, poison", [
@@ -47,6 +47,7 @@ def _nan_on_second_call(kernel, poison):
     ("criterion_3", "pi_deviations", lambda devs: devs * np.nan),
     ("criterion_5", "covering_commutation_deviations", lambda devs: devs * np.nan),
     ("criterion_6", "quotient_diagram_deviations", lambda devs: devs * np.nan),
+    ("criterion_7", "affine_residuals", lambda residuals: residuals * np.nan),
 ])
 def test_a_nan_deviation_fails_its_criterion(name, kernel, poison, monkeypatch):
     monkeypatch.setattr(acceptance, kernel, _nan_on_second_call(getattr(acceptance, kernel), poison))

@@ -40,15 +40,18 @@ from jetgeo.errors import (
     SingularJacobianError,
     draw_regular,
     outcome,
+    worst,
 )
 from jetgeo.expr import CoordinateFrame, Table, parse, to_text
 from jetgeo.geodesy import (
     covering_commutation_deviation,
     covering_commutation_deviations,
+    ddot_gamma_pro,
     distribution_rows,
     dot_gamma_via_xi_table,
     extension_deviation,
     grass_equivalent,
+    param_residual2,
     pro_distribution_rows,
     quotient_diagram_deviation,
     quotient_diagram_deviations,
@@ -58,6 +61,7 @@ from jetgeo.geodesy import (
 from jetgeo.jets import (
     SecJet,
     SubJet,
+    affine_act,
     cover1,
     cover2,
     cover_first,
@@ -74,11 +78,9 @@ from jetgeo.sampling import (
     draw_connection,
     draw_polynomials,
     polynomial_terms,
-    random_affine,
     random_connection,
     random_expressions,
     random_subjet1,
-    secjet1_arrays,
     secjet1_stream,
     spawn_rng,
     subjet1_stream,
@@ -86,12 +88,14 @@ from jetgeo.sampling import (
 from jetgeo.symmetry import (
     JetField,
     JetMap,
+    affine_residuals,
     affine_symmetry_check,
     field_preserves_distribution,
     orbit_quotient_check,
     preserves_distribution,
     prolong_point_field,
     prolong_point_map,
+    reparam_symmetry_check,
     secjet1_chart,
     subjet1_chart,
 )
@@ -117,8 +121,12 @@ from conftest import (
     preserves_distribution_oracle,
     pro_distribution_rows_oracle,
     quotient_diagram_deviation_oracle,
+    random_affine,
+    random_secjet1,
     random_secjet2,
+    reparam_symmetry_check_oracle,
     residual2_oracle,
+    secjet1_arrays,
     sphere_chart,
     tangent_cover1_oracle,
     trees,
@@ -502,6 +510,71 @@ def test_batched_affine_symmetry_check_equals_the_oracle(case):
             assert all(math.isfinite(r) for _, r in report.rows)
             if case != "random" and samples == 50:
                 assert report.skipped > 0
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_affine_residuals_are_the_residuals_of_each_acted_extension(n, m):
+    """Per jet, with one affine map per row of jets, as criterion 7 stacks
+    them, or one map for all, as `affine_symmetry_check` passes it."""
+    rng = spawn_rng(37 + 2 * n + m)
+    l, theta = n + m, Connection.flat(n)
+    g = random_connection(frame(l, n), rng)
+    maps = [random_affine(n, rng) for _ in range(3)]
+    jets = [[random_secjet1(n, l, rng) for _ in range(6)] for _ in maps]
+    G = np.stack([g.christoffel_many(np.array([p.u for p in row]))[0] for row in jets])
+    first = np.stack([[p.first for p in row] for row in jets])
+    ainv = np.stack([np.linalg.inv(aff.a) for aff in maps])[:, None]
+    expected = np.array([[param_residual2(g, theta, affine_act(aff, ddot_gamma_pro(g, theta, p))).max_abs()
+                          for p in row] for aff, row in zip(maps, jets)])
+    assert same_bits(affine_residuals(G, first, ainv), expected)
+    assert same_bits(affine_residuals(G[1], first[1], ainv[1, 0]), expected[1])
+
+
+def _reparam_case(case):
+    """(g, Θ, φ, x frame) of a reparametrization check: a cubic φ on the
+    zero connection; a sqrt φ that fails where x1 < 0, about half the
+    draws; a φ whose derivative 3 x1^2 - 1/2 is below 1 and fails the
+    raised determinant test of the gate case where |x1| < 0.58; two
+    parameters, with g failing where u1 < 0."""
+    x1, x2 = CoordinateFrame(("x1",), 1), CoordinateFrame(("x1", "x2"), 2)
+    if case == "two":
+        return (_sqrt_connection(4)[0], Connection.zero(x2),
+                ["x1^2 + x2 + 3*x1", "x1*x2 + 2*x2 - x1/(x2 - 1/3)"], x2)
+    g = random_connection(frame(3), spawn_rng(38)) if case == "sqrt" else Connection.zero(frame(2))
+    phi = {"cubic": "x1^3 + x1", "sqrt": "sqrt(x1) + x1^2", "gate": "x1^3 - x1/2"}[case]
+    return g, Connection.zero(x1), [phi], x1
+
+
+def _report_bits(report):
+    coordinates, residuals = zip(*report.rows)
+    return np.array(coordinates).tobytes(), np.array(residuals).tobytes(), report.skipped
+
+
+@pytest.mark.parametrize("case", ["cubic", "sqrt", "gate", "two"])
+def test_batched_reparam_symmetry_check_equals_the_oracle(case, monkeypatch):
+    if case == "gate":
+        monkeypatch.setattr("jetgeo.jets._DET_THRESHOLD", 0.5)
+    g, theta, phi, x_frame = _reparam_case(case)
+    phi = [parse(text, x_frame) for text in phi]
+    skipped = 0
+    for seed in (0, 3, 11):
+        for samples in (1, 7, 30):
+            report = reparam_symmetry_check(g, theta, phi, x_frame, samples=samples, seed=seed)
+            oracle = reparam_symmetry_check_oracle(g, theta, phi, x_frame, samples=samples, seed=seed)
+            assert _report_bits(report) == _report_bits(oracle)
+            skipped += report.skipped
+    assert (skipped > 0) == (case != "cubic")
+
+
+def test_batched_reparam_symmetry_check_gives_up_as_the_oracle_does():
+    g, theta, _, x_frame = _reparam_case("cubic")
+    phi = [parse("sqrt(x1 - 2)", x_frame)]
+    with pytest.raises(DomainError) as batched:
+        reparam_symmetry_check(g, theta, phi, x_frame, samples=3)
+    with pytest.raises(DomainError) as one_by_one:
+        reparam_symmetry_check_oracle(g, theta, phi, x_frame, samples=3)
+    assert str(batched.value) == str(one_by_one.value)
+    assert str(batched.value).startswith("could not sample: 300 draws failed and 0 of 3 succeeded")
 
 
 @pytest.mark.parametrize("case", ["random", "sqrt", "overflow"])
@@ -1139,7 +1212,28 @@ def test_criterion_3_evaluates_its_connections_by_the_stack_alone(monkeypatch):
     assert calls == ["stack"] * 4
 
 
-@pytest.mark.parametrize("cid", [1, 3, 5, 6])
+def test_criterion_7_walks_its_stream_once_and_evaluates_its_checks_by_the_stack(monkeypatch):
+    calls, spawned = [], {}
+    for name in ("christoffel_many", "christoffel_at"):
+        method = getattr(PolynomialConnection, name)
+        monkeypatch.setattr(PolynomialConnection, name,
+                            lambda self, *args, _method=method, _name=name: calls.append(_name) or _method(self, *args))
+    stack, walk = acceptance.christoffel_stack, WordStream.walk
+    monkeypatch.setattr(acceptance, "christoffel_stack", lambda *args: calls.append("stack") or stack(*args))
+    monkeypatch.setattr(WordStream, "walk", lambda self, layouts: calls.append(self._bit_generator) or walk(self, layouts))
+    for module in (symmetry, acceptance):
+        monkeypatch.setattr(module, "affine_symmetry_check", lambda *args, **kwargs: calls.append("affine check"),
+                            raising=False)
+    monkeypatch.setattr(acceptance, "spawn_rng",
+                        lambda *args: spawned.setdefault(args, spawn_rng(*args)) if args[1] == 7 else spawn_rng(*args))
+    assert acceptance.criterion_7(AcceptanceConfig(seed=0)).passed
+    # one walk of stream 7, then one stack of the 5 checks of each dimension
+    # case; the orbit check evaluates its g by `christoffel_many`
+    assert calls.count(spawned[(0, 7)].bit_generator) == 1
+    assert [c for c in calls if isinstance(c, str)] == ["stack"] * 4 + ["christoffel_many"]
+
+
+@pytest.mark.parametrize("cid", [1, 3, 5, 6, 7])
 def test_criteria_raise_the_trees_error_where_a_stacked_value_is_not_finite(monkeypatch, cid):
     """As a per-point `christoffel_at` raised it before the stacks."""
     stack = acceptance.christoffel_stack
@@ -1223,6 +1317,27 @@ def test_batched_criteria_equal_their_per_sample_oracles(monkeypatch, cid, seeds
         assert _deviations(monkeypatch, cid, seed) == [repr(float(d)) for d in oracle(seed)]
         # and each generator ends in the same state
         assert [repr(r.bit_generator.state) for r in batched] == [repr(r.bit_generator.state) for r in one_by_one]
+
+
+def test_criterion_7_equals_its_per_sample_oracle(monkeypatch):
+    """Its deviations by their bits, and its result, whose verdict also
+    needs the non-affine counterexample."""
+    recorded, result = [], acceptance._result
+    monkeypatch.setattr(acceptance, "_result", lambda cid, title, deviations, *args:
+                        recorded.append(list(deviations)) or result(cid, title, recorded[-1], *args))
+    x_frame = CoordinateFrame(("x1",), 1)
+    for seed in _ORACLE_SEEDS:
+        got = acceptance.criterion_7(AcceptanceConfig(seed=seed))
+        deviations = conftest.criterion_7_oracle(seed)
+        assert same_bits(recorded[-1], deviations)
+        counter = reparam_symmetry_check_oracle(Connection.zero(frame(2)), Connection.zero(x_frame),
+                                                [parse("x1^3 + x1", x_frame)], x_frame, samples=15, seed=seed)
+        detected = not counter.passed and counter.worst_residual > 1e-3
+        # the orbit check's three deviations end the list
+        orbit = max(deviations[-3:-1]) <= 1e-12 and deviations[-1] <= 1e-10
+        worst_deviation = worst(deviations)
+        assert got == acceptance.CriterionResult(7, got.title, worst_deviation <= 1e-10 and orbit and detected,
+                                                 worst_deviation, 1e-10)
 
 
 def _through(monkeypatch, stream, cid, seed):

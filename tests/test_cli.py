@@ -163,7 +163,7 @@ def test_residual_param_zero_rows(zero_spec, tmp_path, capsys):
     rng = spawn_rng(73)
     from jetgeo.connections import Connection
     from jetgeo.geodesy import ddot_gamma_pro
-    from jetgeo.sampling import random_secjet1
+    from conftest import random_secjet1
 
     theta_flat = Connection.zero(CoordinateFrame(("x1",), 1))
     from jetgeo.connections import connection_from_dict

@@ -41,12 +41,11 @@ from jetgeo.jets import (
 from jetgeo.sampling import (
     random_connection,
     random_expressions,
-    random_secjet1,
     random_subjet1,
     spawn_rng,
 )
 
-from conftest import geodesic_oracle, geodesic_step_residual, geodesic_steps_oracle, sphere_chart
+from conftest import geodesic_oracle, geodesic_step_residual, geodesic_steps_oracle, random_secjet1, sphere_chart
 
 X1 = CoordinateFrame(("x1",), 1)
 X2 = CoordinateFrame(("x1", "x2"), 2)
