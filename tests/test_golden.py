@@ -27,7 +27,10 @@ written with `connection_to_dict`; its entries are printed simplified trees.
 `cover_check_theta` redraws samples (two at seed 5) where Θ fails.
 `map_sqrt.json` is the prolonged point map (u1, u2 + sqrt(u1)), which
 fails where u1 <= 0, so `symmetry_map_sqrt` redraws samples (ten at seed
-3); `field_euler.json` is the prolonged Euler field u1 ∂_u1 + u2 ∂_u2.
+3); `map_cubic.json` is the prolonged point map (u1, u2 + u1^3 -
+1/2*u1*u2^2), whose prolongations differentiate polynomial normal forms
+and, in its u2_1 component (1 - u1*u2)*u2_1, a product with a sum;
+`field_euler.json` is the prolonged Euler field u1 ∂_u1 + u2 ∂_u2.
 `sqrt4.json` has the one entry Γ_1{}^3{}_2 = sqrt(u1) + u2*u4, which
 fails where u1 < 0, so `symmetry_affine_sqrt` redraws samples (three at
 seed 3) where g fails.
@@ -68,6 +71,8 @@ CASES = {
                             "--samples", "6", "--seed", "4"],
     "symmetry_map_secjet": ["symmetry-check", "s2.json", "--map", "map_secjet.json",
                             "--samples", "6", "--seed", "4"],
+    "symmetry_map_cubic": ["symmetry-check", "s2.json", "--map", "map_cubic.json",
+                           "--samples", "6", "--seed", "4"],
     "symmetry_map_sqrt": ["symmetry-check", "s2.json", "--map", "map_sqrt.json",
                           "--samples", "5", "--seed", "3"],
     "symmetry_field_euler": ["symmetry-check", "s2.json", "--field", "field_euler.json",
