@@ -189,8 +189,54 @@ def differentiate(e, coord):
 
     Symbols other than `coord` are treated as constants, so the same
     routine serves frame coordinates and external parameters.
+
+    The result is ``simplify(_diff(e, coord))``.  A marked polynomial
+    normal form (see `_monomials`) gets it without `simplify`: each term
+    c x^a y^b ... gives c a x^(a-1) y^b ..., its factors sorted by `_key`,
+    and `normal_sum` collects them, as `simplify` collects the terms of
+    the product rule.  Every other tree takes `simplify`.
     """
-    return simplify(_diff(e, coord))
+    terms = _monomials(e) if getattr(e, "_normal", False) else None
+    if terms is None:
+        return simplify(_diff(e, coord))
+    groups, constant = {}, Fraction(0)
+    for c, factors in terms:
+        for i, f in enumerate(factors):
+            if isinstance(f, Sym):
+                if f.name != coord:
+                    continue
+                d, rest = c, factors[:i] + factors[i + 1:]
+            elif f.base.name != coord:
+                continue
+            else:
+                lower = f.base if f.exponent == 2 else _marked(Pow(f.base, f.exponent - 1))
+                d, rest = c * f.exponent, factors[:i] + (lower,) + factors[i + 1:]
+            if not rest:
+                constant += d
+            else:
+                core = rest[0] if len(rest) == 1 else Mul(tuple(sorted(rest, key=_key)))
+                groups[core] = groups.get(core, 0) + d
+    return normal_sum(groups.items(), constant)
+
+
+def _monomials(e):
+    """The (rational c, factors) of each non-constant term c * factors of
+    a polynomial normal form, where every factor is a symbol or a marked
+    power of one with an integer exponent >= 2; None for any other tree."""
+    terms = []
+    for t in e.terms if isinstance(e, Add) else (e,):
+        if isinstance(t, Const):
+            continue
+        factors = t.factors if isinstance(t, Mul) else (t,)
+        c = Fraction(1)
+        if factors and isinstance(factors[0], Const):
+            c, factors = factors[0].value, factors[1:]
+        for f in factors:
+            if not (isinstance(f, Sym) or isinstance(f, Pow) and f._normal and isinstance(f.base, Sym)
+                    and f.exponent >= 2):
+                return None
+        terms.append((c, factors))
+    return terms
 
 
 def _diff(e, coord):

@@ -208,15 +208,15 @@ class WordStream:
         half), the entry's terms take one more half, and the loop runs
         again with that entry's run known.
 
-        A gate takes `np.linalg.det` of a candidate's n x n block, as the
-        per-sample draw does.  In a walk with a `Polynomials` item the
-        candidates are few among the words, and it takes one det per
-        candidate; in a walk of `Draw`s alone nearly every offset can start
-        one, and it takes the dets at all offsets of a stretch of words at
-        once, by one stacked det (the same bits): one and a half times the
-        words that the samples left accept (rejections add about a fifth),
-        and a new stretch from where one runs out.  A
-        draw rejected 100 times raises the DomainError with which
+        A gate decides a candidate's n x n block as the per-sample draw's
+        `np.linalg.det` does, by the rule of `_block_regular`.  In a walk
+        with a `Polynomials` item the candidates are few among the words,
+        and it decides each alone (`_block_regular`); in a walk of `Draw`s
+        alone nearly every offset can start one, and it decides all offsets
+        of a stretch of words at once (`_regular`): one and a half times
+        the words that the samples left accept (rejections add about a
+        fifth), and a new stretch from where one runs out.  A draw
+        rejected 100 times raises the DomainError with which
         `draw_regular` gives up its per-sample sampler, after consuming
         what it read."""
         plans = dict(zip(map(id, layouts), layouts))
@@ -369,8 +369,7 @@ class WordStream:
                         else:
                             if p + n * n > end:
                                 base, end, doubles, halves = window((hp - 1) >> 1 if has_half and hp else p, p + n * n)
-                            block = -1.0 + 2.0 * np.array(doubles[p - base:p - base + n * n]).reshape(n, n)
-                            if abs(np.linalg.det(block)) >= MIN_DET:
+                            if _block_regular(doubles, p - base, n):
                                 break
                         p += rejected
                         tries, error = _rejected(tries, gate)
@@ -382,12 +381,22 @@ class WordStream:
 
     def _regular(self, start, n, count):
         """Whether |det| >= MIN_DET for the n x n block at each of `count`
-        offsets of the walk's words from `start`, by one stacked
-        `np.linalg.det`, as a list."""
-        width = n * n
-        numbers = self._uniforms(start, start + count + width - 1)
-        blocks = numbers[np.add.outer(np.arange(count), np.arange(width))].reshape(count, n, n)
-        return (np.abs(np.linalg.det(blocks)) >= MIN_DET).tolist()
+        offsets of the walk's words from `start`, as a list: by the rule of
+        `_block_regular` over all offsets at once, with one stacked
+        `np.linalg.det` (the same bits as one det per block) where it takes
+        LAPACK's."""
+        numbers = self._uniforms(start, start + count + n * n - 1)
+        if n <= 2:
+            dets = np.abs(numbers[:count] if n == 1 else
+                          numbers[:count] * numbers[3:count + 3] - numbers[1:count + 1] * numbers[2:count + 2])
+            regular = dets >= MIN_DET
+            at = np.flatnonzero(np.abs(dets - MIN_DET) <= _DET_MARGIN)
+        else:
+            regular, at = np.empty(count, bool), np.arange(count)
+        if len(at):
+            blocks = numbers[np.add.outer(at, np.arange(n * n))].reshape(len(at), n, n)
+            regular[at] = np.abs(np.linalg.det(blocks)) >= MIN_DET
+        return regular.tolist()
 
     def _window(self, start, need):
         """Words `start` to at least `need` of the walk, for `_pass`: their
@@ -395,6 +404,35 @@ class WordStream:
         end = max(need, start + _WORDS_PER_CHUNK)
         words = self._ahead(end)[start:end]
         return start, end, _doubles(words).tolist(), words.astype("<u8").view("<u4").tolist()
+
+
+# how near MIN_DET a closed-form |det| must lie for a gate to take LAPACK's
+# det instead (see `_block_regular`)
+_DET_MARGIN = 1e-12
+
+
+def _block_regular(doubles, at, n):
+    """A gate's decision, |det| >= MIN_DET, for the n x n block of the
+    uniform numbers -1 + 2d of the doubles d from doubles[at], row after
+    row.
+
+    This is the one statement of the rule the gates decide by.  The
+    entries are exact and lie in [-1, 1].  For n <= 2 the closed form, |a|
+    or |ad - bc|, is within about 1e-15 of the exact |det|, and so is
+    `np.linalg.det`'s (an LU, then sign * exp(sum log|u_ii|), which differs
+    from a 1 x 1 entry in the last bit for about 15% of draws).  So where
+    the closed form lies farther than `_DET_MARGIN` from MIN_DET both decide
+    alike, and the closed form decides; within the margin, and for n >= 3,
+    `np.linalg.det` decides, as the per-sample draw does."""
+    if n == 1:
+        det = abs(-1.0 + 2.0 * doubles[at])
+    elif n == 2:
+        a, b, c, d = (-1.0 + 2.0 * x for x in doubles[at:at + 4])
+        det = abs(a * d - b * c)
+    if n > 2 or abs(det - MIN_DET) <= _DET_MARGIN:
+        block = -1.0 + 2.0 * np.array(doubles[at:at + n * n]).reshape(n, n)
+        det = abs(np.linalg.det(block))
+    return det >= MIN_DET
 
 
 def _rejected(tries, gate):
@@ -424,7 +462,7 @@ def _lemire_run(halves, first, count, size):
 @functools.cache
 def _monomial_cores(names):
     """The monomials of total degree <= 2 over `names`, indexed as
-    `random_polynomial` draws them: None for the constant, then each name,
+    `Polynomials` draws them: None for the constant, then each name,
     then each product of two names in `combinations_with_replacement`
     order.  A product's factors are sorted by name, which is their `_key`
     order (so u10 comes before u2)."""
@@ -589,13 +627,6 @@ def _polynomial(cores, thousandths, subtracted=None):
     if subtracted:
         terms.append((_polynomial(cores, subtracted), Fraction(-1)))
     return expr.normal_sum(terms, Fraction(thousandths.get(0, 0), 1000))
-
-
-def random_polynomial(names, rng):
-    """Random polynomial over the names: one to three monomials of total
-    degree <= 2, each with a coefficient k/1000, k drawn from
-    [-1000, 1000]."""
-    return random_expressions(names, rng, 1)[0]
 
 
 @functools.cache
@@ -787,8 +818,9 @@ def christoffel_stack(frame, terms, points):
     All terms are taken at once, with the float operations of
     `PolynomialConnection._values`: a term is (k/1000 * x_f1) * x_f2, with
     1.0 for a missing factor; an entry of one term is that term, of two
-    (a + b) + 0.0, of more their `math.fsum`; an entry whose terms all
-    cancel is 0.0.  The nested terms of an entry sum by the same rule,
+    (a + b) + 0.0, of more their `math.fsum` (of three, its bits from
+    `_three_sums` where that gives them, see `_entry_sums`); an entry
+    whose terms all cancel is 0.0.  The nested terms of an entry sum by the same rule,
     and -1.0 times that sum is one more term of the entry."""
     row, slot, k, index, *rest = terms
     nested = rest[0].astype(bool) if rest else np.zeros(len(row), bool)
@@ -832,17 +864,60 @@ def _entry_sums(key, values):
     """The start of each run of equal keys among the rows of `values`
     (terms by points), and the sum of each run at each point by the rule
     of `christoffel_stack`: one term as it is, two as (a + b) + 0.0, more
-    by `math.fsum`, NaN where fsum raises."""
+    by `math.fsum`, NaN where fsum raises.  Three terms take fsum's bits
+    from `_three_sums`, over all points at once, and call `math.fsum` only
+    where `_three_sums` leaves the sum to it."""
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     sizes = np.diff(starts, append=len(key))
     sums = values[starts]
     two = starts[sizes == 2]
     sums[sizes == 2] = (values[two] + values[two + 1]) + 0.0
-    for n in np.unique(sizes[sizes > 2]).tolist():
+    three = starts[sizes == 3]
+    if len(three):
+        terms = values[three[:, None] + np.arange(3)]
+        total, fallback = _three_sums(*terms.transpose(1, 0, 2))
+        at = np.nonzero(fallback)
+        total[at] = expr._each(math.fsum, terms.transpose(0, 2, 1)[at].tolist())
+        sums[sizes == 3] = total
+    for n in np.unique(sizes[sizes > 3]).tolist():
         runs = starts[sizes == n]
         terms = values[runs[:, None] + np.arange(n)].transpose(0, 2, 1).reshape(-1, n)
         sums[sizes == n] = np.reshape(expr._each(math.fsum, terms.tolist()), (len(runs), -1))
     return starts, sums
+
+
+def _two_sum(a, b):
+    """Knuth's TwoSum: s = a + b rounded, and the error a + b - s, exact
+    where nothing overflows."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _three_sums(a, b, c):
+    """a + b + c correctly rounded to nearest (ties to even) at each place
+    of three float arrays, which is what `math.fsum` gives, and a mask of
+    the places where `math.fsum` must decide instead: the result is zero
+    (fsum's sign of a zero sum), not finite (fsum's infinities, NaN and
+    errors), or a term reaches 2^1020 (fsum raises where a partial sum
+    overflows, as in [MAX, MAX, -MAX], though the exact sum does not).
+
+    Boldo and Melquiond, "Emulation of FMA and correctly rounded sums:
+    proved algorithms using rounding to odd" (IEEE Trans. Computers 57(4),
+    2008): two TwoSums give th + tl + ul = a + b + c exactly; tl + ul is
+    rounded to odd (TwoSum, then one step in the int64 view to the odd
+    neighbour on the side of the exact value where the rounded sum is
+    inexact and even); and th plus that, rounded to nearest, is the
+    correctly rounded sum."""
+    uh, ul = _two_sum(b, c)
+    th, tl = _two_sum(a, uh)
+    v, error = _two_sum(tl, ul)
+    bits = v.view(np.int64)
+    inexact = (error != 0) & (bits & 1 == 0)
+    bits[inexact] += np.where((error > 0) == (v > 0), 1, -1)[inexact]
+    total = th + v
+    largest = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    return total, ~np.isfinite(total) | (total == 0) | (largest >= 2.0 ** 1020)
 
 
 def polynomial_terms(connections):
@@ -882,12 +957,6 @@ def random_connection(frame, rng, fill=0.6):
     return draw_connection(frame, rng, fill).connection()
 
 
-def random_expressions(names, rng, count):
-    """The trees of `draw_polynomials(names, rng, count)`."""
-    cores = _monomial_cores(tuple(names))
-    return [_polynomial(cores, thousandths) for thousandths in draw_polynomials(names, rng, count)]
-
-
 # the least |det| of the n x n block that a walk's gates accept (see `Draw`)
 MIN_DET = 0.3
 
@@ -897,9 +966,11 @@ class Draw:
     """What one per-sample draw reads from a generator, as
     ``uniform(-1, 1, shape)`` calls: arrays of `shapes`, in order.  With a
     `gate` (why a candidate is rejected), the first array is a candidate,
-    redrawn until the n x n matrix at its start has |det| >= MIN_DET; a
-    rejected candidate reads that array alone.  `WordStream.walk` reads it
-    for many samples at once."""
+    redrawn until the n x n matrix at its start has |det| >= MIN_DET, as
+    `np.linalg.det` decides it; a rejected candidate reads that array
+    alone.  `WordStream.walk` reads it for many samples at once, and
+    decides its gates by the closed-form |det| of `_block_regular` away
+    from MIN_DET."""
 
     shapes: tuple
     gate: str = None

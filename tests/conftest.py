@@ -76,8 +76,9 @@ from jetgeo.sampling import (
     WordStream,
     Polynomials,
     _monomial_cores,
+    _polynomial,
+    draw_polynomials,
     random_connection,
-    random_expressions,
     random_point,
     random_subjet1,
     spawn_rng,
@@ -238,9 +239,22 @@ def geodesic_step_residual(g, step):
                                                                np.array([[[step.theta]]]), D, second))
 
 
+def random_expressions(names, rng, count):
+    """The trees of `sampling.draw_polynomials(names, rng, count)`: each one
+    to three monomials of total degree <= 2, with coefficients k/1000, k
+    drawn from [-1000, 1000]."""
+    cores = _monomial_cores(tuple(names))
+    return [_polynomial(cores, thousandths) for thousandths in draw_polynomials(names, rng, count)]
+
+
+def random_polynomial(names, rng):
+    """One random polynomial over the names, by `random_expressions`."""
+    return random_expressions(names, rng, 1)[0]
+
+
 def random_polynomial_oracle(names, rng):
-    """`sampling.random_polynomial` the slow way: the same draws, in the same
-    order, assembled term by term and normalised by `simplify`."""
+    """`random_polynomial` the slow way: the same draws, in the same order,
+    assembled term by term and normalised by `simplify`."""
     monomials = [()]
     for d in (1, 2):
         monomials.extend(combinations_with_replacement(range(len(names)), d))
@@ -250,6 +264,12 @@ def random_polynomial_oracle(names, rng):
         mono = monomials[int(rng.integers(0, len(monomials)))]
         terms.append(Mul((Const(coeff),) + tuple(Sym(names[i]) for i in mono)))
     return expr.simplify(expr.Add(tuple(terms)))
+
+
+def differentiate_oracle(e, coord):
+    """`expr.differentiate` by the general path alone: the product-rule
+    tree, simplified."""
+    return expr.simplify(expr._diff(e, coord))
 
 
 def random_connection_oracle(frame, rng, fill=0.6):

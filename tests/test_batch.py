@@ -79,7 +79,6 @@ from jetgeo.sampling import (
     draw_polynomials,
     polynomial_terms,
     random_connection,
-    random_expressions,
     random_subjet1,
     secjet1_stream,
     spawn_rng,
@@ -122,6 +121,7 @@ from conftest import (
     pro_distribution_rows_oracle,
     quotient_diagram_deviation_oracle,
     random_affine,
+    random_expressions,
     random_secjet1,
     random_secjet2,
     reparam_symmetry_check_oracle,

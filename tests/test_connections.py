@@ -26,9 +26,9 @@ from jetgeo.errors import (
     SpecLoadError,
 )
 from jetgeo.expr import Const, CoordinateFrame
-from jetgeo.sampling import random_connection, random_expressions, spawn_rng
+from jetgeo.sampling import random_connection, spawn_rng
 
-from conftest import connection_to_dict, sphere_chart, sphere_spec
+from conftest import connection_to_dict, random_expressions, sphere_chart, sphere_spec
 
 
 def frame(l, n=1):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 import jetgeo
 from jetgeo import expr
+from jetgeo.acceptance import AcceptanceConfig, criterion_8, criterion_11
+from jetgeo.cli import main
 from jetgeo.connections import grass_shift, projective_shift
 from jetgeo.errors import DomainError, MissingSymbolError, ParseError, UnknownSymbolError
 from jetgeo.expr import (
@@ -30,9 +34,9 @@ from jetgeo.expr import (
     simplify,
     to_text,
 )
-from jetgeo.sampling import random_connection, random_expressions, spawn_rng
+from jetgeo.sampling import random_connection, spawn_rng
 
-from conftest import TREE_NAMES, trees
+from conftest import TREE_NAMES, differentiate_oracle, random_expressions, trees
 
 UV = ("u", "v")
 
@@ -169,6 +173,104 @@ def test_derivative_matches_central_difference():
 def test_derivative_external_constant():
     e = parse("c*u", ("c", "u"))
     assert differentiate(e, "u") == Sym("c")
+
+
+# ---------------------------------------------------------------------------
+# the direct derivative of polynomial normal forms against the general path
+
+
+def _marks(e):
+    """The `_normal` mark of every node of a tree, in preorder."""
+    out = [(type(e).__name__, getattr(e, "_normal", False))]
+    for child in getattr(e, "terms", ()) + getattr(e, "factors", ()):
+        out += _marks(child)
+    for name in ("base", "num", "den", "arg"):
+        if hasattr(e, name):
+            out += _marks(getattr(e, name))
+    return out
+
+
+def _same_derivative(got, e, coord):
+    want = differentiate_oracle(e, coord)
+    assert repr(got) == repr(want) and got == want
+    assert _marks(got) == _marks(want)
+
+
+def _differentiated(fn, *args):
+    """The (tree, coordinate, result, simplify calls) of each
+    `differentiate` call that `fn(*args)` makes from outside
+    `differentiate` itself; `simplify` calls count recursive ones too."""
+    calls, depth, simplified = [], [0], [0]
+    original, simplify_original = expr.differentiate, expr.simplify
+
+    def counting(e):
+        simplified[0] += 1
+        return simplify_original(e)
+
+    def recording(e, coord):
+        depth[0] += 1
+        before = simplified[0]
+        try:
+            out = original(e, coord)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            calls.append((e, coord, out, simplified[0] - before))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "differentiate", recording)
+        patch.setattr(expr, "simplify", counting)
+        fn(*args)
+    return calls
+
+
+_POLY_NAMES = ("u", "v", "w")
+
+
+@st.composite
+def _polynomial_normal_forms(draw):
+    """Simplified sums of rational multiples of products of one to three
+    symbols, each to a power from 1 to 5, and a constant: a lone constant
+    where no term is drawn, and terms that merge or cancel where simplify
+    collects them."""
+    rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        factors = [Pow(Sym(name), draw(st.integers(1, 5)))
+                   for name in draw(st.lists(st.sampled_from(_POLY_NAMES), min_size=1, max_size=3))]
+        terms.append(Mul((Const(draw(rational)), *factors)))
+    return simplify(Add((*terms, Const(draw(rational)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polynomial_normal_forms())
+def test_derivative_of_a_polynomial_normal_form_is_the_general_one_without_simplify(e):
+    assert expr._monomials(e) is not None
+    for coord in (*_POLY_NAMES, "x"):
+        [(_, _, got, simplified)] = _differentiated(lambda: expr.differentiate(e, coord))
+        assert simplified == 0
+        _same_derivative(got, e, coord)
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2026, 1199949627, 40807560, 2134822917, 1431460730, 508547399])
+def test_criteria_8_and_11_differentiate_as_the_general_path(seed):
+    calls = _differentiated(lambda: [fn(AcceptanceConfig(seed=seed)) for fn in (criterion_8, criterion_11)])
+    assert calls
+    for e, coord, got, _ in calls:
+        _same_derivative(got, e, coord)
+
+
+def test_golden_cubic_map_takes_both_derivative_paths():
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    argv = ["symmetry-check", os.path.join(golden, "s2.json"), "--map", os.path.join(golden, "map_cubic.json"),
+            "--samples", "6", "--seed", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        calls = _differentiated(main, argv)
+    direct = sum(simplified == 0 for *_, simplified in calls)
+    assert 0 < direct < len(calls)
+    for e, coord, got, _ in calls:
+        _same_derivative(got, e, coord)
 
 
 # ---------------------------------------------------------------------------

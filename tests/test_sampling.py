@@ -2,19 +2,22 @@
 it, the random polynomials checked against their `simplify` oracle, the
 coefficient form of a random connection checked against its trees, the
 `WordStream` and its walks checked against the Generator whose raw words
-it reads, and walks over planted words checked against the scalar reader
-of the same words."""
+it reads, walks over planted words checked against the scalar reader
+of the same words, and the gates' closed-form det and the three-term
+sums checked against the `np.linalg.det` and `math.fsum` they stand
+for."""
 import contextlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetgeo import errors, sampling
-from jetgeo.acceptance import _DIM_CASES, _frame, _theta_frame
+from jetgeo import errors, expr, sampling
+from jetgeo.acceptance import _DIM_CASES, AcceptanceConfig, _frame, _theta_frame, criterion_3, criterion_5
 from jetgeo.connections import Connection
 from jetgeo.errors import DomainError, SingularJacobianError, draw_regular, require_finite
 from jetgeo.expr import CoordinateFrame, Mul, Sym, parse, simplify, to_text
@@ -29,7 +32,6 @@ from jetgeo.sampling import (
     draw_polynomials,
     random_connection,
     random_point,
-    random_polynomial,
     secjet1_draw,
     spawn_rng,
     subjet1_draw,
@@ -41,6 +43,7 @@ from conftest import (
     ScalarWordStream,
     draw_connection_oracle,
     random_connection_oracle,
+    random_polynomial,
     random_polynomial_oracle,
 )
 
@@ -517,3 +520,191 @@ def test_walk_gate_rejects_zero_blocks_and_gives_up_as_the_scalar_oracle(monkeyp
         assert _walk_with(_planted(WordStream, zeros), 22, layouts) == want
     assert want[0].startswith("could not sample: 100 draws failed and 0 of 1 succeeded; the last failed with: "
                               "base-direction block")
+
+
+# ---------------------------------------------------------------------------
+# the gates' closed-form det and the three-term sums against the general
+# calls they stand for
+
+
+def _lapack_regular(block):
+    """The per-sample gate: |np.linalg.det| >= MIN_DET."""
+    return abs(np.linalg.det(np.asarray(block))) >= sampling.MIN_DET
+
+
+def _sampling_dets(monkeypatch):
+    """The number of blocks of each `np.linalg.det` call made from
+    `sampling`, as a list that grows while the test runs."""
+    det, calls = np.linalg.det, []
+
+    def counting(a):
+        if sys._getframe(1).f_globals["__name__"] == sampling.__name__:
+            calls.append(len(np.reshape(a, (-1,) + np.shape(a)[-2:])))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    return calls
+
+
+def _gate_inputs(blocks, n):
+    """The doubles d and the uniform numbers -1 + 2d of n x n blocks on the
+    -1 + 2k 2^-53 grid, one block after another (d = (x + 1) / 2 is
+    exact)."""
+    numbers = np.ravel(blocks)
+    return ((numbers + 1.0) / 2.0).tolist(), numbers
+
+
+def _stacked_regular(numbers, n, count):
+    """`WordStream._regular` over these numbers, as a walk's words."""
+    stream = WordStream(spawn_rng(0))
+    stream._uniforms = lambda start, stop: numbers[start:stop]
+    return stream._regular(0, n, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2), st.lists(st.integers(0, 2 ** 53 - 1), min_size=4, max_size=12))
+def test_gates_decide_as_lapack_on_the_grid(n, ks):
+    doubles = [k * 2.0 ** -53 for k in ks]
+    numbers = -1.0 + 2.0 * np.array(doubles)
+    count = len(ks) - n * n + 1
+    want = [_lapack_regular(numbers[i:i + n * n].reshape(n, n)) for i in range(count)]
+    assert [sampling._block_regular(doubles, i, n) for i in range(count)] == want
+    assert _stacked_regular(numbers, n, count) == want
+
+
+def _margin_blocks():
+    """Grid blocks whose closed-form |det| lies within the margin of
+    MIN_DET: the 1 x 1 entries at the grid points next to +-0.3, and 2 x 2
+    blocks whose ad - bc is within a few grid steps of +-0.3."""
+    step = 2.0 ** -52
+    ones = [[[-1.0 + j * step]] for target in (sampling.MIN_DET, -sampling.MIN_DET)
+            for j in range(round((target + 1.0) / step) - 3, round((target + 1.0) / step) + 4)]
+    twos = []
+    for a, b, d in ((0.75, 0.5, 0.8), (0.9, -0.45, 0.7), (-0.6, 0.35, 0.95)):
+        a, b, d = (-1.0 + round((x + 1.0) / step) * step for x in (a, b, d))
+        for target in (sampling.MIN_DET, -sampling.MIN_DET):
+            middle = round(((a * d - target) / b + 1.0) / step)
+            for j in range(middle - 4, middle + 5):
+                c = -1.0 + j * step
+                if abs(abs(a * d - b * c) - sampling.MIN_DET) <= sampling._DET_MARGIN:
+                    twos.append([[a, b], [c, d]])
+    return ones, twos
+
+
+def test_gates_take_lapack_within_the_margin(monkeypatch):
+    calls = _sampling_dets(monkeypatch)
+    for n, blocks in enumerate(_margin_blocks(), 1):
+        want = [_lapack_regular(block) for block in blocks]
+        assert True in want and False in want
+        doubles, numbers = _gate_inputs(blocks, n)
+        del calls[:]
+        assert [sampling._block_regular(doubles, n * n * i, n) for i in range(len(blocks))] == want
+        assert calls == [1] * len(blocks)
+        del calls[:]
+        # every offset of the stacked numbers is a candidate; the planted
+        # blocks start at every (n * n)th
+        count = len(numbers) - n * n + 1
+        regular = _stacked_regular(numbers, n, count)
+        assert regular[::n * n] == want
+        assert regular == [_lapack_regular(numbers[i:i + n * n].reshape(n, n)) for i in range(count)]
+        assert len(calls) == 1 and len(blocks) <= calls[0] <= count
+
+
+def test_gated_walks_take_no_lapack_det_outside_the_margin(monkeypatch):
+    calls = _sampling_dets(monkeypatch)
+    layouts = [(secjet1_draw(2, 4),)] * 200
+    with WordStream(spawn_rng(5)) as stream:
+        walked = stream.walk(layouts)
+    assert calls == []
+    assert _walked(walked) == _walked(GeneratorStream(spawn_rng(5)).walk(layouts))
+    # criterion 5 walks connections and section jets together, and gates
+    # one candidate at a time
+    assert criterion_5(AcceptanceConfig(seed=0)).passed
+    assert calls == []
+
+
+def _fsum_bits(triple):
+    """`math.fsum` of the terms as `christoffel_stack` takes it, NaN where
+    it raises, as bytes."""
+    return np.float64(expr._each(math.fsum, [list(triple)])[0]).tobytes()
+
+
+_MAX = sys.float_info.max
+_EDGE_TERMS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, _MAX, -_MAX,
+                               2.0 ** 1020, -(2.0 ** 1020), math.inf, -math.inf, math.nan, 1.0, -1.0, 0.1])
+_TERMS = st.one_of(st.floats(), st.floats(-1e-300, 1e-300), st.floats(-1.0, 1.0), _EDGE_TERMS)
+
+
+@st.composite
+def _three_terms(draw):
+    """Three terms in any order: any floats; two that cancel exactly and a
+    third; or x, half an ulp of x and a tiny or zero term (a tie that the
+    third term breaks or leaves)."""
+    a = draw(_TERMS)
+    kind = draw(st.sampled_from(["any", "cancel", "tie"]))
+    if kind == "any":
+        b, c = draw(_TERMS), draw(_TERMS)
+    elif kind == "cancel":
+        b, c = -a, draw(_TERMS)
+    else:
+        a = draw(st.floats(-1e300, 1e300).filter(lambda x: x != 0))
+        b = math.copysign(math.ulp(a) / 2, draw(st.sampled_from([1.0, -1.0])))
+        c = draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.integers(54, 200).map(
+            lambda k: math.copysign(math.ulp(a) * 2.0 ** -k, draw(st.sampled_from([1.0, -1.0])))))
+    return draw(st.permutations([a, b, c]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_three_terms(), min_size=1, max_size=8))
+def test_three_term_entries_sum_to_the_bits_of_fsum(triples):
+    values = np.array(triples).T
+    with np.errstate(all="ignore"):
+        starts, sums = sampling._entry_sums(np.zeros(3, np.int64), values)
+    assert starts.tolist() == [0]
+    assert [np.float64(s).tobytes() for s in sums[0]] == [_fsum_bits(t) for t in triples]
+
+
+def test_three_term_sums_leave_zeros_overflow_and_non_finite_terms_to_fsum():
+    triples = [(1.0, -1.0, 0.0), (-0.0, -0.0, -0.0), (_MAX, _MAX, -_MAX), (math.inf, 1.0, 2.0),
+               (math.inf, -math.inf, 1.0), (math.nan, 1.0, 2.0), (0.1, 0.2, 0.3), (1.0, 2.0 ** -53, 2.0 ** -60)]
+    values = np.array(triples).T
+    with np.errstate(all="ignore"):
+        _, fallback = sampling._three_sums(*values)
+        _, sums = sampling._entry_sums(np.zeros(3, np.int64), values)
+    assert fallback.tolist() == [True] * 6 + [False] * 2
+    assert [np.float64(s).tobytes() for s in sums[0]] == [_fsum_bits(t) for t in triples]
+    # fsum raises on the partial sum _MAX + _MAX that the exact sum avoids
+    assert math.isnan(sums[0, 2])
+
+
+def test_criterion_3_calls_fsum_for_three_terms_only_where_the_three_sum_leaves_it(monkeypatch):
+    fsum, entry_sums = math.fsum, sampling._entry_sums
+    inside, three, calls = [], [], []
+
+    def counting(terms):
+        if inside:
+            try:
+                total = fsum(terms)
+            except (ArithmeticError, ValueError):
+                calls.append((len(terms), math.nan, terms))
+                raise
+            calls.append((len(terms), total, terms))
+            return total
+        return fsum(terms)
+
+    def recording(key, values):
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        three.append(int((np.diff(starts, append=len(key)) == 3).sum()) * values.shape[1])
+        inside.append(True)
+        try:
+            return entry_sums(key, values)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(math, "fsum", counting)
+    monkeypatch.setattr(sampling, "_entry_sums", recording)
+    assert criterion_3(AcceptanceConfig(seed=0)).passed
+    assert sum(three) > 0 and calls
+    for size, total, terms in calls:
+        assert size > 3 or size == 3 and (total == 0 or not math.isfinite(total)
+                                          or max(map(abs, terms)) >= 2.0 ** 1020)
