@@ -648,9 +648,10 @@ def _three_terms(draw):
         b, c = -a, draw(_TERMS)
     else:
         a = draw(st.floats(-1e300, 1e300).filter(lambda x: x != 0))
-        b = math.copysign(math.ulp(a) / 2, draw(st.sampled_from([1.0, -1.0])))
-        c = draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.integers(54, 200).map(
-            lambda k: math.copysign(math.ulp(a) * 2.0 ** -k, draw(st.sampled_from([1.0, -1.0])))))
+        b_sign, c_sign = draw(st.sampled_from([1.0, -1.0])), draw(st.sampled_from([1.0, -1.0]))
+        b = math.copysign(math.ulp(a) / 2, b_sign)
+        c = draw(st.sampled_from([0.0, -0.0, 5e-324, -5e-324])
+                 | st.integers(54, 200).map(lambda k: math.copysign(math.ulp(a) * 2.0 ** -k, c_sign)))
     return draw(st.permutations([a, b, c]))
 
 
