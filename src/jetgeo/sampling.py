@@ -12,8 +12,11 @@ It serves `random` and `uniform`, `peek` and `skip` over the numbers of
 samples, each a tuple of `Polynomials` (random polynomials and
 connections) and `Draw`s (uniform arrays, gated or not), in one loop over
 the words.  The acceptance criteria, the sampled checks and `cover-check`
-read their batches of draws through one, and `draw_connection` and
-`draw_polynomials` are walks of one sample.
+read their batches of draws through one.
+
+One evaluator gives the values of random connections in coefficient form:
+`christoffel_stack`, for many connections at once or, through
+`PolynomialConnection.christoffel_at` and `christoffel_many`, for one.
 """
 from __future__ import annotations
 
@@ -27,8 +30,8 @@ from typing import Mapping
 import numpy as np
 
 from . import expr
-from .connections import Connection, gather_index, shift_parts
-from .errors import _REDRAWS_PER_SAMPLE, DomainError, gave_up
+from .connections import Connection, shift_parts
+from .errors import _REDRAWS_PER_SAMPLE, DimensionMismatchError, DomainError, gave_up
 from .expr import CoordinateFrame, Mul, Sym
 from .jets import SubJet
 
@@ -482,9 +485,9 @@ class Polynomials:
     ``integers(0, size)``: it is the sum of the k/1000 times their
     monomials.
 
-    This is the one statement of that layout.  `WordStream.walk` reads it
-    for many samples at once; `draw_connection` and `draw_polynomials`
-    are walks of one sample of one item."""
+    This is the one statement of that layout.  `WordStream.walk` reads it,
+    for one sample or many at once, and `Walked.polynomials` gives what it
+    drew."""
 
     names: tuple
     count: int
@@ -594,30 +597,8 @@ def _rows(table):
     return table if isinstance(table, list) else table.tolist()
 
 
-def _walk(rng, layouts):
-    """``rng.walk(layouts)`` of a stream, or of a `WordStream` opened on a
-    Generator for this walk alone.  The draw functions take either: a
-    Generator on another bit generator (MT19937), or an object with no
-    `walk`, is a TypeError."""
-    if isinstance(rng, np.random.Generator):
-        with WordStream(rng) as stream:
-            return stream.walk(layouts)
-    if not hasattr(rng, "walk"):
-        raise TypeError(f"random polynomials are drawn from a Generator or a WordStream, not {type(rng).__name__}")
-    return rng.walk(layouts)
-
-
-def draw_polynomials(names, rng, count):
-    """The thousandths of `count` random polynomials over the names, drawn
-    one after another (see `Polynomials`): each a dict from monomial index
-    to the thousandths drawn for it, summed, in first-drawn order.  `rng`
-    is a `WordStream`, or a Generator on one of the bit generators it
-    reads (see `_walk`), as for each draw built on this one."""
-    return list(_walk(rng, [(Polynomials(tuple(names), count),)]).polynomials(0, 0).values())
-
-
 def _polynomial(cores, thousandths, subtracted=None):
-    """The tree of a polynomial drawn by `draw_polynomials`, collected
+    """The tree of a polynomial drawn by `Polynomials`, collected
     straight into `simplify`'s normal form: the result equals, and is
     marked as, what `simplify` gives for the sum of the drawn terms.  With
     `subtracted`, the thousandths of a polynomial of two or more terms, the
@@ -629,34 +610,10 @@ def _polynomial(cores, thousandths, subtracted=None):
     return expr.normal_sum(terms, Fraction(thousandths.get(0, 0), 1000))
 
 
-@functools.cache
-def _monomial_factors(names):
-    """For each monomial of `_monomial_cores(names)`, the indices of its
-    factors in the point, in the core's factor order."""
-    index = {name: i for i, name in enumerate(names)}
-    return tuple(() if core is None else (index[core.name],) if isinstance(core, Sym)
-                 else tuple(index[s.name] for s in core.factors) for core in _monomial_cores(names))
-
-
-def _fsum(terms):
-    """`math.fsum` of the terms, NaN where it raises."""
-    return expr._each(math.fsum, [terms])[0]
-
-
-def _fsum_columns(terms, count):
-    """`math.fsum` of the terms at each of `count` points, where a term is
-    an array over the points or a float, the same at each; NaN where fsum
-    raises (see `expr._each`)."""
-    stacked = np.empty((len(terms), count))
-    for row, term in zip(stacked, terms):
-        row[:] = term
-    return np.array(expr._each(math.fsum, stacked.T.tolist()))
-
-
 @dataclass(frozen=True)
 class PolynomialConnection:
     """A random polynomial connection in coefficient form: `entries` maps
-    each stored (A, B, C) to its polynomial as `draw_polynomials` returns
+    each stored (A, B, C) to its polynomial as `Walked.polynomials` gives
     one, a dict from an index into `_monomial_cores(frame.names)` to
     thousandths.  An entry may also have a polynomial of two or more terms
     in `subtracted`, with the same keys, that is taken away as a whole: the
@@ -664,7 +621,8 @@ class PolynomialConnection:
 
     It is a numeric connection (see `connections`): `christoffel_at` and
     `christoffel_many` give the bits of ``connection()``'s without building
-    trees, and it has no singular points."""
+    trees, by `christoffel_stack` of this one connection, and it has no
+    singular points."""
 
     frame: CoordinateFrame
     entries: Mapping
@@ -682,54 +640,14 @@ class PolynomialConnection:
         return Connection(self.frame, {key: _polynomial(cores, t, self.subtracted.get(key))
                                        for key, t in self.entries.items()})
 
-    def _values(self, xs, fsum):
-        """The value of each stored entry, in order, by the interpreter's
-        float operations on its tree.  `xs` holds one column per
-        coordinate: floats at one point, with `math.fsum`, or arrays over a
-        batch of points, with `_fsum_columns` over them.
-
-        A term is k/1000 (the correctly rounded value of the constant)
-        times each factor in the core's order (a bare core's 1.0 * x is x),
-        and a subtracted polynomial is the one term -1.0 * its sum.  One
-        term stands as it is; two sum as (a + b) + 0.0, which rounds as
-        `fsum` does and turns -0.0 into fsum's 0.0; more go through
-        `fsum`; no terms (all cancel) give fsum's 0.0, the slot that
-        `Connection` leaves for the entry it drops.  A sum does not depend
-        on the order of its terms, so only the terms must match the
-        trees', not the order in which the trees sort them."""
-        factors = _monomial_factors(self.frame.names)
-
-        def total(thousandths, terms):
-            for index, k in thousandths.items():
-                if k:
-                    value = k / 1000
-                    for i in factors[index]:
-                        value *= xs[i]
-                    terms.append(value)
-            if len(terms) > 2:
-                return fsum(terms)
-            if len(terms) == 2:
-                return (terms[0] + terms[1]) + 0.0
-            return terms[0] if terms else 0.0
-
-        subtracted = self.subtracted
-        if not subtracted:
-            return [total(t, []) for t in self.entries.values()]
-        return [total(t, [-1.0 * total(subtracted[key], [])] if key in subtracted else [])
-                for key, t in self.entries.items()]
-
     def christoffel_at(self, point):
         """The array of ``connection().christoffel_at(point)``, bit for bit,
-        straight from the coefficients, with the same failure: where a
-        value is not finite, the trees' DomainError."""
-        l = self.frame.dim
-        flat = [0.0] * (l * l * l)
-        values = self._values([float(x) for x in point], _fsum)
-        for (a, b, c), value in zip(self.entries, values):
-            flat[((a - 1) * l + c - 1) * l + b - 1] = flat[((b - 1) * l + c - 1) * l + a - 1] = value
-        if not all(map(math.isfinite, values)):
-            raise self._failure(point)
-        return np.array(flat).reshape(l, l, l)
+        with the same failure: where a value is not finite, the trees'
+        DomainError."""
+        G, failures = christoffel_stack(self.frame, polynomial_terms([self]), np.asarray(point, dtype=float)[None])
+        if failures:
+            raise failures[0]
+        return G[0]
 
     def christoffel_many(self, points):
         """The arrays of `christoffel_at` at the rows of an (N, l) point
@@ -737,16 +655,8 @@ class PolynomialConnection:
         ``connection().christoffel_many(points)`` gives them, with the
         same failures: the trees' DomainError at each point where a value
         is not finite."""
-        points = np.asarray(points, dtype=float)
-        k = len(self.entries)
-        stacked = np.zeros((len(points), k + 1))
-        fsum = functools.partial(_fsum_columns, count=len(points))
-        with np.errstate(all="ignore"):
-            for j, value in enumerate(self._values(list(np.ascontiguousarray(points.T)), fsum)):
-                stacked[:, j] = value
-        failed = np.flatnonzero(~np.isfinite(stacked).all(axis=1)).tolist()
-        failures = {i: self._failure(points[i]) for i in failed}
-        return np.take(stacked, gather_index(self.entries, self.frame.dim), axis=1), failures
+        G, failures = christoffel_stack(self.frame, polynomial_terms([self]), np.asarray(points, dtype=float)[None])
+        return G[0], {p: error for (_, p), error in failures.items()}
 
     def _failure(self, point):
         """The DomainError with which the trees fail at a point where a
@@ -791,8 +701,10 @@ def _factor_columns(names):
     factors in a point extended by a last column of 1.0: its factors in
     the core's order, then that column for each missing one; as an int
     array (2, monomials)."""
-    l = len(names)
-    return np.array([(*factors, l, l)[:2] for factors in _monomial_factors(names)]).T
+    l, column = len(names), {name: i for i, name in enumerate(names)}
+    factors = [() if core is None else (core,) if isinstance(core, Sym) else core.factors
+               for core in _monomial_cores(names)]
+    return np.array([(*(column[s.name] for s in f), l, l)[:2] for f in factors]).T
 
 
 @functools.cache
@@ -808,24 +720,33 @@ def christoffel_stack(frame, terms, points):
     points of its own: from `terms`, the arrays (row, slot, thousandths,
     monomial index) of `Walked.stacked_terms`, or with a fifth, `nested`,
     those of `polynomial_terms`, and a (K, l) point array, the (K, l, l, l)
-    stack whose row r is, bit for bit, what
-    `PolynomialConnection.christoffel_at` gives for the connection of row r
-    at points[r]; and the failures, a mapping from each row where a value
-    is not finite to the trees' DomainError there.  A (K, P, l) point array
-    gives connection r at each of points[r], stacked (K, P, l, l, l), and
-    failures keyed (r, p).
+    stack whose row r is, bit for bit, what the trees of the connection of
+    row r give at points[r]; and the failures, a mapping from each row
+    where a value is not finite to the trees' DomainError there.  A (K, P,
+    l) point array gives connection r at each of points[r], stacked (K, P,
+    l, l, l), and failures keyed (r, p).  Points of another length than l
+    raise the trees' DimensionMismatchError.
 
-    All terms are taken at once, with the float operations of
-    `PolynomialConnection._values`: a term is (k/1000 * x_f1) * x_f2, with
-    1.0 for a missing factor; an entry of one term is that term, of two
-    (a + b) + 0.0, of more their `math.fsum` (of three, its bits from
+    This is the one statement of how the coefficient form sums, and it
+    follows the interpreter's float operations on the trees.  A term is
+    (k/1000 * x_f1) * x_f2, with 1.0 for a missing factor (k/1000 is the
+    correctly rounded value of the constant, and a bare core's 1.0 * x is
+    x).  An entry of one term is that term; of two, (a + b) + 0.0, which
+    rounds as `math.fsum` does and turns -0.0 into fsum's 0.0; of more,
+    their `math.fsum`, NaN where it raises (of three, its bits from
     `_three_sums` where that gives them, see `_entry_sums`); an entry
-    whose terms all cancel is 0.0.  The nested terms of an entry sum by the same rule,
-    and -1.0 times that sum is one more term of the entry."""
+    whose terms all cancel is fsum's 0.0, the slot that `Connection`
+    leaves for the entry it drops.  The nested terms of an entry sum by
+    the same rule, and -1.0 times that sum is one more term of the entry.
+    None of these sums depends on the order of its terms, so only the
+    terms must match the trees', not the order in which the trees sort
+    them.  All terms at all points are taken at once."""
     row, slot, k, index, *rest = terms
     nested = rest[0].astype(bool) if rest else np.zeros(len(row), bool)
     points = np.asarray(points, dtype=float)
     l = frame.dim
+    if points.shape[-1] != l:
+        raise DimensionMismatchError(f"point of length {points.shape[-1]} for frame of dimension {l}")
     grid = points.reshape(len(points), -1, l)
     columns = np.ones(grid.shape[:2] + (l + 1,))
     columns[..., :l] = grid
@@ -925,7 +846,7 @@ def polynomial_terms(connections):
     `christoffel_stack`, row r for connections[r]: arrays (row, slot,
     thousandths, monomial index, nested), each entry's terms and then,
     marked nested, those of the polynomial it subtracts.  Thousandths of 0
-    are dropped, as `_values` drops them."""
+    are dropped, as `expr.normal_sum` drops zero terms from the trees."""
     flat = []
     for r, g in enumerate(connections):
         slots = _slots(g.dim)
@@ -941,20 +862,6 @@ def polynomial_terms(connections):
 def _slots(l):
     """The slot of each (A, B, C) of `_candidate_keys(l)`."""
     return {key: slot for slot, key in enumerate(_candidate_keys(l))}
-
-
-def draw_connection(frame, rng, fill=0.6):
-    """Random polynomial Christoffels on a fraction `fill` of the
-    independent components, as a `PolynomialConnection`: the walk of one
-    `connection_draw`, where for each (A, B, C) with A <= B in order one
-    double decides whether the entry is stored, and a stored entry's
-    polynomial is drawn at once.  `rng` is as for `draw_polynomials`."""
-    return _walk(rng, [(connection_draw(frame, fill),)]).connection(0, 0, frame)
-
-
-def random_connection(frame, rng, fill=0.6):
-    """The `Connection` of `draw_connection(frame, rng, fill)`."""
-    return draw_connection(frame, rng, fill).connection()
 
 
 # the least |det| of the n x n block that a walk's gates accept (see `Draw`)

@@ -10,8 +10,9 @@ sampling that the batched ones are checked against, the per-jet
 distribution generators, covering projections, residual and covering
 deviations that the array formulas are checked against, the per-jet loop
 of `dot_gamma_via_xi` and the per-sample orbit check that the batched ones
-are checked against, the per-sample loops of criteria 1, 2, 5, 6, 7 and 9,
-criteria 3 and 4 on the trees of their random connections and shifts, the
+are checked against, the per-sample loops of criteria 1, 2, 5, 6, 7, 9 and
+10, criteria 3 and 4 on the trees of their random connections and shifts,
+the one-sample walks that draw a random connection or polynomials, the
 random polynomials, connections, section jets and affine maps and the
 walks of a `WordStream` drawn one call at a time (on a bare Generator, or
 on the stream's words by the scalar 32-bit and `integers` draws), a word
@@ -34,7 +35,6 @@ from jetgeo.connections import (
     Connection,
     grass_arrays,
     grass_shift,
-    invariants_match,
     pi_array,
     pi_deviation,
     projective_shift,
@@ -61,7 +61,6 @@ from jetgeo.geodesy import (
     ddot_gamma_pro,
     dot_gamma,
     dot_gamma_pro,
-    extension_deviation,
     integrate_geodesic,
     param_residual2,
     param_residual_table,
@@ -77,8 +76,7 @@ from jetgeo.sampling import (
     Polynomials,
     _monomial_cores,
     _polynomial,
-    draw_polynomials,
-    random_connection,
+    connection_draw,
     random_point,
     random_subjet1,
     spawn_rng,
@@ -239,8 +237,46 @@ def geodesic_step_residual(g, step):
                                                                np.array([[[step.theta]]]), D, second))
 
 
+def _walk(rng, layouts):
+    """``rng.walk(layouts)`` of a stream, or of a `WordStream` opened on a
+    Generator for this walk alone.  The draw functions below take either:
+    a Generator on another bit generator (MT19937), or an object with no
+    `walk`, is a TypeError."""
+    if isinstance(rng, np.random.Generator):
+        with WordStream(rng) as stream:
+            return stream.walk(layouts)
+    if not hasattr(rng, "walk"):
+        raise TypeError(f"random polynomials are drawn from a Generator or a WordStream, not {type(rng).__name__}")
+    return rng.walk(layouts)
+
+
+def draw_polynomials(names, rng, count):
+    """The thousandths of `count` random polynomials over the names, drawn
+    one after another (see `sampling.Polynomials`): each a dict from
+    monomial index to the thousandths drawn for it, summed, in first-drawn
+    order.  `rng` is a `WordStream`, or a Generator on one of the bit
+    generators it reads (see `_walk`), as for each draw built on this
+    one."""
+    return list(_walk(rng, [(Polynomials(tuple(names), count),)]).polynomials(0, 0).values())
+
+
+def draw_connection(frame, rng, fill=0.6):
+    """Random polynomial Christoffels on a fraction `fill` of the
+    independent components, as a `PolynomialConnection`: the walk of one
+    `sampling.connection_draw`, where for each (A, B, C) with A <= B in
+    order one double decides whether the entry is stored, and a stored
+    entry's polynomial is drawn at once.  `rng` is as for
+    `draw_polynomials`."""
+    return _walk(rng, [(connection_draw(frame, fill),)]).connection(0, 0, frame)
+
+
+def random_connection(frame, rng, fill=0.6):
+    """The `Connection` of `draw_connection(frame, rng, fill)`."""
+    return draw_connection(frame, rng, fill).connection()
+
+
 def random_expressions(names, rng, count):
-    """The trees of `sampling.draw_polynomials(names, rng, count)`: each one
+    """The trees of `draw_polynomials(names, rng, count)`: each one
     to three monomials of total degree <= 2, with coefficients k/1000, k
     drawn from [-1000, 1000]."""
     cores = _monomial_cores(tuple(names))
@@ -273,7 +309,7 @@ def differentiate_oracle(e, coord):
 
 
 def random_connection_oracle(frame, rng, fill=0.6):
-    """`sampling.random_connection` with the fill drawn by `uniform()` and
+    """`random_connection` with the fill drawn by `uniform()` and
     the entries by `random_polynomial_oracle`."""
     l = frame.dim
     entries = {}
@@ -299,7 +335,7 @@ def draw_thousandths_oracle(size, rng):
 
 
 def draw_connection_oracle(frame, rng, fill=0.6):
-    """`sampling.draw_connection` one call at a time: a `random()` fill per
+    """`draw_connection` one call at a time: a `random()` fill per
     candidate (A, B, C), A <= B, and `draw_thousandths_oracle` for each
     stored one."""
     l, size = frame.dim, len(_monomial_cores(frame.names))
@@ -825,7 +861,7 @@ def quotient_diagram_deviation_oracle(g, theta, p, dx, du, dd):
 
 
 # ---------------------------------------------------------------------------
-# criteria 1, 2, 5, 6, 7 and 9 one sample at a time: their deviation lists,
+# criteria 1, 2, 5, 6, 7, 9 and 10 one sample at a time: their deviation lists,
 # from one jet record and one kernel call per sample (criterion 7: one
 # `affine_symmetry_check_oracle` per affine check), with each random
 # connection drawn by `draw_connection_oracle`, built as trees and evaluated
@@ -860,8 +896,8 @@ def criterion_2_oracle(seed):
 
 # criteria 3 and 4 on trees: each random connection and each polynomial
 # of a shift built by `random_connection` and `random_expressions`, and each
-# shift simplified by `projective_shift` or `grass_shift` on the trees;
-# criterion 3 takes its deviations point by point and jet by jet
+# shift simplified by `projective_shift` or `grass_shift` on the trees; both
+# take their deviations point by point and jet by jet
 
 
 def criterion_3_oracle(seed):
@@ -886,8 +922,8 @@ def criterion_4_oracle(seed):
             psi = random_expressions(frame.names, rng, n)
             chi = random_expressions(frame.names, rng, l - n) if n == 1 else None
             shifted = grass_shift(g, n, psi, chi)
-            deviations.append(invariants_match(g, shifted, n, rng)[1])
-            deviations.append(extension_deviation(g, shifted, n, samples=20, seed=seed + l))
+            deviations.append(invariants_match_oracle(g, shifted, n, rng)[1])
+            deviations.append(extension_deviation_oracle(g, shifted, n, samples=20, seed=seed + l))
         # the connection of the non-admissible case, which adds no deviation
         random_connection(_frame(3, 1), rng)
     return deviations
@@ -933,6 +969,27 @@ def criterion_7_oracle(seed):
     g = draw_connection_oracle(_frame(3, 1), rng).connection()
     orbit = orbit_quotient_check(g, 1, samples=25, seed=seed)
     return deviations + [orbit.wellposed_deviation, orbit.preimage_deviation, orbit.factoring_deviation]
+
+
+def criterion_10_oracle(seed):
+    """Criterion 10 on trees: each case's g and jet drawn one call at a
+    time, and each induced table by `dot_gamma` of the modified jet."""
+    rng = spawn_rng(seed, 10)
+    deviations = []
+    for n, m in _DIM_CASES:
+        g = draw_connection_oracle(_frame(n + m, n), rng).connection()
+        p = random_subjet1(n, m, rng)
+        for kk in range(m):
+            for lam in range(n):
+                def at(t):
+                    first = p.first_matrix().copy()
+                    first[kk, lam] = t
+                    return dot_gamma(g, SubJet(n, m, p.base, first)).table
+                v0, v1, v2 = at(0.0), at(1.0), at(2.0)
+                t = 3.5
+                interp = v0 * (t - 1) * (t - 2) / 2 - v1 * t * (t - 2) + v2 * t * (t - 1) / 2
+                deviations.append(np.abs(interp - at(t)).max())
+    return deviations
 
 
 def criterion_9_oracle(seed):

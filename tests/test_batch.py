@@ -75,10 +75,7 @@ from jetgeo.sampling import (
     _monomial_cores,
     christoffel_stack,
     connection_draw,
-    draw_connection,
-    draw_polynomials,
     polynomial_terms,
-    random_connection,
     random_subjet1,
     secjet1_stream,
     spawn_rng,
@@ -112,6 +109,8 @@ from conftest import (
     covering_commutation_deviation_oracle,
     distribution_fields_oracle,
     dot_gamma_via_xi_oracle,
+    draw_connection,
+    draw_polynomials,
     field_preserves_distribution_oracle,
     grass_equivalent_oracle,
     invariants_match_oracle,
@@ -121,6 +120,7 @@ from conftest import (
     pro_distribution_rows_oracle,
     quotient_diagram_deviation_oracle,
     random_affine,
+    random_connection,
     random_expressions,
     random_secjet1,
     random_secjet2,
@@ -1180,6 +1180,21 @@ def test_the_stack_gives_the_bits_of_shifted_random_connections(seed, f):
     _stacked_as_each(f, connections, _coefficient_points(l, seed, count=4))
 
 
+@pytest.mark.parametrize("length", [2, 4])
+def test_points_of_another_length_raise_the_trees_error(length):
+    f = _frame(3, 1)
+    g = projective_shift(draw_connection(f, spawn_rng(31)), _HAND_PHI)
+    point = np.full(length, 0.5)
+    with pytest.raises(DimensionMismatchError) as raised:
+        g.connection().christoffel_at(point)
+    assert str(raised.value) == f"point of length {length} for frame of dimension 3"
+    terms = polynomial_terms([g])
+    for evaluate in (g.christoffel_at, lambda p: g.christoffel_many(p[None]),
+                     lambda p: christoffel_stack(f, terms, p[None]), lambda p: christoffel_stack(f, terms, p[None, None])):
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(raised.value))}$"):
+            evaluate(point)
+
+
 def test_the_stack_reports_the_trees_error_of_a_nested_sum_that_is_not_finite():
     f = _frame(3, 1)
     # only the nested part of (3, 3, 3), -2Φ_3, has products of two coordinates
@@ -1199,17 +1214,26 @@ def test_the_stack_reports_the_trees_error_of_a_nested_sum_that_is_not_finite():
         assert G[r].tobytes() == H[0, r].tobytes() == shifted.christoffel_at(points[r]).tobytes()
 
 
-def test_criterion_3_evaluates_its_connections_by_the_stack_alone(monkeypatch):
-    calls = []
+# criterion 3 stacks the g's and the shifted connections of each l apart;
+# criteria 2, 4 and 10 make one stack per dimension case
+@pytest.mark.parametrize("cid, stacks", [(2, 4), (3, 4), (4, 4), (10, 4)])
+def test_criteria_walk_their_stream_once_and_evaluate_their_connections_by_the_stack_alone(monkeypatch, cid, stacks):
+    calls, spawned = [], []
     for name in ("christoffel_many", "christoffel_at"):
         method = getattr(PolynomialConnection, name)
         monkeypatch.setattr(PolynomialConnection, name,
                             lambda self, *args, _method=method, _name=name: calls.append(_name) or _method(self, *args))
-    stack = acceptance.christoffel_stack
+    stack, walk = acceptance.christoffel_stack, WordStream.walk
     monkeypatch.setattr(acceptance, "christoffel_stack", lambda *args: calls.append("stack") or stack(*args))
-    assert acceptance.criterion_3(AcceptanceConfig(seed=0)).passed
-    # one stack for the g's and one for the shifted connections of each l
-    assert calls == ["stack"] * 4
+    monkeypatch.setattr(WordStream, "walk", lambda self, layouts: calls.append(self._bit_generator) or walk(self, layouts))
+    monkeypatch.setattr(acceptance, "spawn_rng", lambda *args: spawned.append((args, spawn_rng(*args))) or spawned[-1][1])
+    assert getattr(acceptance, f"criterion_{cid}")(AcceptanceConfig(seed=0)).passed
+    # one walk in all, of stream cid: no one-sample draw of a connection
+    # or of polynomials is left, in the criterion or in the library
+    [stream] = [rng for args, rng in spawned if args == (0, cid)]
+    assert [c for c in calls if not isinstance(c, str)] == [stream.bit_generator]
+    assert not any(hasattr(sampling, name) for name in ("draw_connection", "draw_polynomials", "random_connection"))
+    assert [c for c in calls if isinstance(c, str)] == ["stack"] * stacks
 
 
 def test_criterion_7_walks_its_stream_once_and_evaluates_its_checks_by_the_stack(monkeypatch):
@@ -1233,7 +1257,7 @@ def test_criterion_7_walks_its_stream_once_and_evaluates_its_checks_by_the_stack
     assert [c for c in calls if isinstance(c, str)] == ["stack"] * 4 + ["christoffel_many"]
 
 
-@pytest.mark.parametrize("cid", [1, 3, 5, 6, 7])
+@pytest.mark.parametrize("cid", [1, 2, 3, 4, 5, 6, 7, 10])
 def test_criteria_raise_the_trees_error_where_a_stacked_value_is_not_finite(monkeypatch, cid):
     """As a per-point `christoffel_at` raised it before the stacks."""
     stack = acceptance.christoffel_stack
@@ -1269,7 +1293,7 @@ def test_the_numeric_connections_share_one_frame_check():
 
 
 # ---------------------------------------------------------------------------
-# criteria 1, 2, 3, 4, 5, 6, 7 and 9 against their per-sample or tree oracles
+# criteria 1, 2, 3, 4, 5, 6, 7, 9 and 10 against their per-sample or tree oracles
 
 
 _SELFTEST_SEEDS = (0, 1199949627, 40807560, 2134822917, 1431460730, 508547399)
@@ -1309,7 +1333,7 @@ def _spawned(monkeypatch, module):
 @pytest.mark.parametrize("cid, seeds", [(1, _ORACLE_SEEDS), (5, _ORACLE_SEEDS), (6, _ORACLE_SEEDS),
                                         (9, (0,)),     # criterion 9 draws nothing
                                         (2, _ORACLE_SEEDS), (3, _ORACLE_SEEDS), (4, _ORACLE_SEEDS),
-                                        (7, _ORACLE_SEEDS)])
+                                        (7, _ORACLE_SEEDS), (10, _ORACLE_SEEDS)])
 def test_batched_criteria_equal_their_per_sample_oracles(monkeypatch, cid, seeds):
     oracle = getattr(conftest, f"criterion_{cid}_oracle")
     batched, one_by_one = _spawned(monkeypatch, acceptance), _spawned(monkeypatch, conftest)

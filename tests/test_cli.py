@@ -24,10 +24,17 @@ from jetgeo.connections import projective_shift
 from jetgeo.errors import DomainError
 from jetgeo.geodesy import geodesic_residuals, geodesic_steps
 from jetgeo.jets import jet_to_dict, multi_indices
-from jetgeo.sampling import random_connection, spawn_rng
+from jetgeo.sampling import spawn_rng
 from jetgeo.expr import CoordinateFrame
 
-from conftest import connection_to_dict, geodesic_oracle, geodesic_step_residual, random_expressions, random_secjet2
+from conftest import (
+    connection_to_dict,
+    geodesic_oracle,
+    geodesic_step_residual,
+    random_connection,
+    random_expressions,
+    random_secjet2,
+)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(jetgeo.__file__)))

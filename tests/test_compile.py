@@ -17,10 +17,10 @@ from jetgeo.expr import (
     Add, Const, CoordinateFrame, Div, Func, Mul, Sym, Table, compile_table, differentiate, evaluate, parse,
 )
 from jetgeo.jets import ParamMap
-from jetgeo.sampling import random_connection, spawn_rng
+from jetgeo.sampling import spawn_rng
 from jetgeo.symmetry import prolong_point_map
 
-from conftest import TREE_NAMES, sphere_chart, trees
+from conftest import TREE_NAMES, random_connection, sphere_chart, trees
 from test_expr import _CORPUS_NAMES, _random_expression
 
 

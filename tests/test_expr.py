@@ -34,9 +34,9 @@ from jetgeo.expr import (
     simplify,
     to_text,
 )
-from jetgeo.sampling import random_connection, spawn_rng
+from jetgeo.sampling import spawn_rng
 
-from conftest import TREE_NAMES, differentiate_oracle, random_expressions, trees
+from conftest import TREE_NAMES, differentiate_oracle, random_connection, random_expressions, trees
 
 UV = ("u", "v")
 

@@ -38,16 +38,13 @@ from jetgeo.jets import (
     prolong,
     tangent_cover_table,
 )
-from jetgeo.sampling import (
-    random_connection,
-    random_subjet1,
-    spawn_rng,
-)
+from jetgeo.sampling import random_subjet1, spawn_rng
 
 from conftest import (
     geodesic_oracle,
     geodesic_step_residual,
     geodesic_steps_oracle,
+    random_connection,
     random_expressions,
     random_secjet1,
     sphere_chart,

@@ -28,9 +28,6 @@ from jetgeo.sampling import (
     _monomial_cores,
     affine_draw,
     connection_draw,
-    draw_connection,
-    draw_polynomials,
-    random_connection,
     random_point,
     secjet1_draw,
     spawn_rng,
@@ -41,7 +38,10 @@ from conftest import (
     GeneratorStream,
     HalfIgnoringStream,
     ScalarWordStream,
+    draw_connection,
     draw_connection_oracle,
+    draw_polynomials,
+    random_connection,
     random_connection_oracle,
     random_polynomial,
     random_polynomial_oracle,

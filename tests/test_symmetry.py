@@ -6,7 +6,7 @@ from jetgeo.connections import Connection
 from jetgeo.errors import BadSplitError, DimensionMismatchError
 from jetgeo.expr import CoordinateFrame, Sym
 from jetgeo.jets import AffineMap
-from jetgeo.sampling import random_connection, spawn_rng
+from jetgeo.sampling import spawn_rng
 from jetgeo.symmetry import (
     JetField,
     JetMap,
@@ -23,6 +23,8 @@ from jetgeo.symmetry import (
     reparam_symmetry_check,
     subjet1_chart,
 )
+
+from conftest import random_connection
 
 E2 = CoordinateFrame(("u1", "u2"), 1)
 E3 = CoordinateFrame(("u1", "u2", "u3"), 1)
