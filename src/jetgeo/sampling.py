@@ -42,14 +42,14 @@ def spawn_rng(seed, index=0):
 
 
 # raw words a `WordStream` reads from the bit generator at a time, and the
-# most a walk turns into Python lists at a time
+# least a walk's table holds
 _WORDS_PER_CHUNK = 1024
 
 # a walk of at most this many stored polynomials reads their terms in
-# Python, not numpy: the Python reader costs about 2 us per polynomial and
-# the numpy reader about 25 us per walk, so they break even at about 13
-# (README "Performance" gives the timings)
-_ENTRIES_READ_ONE_BY_ONE = 12
+# Python, not numpy: the Python reader costs about 2.5 us more per
+# polynomial and the numpy reader about 25 us more per walk, so they break
+# even at about 10 (README "Performance" gives the timings)
+_ENTRIES_READ_ONE_BY_ONE = 10
 
 # the bit generators whose doubles and 32-bit draws follow `WordStream`'s
 # rules: a double from one word, a 32-bit draw from half of one, the other
@@ -69,6 +69,18 @@ def _lemire_threshold(span):
 
 
 _COUNT_THRESHOLD, _K_THRESHOLD = _lemire_threshold(_COUNT_SPAN), _lemire_threshold(_K_SPAN)
+
+
+def _term_counts(halves):
+    """The term count, ``integers(1, 4)``, that Lemire's method gives from
+    each of an array of 32-bit halves, as bytes: 1 + (x * span >> 32), or
+    0 where it rejects the half x."""
+    x = halves.astype(np.uint64)
+    x *= _COUNT_SPAN
+    counts = (x >> 32).astype(np.uint8)
+    counts += 1
+    counts[x.astype(np.uint32) < _COUNT_THRESHOLD] = 0
+    return counts.tobytes()
 
 
 def _doubles(words):
@@ -202,14 +214,18 @@ class WordStream:
 
         One Python loop does index arithmetic on the words and decides
         only what moves the rest: each fill, each term count and each gate.
-        An entry's terms take the 32-bit halves that follow its count, one
-        after another, so the loop places them without reading them; then
-        each term's thousandths and monomial index are read from its half
-        by Lemire's method, by numpy for a walk of more than
-        `_ENTRIES_READ_ONE_BY_ONE` entries and in Python below.  Where
-        that method rejects a half (about one in two million, or a zero
-        half), the entry's terms take one more half, and the loop runs
-        again with that entry's run known.
+        It reads them from byte tables that numpy makes for a window of
+        words when the loop first reaches it: a flag per word for each fill
+        and the term count of each 32-bit half (see `_table`).  An entry's
+        terms take the halves that follow its count, one after another, so
+        the loop places them without reading them, and an entry whose count
+        is accepted moves the loop in one step; then each term's
+        thousandths and monomial index are read from its half by Lemire's
+        method, by numpy for a walk of more than `_ENTRIES_READ_ONE_BY_ONE`
+        entries and in Python below.  Where that method rejects a half
+        (about one in two million, or a zero half), the entry's terms take
+        one more half, and the loop runs again with that entry's run
+        known.
 
         A gate decides a candidate's n x n block as the per-sample draw's
         `np.linalg.det` does, by the rule of `_block_regular`.  In a walk
@@ -225,10 +241,12 @@ class WordStream:
         plans = dict(zip(map(id, layouts), layouts))
         for key, layout in plans.items():
             plans[key] = tuple(map(_plan, layout))
-        kinds = {item[0] for plan in plans.values() for item in plan}
+        items = {item for plan in plans.values() for item in plan}
+        kinds = {item[0] for item in items}
+        fills = {item[2] for item in items if item[0] and item[2] is not None}
         chunk, runs = self._words, {}
         while True:
-            p, has_half, hp, entries, starts, error = self._pass(layouts, plans, runs, True not in kinds)
+            p, has_half, hp, entries, starts, error = self._pass(layouts, plans, runs, fills, True not in kinds)
             read = self._terms(entries, runs, p)
             if read is not None:
                 entries, terms = read
@@ -247,20 +265,20 @@ class WordStream:
         return Walked(layouts, numbers, starts, entries, terms)
 
     def _terms(self, entries, runs, p):
-        """The entries of a `_pass` that read p words and the (entry,
-        thousandths, monomial index) of each of their terms, both as rows
-        of an int array, or of a list for a few entries; or None, after
-        adding to `runs` the first entry whose run the pass did not know
-        and Lemire's method lengthens."""
-        if len(entries) <= _ENTRIES_READ_ONE_BY_ONE:
+        """The entries of a `_pass` that read p words, given as its flat
+        list of records, and the (entry, thousandths, monomial index) of
+        each of their terms, both as rows of an int array, or of a list for
+        a few entries; or None, after adding to `runs` the first entry
+        whose run the pass did not know and Lemire's method lengthens."""
+        if len(entries) <= 6 * _ENTRIES_READ_ONE_BY_ONE:
             terms = []
-            for e, values, run in self._read_terms(entries, range(len(entries)), p):
+            for e, values, run in self._read_terms(entries, range(len(entries) // 6), p):
                 if run != runs.get(e, len(values)):
                     runs[e] = run
                     return None
                 terms += [(e, k - 1000, index) for k, index in zip(values[::2], values[1::2])]
-            return entries, terms
-        table = np.array(entries, dtype=np.int64)
+            return [tuple(entries[at:at + 6]) for at in range(0, len(entries), 6)], terms
+        table = np.array(entries, dtype=np.int64).reshape(-1, 6)
         counts = table[:, 4]
         terms = np.empty((counts.sum(), 3), dtype=np.int64)
         entry = terms[:, 0]
@@ -285,17 +303,17 @@ class WordStream:
         return table, terms
 
     def _read_terms(self, entries, chosen, p):
-        """For each chosen entry of a `_pass` that read p words: its index,
-        the values of its terms' draws (thousandths + 1000, then monomial
-        index, term after term) and how many halves they read, by Lemire's
-        method in Python."""
+        """For each chosen entry of a `_pass` that read p words (records of
+        six in the flat list `entries`): its index, the values of its terms'
+        draws (thousandths + 1000, then monomial index, term after term)
+        and how many halves they read, by Lemire's method in Python."""
         if not chosen:
             return []
         words = p + 32
         while True:
             halves, shift = self._half_list(words)
             try:
-                return [(e, *_lemire_run(halves, entries[e][3] + shift, *entries[e][4:6]))
+                return [(e, *_lemire_run(halves, entries[6 * e + 3] + shift, *entries[6 * e + 4:6 * e + 6]))
                         for e in chosen]
             except IndexError:
                 words *= 2
@@ -308,38 +326,62 @@ class WordStream:
             return self._chunk_halves(), 2 * self._pos - 1
         return [self._half] + self._ahead(words)[:words].astype("<u8").view("<u4").tolist(), 0
 
-    def _pass(self, layouts, plans, runs, stacked):
+    def _pass(self, layouts, plans, runs, fills, stacked):
         """One run of `walk`'s loop, where entry e's terms take runs[e]
         halves and, if `stacked`, gates take their dets in stretches: the
         next word, whether a half is buffered, the position of the high
-        half of the last word split, the entries (sample, item, slot,
-        position of its first term's half, term count, monomials), the
-        start of each item of each sample in turn (-1 for `Polynomials`),
-        and the DomainError of a gate that gave up, else None.
+        half of the last word split, the entries as one flat list of
+        records (sample, item, slot, position of its first term's half,
+        term count, monomials), the start of each item of each sample in
+        turn (-1 for `Polynomials`), and the DomainError of a gate that
+        gave up, else None.
 
         Words count from the walk's first; half 0 is the one buffered
         before the walk, and halves 2w + 1 and 2w + 2 are the low and high
-        halves of word w.  The words in hand, as Python lists, start at
-        the buffered half's word, so a term count can read it; the first
-        are the rest of the stream's chunk.  A walk that takes its dets in
-        stretches reads no lists."""
-        half0, p, has_half, hp = self._half, 0, self._has_half, 0
-        window = self._window
-        base, end = -self._pos, self._end - self._pos
-        doubles, halves = (None, None) if stacked else (self._chunk_doubles(), self._chunk_halves())
-        lo = hi = det_n = 0
+        halves of word w.  The loop reads the `_table` of words `base` to
+        `end`, made from the buffered half's word on, so a term count can
+        read it; a slot opens a new one where the next two words, its fill
+        and its count, are not both in it.  A walk that takes its dets in
+        stretches makes no table.
+
+        With word p next, an entry whose count half is accepted, with c
+        terms, in a pass that knows no runs, takes one step: with a half
+        buffered, its first term's half is 2p + 1 and p moves by c, with no
+        half left; with none, it is 2p + 2 and p moves by c + 1, with the
+        high half of word p buffered.  Any other entry reads halves until
+        one gives a count and ends where its run does."""
+        p, has_half, hp = 0, self._has_half, 0
+        count0 = _term_counts(np.array([self._half], np.uint32))[0] if has_half and not stacked else 0
+        table = functools.partial(self._table, fills=fills)
+        base = end = lo = hi = det_n = 0
+        doubles, counts, flags = None, None, {}
         entries, starts = [], []
-        append = entries.append
         for i, layout in enumerate(map(plans.__getitem__, map(id, layouts))):
             for j, plan in enumerate(layout):
                 if plan[0]:
                     _, count, fill, size = plan
+                    stored = flags.get(fill)
                     for slot in range(count):
+                        if p + 2 > end:
+                            base, end, doubles, counts, flags = table((hp - 1) >> 1 if has_half and hp else p, p + 2)
+                            stored = flags.get(fill)
                         if fill is not None:
-                            if p >= end:
-                                base, end, doubles, halves = window((hp - 1) >> 1 if has_half and hp else p, p + 1)
                             p += 1
-                            if doubles[p - 1 - base] >= fill:
+                            if not stored[p - 1 - base]:
+                                continue
+                        if has_half:
+                            c = counts[hp - 2 * base - 1] if hp else count0
+                            if c and not runs:
+                                entries += (i, j, slot, 2 * p + 1, c, size)
+                                p += c
+                                has_half, hp = False, 2 * p
+                                continue
+                        else:
+                            c = counts[2 * (p - base)]
+                            if c and not runs:
+                                entries += (i, j, slot, 2 * p + 2, c, size)
+                                p += 1 + c
+                                has_half, hp = True, 2 * p
                                 continue
                         while True:
                             if has_half:
@@ -348,15 +390,15 @@ class WordStream:
                                 pos = 2 * p + 1
                                 hp, has_half, p = pos + 1, True, p + 1
                             if pos > 2 * end:
-                                base, end, doubles, halves = window((pos - 1) >> 1, p)
-                            x = halves[pos - 2 * base - 1] if pos else half0
-                            if x * _COUNT_SPAN & 0xFFFFFFFF >= _COUNT_THRESHOLD:
+                                base, end, doubles, counts, flags = table((pos - 1) >> 1, p)
+                                stored = flags.get(fill)
+                            c = counts[pos - 2 * base - 1] if pos else count0
+                            if c:
                                 break
-                        terms = 1 + (x * _COUNT_SPAN >> 32)
                         first = hp if has_half else 2 * p + 1
-                        last = first - 1 + (runs.get(len(entries), 2 * terms) if runs else 2 * terms)
+                        last = first - 1 + (runs.get(len(entries) // 6, 2 * c) if runs else 2 * c)
                         p, has_half, hp = (last + 1) >> 1, last & 1 == 1, last + (last & 1)
-                        append((i, j, slot, first, terms, size))
+                        entries += (i, j, slot, first, c, size)
                     starts.append(-1)
                     continue
                 _, accepted, rejected, n, gate = plan
@@ -371,8 +413,8 @@ class WordStream:
                                 break
                         else:
                             if p + n * n > end:
-                                base, end, doubles, halves = window((hp - 1) >> 1 if has_half and hp else p, p + n * n)
-                            if _block_regular(doubles, p - base, n):
+                                base, end, doubles, counts, flags = table((hp - 1) >> 1 if has_half and hp else p, p + n * n)
+                            if _block_regular(doubles[p - base:p - base + n * n].tolist(), 0, n):
                                 break
                         p += rejected
                         tries, error = _rejected(tries, gate)
@@ -401,12 +443,21 @@ class WordStream:
             regular[at] = np.abs(np.linalg.det(blocks)) >= MIN_DET
         return regular.tolist()
 
-    def _window(self, start, need):
-        """Words `start` to at least `need` of the walk, for `_pass`: their
-        start and end, and their doubles and halves as lists."""
-        end = max(need, start + _WORDS_PER_CHUNK)
+    def _table(self, start, need, fills):
+        """Words `start` to at least `need` of the walk, for `_pass`, to the
+        end of the stream's chunk where it holds them and else at least
+        `_WORDS_PER_CHUNK` of them: their start and end; their doubles, as
+        an array; the term count of each of their halves, low then high of
+        each word, as bytes (see `_term_counts`); and for each of `fills`,
+        a flag per word, as bytes, of whether a candidate is stored:
+        whether its double d < fill."""
+        end = self._end - self._pos
+        if end < need:
+            end = max(need, start + _WORDS_PER_CHUNK)
         words = self._ahead(end)[start:end]
-        return start, end, _doubles(words).tolist(), words.astype("<u8").view("<u4").tolist()
+        doubles = _doubles(words)
+        counts = _term_counts(words.astype("<u8", copy=False).view("<u4"))
+        return start, end, doubles, counts, {fill: (doubles < fill).tobytes() for fill in fills}
 
 
 # how near MIN_DET a closed-form |det| must lie for a gate to take LAPACK's
@@ -788,22 +839,27 @@ def _entry_sums(key, values):
     by `math.fsum`, NaN where fsum raises.  Three terms take fsum's bits
     from `_three_sums`, over all points at once, and call `math.fsum` only
     where `_three_sums` leaves the sum to it."""
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    sizes = np.diff(starts, append=len(key))
+    bounds = np.ones(len(key) + 1, bool)
+    np.not_equal(key[1:], key[:-1], out=bounds[1:-1])
+    edges = np.flatnonzero(bounds)
+    starts, sizes = edges[:-1], edges[1:] - edges[:-1]
     sums = values[starts]
-    two = starts[sizes == 2]
-    sums[sizes == 2] = (values[two] + values[two + 1]) + 0.0
-    three = starts[sizes == 3]
+    pairs = sizes == 2
+    two = starts[pairs]
+    sums[pairs] = (values[two] + values[two + 1]) + 0.0
+    triples = sizes == 3
+    three = starts[triples]
     if len(three):
         terms = values[three[:, None] + np.arange(3)]
         total, fallback = _three_sums(*terms.transpose(1, 0, 2))
         at = np.nonzero(fallback)
         total[at] = expr._each(math.fsum, terms.transpose(0, 2, 1)[at].tolist())
-        sums[sizes == 3] = total
-    for n in np.unique(sizes[sizes > 3]).tolist():
-        runs = starts[sizes == n]
-        terms = values[runs[:, None] + np.arange(n)].transpose(0, 2, 1).reshape(-1, n)
-        sums[sizes == n] = np.reshape(expr._each(math.fsum, terms.tolist()), (len(runs), -1))
+        sums[triples] = total
+    if sizes.max(initial=0) > 3:
+        for n in np.unique(sizes[sizes > 3]).tolist():
+            runs = starts[sizes == n]
+            terms = values[runs[:, None] + np.arange(n)].transpose(0, 2, 1).reshape(-1, n)
+            sums[sizes == n] = np.reshape(expr._each(math.fsum, terms.tolist()), (len(runs), -1))
     return starts, sums
 
 

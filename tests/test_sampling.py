@@ -294,11 +294,11 @@ def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_P
     they return on a Generator with the same seed (through
     `GeneratorStream`, whose walks draw one call at a time), and leave rng
     in that Generator's state, when both start with a buffered high half
-    if `buffered`, and the stream reads `chunk` words at a time (and holds
-    as many in lists) and reads up to `one_by_one` entries in Python.  The
-    generators are ``make(seed)``.  The planted step, or a gate that gives
-    up, ends both runs and the block with it; any other exception is a
-    failure."""
+    if `buffered`, and the stream reads `chunk` words at a time (and its
+    walks' tables hold at least as many) and reads up to `one_by_one`
+    entries in Python.  The generators are ``make(seed)``.  The planted
+    step, or a gate that gives up, ends both runs and the block with it;
+    any other exception is a failure."""
     rng, oracle = make(seed), make(seed)
     if buffered:
         rng.integers(0, 10), oracle.integers(0, 10)
@@ -501,9 +501,43 @@ def test_walk_reads_planted_rejections_as_the_scalar_oracle(monkeypatch, one_by_
     planted.walk(_PLANT_LAYOUTS)
     assert any(len(halves) > 1 for drawn, halves in planted.draws if drawn == span)
     assert sum(len(halves) - 1 for _, halves in planted.draws) >= 2
+    if span == 3:
+        # a rejected count takes the walk's general step, not its one-step
+        # entry: a fresh low half (0), and from a buffered start a buffered
+        # high half (1) too
+        rejected = {half for drawn, halves in planted.draws if drawn == span for _, half in halves[:-1]}
+        assert rejected == ({0, 1} if buffered else {0})
     want = _walk_with(_planted(ScalarWordStream, zeros), 21, _PLANT_LAYOUTS, buffered)
     assert _walk_with(_planted(WordStream, zeros), 21, _PLANT_LAYOUTS, buffered) == want
     assert want != _walk_with(ScalarWordStream, 21, _PLANT_LAYOUTS, buffered)
+
+
+@pytest.mark.parametrize("one_by_one", [0, 10 ** 6])
+def test_walk_rejects_a_zero_half_buffered_before_it(monkeypatch, one_by_one):
+    """The half buffered before the walk, half 0, is zero: the first term
+    count reads and rejects it, as the scalar oracle and the Generator do,
+    with no fill before it and after a fill."""
+    monkeypatch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
+    frame = _frame(3, 1)
+
+    def zero_buffered(seed):
+        rng = spawn_rng(seed)
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, 0
+        rng.bit_generator.state = state
+        return rng
+
+    recording = _Recording(zero_buffered(24))
+    recording.walk([(Polynomials(frame.names, 3),)])
+    assert recording.draws[0] == (3, [(None, 1), (0, 0)])
+    for layouts in ([(Polynomials(frame.names, 3),)] * 5, [(connection_draw(frame), subjet1_draw(1, 2))] * 5):
+        walks = []
+        for stream in (WordStream, ScalarWordStream, GeneratorStream):
+            rng = zero_buffered(24)
+            with stream(rng) as words:
+                walked = _walked(words.walk(layouts))
+            walks.append((walked, repr(rng.bit_generator.state)))
+        assert walks[0] == walks[1] == walks[2]
 
 
 def _zero_words(first, last):
