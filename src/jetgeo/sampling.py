@@ -413,7 +413,8 @@ class WordStream:
                                 break
                         else:
                             if p + n * n > end:
-                                base, end, doubles, counts, flags = table((hp - 1) >> 1 if has_half and hp else p, p + n * n)
+                                start = (hp - 1) >> 1 if has_half and hp else p
+                                base, end, doubles, counts, flags = table(start, p + n * n)
                             if _block_regular(doubles[p - base:p - base + n * n].tolist(), 0, n):
                                 break
                         p += rejected
