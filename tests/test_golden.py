@@ -34,6 +34,11 @@ and, in its u2_1 component (1 - u1*u2)*u2_1, a product with a sum;
 `sqrt4.json` has the one entry Γ_1{}^3{}_2 = sqrt(u1) + u2*u4, which
 fails where u1 < 0, so `symmetry_affine_sqrt` redraws samples (three at
 seed 3) where g fails.
+`theta_n1.json` is the one-entry parameter connection Θ_1{}^1{}_1 =
+1/5 + 1/3*x1, so `geodesic_theta` integrates with a Θ term;
+`sqrt_truncated.json` has the one entry Γ_1{}^1{}_1 = -sqrt(1 - u1), which
+fails once u1 passes 1, so `geodesic_truncated` writes the rows before that
+point, then an `error` row, and exits 3.
 """
 import contextlib
 import io
@@ -60,6 +65,10 @@ CASES = {
                             "--mode", "param", "--format", "json"],
     "geodesic_s2": ["geodesic", "s2.json", "--start", "0.1,-0.2", "--velocity", "0.6,0.3",
                     "--h", "0.05", "--steps", "30"],
+    "geodesic_theta": ["geodesic", "s2.json", "--theta", "theta_n1.json", "--start", "0.1,-0.2",
+                       "--velocity", "0.6,0.3", "--h", "0.05", "--steps", "30"],
+    "geodesic_truncated": ["geodesic", "sqrt_truncated.json", "--start", "0,0", "--velocity", "2,0",
+                           "--h", "0.1", "--steps", "20"],
     "cover_check": ["cover-check", "l4.json", "--samples", "8", "--seed", "5"],
     "cover_check_theta": ["cover-check", "l4.json", "--theta", "theta_n2.json", "--samples", "8",
                           "--seed", "5"],
