@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -96,12 +97,11 @@ class Output:
             writer = csv.writer(buf, lineterminator="\n")
             if self.columns:
                 writer.writerow(self.columns)
-            for row in self.rows:
-                # the bytes csv.writer writes for a row of floats, which need no quoting
-                if all(type(v) is float for v in row):
-                    buf.write(",".join(map(repr, row)) + "\n")
-                else:
-                    writer.writerow(map(_fmt, row))
+            if set(map(type, itertools.chain.from_iterable(self.rows))) <= {float}:
+                # the bytes csv.writer writes for rows of floats, which need no quoting
+                buf.write("".join([",".join(map(repr, row)) + "\n" for row in self.rows]))
+            else:
+                writer.writerows(map(_fmt, row) for row in self.rows)
             text = buf.getvalue()
         if self.path:
             with open(self.path, "w", encoding="utf-8") as fh:

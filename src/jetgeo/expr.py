@@ -17,8 +17,11 @@ It only saves work: it takes no part in ==, repr or the hash.
 """
 from __future__ import annotations
 
+import itertools
+import linecache
 import math
 import re
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -355,13 +358,85 @@ def _finite(x):
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
+# Code objects `_generated` keeps, the most recently used.  Printing a table
+# or a geodesic loop costs far less than compiling what it prints (0.3 against
+# 2.2 ms for the fused loop of the 45-entry S^5 chart), and each `geodesic`
+# op or criterion 9 prints the source of the op before it again.
+_GENERATED_CODES = 64
+_codes = {}     # source text -> code object, least recently used first
+_serial = itertools.count()
+
+
+def _generated(source, name, namespace):
+    """Exec `source` in `namespace` and return what it binds to `name`.
+
+    The code object is kept per source text, for the `_GENERATED_CODES`
+    texts used last, and its source is in `linecache` under a filename of
+    its own for as long as the code object lives, so a traceback, cProfile
+    or py-spy shows the generated line.  Each call execs the code in the
+    namespace it is given, so a function made here is bound to its own
+    caller's namespace and never shared with another caller."""
+    code = _codes.pop(source, None)
+    if code is None:
+        filename = f"<jetgeo generated {name} {next(_serial)}>"
+        code = compile(source, filename, "exec")
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(code, linecache.cache.pop, filename, None)
+        if len(_codes) >= _GENERATED_CODES:
+            del _codes[next(iter(_codes))]
+    _codes[source] = code
+    exec(code, namespace)
+    return namespace[name]
+
+
 # Factors per generated guard statement.  Python's compiler recurses once per
 # operator of an expression, so one product of thousands of factors raises
 # RecursionError at compile time; a longer guard takes several statements.
 _PRODUCT_FACTORS = 100
 
-# The operator `compile_table` prints for each numpy ufunc of a plan.
+# The operator `_plan_lines` prints for each numpy ufunc of a plan.
 _INFIX = {np.multiply: "*", np.add: "+", np.divide: "/"}
+
+
+def _plan_lines(plan, columns, prefix):
+    """A `_BatchPlan` printed as arithmetic on floats, or None for a plan
+    with a NaN constant, which is interpreted at every point.
+
+    Returns the statements, one local ``{prefix}{row}`` per row that is not
+    a constant, symbol rows first, set to the text in `columns` of their
+    coordinate, then one statement per operation of the plan; the text of
+    each output (a local, or a float literal for a constant); and the
+    locals in row order, for `_guard_lines`."""
+    if np.isnan(plan.const_values).any():
+        return None
+    operands = [f"{prefix}{r}" for r in range(plan.size)]
+    for r, v in zip(plan.const_rows, plan.const_values[:, 0].tolist()):
+        operands[r] = f"({v!r})" if v < 0 else repr(v)
+    lines = [f"{operands[r]} = {columns[j]}" for r, j in zip(plan.sym_rows, plan.sym_columns)]
+    for fn, x, y, out in plan.ops:
+        if fn in _INFIX:
+            text = f"{operands[x]} {_INFIX[fn]} {operands[y]}"
+        elif y:
+            text = f"{operands[x]} ** {y[0]}"
+        elif type(x) is list:
+            text = f"fsum(({''.join(operands[r] + ', ' for r in x)}))"
+        else:
+            text = f"{fn.__name__}({operands[x]})"
+        lines.append(f"{operands[out]} = {text}")
+    consts = set(plan.const_rows)
+    return lines, [operands[r] for r in plan.outputs], [t for r, t in enumerate(operands) if r not in consts]
+
+
+def _guard_lines(factors):
+    """Statements that set ``finite`` to the product of 0.0 and the locals in
+    `factors`, `_PRODUCT_FACTORS` at a time: ±0.0 where every local is
+    finite, NaN where one is infinite or NaN."""
+    return [f"finite = {' * '.join(['finite' if i else '0.0', *factors[i:i + _PRODUCT_FACTORS]])}"
+            for i in range(0, max(len(factors), 1), _PRODUCT_FACTORS)]
+
+
+# The names the statements of `_plan_lines` call.
+_PLAN_FUNCTIONS = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos, "exp": math.exp, "sqrt": math.sqrt}
 
 
 def compile_table(exprs, names, plan=None):
@@ -370,8 +445,7 @@ def compile_table(exprs, names, plan=None):
     ``compile_table(exprs, names)(*coords)`` returns what
     ``_interpret(exprs, names, coords)`` returns, bit for bit, and raises
     what it raises, with the same message.  The function prints the trees'
-    `_BatchPlan` (`plan`, built here if not given) as arithmetic on floats:
-    one local per row of the plan, one statement per operation of it, then
+    `_BatchPlan` (`plan`, built here if not given) by `_plan_lines`, then
     one guard that every local is finite.  If the body raises anything, or
     the guard trips, it returns `_interpret` at the same point, so the
     interpreter raises its own first error.  That is exact: the interpreter
@@ -388,37 +462,17 @@ def compile_table(exprs, names, plan=None):
     def interpreted(*coords):
         return _interpret(exprs, names, coords)
 
-    if np.isnan(plan.const_values).any():
+    printed = _plan_lines(plan, [f"float(c{j})" for j in range(len(names))], "t")
+    if printed is None:
         return interpreted
-    operands = [f"t{r}" for r in range(plan.size)]
-    for r, v in zip(plan.const_rows, plan.const_values[:, 0].tolist()):
-        operands[r] = f"({v!r})" if v < 0 else repr(v)
-    lines = [f"t{r} = float(c{j})" for r, j in zip(plan.sym_rows, plan.sym_columns)]
-    for fn, x, y, out in plan.ops:
-        if fn in _INFIX:
-            text = f"{operands[x]} {_INFIX[fn]} {operands[y]}"
-        elif y:
-            text = f"{operands[x]} ** {y[0]}"
-        elif type(x) is list:
-            text = f"fsum(({''.join(operands[r] + ', ' for r in x)}))"
-        else:
-            text = f"{fn.__name__}({operands[x]})"
-        lines.append(f"t{out} = {text}")
-    # 0.0 times finite factors is ±0.0; an infinite or nan factor makes it nan;
-    # the factors are the locals, the operands that are not float literals
-    factors = [t for t in operands if t.startswith("t")]
-    lines += [f"finite = {' * '.join(['finite' if i else '0.0', *factors[i:i + _PRODUCT_FACTORS]])}"
-              for i in range(0, max(len(factors), 1), _PRODUCT_FACTORS)]
+    lines, outputs, factors = printed
     params = "".join(f"c{j}, " for j in range(len(names)))
-    body = "".join(f"        {line}\n" for line in lines)
+    body = "".join(f"        {line}\n" for line in lines + _guard_lines(factors))
     source = (f"def table({params}):\n    try:\n{body}"
-              f"        if finite == 0.0:\n            return ({''.join(operands[r] + ', ' for r in plan.outputs)})\n"
+              f"        if finite == 0.0:\n            return ({''.join(t + ', ' for t in outputs)})\n"
               f"    except Exception:\n        pass\n"
               f"    return interpreted({params})\n")
-    namespace = {"fsum": math.fsum, "sin": math.sin, "cos": math.cos, "exp": math.exp,
-                 "sqrt": math.sqrt, "interpreted": interpreted}
-    exec(compile(source, "<jetgeo.expr.compile_table>", "exec"), namespace)
-    return namespace["table"]
+    return _generated(source, "table", {**_PLAN_FUNCTIONS, "interpreted": interpreted})
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +524,17 @@ class Table:
             return _interpret(self.exprs, self.names, point)
         return self.compiled()(*point)
 
+    def interpreted(self, *coords):
+        """The values at a point by the tree interpreter: what `compiled()`
+        returns there, or the error it raises."""
+        return _interpret(self.exprs, self.names, coords)
+
     def compiled(self):
         """The table's `_BatchPlan` compiled by `compile_table`, built on the
         first call and kept: ``compiled()(*coords)`` returns the values at
         that point."""
         if self._compiled is None:
-            self._compiled = compile_table(self.exprs, self.names, self._batch_plan())
+            self._compiled = compile_table(self.exprs, self.names, self.plan())
         return self._compiled
 
     def at_many(self, points):
@@ -495,9 +554,10 @@ class Table:
             raise DimensionMismatchError(
                 f"points of shape {points.shape} for frame of dimension {len(self.names)}"
             )
-        return self._batch_plan().run(points)
+        return self.plan().run(points)
 
-    def _batch_plan(self):
+    def plan(self):
+        """The table's `_BatchPlan`, built on the first call and kept."""
         if self._plan is None:
             self._plan = _BatchPlan(self.exprs, self.names)
         return self._plan
@@ -516,7 +576,7 @@ class Table:
         those of the points its walk reaches, pays for those alone."""
         points = np.asarray(points, dtype=float)
         values, ok = self.at_many(points)
-        decided = np.isfinite(points).all(axis=1) & (not np.isnan(self._batch_plan().const_values).any())
+        decided = np.isfinite(points).all(axis=1) & (not np.isnan(self.plan().const_values).any())
         errors = {}
         for i in np.flatnonzero(~ok).tolist():
             if decided[i]:
@@ -606,8 +666,8 @@ class _BatchPlan:
     `ops` holds ``(ufunc, x, y, row)`` for ``ufunc(x, y, out=row)`` on rows,
     and ``(fn, x, exponent, row)`` for fn per point, of the values of row x
     or, for a list x, of the rows in it: a power, whose ``(k,)`` is kept for
-    `compile_table` to print, or `math.fsum`, sin, cos, exp or sqrt with
-    ``()``.  `compile_table` prints the same operations as Python."""
+    `_plan_lines` to print, or `math.fsum`, sin, cos, exp or sqrt with
+    ``()``.  `_plan_lines` prints the same operations as Python."""
 
     def __init__(self, exprs, names):
         columns = {name: j for j, name in enumerate(names)}

@@ -21,7 +21,6 @@ the same ordering.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,6 +36,7 @@ from .errors import (
     require_finite,
     worst,
 )
+from .expr import _PLAN_FUNCTIONS, _generated, _guard_lines, _plan_lines
 from .jets import SecJet, cover_first, cover_second, inverse_top_blocks, tangent_cover_table
 from .sampling import WordStream, near_singular, spawn_rng
 
@@ -485,73 +485,109 @@ def geodesic_residuals(g, steps):
     return out
 
 
-def _generated(source, name, namespace):
-    exec(compile(source, f"<jetgeo.geodesy.{name}>", "exec"), namespace)
-    return namespace[name]
+def _spray_sums(keys, l, values, velocity):
+    """The text of -Γ_A{}^C{}_B v^A v^B for each C: one product per entry
+    stored under `keys`, doubled for A != B, of the texts values[i] of the
+    entries and velocity[i] of v, or 0.0 where C has no entry."""
+    terms = [[] for _ in range(l)]
+    for i, (a, b, c) in enumerate(keys):
+        terms[c - 1].append(f"{'' if a == b else '2.0 * '}{values[i]} * {velocity[a - 1]} * {velocity[b - 1]}")
+    return [f"-({' + '.join(t)})" if t else "0.0" for t in terms]
 
 
-@functools.lru_cache(maxsize=16)
 def _spray(keys, l):
     """Generated ``spray(values, v0, ..., v{l-1})``, the tuple over C of
     -Γ_A{}^C{}_B v^A v^B from the values of the entries stored under
-    `keys`: one product per entry, doubled for A != B.  Kept per `keys`, so
-    connections with the same stored entries share one."""
-    terms = [[] for _ in range(l)]
-    for i, (a, b, c) in enumerate(keys):
-        terms[c - 1].append(f"{'' if a == b else '2.0 * '}g{i} * v{a - 1} * v{b - 1}")
-    sums = "".join(f"-({' + '.join(t)}), " if t else "0.0, " for t in terms)
-    source = (f"def spray(values, {''.join(f'v{i}, ' for i in range(l))}):\n"
-              f"    [{', '.join(f'g{i}' for i in range(len(keys)))}] = values\n    return ({sums})\n")
+    `keys`, summed as `_spray_sums` prints it."""
+    names = [f"g{i}" for i in range(len(keys))]
+    velocity = [f"v{i}" for i in range(l)]
+    sums = "".join(f"{t}, " for t in _spray_sums(keys, l, names, velocity))
+    source = (f"def spray(values, {''.join(f'{v}, ' for v in velocity)}):\n"
+              f"    [{', '.join(names)}] = values\n    return ({sums})\n")
     return _generated(source, "spray", {})
 
 
-@functools.cache
-def _rk4(l, with_theta):
-    """The generated RK4 loop over l coordinates, a generator
-    ``rk4(table, spray, theta_table, u, v, h, steps)`` of `GeodesicStep`s
-    with scalar locals.  Each stage calls ``table(*u)``, then
-    ``theta_table(x)`` if `with_theta`, then ``spray(values, *v)``, and raises
-    a DomainError if the acceleration is not finite.  It reads no connection
-    data, so one loop serves every connection of dimension l."""
+def _rk4_loop(g, theta):
+    """The generated RK4 loop of g and Θ, a generator ``rk4(u, v, h, steps)``
+    of `GeodesicStep`s with scalar locals.
 
-    def each(template):     # template over index {i}, for i in 0..l-1
-        return ", ".join(template.format(i=i) for i in range(l))
+    Each stage sets its point p0..p{l-1} (and y, its x, if Θ has entries),
+    then runs g's `_BatchPlan` and Θ's as `compile_table` prints them, one
+    guard over the locals of both, and the Γ·v·v sums of `_spray_sums`, as
+    straight-line float code: it calls nothing.  Where the body raises or
+    the guard trips, and at every point if a plan has a NaN constant, the
+    stage takes g's `interpreted` at the point, Θ's at y, and the
+    connection's `_spray`, so the same values, or the same first error,
+    come out as from the compiled tables.  The first stage of a step alone
+    builds the `values` tuple of its `GeodesicStep`.  A stage raises a
+    DomainError if the acceleration is not finite.
 
-    def lines(template):
-        return "".join(f"        {template.format(i=i)}\n" for i in range(l))
+    The code is kept per source text by `expr._generated`, so a second
+    connection with the same entries compiles nothing; each call execs it
+    in a namespace of its own, bound to this g and Θ."""
+    l, keys, with_theta = g.dim, tuple(g.christoffel), bool(theta.christoffel)
+    g_printed = _plan_lines(g.table.plan(), [f"p{j}" for j in range(l)], "t")
+    theta_printed = _plan_lines(theta.table.plan(), ["y"], "q") if with_theta else ([], [], [])
+    inline = g_printed is not None and theta_printed is not None
+    if inline:
+        (g_lines, g_outputs, g_locals), (theta_lines, theta_outputs, theta_locals) = g_printed, theta_printed
+        body = [*g_lines, *theta_lines, *_guard_lines(g_locals + theta_locals)]
 
-    def stage(values, th, u, x, v, acc):
-        # acc = the acceleration at (x, u, v); u, v, acc are templates over {i}
-        out = f"        {values} = table({each(u)})\n"
+    def names(template):    # template over index {i}, for i in 0..l-1
+        return [template.format(i=i) for i in range(l)]
+
+    def each(template):
+        return ", ".join(names(template))
+
+    def block(statements, indent=8):
+        return "".join(f"{' ' * indent}{s}\n" for s in statements)
+
+    def stage(point, x, v, acc, first):
+        # acc = the acceleration at (x, point, v); point, v, acc are templates over {i}
+        values, th = ("values", "th") if first else ("w", "tw")
+        velocity, accs = names(v), names(acc)
+        fallback = [f"{values} = interpreted({each('p{i}')})"]
         if with_theta:
-            out += (f"        [{th}] = theta_table({x})\n"
-                    f"        [{each('s{i}')}] = spray({values}, {each(v)})\n"
-                    + lines(f"{acc} = s{{i}} + {th} * {v}"))
+            fallback += [f"[{th}] = theta_interpreted(y)", f"[{each('s{i}')}] = spray({values}, {each(v)})",
+                         *(f"{a} = s{i} + {th} * {w}" for i, (a, w) in enumerate(zip(accs, velocity)))]
         else:
-            out += f"        [{each(acc)}] = spray({values}, {each(v)})\n"
-        finite = " * ".join(["0.0", *(acc.format(i=i) for i in range(l))])
-        return out + (f"        if {finite} != 0.0:\n"
-                      f"            raise DomainError(f'acceleration is not finite at t = {{{x}!r}}')\n")
+            fallback.append(f"[{', '.join(accs)}] = spray({values}, {each(v)})")
+        out = block(names(f"p{{i}} = {point}") + ([f"y = {x}"] if with_theta else []))
+        if inline:
+            terms = _spray_sums(keys, l, g_outputs, velocity)
+            fast = [f"{values} = ({''.join(t + ', ' for t in g_outputs)})"] if first else []
+            if with_theta:
+                fast += [f"{th} = {theta_outputs[0]}"] if first else []
+                terms = [f"{t} + {th if first else theta_outputs[0]} * {w}" for t, w in zip(terms, velocity)]
+            fast += [f"{a} = {t}" for a, t in zip(accs, terms)]
+            out += ("        try:\n" + block(body, 12) + "        except Exception:\n            finite = 1.0\n"
+                    "        if finite == 0.0:\n" + block(fast, 12) + "        else:\n" + block(fallback, 12))
+        else:
+            out += block(fallback)
+        return out + block([f"if {' * '.join(['0.0', *accs])} != 0.0:",
+                            f"    raise DomainError(f'acceleration is not finite at t = {{{x}!r}}')"])
 
     source = (
-        "def rk4(table, spray, theta_table, u, v, h, steps):\n"
+        "def rk4(u, v, h, steps):\n"
         f"    [{each('u{i}')}] = u\n    [{each('v{i}')}] = v\n"
         "    x, half, sixth, th = 0.0, 0.5 * h, h / 6.0, 0.0\n"
         "    for step in range(steps + 1):\n"
-        + stage("values", "th", "u{i}", "x", "v{i}", "a{i}")
+        + stage("u{i}", "x", "v{i}", "a{i}", True)
         + f"        yield GeodesicStep(x, ({each('u{i}')},), ({each('v{i}')},), ({each('a{i}')},), values, th)\n"
         "        if step == steps:\n            return\n"
-        + lines("b{i} = v{i} + half * a{i}")
-        + stage("w", "t", "u{i} + half * v{i}", "x + half", "b{i}", "c{i}")
-        + lines("d{i} = v{i} + half * c{i}")
-        + stage("w", "t", "u{i} + half * b{i}", "x + half", "d{i}", "e{i}")
-        + lines("f{i} = v{i} + h * e{i}")
-        + stage("w", "t", "u{i} + h * d{i}", "x + h", "f{i}", "k{i}")
-        + lines("u{i} = u{i} + sixth * (v{i} + 2 * b{i} + 2 * d{i} + f{i})")
-        + lines("v{i} = v{i} + sixth * (a{i} + 2 * c{i} + 2 * e{i} + k{i})")
+        + block(names("b{i} = v{i} + half * a{i}"))
+        + stage("u{i} + half * v{i}", "x + half", "b{i}", "c{i}", False)
+        + block(names("d{i} = v{i} + half * c{i}"))
+        + stage("u{i} + half * b{i}", "x + half", "d{i}", "e{i}", False)
+        + block(names("f{i} = v{i} + h * e{i}"))
+        + stage("u{i} + h * d{i}", "x + h", "f{i}", "k{i}", False)
+        + block(names("u{i} = u{i} + sixth * (v{i} + 2 * b{i} + 2 * d{i} + f{i})"))
+        + block(names("v{i} = v{i} + sixth * (a{i} + 2 * c{i} + 2 * e{i} + k{i})"))
         + "        x += h\n"
     )
-    return _generated(source, "rk4", {"GeodesicStep": GeodesicStep, "DomainError": DomainError})
+    return _generated(source, "rk4", {**_PLAN_FUNCTIONS, "GeodesicStep": GeodesicStep, "DomainError": DomainError,
+                                      "interpreted": g.table.interpreted, "spray": _spray(keys, l),
+                                      "theta_interpreted": theta.table.interpreted})
 
 
 def geodesic_steps(g, theta, start, velocity, h, steps):
@@ -560,10 +596,9 @@ def geodesic_steps(g, theta, start, velocity, h, steps):
         u'' = -Γ_A{}^C{}_B u'^A u'^B + Θ_1{}^1{}_1 u'^C
 
     over a one-dimensional parameter space.  Yields steps+1
-    `GeodesicStep`s from the generated loop `_rk4`: each RK4 stage calls
-    g's compiled table once, Θ's table once if Θ has entries, then a
-    generated `_spray`.  An acceleration that is not finite raises a
-    DomainError after the steps before it.
+    `GeodesicStep`s from the generated loop `_rk4_loop` of g and Θ, whose
+    stages evaluate both tables and the spray inline.  An acceleration that
+    is not finite raises a DomainError after the steps before it.
     """
     if theta.dim != 1:
         raise DimensionMismatchError("geodesic integration needs a 1-dimensional parameter space")
@@ -571,10 +606,7 @@ def geodesic_steps(g, theta, start, velocity, h, steps):
         raise DimensionMismatchError("start point/velocity do not match the connection dimension")
     if h <= 0 or steps < 0:
         raise DimensionMismatchError("step size must be positive and steps non-negative")
-    loop = _rk4(g.dim, bool(theta.christoffel))
-    theta_table = theta.table.compiled() if theta.christoffel else None
-    yield from loop(g.table.compiled(), _spray(tuple(g.christoffel), g.dim), theta_table,
-                    [float(c) for c in start], [float(c) for c in velocity], h, steps)
+    yield from _rk4_loop(g, theta)([float(c) for c in start], [float(c) for c in velocity], h, steps)
 
 
 def integrate_geodesic(g, theta, start, velocity, h, steps):

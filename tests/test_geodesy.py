@@ -1,4 +1,8 @@
+import gc
+import linecache
 import pickle
+import traceback
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from jetgeo import expr, geodesy
 from jetgeo.connections import Connection, grass_arrays, pi_array, projective_shift
 from jetgeo.errors import DomainError, FrameMismatchError
-from jetgeo.expr import CoordinateFrame, compile_table
+from jetgeo.expr import Const, CoordinateFrame, Div, Mul, Sym
 from jetgeo.geodesy import (
     XiTable,
     covering_commutation_deviation,
@@ -647,18 +651,75 @@ def test_an_overflowing_acceleration_raises_a_domain_error():
     assert [step.a for step in run] == [(1e307, 0.0)]
 
 
-def test_a_second_call_generates_no_new_loop(monkeypatch):
-    """The loop is generated once per (dimension, whether Θ has entries) and
-    the spray once per stored-entry layout: a second S^5 run, on a freshly
-    loaded connection, compiles neither."""
+def test_a_second_call_compiles_no_source(monkeypatch):
+    """The code of the loop and of the spray is kept per source text: a
+    second S^5 run, on a freshly loaded connection, compiles nothing, and
+    gets a loop function of its own, bound to its own connection."""
     theta = Connection.flat(1)
-    list(geodesic_steps(sphere_chart(5), theta, [0.1] * 5, [0.2] * 5, 0.01, 3))
-    generated = []
-    real = geodesy._generated
-    monkeypatch.setattr(geodesy, "_generated", lambda *args: generated.append(args[1]) or real(*args))
-    run = list(geodesic_steps(sphere_chart(5), theta, [0.1] * 5, [0.2] * 5, 0.01, 3))
-    assert len(run) == 4 and generated == []
-    assert geodesy._rk4(5, False) is geodesy._rk4(5, False) is not geodesy._rk4(5, True)
+    first = list(geodesic_steps(sphere_chart(5), theta, [0.1] * 5, [0.2] * 5, 0.01, 3))
+    compiled = []
+    monkeypatch.setattr(expr, "compile", lambda *args: compiled.append(args[1]) or compile(*args), raising=False)
+    g1, g2 = sphere_chart(5), sphere_chart(5)
+    run = list(geodesic_steps(g2, theta, [0.1] * 5, [0.2] * 5, 0.01, 3))
+    assert compiled == [] and [_bits(step) for step in run] == [_bits(step) for step in first]
+    loop1, loop2 = geodesy._rk4_loop(g1, theta), geodesy._rk4_loop(g2, theta)
+    assert compiled == [] and loop1 is not loop2 and loop1.__code__ is loop2.__code__
+    assert loop1.__globals__["interpreted"] == g1.table.interpreted
+    assert loop2.__globals__["interpreted"] == g2.table.interpreted
+
+
+def test_a_cache_hit_runs_its_own_connections_fallback():
+    """Two connections of the same entries print the same loop and share its
+    code, but each loop falls back to its own connection's interpreter."""
+    f = frame(2)
+    g1, g2 = (Connection.from_entries(f, {(1, 1, 1): expr.parse("-sqrt(1 - u1)", f)}) for _ in range(2))
+    list(geodesic_steps(g1, _one_entry_theta(), [0.0, 0.0], [2.0, 0.0], 0.1, 1))
+    calls = {1: 0, 2: 0}
+
+    def counted(k, table):
+        real = table.interpreted
+
+        def interpreted(*point):
+            calls[k] += 1
+            return real(*point)
+        return interpreted
+
+    g1.table.interpreted, g2.table.interpreted = counted(1, g1.table), counted(2, g2.table)
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        list(geodesic_steps(g2, _one_entry_theta(), [0.0, 0.0], [2.0, 0.0], 0.1, 20))
+    assert calls == {1: 0, 2: 1}
+
+
+def test_the_generated_loop_shows_in_tracebacks():
+    """The generated source is in linecache, so the traceback of the
+    acceleration's DomainError shows the generated raise line."""
+    f = frame(2)
+    big = expr.parse("10^308", f)
+    g = Connection.from_entries(f, {(1, 1, 1): big, (1, 2, 1): big})
+    with pytest.raises(DomainError) as stop:
+        next(geodesic_steps(g, Connection.flat(1), [0.0, 0.0], [1.0, 1.0], 0.1, 2))
+    text = "".join(traceback.format_exception(stop.type, stop.value, stop.tb))
+    assert "<jetgeo generated rk4 " in text
+    assert "raise DomainError(f'acceleration is not finite at t = {x!r}')" in text
+
+
+def test_generated_code_is_kept_per_source_in_a_bounded_cache(monkeypatch):
+    """`expr._generated` keeps the code of the `_GENERATED_CODES` sources
+    used last, and a code's source stays in linecache while it lives."""
+    monkeypatch.setattr(expr, "_codes", {})
+    sources = [f"def f():\n    return {k}\n" for k in range(expr._GENERATED_CODES + 1)]
+    first = expr._generated(sources[0], "f", {})
+    filename = first.__code__.co_filename
+    assert linecache.getline(filename, 2) == "    return 0\n"
+    for source in sources[1:]:
+        assert expr._generated(source, "f", {})() == int(source.split()[-1])
+    assert len(expr._codes) == expr._GENERATED_CODES and sources[0] not in expr._codes
+    code = expr._codes[sources[1]]
+    assert expr._generated(sources[1], "f", {})() == 1
+    assert expr._codes[sources[1]] is code and list(expr._codes)[-1] == sources[1]
+    del first
+    gc.collect()
+    assert filename not in linecache.cache
 
 
 def test_geodesic_step_residual_is_param_residual2():
@@ -670,26 +731,126 @@ def test_geodesic_step_residual_is_param_residual2():
 
 @pytest.mark.parametrize("theta", [lambda: Connection.zero(theta_frame(1)), _one_entry_theta],
                          ids=["flat-theta", "one-entry-theta"])
-def test_geodesic_calls_each_table_once_per_stage(monkeypatch, theta):
-    """One call to g's compiled table per RK4 stage (4 per step, and one at
-    the last point); a θ without entries is neither compiled nor called."""
-    calls = []
-
-    def counting_compile(*args):
-        table = compile_table(*args)
-        calls.append(0)
-        index = len(calls) - 1
-
-        def counted(*coords):
-            calls[index] += 1
-            return table(*coords)
-        return counted
-
-    monkeypatch.setattr(expr, "compile_table", counting_compile)
+def test_a_regular_run_calls_no_table_and_no_interpreter(monkeypatch, theta):
+    """At regular points each stage evaluates g and Θ inline: no table is
+    compiled or called, and the interpreter is not called."""
+    interpreted = []
+    real = expr._interpret
+    monkeypatch.setattr(expr, "_interpret", lambda *args: interpreted.append(args) or real(*args))
+    monkeypatch.setattr(expr, "compile_table", None)
+    monkeypatch.setattr(expr.Table, "__call__", None)
     monkeypatch.setattr(Connection, "christoffel_at", None)
     g, theta = sphere_chart(2), theta()
     assert len(list(geodesic_steps(g, theta, [0.1, -0.2], [0.6, 0.3], 0.05, 30))) == 31
-    assert calls == [4 * 30 + 1] * (1 + len(theta.christoffel))
+    assert interpreted == []
+
+
+def test_a_failing_point_calls_the_interpreter_once(monkeypatch):
+    """The stage where g fails takes the interpreter once, which raises."""
+    interpreted = []
+    real = expr._interpret
+    monkeypatch.setattr(expr, "_interpret", lambda *args: interpreted.append(args[2]) or real(*args))
+    f = frame(2)
+    g = Connection.from_entries(f, {(1, 1, 1): expr.parse("-sqrt(1 - u1)", f)})
+    run = []
+    with pytest.raises(DomainError, match="sqrt of negative value"):
+        for step in geodesic_steps(g, _one_entry_theta(), [0.0, 0.0], [2.0, 0.0], 0.1, 20):
+            run.append(step)
+    assert len(run) > 3 and len(interpreted) == 1 and interpreted[0][0] > 1.0
+
+
+@pytest.mark.parametrize("theta", ["flat", "one-entry"])
+def test_a_fallback_that_returns_values_matches_the_stepper_oracle(monkeypatch, theta):
+    """Where the interpreter returns values at a point where the inline body
+    fails, the stage sums the spray of those values (and Θ's term) as the
+    oracle does.  The interpreter here returns 1/4 for each entry where it
+    would raise."""
+    real = expr._interpret
+
+    def lenient(exprs, names, point):
+        try:
+            return real(exprs, names, point)
+        except DomainError:
+            return (0.25,) * len(exprs)
+
+    monkeypatch.setattr(expr, "_interpret", lenient)
+    f = frame(2)
+    g = Connection.from_entries(f, {(1, 1, 1): expr.parse("-sqrt(1 - u1)", f), (1, 2, 2): expr.parse("u1", f)})
+    run, stop = _run_bits(geodesic_steps, g, _THETAS[theta](), [0.0, 0.0], [2.0, 0.5], 0.1, 20)
+    assert stop is None and len(run) == 21
+    assert (run, stop) == _run_bits(geodesic_steps_oracle, g, _THETAS[theta](), [0.0, 0.0], [2.0, 0.5], 0.1, 20)
+
+
+def _run_bits(stepper, g, theta, start, velocity, h, steps):
+    """The bits of each step a stepper yields, then the type and text of
+    the exception that stops it, or None."""
+    out = []
+    try:
+        for step in stepper(g, theta, start, velocity, h, steps):
+            out.append(_bits(step))
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+def _same_as_oracle(g, theta, start, velocity, h=0.05, steps=20):
+    """The generated loop yields the oracle's steps and stops with its
+    error.  Where an acceleration is not finite, the loop stops and the
+    oracle, which does not check, runs on: there the loop's steps are the
+    first of the oracle's."""
+    run, stop = _run_bits(geodesic_steps, g, theta, start, velocity, h, steps)
+    oracle, oracle_stop = _run_bits(geodesic_steps_oracle, g, theta, start, velocity, h, steps)
+    if stop is not None and stop[1].startswith("acceleration is not finite"):
+        assert run == oracle[:len(run)]
+    else:
+        assert (run, stop) == (oracle, oracle_stop)
+
+
+_THETAS = {
+    "flat": lambda: Connection.flat(1),
+    "one-entry": lambda: _one_entry_theta(),
+    "constant": lambda: Connection.from_entries(theta_frame(1), {(1, 1, 1): expr.parse("-3/7", theta_frame(1))}),
+    "failing": lambda: Connection.from_entries(theta_frame(1),
+                                               {(1, 1, 1): expr.parse("sqrt(1/2 - x1)", theta_frame(1))}),
+    "nan-constant": lambda: Connection.from_entries(
+        theta_frame(1), {(1, 1, 1): Mul((Const(Fraction(10) ** 400), Sym("x1")))}),
+}
+
+
+@pytest.mark.parametrize("theta", sorted(_THETAS))
+def test_edge_connections_match_the_stepper_oracle_bit_for_bit(theta):
+    """An empty g, a g whose plan has a NaN constant, g and Θ with constant
+    (literal) outputs, and a Θ that fails or has a NaN constant: the
+    generated loop yields the oracle's steps and stops with its error."""
+    f = frame(3)
+    theta = _THETAS[theta]()
+    connections = [
+        Connection.zero(f),
+        Connection.from_entries(f, {(1, 1, 1): Mul((Const(Fraction(10) ** 400), Sym("u1"))),
+                                    (1, 2, 3): expr.parse("u1*u2", f)}),
+        Connection.from_entries(f, {(1, 1, 1): expr.parse("2/3", f), (2, 3, 1): expr.parse("-1/7", f),
+                                    (1, 3, 3): expr.parse("u2 - 5/4", f), (3, 3, 2): expr.parse("10^-300", f)}),
+    ]
+    for g in connections:
+        _same_as_oracle(g, theta, [0.1, -0.2, 0.3], [0.6, 0.3, -0.4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 63 - 1), st.integers(1, 4), st.sampled_from(["polynomial", "rational"]),
+       st.sampled_from(["flat", "one-entry", "constant", "failing"]))
+def test_random_connections_match_the_stepper_oracle_bit_for_bit(seed, l, kind, theta):
+    """Random polynomial Christoffels, or quotients of two random polynomials,
+    which fail where a denominator vanishes, with l in 1..4."""
+    rng = spawn_rng(seed)
+    f = frame(l)
+    keys = [(a, b, c) for a in range(1, l + 1) for b in range(a, l + 1) for c in range(1, l + 1)]
+    keys = [keys[i] for i in sorted(rng.choice(len(keys), size=min(len(keys), 4), replace=False).tolist())]
+    entries = random_expressions(f.names, rng, 2 * len(keys))
+    if kind == "rational":
+        entries = [Div(p, q) for p, q in zip(entries[::2], entries[1::2])]
+    g = Connection.from_entries(f, dict(zip(keys, entries)))
+    _same_as_oracle(g, _THETAS[theta](), rng.uniform(-0.5, 0.5, l).tolist(), rng.uniform(-1.0, 1.0, l).tolist(),
+                    h=0.1, steps=12)
 
 
 @pytest.mark.parametrize("steps", [0, 60])
