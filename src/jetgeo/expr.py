@@ -359,9 +359,10 @@ def _finite(x):
 # compiled evaluation
 
 # Code objects `_generated` keeps, the most recently used.  Printing a table
-# or a geodesic loop costs far less than compiling what it prints (0.3 against
-# 2.2 ms for the fused loop of the 45-entry S^5 chart), and each `geodesic`
-# op or criterion 9 prints the source of the op before it again.
+# or a geodesic loop costs far less than compiling what it prints (about 0.2
+# against 3.0 ms for the RK4 loop of the 45-entry S^5 chart on a 2-CPU shared
+# host, Python 3.11.7), and each `geodesic` op or criterion 9 prints the
+# source of the op before it again.
 _GENERATED_CODES = 64
 _codes = {}     # source text -> code object, least recently used first
 _serial = itertools.count()
@@ -372,20 +373,23 @@ def _generated(source, name, namespace):
 
     The code object is kept per source text, for the `_GENERATED_CODES`
     texts used last, and its source is in `linecache` under a filename of
-    its own for as long as the code object lives, so a traceback, cProfile
-    or py-spy shows the generated line.  Each call execs the code in the
-    namespace it is given, so a function made here is bound to its own
-    caller's namespace and never shared with another caller."""
+    its own while the cache or a function made from it holds the
+    function's code, so a traceback shows the generated line, and a profile
+    names its file and line.  Each call execs the code in the namespace it is given, so a
+    function made here is bound to its own caller's namespace and never
+    shared with another caller."""
     code = _codes.pop(source, None)
     if code is None:
         filename = f"<jetgeo generated {name} {next(_serial)}>"
         code = compile(source, filename, "exec")
         linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        weakref.finalize(code, linecache.cache.pop, filename, None)
         if len(_codes) >= _GENERATED_CODES:
             del _codes[next(iter(_codes))]
+        exec(code, namespace)
+        weakref.finalize(namespace[name].__code__, linecache.cache.pop, filename, None)
+    else:
+        exec(code, namespace)
     _codes[source] = code
-    exec(code, namespace)
     return namespace[name]
 
 

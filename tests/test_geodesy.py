@@ -705,7 +705,8 @@ def test_the_generated_loop_shows_in_tracebacks():
 
 def test_generated_code_is_kept_per_source_in_a_bounded_cache(monkeypatch):
     """`expr._generated` keeps the code of the `_GENERATED_CODES` sources
-    used last, and a code's source stays in linecache while it lives."""
+    used last, and a source stays in linecache while the cache or a
+    function made from it lives."""
     monkeypatch.setattr(expr, "_codes", {})
     sources = [f"def f():\n    return {k}\n" for k in range(expr._GENERATED_CODES + 1)]
     first = expr._generated(sources[0], "f", {})
@@ -714,6 +715,8 @@ def test_generated_code_is_kept_per_source_in_a_bounded_cache(monkeypatch):
     for source in sources[1:]:
         assert expr._generated(source, "f", {})() == int(source.split()[-1])
     assert len(expr._codes) == expr._GENERATED_CODES and sources[0] not in expr._codes
+    gc.collect()
+    assert linecache.getline(filename, 2) == "    return 0\n"
     code = expr._codes[sources[1]]
     assert expr._generated(sources[1], "f", {})() == 1
     assert expr._codes[sources[1]] is code and list(expr._codes)[-1] == sources[1]
