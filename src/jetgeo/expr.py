@@ -8,8 +8,7 @@ numeric evaluation, so identities that hold by cancellation hold exactly.
 
 Simplification is structural only: constant folding, 0/1 absorption,
 flattening of sums and products, collection of identical monomials.  There
-is no polynomial canonical form; where structural equality is too weak,
-`deviation_at_random_points` compares two trees numerically.
+is no polynomial canonical form.
 
 Besides its fields, a node may carry the attribute `_normal`, set on every
 tree `simplify` returns, so that simplifying it again returns it at once.
@@ -35,8 +34,6 @@ from .errors import (
     MissingSymbolError,
     ParseError,
     UnknownSymbolError,
-    draw_regular,
-    worst,
 )
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "sqrt")
@@ -1286,19 +1283,3 @@ def matrix_inverse(rows):
                 cof = negate(cof)
             out[j][i] = simplify(Div(cof, det))
     return out
-
-
-# ---------------------------------------------------------------------------
-# randomized numeric equality
-
-
-def deviation_at_random_points(e1, e2, names, rng, points=12):
-    """max |e1 - e2| over `points` points drawn from [-1, 1]^k; points
-    where either tree fails to evaluate are redrawn."""
-    table = Table((e1, e2), names)
-
-    def draw():
-        v1, v2 = table(rng.uniform(-1.0, 1.0, len(table.names)))
-        return abs(v1 - v2)
-
-    return worst(draw_regular(draw, points)[0])

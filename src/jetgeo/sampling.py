@@ -7,12 +7,12 @@ same configuration draw identical numbers.
 One reader draws ahead of a generator's calls.  A `WordStream` reads the
 generator's raw 64-bit words in chunks, by the rules numpy's Generator
 applies to them, and leaves the generator where the same calls would.
-It serves `random` and `uniform`, `peek` and `skip` over the numbers of
-``uniform(-1, 1, size)`` calls, and its `walk` reads the draws of many
-samples, each a tuple of `Polynomials` (random polynomials and
-connections) and `Draw`s (uniform arrays, gated or not), in one loop over
-the words.  The acceptance criteria, the sampled checks and `cover-check`
-read their batches of draws through one.
+It serves `peek` and `skip` over the numbers of ``uniform(-1, 1, size)``
+calls, and its `walk` reads the draws of many samples, each a tuple of
+`Polynomials` (random polynomials and connections) and `Draw`s (uniform
+arrays, gated or not), in one loop over the words.  The acceptance
+criteria, the sampled checks and `cover-check` read their batches of
+draws through one.
 
 One evaluator gives the values of random connections in coefficient form:
 `christoffel_stack`, for many connections at once or, through
@@ -44,12 +44,6 @@ def spawn_rng(seed, index=0):
 # raw words a `WordStream` reads from the bit generator at a time, and the
 # least a walk's table holds
 _WORDS_PER_CHUNK = 1024
-
-# a walk of at most this many stored polynomials reads their terms in
-# Python, not numpy: the Python reader costs about 2.5 us more per
-# polynomial and the numpy reader about 25 us more per walk, so they break
-# even at about 10 (README "Performance" gives the timings)
-_ENTRIES_READ_ONE_BY_ONE = 10
 
 # the bit generators whose doubles and 32-bit draws follow `WordStream`'s
 # rules: a double from one word, a 32-bit draw from half of one, the other
@@ -91,9 +85,8 @@ def _doubles(words):
 class WordStream:
     """The draws of a Generator on Philox, PCG64 (`default_rng`), PCG64DXSM
     or SFC64, read ahead from its raw 64-bit words: ``with WordStream(rng)
-    as s`` gives an `s` whose `random` and `uniform` return what the same
-    calls on `rng` return, bit for bit, whose `peek` and `skip` serve the
-    numbers of ``uniform(-1, 1, size)`` calls to a caller that looks at
+    as s`` gives an `s` whose `peek` and `skip` serve the numbers of
+    ``uniform(-1, 1, size)`` calls, bit for bit, to a caller that looks at
     them before it knows how many it takes, and whose `walk` reads the
     random polynomials and uniform arrays of many samples as the
     per-sample calls read them; when the block ends, normally or by an
@@ -137,7 +130,7 @@ class WordStream:
     def _set_chunk(self, words):
         """Serve the draws from these words on."""
         self._words, self._pos, self._end = words, 0, len(words)
-        self._doubles = self._halves = self._numbers = None
+        self._numbers = None
 
     def _ahead(self, count):
         """The chunk's words from the next on, at least `count` of them:
@@ -149,19 +142,6 @@ class WordStream:
             self._set_chunk(np.concatenate([self._words[self._pos:], fresh]) if self._pos < self._end else fresh)
         return self._words[self._pos:]
 
-    def _chunk_doubles(self):
-        """The chunk's doubles, as a list made when first asked for."""
-        if self._doubles is None:
-            self._doubles = _doubles(self._words).tolist()
-        return self._doubles
-
-    def _chunk_halves(self):
-        """The chunk's 32-bit halves, low then high of each word, as a list
-        made when first asked for."""
-        if self._halves is None:
-            self._halves = self._words.astype("<u8").view("<u4").tolist()
-        return self._halves
-
     def _uniforms(self, start, stop):
         """``uniform(-1, 1)`` of the words `start` to `stop` from the next,
         -1 + 2 d for a word's double d (2 d, (w >> 11) * 2**-52, is exact),
@@ -171,31 +151,6 @@ class WordStream:
             self._numbers = (self._words >> 11) * 2.0 ** -52
             self._numbers -= 1.0
         return self._numbers[self._pos + start:self._pos + stop]
-
-    def random(self):
-        """``rng.random()``: one word's double in [0, 1)."""
-        if self._pos == self._end:
-            self._set_chunk(self._fresh(_WORDS_PER_CHUNK))
-        self._pos += 1
-        return self._chunk_doubles()[self._pos - 1]
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        """``rng.uniform(low, high, size)``: low + (high - low) * d for one
-        word's double d per number, in C order."""
-        low, scale = float(low), float(high) - float(low)
-        if size is None:
-            return low + scale * self.random()
-        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-        count, start = math.prod(shape), self._pos
-        if start + count <= self._end:
-            self._pos += count
-            doubles = self._chunk_doubles()[start:self._pos]
-        else:
-            doubles = self._chunk_doubles()[start:self._end]
-            self._set_chunk(self._fresh(max(count - len(doubles), _WORDS_PER_CHUNK)))
-            self._pos = count - len(doubles)
-            doubles += self._chunk_doubles()[:self._pos]
-        return np.array([low + scale * d for d in doubles]).reshape(shape)
 
     def peek(self, count):
         """The numbers of the next ``uniform(-1, 1, count)`` call, as an
@@ -219,13 +174,11 @@ class WordStream:
         and the term count of each 32-bit half (see `_table`).  An entry's
         terms take the halves that follow its count, one after another, so
         the loop places them without reading them, and an entry whose count
-        is accepted moves the loop in one step; then each term's
-        thousandths and monomial index are read from its half by Lemire's
-        method, by numpy for a walk of more than `_ENTRIES_READ_ONE_BY_ONE`
-        entries and in Python below.  Where that method rejects a half
-        (about one in two million, or a zero half), the entry's terms take
-        one more half, and the loop runs again with that entry's run
-        known.
+        is accepted moves the loop in one step; then numpy reads each
+        term's thousandths and monomial index from its halves by Lemire's
+        method.  Where that method rejects a half (about one in two
+        million, or a zero half), the entry's terms take one more half, and
+        the loop runs again with that entry's run known.
 
         A gate decides a candidate's n x n block as the per-sample draw's
         `np.linalg.det` does, by the rule of `_block_regular`.  In a walk
@@ -267,20 +220,14 @@ class WordStream:
     def _terms(self, entries, runs, p):
         """The entries of a `_pass` that read p words, given as its flat
         list of records, and the (entry, thousandths, monomial index) of
-        each of their terms, both as rows of an int array, or of a list for
-        a few entries; or None, after adding to `runs` the first entry
-        whose run the pass did not know and Lemire's method lengthens."""
-        if len(entries) <= 6 * _ENTRIES_READ_ONE_BY_ONE:
-            terms = []
-            for e, values, run in self._read_terms(entries, range(len(entries) // 6), p):
-                if run != runs.get(e, len(values)):
-                    runs[e] = run
-                    return None
-                terms += [(e, k - 1000, index) for k, index in zip(values[::2], values[1::2])]
-            return [tuple(entries[at:at + 6]) for at in range(0, len(entries), 6)], terms
+        each of their terms, both as rows of an int array; or None, after
+        adding to `runs` the first entry whose run the pass did not know
+        and Lemire's method lengthens."""
         table = np.array(entries, dtype=np.int64).reshape(-1, 6)
         counts = table[:, 4]
         terms = np.empty((counts.sum(), 3), dtype=np.int64)
+        if not len(terms):
+            return table, terms
         entry = terms[:, 0]
         entry[:] = np.repeat(np.arange(len(table)), counts)
         offsets = np.cumsum(counts) - counts
@@ -311,20 +258,11 @@ class WordStream:
             return []
         words = p + 32
         while True:
-            halves, shift = self._half_list(words)
+            halves = [self._half] + self._ahead(words)[:words].astype("<u8").view("<u4").tolist()
             try:
-                return [(e, *_lemire_run(halves, entries[6 * e + 3] + shift, *entries[6 * e + 4:6 * e + 6]))
-                        for e in chosen]
+                return [(e, *_lemire_run(halves, *entries[6 * e + 3:6 * e + 6])) for e in chosen]
             except IndexError:
                 words *= 2
-
-    def _half_list(self, words):
-        """The halves of the walk's first `words` words as a list, and the
-        shift from a half's position (see `_pass`) to its index: the
-        chunk's list where the chunk holds them."""
-        if words <= self._end - self._pos:
-            return self._chunk_halves(), 2 * self._pos - 1
-        return [self._half] + self._ahead(words)[:words].astype("<u8").view("<u4").tolist(), 0
 
     def _pass(self, layouts, plans, runs, fills, stacked):
         """One run of `walk`'s loop, where entry e's terms take runs[e]
@@ -579,9 +517,9 @@ class Walked:
     one sample after another, the offset in it of the arrays of each
     `Draw` (-1 at a `Polynomials` item).  `entries` lists the (sample,
     item, slot, ...) of each stored polynomial and `terms` the (entry,
-    thousandths, monomial index) of each drawn term, both in the order
-    drawn.  Each of the three is an int array or a list, made an array
-    when first needed as one."""
+    thousandths, monomial index) of each drawn term, both as rows of an int
+    array in the order drawn; `starts` is a list, made an array when
+    first needed as one."""
 
     def __init__(self, layouts, numbers, starts, entries, terms):
         self.layouts, self.numbers, self.starts = layouts, numbers, starts
@@ -609,9 +547,9 @@ class Walked:
         in one pass over the entries and terms."""
         if self._polynomials is None:
             self._polynomials, drawn = {}, []
-            for row in _rows(self.entries):
+            for row in self.entries.tolist():
                 drawn.append(self._polynomials.setdefault((row[0], row[1]), {}).setdefault(row[2], {}))
-            for e, k, index in _rows(self.terms):
+            for e, k, index in self.terms.tolist():
                 drawn[e][index] = drawn[e].get(index, 0) + k
         return self._polynomials.get((sample, j), {})
 
@@ -627,10 +565,6 @@ class Walked:
         index), where row is the place of the term's sample in `samples`.
         The thousandths drawn for one monomial of an entry are summed, sums
         of 0 are dropped, and the terms of an entry stand together."""
-        if isinstance(self.entries, list):
-            width = len(self.entries[0]) if self.entries else 3
-            self.entries = np.array(self.entries, dtype=np.int64).reshape(-1, width)
-            self.terms = np.array(self.terms, dtype=np.int64).reshape(-1, 3)
         rank = np.full(len(self.layouts), -1)
         rank[samples] = np.arange(len(samples))
         sample, item, slot = self.entries[:, :3].T
@@ -642,11 +576,6 @@ class Walked:
         keys, sums = keys[sums != 0], sums[sums != 0]
         entry = keys >> 32
         return rank[sample[entry]], slot[entry], sums, keys & 0xFFFFFFFF
-
-
-def _rows(table):
-    """The rows of an int array, or of a list, as a list."""
-    return table if isinstance(table, list) else table.tolist()
 
 
 def _polynomial(cores, thousandths, subtracted=None):

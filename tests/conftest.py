@@ -15,13 +15,15 @@ are checked against, the per-sample loops of criteria 1, 2, 5, 6, 7, 9 and
 the one-sample walks that draw a random connection or polynomials, the
 random polynomials, connections, section jets and affine maps and the
 walks of a `WordStream` drawn one call at a time (on a bare Generator, or
-on the stream's words by the scalar 32-bit and `integers` draws), a word
-stream with a planted fault that the stream's tests must catch, a
-hypothesis strategy for expression trees, and helpers only the tests use
-(test-only, not public API).
+on the stream's words by the scalar `random`, `uniform`, 32-bit and
+`integers` draws), a word stream with a planted fault that the stream's
+tests must catch, a hypothesis strategy for expression trees, and helpers
+only the tests use, among them the numeric comparison of two trees at
+random points (test-only, not public API).
 
 Hypothesis runs derandomized and without an example database, so every
 run of the suite draws the same examples."""
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -383,7 +385,8 @@ def random_affine(n, rng):
 
 def walk_oracle(stream, layouts):
     """`WordStream.walk` one draw at a time, by the `random`, `integers` and
-    `uniform` calls of `stream`: each `Polynomials` candidate by a fill and
+    `uniform` calls of `stream` (a `ScalarWordStream` or a
+    `GeneratorStream`): each `Polynomials` candidate by a fill and
     `draw_thousandths_oracle`'s calls, each `Draw` by a `uniform` call per
     array, one with a gate redrawn through `draw_regular` as
     `secjet1_arrays` redraws.  Returns the `Walked` the walk must equal."""
@@ -409,13 +412,16 @@ def walk_oracle(stream, layouts):
 
             starts.append(len(numbers))
             numbers += [x for array in draw_regular(draw, 1)[0][0] for x in array.ravel().tolist()]
+    entries, terms = (np.array(rows, dtype=np.int64).reshape(-1, 3) for rows in (entries, terms))
     return Walked(layouts, np.array(numbers), starts, entries, terms)
 
 
 class GeneratorStream:
     """A bare Generator's own calls behind a stream's face: `random`,
-    `integers` and `uniform` call it, and `walk` is `walk_oracle` of
-    them.  The criteria run on it as on the Generator itself."""
+    `integers` and `uniform` call it, `peek` is a `uniform(-1, 1, count)`
+    call from a copy of its state, `skip` is that call, and `walk` is
+    `walk_oracle` of them.  The criteria run on it as on the Generator
+    itself."""
 
     def __init__(self, rng):
         self._rng = rng
@@ -435,17 +441,63 @@ class GeneratorStream:
     def uniform(self, *args):
         return self._rng.uniform(*args)
 
+    def peek(self, count):
+        state = self._rng.bit_generator.state
+        numbers = self._rng.uniform(-1.0, 1.0, count)
+        self._rng.bit_generator.state = state
+        return numbers
+
+    def skip(self, count):
+        self._rng.uniform(-1.0, 1.0, count)
+
     def walk(self, layouts):
         return walk_oracle(self, layouts)
 
 
 class ScalarWordStream(WordStream):
-    """A `WordStream` that reads its walks one draw at a time: a 32-bit draw
-    is the buffered high half of the last word split, or else the low half
-    of a new word, whose high half it buffers; `integers` is Lemire's
-    method on them; `walk` is `walk_oracle` of these calls.  It is the
-    scalar oracle of the walk's words, and its `integers` is checked
+    """A `WordStream` that reads its walks one draw at a time, by the
+    Generator's scalar calls on the same words: `random` is one word's
+    double, `uniform` a double per number, a 32-bit draw is the buffered
+    high half of the last word split, or else the low half of a new word,
+    whose high half it buffers; `integers` is Lemire's method on them;
+    `walk` is `walk_oracle` of these calls.  It is the scalar oracle of the
+    walk's words, and its `random`, `uniform` and `integers` are checked
     against the Generator's."""
+
+    def _set_chunk(self, words):
+        super()._set_chunk(words)
+        self._doubles = None
+
+    def _chunk_doubles(self):
+        """The chunk's doubles, as a list made when first asked for."""
+        if self._doubles is None:
+            self._doubles = sampling._doubles(self._words).tolist()
+        return self._doubles
+
+    def random(self):
+        """``rng.random()``: one word's double in [0, 1)."""
+        if self._pos == self._end:
+            self._set_chunk(self._fresh(sampling._WORDS_PER_CHUNK))
+        self._pos += 1
+        return self._chunk_doubles()[self._pos - 1]
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """``rng.uniform(low, high, size)``: low + (high - low) * d for one
+        word's double d per number, in C order."""
+        low, scale = float(low), float(high) - float(low)
+        if size is None:
+            return low + scale * self.random()
+        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+        count, start = math.prod(shape), self._pos
+        if start + count <= self._end:
+            self._pos += count
+            doubles = self._chunk_doubles()[start:self._pos]
+        else:
+            doubles = self._chunk_doubles()[start:self._end]
+            self._set_chunk(self._fresh(max(count - len(doubles), sampling._WORDS_PER_CHUNK)))
+            self._pos = count - len(doubles)
+            doubles += self._chunk_doubles()[:self._pos]
+        return np.array([low + scale * d for d in doubles]).reshape(shape)
 
     def _uint32(self):
         if self._has_half:
@@ -518,6 +570,18 @@ def trees():
 
 # ---------------------------------------------------------------------------
 # helpers only the tests use
+
+
+def deviation_at_random_points(e1, e2, names, rng, points=12):
+    """max |e1 - e2| over `points` points drawn from [-1, 1]^k; points
+    where either tree fails to evaluate are redrawn."""
+    table = expr.Table((e1, e2), names)
+
+    def draw():
+        v1, v2 = table(rng.uniform(-1.0, 1.0, len(table.names)))
+        return abs(v1 - v2)
+
+    return worst(draw_regular(draw, points)[0])
 
 
 def connection_to_dict(g):
@@ -902,7 +966,7 @@ def criterion_2_oracle(seed):
 
 def criterion_3_oracle(seed):
     deviations = []
-    with WordStream(spawn_rng(seed, 3)) as rng:
+    with ScalarWordStream(spawn_rng(seed, 3)) as rng:
         for case in range(50):
             l = 2 + case % 2
             frame = _frame(l, 1)
@@ -915,7 +979,7 @@ def criterion_3_oracle(seed):
 
 def criterion_4_oracle(seed):
     deviations = []
-    with WordStream(spawn_rng(seed, 4)) as rng:
+    with ScalarWordStream(spawn_rng(seed, 4)) as rng:
         for l, n in ((2, 1), (3, 1), (3, 2), (4, 2)):
             frame = _frame(l, n)
             g = random_connection(frame, rng)

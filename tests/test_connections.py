@@ -28,7 +28,14 @@ from jetgeo.errors import (
 from jetgeo.expr import Const, CoordinateFrame
 from jetgeo.sampling import spawn_rng
 
-from conftest import connection_to_dict, random_connection, random_expressions, sphere_chart, sphere_spec
+from conftest import (
+    connection_to_dict,
+    deviation_at_random_points,
+    random_connection,
+    random_expressions,
+    sphere_chart,
+    sphere_spec,
+)
 
 
 def frame(l, n=1):
@@ -102,7 +109,7 @@ def test_thomas_pi_vanishes_on_shifted_zero():
     for a in range(1, l + 1):
         trace = expr.simplify(expr.Add(tuple(shifted.gamma(a, c, c) for c in range(1, l + 1))))
         want = expr.simplify(Const(Fraction(-(l + 1))) * phi[a - 1])
-        dev = expr.deviation_at_random_points(trace, want, f.names, rng, points=8)
+        dev = deviation_at_random_points(trace, want, f.names, rng, points=8)
         assert dev <= 1e-12
     for _ in range(10):
         assert np.abs(pi_array(shifted.christoffel_at(rng.uniform(-1, 1, l)))).max() <= 1e-12

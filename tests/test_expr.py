@@ -27,7 +27,6 @@ from jetgeo.expr import (
     Mul,
     Pow,
     Sym,
-    deviation_at_random_points,
     differentiate,
     evaluate,
     parse,
@@ -36,7 +35,14 @@ from jetgeo.expr import (
 )
 from jetgeo.sampling import spawn_rng
 
-from conftest import TREE_NAMES, differentiate_oracle, random_connection, random_expressions, trees
+from conftest import (
+    TREE_NAMES,
+    deviation_at_random_points,
+    differentiate_oracle,
+    random_connection,
+    random_expressions,
+    trees,
+)
 
 UV = ("u", "v")
 

@@ -217,23 +217,29 @@ def test_hand_made_coefficients_evaluate_to_the_bits_of_their_trees():
 # the word stream against the Generator
 
 
-# scalar calls as (method, args): `random`, and the uniform shapes of the
-# criteria
-_SCALAR_CALLS = st.one_of(
+# Each step below is a list of calls (method, args).
+
+# a `peek` and a `skip` of as many numbers or fewer, as
+# `extension_deviation` looks at its points and takes those it uses
+_PEEK_STEPS = st.tuples(st.integers(0, 200), st.integers(0, 200)).map(
+    lambda sizes: [("peek", (max(sizes),)), ("skip", (min(sizes),))])
+
+# the scalar calls of the oracle streams: `random`, and uniform shapes
+_SCALAR_STEPS = st.one_of(
     st.just(("random", ())),
     st.integers(0, 5).map(lambda k: ("uniform", (-1.0, 1.0, k))),
     st.integers(0, 5).map(lambda k: ("uniform", (-0.3, 2.9, k))),
     st.tuples(st.integers(1, 3), st.integers(1, 2)).map(lambda shape: ("uniform", (-1, 1, shape))),
     st.tuples(st.integers(2, 4), st.integers(1, 2)).map(lambda ln: ("uniform", (-1.0, 1.0, (50, ln[0], ln[1], ln[1])))),
     st.just(("uniform", ())),
-)
+).map(lambda call: [call])
 
 # the ranges the samplers draw integers from, one where about one first
 # draw in four is rejected, and widths 1 and 2**32
-_INTEGER_CALLS = st.one_of(
+_INTEGER_STEPS = st.one_of(
     st.sampled_from([(1, 4), (-1000, 1001), (0, 3 * 2 ** 30), (7, 8), (-2, -1), (0, 2 ** 32)])
-    .map(lambda span: ("integers", span)),
-    st.integers(1, 60).map(lambda size: ("integers", (0, size))),
+    .map(lambda span: [("integers", span)]),
+    st.integers(1, 60).map(lambda size: [("integers", (0, size))]),
 )
 
 # walks of samples whose items are random polynomials over the frames'
@@ -246,8 +252,8 @@ _ITEMS = st.one_of(
     st.tuples(st.integers(1, 2), st.integers(1, 2)).map(lambda nm: secjet1_draw(nm[0], nm[0] + nm[1])),
     st.integers(1, 2).map(affine_draw),
 )
-_WALK_CALLS = st.lists(st.lists(_ITEMS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=5).map(
-    lambda layouts: ("walk", (layouts,)))
+_WALK_STEPS = st.lists(st.lists(_ITEMS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=5).map(
+    lambda layouts: [("walk", (layouts,))])
 
 # a step that ends the block by an exception of its own class
 _RAISE = ("raise", ())
@@ -288,17 +294,15 @@ def _replay(rng, calls, out):
             out.append(repr(int(value) if name == "integers" else value))
 
 
-def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_PER_CHUNK,
-                    one_by_one=sampling._ENTRIES_READ_ONE_BY_ONE, make=spawn_rng):
+def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_PER_CHUNK, make=spawn_rng):
     """Whether `calls` made in a ``with stream(rng) as s`` block return what
     they return on a Generator with the same seed (through
     `GeneratorStream`, whose walks draw one call at a time), and leave rng
     in that Generator's state, when both start with a buffered high half
     if `buffered`, and the stream reads `chunk` words at a time (and its
-    walks' tables hold at least as many) and reads up to `one_by_one`
-    entries in Python.  The generators are ``make(seed)``.  The planted
-    step, or a gate that gives up, ends both runs and the block with it;
-    any other exception is a failure."""
+    walks' tables hold at least as many).  The generators are
+    ``make(seed)``.  The planted step, or a gate that gives up, ends both
+    runs and the block with it; any other exception is a failure."""
     rng, oracle = make(seed), make(seed)
     if buffered:
         rng.integers(0, 10), oracle.integers(0, 10)
@@ -307,31 +311,29 @@ def _stream_matches(stream, calls, seed, buffered=False, chunk=sampling._WORDS_P
         _replay(GeneratorStream(oracle), calls, want)
     with pytest.MonkeyPatch.context() as patch, contextlib.suppress(_EndsTheBlock, DomainError):
         patch.setattr(sampling, "_WORDS_PER_CHUNK", chunk)
-        patch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
         with stream(rng) as words:
             _replay(words, calls, got)
     return got == want and repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
 
 
-def _stream_property(stream, calls=st.one_of(_SCALAR_CALLS, _WALK_CALLS)):
+def _stream_property(stream, steps=st.one_of(_PEEK_STEPS, _WALK_STEPS)):
     """The property that `stream` returns what the Generator returns, over
-    drawn seeds, calls, starting halves, raising blocks, chunk sizes, and
-    both ways of reading the terms of a walk."""
+    drawn seeds, steps, starting halves, raising blocks and chunk sizes."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2 ** 63 - 1), st.lists(calls, max_size=40), st.booleans(), st.booleans(),
-           st.sampled_from([1, 3, 5, sampling._WORDS_PER_CHUNK]),
-           st.sampled_from([0, sampling._ENTRIES_READ_ONE_BY_ONE]))
-    def check(seed, calls, buffered, raises, chunk, one_by_one):
-        calls = calls + [_RAISE, ("random", ())] if raises else calls
-        assert _stream_matches(stream, calls, seed, buffered, chunk, one_by_one)
+    @given(st.integers(0, 2 ** 63 - 1), st.lists(steps, max_size=40), st.booleans(), st.booleans(),
+           st.sampled_from([1, 3, 5, sampling._WORDS_PER_CHUNK]))
+    def check(seed, steps, buffered, raises, chunk):
+        calls = [call for step in steps for call in step]
+        calls = calls + [_RAISE, ("peek", (1,))] if raises else calls
+        assert _stream_matches(stream, calls, seed, buffered, chunk)
 
     return check
 
 
 test_word_stream_returns_what_the_generator_returns = _stream_property(WordStream)
 test_scalar_word_stream_returns_what_the_generator_returns = _stream_property(
-    ScalarWordStream, st.one_of(_SCALAR_CALLS, _INTEGER_CALLS, _WALK_CALLS))
+    ScalarWordStream, st.one_of(_SCALAR_STEPS, _INTEGER_STEPS, _WALK_STEPS))
 
 # criterion 5's layout, whose walks cross chunks with each kind of item
 _SECTION_JETS = [(connection_draw(_frame(n + m, n)), connection_draw(_theta_frame(n)), secjet1_draw(n, n + m))
@@ -340,19 +342,19 @@ _SECTION_JETS = [(connection_draw(_frame(n + m, n)), connection_draw(_theta_fram
 
 def test_word_stream_crosses_chunks_with_every_call():
     walk = ("walk", ([_SECTION_JETS[i % 4] for i in range(60)],))
-    calls = [("uniform", (-1.0, 1.0, (50, 4, 2, 2)))] * 3 + [walk, ("random", ())] * 3 + [("random", ())] * 1500
+    peek_skip = lambda size, taken: [("peek", (size,)), ("skip", (taken,))]
+    calls = peek_skip(800, 800) * 3 + ([walk] + peek_skip(1, 1)) * 3 + peek_skip(3, 1) * 1500
     for chunk in (2, 3, 5, 7, sampling._WORDS_PER_CHUNK):
-        for one_by_one in (0, 10 ** 6):
-            assert _stream_matches(WordStream, calls, 8, False, chunk, one_by_one)
-            assert _stream_matches(WordStream, calls, 9, True, chunk, one_by_one)
+        assert _stream_matches(WordStream, calls, 8, False, chunk)
+        assert _stream_matches(WordStream, calls, 9, True, chunk)
 
 
 @pytest.mark.parametrize("chunk", [3, 7, sampling._WORDS_PER_CHUNK])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_word_stream_peek_and_skip_line_up_with_successive_draws(monkeypatch, chunk, buffered):
     """`peek` gives the numbers of the next ``uniform(-1, 1, size)`` calls
-    and `skip` consumes them, across chunk ends, between walks and
-    `uniform` calls, and the generator ends where those calls leave it."""
+    and `skip` consumes them, across chunk ends and between walks, and the
+    generator ends where those calls leave it."""
     monkeypatch.setattr(sampling, "_WORDS_PER_CHUNK", chunk)
     rng, oracle = _generator(23, buffered), _generator(23, buffered)
     # a walk with random connections, and one of gated draws alone
@@ -367,13 +369,12 @@ def test_word_stream_peek_and_skip_line_up_with_successive_draws(monkeypatch, ch
             assert peeked[:taken].tobytes() == oracle.uniform(-1.0, 1.0, taken).tobytes()
             walk = walks[i % 2]
             assert _walked(stream.walk(walk)) == _walked(GeneratorStream(oracle).walk(walk))
-            assert stream.uniform(-1.0, 1.0, (2, 3)).tobytes() == oracle.uniform(-1.0, 1.0, (2, 3)).tobytes()
     assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
 
 
 def test_a_stream_that_ignores_the_buffered_half_fails_the_stream_test():
     with pytest.raises(AssertionError):
-        _stream_property(HalfIgnoringStream, st.one_of(_INTEGER_CALLS, _WALK_CALLS))()
+        _stream_property(HalfIgnoringStream, st.one_of(_INTEGER_STEPS, _WALK_STEPS))()
     two_draws = [("integers", (1, 4)), ("integers", (-1000, 1001))]
     assert _stream_matches(ScalarWordStream, two_draws, 5)
     assert not _stream_matches(HalfIgnoringStream, two_draws, 5)
@@ -399,11 +400,12 @@ def test_generators_on_other_half_buffering_bit_generators_walk_through_the_same
     assert repr(rng.bit_generator.state) == repr(oracle.bit_generator.state)
     # through a stream block
     walk = ("walk", ([_SECTION_JETS[i % 4] for i in range(40)],))
-    calls = [("random", ()), walk, ("uniform", (-1.0, 1.0, (3, 2))), walk, ("random", ())]
+    calls = [("peek", (1,)), ("skip", (1,)), walk, ("peek", (6,)), ("skip", (6,)), walk, ("peek", (2,)), ("skip", (1,))]
+    scalar = [("random", ()), walk, ("uniform", (-1.0, 1.0, (3, 2))), walk, ("random", ())] + [("integers", (0, 7))] * 3
     for seed in range(5):
         for buffered in (False, True):
             assert _stream_matches(WordStream, calls, seed, buffered, make=make)
-            assert _stream_matches(ScalarWordStream, calls + [("integers", (0, 7))] * 3, seed, buffered, make=make)
+            assert _stream_matches(ScalarWordStream, scalar, seed, buffered, make=make)
 
 
 def test_draws_from_mt19937_or_an_object_without_walk_are_type_errors():
@@ -421,20 +423,31 @@ def test_draws_from_mt19937_or_an_object_without_walk_are_type_errors():
 # walks over planted words against the scalar oracle
 
 
-def _planted(stream, zeros):
+def _planted(stream, zeros, edges=()):
     """`stream` reading words whose halves at `zeros`, (word, half) pairs
     counted from the block's first word read, half 0 low and 1 high, are
-    zero."""
+    zero, and whose halves at `edges`, (word, half, span) triples, are
+    `_edge_half(span)`."""
+    planted = {**dict.fromkeys(zeros, 0), **{(w, half): _edge_half(span) for w, half, span in edges}}
 
     class Planted(stream):
         def _fresh(self, count):
             start, words = self._read, super()._fresh(count).copy()
-            for w, half in zeros:
+            for (w, half), value in planted.items():
                 if start <= w < start + count:
                     words[w - start] &= np.uint64(0xFFFFFFFF00000000 if half == 0 else 0xFFFFFFFF)
+                    words[w - start] |= np.uint64(value << 32 * half)
             return words
 
     return Planted
+
+
+def _edge_half(span):
+    """The 32-bit half x that Lemire's method accepts for `span` at the edge
+    of its rejections: x * span mod 2^32 is the threshold itself."""
+    threshold = ((1 << 32) - span) % span
+    twos = (span & -span).bit_length() - 1
+    return (threshold >> twos) * pow(span >> twos, -1, 1 << 32 - twos) % (1 << 32)
 
 
 class _Recording(ScalarWordStream):
@@ -485,14 +498,14 @@ def _walk_with(stream, seed, layouts, buffered=False):
 _PLANT_LAYOUTS = [(connection_draw(_frame(2, 1)), subjet1_draw(1, 1), connection_draw(_theta_frame(1)))] * 30
 
 
-@pytest.mark.parametrize("one_by_one", [0, 10 ** 6])
 @pytest.mark.parametrize("span", [3, 2001, 6])
 @pytest.mark.parametrize("buffered", [False, True])
-def test_walk_reads_planted_rejections_as_the_scalar_oracle(monkeypatch, one_by_one, span, buffered):
+def test_walk_reads_planted_rejections_as_the_scalar_oracle(span, buffered):
     """A zero half is rejected for every span; zero the first half of the
     3rd, the 40th and the 41st draw of a span: a rejection near the start,
-    and the 40th can meet a second zero half when it redraws."""
-    monkeypatch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
+    and the 40th can meet a second zero half when it redraws.  The 3rd
+    then takes a half accepted at the edge of the threshold, so a reader
+    that rejects one more half value reads other draws."""
     recording = _Recording(_generator(21, buffered))
     recording.walk(_PLANT_LAYOUTS)
     firsts = [halves[0] for drawn, halves in recording.draws if drawn == span]
@@ -507,17 +520,18 @@ def test_walk_reads_planted_rejections_as_the_scalar_oracle(monkeypatch, one_by_
         # high half (1) too
         rejected = {half for drawn, halves in planted.draws if drawn == span for _, half in halves[:-1]}
         assert rejected == ({0, 1} if buffered else {0})
-    want = _walk_with(_planted(ScalarWordStream, zeros), 21, _PLANT_LAYOUTS, buffered)
-    assert _walk_with(_planted(WordStream, zeros), 21, _PLANT_LAYOUTS, buffered) == want
+    third = [halves for drawn, halves in planted.draws if drawn == span][2]
+    edges = [(*third[1], span)]
+    assert _edge_half(span) * span % (1 << 32) == sampling._lemire_threshold(span)
+    want = _walk_with(_planted(ScalarWordStream, zeros, edges), 21, _PLANT_LAYOUTS, buffered)
+    assert _walk_with(_planted(WordStream, zeros, edges), 21, _PLANT_LAYOUTS, buffered) == want
     assert want != _walk_with(ScalarWordStream, 21, _PLANT_LAYOUTS, buffered)
 
 
-@pytest.mark.parametrize("one_by_one", [0, 10 ** 6])
-def test_walk_rejects_a_zero_half_buffered_before_it(monkeypatch, one_by_one):
+def test_walk_rejects_a_zero_half_buffered_before_it():
     """The half buffered before the walk, half 0, is zero: the first term
     count reads and rejects it, as the scalar oracle and the Generator do,
     with no fill before it and after a fill."""
-    monkeypatch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
     frame = _frame(3, 1)
 
     def zero_buffered(seed):
@@ -544,9 +558,7 @@ def _zero_words(first, last):
     return {(w, half) for w in range(first, last) for half in (0, 1)}
 
 
-@pytest.mark.parametrize("one_by_one", [0, 10 ** 6])
-def test_walk_gate_rejects_zero_blocks_and_gives_up_as_the_scalar_oracle(monkeypatch, one_by_one):
-    monkeypatch.setattr(sampling, "_ENTRIES_READ_ONE_BY_ONE", one_by_one)
+def test_walk_gate_rejects_zero_blocks_and_gives_up_as_the_scalar_oracle():
     # all-zero words are uniform -1.0: a 2 x 2 block of them has det 0
     layouts = [(secjet1_draw(2, 3), connection_draw(_frame(3, 2)))] * 8
     for zeros in (set(), _zero_words(0, 4), _zero_words(0, 40), _zero_words(50, 90), _zero_words(0, 600)):
