@@ -473,18 +473,21 @@ class _Recording(ScalarWordStream):
         return value
 
 
-def _generator(seed, buffered=False):
-    """spawn_rng(seed), with a buffered high half if `buffered`."""
+def _generator(seed, buffered=False, before=0):
+    """spawn_rng(seed) after it has drawn `before` raw words, with a
+    buffered high half if `buffered`."""
     rng = spawn_rng(seed)
+    rng.bit_generator.random_raw(before)
     if buffered:
         rng.integers(0, 10)
     return rng
 
 
-def _walk_with(stream, seed, layouts, buffered=False):
+def _walk_with(stream, seed, layouts, buffered=False, before=0):
     """What a ``with stream(rng) as s`` block's walk of `layouts` read, or
-    its DomainError's message, and rng's state after the block."""
-    rng = _generator(seed, buffered)
+    its DomainError's message, and rng's state after the block, when rng
+    starts as ``_generator(seed, buffered, before)``."""
+    rng = _generator(seed, buffered, before)
     try:
         with stream(rng) as words:
             out = _walked(words.walk(layouts))
@@ -498,19 +501,29 @@ def _walk_with(stream, seed, layouts, buffered=False):
 _PLANT_LAYOUTS = [(connection_draw(_frame(2, 1)), subjet1_draw(1, 1), connection_draw(_theta_frame(1)))] * 30
 
 
+# raw words the Generator has drawn before a walk's block: planted words
+# are counted from the block's first word, wherever the Generator stands
+_BEFORE = [0, 10 ** 6]
+
+# a seed whose planted draws below reject a term count's low half, and
+# from a buffered start its high half too, after either number of words
+_PLANT_SEED = 18
+
+
+@pytest.mark.parametrize("before", _BEFORE)
 @pytest.mark.parametrize("span", [3, 2001, 6])
 @pytest.mark.parametrize("buffered", [False, True])
-def test_walk_reads_planted_rejections_as_the_scalar_oracle(span, buffered):
+def test_walk_reads_planted_rejections_as_the_scalar_oracle(before, span, buffered):
     """A zero half is rejected for every span; zero the first half of the
     3rd, the 40th and the 41st draw of a span: a rejection near the start,
     and the 40th can meet a second zero half when it redraws.  The 3rd
     then takes a half accepted at the edge of the threshold, so a reader
     that rejects one more half value reads other draws."""
-    recording = _Recording(_generator(21, buffered))
+    recording = _Recording(_generator(_PLANT_SEED, buffered, before))
     recording.walk(_PLANT_LAYOUTS)
     firsts = [halves[0] for drawn, halves in recording.draws if drawn == span]
     zeros = {firsts[2], firsts[39], firsts[40]}
-    planted = _planted(_Recording, zeros)(_generator(21, buffered))
+    planted = _planted(_Recording, zeros)(_generator(_PLANT_SEED, buffered, before))
     planted.walk(_PLANT_LAYOUTS)
     assert any(len(halves) > 1 for drawn, halves in planted.draws if drawn == span)
     assert sum(len(halves) - 1 for _, halves in planted.draws) >= 2
@@ -523,19 +536,20 @@ def test_walk_reads_planted_rejections_as_the_scalar_oracle(span, buffered):
     third = [halves for drawn, halves in planted.draws if drawn == span][2]
     edges = [(*third[1], span)]
     assert _edge_half(span) * span % (1 << 32) == sampling._lemire_threshold(span)
-    want = _walk_with(_planted(ScalarWordStream, zeros, edges), 21, _PLANT_LAYOUTS, buffered)
-    assert _walk_with(_planted(WordStream, zeros, edges), 21, _PLANT_LAYOUTS, buffered) == want
-    assert want != _walk_with(ScalarWordStream, 21, _PLANT_LAYOUTS, buffered)
+    want = _walk_with(_planted(ScalarWordStream, zeros, edges), _PLANT_SEED, _PLANT_LAYOUTS, buffered, before)
+    assert _walk_with(_planted(WordStream, zeros, edges), _PLANT_SEED, _PLANT_LAYOUTS, buffered, before) == want
+    assert want != _walk_with(ScalarWordStream, _PLANT_SEED, _PLANT_LAYOUTS, buffered, before)
 
 
-def test_walk_rejects_a_zero_half_buffered_before_it():
+@pytest.mark.parametrize("before", _BEFORE)
+def test_walk_rejects_a_zero_half_buffered_before_it(before):
     """The half buffered before the walk, half 0, is zero: the first term
     count reads and rejects it, as the scalar oracle and the Generator do,
     with no fill before it and after a fill."""
     frame = _frame(3, 1)
 
     def zero_buffered(seed):
-        rng = spawn_rng(seed)
+        rng = _generator(seed, before=before)
         state = rng.bit_generator.state
         state["has_uint32"], state["uinteger"] = 1, 0
         rng.bit_generator.state = state
@@ -558,12 +572,13 @@ def _zero_words(first, last):
     return {(w, half) for w in range(first, last) for half in (0, 1)}
 
 
-def test_walk_gate_rejects_zero_blocks_and_gives_up_as_the_scalar_oracle():
+@pytest.mark.parametrize("before", _BEFORE)
+def test_walk_gate_rejects_zero_blocks_and_gives_up_as_the_scalar_oracle(before):
     # all-zero words are uniform -1.0: a 2 x 2 block of them has det 0
     layouts = [(secjet1_draw(2, 3), connection_draw(_frame(3, 2)))] * 8
     for zeros in (set(), _zero_words(0, 4), _zero_words(0, 40), _zero_words(50, 90), _zero_words(0, 600)):
-        want = _walk_with(_planted(ScalarWordStream, zeros), 22, layouts)
-        assert _walk_with(_planted(WordStream, zeros), 22, layouts) == want
+        want = _walk_with(_planted(ScalarWordStream, zeros), 22, layouts, before=before)
+        assert _walk_with(_planted(WordStream, zeros), 22, layouts, before=before) == want
     assert want[0].startswith("could not sample: 100 draws failed and 0 of 1 succeeded; the last failed with: "
                               "base-direction block")
 
